@@ -116,25 +116,7 @@ let fig3 () =
   record ~entry:"fig3" ~engine:"lmfao-batch" aware.stats_seconds;
   record ~entry:"fig3" ~engine:"lmfao-total" aware_total;
   record ~entry:"fig3" ~engine:"agnostic-total"
-    (Baseline.Agnostic.total_seconds report);
-  (* interpreted vs staged-compiled execution of the same covariance batch:
-     compile once (cold cost reported separately), then time the two
-     executors on identical plans. *)
-  let t_interp =
-    Util.Timing.measure ~repeats:3 (fun () -> Lmfao.Engine.eval_batch db batch)
-  in
-  let plan, t_compile = Util.Timing.time (fun () -> Compile.Engine.compile db batch) in
-  let t_compiled =
-    Util.Timing.measure ~repeats:3 (fun () -> Compile.Engine.run plan db)
-  in
-  Printf.printf "\ncovariance batch, interpreted: %s  compiled: %s (%s; compile %s)\n%!"
-    (Util.Timing.to_string t_interp)
-    (Util.Timing.to_string t_compiled)
-    (pct (t_interp /. t_compiled))
-    (Util.Timing.to_string t_compile);
-  record ~entry:"fig3" ~engine:"lmfao-interpreted" t_interp;
-  record ~entry:"fig3" ~engine:"lmfao-compiled" t_compiled;
-  record ~entry:"fig3" ~engine:"compile-cold" t_compile
+    (Baseline.Agnostic.total_seconds report)
 
 (* ------------------------------------------------------------ fig4left *)
 
@@ -767,7 +749,6 @@ let engines () =
       record ~entry:"engines" ~engine:(Aggregates.Engine_intf.name e) t)
     [
       (module Lmfao.Engine : Aggregates.Engine_intf.S);
-      (module Compile.Engine);
       (module Baseline.Agnostic);
       (module Baseline.Unshared.Dbx);
       (module Baseline.Unshared.Monet);
@@ -1124,8 +1105,7 @@ let traffic_bench () =
    through a FIXED page-cache budget, so the resident working set stays
    flat while the dataset grows — the out-of-core property, gauge-verified:
    at every scale the bench asserts store.cache_pages_peak <= budget and
-   that paged results are BIT-IDENTICAL to in-memory execution (both the
-   LMFAO interpreter and the staged-compiled engine).
+   that paged results are BIT-IDENTICAL to in-memory execution.
 
    Scales are ABSOLUTE ({0.1, 0.5, 1.0}, seed fixed), deliberately ignoring
    BORG_SCALE: the committed crossover table must mean the same thing on
@@ -1198,13 +1178,8 @@ let outofcore () =
         Util.Timing.measure ~repeats:2 (fun () -> Lmfao.Engine.eval_batch sdb batch)
       in
       let r_paged = Lmfao.Engine.eval_batch sdb batch in
-      let plan = Compile.Engine.compile sdb batch in
-      let r_compiled = Compile.Engine.run plan sdb in
       let peak = int_of_float (Obs.gauge_value peak_gauge) in
-      let ok =
-        results_bit_equal r_mem r_paged && results_bit_equal r_mem r_compiled
-      in
-      if not ok then
+      if not (results_bit_equal r_mem r_paged) then
         failwith
           (Printf.sprintf
              "outofcore: paged results differ from in-memory at scale %g" s);

@@ -486,7 +486,6 @@ let maintain_cmd =
 let engines : Aggregates.Engine_intf.t list =
   [
     (module Lmfao.Engine);
-    (module Compile.Engine);
     (module Baseline.Agnostic);
     (module Baseline.Unshared.Dbx);
     (module Baseline.Unshared.Monet);
@@ -522,10 +521,10 @@ let agg_cmd =
     Arg.(value & flag
          & info [ "check" ]
              ~doc:
-               "Audit the result: evaluate the batch twice (the second run \
-                exercises any plan cache) and compare against the LMFAO \
-                interpreter — bitwise for lmfao engines, numerically \
-                otherwise. Exits 1 on divergence.")
+               "Audit the result: evaluate the batch twice (bitwise for \
+                lmfao, numerically otherwise) and compare numerically \
+                against flat evaluation over the materialised join. Exits 1 \
+                on divergence.")
   in
   let batch_arg =
     let bconv =
@@ -586,28 +585,30 @@ let agg_cmd =
       results;
     if check then begin
       let ename = Aggregates.Engine_intf.name engine in
-      (* second evaluation: a cached-plan engine serves this from its
-         cache, so the audit also covers the cached path *)
       let again = Aggregates.Engine_intf.eval engine db batch in
-      let reference = Lmfao.Engine.eval_batch db batch in
-      let bitwise =
-        String.length ename >= 5 && String.sub ename 0 5 = "lmfao"
+      let reference =
+        Aggregates.Batch.eval_flat (Database.materialise_join db) batch
       in
-      let agree a b =
-        if bitwise then bits_identical a b
-        else
-          List.length a = List.length b
-          && List.for_all2
-               (fun (id, r) (id', r') ->
-                 String.equal id id' && Aggregates.Spec.result_equal r r')
-               (List.sort compare a) (List.sort compare b)
+      let bitwise = String.equal ename Lmfao.Engine.name in
+      (* flat evaluation has no group that no join row reaches, where an
+         engine may hold an explicit zero *)
+      let nonzero (id, r) = (id, List.filter (fun (_, v) -> v <> 0.0) r) in
+      let numeric a b =
+        List.length a = List.length b
+        && List.for_all2
+             (fun (id, r) (id', r') ->
+               String.equal id id' && Aggregates.Spec.result_equal r r')
+             (List.sort compare (List.map nonzero a))
+             (List.sort compare (List.map nonzero b))
       in
-      let ok_rerun = agree results again in
-      let ok_ref = agree results reference in
-      Printf.printf "check (%s): rerun %s, vs interpreter %s\n"
-        (if bitwise then "bitwise" else "numeric")
+      let ok_rerun =
+        if bitwise then bits_identical results again else numeric results again
+      in
+      let ok_ref = numeric results reference in
+      Printf.printf "check: rerun %s (%s), vs flat reference %s (numeric)\n"
         (if ok_rerun then "identical" else "DIVERGED")
-        (if ok_ref then "identical" else "DIVERGED");
+        (if bitwise then "bitwise" else "numeric")
+        (if ok_ref then "agrees" else "DIVERGED");
       if not (ok_rerun && ok_ref) then begin
         Printf.eprintf "borg agg: engine %s diverges from the reference\n"
           ename;

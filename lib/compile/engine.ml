@@ -1,19 +1,18 @@
-(* The staged-compilation engine: an [Aggregates.Engine_intf.S]
-   implementation ("lmfao-compiled") that lowers the LMFAO logical plan
-   through the typed IR (stage 1), optimises it (stage 2) and executes the
-   specialised closures (stage 3).
+(* A fingerprint-keyed cache of LMFAO plans over [Lmfao.Engine]'s [compile]
+   and [run] halves.
 
    Compiled plans are cached globally, keyed by [Batch.fingerprint] — the
-   same key [Serve] uses for its result cache — so recompilation is
-   amortised across epochs and delta rounds. A cached plan is revalidated
-   against a cheap plan signature (schema shape, options, and the
-   multi-root assignment, which depends on relation CARDINALITIES and so
-   can drift as data changes); on any mismatch the batch is recompiled.
-   That keeps the engine bit-identical to a fresh interpreter run even
-   when deltas have shifted which relation a pure count roots at.
+   same key [Serve] uses for its result cache — so planning is amortised
+   across epochs and delta rounds. A cached plan is revalidated against a
+   cheap plan signature (schema shape, options, and the multi-root
+   assignment, which depends on relation CARDINALITIES and so can drift as
+   data changes); on any mismatch the batch is recompiled. That keeps a
+   cached run bit-identical to a fresh [Lmfao.Engine.eval] even when deltas
+   have shifted which relation a pure count roots at.
 
-   Cyclic schemas fall back to the interpreter (which materialises the
-   join with the WCOJ engine), counted in [lmfao.compile.cyclic]. *)
+   Cyclic schemas fall back to [Lmfao.Engine.eval_batch] (which
+   materialises the join with the WCOJ engine), counted in
+   [lmfao.compile.cyclic]. *)
 
 open Relational
 module Plan = Lmfao.Plan
@@ -28,23 +27,24 @@ type compiled = {
   fingerprint : int; (* Batch.fingerprint of the compiled batch *)
   signature : string; (* plan signature the cache revalidates against *)
   options : options;
-  groups : Ir.rooted array; (* one rooted plan per multi-root group *)
+  groups : Lmfao.Ir.rooted list; (* one rooted plan per multi-root group *)
 }
 
-let c_plans = Obs.counter "lmfao.compile.plans"
 let c_cache_hits = Obs.counter "lmfao.compile.cache_hits"
 let c_cyclic = Obs.counter "lmfao.compile.cyclic"
 
-let plan_options (o : options) ~share =
-  { Plan.share; multi_root = o.Lmfao.Engine.multi_root }
-
-(* Everything the lowered plans depend on besides the batch itself: the
+(* Everything the compiled plans depend on besides the batch itself: the
    schema shape (relation names, attribute order) and the root
    assignment. Cheap to recompute — no scans, just the join tree and the
    per-aggregate root policy. Raises [Join_tree.Cyclic]. *)
 let signature_of (options : options) (db : Database.t) (batch : Batch.t) :
     string =
-  let popts = plan_options options ~share:options.Lmfao.Engine.share in
+  let popts =
+    {
+      Plan.share = options.Lmfao.Engine.share;
+      multi_root = options.Lmfao.Engine.multi_root;
+    }
+  in
   let _jt, groups = Plan.group_by_root popts db batch in
   let b = Buffer.create 128 in
   Buffer.add_string b
@@ -70,48 +70,18 @@ let signature_of (options : options) (db : Database.t) (batch : Batch.t) :
     groups;
   Buffer.contents b
 
-(* Compile the batch: plan unshared (one slot per aggregate), lower each
-   rooted group, and let the pass pipeline rediscover sharing on the
-   physical form. Raises [Join_tree.Cyclic]. *)
 let compile ?(options = default_options) (db : Database.t) (batch : Batch.t) :
     compiled =
-  Obs.with_span "lmfao.compile.plan" @@ fun () ->
-  Obs.incr c_plans;
-  let popts = plan_options options ~share:false in
-  let jt, groups = Plan.group_by_root popts db batch in
-  let stats = Plan.fresh_stats () in
-  let lowered =
-    List.filter_map
-      (fun (root, specs) ->
-        if specs = [] then None
-        else
-          let ir =
-            Obs.with_span "lmfao.compile.lower" (fun () ->
-                Lower.rooted (Plan.build popts ~stats jt ~root specs))
-          in
-          Some
-            (Obs.with_span "lmfao.compile.passes" (fun () ->
-                 Passes.pipeline ~share:options.Lmfao.Engine.share ir)))
-      groups
-  in
+  let groups, _stats = Lmfao.Engine.compile ~options db batch in
   {
     fingerprint = Batch.fingerprint batch;
     signature = signature_of options db batch;
     options;
-    groups = Array.of_list lowered;
+    groups;
   }
 
 let run (c : compiled) (db : Database.t) : (string * Spec.result) list =
-  Obs.with_span "lmfao.compile.exec" @@ fun () ->
-  let groups = Array.to_list c.groups in
-  if c.options.Lmfao.Engine.parallel && List.length groups > 1 then
-    List.concat
-      (Util.Pool.parallel_tasks
-         (List.map
-            (fun g () -> Exec.compute_rooted ~options:c.options db g)
-            groups))
-  else
-    List.concat_map (fun g -> Exec.compute_rooted ~options:c.options db g) groups
+  Lmfao.Engine.run ~options:c.options db c.groups
 
 (* A cached plan may be reused iff the batch, options and plan signature
    all still match. Cyclic schemas never reuse (they never compiled). *)
@@ -124,7 +94,7 @@ let reusable (c : compiled) ?(options = default_options) (db : Database.t)
   | s -> String.equal c.signature s
   | exception Join_tree.Cyclic -> false
 
-(* ---------- the engine facade with its global plan cache ---------- *)
+(* ---------- the global plan cache ---------- *)
 
 let cache : (int, compiled) Hashtbl.t = Hashtbl.create 16
 let cache_lock = Mutex.create ()
@@ -145,12 +115,6 @@ let find_or_compile ?(options = default_options) db batch : compiled =
       let c = compile ~options db batch in
       Hashtbl.replace cache fp c;
       c
-
-let name = "lmfao-compiled"
-
-let description =
-  "staged compilation of the LMFAO plan: typed IR, fused+specialized scans, \
-   cached per batch fingerprint (cyclic: interpreter fallback)"
 
 let eval_batch ?(options = default_options) db batch :
     (string * Spec.result) list =

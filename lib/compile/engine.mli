@@ -1,8 +1,7 @@
-(** The staged-compilation engine ("lmfao-compiled"): lowers the LMFAO
-    logical plan through the typed IR, optimises it, and executes
-    specialised closures. Satisfies {!Aggregates.Engine_intf.S}. Results
-    are bitwise equal to {!Lmfao.Engine}; cyclic schemas fall back to the
-    interpreter (counted in [lmfao.compile.cyclic]). *)
+(** A fingerprint-keyed cache of LMFAO plans: {!Lmfao.Engine.compile} once
+    per batch shape, {!Lmfao.Engine.run} per call. Cached runs are bitwise
+    equal to a fresh {!Lmfao.Engine.eval}; cyclic schemas fall back to
+    {!Lmfao.Engine.eval_batch} (counted in [lmfao.compile.cyclic]). *)
 
 open Relational
 module Spec = Aggregates.Spec
@@ -13,13 +12,13 @@ type options = Lmfao.Engine.options
 val default_options : options
 
 type compiled
-(** A compiled batch: one optimised {!Ir.rooted} per multi-root group,
-    tagged with the batch fingerprint and a plan signature. *)
+(** A compiled batch: one optimised {!Lmfao.Ir.rooted} per multi-root
+    group, tagged with the batch fingerprint and a plan signature. *)
 
 val compile : ?options:options -> Database.t -> Batch.t -> compiled
-(** Compile without consulting the cache. Counts [lmfao.compile.plans];
-    runs under the [lmfao.compile.plan] span with [lmfao.compile.lower] /
-    [lmfao.compile.passes] child spans.
+(** Compile without consulting the cache ({!Lmfao.Engine.compile}: counts
+    [lmfao.compile.plans]; runs under the [lmfao.compile.plan] span with
+    [lmfao.compile.lower] / [lmfao.compile.passes] child spans).
     @raise Join_tree.Cyclic on cyclic schemas
     @raise Lmfao.Plan.Unsupported on non-decomposable filters *)
 
@@ -38,10 +37,7 @@ val find_or_compile : ?options:options -> Database.t -> Batch.t -> compiled
     Thread-safe.
     @raise Join_tree.Cyclic on cyclic schemas *)
 
-(** {1 Engine_intf} *)
-
-val name : string
-val description : string
-
 val eval_batch :
   ?options:options -> Database.t -> Batch.t -> (string * Spec.result) list
+(** {!find_or_compile} then {!run}; cyclic schemas fall back to
+    {!Lmfao.Engine.eval_batch}. *)

@@ -17,14 +17,13 @@
    - Scans can be chunked across domains and independent subtrees computed
      as parallel tasks (Section 4, "Parallelisation").
 
-   The decomposition itself (restriction, sharing, root choice, ownership)
-   lives in [Plan]; this module is the closure INTERPRETER over that
-   logical plan. The staged compiler in [Compile] consumes the same plans
-   and must stay bit-identical to this module — it is the differential
-   oracle. *)
+   One pipeline evaluates every batch: [Plan] decides the decomposition
+   (restriction, sharing, root choice, ownership), [Lower] turns each
+   rooted plan into the typed physical IR, [Passes] optimise it, and
+   [Exec] binds it to the live columns and scans. [compile] and [run] are
+   the two halves, so that [Compile.Engine] can cache plans across calls. *)
 
 open Relational
-module GF = Factorized.Faggregate.Grouped_float
 module Spec = Aggregates.Spec
 module Batch = Aggregates.Batch
 
@@ -43,323 +42,47 @@ let default_options =
 let plan_options (o : options) =
   { Plan.share = o.share; multi_root = o.multi_root }
 
-(* ---------- payloads ----------
-
-   A view row holds the partial-aggregate payloads of one join-key value:
-   scalar partials (no group-by anywhere below) in a flat float array —
-   the hot path, accumulated without boxing — and grouped partials as
-   k-relation maps. *)
-
-type row = { sc : float array; gr : GF.t array }
-
-(* ---------- executable plans ---------- *)
-
-type slot_plan = {
-  canonical : string;
-  local_terms : (int * int) array; (* (position, power) over owned attrs *)
-  local_groups : (string * int) array; (* owned group-by attrs *)
-  filter_src : Predicate.t list; (* owned filter conjuncts, compiled per scan *)
-  child_slots : int array; (* per child: slot in the child's plan *)
-  child_refs : (int * bool) array; (* per child: (payload index, is_scalar) *)
-  scalar : bool; (* no group-by anywhere in the subtree *)
-  payload_idx : int; (* index into [row.sc] or [row.gr] *)
-}
-
-type node_plan = {
-  rel : Relation.t;
-  stream : Database.chunks option; (* out-of-core: scan THIS, never [rel]'s cells *)
-  key_positions : int array; (* this node's join key with its parent *)
-  child_keys : int array array; (* per child: child-key positions in OUR schema *)
-  slots : slot_plan array;
-  slot_index : (string, int) Hashtbl.t; (* canonical -> index into [slots] *)
-  n_scalar : int;
-  n_grouped : int;
-  children : node_plan list;
-}
-
 type stats = Plan.stats = {
   mutable views : int;
   mutable partials : int;
   mutable shared_away : int;
 }
 
-(* Observability: the per-layer work the paper counts (Sections 1.4 and 4),
-   exported under the [lmfao.*] namespace. Handles are created once at
-   module initialisation; updates are a branch when disabled. *)
-let c_views = Obs.counter "lmfao.views"
-let c_partials = Obs.counter "lmfao.partials"
-let c_tuples_scanned = Obs.counter "lmfao.tuples_scanned"
-let c_roots = Obs.counter "lmfao.roots"
+let c_plans = Obs.counter "lmfao.compile.plans"
 
-(* Instantiate the closure interpreter for a logical plan: assign payload
-   indexes in slot order (scalars and grouped partials counted separately)
-   and resolve each child slot to its payload. Filter conjuncts stay as
-   source predicates — they compile against the columns of whatever
-   relation the scan actually reads (the resident relation, or each chunk
-   of a streamed one). *)
-let rec instantiate ~db (p : Plan.node) : node_plan =
-  let child_plans = List.map (instantiate ~db) p.Plan.children in
-  let child_plan_arr = Array.of_list child_plans in
-  let n_scalar = ref 0 and n_grouped = ref 0 in
-  let slots =
-    Array.map
-      (fun (s : Plan.slot) ->
-        let child_refs =
-          Array.mapi
-            (fun c cs ->
-              let child_slot = child_plan_arr.(c).slots.(cs) in
-              (child_slot.payload_idx, child_slot.scalar))
-            s.child_slots
-        in
-        let payload_idx =
-          if s.scalar then begin
-            incr n_scalar;
-            !n_scalar - 1
-          end
-          else begin
-            incr n_grouped;
-            !n_grouped - 1
-          end
-        in
-        {
-          canonical = s.key;
-          local_terms = s.local_terms;
-          local_groups = s.local_groups;
-          filter_src = s.local_filter;
-          child_slots = s.child_slots;
-          child_refs;
-          scalar = s.scalar;
-          payload_idx;
-        })
-      p.Plan.slots
-  in
-  {
-    rel = p.Plan.rel;
-    stream = Database.stream db (Relation.name p.Plan.rel);
-    key_positions = p.Plan.key_positions;
-    child_keys = p.Plan.child_keys;
-    slots;
-    slot_index = p.Plan.slot_index;
-    n_scalar = !n_scalar;
-    n_grouped = !n_grouped;
-    children = child_plans;
-  }
-
-(* ---------- evaluation ---------- *)
-
-type view = row Keypack.Hybrid.t
-
-let fresh_row plan =
-  { sc = Array.make plan.n_scalar 0.0; gr = Array.make plan.n_grouped GF.zero }
-
-let merge_rows (a : row) (b : row) =
-  Array.iteri (fun i v -> a.sc.(i) <- a.sc.(i) +. v) b.sc;
-  Array.iteri (fun i v -> a.gr.(i) <- GF.add a.gr.(i) v) b.gr
-
-let merge_views (a : view) (b : view) : view =
-  Keypack.Hybrid.iter
-    (fun key row_b ->
-      match Keypack.Hybrid.find_opt a key with
-      | Some row_a -> merge_rows row_a row_b
-      | None -> Keypack.Hybrid.add a key row_b)
-    b;
-  a
-
-(* Grouped contribution of row [i] to one slot, accumulated into [acc] with
-   per-key [KMap.update]s (an O(log) path copy per row) rather than a whole-
-   map union. Group values are boxed one cell at a time from the columns;
-   scalar children fold straight into the float coefficient — only genuinely
-   grouped children pay for a map product. *)
-let accumulate_grouped (slot : slot_plan) (cols : Column.t array) i local
-    (child_rows : row array) (acc : GF.t) : GF.t =
-  let coeff = ref local in
-  let grouped = ref [] in
-  Array.iteri
-    (fun c r ->
-      let idx, is_scalar = slot.child_refs.(c) in
-      if is_scalar then coeff := !coeff *. r.sc.(idx)
-      else grouped := r.gr.(idx) :: !grouped)
-    child_rows;
-  let assignment =
-    match slot.local_groups with
-    | [| (a, pos) |] -> [ (a, Column.get cols.(pos) i) ]
-    | groups ->
-        List.sort compare
-          (Array.to_list
-             (Array.map (fun (a, pos) -> (a, Column.get cols.(pos) i)) groups))
-  in
-  let bump k v acc =
-    GF.KMap.update k
-      (function None -> Some v | Some v0 -> Some (v0 +. v))
-      acc
-  in
-  match !grouped with
-  | [] -> bump assignment !coeff acc
-  | gs ->
-      let m = ref (GF.KMap.singleton assignment !coeff) in
-      List.iter (fun g -> m := GF.mul !m g) gs;
-      GF.KMap.fold bump !m acc
-
-let rec compute ~options (plan : node_plan) : view =
-  Obs.with_span ("lmfao.view:" ^ Relation.name plan.rel) (fun () ->
-      compute_node ~options plan)
-
-and compute_node ~options (plan : node_plan) : view =
-  let child_views =
-    if options.parallel && List.length plan.children > 1 then
-      Util.Pool.parallel_tasks
-        (List.map (fun c () -> compute ~options c) plan.children)
-    else List.map (compute ~options) plan.children
-  in
-  let child_views = Array.of_list child_views in
-  let n_children = Array.length child_views in
-  (* Scan rows [lo, lo+len) of [rel] into [view]. Key extractors and filter
-     closures are compiled against [rel]'s own columns, so the same loop
-     serves the resident relation and each chunk of a streamed one. *)
-  let scan_into rel view lo len =
-    Obs.add c_tuples_scanned len;
-    ignore (Relation.scan rel);
-    let cols = Relation.columns rel in
-    let schema = Relation.schema rel in
-    let own_key = Relation.extractor rel plan.key_positions in
-    let child_key = Array.map (Relation.extractor rel) plan.child_keys in
-    let filters =
-      Array.map
-        (fun slot ->
-          match slot.filter_src with
-          | [] -> fun _ -> true
-          | cs ->
-              let compiled = List.map (Predicate.compile_cols schema cols) cs in
-              fun i -> List.for_all (fun f -> f i) compiled)
-        plan.slots
-    in
-    let child_rows = Array.make n_children { sc = [||]; gr = [||] } in
-    for i = lo to lo + len - 1 do
-      (* probe all children; a missing partner voids the row entirely *)
-      let rec probe c =
-        if c = n_children then true
-        else
-          match Keypack.Hybrid.find_opt child_views.(c) (child_key.(c) i) with
-          | Some r ->
-              child_rows.(c) <- r;
-              probe (c + 1)
-          | None -> false
-      in
-      if probe 0 then begin
-        let key = own_key i in
-        let acc_row =
-          match Keypack.Hybrid.find_opt view key with
-          | Some r -> r
-          | None ->
-              let r = fresh_row plan in
-              Keypack.Hybrid.add view key r;
-              r
-        in
-        Array.iteri
-          (fun si slot ->
-            if filters.(si) i then begin
-              (* product of the owned attribute powers, read unboxed *)
-              let local = ref 1.0 in
-              Array.iter
-                (fun (pos, power) ->
-                  let x = Column.float_at cols.(pos) i in
-                  for _ = 1 to power do
-                    local := !local *. x
-                  done)
-                slot.local_terms;
-              if slot.scalar then begin
-                (* tight unboxed path: multiply the children's scalars in *)
-                for c = 0 to n_children - 1 do
-                  let idx, _ = slot.child_refs.(c) in
-                  local := !local *. child_rows.(c).sc.(idx)
-                done;
-                acc_row.sc.(slot.payload_idx) <-
-                  acc_row.sc.(slot.payload_idx) +. !local
-              end
-              else
-                acc_row.gr.(slot.payload_idx) <-
-                  accumulate_grouped slot cols i !local child_rows
-                    acc_row.gr.(slot.payload_idx)
-            end)
-          plan.slots
-      end
-    done
-  in
-  match plan.stream with
-  | Some chunks ->
-      (* Out-of-core scan: one page-sized chunk at a time, in global row
-         order, accumulating into a SINGLE view — the float-addition
-         sequence is exactly that of a sequential in-memory scan, so the
-         result is bit-identical. Chunk parallelism stays off here: only
-         the sequential order carries the bit-identity guarantee. *)
-      let view : view = Keypack.Hybrid.create 256 in
-      chunks (fun chunk -> scan_into chunk view 0 (Relation.cardinality chunk));
-      view
-  | None ->
-      let n = Relation.cardinality plan.rel in
-      if options.parallel && n > options.chunk_threshold then
-        Util.Pool.parallel_chunks n
-          (fun lo len ->
-            let view : view = Keypack.Hybrid.create 256 in
-            scan_into plan.rel view lo len;
-            view)
-          ~combine:(fun acc v ->
-            match acc with None -> Some v | Some a -> Some (merge_views a v))
-          ~zero:None
-        |> Option.value ~default:(Keypack.Hybrid.create 1)
-      else begin
-        let view : view = Keypack.Hybrid.create 256 in
-        scan_into plan.rel view 0 n;
-        view
-      end
-
-(* ---------- top level ---------- *)
-
-let run_rooted ~options ~stats ~db (jt : Join_tree.t) root (specs : Spec.t list)
-    : (string * Spec.result) list =
-  if specs = [] then []
-  else
-    Obs.with_span ("lmfao.root:" ^ root) @@ fun () ->
-    Obs.incr c_roots;
-    let rooted = Plan.build (plan_options options) ~stats jt ~root specs in
-    let plan = instantiate ~db rooted.Plan.tree in
-    let view = compute ~options plan in
-    (* the root view has the single empty key, which packs as [P 0] *)
-    let row = Keypack.Hybrid.find_opt view (Keypack.P 0) in
-    (* map each requested spec to its (possibly shared) slot *)
+(* Plan -> Lower -> Passes: one optimised rooted plan per multi-root group,
+   in batch order, with the planner's statistics. *)
+let compile ?(options = default_options) (db : Database.t) (batch : Batch.t) :
+    Ir.rooted list * stats =
+  Obs.with_span "lmfao.compile.plan" @@ fun () ->
+  Obs.incr c_plans;
+  let popts = plan_options options in
+  let jt, groups = Plan.group_by_root popts db batch in
+  let stats = Plan.fresh_stats () in
+  let plans =
     List.map
-      (fun ((s : Spec.t), key) ->
-        let result =
-          match row with
-          | None -> if s.group_by = [] then [ ([], 0.0) ] else []
-          | Some r ->
-              let slot =
-                match Hashtbl.find_opt plan.slot_index key with
-                | Some i -> plan.slots.(i)
-                | None -> failwith "Engine.run_rooted: lost slot"
-              in
-              if slot.scalar then [ ([], r.sc.(slot.payload_idx)) ]
-              else GF.bindings r.gr.(slot.payload_idx)
+      (fun (root, specs) ->
+        let ir =
+          Obs.with_span "lmfao.compile.lower" (fun () ->
+              Lower.rooted (Plan.build popts ~stats jt ~root specs))
         in
-        (s.id, result))
-      rooted.Plan.requests
+        Obs.with_span "lmfao.compile.passes" (fun () -> Passes.pipeline ir))
+      groups
+  in
+  (plans, stats)
+
+let run ?(options = default_options) (db : Database.t) (plans : Ir.rooted list)
+    : (string * Spec.result) list =
+  Obs.with_span "lmfao.compile.exec" @@ fun () ->
+  let exec =
+    Exec.compute_rooted ~parallel:options.parallel
+      ~chunk_threshold:options.chunk_threshold db
+  in
+  if options.parallel && List.length plans > 1 then
+    List.concat (Util.Pool.parallel_tasks (List.map (fun p () -> exec p) plans))
+  else List.concat_map exec plans
 
 let choose_root = Plan.choose_root
-
-(* Evaluate the batch over an acyclic schema: group the aggregates by their
-   chosen root, then one rooted decomposition pass per group. *)
-let eval_acyclic ~options (db : Database.t) (batch : Batch.t) :
-    (string * Spec.result) list * stats =
-  let jt, groups = Plan.group_by_root (plan_options options) db batch in
-  let stats = Plan.fresh_stats () in
-  let run_group (root, specs) = run_rooted ~options ~stats ~db jt root specs in
-  let results =
-    if options.parallel && List.length groups > 1 then
-      List.concat
-        (Util.Pool.parallel_tasks (List.map (fun g () -> run_group g) groups))
-    else List.concat_map run_group groups
-  in
-  (results, stats)
 
 (* ---------- the facade ---------- *)
 
@@ -380,6 +103,9 @@ let table_of keyed =
    the batch by flat evaluation over it. Stats reflect the actual work: one
    materialised view (the full join), one flat pass per aggregate, no
    sharing. *)
+let c_views = Obs.counter "lmfao.views"
+let c_partials = Obs.counter "lmfao.partials"
+let c_tuples_scanned = Obs.counter "lmfao.tuples_scanned"
 let c_cyclic_fallback = Obs.counter "lmfao.cyclic_fallback"
 
 let eval_cyclic (db : Database.t) (batch : Batch.t) :
@@ -424,8 +150,8 @@ let eval ?(options = default_options) ?(on_cyclic = `Raise) (db : Database.t)
     (batch : Batch.t) : result =
   Obs.with_span "lmfao.eval" @@ fun () ->
   let keyed, stats =
-    match eval_acyclic ~options db batch with
-    | r -> r
+    match compile ~options db batch with
+    | plans, stats -> (run ~options db plans, stats)
     | exception Join_tree.Cyclic when on_cyclic = `Materialize ->
         eval_cyclic db batch
   in

@@ -5,9 +5,12 @@
     identical partial aggregates (sharing), one shared scan per node, and
     optional domain parallelism.
 
-    The single entry point is {!eval}. When observability is on ({!Obs}),
-    every root and view computation runs inside a span and the engine
-    maintains the [lmfao.views] / [lmfao.partials] / [lmfao.shared_away] /
+    The entry point is {!eval}; {!compile} and {!run} are its two halves
+    (plan, lower and optimise; then execute). When observability is on
+    ({!Obs}), planning runs under the [lmfao.compile.plan] span, execution
+    under [lmfao.compile.exec] with one [lmfao.root:<R>] span per root and
+    one [lmfao.view:<R>] span per view, and the engine maintains the
+    [lmfao.views] / [lmfao.partials] / [lmfao.shared_away] /
     [lmfao.tuples_scanned] / [lmfao.roots] counters. *)
 
 open Relational
@@ -38,6 +41,20 @@ val choose_root : Join_tree.t -> default_root:string -> Spec.t -> string
     relation; products at their first term's owner; counts at the smallest
     relation. *)
 
+val compile :
+  ?options:options -> Database.t -> Batch.t -> Ir.rooted list * stats
+(** Plan the batch, lower each multi-root group to the physical IR and run
+    the {!Passes} over it: one rooted plan per group, in batch order, with
+    the planner's statistics. Counts [lmfao.compile.plans].
+    @raise Join_tree.Cyclic on cyclic schemas
+    @raise Unsupported on non-decomposable filters *)
+
+val run :
+  ?options:options -> Database.t -> Ir.rooted list -> (string * Spec.result) list
+(** Execute compiled plans against a database whose schema and multi-root
+    assignment still match the one they were compiled for. Grouped results
+    list their groups in [Faggregate.Grouped.Key.compare] order. *)
+
 type result = {
   keyed : (string * Spec.result) list;  (** results keyed by aggregate id *)
   table : (string, Spec.result) Hashtbl.t Lazy.t;
@@ -51,13 +68,13 @@ val eval :
   Database.t ->
   Batch.t ->
   result
-(** Evaluate the whole batch. [on_cyclic] selects the behaviour on cyclic
-    schemas: [`Raise] (default) propagates [Join_tree.Cyclic];
-    [`Materialize] falls back to materialising the join with
-    {!Factorized.Wcoj} and evaluating the batch flat (the paper's footnote-4
-    bag materialisation). On that path [result.stats] reflects the actual
-    work — one materialised view, one flat pass per aggregate, nothing
-    shared — and the [lmfao.cyclic_fallback] counter is bumped.
+(** Evaluate the whole batch: {!compile}, then {!run}. [on_cyclic] selects
+    the behaviour on cyclic schemas: [`Raise] (default) propagates
+    [Join_tree.Cyclic]; [`Materialize] falls back to materialising the join
+    with {!Factorized.Wcoj} and evaluating the batch flat (the paper's
+    footnote-4 bag materialisation). On that path [result.stats] reflects
+    the actual work — one materialised view, one flat pass per aggregate,
+    nothing shared — and the [lmfao.cyclic_fallback] counter is bumped.
     @raise Unsupported on non-decomposable filters
     @raise Join_tree.Cyclic on cyclic schemas with [on_cyclic = `Raise] *)
 

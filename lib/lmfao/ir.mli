@@ -1,16 +1,18 @@
-(** The typed physical IR of the staged compiler (stage 1 output): one
-    LMFAO rooted decomposition as pure, closure-free data. Attribute names
-    are resolved to column positions, column representations are recorded
-    explicitly, and filters stay first-order — so plans have meaningful
-    structural equality (used by the merge pass), and the executor can
-    emit monomorphic accessors per representation. *)
+(** The typed physical IR of the LMFAO executor: one rooted decomposition
+    as pure, closure-free data. Attribute names are resolved to column
+    positions, column representations are recorded explicitly, and filters
+    stay first-order — so passes rewrite plans as plain data, and the
+    executor can emit monomorphic accessors per representation. *)
 
 open Relational
 
 (** Column representation observed at lowering time. The executor
-    re-checks against the live [Column.data] and counts any drift as a
-    specialization fallback. *)
+    re-checks against the live [Column.data] and counts a boxed or drifted
+    term column as a specialization fallback. *)
 type rep = Rint | Rfloat | Rboxed
+
+val rep_of : Column.t array -> int -> rep
+(** The live representation of the column at a position. *)
 
 (** Single-attribute filter conjuncts: [Predicate.t] with attribute names
     resolved to column positions. *)
@@ -27,10 +29,7 @@ type filter =
 
 type term = { t_pos : int; t_power : int; t_rep : rep }
 
-type key_shape = { k_positions : int array; k_reps : rep array; k_width : int }
-
 type slot = {
-  s_key : string;  (** provenance: slot key of the first logical partial *)
   s_terms : term array;
   s_groups : (string * int) array;  (** owned group-by (attr, position) *)
   s_filters : filter list;  (** residual conjuncts, tested per row *)
@@ -40,8 +39,8 @@ type slot = {
 
 type node = {
   n_rel : string;  (** resolved against the live database at bind time *)
-  n_key : key_shape;
-  n_child_keys : key_shape array;
+  n_key : int array;  (** join-key positions with the parent *)
+  n_child_keys : int array array;  (** per child: its join-key positions here *)
   n_scan_filters : filter list;
       (** conjuncts common to EVERY slot, hoisted to the scan *)
   n_hoisted : int array;  (** columns preloaded once per row *)
@@ -54,12 +53,3 @@ type rooted = {
   r_node : node;
   r_outputs : (string * int) array;  (** aggregate id -> root slot index *)
 }
-
-val slot_structure :
-  slot ->
-  term array * (string * int) array * filter list * int array * bool
-(** The behaviour-determining part of a slot ([s_key] is provenance only):
-    two slots with equal structure hold equal payloads after any scan. *)
-
-val to_string : rooted -> string
-(** Multi-line rendering of a rooted plan (debugging, DESIGN examples). *)

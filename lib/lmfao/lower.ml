@@ -1,23 +1,11 @@
-(* Stage 1: lower a logical [Lmfao.Plan] into the typed physical IR.
+(* Stage 1: lower a logical [Plan] into the typed physical IR.
 
    Lowering is a mechanical translation — every decision with a
-   cost-model flavour (root choice, restriction, ownership) has already
-   been made by the planner, and every optimisation on the physical form
-   (filter fusion, slot merging, dead-slot elimination, load hoisting)
-   belongs to [Passes]. The one convention worth noting: the compiler
-   lowers UNSHARED plans (one slot per requested aggregate) and lets the
-   structural merge pass rediscover sharing on the physical form, so the
-   pass pipeline, not the planner's string canonicalisation, is what the
-   compiled engine's sharing rests on. *)
+   cost-model flavour (root choice, restriction, sharing, ownership) has
+   already been made by the planner, and every optimisation on the
+   physical form (filter fusion, load hoisting) belongs to [Passes]. *)
 
 open Relational
-module Plan = Lmfao.Plan
-
-let rep_of (cols : Column.t array) pos : Ir.rep =
-  match Column.data cols.(pos) with
-  | Column.Ints _ -> Ir.Rint
-  | Column.Floats _ -> Ir.Rfloat
-  | Column.Boxed _ -> Ir.Rboxed
 
 let rec filter schema (p : Predicate.t) : Ir.filter =
   let pos = Schema.position schema in
@@ -33,20 +21,12 @@ let rec filter schema (p : Predicate.t) : Ir.filter =
   | Predicate.Additive_ineq (ts, c) ->
       Ir.FAdditive (List.map (fun (a, w) -> (pos a, w)) ts, c)
 
-let key_shape cols (positions : int array) : Ir.key_shape =
-  {
-    Ir.k_positions = positions;
-    k_reps = Array.map (rep_of cols) positions;
-    k_width = Keypack.field_width (Array.length positions);
-  }
-
 let slot schema cols (s : Plan.slot) : Ir.slot =
   {
-    Ir.s_key = s.Plan.key;
-    s_terms =
+    Ir.s_terms =
       Array.map
         (fun (pos, power) ->
-          { Ir.t_pos = pos; t_power = power; t_rep = rep_of cols pos })
+          { Ir.t_pos = pos; t_power = power; t_rep = Ir.rep_of cols pos })
         s.Plan.local_terms;
     s_groups = s.Plan.local_groups;
     s_filters = List.map (filter schema) s.Plan.local_filter;
@@ -59,8 +39,8 @@ let rec node (p : Plan.node) : Ir.node =
   let cols = Relation.columns p.Plan.rel in
   {
     Ir.n_rel = Relation.name p.Plan.rel;
-    n_key = key_shape cols p.Plan.key_positions;
-    n_child_keys = Array.map (key_shape cols) p.Plan.child_keys;
+    n_key = p.Plan.key_positions;
+    n_child_keys = p.Plan.child_keys;
     n_scan_filters = [];
     n_hoisted = [||];
     n_slots = Array.map (slot schema cols) p.Plan.slots;

@@ -1,12 +1,12 @@
-(** Stage 1: mechanical lowering of a logical {!Lmfao.Plan} into the typed
-    physical IR. No optimisation happens here — filter fusion, slot
-    merging, dead-slot elimination and load hoisting are {!Passes}. *)
+(** Stage 1: mechanical lowering of a logical {!Plan} into the typed
+    physical IR. No optimisation happens here — filter fusion and load
+    hoisting are {!Passes}. *)
 
 open Relational
 
 val filter : Schema.t -> Predicate.t -> Ir.filter
 (** Resolve a first-order predicate's attributes to column positions. *)
 
-val rooted : Lmfao.Plan.rooted -> Ir.rooted
+val rooted : Plan.rooted -> Ir.rooted
 (** Lower one rooted logical plan. Column representations are recorded
     from the relations' current state; the executor re-validates them. *)

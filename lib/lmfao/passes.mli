@@ -8,23 +8,13 @@ val fuse_filters : Ir.rooted -> Ir.rooted
     scan filter (tested once per row). The scan filter gates the slot
     kernels only — never the view's key insertion. *)
 
-val merge_slots : Ir.rooted -> Ir.rooted
-(** Collapse structurally identical slots bottom-up, keeping first
-    occurrences (so payload and accumulation order match the
-    interpreter's canonical-string sharing). *)
-
-val dead_slots : Ir.rooted -> Ir.rooted
-(** Drop slots that no output and no live parent slot references. *)
-
 val hoist_loads : Ir.rooted -> Ir.rooted
 (** Mark columns read by at least two slot kernels for a once-per-row
     buffered load. *)
 
-val all : share:bool -> (string * (Ir.rooted -> Ir.rooted)) list
+val all : (string * (Ir.rooted -> Ir.rooted)) list
 (** The pipeline stages in order, named (for the stage-equivalence
-    suite). With [share = false] the merge pass is the identity, matching
-    the interpreter's [share = false] semantics. *)
+    suite). *)
 
-val pipeline : ?share:bool -> Ir.rooted -> Ir.rooted
-(** [fuse_filters |> merge_slots (if share) |> dead_slots |> hoist_loads].
-    [share] defaults to [true]. *)
+val pipeline : Ir.rooted -> Ir.rooted
+(** [fuse_filters |> hoist_loads]. *)

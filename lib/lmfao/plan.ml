@@ -1,14 +1,12 @@
-(* Logical planning for LMFAO (Sections 1.4 and 4), split out of the
-   interpreter so that other execution tiers (the staged compiler in
-   [Compile]) can consume the same decomposition.
+(* Logical planning for LMFAO (Sections 1.4 and 4).
 
    The planner owns everything that is independent of HOW a view is
    executed: multi-root assignment, the top-down restriction of each
    aggregate over the join tree, per-node deduplication of identical
    partials (sharing), and attribute ownership. Its output is pure data —
    filters stay first-order [Predicate.t] conjuncts, terms and keys are
-   resolved to column positions — which both the closure interpreter
-   ([Engine]) and the staged compiler lower in their own way. *)
+   resolved to column positions — which [Lower] translates into the
+   executor's physical IR. *)
 
 open Relational
 module Spec = Aggregates.Spec

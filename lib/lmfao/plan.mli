@@ -1,5 +1,5 @@
-(** Logical planning for LMFAO, shared by the closure interpreter
-    ({!Engine}) and the staged compiler ([Compile]). The planner decides
+(** Logical planning for LMFAO, lowered by {!Lower} into the executor's
+    physical IR. The planner decides
     WHAT each view computes — multi-root assignment, top-down restriction
     of every aggregate over the join tree, per-node dedup of identical
     partials — and leaves the plan as pure data: first-order filter

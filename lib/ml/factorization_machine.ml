@@ -204,8 +204,6 @@ let train_on_rows ?(params = default_params) (x : float array array)
   done;
   !m
 
-let train = train_on_rows
-
 (* ---- the Model_intf adapter ---- *)
 
 type named_model = {

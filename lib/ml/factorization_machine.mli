@@ -37,10 +37,6 @@ val train_on_rows : ?params:params -> float array array -> float array -> model
     mathematically the same gradient as {!train_from_monomial_moments},
     kept as the reference side of the moment/data differential test. *)
 
-val train : ?params:params -> float array array -> float array -> model
-  [@@ocaml.deprecated "use train_on_rows, train_from_monomial_moments or Factorization_machine.Model"]
-(** @deprecated Renamed to {!train_on_rows}. *)
-
 val mse : model -> float array array -> float array -> float
 
 type named_model = {

@@ -67,9 +67,6 @@ let train_weights ?(params = default_params) ?init (d : data) : float array =
   done;
   w
 
-let train ?(params = default_params) (d : data) : float array =
-  train_weights ~params d
-
 let predict (w : float array) (row : float array) =
   let acc = ref 0.0 in
   Array.iteri (fun j v -> acc := !acc +. (w.(j) *. v)) row;

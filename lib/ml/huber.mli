@@ -21,10 +21,6 @@ val train_weights : ?params:params -> ?init:float array -> data -> float array
 (** The gradient loop; [init] warm-starts it from a previous parameter
     vector (the online-refresh path). *)
 
-val train : ?params:params -> data -> float array
-  [@@ocaml.deprecated "use train_weights or Huber.Model"]
-(** @deprecated [train_weights] without a warm start. *)
-
 val predict : float array -> float array -> float
 val objective : ?params:params -> float array -> data -> float
 

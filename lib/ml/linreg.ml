@@ -341,26 +341,3 @@ module Model = struct
   let encode = encode
   let decode = decode
 end
-
-(* End-to-end structure-aware training: synthesise the covariance batch, run
-   LMFAO, assemble the moment matrix, optimise. Returns the model plus the
-   batch/optimisation timings (the Figure 3 rows). *)
-type timed_run = {
-  model : model;
-  batch_seconds : float;
-  solve_seconds : float;
-  aggregate_count : int;
-}
-
-let train_over_database ?(ridge = 1e-3) ?(method_ = Conjugate_gradient default_cg)
-    ?engine_options (db : Database.t) (features : Feature.t) : timed_run =
-  let r =
-    Model_intf.timed_fit ?engine_options ~options:{ ridge; method_ }
-      (module Model) db features
-  in
-  {
-    model = r.Model_intf.model;
-    batch_seconds = r.Model_intf.stats_seconds;
-    solve_seconds = r.Model_intf.solve_seconds;
-    aggregate_count = r.Model_intf.aggregate_count;
-  }

@@ -56,21 +56,3 @@ type model_options = { ridge : float; method_ : method_ }
     and gradient-descent variants live in {!Models}. *)
 module Model :
   Model_intf.S with type model = model and type options = model_options
-
-type timed_run = {
-  model : model;
-  batch_seconds : float;
-  solve_seconds : float;
-  aggregate_count : int;
-}
-
-val train_over_database :
-  ?ridge:float ->
-  ?method_:method_ ->
-  ?engine_options:Lmfao.Engine.options ->
-  Database.t ->
-  Feature.t ->
-  timed_run
-  [@@ocaml.deprecated "use Model_intf.timed_fit (module Linreg.Model)"]
-(** @deprecated Thin wrapper over {!Model_intf.timed_fit} with
-    {!Model}. *)

@@ -154,8 +154,3 @@ module Model = struct
   let encode = encode
   let decode = decode
 end
-
-let train ?(ridge = 1e-2) ?(engine_options = Lmfao.Engine.default_options)
-    (db : Database.t) ~(features : string list) ~(response : string) : model =
-  let m, _ = Monomial.moment_of_database ~engine_options db ~features ~response in
-  train_from_monomial_moments ~ridge m

@@ -36,14 +36,3 @@ type model_options = { ridge : float }
     monomial moments. *)
 module Model :
   Model_intf.S with type model = model and type options = model_options
-
-val train :
-  ?ridge:float ->
-  ?engine_options:Lmfao.Engine.options ->
-  Database.t ->
-  features:string list ->
-  response:string ->
-  model
-  [@@ocaml.deprecated "use Model_intf / train_from_monomial_moments"]
-(** @deprecated Thin wrapper: one LMFAO monomial-moment batch, then
-    {!train_from_monomial_moments}. *)

@@ -1,8 +1,8 @@
 (* Typed columns: the unboxed physical representation behind [Relation].
 
    A column starts in the representation its declared type suggests —
-   [Ints] for [Value.TInt] (dictionary-encoded categoricals and keys, see
-   [Util.Interner]), [Floats] for [Value.TFloat] (continuous features,
+   [Ints] for [Value.TInt] (categorical codes and keys), [Floats] for
+   [Value.TFloat] (continuous features,
    stored in OCaml's flat float arrays), [Boxed] for [Value.TStr] — and
    promotes itself to [Boxed] the first time a value that does not fit the
    typed representation is stored (a [Null] from an outer join, a stray

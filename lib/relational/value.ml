@@ -1,8 +1,8 @@
 (* Database values.
 
-   Integers double as dictionary-encoded categorical values (see
-   [Util.Interner]); floats carry continuous features; strings appear only at
-   the edges (CSV import/export). *)
+   Integers double as categorical codes (the generators emit them as ints);
+   floats carry continuous features; strings appear only at the edges (CSV
+   import/export). *)
 
 type t = Null | Int of int | Float of float | Str of string
 

@@ -242,15 +242,12 @@ let check_model db ~features batches =
   { layer = "model"; ok; detail }
 
 (* Spill the post-stream live set to paged column files, reopen it with a
-   2-page cache, and run both LMFAO engines over the streamed database: all
-   four results (2 engines x {in-memory, paged}) must agree bitwise. *)
+   2-page cache, and run LMFAO over the streamed database: the result must
+   agree bitwise with the in-memory one. *)
 let check_streamed dir (m : M.t) ~features =
   let snap = M.snapshot m in
   let batch = Aggregates.Batch.covariance_numeric features in
   let r_mem = keyed_bits (Lmfao.Engine.eval_batch snap batch) in
-  let r_mem_compiled =
-    keyed_bits (Compile.Engine.run (Compile.Engine.compile snap batch) snap)
-  in
   let paged =
     List.map
       (fun rel ->
@@ -264,19 +261,9 @@ let check_streamed dir (m : M.t) ~features =
       (List.map (fun p -> (Store.Paged.stub p, Some (Store.Paged.stream p))) paged)
   in
   let r_paged = keyed_bits (Lmfao.Engine.eval_batch sdb batch) in
-  let r_compiled = keyed_bits (Compile.Engine.run (Compile.Engine.compile sdb batch) sdb) in
   List.iter Store.Paged.close paged;
-  let agree a b = String.equal a b in
-  let ok =
-    agree r_mem r_paged && agree r_mem_compiled r_compiled && agree r_mem r_mem_compiled
-  in
-  let detail =
-    Printf.sprintf "lmfao paged %s mem, compiled paged %s mem, engines %s"
-      (if agree r_mem r_paged then "==" else "<>")
-      (if agree r_mem_compiled r_compiled then "==" else "<>")
-      (if agree r_mem r_mem_compiled then "==" else "<>")
-  in
-  { layer = "streamed"; ok; detail }
+  let ok = String.equal r_mem r_paged in
+  { layer = "streamed"; ok; detail = "lmfao paged " ^ (if ok then "==" else "<>") ^ " mem" }
 
 (* ---- the cell driver ---- *)
 

@@ -1,8 +1,8 @@
 (** Hostile-stream scenario cells: one (dataset x stream-shape) pair from
     {!Datagen.Stream_gen.hostile} driven through every layer of the stack —
     F-IVM maintenance under all three strategies, sharded maintenance,
-    crash/recovery, aggregate serving, model serving, and the out-of-core
-    streamed engines — each layer checked by a BIT-identity differential
+    crash/recovery, aggregate serving, model serving, and out-of-core
+    streamed evaluation — each layer checked by a BIT-identity differential
     against an independent oracle (hostile streams live on the dyadic float
     lattice, where covariance-ring arithmetic is exact).
 
@@ -46,8 +46,8 @@ val run_cell :
     ([crash-after], [torn-tail], [reorder], [dup]) against a never-crashed
     run, serve (cache miss and hit against a fresh engine evaluation, mid-
     stream and at end), model (warm-refreshed linreg-closed against a cold
-    retrain), and streamed (both LMFAO engines over a paged spill of the
-    final live set against in-memory). [layers] restricts which layers
+    retrain), and streamed (LMFAO over a paged spill of the final live set
+    against in-memory). [layers] restricts which layers
     run. *)
 
 val pp_cell : Format.formatter -> cell -> unit

@@ -75,8 +75,6 @@ type t = {
   feature_index : (string, int) Hashtbl.t;
   epoch : int Atomic.t;
   cache : (int, entry) Hashtbl.t; (* fingerprint -> entry *)
-  plans : (int, Compile.Engine.compiled) Hashtbl.t;
-      (* fingerprint -> compiled plan, revalidated against the snapshot *)
   models : (string, mentry) Hashtbl.t; (* registered name -> entry *)
   lock : Mutex.t;
   writer : bool Atomic.t; (* single-writer contract enforcement *)
@@ -130,7 +128,6 @@ let create ?(options = Lmfao.Engine.default_options) strategy
     feature_index;
     epoch = Atomic.make 0;
     cache = Hashtbl.create 16;
-    plans = Hashtbl.create 16;
     models = Hashtbl.create 8;
     lock = Mutex.create ();
     writer = Atomic.make false;
@@ -207,51 +204,18 @@ let snapshot t : Database.t = Maintainer.snapshot t.maintainer
    its keyed results by decomposition root) — the serving contract is
    request order, and refreshed entries are rebuilt in batch order too.
 
-   Acyclic batches go through the staged-compilation tier: one compiled
-   plan per batch fingerprint, cached on the instance and revalidated
-   against the live snapshot before reuse ([Compile.Engine.reusable] —
-   deltas shift cardinalities, which can move a pure count's root). The
-   compiled results are bitwise equal to the interpreter's, so the serving
-   audit's fresh-recompute comparison is unaffected. Cyclic schemas keep
-   the interpreter path with WCOJ materialisation. *)
+   Misses go through [Compile.Engine]'s plan cache: one compiled plan per
+   batch fingerprint, revalidated against the live snapshot before reuse
+   (deltas shift cardinalities, which can move a pure count's root), with
+   the WCOJ materialisation fallback on cyclic schemas. *)
 let recompute t (batch : Batch.t) =
-  let db = snapshot t in
-  let compiled =
-    match
-      let fp = Batch.fingerprint batch in
-      let plan =
-        match locked t (fun () -> Hashtbl.find_opt t.plans fp) with
-        | Some p when Compile.Engine.reusable p ~options:t.options db batch ->
-            p
-        | _ ->
-            let p = Compile.Engine.compile ~options:t.options db batch in
-            locked t (fun () -> Hashtbl.replace t.plans fp p);
-            p
-      in
-      Compile.Engine.run plan db
-    with
-    | keyed -> Some keyed
-    | exception Join_tree.Cyclic -> None
-  in
-  match compiled with
-  | Some keyed ->
-      List.map
-        (fun (s : Spec.t) ->
-          match List.assoc_opt s.id keyed with
-          | Some res -> (s.id, res)
-          | None -> failwith "Serve.recompute: engine lost an aggregate")
-        batch.Batch.aggregates
-  | None ->
-      let r =
-        Lmfao.Engine.eval ~options:t.options ~on_cyclic:`Materialize db batch
-      in
-      let table = Lazy.force r.Lmfao.Engine.table in
-      List.map
-        (fun (s : Spec.t) ->
-          match Hashtbl.find_opt table s.id with
-          | Some res -> (s.id, res)
-          | None -> failwith "Serve.recompute: engine lost an aggregate")
-        batch.Batch.aggregates
+  let keyed = Compile.Engine.eval_batch ~options:t.options (snapshot t) batch in
+  List.map
+    (fun (s : Spec.t) ->
+      match List.assoc_opt s.id keyed with
+      | Some res -> (s.id, res)
+      | None -> failwith "Serve.recompute: engine lost an aggregate")
+    batch.Batch.aggregates
 
 (* ---------- the read path ---------- *)
 

@@ -1,18 +1,21 @@
-(* Tests for the staged-compilation engine.
+(* Tests for the LMFAO pipeline (Plan -> Lower -> Passes -> Exec) and the
+   plan cache in [Compile.Engine].
 
-   The headline property is BIT-identity: [Compile.Engine] must produce
-   exactly the floats [Lmfao.Engine] produces — same decomposition, same
-   accumulation order — across random acyclic databases and batches
-   (including filters and group-bys), every option combination, all four
-   datagen schemas, and the cyclic-fallback path. A second qcheck suite
-   checks stage equivalence of the IR passes: executing the plan after
-   each pass gives bitwise the same results as executing the raw lowered
-   plan. *)
+   The headline property is BIT-identity with the flat reference: on the
+   integer-valued star schema every sum is exact, so [Lmfao.Engine] must
+   produce exactly the floats [Batch.eval_flat] produces over the
+   materialised join, with groups in [Faggregate.Grouped.Key.compare]
+   order, across random databases and batches (including filters and
+   group-bys) and every option combination. Further suites check the real
+   schemas numerically, keys that mix packed and boxed representations,
+   plan-cache reuse and revalidation, specialization fallbacks, and stage
+   equivalence of the IR passes. *)
 
 open Relational
 module Spec = Aggregates.Spec
 module Batch = Aggregates.Batch
 module Feature = Aggregates.Feature
+module Key = Factorized.Faggregate.Grouped_float.Key
 module Engine = Lmfao.Engine
 module Cengine = Compile.Engine
 
@@ -74,14 +77,31 @@ let bits_identical a b =
               mine theirs)
        a b
 
-let check_compiled_vs_interpreter ~options db batch =
-  let interp = Engine.eval_batch ~options db batch in
-  let compiled = Cengine.eval_batch ~options db batch in
-  let ok = bits_identical interp compiled in
-  if not ok then
-    Format.eprintf "COMPILED MISMATCH on %s (interp %d results, compiled %d)@."
-      batch.Batch.name (List.length interp) (List.length compiled);
+(* Keyed results sorted by id, exact zeros dropped: flat evaluation has no
+   group that no join row reaches, where the engine may hold an explicit
+   zero. [sort_groups] puts the flat reference's groups in [Key.compare]
+   order; the engine's must already come back in it. *)
+let canonical ?(sort_groups = false) keyed =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (List.map
+       (fun (id, r) ->
+         let r = List.filter (fun (_, v) -> v <> 0.0) r in
+         (id, if sort_groups then List.sort (fun (a, _) (b, _) -> Key.compare a b) r else r))
+       keyed)
+
+let check_vs_flat ~options db batch =
+  let flat = Batch.eval_flat (Database.materialise_join db) batch in
+  let got = Engine.eval_batch ~options db batch in
+  let ok = bits_identical (canonical got) (canonical ~sort_groups:true flat) in
+  if not ok then Format.eprintf "MISMATCH vs flat on %s@." batch.Batch.name;
   ok
+
+(* A run through the plan cache answers exactly as a fresh compile does. *)
+let cached_matches_fresh ~options db batch =
+  bits_identical
+    (Engine.eval_batch ~options db batch)
+    (Cengine.eval_batch ~options db batch)
 
 let batch_of name db =
   match name with
@@ -138,39 +158,49 @@ let all_options =
       { default with Engine.share = false; multi_root = false } );
   ]
 
-let compiled_matches_interpreter batch_name options_desc options =
+let engine_matches_flat batch_name options_desc options =
   QCheck2.Test.make ~count:12
     ~name:
-      (Printf.sprintf "compiled = interpreter bitwise: %s (%s)" batch_name
-         options_desc)
+      (Printf.sprintf "engine = flat bitwise: %s (%s)" batch_name options_desc)
     QCheck2.Gen.(triple (int_range 0 25) (int_range 1 5) int)
     (fun (card, domain, seed) ->
       let rng = Util.Prng.create seed in
       let db = random_star rng card domain in
-      check_compiled_vs_interpreter ~options db (batch_of batch_name db))
+      check_vs_flat ~options db (batch_of batch_name db))
 
 let random_batches_match options_desc options =
   QCheck2.Test.make ~count:30
     ~name:
-      (Printf.sprintf "compiled = interpreter bitwise: random batches (%s)"
-         options_desc)
+      (Printf.sprintf "engine = flat bitwise: random batches (%s)" options_desc)
     QCheck2.Gen.(triple (int_range 0 30) (int_range 1 5) int)
     (fun (card, domain, seed) ->
       let rng = Util.Prng.create seed in
       let db = random_star rng card domain in
-      check_compiled_vs_interpreter ~options db (random_batch rng))
+      check_vs_flat ~options db (random_batch rng))
 
-(* ---- all datagen schemas ---- *)
+(* ---- all datagen schemas ----
+
+   Real-valued data: the engine agrees with the flat reference to a
+   relative 1e-6, with groups in [Key.compare] order. *)
 
 let datagen_schemas () =
   List.iter
     (fun (name, db, feats, mi) ->
+      let join = Database.materialise_join db in
       List.iter
         (fun batch ->
+          let got = canonical (Engine.eval_batch db batch) in
+          let flat = canonical ~sort_groups:true (Batch.eval_flat join batch) in
           Alcotest.(check bool)
-            (Printf.sprintf "%s %s bitwise" name batch.Batch.name)
+            (Printf.sprintf "%s %s = flat" name batch.Batch.name)
             true
-            (check_compiled_vs_interpreter ~options:default db batch))
+            (List.length got = List.length flat
+            && List.for_all2
+                 (fun (id, r) (id', r') ->
+                   String.equal id id'
+                   && List.map fst r = List.map fst r'
+                   && Spec.result_equal r r')
+                 got flat))
         [
           Batch.covariance feats;
           Batch.decision_node ~db feats;
@@ -194,6 +224,59 @@ let datagen_schemas () =
         Datagen.Tpcds.features,
         Datagen.Tpcds.mi_attrs );
     ]
+
+(* ---- packed and boxed keys ----
+
+   Two-attribute group-bys whose keys pack for some rows and not for
+   others: a negative int and an int >= 2^31 overflow the 31-bit fields of
+   an arity-2 key, and a string column never packs. The group-by
+   attributes sit in different relations, so keys are also merged across
+   views. Groups must come back in value order, not representation order. *)
+
+let mixed_keys () =
+  let big = 1 lsl 31 in
+  let r =
+    Relation.of_list "R"
+      (Schema.make
+         [ ("a", Value.TInt); ("b", Value.TInt); ("k", Value.TInt);
+           ("s", Value.TStr); ("m", Value.TFloat) ])
+      (List.mapi
+         (fun i (a, b, k, s) ->
+           [| int a; int b; int k; Value.Str s; flt (float_of_int (i + 1)) |])
+         [ (0, 0, 3, "x"); (0, 1, -5, "y"); (1, 0, big + 1, "x");
+           (1, 1, 3, "y"); (2, 0, -5, "x"); (2, 1, 7, "x") ])
+  in
+  let d =
+    Relation.of_list "D"
+      (Schema.make [ ("a", Value.TInt); ("j", Value.TInt) ])
+      [ [| int 0; int 2 |]; [| int 1; int (big + 3) |]; [| int 2; int (-1) |];
+        [| int 0; int 0 |] ]
+  in
+  let e =
+    Relation.of_list "E"
+      (Schema.make [ ("b", Value.TInt); ("t", Value.TStr) ])
+      [ [| int 0; Value.Str "p" |]; [| int 1; Value.Str "q" |];
+        [| int 1; Value.Str "p" |] ]
+  in
+  let db = Database.create "mixed" [ r; d; e ] in
+  let batch =
+    {
+      Batch.name = "mixed";
+      aggregates =
+        [
+          Spec.make ~id:"jk" ~terms:[ ("m", 1) ] ~group_by:[ "j"; "k" ] ();
+          Spec.make ~id:"ks" ~terms:[] ~group_by:[ "k"; "s" ] ();
+          Spec.make ~id:"jt" ~terms:[ ("m", 2) ] ~group_by:[ "j"; "t" ] ();
+          Spec.make ~id:"k" ~terms:[ ("m", 1) ] ~group_by:[ "k" ] ();
+        ];
+    }
+  in
+  List.iter
+    (fun (desc, options) ->
+      Alcotest.(check bool) (desc ^ ": = flat in Key.compare order") true
+        (check_vs_flat ~options db batch))
+    [ ("default", default);
+      ("parallel", { default with Engine.parallel = true; chunk_threshold = 1 }) ]
 
 (* ---- cyclic fallback ---- *)
 
@@ -220,8 +303,7 @@ let cyclic_fallback () =
   in
   Obs.reset ();
   let ok =
-    Obs.with_enabled true (fun () ->
-        check_compiled_vs_interpreter ~options:default db batch)
+    Obs.with_enabled true (fun () -> cached_matches_fresh ~options:default db batch)
   in
   Alcotest.(check bool) "cyclic batch bitwise via fallback" true ok;
   Alcotest.(check bool) "fallback counted" true
@@ -250,13 +332,13 @@ let plan_cache_behaviour () =
       let rng2 = Util.Prng.create 99 in
       let db2 = random_star rng2 25 3 in
       Alcotest.(check bool) "fresh data through the cached plan" true
-        (check_compiled_vs_interpreter ~options:default db2 batch));
+        (cached_matches_fresh ~options:default db2 batch));
   Obs.reset ()
 
 (* The plan signature covers the cardinality-dependent root assignment:
    pure counts root at the SMALLEST relation, so growing a different
    relation to be smallest must recompile rather than reuse a stale
-   rooting (bit-identity with a fresh interpreter run would break). *)
+   rooting (bit-identity with a fresh compile would break). *)
 let cache_revalidates_roots () =
   let mk name attrs rows =
     Relation.of_list name (Schema.make attrs)
@@ -275,25 +357,44 @@ let cache_revalidates_roots () =
   in
   let batch = { Batch.name = "counts"; aggregates = [ Spec.count ~id:"n" ] } in
   Alcotest.(check bool) "small D" true
-    (check_compiled_vs_interpreter ~options:default (db true) batch);
+    (cached_matches_fresh ~options:default (db true) batch);
   (* same fingerprint, different smallest relation -> must recompile *)
   Alcotest.(check bool) "large D (roots moved)" true
-    (check_compiled_vs_interpreter ~options:default (db false) batch)
+    (cached_matches_fresh ~options:default (db false) batch)
+
+(* ---- specialization fallbacks ----
+
+   Only term columns that are boxed, or whose representation drifted since
+   lowering, count: grouped slots run on the one grouped path. *)
+
+let fallbacks_count_drift () =
+  let rng = Util.Prng.create 5 in
+  let db = random_star rng 20 3 in
+  let batch = Batch.covariance features in
+  let fallbacks () =
+    Obs.reset ();
+    Obs.with_enabled true (fun () -> ignore (Engine.eval db batch));
+    Obs.counter_value_by_name "lmfao.compile.fallbacks"
+  in
+  Alcotest.(check int) "star covariance: no fallback" 0 (fallbacks ());
+  (* a Null promotes the fact table's m1 column to boxed *)
+  Relation.append (Database.relation db "F")
+    [| int 0; int 0; int 0; Value.Null; flt 1.0 |];
+  Alcotest.(check bool) "boxed term column counted" true (fallbacks () > 0);
+  Obs.reset ()
 
 (* ---- stage equivalence of the IR passes ---- *)
 
-let lowered_plans db batch options =
-  let popts = { Lmfao.Plan.share = false; multi_root = options.Engine.multi_root } in
+let lowered_plans db batch =
+  let popts = Lmfao.Plan.default_options in
   let jt, groups = Lmfao.Plan.group_by_root popts db batch in
   let stats = Lmfao.Plan.fresh_stats () in
-  List.filter_map
+  List.map
     (fun (root, specs) ->
-      if specs = [] then None
-      else Some (Compile.Lower.rooted (Lmfao.Plan.build popts ~stats jt ~root specs)))
+      Lmfao.Lower.rooted (Lmfao.Plan.build popts ~stats jt ~root specs))
     groups
 
-let run_plans ~options db plans =
-  List.concat_map (Compile.Exec.compute_rooted ~options db) plans
+let run_plans ~options db plans = Engine.run ~options db plans
 
 let passes_preserve_results =
   QCheck2.Test.make ~count:20
@@ -307,7 +408,7 @@ let passes_preserve_results =
         else random_batch rng
       in
       let options = default in
-      let raw = lowered_plans db batch options in
+      let raw = lowered_plans db batch in
       let reference = run_plans ~options db raw in
       (* cumulative: after each stage of the pipeline, results unchanged *)
       let _, ok =
@@ -319,8 +420,7 @@ let passes_preserve_results =
             if not ok' && ok then
               Format.eprintf "PASS %s changed results@." pass_name;
             (plans, ok'))
-          (raw, true)
-          (Compile.Passes.all ~share:true)
+          (raw, true) Lmfao.Passes.all
       in
       (* and each pass individually on the raw plan *)
       List.for_all
@@ -329,71 +429,8 @@ let passes_preserve_results =
           let ok = bits_identical reference got in
           if not ok then Format.eprintf "PASS %s (solo) changed results@." pass_name;
           ok)
-        (Compile.Passes.all ~share:true)
+        Lmfao.Passes.all
       && ok)
-
-(* Slot merging really fires: an unshared covariance lowering has many
-   identical fact-side partials, and the merged plan must shrink. *)
-let merge_reduces_slots () =
-  let rng = Util.Prng.create 7 in
-  let db = random_star rng 30 4 in
-  let batch = Batch.covariance features in
-  let raw = lowered_plans db batch default in
-  let total_slots plans =
-    let rec node_slots (n : Compile.Ir.node) =
-      Array.length n.Compile.Ir.n_slots
-      + Array.fold_left (fun acc c -> acc + node_slots c) 0 n.Compile.Ir.n_children
-    in
-    List.fold_left (fun acc (r : Compile.Ir.rooted) -> acc + node_slots r.Compile.Ir.r_node) 0 plans
-  in
-  let merged = List.map Compile.Passes.merge_slots raw in
-  Alcotest.(check bool)
-    (Printf.sprintf "merged %d < raw %d slots" (total_slots merged) (total_slots raw))
-    true
-    (total_slots merged < total_slots raw);
-  let reference = run_plans ~options:default db raw in
-  Alcotest.(check bool) "merged still bitwise" true
-    (bits_identical reference (run_plans ~options:default db merged))
-
-(* Dead-slot elimination: drop an output and the unreferenced slot chain
-   disappears, leaving the remaining output bit-identical. *)
-let dead_slot_elimination () =
-  let rng = Util.Prng.create 9 in
-  let db = random_star rng 25 4 in
-  let batch =
-    {
-      Batch.name = "two";
-      aggregates =
-        [
-          Spec.make ~id:"s1" ~terms:[ ("m1", 1) ] ~group_by:[] ();
-          Spec.make ~id:"s2" ~terms:[ ("m2", 2) ] ~group_by:[] ();
-        ];
-    }
-  in
-  match lowered_plans db batch default with
-  | [ plan ] ->
-      let reference = run_plans ~options:default db [ plan ] in
-      let orphaned =
-        {
-          plan with
-          Compile.Ir.r_outputs =
-            Array.sub plan.Compile.Ir.r_outputs 0 1 (* drop s2's output *);
-        }
-      in
-      let cleaned = Compile.Passes.dead_slots orphaned in
-      let slots (r : Compile.Ir.rooted) =
-        Array.length r.Compile.Ir.r_node.Compile.Ir.n_slots
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "dead slots dropped (%d -> %d)" (slots orphaned)
-           (slots cleaned))
-        true
-        (slots cleaned < slots orphaned);
-      let got = run_plans ~options:default db [ cleaned ] in
-      Alcotest.(check bool) "surviving output bitwise" true
-        (bits_identical [ List.hd reference ] got)
-  | plans ->
-      Alcotest.failf "expected one rooted plan, got %d" (List.length plans)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -404,15 +441,17 @@ let () =
         List.concat_map
           (fun (desc, options) ->
             List.map
-              (fun b -> qcheck (compiled_matches_interpreter b desc options))
+              (fun b -> qcheck (engine_matches_flat b desc options))
               [ "covariance"; "decision"; "mutualinfo"; "kmeans" ])
           all_options
         @ List.map
             (fun (desc, options) -> qcheck (random_batches_match desc options))
             all_options );
       ( "datagen",
-        [ Alcotest.test_case "all schemas bitwise" `Quick datagen_schemas ] );
-      ("cyclic", [ Alcotest.test_case "interpreter fallback" `Quick cyclic_fallback ]);
+        [ Alcotest.test_case "all schemas = flat" `Quick datagen_schemas ] );
+      ( "keys",
+        [ Alcotest.test_case "packed and boxed keys" `Quick mixed_keys ] );
+      ("cyclic", [ Alcotest.test_case "WCOJ fallback" `Quick cyclic_fallback ]);
       ( "cache",
         [
           Alcotest.test_case "fingerprint cache hits and reuse" `Quick
@@ -420,10 +459,7 @@ let () =
           Alcotest.test_case "signature revalidates roots" `Quick
             cache_revalidates_roots;
         ] );
-      ( "passes",
-        [
-          qcheck passes_preserve_results;
-          Alcotest.test_case "merge reduces slots" `Quick merge_reduces_slots;
-          Alcotest.test_case "dead-slot elimination" `Quick dead_slot_elimination;
-        ] );
+      ( "fallbacks",
+        [ Alcotest.test_case "count drifted term columns" `Quick fallbacks_count_drift ] );
+      ("passes", [ qcheck passes_preserve_results ]);
     ]

@@ -1,5 +1,5 @@
 (* Tests for the util substrate: PRNG, vectors/matrices (Cholesky), CSV,
-   interner, and the domain pool. *)
+   CRC-32 checksums, and the domain pool. *)
 
 open Util
 
@@ -192,17 +192,37 @@ let test_csv_malformed_cell () =
       Alcotest.(check bool) "reason mentions the cell" true
         (String.length m.reason > 0))
 
-(* --- interner --- *)
+(* --- checksum --- *)
 
-let test_interner () =
-  let i = Interner.create () in
-  let a = Interner.intern i "apple" in
-  let b = Interner.intern i "banana" in
-  let a' = Interner.intern i "apple" in
-  Alcotest.(check int) "stable id" a a';
-  Alcotest.(check bool) "distinct ids" true (a <> b);
-  Alcotest.(check string) "name roundtrip" "banana" (Interner.name i b);
-  Alcotest.(check int) "size" 2 (Interner.size i)
+(* The standard CRC-32 check values, and the sub-range entry points agree
+   with hashing the extracted substring. *)
+let test_crc32_vectors () =
+  Alcotest.(check int) "empty" 0 (Checksum.crc32 "");
+  Alcotest.(check int) "check value" 0xCBF43926 (Checksum.crc32 "123456789");
+  Alcotest.(check int) "pangram" 0x414FA339
+    (Checksum.crc32 "The quick brown fox jumps over the lazy dog");
+  let s = "xx123456789yy" in
+  Alcotest.(check int) "sub range" 0xCBF43926
+    (Checksum.crc32_sub s ~pos:2 ~len:9);
+  Alcotest.(check int) "bytes range" 0xCBF43926
+    (Checksum.crc32_bytes (Bytes.of_string s) ~pos:2 ~len:9);
+  List.iter
+    (fun (pos, len) ->
+      match Checksum.crc32_sub s ~pos ~len with
+      | _ -> Alcotest.failf "pos %d len %d accepted" pos len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 2); (0, -1); (10, 4) ]
+
+(* Checksums taken from several domains at once, as concurrent serving
+   clients do, all agree with the sequential value. *)
+let test_crc32_concurrent () =
+  let inputs = List.init 4 (fun i -> String.make (1000 + i) (Char.chr (65 + i))) in
+  let expected = List.map Checksum.crc32 inputs in
+  let workers =
+    List.map (fun s -> Domain.spawn (fun () -> Checksum.crc32 s)) inputs
+  in
+  Alcotest.(check (list int)) "same as sequential" expected
+    (List.map Domain.join workers)
 
 (* --- pool --- *)
 
@@ -402,7 +422,12 @@ let () =
           Alcotest.test_case "malformed: bad cell" `Quick
             test_csv_malformed_cell;
         ] );
-      ("interner", [ Alcotest.test_case "basic" `Quick test_interner ]);
+      ( "checksum",
+        [
+          Alcotest.test_case "crc32 check values" `Quick test_crc32_vectors;
+          Alcotest.test_case "crc32 from several domains" `Quick
+            test_crc32_concurrent;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "ranges cover" `Quick test_ranges_cover;
