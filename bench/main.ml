@@ -958,58 +958,21 @@ let learn_bench () =
 let traffic_bench () =
   header "Traffic: tail latency vs offered load under admission control"
     "overload degrades to explicit staleness; tails stay bounded";
-  let open Relational in
-  let star_db () =
-    Database.create "lattice"
-      [
-        Relation.create "F"
-          (Schema.make
-             [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-        Relation.create "D1"
-          (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-        Relation.create "D2"
-          (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-      ]
+  let module Sg = Datagen.Stream_gen in
+  (* insert-only lattice updates *)
+  let lattice_updates = Sg.star_updates (Sg.star_gen ~deletes:false ()) in
+  let star_server () =
+    Serve.create Fivm.Maintainer.F_ivm (Sg.star_database ()) ~features:Sg.star_features
   in
-  let lattice_updates rng n =
-    let value rng = float_of_int (1 + Util.Prng.int rng 64) /. 16.0 in
-    let iv n = Value.Int n and fv x = Value.Float x in
-    List.init n (fun _ ->
-        let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-        let tuple =
-          match rel with
-          | "F" ->
-              [| iv (Util.Prng.int rng 4); iv (Util.Prng.int rng 4);
-                 fv (value rng) |]
-          | _ -> [| iv (Util.Prng.int rng 4); fv (value rng) |]
-        in
-        Fivm.Delta.insert rel tuple)
-  in
-  let features = [ "m"; "u"; "v" ] in
-  let catalog =
-    [|
-      Aggregates.Batch.covariance_numeric features;
-      Aggregates.Batch.mutual_information [ "a"; "b" ];
-      {
-        Aggregates.Batch.name = "grouped";
-        aggregates =
-          [
-            Aggregates.Spec.make ~id:"sum_m_by_a" ~terms:[ ("m", 1) ]
-              ~group_by:[ "a" ] ();
-            Aggregates.Spec.count ~id:"n";
-          ];
-      };
-    |]
-  in
+  let catalog = Array.of_list Sg.star_batches in
   (* per-request hit and miss costs on this machine, probed once on a warmed
      server: the offered rate scales with the hit cost (the capacity the
      cache is supposed to deliver), but the gate and deadline must absorb
      the occasional post-delta cold recompute, which is orders of magnitude
      dearer *)
   let t_hit, t_miss =
-    let srv = Serve.create Fivm.Maintainer.F_ivm (star_db ()) ~features in
-    Serve.apply_deltas srv
-      (lattice_updates (Util.Prng.create seed) 300);
+    let srv = star_server () in
+    Serve.apply_deltas srv (Sg.star_stream ~deletes:false ~seed 300);
     let t_miss =
       Float.max 1e-6
         (Util.Timing.measure ~repeats:3 (fun () ->
@@ -1048,11 +1011,8 @@ let traffic_bench () =
     (fun lanes ->
       List.iter
         (fun mult ->
-          let srv =
-            Serve.create Fivm.Maintainer.F_ivm (star_db ()) ~features
-          in
-          Serve.apply_deltas srv
-            (lattice_updates (Util.Prng.create seed) 300);
+          let srv = star_server () in
+          Serve.apply_deltas srv (Sg.star_stream ~deletes:false ~seed 300);
           let read_rate = mult *. float_of_int lanes /. t_hit in
           let spec =
             Traffic.Workload.spec ~seed ~duration ~read_rate
@@ -1112,20 +1072,6 @@ let traffic_bench () =
    every machine. Scale 1.0 is the repo's full retailer (84K Inventory
    rows, 1/1000 of the paper's 84M — the shape, not the wall-clock). *)
 
-let results_bit_equal (a : (string * Aggregates.Spec.result) list)
-    (b : (string * Aggregates.Spec.result) list) =
-  let bits = Int64.bits_of_float in
-  List.length a = List.length b
-  && List.for_all2
-       (fun (ida, ra) (idb, rb) ->
-         ida = idb
-         && List.length ra = List.length rb
-         && List.for_all2
-              (fun (ka, va) (kb, vb) ->
-                ka = kb && bits va = bits vb)
-              ra rb)
-       a b
-
 let outofcore () =
   header "Out-of-core: fig3 covariance batch over the paged store"
     "LMFAO/F-IVM report at full scale; working set no longer fits";
@@ -1179,7 +1125,7 @@ let outofcore () =
       in
       let r_paged = Lmfao.Engine.eval_batch sdb batch in
       let peak = int_of_float (Obs.gauge_value peak_gauge) in
-      if not (results_bit_equal r_mem r_paged) then
+      if not (Aggregates.Spec.keyed_bits_equal r_mem r_paged) then
         failwith
           (Printf.sprintf
              "outofcore: paged results differ from in-memory at scale %g" s);
@@ -1224,11 +1170,6 @@ let outofcore () =
    number is only ever printed for a stream that was maintained CORRECTLY. *)
 let scenarios_bench () =
   header "Hostile-stream maintenance throughput (dataset x shape, F-IVM)" "";
-  let cov_bits c =
-    let b = Buffer.create 512 in
-    Rings.Covariance.encode b c;
-    Buffer.contents b
-  in
   let datasets =
     [
       ("retailer", Datagen.Retailer.generate, Datagen.Retailer.ivm_features);
@@ -1265,9 +1206,9 @@ let scenarios_bench () =
           in
           if
             not
-              (String.equal
-                 (cov_bits (Fivm.Maintainer.covariance m))
-                 (cov_bits (Fivm.Maintainer.recompute m)))
+              (Rings.Covariance.equal_bits
+                 (Fivm.Maintainer.covariance m)
+                 (Fivm.Maintainer.recompute m))
           then failwith (Printf.sprintf "scenarios: %s x %s diverged" name sname);
           Printf.printf "%-10s %-14s %9d %9d %12s %14.0f\n%!" name sname updates
             deletes

@@ -11,11 +11,13 @@
 
 open Cmdliner
 open Relational
+module Sg = Datagen.Stream_gen
 
 type dataset_spec = {
   generate : ?scale:float -> seed:int -> unit -> Database.t;
   features : Aggregates.Feature.t;
   ivm_features : string list;
+  mi_attrs : string list;
 }
 
 let datasets =
@@ -25,24 +27,28 @@ let datasets =
         generate = Datagen.Retailer.generate;
         features = Datagen.Retailer.features;
         ivm_features = Datagen.Retailer.ivm_features;
+        mi_attrs = Datagen.Retailer.mi_attrs;
       } );
     ( "favorita",
       {
         generate = Datagen.Favorita.generate;
         features = Datagen.Favorita.features;
         ivm_features = Datagen.Favorita.ivm_features;
+        mi_attrs = Datagen.Favorita.mi_attrs;
       } );
     ( "yelp",
       {
         generate = Datagen.Yelp.generate;
         features = Datagen.Yelp.features;
         ivm_features = Datagen.Yelp.ivm_features;
+        mi_attrs = Datagen.Yelp.mi_attrs;
       } );
     ( "tpcds",
       {
         generate = Datagen.Tpcds.generate;
         features = Datagen.Tpcds.features;
         ivm_features = Datagen.Tpcds.ivm_features;
+        mi_attrs = Datagen.Tpcds.mi_attrs;
       } );
   ]
 
@@ -57,6 +63,17 @@ let scale_arg =
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
+
+let strategies =
+  [
+    ("fivm", Fivm.Maintainer.F_ivm);
+    ("higher", Fivm.Maintainer.Higher_order);
+    ("first", Fivm.Maintainer.First_order);
+  ]
+
+let method_arg =
+  Arg.(value & opt (enum strategies) Fivm.Maintainer.F_ivm
+       & info [ "method" ] ~docv:"M" ~doc:"Maintenance strategy: fivm | higher | first.")
 
 (* ---- observability flags (shared by every workload command) ---- *)
 
@@ -182,17 +199,10 @@ let batches_cmd =
       "decision-node" "mutual-info" "k-means";
     List.iter
       (fun (name, spec) ->
-        let mi =
-          match name with
-          | "retailer" -> Datagen.Retailer.mi_attrs
-          | "favorita" -> Datagen.Favorita.mi_attrs
-          | "yelp" -> Datagen.Yelp.mi_attrs
-          | _ -> Datagen.Tpcds.mi_attrs
-        in
         Printf.printf "%-12s %16d %16d %16d %12d\n" name
           (Aggregates.Batch.size (Aggregates.Batch.covariance spec.features))
           (Aggregates.Batch.size (Aggregates.Batch.decision_node spec.features))
-          (Aggregates.Batch.size (Aggregates.Batch.mutual_information mi))
+          (Aggregates.Batch.size (Aggregates.Batch.mutual_information spec.mi_attrs))
           (Aggregates.Batch.size (Aggregates.Batch.kmeans spec.features)))
       datasets
   in
@@ -203,18 +213,6 @@ let batches_cmd =
 (* ---- ivm ---- *)
 
 let ivm_cmd =
-  let method_arg =
-    let mconv =
-      Arg.enum
-        [
-          ("fivm", Fivm.Maintainer.F_ivm);
-          ("higher", Fivm.Maintainer.Higher_order);
-          ("first", Fivm.Maintainer.First_order);
-        ]
-    in
-    Arg.(value & opt mconv Fivm.Maintainer.F_ivm
-         & info [ "method" ] ~docv:"M" ~doc:"fivm | higher | first")
-  in
   let limit_arg =
     Arg.(value & opt int max_int & info [ "limit" ] ~docv:"N" ~doc:"Insert at most N tuples.")
   in
@@ -246,18 +244,6 @@ let ivm_cmd =
 (* ---- maintain: resilient IVM with WAL, checkpoints and fault injection ---- *)
 
 let maintain_cmd =
-  let method_arg =
-    let mconv =
-      Arg.enum
-        [
-          ("fivm", Fivm.Maintainer.F_ivm);
-          ("higher", Fivm.Maintainer.Higher_order);
-          ("first", Fivm.Maintainer.First_order);
-        ]
-    in
-    Arg.(value & opt mconv Fivm.Maintainer.F_ivm
-         & info [ "method" ] ~docv:"M" ~doc:"fivm | higher | first")
-  in
   let limit_arg =
     Arg.(value & opt int max_int & info [ "limit" ] ~docv:"N" ~doc:"Insert at most N tuples.")
   in
@@ -329,38 +315,9 @@ let maintain_cmd =
       Array.of_list
         (List.filteri (fun i _ -> i < limit) (Datagen.Stream_gen.inserts_of_database db))
     in
-    let rec rm_rf path =
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-    in
-    let dir, cleanup =
-      match dir with
-      | Some d -> (d, fun () -> ())
-      | None ->
-          let d = Filename.temp_dir "borg-maintain" "" in
-          (d, fun () -> rm_rf d)
-    in
-    Fun.protect ~finally:cleanup @@ fun () ->
+    let with_dir f = match dir with Some d -> f d | None -> Scenario.with_temp_dir f in
+    with_dir @@ fun dir ->
     let make () = Fivm.Maintainer.create strategy db ~features:spec.ivm_features in
-    let bit_identical (cov : Rings.Covariance.t) (reference : Rings.Covariance.t) =
-      let bits = Int64.bits_of_float in
-      let dim = Rings.Covariance.dim reference in
-      let identical = ref (bits cov.Rings.Covariance.c = bits reference.Rings.Covariance.c) in
-      for i = 0 to dim - 1 do
-        if bits (Util.Vec.get cov.Rings.Covariance.s i)
-           <> bits (Util.Vec.get reference.Rings.Covariance.s i)
-        then identical := false;
-        for j = 0 to dim - 1 do
-          if bits (Util.Mat.get cov.Rings.Covariance.q i j)
-             <> bits (Util.Mat.get reference.Rings.Covariance.q i j)
-          then identical := false
-        done
-      done;
-      !identical
-    in
     let t0 = Unix.gettimeofday () in
     (* Single shard: the bare driver with an in-process restart loop.
        Sharded: per-shard drivers with in-task recovery (Resilience.Sharded). *)
@@ -463,7 +420,7 @@ let maintain_cmd =
         Printf.printf "digest: %s" digest)
       digest_out;
     if verify then begin
-      if bit_identical cov (reference ()) then
+      if Rings.Covariance.equal_bits cov (reference ()) then
         Printf.printf "verify: recovered covariance is bit-identical to the clean run\n"
       else begin
         Printf.eprintf "borg maintain: recovered covariance DIVERGES from the clean run\n";
@@ -540,35 +497,14 @@ let agg_cmd =
          & info [ "batch" ] ~docv:"B"
              ~doc:"Batch: covariance | decision-node | mutual-info | kmeans.")
   in
-  (* bitwise comparison of keyed results: same ids, same assignments in
-     the same order, every float identical to the last bit *)
-  let bits_identical a b =
-    List.length a = List.length b
-    && List.for_all2
-         (fun (id, mine) (id', theirs) ->
-           String.equal id id'
-           && List.length mine = List.length theirs
-           && List.for_all2
-                (fun (k, v) (k', v') ->
-                  k = k' && Int64.bits_of_float v = Int64.bits_of_float v')
-                mine theirs)
-         a b
-  in
   let run (name, spec) scale seed engine batch_name check trace metrics_out =
     with_obs trace metrics_out @@ fun () ->
     let db = spec.generate ~scale ~seed () in
-    let mi =
-      match name with
-      | "retailer" -> Datagen.Retailer.mi_attrs
-      | "favorita" -> Datagen.Favorita.mi_attrs
-      | "yelp" -> Datagen.Yelp.mi_attrs
-      | _ -> Datagen.Tpcds.mi_attrs
-    in
     let batch =
       match batch_name with
       | `Covariance -> Aggregates.Batch.covariance spec.features
       | `Decision_node -> Aggregates.Batch.decision_node spec.features
-      | `Mutual_info -> Aggregates.Batch.mutual_information mi
+      | `Mutual_info -> Aggregates.Batch.mutual_information spec.mi_attrs
       | `Kmeans -> Aggregates.Batch.kmeans spec.features
     in
     Printf.printf "engine %s: %s\n"
@@ -602,7 +538,8 @@ let agg_cmd =
              (List.sort compare (List.map nonzero b))
       in
       let ok_rerun =
-        if bitwise then bits_identical results again else numeric results again
+        if bitwise then Aggregates.Spec.keyed_bits_equal results again
+        else numeric results again
       in
       let ok_ref = numeric results reference in
       Printf.printf "check: rerun %s (%s), vs flat reference %s (numeric)\n"
@@ -621,71 +558,9 @@ let agg_cmd =
     Term.(const run $ dataset_arg $ scale_arg $ seed_arg $ engine_arg $ batch_arg
           $ check_arg $ trace_arg $ metrics_out_arg)
 
-(* ---- the lattice workload (shared by serve and learn) ----
-
-   A small star schema whose feature values are strictly positive multiples
-   of 1/16. On the lattice every covariance sum is exactly representable in
-   a float, so --check can demand BIT identity between maintained
-   (cached/refreshed/warm-trained) state and a fresh recompute. *)
-
-let star_db () =
-  Database.create "lattice"
-    [
-      Relation.create "F"
-        (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
-
-let lattice_stream ~seed ~steps =
-  let rng = Util.Prng.create seed in
-  let inserted = ref [] in
-  let value rng = float_of_int (1 + Util.Prng.int rng 64) /. 16.0 in
-  let iv n = Value.Int n and fv x = Value.Float x in
-  List.init steps (fun _ ->
-      if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-        let u = Util.Prng.choice rng (Array.of_list !inserted) in
-        inserted := List.filter (fun x -> x != u) !inserted;
-        Fivm.Delta.delete u.Fivm.Delta.relation u.Fivm.Delta.tuple
-      end
-      else begin
-        let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-        let tuple =
-          match rel with
-          | "F" -> [| iv (Util.Prng.int rng 4); iv (Util.Prng.int rng 4); fv (value rng) |]
-          | _ -> [| iv (Util.Prng.int rng 4); fv (value rng) |]
-        in
-        let u = Fivm.Delta.insert rel tuple in
-        inserted := u :: !inserted;
-        u
-      end)
-
 (* ---- serve: epoch-cached aggregate serving over a delta stream ---- *)
 
 let serve_cmd =
-  (* [exact]: demand bit identity (sound only for exact float arithmetic —
-     the lattice stream). Otherwise served and recomputed sums may differ
-     in summation order, so compare with the same relative tolerance as
-     Covariance.equal_rel. *)
-  let results_agree ~exact a b =
-    let same v1 v2 =
-      if exact then Int64.bits_of_float v1 = Int64.bits_of_float v2
-      else
-        Float.abs (v1 -. v2)
-        <= 1e-9 *. (1.0 +. Float.abs v1 +. Float.abs v2)
-    in
-    let by_id l = List.sort (fun (i, _) (j, _) -> compare i j) l in
-    let a = by_id a and b = by_id b in
-    List.length a = List.length b
-    && List.for_all2
-         (fun (id1, r1) (id2, r2) ->
-           String.equal id1 id2
-           && List.length r1 = List.length r2
-           && List.for_all2
-                (fun (k1, v1) (k2, v2) -> k1 = k2 && same v1 v2)
-                r1 r2)
-         a b
-  in
   let target_arg =
     let sconv =
       Arg.enum
@@ -693,18 +568,6 @@ let serve_cmd =
         :: List.map (fun (n, s) -> (n, `Gen (n, s))) datasets)
     in
     Arg.(required & pos 0 (some sconv) None & info [] ~docv:"DATASET")
-  in
-  let method_arg =
-    let mconv =
-      Arg.enum
-        [
-          ("fivm", Fivm.Maintainer.F_ivm);
-          ("higher", Fivm.Maintainer.Higher_order);
-          ("first", Fivm.Maintainer.First_order);
-        ]
-    in
-    Arg.(value & opt mconv Fivm.Maintainer.F_ivm
-         & info [ "method" ] ~docv:"M" ~doc:"fivm | higher | first")
   in
   let clients_arg =
     Arg.(value & opt int 4
@@ -726,33 +589,24 @@ let serve_cmd =
   let check_arg =
     Arg.(value & flag
          & info [ "check" ]
-             ~doc:"After every burst, fail unless each served result matches a \
-                   fresh LMFAO recompute over the current contents: bit-identical \
-                   on the exact-arithmetic lattice dataset, within 1e-9 relative \
-                   error elsewhere (arbitrary floats are summation-order \
-                   sensitive).")
+             ~doc:"After every burst, fail unless each served result is \
+                   bit-identical to a fresh LMFAO recompute over the current \
+                   contents (the stream's floats lie on the dyadic lattice, so \
+                   every sum is exact).")
   in
   let run target scale seed strategy clients repeats rounds limit check trace
       metrics_out =
     with_obs trace metrics_out @@ fun () ->
-    let exact = target = `Lattice in
     let name, schema_db, features, mi, stream =
       match target with
       | `Lattice ->
-          ("lattice", star_db (), [ "m"; "u"; "v" ], [ "a"; "b" ],
-           lattice_stream ~seed ~steps:limit)
+          ("lattice", Sg.star_database (), Sg.star_features, [ "a"; "b" ],
+           Sg.star_stream ~seed limit)
       | `Gen (n, spec) ->
-          let db = spec.generate ~scale ~seed () in
-          let mi =
-            match n with
-            | "retailer" -> Datagen.Retailer.mi_attrs
-            | "favorita" -> Datagen.Favorita.mi_attrs
-            | "yelp" -> Datagen.Yelp.mi_attrs
-            | _ -> Datagen.Tpcds.mi_attrs
-          in
-          ( n, db, spec.ivm_features, mi,
-            List.filteri (fun i _ -> i < limit)
-              (Datagen.Stream_gen.inserts_of_database db) )
+          (* the lattice copy keeps every sum exact, so --check is bitwise *)
+          let db = Sg.lattice_database (spec.generate ~scale ~seed ()) in
+          ( n, db, spec.ivm_features, spec.mi_attrs,
+            List.filteri (fun i _ -> i < limit) (Sg.inserts_of_database db) )
     in
     let srv = Serve.create strategy schema_db ~features in
     let batches =
@@ -779,30 +633,12 @@ let serve_cmd =
           ignore (Serve.serve_many ~clients srv requests);
           served := !served + 1 + List.length requests;
           if check then begin
-            let got = Serve.serve srv b in
-            incr served;
-            let fresh =
-              (Lmfao.Engine.eval ~on_cyclic:`Materialize (Serve.snapshot srv) b)
-                .Lmfao.Engine.keyed
-            in
-            if not (results_agree ~exact got fresh) then begin
+            let first, second = Scenario.serve_audit srv b in
+            served := !served + 2;
+            if not (first && second) then begin
               Printf.eprintf
                 "borg serve: served %s DIVERGES from recompute at epoch %d\n"
                 b.Aggregates.Batch.name (Serve.epoch srv);
-              List.iter
-                (fun (id, r1) ->
-                  match List.assoc_opt id fresh with
-                  | Some r2 when r1 = r2 -> ()
-                  | r2 ->
-                      Printf.eprintf "  %s: served %s vs fresh %s\n" id
-                        (String.concat ";"
-                           (List.map (fun (_, v) -> Printf.sprintf "%h" v) r1))
-                        (match r2 with
-                        | None -> "<missing>"
-                        | Some r2 ->
-                            String.concat ";"
-                              (List.map (fun (_, v) -> Printf.sprintf "%h" v) r2)))
-                got;
               exit 1
             end
           end)
@@ -827,9 +663,7 @@ let serve_cmd =
       (Serve.cache_size srv);
     Printf.printf "hits %d  misses %d  refreshes %d  invalidations %d\n" s.Serve.hits
       s.Serve.misses s.Serve.refreshes s.Serve.invalidations;
-    if check then
-      Printf.printf "check: served results %s recompute\n"
-        (if exact then "bit-identical to" else "within 1e-9 relative of")
+    if check then Printf.printf "check: served results bit-identical to recompute\n"
   in
   Cmd.v
     (Cmd.info "serve"
@@ -846,30 +680,17 @@ let learn_cmd =
   (* Online model maintenance over the exact-arithmetic lattice workload:
      register Ml.Models entries against a server, stream delta batches
      through it, and serve epoch-tagged predictions between batches. With
-     --check, every strategy runs and after every batch each served model is
-     audited against a COLD retrain over from-scratch statistics
-     (Maintainer.recompute + snapshot): bit-identical encodings for direct
-     solves, prediction agreement within Models.refresh_audit tolerance for
-     iterative optimisers. *)
+     --check, every strategy runs and after every batch each served model
+     goes through Scenario.model_audit: it must be at the current epoch and
+     match a COLD retrain over from-scratch statistics — bit-identical
+     encodings for direct solves, prediction agreement within
+     Models.refresh_audit tolerance for iterative optimisers. *)
   let models_arg =
     let known = String.concat ", " (List.map Ml.Model_intf.name Ml.Models.all) in
     Arg.(value
          & opt (list string) [ "linreg-closed"; "linreg-cg"; "linreg-gd"; "polyreg" ]
          & info [ "models" ] ~docv:"M,.."
              ~doc:(Printf.sprintf "Registry models to serve (known: %s)." known))
-  in
-  let method_arg =
-    let mconv =
-      Arg.enum
-        [
-          ("fivm", Fivm.Maintainer.F_ivm);
-          ("higher", Fivm.Maintainer.Higher_order);
-          ("first", Fivm.Maintainer.First_order);
-        ]
-    in
-    Arg.(value & opt mconv Fivm.Maintainer.F_ivm
-         & info [ "method" ] ~docv:"M"
-             ~doc:"fivm | higher | first (ignored under --check, which runs all three).")
   in
   let rounds_arg =
     Arg.(value & opt int 100
@@ -893,10 +714,11 @@ let learn_cmd =
     Arg.(value & flag
          & info [ "check" ]
              ~doc:"Run ALL three maintenance strategies and, after every delta \
-                   batch, fail unless each served (warm-refreshed) model matches \
-                   a cold retrain over from-scratch statistics: bit-identical \
-                   encodings for direct solves, served predictions within the \
-                   audit tolerance for iterative optimisers.")
+                   batch, fail unless each served (warm-refreshed) model is at \
+                   the current epoch and matches a cold retrain over \
+                   from-scratch statistics: bit-identical encodings for direct \
+                   solves, served predictions within the audit tolerance for \
+                   iterative optimisers.")
   in
   let run models strategy rounds batch initial staleness check seed trace metrics_out =
     with_obs trace metrics_out @@ fun () ->
@@ -911,7 +733,7 @@ let learn_cmd =
               exit 1)
         models
     in
-    let features = [ "m"; "u"; "v" ] and response = "m" in
+    let response = "m" in
     (* probe points for served predictions (lattice-range attribute values) *)
     let probes =
       List.concat_map
@@ -925,17 +747,11 @@ let learn_cmd =
       | "v" -> Value.Float v
       | a -> invalid_arg (Printf.sprintf "borg learn: probe has no attribute %s" a)
     in
-    let strategies =
-      if check then
-        [ Fivm.Maintainer.F_ivm; Fivm.Maintainer.Higher_order; Fivm.Maintainer.First_order ]
-      else [ strategy ]
-    in
+    let strategies = if check then List.map snd strategies else [ strategy ] in
     List.iter
       (fun strategy ->
-        let srv = Serve.create strategy (star_db ()) ~features in
-        let stream =
-          Array.of_list (lattice_stream ~seed ~steps:(initial + (rounds * batch)))
-        in
+        let srv = Serve.create strategy (Sg.star_database ()) ~features:Sg.star_features in
+        let stream = Array.of_list (Sg.star_stream ~seed (initial + (rounds * batch))) in
         let seg lo len = Array.to_list (Array.sub stream lo len) in
         Serve.apply_deltas srv (seg 0 initial);
         let names =
@@ -946,55 +762,18 @@ let learn_cmd =
         in
         let audits = ref 0 in
         let audit () =
-          (* one cold bundle per batch, shared across models: from-scratch
-             covariance (Maintainer.recompute) in the SAME layout as the
-             served bundle, snapshot-backed monomial/row statistics *)
-          let cold_moments =
-            Ml.Model_intf.moments_of_covariance
-              ~snapshot:(fun () -> Serve.snapshot srv)
-              (Fivm.Maintainer.recompute (Serve.maintainer srv))
-              ~features ~response
-          in
           List.iter
             (fun name ->
-              (* freshness on demand: under --staleness the served model may
-                 legitimately lag, so pull it to the current epoch first *)
-              Serve.Model.refresh srv name;
-              let warm, _ = Serve.Model.packed srv name in
-              let spec = Serve.Model.spec_of srv name in
-              let cold = Ml.Model_intf.train_packed spec cold_moments in
-              let diverged detail =
-                Printf.eprintf
-                  "borg learn: %s served model DIVERGES from cold retrain at \
-                   epoch %d (%s): %s\n"
-                  name (Serve.epoch srv)
-                  (Fivm.Maintainer.strategy_name strategy)
-                  detail;
-                exit 1
-              in
-              (match Ml.Models.refresh_audit spec with
-              | `Bitwise ->
-                  let bytes p =
-                    let b = Buffer.create 256 in
-                    Ml.Model_intf.encode_packed b p;
-                    Buffer.contents b
-                  in
-                  if not (String.equal (bytes warm) (bytes cold)) then
-                    diverged "encoded parameters differ bitwise"
-              | `Tolerance tol ->
-                  List.iter
-                    (fun probe ->
-                      let w = Ml.Model_intf.predict_packed warm (get_of probe) in
-                      let c = Ml.Model_intf.predict_packed cold (get_of probe) in
-                      if
-                        not
-                          (Float.abs (w -. c)
-                          <= tol *. (1.0 +. Float.abs w +. Float.abs c))
-                      then
-                        diverged
-                          (Printf.sprintf "prediction %h vs %h (tol %g)" w c tol))
-                    probes);
-              incr audits)
+              match Scenario.model_audit ~probes:(List.map get_of probes) srv name with
+              | Ok () -> incr audits
+              | Error detail ->
+                  Printf.eprintf
+                    "borg learn: %s served model DIVERGES from cold retrain at \
+                     epoch %d (%s): %s\n"
+                    name (Serve.epoch srv)
+                    (Fivm.Maintainer.strategy_name strategy)
+                    detail;
+                  exit 1)
             names
         in
         let t0 = Unix.gettimeofday () in
@@ -1085,18 +864,6 @@ let traffic_cmd =
     Arg.(value & opt int 4
          & info [ "tenants" ] ~docv:"K" ~doc:"Tenant population (Zipf-active).")
   in
-  let method_arg =
-    let mconv =
-      Arg.enum
-        [
-          ("fivm", Fivm.Maintainer.F_ivm);
-          ("higher", Fivm.Maintainer.Higher_order);
-          ("first", Fivm.Maintainer.First_order);
-        ]
-    in
-    Arg.(value & opt mconv Fivm.Maintainer.F_ivm
-         & info [ "method" ] ~docv:"M" ~doc:"fivm | higher | first")
-  in
   let faults_arg =
     Arg.(value & opt (some string) None
          & info [ "faults" ] ~docv:"SPEC"
@@ -1114,25 +881,10 @@ let traffic_cmd =
   in
   let run requests overload tenants strategy faults check seed trace metrics_out =
     with_obs trace metrics_out @@ fun () ->
-    let features = [ "m"; "u"; "v" ] in
     (* core batches (the served mix: refreshable covariance + invalidating
        categorical/grouped shapes) and cold batches reads never warm — the
        starved-tenant phase requests them to force Timeouts *)
-    let core =
-      [|
-        Aggregates.Batch.covariance_numeric features;
-        Aggregates.Batch.mutual_information [ "a"; "b" ];
-        {
-          Aggregates.Batch.name = "grouped";
-          aggregates =
-            [
-              Aggregates.Spec.make ~id:"sum_m_by_a" ~terms:[ ("m", 1) ]
-                ~group_by:[ "a" ] ();
-              Aggregates.Spec.count ~id:"n";
-            ];
-        };
-      |]
-    in
+    let core = Array.of_list Sg.star_batches in
     let cold =
       [|
         {
@@ -1163,8 +915,8 @@ let traffic_cmd =
     in
     let catalog = Array.append core cold in
     let lanes = Util.Pool.num_domains () in
-    let srv = Serve.create strategy (star_db ()) ~features in
-    Serve.apply_deltas srv (lattice_stream ~seed ~steps:300);
+    let srv = Serve.create strategy (Sg.star_database ()) ~features:Sg.star_features in
+    Serve.apply_deltas srv (Sg.star_stream ~seed 300);
     (* ---- capacity probe: a miss and a hit on this machine ---- *)
     let time f =
       let t0 = Unix.gettimeofday () in
@@ -1205,34 +957,13 @@ let traffic_cmd =
     in
     (* lattice updates with persistent insert/delete state; every batch
        carries one duplicated insert so coalescing provably merges *)
-    let inserted = ref [] in
+    let gen = Sg.star_gen () in
     let make_updates rng n =
-      let value rng = float_of_int (1 + Util.Prng.int rng 64) /. 16.0 in
-      let iv n = Value.Int n and fv x = Value.Float x in
-      let one () =
-        if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-          let u = Util.Prng.choice rng (Array.of_list !inserted) in
-          inserted := List.filter (fun x -> x != u) !inserted;
-          Fivm.Delta.delete u.Fivm.Delta.relation u.Fivm.Delta.tuple
-        end
-        else begin
-          let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-          let tuple =
-            match rel with
-            | "F" ->
-                [| iv (Util.Prng.int rng 4); iv (Util.Prng.int rng 4);
-                   fv (value rng) |]
-            | _ -> [| iv (Util.Prng.int rng 4); fv (value rng) |]
-          in
-          let u = Fivm.Delta.insert rel tuple in
-          inserted := u :: !inserted;
-          u
-        end
-      in
       let fresh =
-        Fivm.Delta.insert "D1" [| iv (Util.Prng.int rng 4); fv (value rng) |]
+        Fivm.Delta.insert "D1"
+          [| Value.Int (Util.Prng.int rng 4); Value.Float (Sg.draw_value Sg.Lattice rng) |]
       in
-      fresh :: fresh :: List.init (max 0 (n - 2)) (fun _ -> one ())
+      fresh :: fresh :: Sg.star_updates gen rng (max 0 (n - 2))
     in
     let overload_events =
       Traffic.Workload.generate spec ~catalog:(Array.length core) ~make_updates
@@ -1301,8 +1032,7 @@ let traffic_cmd =
     in
     let report =
       Traffic.Driver.run ~lanes ~flush_interval:(duration /. 15.0)
-        ~check:(if check then Traffic.Driver.Exact else Traffic.Driver.No_check)
-        adm ~catalog ~events
+        ~check adm ~catalog ~events
     in
     Printf.printf
       "traffic (%s, %d lanes, %.0fx overload): offered %d  admitted %d  shed \

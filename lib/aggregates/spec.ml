@@ -115,6 +115,34 @@ let result_equal ?(eps = 1e-6) (a : result) (b : result) =
          ka = kb && Float.abs (va -. vb) <= eps *. (1.0 +. Float.abs va))
        a b
 
+(* Bitwise equality, the exact counterpart of [result_equal]: the same
+   groups in the same order, keys equal as values ([Int 1] is not
+   [Str "1"], float keys compare exactly), sums equal by bit pattern (one
+   ulp, or -0.0 against 0.0, is a difference). *)
+let key_equal = List.equal (fun (x, u) (y, v) -> String.equal x y && Value.equal u v)
+
+let result_bits_equal (a : result) (b : result) =
+  List.equal
+    (fun (ka, va) (kb, vb) ->
+      key_equal ka kb && Int64.equal (Int64.bits_of_float va) (Int64.bits_of_float vb))
+    a b
+
+let keyed_bits_equal a b =
+  List.equal (fun (i, r) (j, s) -> String.equal i j && result_bits_equal r s) a b
+
+(* The canonical order for callers that ignore order: aggregates by id,
+   groups by key (attribute name, then [Value.compare]). *)
+let key_compare =
+  List.compare (fun (x, u) (y, v) ->
+      match String.compare x y with 0 -> Value.compare u v | c -> c)
+
+let sort_keyed keyed =
+  List.sort
+    (fun (i, _) (j, _) -> String.compare i j)
+    (List.map
+       (fun (id, r) -> (id, List.sort (fun (k, _) (k', _) -> key_compare k k') r))
+       keyed)
+
 (* The SQL this aggregate stands for, over the feature-extraction query
    [relation] (Section 2.1: "SELECT X, agg FROM Q GROUP BY X"). *)
 let to_sql ?(relation = "Q") t =

@@ -54,4 +54,19 @@ val to_sql : ?relation:string -> t -> string
     (Section 2.1's "SELECT X, agg FROM Q GROUP BY X"). *)
 
 val result_equal : ?eps:float -> result -> result -> bool
+(** Numeric equality up to relative [eps], in any group order. *)
+
+val result_bits_equal : result -> result -> bool
+(** Bitwise equality: the same groups in the same order, keys equal as
+    values ({!Relational.Value.equal}), sums equal by bit pattern. *)
+
+val keyed_bits_equal : (string * result) list -> (string * result) list -> bool
+(** Batch results: the same aggregate ids in the same order, each pair
+    {!result_bits_equal}. Order-sensitive; compare {!sort_keyed} forms to
+    ignore order. *)
+
+val sort_keyed : (string * result) list -> (string * result) list
+(** The canonical order: aggregates by id, groups by key (attribute name,
+    then {!Relational.Value.compare}). *)
+
 val pp : Format.formatter -> t -> unit

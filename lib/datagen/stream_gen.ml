@@ -2,7 +2,8 @@
    hostile-stream scenario matrix: turn a generated database into a stream
    of delta batches against an initially empty database. Dimension tuples
    are interleaved early so the fact inserts find join partners, mirroring a
-   live system's load order.
+   live system's load order. The star workload at the end of the file is
+   the hand-built schema and stream every other differential shares.
 
    The [hostile] grammar is schema-agnostic: the fact relation is the
    highest-cardinality one, join keys are the attributes shared between
@@ -275,3 +276,82 @@ let hostile ?(seed = 7) shape (db : Database.t) =
     | High_card -> chunk 64 (base @ churn_pairs 0.25)
   in
   (db, batches)
+
+(* ---- the star workload ----
+
+   A small star schema, F(a,b,m) with dimensions D1(a,u) and D2(b,v), and
+   a random insert/delete stream over it: join keys drawn from {0..3} so
+   tuples join, one numeric feature per relation. Every hand-built
+   differential (maintenance, sharding, recovery, serving, models,
+   traffic) runs on this one workload; on the [Lattice] draw its
+   covariance arithmetic is exact, so those differentials demand bitwise
+   equality. *)
+
+let star_database () =
+  Database.create "star"
+    [
+      Relation.create "F"
+        (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
+      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
+      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
+    ]
+
+let star_features = [ "m"; "u"; "v" ]
+
+let star_batches =
+  [
+    Aggregates.Batch.covariance_numeric star_features;
+    Aggregates.Batch.mutual_information [ "a"; "b" ];
+    {
+      Aggregates.Batch.name = "grouped";
+      aggregates =
+        [
+          Aggregates.Spec.make ~id:"sum_m_by_a" ~terms:[ ("m", 1) ] ~group_by:[ "a" ] ();
+          Aggregates.Spec.count ~id:"n";
+        ];
+    };
+  ]
+
+type draw = Lattice | Uniform | Integer
+
+let draw_value draw rng =
+  match draw with
+  | Lattice -> float_of_int (1 + Util.Prng.int rng 64) /. 16.0
+  | Uniform -> Util.Prng.float rng 5.0
+  | Integer -> float_of_int (Util.Prng.int rng 5)
+
+(* [live] holds the inserts not yet deleted, newest first. *)
+type star_gen = { draw : draw; deletes : bool; mutable live : Fivm.Delta.update list }
+
+let star_gen ?(draw = Lattice) ?(deletes = true) () = { draw; deletes; live = [] }
+
+(* A quarter of the draws (while anything is live) delete a uniformly
+   chosen live insert; the rest insert into a uniformly chosen relation. *)
+let star_update g rng =
+  if g.deletes && g.live <> [] && Util.Prng.int rng 4 = 0 then begin
+    let u = Util.Prng.choice rng (Array.of_list g.live) in
+    g.live <- List.filter (fun x -> x != u) g.live;
+    Fivm.Delta.delete u.Fivm.Delta.relation u.Fivm.Delta.tuple
+  end
+  else begin
+    let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
+    let tuple =
+      match rel with
+      | "F" ->
+          [|
+            Value.Int (Util.Prng.int rng 4);
+            Value.Int (Util.Prng.int rng 4);
+            Value.Float (draw_value g.draw rng);
+          |]
+      | _ -> [| Value.Int (Util.Prng.int rng 4); Value.Float (draw_value g.draw rng) |]
+    in
+    let u = Fivm.Delta.insert rel tuple in
+    g.live <- u :: g.live;
+    u
+  end
+
+let star_updates g rng n = List.init n (fun _ -> star_update g rng)
+let star_live g = List.rev g.live
+
+let star_stream ?draw ?deletes ~seed n =
+  star_updates (star_gen ?draw ?deletes ()) (Util.Prng.create seed) n

@@ -1,6 +1,7 @@
-(** Update-stream generation for the IVM experiments (Figure 4 right) and
-    the hostile-stream scenario grammar (the dataset x shape x layer
-    differential matrix). *)
+(** Update-stream generation for the IVM experiments (Figure 4 right), the
+    hostile-stream scenario grammar (the dataset x shape x layer
+    differential matrix), and the star workload every hand-built
+    differential shares. *)
 
 val inserts_of_database : ?seed:int -> Relational.Database.t -> Fivm.Delta.update list
 (** All tuples as single-tuple inserts against an initially empty database:
@@ -58,3 +59,52 @@ val hostile :
     the given shape over it. Every shape's stream nets to a final state with
     non-negative multiplicities, so maintained == recompute differentials
     are well-defined at the end of the stream. *)
+
+(** {1 The star workload}
+
+    The star schema F(a,b,m), D1(a,u), D2(b,v) and its random update
+    stream, shared by every hand-built differential. Join keys are drawn
+    from [{0..3}]; each relation carries one numeric feature. *)
+
+val star_database : unit -> Relational.Database.t
+(** A fresh, empty copy of the star schema. *)
+
+val star_features : string list
+(** ["m"; "u"; "v"]. *)
+
+val star_batches : Aggregates.Batch.t list
+(** The served batch mix: the covariance batch over {!star_features}
+    (refreshed in place on deltas), mutual information over [a] and [b],
+    and ["grouped"] ([sum_m_by_a] plus the count [n]); the last two are
+    invalidated by every delta. *)
+
+(** How feature values are drawn. *)
+type draw =
+  | Lattice
+      (** [k/16] for [k] in [1..64]: covariance arithmetic is exact, so
+          maintained results are bit-identical to a recompute *)
+  | Uniform  (** [Util.Prng.float rng 5.0] *)
+  | Integer  (** an integer in [0..4], as a float *)
+
+val draw_value : draw -> Util.Prng.t -> float
+
+type star_gen
+(** Persistent generator state: the value draw, whether the stream
+    deletes, and the live set (inserts not yet deleted). *)
+
+val star_gen : ?draw:draw -> ?deletes:bool -> unit -> star_gen
+(** Defaults: [Lattice] values, deletes on. *)
+
+val star_updates : star_gen -> Util.Prng.t -> int -> Fivm.Delta.update list
+(** [star_updates g rng n] draws [n] updates from [rng]. When [g] deletes,
+    a quarter of the draws (while anything is live) delete a uniformly
+    chosen live insert; every other draw inserts into a uniformly chosen
+    relation. The live set carries over between calls, so a stream can be
+    drawn batch by batch. *)
+
+val star_live : star_gen -> Fivm.Delta.update list
+(** The live inserts, oldest first. *)
+
+val star_stream : ?draw:draw -> ?deletes:bool -> seed:int -> int -> Fivm.Delta.update list
+(** [star_stream ~seed n]: [n] updates of a fresh generator drawn from
+    [Util.Prng.create seed]. *)

@@ -19,7 +19,10 @@ and gd_params = {
   tolerance : float; (* stop when the gradient's max-norm drops below *)
 }
 
-and cg_params = { cg_iterations : int; cg_tolerance : float }
+and cg_params = {
+  cg_iterations : int;
+  cg_tolerance : float; (* stop when the residual's 2-norm drops below *)
+}
 
 let default_gd = { learning_rate = 0.1; iterations = 5_000; tolerance = 1e-9 }
 
@@ -195,8 +198,9 @@ let train ?(ridge = 1e-3) ?(method_ = Gradient_descent default_gd) ?warm_start
          for it = 1 to Stdlib.min p.cg_iterations (4 * dim) do
            iterations := it;
            Obs.incr c_iterations;
-           if Obs.is_enabled () then Obs.set_gauge g_grad_norm (sqrt !rs);
-           if !rs < p.cg_tolerance then raise Exit;
+           let residual = sqrt !rs in
+           if Obs.is_enabled () then Obs.set_gauge g_grad_norm residual;
+           if residual < p.cg_tolerance then raise Exit;
            let hp = apply_h p_dir in
            let php = Vec.dot p_dir hp in
            if php <= 0.0 then raise Exit;

@@ -127,6 +127,22 @@ let equal_rel ?(eps = 1e-9) a b =
       done;
       !ok)
 
+(* Bitwise equality, the exact counterpart of [equal_rel]: the same
+   dimension and every component equal by bit pattern, so one ulp or -0.0
+   against 0.0 is a difference. *)
+let equal_bits a b =
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  dim a = dim b
+  && same a.c b.c
+  && (let ok = ref true in
+      for i = 0 to dim a - 1 do
+        if not (same a.s.(i) b.s.(i)) then ok := false;
+        for j = 0 to dim a - 1 do
+          if not (same (Mat.get a.q i j) (Mat.get b.q i j)) then ok := false
+        done
+      done;
+      !ok)
+
 let count t = t.c
 let sums t = t.s
 let products t = t.q

@@ -50,6 +50,11 @@ val equal_rel : ?eps:float -> t -> t -> bool
 (** Relative tolerance; robust to accumulation-order differences on
     large-magnitude sums. *)
 
+val equal_bits : t -> t -> bool
+(** Bitwise: same dimension, every component equal by bit pattern. The
+    check for exact (dyadic-lattice) arithmetic, where maintained, sharded
+    and recovered triples must match a recompute to the last bit. *)
+
 val count : t -> float
 val sums : t -> Vec.t
 val products : t -> Mat.t

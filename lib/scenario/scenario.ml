@@ -18,6 +18,7 @@
 
 open Relational
 module M = Fivm.Maintainer
+module Spec = Aggregates.Spec
 module Sg = Datagen.Stream_gen
 
 let c_cells = Obs.counter "scenario.cells"
@@ -39,53 +40,10 @@ type cell = {
 let layers = [ "maintain"; "shard"; "resilience"; "serve"; "model"; "streamed" ]
 let cell_ok c = List.for_all (fun ch -> ch.ok) c.checks
 
-(* ---- bit-pattern comparisons ---- *)
-
-let cov_bits (c : Rings.Covariance.t) =
-  let b = Buffer.create 512 in
-  Rings.Covariance.encode b c;
-  Buffer.contents b
-
-(* Keyed engine results compared key-by-key and bit-by-bit: group keys as
-   strings, aggregate values by their float bit patterns. Aggregates are
-   canonicalised by id and groups by key — the serving cache returns batch
-   order while a raw engine evaluation groups by decomposition root, and
-   only the CONTENTS must match. *)
-let keyed_bits (rs : (string * Aggregates.Spec.result) list) =
-  let key_string key =
-    String.concat ";"
-      (List.map (fun (attr, kv) -> attr ^ "=" ^ Value.to_string kv) key)
-  in
-  let rs =
-    List.sort (fun (i, _) (j, _) -> compare i j) rs
-    |> List.map (fun (id, groups) ->
-           ( id,
-             List.sort compare
-               (List.map (fun (key, v) -> (key_string key, Int64.bits_of_float v)) groups)
-           ))
-  in
-  let b = Buffer.create 512 in
-  List.iter
-    (fun (id, groups) ->
-      Buffer.add_string b id;
-      Buffer.add_char b '\n';
-      List.iter
-        (fun (ks, bits) ->
-          Buffer.add_string b ks;
-          Buffer.add_char b '=';
-          Buffer.add_int64_le b bits;
-          Buffer.add_char b '\n')
-        groups)
-    rs;
-  Buffer.contents b
-
-let packed_bits p =
-  let b = Buffer.create 128 in
-  Ml.Model_intf.encode_packed b p;
-  Buffer.contents b
+(* ---- the shared audits ---- *)
 
 let with_temp_dir f =
-  let dir = Filename.temp_dir "scenario" "" in
+  let dir = Filename.temp_dir "borg" "" in
   let rec rm_rf path =
     if Sys.is_directory path then begin
       Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
@@ -95,12 +53,55 @@ let with_temp_dir f =
   in
   Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir) (fun () -> f dir)
 
-(* ---- per-layer checks ---- *)
+(* Keyed results in the canonical order: the serving cache returns batch
+   order while a raw engine evaluation groups by decomposition root, and
+   only the CONTENTS must match. *)
+let same_keyed a b = Spec.keyed_bits_equal (Spec.sort_keyed a) (Spec.sort_keyed b)
 
-let maintained strategy db ~features batches =
-  let m = M.create strategy db ~features in
-  List.iter (M.apply_batch m) batches;
-  m
+let serve_audit srv batch =
+  let miss = Serve.serve srv batch in
+  let hit = Serve.serve srv batch in
+  let fresh =
+    (Lmfao.Engine.eval ~on_cyclic:`Materialize (Serve.snapshot srv) batch)
+      .Lmfao.Engine.keyed
+  in
+  (same_keyed miss fresh, same_keyed hit fresh)
+
+let packed_bits p =
+  let b = Buffer.create 128 in
+  Ml.Model_intf.encode_packed b p;
+  Buffer.contents b
+
+(* The cold side trains from a from-scratch recompute of the triple over
+   the server's contents, in the same column layout as the warm side, so
+   the two encodings are comparable bit for bit. *)
+let model_audit ~probes srv name =
+  Serve.Model.refresh srv name;
+  let warm, epoch = Serve.Model.packed srv name in
+  if epoch <> Serve.epoch srv then
+    Error (Printf.sprintf "served at epoch %d, data at %d" epoch (Serve.epoch srv))
+  else
+    let spec = Serve.Model.spec_of srv name in
+    let m = Serve.maintainer srv in
+    let cold =
+      Ml.Model_intf.train_packed spec
+        (Ml.Model_intf.moments_of_covariance
+           ~snapshot:(fun () -> Serve.snapshot srv)
+           (M.recompute m) ~features:(M.features m)
+           ~response:(Serve.Model.response_of srv name))
+    in
+    match Ml.Models.refresh_audit spec with
+    | `Bitwise ->
+        if String.equal (packed_bits warm) (packed_bits cold) then Ok ()
+        else Error "encoded parameters differ bitwise"
+    | `Tolerance tol -> (
+        let diverges get =
+          let w = Ml.Model_intf.predict_packed warm get in
+          let c = Ml.Model_intf.predict_packed cold get in
+          if Float.abs (w -. c) <= tol *. (1.0 +. Float.abs w +. Float.abs c) then None
+          else Some (Printf.sprintf "prediction %.17g vs cold %.17g (tol %g)" w c tol)
+        in
+        match List.find_map diverges probes with None -> Ok () | Some e -> Error e)
 
 (* Cancelled groups must VANISH from F-IVM views, not linger as zero
    payloads: net-zero churn would otherwise leave the view trees carrying
@@ -115,32 +116,37 @@ let zero_residue_rows (m : M.t) =
         0 views
   | _ -> 0
 
+(* ---- per-layer checks ---- *)
+
+let maintained strategy db ~features batches =
+  let m = M.create strategy db ~features in
+  List.iter (M.apply_batch m) batches;
+  m
+
 let check_maintain strategy db ~features batches =
   let m = maintained strategy db ~features batches in
-  let got = cov_bits (M.covariance m) and want = cov_bits (M.recompute m) in
+  let same = Rings.Covariance.equal_bits (M.covariance m) (M.recompute m) in
   let residue = if strategy = M.F_ivm then zero_residue_rows m else 0 in
-  let ok = String.equal got want && residue = 0 in
   let detail =
     Printf.sprintf "%s: maintained %s recompute, %d view rows, %d zero-residue"
       (M.strategy_name strategy)
-      (if String.equal got want then "==" else "<>")
+      (if same then "==" else "<>")
       (M.view_rows m) residue
   in
-  (m, { layer = "maintain"; ok; detail })
+  (m, { layer = "maintain"; ok = same && residue = 0; detail })
 
 let check_shard ~shards db ~features batches ~reference =
   let sh = Fivm.Shard.create M.F_ivm db ~features ~shards in
   List.iter (fun b -> Fivm.Shard.apply_batch sh b) batches;
-  let merged = cov_bits (Fivm.Shard.covariance sh) in
-  let recomputed = cov_bits (Fivm.Shard.recompute sh) in
-  let ok = String.equal merged reference && String.equal recomputed reference in
+  let merged = Rings.Covariance.equal_bits (Fivm.Shard.covariance sh) reference in
+  let recomputed = Rings.Covariance.equal_bits (Fivm.Shard.recompute sh) reference in
   let detail =
     Printf.sprintf "%d shards on %s: merged %s unsharded, recompute %s" shards
       (Fivm.Shard.plan_attr (Fivm.Shard.plan_of sh))
-      (if String.equal merged reference then "==" else "<>")
-      (if String.equal recomputed reference then "==" else "<>")
+      (if merged then "==" else "<>")
+      (if recomputed then "==" else "<>")
   in
-  { layer = "shard"; ok; detail }
+  { layer = "shard"; ok = merged && recomputed; detail }
 
 (* Crash mid-stream with the full damage grammar armed — the torn tail
    shears an acknowledged frame, the survivors are reordered and duplicated
@@ -170,39 +176,28 @@ let check_resilience ~seed dir db ~features batches ~reference =
           drive d (Resilience.Driver.seq d)
   in
   let d = drive (Resilience.Driver.create cfg make) 0 in
-  let got = cov_bits (Resilience.Driver.covariance d) in
+  let same = Rings.Covariance.equal_bits (Resilience.Driver.covariance d) reference in
   let quarantined = List.length (Resilience.Driver.quarantined d) in
   Resilience.Driver.close d;
-  let ok = String.equal got reference && !restarts >= 1 && quarantined = 0 in
+  let ok = same && !restarts >= 1 && quarantined = 0 in
   let detail =
     Printf.sprintf "%s: %d restart(s), %d quarantined, recovered %s clean" spec !restarts
       quarantined
-      (if String.equal got reference then "==" else "<>")
+      (if same then "==" else "<>")
   in
   { layer = "resilience"; ok; detail }
 
-(* Serve the covariance batch mid-stream and at the end, each time twice
-   (cache miss then refreshed/cached hit), against a fresh engine evaluation
-   over the server's own snapshot. *)
+(* Serve the covariance batch mid-stream and at the end, each time through
+   [serve_audit] (cache miss, then refreshed/cached hit). *)
 let check_serve db ~features batches =
   let srv = Serve.create M.F_ivm db ~features in
   let batch = Aggregates.Batch.covariance_numeric features in
-  let probe () =
-    let miss = keyed_bits (Serve.serve srv batch) in
-    let hit = keyed_bits (Serve.serve srv batch) in
-    let fresh =
-      keyed_bits
-        (Lmfao.Engine.eval ~on_cyclic:`Materialize (Serve.snapshot srv) batch)
-          .Lmfao.Engine.keyed
-    in
-    (String.equal miss fresh, String.equal hit fresh)
-  in
   let n = List.length batches in
   let half = n / 2 in
   List.iteri (fun i b -> if i < half then Serve.apply_deltas srv b) batches;
-  let mid_miss, mid_hit = probe () in
+  let mid_miss, mid_hit = serve_audit srv batch in
   List.iteri (fun i b -> if i >= half then Serve.apply_deltas srv b) batches;
-  let end_miss, end_hit = probe () in
+  let end_miss, end_hit = serve_audit srv batch in
   let ok = mid_miss && mid_hit && end_miss && end_hit in
   let detail =
     Printf.sprintf "mid-stream miss/hit %s/%s, end-of-stream %s/%s"
@@ -213,33 +208,24 @@ let check_serve db ~features batches =
   in
   { layer = "serve"; ok; detail }
 
-(* Register linreg-closed mid-stream, refresh it at the end, and compare the
-   served parameters bit-for-bit against a cold retrain from a from-scratch
-   recompute of the moments — the warm refresh path must not drift. *)
+(* Register linreg-closed mid-stream, refresh it at the end, and audit the
+   served parameters against a cold retrain — the warm refresh path must
+   not drift. *)
 let check_model db ~features batches =
   let srv = Serve.create M.F_ivm db ~features in
-  let response = List.hd features in
-  let spec = Ml.Models.find_exn "linreg-closed" in
   let n = List.length batches in
   let half = max 1 (n / 2) in
   List.iteri (fun i b -> if i < half then Serve.apply_deltas srv b) batches;
-  let name = Serve.Model.register srv spec ~response in
+  let spec = Ml.Models.find_exn "linreg-closed" in
+  let name = Serve.Model.register srv spec ~response:(List.hd features) in
   List.iteri (fun i b -> if i >= half then Serve.apply_deltas srv b) batches;
-  Serve.Model.refresh srv name;
-  let served, epoch = Serve.Model.packed srv name in
-  let cold =
-    Ml.Model_intf.train_packed spec
-      (Ml.Model_intf.moments_of_covariance
-         ~snapshot:(fun () -> Serve.snapshot srv)
-         (M.recompute (Serve.maintainer srv))
-         ~features ~response)
-  in
-  let ok = String.equal (packed_bits served) (packed_bits cold) in
+  let verdict = model_audit ~probes:[] srv name in
   let detail =
-    Printf.sprintf "%s@epoch %d: warm-refreshed params %s cold retrain" name epoch
-      (if ok then "==" else "<>")
+    Printf.sprintf "%s@epoch %d: warm-refreshed params %s cold retrain" name
+      (Serve.epoch srv)
+      (match verdict with Ok () -> "==" | Error e -> "<> (" ^ e ^ ")")
   in
-  { layer = "model"; ok; detail }
+  { layer = "model"; ok = Result.is_ok verdict; detail }
 
 (* Spill the post-stream live set to paged column files, reopen it with a
    2-page cache, and run LMFAO over the streamed database: the result must
@@ -247,7 +233,7 @@ let check_model db ~features batches =
 let check_streamed dir (m : M.t) ~features =
   let snap = M.snapshot m in
   let batch = Aggregates.Batch.covariance_numeric features in
-  let r_mem = keyed_bits (Lmfao.Engine.eval_batch snap batch) in
+  let r_mem = Lmfao.Engine.eval_batch snap batch in
   let paged =
     List.map
       (fun rel ->
@@ -260,9 +246,9 @@ let check_streamed dir (m : M.t) ~features =
       (Database.name snap ^ "_paged")
       (List.map (fun p -> (Store.Paged.stub p, Some (Store.Paged.stream p))) paged)
   in
-  let r_paged = keyed_bits (Lmfao.Engine.eval_batch sdb batch) in
+  let r_paged = Lmfao.Engine.eval_batch sdb batch in
   List.iter Store.Paged.close paged;
-  let ok = String.equal r_mem r_paged in
+  let ok = same_keyed r_mem r_paged in
   { layer = "streamed"; ok; detail = "lmfao paged " ^ (if ok then "==" else "<>") ^ " mem" }
 
 (* ---- the cell driver ---- *)
@@ -291,13 +277,13 @@ let run_cell ?(seed = 42) ?(strategies = [ M.F_ivm; M.Higher_order; M.First_orde
   (* the unsharded F-IVM maintained triple anchors the cross-layer
      differentials; built once, on demand *)
   let ref_m = lazy (maintained M.F_ivm db ~features batches) in
-  let reference = lazy (cov_bits (M.covariance (Lazy.force ref_m))) in
+  let reference = lazy (M.covariance (Lazy.force ref_m)) in
   if want "maintain" then
     List.iter
       (fun strategy ->
         let m, c = check_maintain strategy db ~features batches in
         (* every strategy must also land on the SAME triple *)
-        let same = String.equal (cov_bits (M.covariance m)) (Lazy.force reference) in
+        let same = Rings.Covariance.equal_bits (M.covariance m) (Lazy.force reference) in
         record
           (if same then c
            else { c with ok = false; detail = c.detail ^ ", diverges from f-ivm" }))

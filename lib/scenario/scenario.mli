@@ -9,6 +9,35 @@
     Counters: [scenario.cells], [scenario.checks], [scenario.failures],
     [scenario.updates], [scenario.deletes]. Span: [scenario.cell]. *)
 
+(** {1 The shared audits}
+
+    One implementation of each differential, used by the scenario cells,
+    the CLI's [--check] modes, the benches and the tests. *)
+
+val serve_audit : Serve.t -> Aggregates.Batch.t -> bool * bool
+(** Serve [batch] twice (a miss or refreshed hit, then a cached hit) and
+    compare each answer, bitwise and in canonical order
+    ({!Aggregates.Spec.sort_keyed}), against a fresh [Lmfao.Engine.eval]
+    of the server's snapshot. Returns the two verdicts. *)
+
+val model_audit :
+  probes:(string -> Relational.Value.t) list -> Serve.t -> string -> (unit, string) result
+(** Refresh the served model [name] to the current epoch and compare it
+    with a cold retrain over a from-scratch recompute of the server's
+    triple, per {!Ml.Models.refresh_audit}: encoded parameters bit for bit,
+    or predictions at every probe within the model's tolerance. The error
+    says what diverged, including a served epoch behind the data. *)
+
+val zero_residue_rows : Fivm.Maintainer.t -> int
+(** F-IVM view entries holding an exactly-zero payload (0 for the other
+    strategies). Cancelled groups must vanish, so this must stay 0. *)
+
+val with_temp_dir : (string -> 'a) -> 'a
+(** Run with a fresh temporary directory, removed recursively afterwards
+    (also on an exception). *)
+
+(** {1 Scenario cells} *)
+
 type check = {
   layer : string;  (** one of {!layers} *)
   ok : bool;

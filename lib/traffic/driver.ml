@@ -23,13 +23,12 @@
    epoch it claims — [Fresh e] must match the reference AT the current
    epoch [e], and [Stale e] must match the reference that was current when
    epoch [e] was live (references are captured while their epoch is still
-   current, so the audit never needs time travel). [Exact] demands bit
-   equality (sound on dyadic-lattice inputs); [Approx eps] allows relative
-   rounding drift for arbitrary floats. *)
+   current, so the audit never needs time travel). Answers must match bit
+   for bit ([Aggregates.Spec.keyed_bits_equal] in canonical order), which
+   is sound on dyadic-lattice inputs. *)
 
 module Admission = Serve.Admission
-
-type check = No_check | Exact | Approx of float
+module Spec = Aggregates.Spec
 
 type report = {
   offered : int;
@@ -60,31 +59,7 @@ let quantile sorted q =
     let rank = int_of_float (Float.round (q *. float_of_int (n - 1))) in
     sorted.(Stdlib.max 0 (Stdlib.min (n - 1) rank))
 
-let value_eq check a b =
-  match check with
-  | Exact | No_check -> Int64.bits_of_float a = Int64.bits_of_float b
-  | Approx eps ->
-      a = b
-      || Float.abs (a -. b) <= eps *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
-
-(* keyed-result equality, insensitive to aggregate and row order *)
-let results_match check mine theirs =
-  let norm rows = List.sort (fun (k, _) (k', _) -> compare k k') rows in
-  List.length mine = List.length theirs
-  && List.for_all
-       (fun (id, m) ->
-         match List.assoc_opt id theirs with
-         | None -> false
-         | Some t ->
-             let m = norm m and t = norm t in
-             List.length m = List.length t
-             && List.for_all2
-                  (fun (k, v) (k', v') -> k = k' && value_eq check v v')
-                  m t)
-       mine
-
-let run ?lanes ?(flush_interval = 0.05) ?(check = No_check) adm ~catalog
-    ~events =
+let run ?lanes ?(flush_interval = 0.05) ?(check = false) adm ~catalog ~events =
   if Array.length catalog = 0 then invalid_arg "Driver.run: empty catalog";
   let srv = Admission.server adm in
   let lane_count =
@@ -110,33 +85,33 @@ let run ?lanes ?(flush_interval = 0.05) ?(check = No_check) adm ~catalog
         if !error_count <= 20 then errors := msg :: !errors)
       fmt
   in
-  (* (epoch, catalog index) -> reference result, captured while the epoch
-     was current; [Stale e] audits read what was stored then *)
-  let refs : (int * int, (string * Aggregates.Spec.result) list) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  (* (epoch, catalog index) -> reference result in canonical order,
+     captured while the epoch was current; [Stale e] audits read what was
+     stored then *)
+  let refs : (int * int, (string * Spec.result) list) Hashtbl.t = Hashtbl.create 64 in
   let reference_now idx =
     let key = (Serve.epoch srv, idx) in
     match Hashtbl.find_opt refs key with
     | Some r -> r
     | None ->
         let r =
-          (Lmfao.Engine.eval ~on_cyclic:`Materialize (Serve.snapshot srv)
-             catalog.(idx))
-            .Lmfao.Engine.keyed
+          Spec.sort_keyed
+            (Lmfao.Engine.eval ~on_cyclic:`Materialize (Serve.snapshot srv) catalog.(idx))
+              .Lmfao.Engine.keyed
         in
         Hashtbl.add refs key r;
         r
   in
+  let results_match r reference = Spec.keyed_bits_equal (Spec.sort_keyed r) reference in
   let audit idx (o : Admission.outcome) =
-    if check <> No_check then
+    if check then
       match (o.Admission.status, o.Admission.result) with
       | Admission.Fresh e, Some r ->
           incr checked;
           let now_e = Serve.epoch srv in
           if e <> now_e then
             record_error "fresh answer tagged epoch %d at epoch %d" e now_e
-          else if not (results_match check r (reference_now idx)) then
+          else if not (results_match r (reference_now idx)) then
             record_error "WRONG BIT: fresh answer for %s diverges at epoch %d"
               catalog.(idx).Aggregates.Batch.name e
       | Admission.Stale e, Some r -> (
@@ -150,7 +125,7 @@ let run ?lanes ?(flush_interval = 0.05) ?(check = No_check) adm ~catalog
                   "stale answer for %s references epoch %d never served fresh"
                   catalog.(idx).Aggregates.Batch.name e
             | Some reference ->
-                if not (results_match check r reference) then
+                if not (results_match r reference) then
                   record_error
                     "WRONG BIT: stale answer for %s is not epoch %d's answer"
                     catalog.(idx).Aggregates.Batch.name e)

@@ -12,10 +12,8 @@
     Check mode audits every answered request against a from-scratch
     [Lmfao.Engine.eval] reference captured while the answer's epoch was
     current: [Fresh e] must match the current epoch's reference, [Stale e]
-    must be the answer epoch [e] actually served — [Exact] bit-for-bit
-    (sound on dyadic-lattice inputs), [Approx eps] up to relative [eps]. *)
-
-type check = No_check | Exact | Approx of float
+    must be the answer epoch [e] actually served, bit for bit (sound on
+    dyadic-lattice inputs). *)
 
 type report = {
   offered : int;
@@ -41,7 +39,7 @@ type report = {
 val run :
   ?lanes:int ->
   ?flush_interval:float ->
-  ?check:check ->
+  ?check:bool ->
   Serve.Admission.a ->
   catalog:Aggregates.Batch.t array ->
   events:Workload.event list ->

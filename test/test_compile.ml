@@ -63,20 +63,6 @@ let features =
   Feature.make ~response:"m1" ~thresholds_per_feature:3
     ~continuous:[ "m2"; "u" ] ~categorical:[ "x"; "y"; "z" ] ()
 
-(* Bitwise comparison of keyed results: same ids, same assignments in the
-   same order, and every float identical down to the last bit. *)
-let bits_identical a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (id, mine) (id', theirs) ->
-         String.equal id id'
-         && List.length mine = List.length theirs
-         && List.for_all2
-              (fun (k, v) (k', v') ->
-                k = k' && Int64.bits_of_float v = Int64.bits_of_float v')
-              mine theirs)
-       a b
-
 (* Keyed results sorted by id, exact zeros dropped: flat evaluation has no
    group that no join row reaches, where the engine may hold an explicit
    zero. [sort_groups] puts the flat reference's groups in [Key.compare]
@@ -93,13 +79,13 @@ let canonical ?(sort_groups = false) keyed =
 let check_vs_flat ~options db batch =
   let flat = Batch.eval_flat (Database.materialise_join db) batch in
   let got = Engine.eval_batch ~options db batch in
-  let ok = bits_identical (canonical got) (canonical ~sort_groups:true flat) in
+  let ok = Spec.keyed_bits_equal (canonical got) (canonical ~sort_groups:true flat) in
   if not ok then Format.eprintf "MISMATCH vs flat on %s@." batch.Batch.name;
   ok
 
 (* A run through the plan cache answers exactly as a fresh compile does. *)
 let cached_matches_fresh ~options db batch =
-  bits_identical
+  Spec.keyed_bits_equal
     (Engine.eval_batch ~options db batch)
     (Cengine.eval_batch ~options db batch)
 
@@ -322,7 +308,7 @@ let plan_cache_behaviour () =
       let plans0 = Obs.counter_value_by_name "lmfao.compile.plans" in
       let again = Cengine.eval_batch db batch in
       Alcotest.(check bool) "second run bitwise equal" true
-        (bits_identical first again);
+        (Spec.keyed_bits_equal first again);
       Alcotest.(check bool) "second run hit the plan cache" true
         (Obs.counter_value_by_name "lmfao.compile.cache_hits" > 0);
       Alcotest.(check int) "second run compiled nothing" plans0
@@ -416,7 +402,7 @@ let passes_preserve_results =
           (fun (plans, ok) (pass_name, pass) ->
             let plans = List.map pass plans in
             let got = run_plans ~options db plans in
-            let ok' = ok && bits_identical reference got in
+            let ok' = ok && Spec.keyed_bits_equal reference got in
             if not ok' && ok then
               Format.eprintf "PASS %s changed results@." pass_name;
             (plans, ok'))
@@ -426,7 +412,7 @@ let passes_preserve_results =
       List.for_all
         (fun (pass_name, pass) ->
           let got = run_plans ~options db (List.map pass raw) in
-          let ok = bits_identical reference got in
+          let ok = Spec.keyed_bits_equal reference got in
           if not ok then Format.eprintf "PASS %s (solo) changed results@." pass_name;
           ok)
         Lmfao.Passes.all

@@ -171,46 +171,13 @@ let test_heavy_light_split () =
 
 module M = Fivm.Maintainer
 module Delta = Fivm.Delta
-
-let stream_db () =
-  Database.create "stream"
-    [
-      Relation.create "F"
-        (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
-
-(* Inserts with small key domains (so tuples join), and deletes of
-   previously inserted tuples about a quarter of the time. *)
-let stream_update rng inserted =
-  if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-    let u = Util.Prng.choice rng (Array.of_list !inserted) in
-    inserted := List.filter (fun x -> x != u) !inserted;
-    Delta.delete u.Delta.relation u.Delta.tuple
-  end
-  else begin
-    let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-    let tuple =
-      match rel with
-      | "F" ->
-          [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4);
-             flt (Util.Prng.float rng 5.0) |]
-      | _ -> [| int (Util.Prng.int rng 4); flt (Util.Prng.float rng 5.0) |]
-    in
-    let u = Delta.insert rel tuple in
-    inserted := u :: !inserted;
-    u
-  end
+module Sg = Datagen.Stream_gen
 
 let test_maintenance_strategies_agree () =
-  let rng = Util.Prng.create 20260806 in
-  let inserted = ref [] in
-  let updates = Array.init 500 (fun _ -> stream_update rng inserted) in
-  let features = [ "m"; "u"; "v" ] in
+  let updates = Array.of_list (Sg.star_stream ~draw:Sg.Uniform ~seed:20260806 500) in
   let maintainers =
     List.map
-      (fun s -> M.create s (stream_db ()) ~features)
+      (fun s -> M.create s (Sg.star_database ()) ~features:Sg.star_features)
       [ M.F_ivm; M.Higher_order; M.First_order ]
   in
   let batch_size = 20 in
@@ -247,6 +214,43 @@ let test_maintenance_strategies_agree () =
   in
   Alcotest.(check bool) "stream contains deletes" true (deletes > 50)
 
+(* ---- the shared bitwise comparators ---- *)
+
+(* Spec.keyed_bits_equal, in canonical order (Spec.sort_keyed) and as
+   given, accepts identical results and rejects each difference below. *)
+let test_keyed_bits_rejects () =
+  let by k v = ([ ("k", k) ], v) in
+  let base =
+    [ ("sum", [ by (int 1) 2.0; by (int 2) 3.0 ]); ("zero", [ ([], 0.0) ]) ]
+  in
+  let sum groups = [ ("sum", groups); ("zero", [ ([], 0.0) ]) ] in
+  let sorted_equal a b = Spec.keyed_bits_equal (Spec.sort_keyed a) (Spec.sort_keyed b) in
+  let rejected what a b =
+    Alcotest.(check bool)
+      (what ^ ": rejected in canonical order")
+      false (sorted_equal a b);
+    Alcotest.(check bool) (what ^ ": rejected as given") false (Spec.keyed_bits_equal a b)
+  in
+  Alcotest.(check bool) "identical results are equal" true
+    (sorted_equal base base && Spec.keyed_bits_equal base base);
+  rejected "one-ulp value" base (sum [ by (int 1) (Float.succ 2.0); by (int 2) 3.0 ]);
+  rejected "-0.0 against 0.0" base [ List.hd base; ("zero", [ ([], -0.0) ]) ];
+  rejected "float keys 1.0000001 / 1.0000002"
+    (sum [ by (flt 1.0000001) 2.0 ])
+    (sum [ by (flt 1.0000002) 2.0 ]);
+  rejected "Int 1 against Str \"1\"" base (sum [ by (Value.Str "1") 2.0; by (int 2) 3.0 ]);
+  rejected "Null against Str \"\""
+    (sum [ by Value.Null 2.0 ])
+    (sum [ by (Value.Str "") 2.0 ]);
+  rejected "missing group" base (sum [ by (int 2) 3.0 ]);
+  rejected "missing aggregate id" base [ List.hd base ];
+  (* order: swapped groups are the same result, but not as given *)
+  let swapped = sum [ by (int 2) 3.0; by (int 1) 2.0 ] in
+  Alcotest.(check bool) "swapped groups: equal in canonical order" true
+    (sorted_equal base swapped);
+  Alcotest.(check bool) "swapped groups: rejected as given" false
+    (Spec.keyed_bits_equal base swapped)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -257,6 +261,11 @@ let () =
         [
           Alcotest.test_case "all strategies + recompute agree per batch"
             `Quick test_maintenance_strategies_agree;
+        ] );
+      ( "comparators",
+        [
+          Alcotest.test_case "keyed bit equality rejects every difference" `Quick
+            test_keyed_bits_rejects;
         ] );
       ( "degree-stats",
         [

@@ -6,45 +6,14 @@ open Relational
 module Cov = Rings.Covariance
 module M = Fivm.Maintainer
 module Delta = Fivm.Delta
+module Sg = Datagen.Stream_gen
 
 let int n = Value.Int n
 let flt x = Value.Float x
 
-(* Star schema: F(a,b,m) with D1(a,u), D2(b,v); numeric features m,u,v. *)
-let empty_db () =
-  Database.create "stream"
-    [
-      Relation.create "F" (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
-
-let features = [ "m"; "u"; "v" ]
-
-let random_update rng inserted =
-  (* mostly inserts; deletes replay an earlier insert *)
-  let fresh () =
-    let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-    let tuple =
-      match rel with
-      | "F" -> [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4); flt (float_of_int (Util.Prng.int rng 5)) |]
-      | "D1" -> [| int (Util.Prng.int rng 4); flt (float_of_int (Util.Prng.int rng 5)) |]
-      | _ -> [| int (Util.Prng.int rng 4); flt (float_of_int (Util.Prng.int rng 5)) |]
-    in
-    Delta.insert rel tuple
-  in
-  if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-    (* delete a random previously inserted tuple *)
-    let arr = Array.of_list !inserted in
-    let u = Util.Prng.choice rng arr in
-    inserted := List.filter (fun x -> x != u) !inserted;
-    Delta.delete u.Delta.relation u.Delta.tuple
-  end
-  else begin
-    let u = fresh () in
-    inserted := u :: !inserted;
-    u
-  end
+(* The star workload with integer-valued features in {0..4}. *)
+let features = Sg.star_features
+let stream ~seed ~steps = Sg.star_stream ~draw:Sg.Integer ~seed steps
 
 let covariance_from_flat db =
   (* reference: materialise the join of the storage contents *)
@@ -60,7 +29,7 @@ let covariance_from_flat db =
   Cov.Acc.freeze acc
 
 let run_updates strategy updates =
-  let m = M.create strategy (empty_db ()) ~features in
+  let m = M.create strategy (Sg.star_database ()) ~features in
   List.iter (M.apply m) updates;
   m
 
@@ -70,9 +39,7 @@ let maintained_equals_recomputed strategy =
       (Printf.sprintf "%s: maintained = recomputed" (M.strategy_name strategy))
     QCheck2.Gen.(pair (int_range 0 60) int)
     (fun (steps, seed) ->
-      let rng = Util.Prng.create seed in
-      let inserted = ref [] in
-      let updates = List.init steps (fun _ -> random_update rng inserted) in
+      let updates = stream ~seed ~steps in
       let m = run_updates strategy updates in
       Cov.equal ~eps:1e-6 (M.covariance m) (M.recompute m))
 
@@ -80,9 +47,7 @@ let strategies_agree =
   QCheck2.Test.make ~count:20 ~name:"all three strategies agree"
     QCheck2.Gen.(pair (int_range 0 50) int)
     (fun (steps, seed) ->
-      let rng = Util.Prng.create seed in
-      let inserted = ref [] in
-      let updates = List.init steps (fun _ -> random_update rng inserted) in
+      let updates = stream ~seed ~steps in
       let a = M.covariance (run_updates M.F_ivm updates) in
       let b = M.covariance (run_updates M.Higher_order updates) in
       let c = M.covariance (run_updates M.First_order updates) in
@@ -90,12 +55,10 @@ let strategies_agree =
 
 (* deterministic end-to-end check against a flat-join reference *)
 let test_against_flat_join () =
-  let rng = Util.Prng.create 2024 in
-  let inserted = ref [] in
-  let updates = List.init 120 (fun _ -> random_update rng inserted) in
+  let updates = stream ~seed:2024 ~steps:120 in
   let m = run_updates M.F_ivm updates in
   (* replay the surviving multiset into a database *)
-  let db = empty_db () in
+  let db = Sg.star_database () in
   let counts = Hashtbl.create 64 in
   List.iter
     (fun (u : Delta.update) ->
@@ -114,7 +77,7 @@ let test_against_flat_join () =
     (Cov.equal ~eps:1e-6 (M.covariance m) (covariance_from_flat db))
 
 let test_insert_then_delete_is_identity () =
-  let m = M.create M.F_ivm (empty_db ()) ~features in
+  let m = M.create M.F_ivm (Sg.star_database ()) ~features in
   let us =
     [
       Delta.insert "F" [| int 1; int 2; flt 3.0 |];
@@ -131,7 +94,7 @@ let test_insert_then_delete_is_identity () =
   Alcotest.(check (float 1e-9)) "back to empty" 0.0 (Cov.count (M.covariance m))
 
 let test_bulk_multiplicity () =
-  let m = M.create M.F_ivm (empty_db ()) ~features in
+  let m = M.create M.F_ivm (Sg.star_database ()) ~features in
   M.apply m { Delta.relation = "F"; tuple = [| int 1; int 1; flt 2.0 |]; multiplicity = 3 };
   M.apply m (Delta.insert "D1" [| int 1; flt 1.0 |]);
   M.apply m (Delta.insert "D2" [| int 1; flt 1.0 |]);
@@ -143,9 +106,7 @@ let test_throughput_sanity () =
   (* F-IVM should process a small stream strictly faster than first-order on
      a join with fan-out; this is the Figure 4 (right) shape at toy scale.
      Only a sanity check (no strict timing assertion, just completion). *)
-  let rng = Util.Prng.create 7 in
-  let inserted = ref [] in
-  let updates = List.init 300 (fun _ -> random_update rng inserted) in
+  let updates = stream ~seed:7 ~steps:300 in
   let m = run_updates M.F_ivm updates in
   Alcotest.(check bool) "non-trivial state" true (Cov.count (M.covariance m) >= 0.0)
 
@@ -184,7 +145,7 @@ let test_churn_nets_to_database () =
   Alcotest.(check int) "net content = database" (Database.total_cardinality db) total
 
 let test_view_sizes_reported () =
-  let m = M.create M.F_ivm (empty_db ()) ~features in
+  let m = M.create M.F_ivm (Sg.star_database ()) ~features in
   M.apply m (Delta.insert "F" [| int 1; int 2; flt 3.0 |]);
   match m with
   | _ ->
@@ -193,7 +154,7 @@ let test_view_sizes_reported () =
       Alcotest.(check int) "one stored tuple" 1 (Fivm.Storage.total_tuples s)
 
 let test_obs_counters_track_batch () =
-  let m = M.create M.F_ivm (empty_db ()) ~features in
+  let m = M.create M.F_ivm (Sg.star_database ()) ~features in
   let batch =
     [
       Delta.insert "F" [| int 1; int 2; flt 3.0 |];

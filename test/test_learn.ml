@@ -11,59 +11,18 @@
    [Ml.Models.refresh_audit]: bit-identical encodings for direct solves
    (closed-form ridge, polynomial regression), prediction tolerance for
    iterative optimisers. Bitwise equality only holds under exact float
-   arithmetic, so streams draw from the dyadic lattice of test_serve.ml. *)
+   arithmetic, so the streams are [Datagen.Stream_gen]'s star workload on
+   the dyadic lattice. *)
 
 open Relational
 module M = Fivm.Maintainer
-module Delta = Fivm.Delta
 module Batch = Aggregates.Batch
+module Sg = Datagen.Stream_gen
 
-let int n = Value.Int n
 let flt x = Value.Float x
-
-(* Star schema shared with test_serve.ml: F(a,b,m), D1(a,u), D2(b,v). *)
-let empty_db () =
-  Database.create "stream"
-    [
-      Relation.create "F"
-        (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
-
-let features = [ "m"; "u"; "v" ]
+let features = Sg.star_features
 let response = "m"
 let strategies = [ (M.F_ivm, "fivm"); (M.Higher_order, "higher"); (M.First_order, "first") ]
-
-let random_update rng inserted =
-  let fresh () =
-    let value () = float_of_int (1 + Util.Prng.int rng 64) /. 16.0 in
-    let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-    let tuple =
-      match rel with
-      | "F" ->
-          [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4); flt (value ()) |]
-      | _ -> [| int (Util.Prng.int rng 4); flt (value ()) |]
-    in
-    Delta.insert rel tuple
-  in
-  if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-    let arr = Array.of_list !inserted in
-    let u = Util.Prng.choice rng arr in
-    inserted := List.filter (fun x -> x != u) !inserted;
-    Delta.delete u.Delta.relation u.Delta.tuple
-  end
-  else begin
-    let u = fresh () in
-    inserted := u :: !inserted;
-    u
-  end
-
-let lattice_stream ~seed ~steps =
-  let rng = Util.Prng.create seed in
-  let inserted = ref [] in
-  List.init steps (fun _ -> random_update rng inserted)
-
 let segment stream lo len = List.filteri (fun i _ -> i >= lo && i < lo + len) stream
 
 (* ---------- the warm-vs-cold audit ---------- *)
@@ -85,41 +44,12 @@ let encode_bytes p =
   Ml.Model_intf.encode_packed b p;
   Buffer.contents b
 
-(* Cold statistics: a from-scratch recompute of the covariance triple over
-   the server's current contents, wrapped in the same bundle shape as the
-   warm path (identical column layout, so bitwise comparison of the trained
-   parameters is meaningful). *)
-let cold_bundle srv =
-  Ml.Model_intf.moments_of_covariance
-    ~snapshot:(fun () -> Serve.snapshot srv)
-    (M.recompute (Serve.maintainer srv))
-    ~features ~response
-
+(* Scenario.model_audit: served at the current epoch, and equal to a cold
+   retrain over a from-scratch recompute per the model's audit policy. *)
 let audit_model srv what name =
-  let spec = Serve.Model.spec_of srv name in
-  Serve.Model.refresh srv name;
-  let warm, warm_epoch = Serve.Model.packed srv name in
-  if warm_epoch <> Serve.epoch srv then
-    QCheck2.Test.fail_reportf "%s: %s served at epoch %d, data at %d" what name
-      warm_epoch (Serve.epoch srv);
-  let cold = Ml.Model_intf.train_packed spec (cold_bundle srv) in
-  match Ml.Models.refresh_audit spec with
-  | `Bitwise ->
-      if encode_bytes warm <> encode_bytes cold then
-        QCheck2.Test.fail_reportf
-          "%s: warm-refreshed %s is not bit-identical to a cold retrain" what
-          name
-  | `Tolerance tol ->
-      List.iter
-        (fun probe ->
-          let w = Ml.Model_intf.predict_packed warm (get_of probe) in
-          let c = Ml.Model_intf.predict_packed cold (get_of probe) in
-          if Float.abs (w -. c) > tol *. (1.0 +. Float.abs w +. Float.abs c)
-          then
-            QCheck2.Test.fail_reportf
-              "%s: warm %s predicts %.17g, cold retrain %.17g (tol %g)" what
-              name w c tol)
-        probes
+  match Scenario.model_audit ~probes:(List.map get_of probes) srv name with
+  | Ok () -> ()
+  | Error detail -> QCheck2.Test.fail_reportf "%s: %s: %s" what name detail
 
 (* The differential: for each strategy, register the audited model set,
    then after every delta batch of a random lattice stream compare every
@@ -133,10 +63,10 @@ let warm_refresh_differential =
     (fun (seed, rounds, batch) ->
       List.for_all
         (fun (strategy, sname) ->
-          let srv = Serve.create strategy (empty_db ()) ~features in
+          let srv = Serve.create strategy (Sg.star_database ()) ~features in
           let initial = 16 in
           let stream =
-            lattice_stream ~seed ~steps:(initial + (rounds * batch))
+            Sg.star_stream ~seed (initial + (rounds * batch))
           in
           Serve.apply_deltas srv (segment stream 0 initial);
           List.iter
@@ -160,8 +90,8 @@ let warm_refresh_differential =
    envelope. Deterministic and small: their cold retrains are the expensive
    path the warm refresh exists to avoid. *)
 let test_snapshot_backed_models () =
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
-  let stream = lattice_stream ~seed:23 ~steps:60 in
+  let srv = Serve.create M.F_ivm (Sg.star_database ()) ~features in
+  let stream = Sg.star_stream ~seed:23 60 in
   Serve.apply_deltas srv (segment stream 0 40);
   List.iter
     (fun m ->
@@ -181,8 +111,8 @@ let test_snapshot_backed_models () =
    moment the next epoch would exceed the budget; Model.refresh forces
    freshness on demand and is a no-op when already current. *)
 let test_staleness_budget () =
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
-  let stream = lattice_stream ~seed:5 ~steps:100 in
+  let srv = Serve.create M.F_ivm (Sg.star_database ()) ~features in
+  let stream = Sg.star_stream ~seed:5 100 in
   let seg = ref 0 in
   let advance n =
     Serve.apply_deltas srv (segment stream !seg n);
@@ -237,8 +167,8 @@ let test_clients_clamped () =
   Util.Pool.set_worker_budget 1;
   Fun.protect ~finally:(fun () -> Util.Pool.set_worker_budget saved)
   @@ fun () ->
-  let srv = Serve.create M.Higher_order (empty_db ()) ~features in
-  Serve.apply_deltas srv (lattice_stream ~seed:7 ~steps:60);
+  let srv = Serve.create M.Higher_order (Sg.star_database ()) ~features in
+  Serve.apply_deltas srv (Sg.star_stream ~seed:7 60);
   let batch = Batch.covariance_numeric features in
   let burst = List.init 6 (fun _ -> batch) in
   Alcotest.(check int) "no clamp yet" 0 (Serve.stats srv).Serve.clients_clamped;
@@ -257,8 +187,8 @@ let test_clients_clamped () =
 (* ---------- codec round trips through the registry ---------- *)
 
 let test_codec_roundtrip () =
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
-  Serve.apply_deltas srv (lattice_stream ~seed:13 ~steps:80);
+  let srv = Serve.create M.F_ivm (Sg.star_database ()) ~features in
+  Serve.apply_deltas srv (Sg.star_stream ~seed:13 80);
   let db = Serve.snapshot srv in
   let feature =
     Aggregates.Feature.make ~response ~continuous:[ "u"; "v" ] ~categorical:[] ()

@@ -228,25 +228,6 @@ let bucketed_equals_flat =
    the env var the engine actually reads, across the share / multi_root
    option matrix. *)
 
-let bits_identical a b =
-  let norm r =
-    List.sort (fun (k, _) (k', _) -> compare k k') r
-  in
-  List.length a = List.length b
-  && List.for_all
-       (fun (id, mine) ->
-         match List.assoc_opt id b with
-         | None -> false
-         | Some theirs ->
-             let mine = norm mine and theirs = norm theirs in
-             List.length mine = List.length theirs
-             && List.for_all2
-                  (fun (k, v) (k', v') ->
-                    k = k'
-                    && Int64.bits_of_float v = Int64.bits_of_float v')
-                  mine theirs)
-       a
-
 let with_domains_env v f =
   let saved = Sys.getenv_opt "BORG_DOMAINS" in
   let saved_budget = Util.Pool.worker_budget () in
@@ -285,7 +266,7 @@ let parallel_matches_sequential options_desc options =
                    db batch)
                   .Engine.keyed
               in
-              bits_identical seq par)
+              Spec.keyed_bits_equal (Spec.sort_keyed seq) (Spec.sort_keyed par))
             [ "1"; "4" ])
         [ "covariance"; "mutualinfo" ])
 

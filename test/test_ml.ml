@@ -129,6 +129,42 @@ let test_ridge_shrinks () =
   Alcotest.(check bool) "stronger ridge, smaller norm" true
     (Util.Vec.norm2 strong.model.weights < Util.Vec.norm2 weak.model.weights)
 
+(* CG's stopping rule bounds the residual 2-norm ||r|| by cg_tolerance (the
+   ml.gradient_norm gauge reads ||r||). On this fixed moment set, the
+   covariance triple of a 20-row lattice star join, stopping on r.r <
+   cg_tolerance instead would quit at ||r|| = 4.9e-7 after 3 of its 12
+   iterations. *)
+let test_cg_residual_below_tolerance () =
+  let q =
+    [|
+      [| 97.375; 66.83984375; 69.6171875 |];
+      [| 66.83984375; 115.92578125; 79.1875 |];
+      [| 69.6171875; 79.1875; 89.6328125 |];
+    |]
+  in
+  let cov =
+    {
+      Cov.c = 20.0;
+      s = [| 37.0; 42.9375; 36.875 |];
+      q = Util.Mat.init 3 3 (fun i j -> q.(i).(j));
+    }
+  in
+  let moment =
+    Ml.Moment.of_covariance cov ~features:[ "m"; "u"; "v" ] ~response:(Some "m")
+  in
+  let features = Feature.make ~response:"m" ~continuous:[ "u"; "v" ] ~categorical:[] () in
+  let p = Ml.Linreg.default_cg in
+  Obs.reset ();
+  Obs.with_enabled true @@ fun () ->
+  let model = Ml.Linreg.train ~method_:(Ml.Linreg.Conjugate_gradient p) features moment in
+  let residual = Obs.gauge_value (Obs.gauge "ml.gradient_norm") in
+  Obs.reset ();
+  Alcotest.(check bool) "stopped by the rule, not the iteration cap" true
+    (model.Ml.Linreg.iterations_run < 4 * Array.length model.Ml.Linreg.weights);
+  Alcotest.(check bool)
+    (Printf.sprintf "final residual %g below cg_tolerance %g" residual p.cg_tolerance)
+    true (residual < p.cg_tolerance)
+
 (* ---- decision trees ---- *)
 
 let test_tree_db_equals_flat () =
@@ -722,6 +758,8 @@ let () =
           Alcotest.test_case "recovers plane" `Quick test_linreg_recovers_plane;
           Alcotest.test_case "gd close to closed form" `Quick test_gd_close_to_closed_form;
           Alcotest.test_case "ridge shrinks" `Quick test_ridge_shrinks;
+          Alcotest.test_case "cg residual below tolerance" `Quick
+            test_cg_residual_below_tolerance;
         ] );
       ( "decision-tree",
         [

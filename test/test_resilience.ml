@@ -12,78 +12,17 @@ module Wal = Resilience.Wal
 module Checkpoint = Resilience.Checkpoint
 module Faults = Resilience.Faults
 module Driver = Resilience.Driver
+module Sg = Datagen.Stream_gen
 
 let int n = Value.Int n
 let flt x = Value.Float x
 
-(* Star schema: F(a,b,m) with D1(a,u), D2(b,v); numeric features m,u,v. *)
-let empty_db () =
-  Database.create "stream"
-    [
-      Relation.create "F"
-        (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
-
-let features = [ "m"; "u"; "v" ]
-let make strategy () = M.create strategy (empty_db ()) ~features
-
-let random_update rng inserted =
-  let fresh () =
-    let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-    let tuple =
-      match rel with
-      | "F" ->
-          [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4);
-             flt (Util.Prng.float rng 5.0) |]
-      | _ -> [| int (Util.Prng.int rng 4); flt (Util.Prng.float rng 5.0) |]
-    in
-    Delta.insert rel tuple
-  in
-  if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-    let arr = Array.of_list !inserted in
-    let u = Util.Prng.choice rng arr in
-    inserted := List.filter (fun x -> x != u) !inserted;
-    Delta.delete u.Delta.relation u.Delta.tuple
-  end
-  else begin
-    let u = fresh () in
-    inserted := u :: !inserted;
-    u
-  end
-
-let stream ~seed ~steps =
-  let rng = Util.Prng.create seed in
-  let inserted = ref [] in
-  List.init steps (fun _ -> random_update rng inserted)
-
-(* Bit-identical covariance comparison: every float equal by BIT PATTERN. *)
+(* The star workload with arbitrary floats in [0, 5): recovery replays in
+   commit order, so even order-sensitive sums must come back bit for bit. *)
+let features = Sg.star_features
+let make strategy () = M.create strategy (Sg.star_database ()) ~features
+let stream ~seed ~steps = Sg.star_stream ~draw:Sg.Uniform ~seed steps
 let bits = Int64.bits_of_float
-
-let cov_bit_identical a b =
-  let n = Cov.dim a in
-  Cov.dim b = n
-  && bits a.Cov.c = bits b.Cov.c
-  && (let ok = ref true in
-      for i = 0 to n - 1 do
-        if bits (Util.Vec.get a.Cov.s i) <> bits (Util.Vec.get b.Cov.s i) then ok := false;
-        for j = 0 to n - 1 do
-          if bits (Util.Mat.get a.Cov.q i j) <> bits (Util.Mat.get b.Cov.q i j) then
-            ok := false
-        done
-      done;
-      !ok)
-
-let with_temp_dir f =
-  let dir = Filename.temp_dir "resilience" "" in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
-    (fun () -> f dir)
 
 (* Reference: the same stream through a bare maintainer, no driver. *)
 let clean_covariance strategy updates =
@@ -177,12 +116,12 @@ let cov_codec_roundtrip =
       let b = Buffer.create 256 in
       Cov.encode b c;
       let c' = Cov.decode (Codec.reader (Buffer.contents b)) in
-      cov_bit_identical c c')
+      Cov.equal_bits c c')
 
 (* ---- WAL ---- *)
 
 let test_wal_roundtrip_and_torn_tail () =
-  with_temp_dir @@ fun dir ->
+  Scenario.with_temp_dir @@ fun dir ->
   let path = Filename.concat dir "wal.log" in
   let us = stream ~seed:11 ~steps:20 in
   let w = Wal.open_append path in
@@ -213,7 +152,7 @@ let test_wal_roundtrip_and_torn_tail () =
 (* ---- checkpoint ---- *)
 
 let test_checkpoint_roundtrip () =
-  with_temp_dir @@ fun dir ->
+  Scenario.with_temp_dir @@ fun dir ->
   List.iter
     (fun strategy ->
       let m = make strategy () in
@@ -228,18 +167,18 @@ let test_checkpoint_roundtrip () =
           Alcotest.(check bool)
             (M.strategy_name strategy ^ ": state restored bit-identically")
             true
-            (cov_bit_identical (M.covariance m) (M.covariance r.Checkpoint.maintainer));
+            (Cov.equal_bits (M.covariance m) (M.covariance r.Checkpoint.maintainer));
           (* and the restored maintainer keeps maintaining identically *)
           let tail = stream ~seed:6 ~steps:30 in
           List.iter (M.apply m) tail;
           List.iter (M.apply r.Checkpoint.maintainer) tail;
           Alcotest.(check bool) "continues bit-identically" true
-            (cov_bit_identical (M.covariance m)
+            (Cov.equal_bits (M.covariance m)
                (M.covariance r.Checkpoint.maintainer)))
     [ M.F_ivm; M.Higher_order; M.First_order ]
 
 let test_checkpoint_corruption_falls_back () =
-  with_temp_dir @@ fun dir ->
+  Scenario.with_temp_dir @@ fun dir ->
   let m = make M.F_ivm () in
   let us = stream ~seed:7 ~steps:40 in
   List.iteri
@@ -284,12 +223,12 @@ let crash_recovery_bit_identical strategy =
         | 2 -> Printf.sprintf "crash-after:%d,torn-tail:5" crash_at
         | _ -> Printf.sprintf "crash-after:%d,flip-checkpoint" crash_at
       in
-      with_temp_dir @@ fun dir ->
+      Scenario.with_temp_dir @@ fun dir ->
       let faults = Faults.parse ~seed spec in
       let cfg = Driver.config ~checkpoint_every:16 ~faults dir in
       let d = run_resilient ~cfg ~strategy updates in
       Driver.seq d = List.length updates
-      && cov_bit_identical reference (Driver.covariance d))
+      && Cov.equal_bits reference (Driver.covariance d))
 
 let test_clean_restart_bit_identical () =
   (* no faults at all: stop half way (close = checkpoint), restart, finish *)
@@ -297,7 +236,7 @@ let test_clean_restart_bit_identical () =
     (fun strategy ->
       let updates = stream ~seed:42 ~steps:100 in
       let reference = clean_covariance strategy updates in
-      with_temp_dir @@ fun dir ->
+      Scenario.with_temp_dir @@ fun dir ->
       let cfg = Driver.config ~checkpoint_every:32 dir in
       let d = Driver.create cfg (make strategy) in
       List.iteri (fun i u -> if i < 50 then ignore (Driver.submit d u)) updates;
@@ -308,7 +247,7 @@ let test_clean_restart_bit_identical () =
       Alcotest.(check bool)
         (M.strategy_name strategy ^ ": restart is bit-identical")
         true
-        (cov_bit_identical reference (Driver.covariance d)))
+        (Cov.equal_bits reference (Driver.covariance d)))
     [ M.F_ivm; M.Higher_order; M.First_order ]
 
 (* ---- counters: recoveries and torn tails are observable ---- *)
@@ -316,7 +255,7 @@ let test_clean_restart_bit_identical () =
 let test_recovery_counters () =
   Obs.reset ();
   Obs.with_enabled true @@ fun () ->
-  with_temp_dir @@ fun dir ->
+  Scenario.with_temp_dir @@ fun dir ->
   let updates = stream ~seed:13 ~steps:60 in
   let faults = Faults.parse ~seed:13 "crash-after:30,torn-tail:4" in
   let cfg = Driver.config ~checkpoint_every:16 ~faults dir in
@@ -337,7 +276,7 @@ let test_recovery_counters () =
 let test_quarantine () =
   Obs.reset ();
   Obs.with_enabled true @@ fun () ->
-  with_temp_dir @@ fun dir ->
+  Scenario.with_temp_dir @@ fun dir ->
   let cfg = Driver.config dir in
   let d = Driver.create cfg (make M.F_ivm) in
   let good = Delta.insert "F" [| int 1; int 2; flt 3.0 |] in
@@ -372,7 +311,7 @@ let test_quarantine () =
 let test_transient_retries () =
   Obs.reset ();
   Obs.with_enabled true @@ fun () ->
-  with_temp_dir @@ fun dir ->
+  Scenario.with_temp_dir @@ fun dir ->
   let updates = stream ~seed:21 ~steps:80 in
   let reference = clean_covariance M.F_ivm updates in
   let faults = Faults.parse ~seed:21 "transient:0.3" in
@@ -383,7 +322,7 @@ let test_transient_retries () =
   Alcotest.(check bool) "retries happened" true
     (Obs.counter_value_by_name "resilience.retries" > 0);
   Alcotest.(check bool) "result unaffected by retries" true
-    (cov_bit_identical reference (Driver.covariance d));
+    (Cov.equal_bits reference (Driver.covariance d));
   Obs.reset ()
 
 (* ---- audit + graceful degradation ---- *)
@@ -391,7 +330,7 @@ let test_transient_retries () =
 let test_audit_rebuilds_corrupted_state () =
   Obs.reset ();
   Obs.with_enabled true @@ fun () ->
-  with_temp_dir @@ fun dir ->
+  Scenario.with_temp_dir @@ fun dir ->
   let updates = stream ~seed:31 ~steps:60 in
   let faults = Faults.parse ~seed:31 "corrupt-state:25" in
   let cfg = Driver.config ~audit_every:10 ~audit_eps:1e-6 ~faults dir in

@@ -160,6 +160,28 @@ let test_acc_matches_functional () =
     (Cov.equal ~eps:1e-6 functional (cov_of_rows rows))
 
 (* ---- the dimension-agnostic payload used by F-IVM ---- *)
+(* Bitwise equality accepts a copy and rejects every single-bit-class
+   difference a tolerant comparison would forgive. *)
+let test_equal_bits_rejects () =
+  let base = Cov.of_tuple [| 1.5; 0.0; 2.25 |] in
+  let edit f =
+    let c = Cov.add base (Cov.zero 3) in
+    f c;
+    c
+  in
+  Alcotest.(check bool) "a copy is equal" true (Cov.equal_bits base (edit ignore));
+  List.iter
+    (fun (what, other) ->
+      Alcotest.(check bool) (what ^ " rejected") false (Cov.equal_bits base other))
+    [
+      ("one-ulp sum", edit (fun c -> c.Cov.s.(0) <- Float.succ 1.5));
+      ("-0.0 sum", edit (fun c -> c.Cov.s.(1) <- -0.0));
+      ( "one-ulp product",
+        edit (fun c -> Mat.set c.Cov.q 2 0 (Float.pred (Mat.get c.Cov.q 2 0))) );
+      ("count", { base with Cov.c = 2.0 });
+      ("dimension", Cov.of_tuple [| 1.5; 0.0 |]);
+    ]
+
 module PD = Fivm.Payload.Cov_dyn
 
 let test_cov_dyn_symbolic_identities () =
@@ -220,5 +242,7 @@ let () =
           Alcotest.test_case "moment matrix layout" `Quick test_moment_matrix_layout;
           Alcotest.test_case "accumulator = functional fold" `Quick
             test_acc_matches_functional;
+          Alcotest.test_case "equal_bits rejects any bit difference" `Quick
+            test_equal_bits_rejects;
         ] );
     ]

@@ -17,11 +17,6 @@ let datasets =
     ("tpcds", Datagen.Tpcds.generate, Datagen.Tpcds.ivm_features);
   ]
 
-let cov_bits c =
-  let b = Buffer.create 512 in
-  Rings.Covariance.encode b c;
-  Buffer.contents b
-
 (* ------------------------------------------------------- the full matrix *)
 
 let test_cell (generate : ?scale:float -> seed:int -> unit -> Database.t) features
@@ -51,17 +46,6 @@ let matrix_suite (name, generate, features) =
 
 (* ------------------------------------- zero-multiplicity group retention *)
 
-let zero_residue_rows m =
-  match M.dump_views m with
-  | M.Cov_views views ->
-      List.fold_left
-        (fun acc (_, entries) ->
-          acc
-          + List.length
-              (List.filter (fun (_, p) -> Fivm.Payload.Cov_dyn.is_zero p) entries))
-        0 views
-  | _ -> 0
-
 (* Full churn: every fact tuple deleted and re-inserted. Entries pass
    through zero and come back; none may be LEFT at zero, and the final
    triple must still match a from-scratch recompute bit for bit. *)
@@ -70,10 +54,9 @@ let test_full_churn_no_residue () =
   let stream = Sg.with_churn ~seed:5 ~churn:1.0 db in
   let m = M.create M.F_ivm db ~features:Datagen.Retailer.ivm_features in
   List.iter (M.apply m) stream;
-  Alcotest.(check int) "no zero-payload view entries" 0 (zero_residue_rows m);
-  Alcotest.(check string) "maintained == recompute (bits)"
-    (cov_bits (M.recompute m))
-    (cov_bits (M.covariance m))
+  Alcotest.(check int) "no zero-payload view entries" 0 (Scenario.zero_residue_rows m);
+  Alcotest.(check bool) "maintained == recompute (bits)" true
+    (Rings.Covariance.equal_bits (M.recompute m) (M.covariance m))
 
 (* Deletion for good: load everything, then delete every fact tuple and
    never re-insert. The cancelled fact groups must VANISH from the view
@@ -90,27 +73,15 @@ let test_net_zero_groups_vanish () =
     (fun (u : Fivm.Delta.update) ->
       if u.relation = fact then M.apply m (Fivm.Delta.delete u.relation u.tuple))
     base;
-  Alcotest.(check int) "no zero-payload view entries" 0 (zero_residue_rows m);
+  Alcotest.(check int) "no zero-payload view entries" 0 (Scenario.zero_residue_rows m);
   Alcotest.(check bool)
     (Printf.sprintf "cancelled groups dropped (%d -> %d rows)" loaded_rows (M.view_rows m))
     true
     (M.view_rows m < loaded_rows);
-  Alcotest.(check string) "maintained == recompute (bits)"
-    (cov_bits (M.recompute m))
-    (cov_bits (M.covariance m))
+  Alcotest.(check bool) "maintained == recompute (bits)" true
+    (Rings.Covariance.equal_bits (M.recompute m) (M.covariance m))
 
 (* ------------------------------------ reordered / duplicated WAL replay *)
-
-let with_temp_dir f =
-  let dir = Filename.temp_dir "scenario_test" "" in
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir) (fun () -> f dir)
 
 (* Crash with reorder:6,dup:3 and NO torn tail: every acknowledged record
    survives on disk, just permuted and duplicated. Recovery must apply each
@@ -123,8 +94,8 @@ let test_reorder_dup_recovery strategy () =
   let n = Array.length stream in
   let clean = M.create strategy db ~features in
   Array.iter (M.apply clean) stream;
-  let want = cov_bits (M.covariance clean) in
-  with_temp_dir @@ fun dir ->
+  let want = M.covariance clean in
+  Scenario.with_temp_dir @@ fun dir ->
   let faults =
     Resilience.Faults.parse ~seed:9 (Printf.sprintf "crash-after:%d,reorder:6,dup:3" (n / 2))
   in
@@ -143,15 +114,15 @@ let test_reorder_dup_recovery strategy () =
   in
   let d = drive (Resilience.Driver.create cfg make) 0 in
   Alcotest.(check bool) "crashed at least once" true (!restarts >= 1);
-  Alcotest.(check string) "recovered == never-crashed (bits)" want
-    (cov_bits (Resilience.Driver.covariance d));
+  Alcotest.(check bool) "recovered == never-crashed (bits)" true
+    (Rings.Covariance.equal_bits want (Resilience.Driver.covariance d));
   Resilience.Driver.close d
 
 (* The WAL damage helpers themselves: reorder reverses the tail frames,
    dup appends byte-identical copies, and replay returns them verbatim
    (recovery, not replay, is what restores seq order). *)
 let test_wal_tail_damage () =
-  with_temp_dir @@ fun dir ->
+  Scenario.with_temp_dir @@ fun dir ->
   let path = Filename.concat dir "wal.log" in
   let w = Resilience.Wal.open_append path in
   let update i =

@@ -6,111 +6,39 @@
    [Lmfao.Engine.eval] over the server's current snapshot, at every point
    of a random insert/delete stream, for all three maintenance strategies.
    Bitwise equality across the maintained and recomputed pipelines only
-   holds under exact float arithmetic, so the streams draw feature values
-   from the dyadic lattice of [test_shard.ml] (strictly positive multiples
-   of 1/16, at most 4): every covariance accumulation is then exactly
-   representable and no summation order can change a bit. *)
+   holds under exact float arithmetic, so the streams are
+   [Datagen.Stream_gen]'s star workload on the dyadic lattice (strictly
+   positive multiples of 1/16, at most 4): every covariance accumulation is
+   then exactly representable and no summation order can change a bit. *)
 
 open Relational
 module M = Fivm.Maintainer
 module Delta = Fivm.Delta
 module Batch = Aggregates.Batch
 module Spec = Aggregates.Spec
+module Sg = Datagen.Stream_gen
 
 let int n = Value.Int n
 let flt x = Value.Float x
-
-(* Star schema shared with test_shard.ml: F(a,b,m), D1(a,u), D2(b,v). *)
-let empty_db () =
-  Database.create "stream"
-    [
-      Relation.create "F"
-        (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
-
-let features = [ "m"; "u"; "v" ]
+let features = Sg.star_features
 let strategies = [ (M.F_ivm, "fivm"); (M.Higher_order, "higher"); (M.First_order, "first") ]
-
-let random_update rng inserted =
-  let fresh () =
-    let value () = float_of_int (1 + Util.Prng.int rng 64) /. 16.0 in
-    let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-    let tuple =
-      match rel with
-      | "F" ->
-          [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4); flt (value ()) |]
-      | _ -> [| int (Util.Prng.int rng 4); flt (value ()) |]
-    in
-    Delta.insert rel tuple
-  in
-  if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-    let arr = Array.of_list !inserted in
-    let u = Util.Prng.choice rng arr in
-    inserted := List.filter (fun x -> x != u) !inserted;
-    Delta.delete u.Delta.relation u.Delta.tuple
-  end
-  else begin
-    let u = fresh () in
-    inserted := u :: !inserted;
-    u
-  end
-
-let lattice_stream ~seed ~steps =
-  let rng = Util.Prng.create seed in
-  let inserted = ref [] in
-  List.init steps (fun _ -> random_update rng inserted)
-
 let segment stream lo len = List.filteri (fun i _ -> i >= lo && i < lo + len) stream
 
 (* The served batch mix: one fully covariance-backed batch (refreshed in
    place on deltas), one categorical batch and one grouped batch (both
    invalidated on deltas, recomputed on the next request). *)
-let cov_batch = Batch.covariance_numeric features
-let mi_batch = Batch.mutual_information [ "a"; "b" ]
+let all_batches = Sg.star_batches
+let cov_batch = List.hd all_batches
 
-let grouped_batch =
-  {
-    Batch.name = "grouped";
-    aggregates =
-      [
-        Spec.make ~id:"sum_m_by_a" ~terms:[ ("m", 1) ] ~group_by:[ "a" ] ();
-        Spec.count ~id:"n";
-      ];
-  }
-
-let all_batches = [ cov_batch; mi_batch; grouped_batch ]
-
-(* Bit-level equality of keyed results, insensitive to aggregate and row
-   order (the engine groups by decomposition root; serve returns batch
-   order). *)
-let bits = Int64.bits_of_float
-
-let results_bit_identical a b =
-  let norm rows = List.sort (fun (k, _) (k', _) -> compare k k') rows in
-  List.length a = List.length b
-  && List.for_all
-       (fun (id, mine) ->
-         match List.assoc_opt id b with
-         | None -> false
-         | Some theirs ->
-             let mine = norm mine and theirs = norm theirs in
-             List.length mine = List.length theirs
-             && List.for_all2
-                  (fun (k, v) (k', v') -> k = k' && bits v = bits v')
-                  mine theirs)
-       a
-
-let fresh_eval srv batch =
-  (Lmfao.Engine.eval ~on_cyclic:`Materialize (Serve.snapshot srv) batch)
-    .Lmfao.Engine.keyed
-
+(* Scenario.serve_audit: the batch served twice (miss or refresh, then a
+   cached hit), each answer bitwise against a fresh recompute. *)
 let check_batch srv what batch =
-  let served = Serve.serve srv batch in
-  if not (results_bit_identical served (fresh_eval srv batch)) then
-    QCheck2.Test.fail_reportf "%s: served %s diverges from fresh recompute"
-      what batch.Batch.name
+  match Scenario.serve_audit srv batch with
+  | true, true -> ()
+  | first, _ ->
+      QCheck2.Test.fail_reportf "%s: served %s (%s) diverges from fresh recompute" what
+        batch.Batch.name
+        (if first then "second serve" else "first serve")
 
 (* The differential: random lattice stream applied in rounds; after every
    round every batch must serve bit-identically to recompute, twice (the
@@ -121,15 +49,13 @@ let serving_differential =
     (fun (seed, steps, rounds) ->
       List.for_all
         (fun (strategy, sname) ->
-          let srv = Serve.create strategy (empty_db ()) ~features in
+          let srv = Serve.create strategy (Sg.star_database ()) ~features in
           let per = steps / (rounds + 1) in
-          let stream = lattice_stream ~seed ~steps in
+          let stream = Sg.star_stream ~seed steps in
           Serve.apply_deltas srv (segment stream 0 per);
           for round = 1 to rounds do
             List.iter
-              (fun b ->
-                check_batch srv (Printf.sprintf "%s round %d miss" sname round) b;
-                check_batch srv (Printf.sprintf "%s round %d hit" sname round) b)
+              (check_batch srv (Printf.sprintf "%s round %d" sname round))
               all_batches;
             Serve.apply_deltas srv (segment stream (round * per) per);
             (* immediately after the delta batch: the covariance batch was
@@ -149,8 +75,8 @@ let serving_differential =
    hits on repeats, refresh (not invalidation) for the covariance-backed
    batch, invalidation for the rest; epoch advances once per delta batch. *)
 let test_stats_and_epoch () =
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
-  let stream = lattice_stream ~seed:11 ~steps:60 in
+  let srv = Serve.create M.F_ivm (Sg.star_database ()) ~features in
+  let stream = Sg.star_stream ~seed:11 60 in
   Serve.apply_deltas srv (segment stream 0 40);
   Alcotest.(check int) "epoch after first delta batch" 1 (Serve.epoch srv);
   List.iter (fun b -> ignore (Serve.serve srv b)) all_batches;
@@ -165,10 +91,11 @@ let test_stats_and_epoch () =
   Alcotest.(check int) "covariance batch refreshed in place" 1 s.Serve.refreshes;
   Alcotest.(check int) "other batches invalidated" 2 s.Serve.invalidations;
   Alcotest.(check int) "invalidated entries dropped" 1 (Serve.cache_size srv);
-  (* the refreshed entry serves as a HIT and still equals recompute *)
+  (* the refreshed entry serves as a HIT (both audit serves hit) and still
+     equals recompute *)
   let before = (Serve.stats srv).Serve.hits in
   check_batch srv "refreshed hit" cov_batch;
-  Alcotest.(check int) "refresh served without recompute" (before + 1)
+  Alcotest.(check int) "refresh served without recompute" (before + 2)
     (Serve.stats srv).Serve.hits
 
 (* Concurrent clients: K pool tasks serving the same mix must each get the
@@ -179,11 +106,14 @@ let test_concurrent_clients () =
   Util.Pool.set_worker_budget 3;
   Fun.protect ~finally:(fun () -> Util.Pool.set_worker_budget saved)
   @@ fun () ->
-  let srv = Serve.create M.Higher_order (empty_db ()) ~features in
-  Serve.apply_deltas srv (lattice_stream ~seed:7 ~steps:80);
+  let srv = Serve.create M.Higher_order (Sg.star_database ()) ~features in
+  Serve.apply_deltas srv (Sg.star_stream ~seed:7 80);
   (* warm the cache sequentially so the concurrent burst only reads *)
   List.iter (fun b -> ignore (Serve.serve srv b)) all_batches;
-  let expected = List.map (fun b -> fresh_eval srv b) all_batches in
+  let fresh_eval b =
+    (Lmfao.Engine.eval ~on_cyclic:`Materialize (Serve.snapshot srv) b).Lmfao.Engine.keyed
+  in
+  let expected = List.map fresh_eval all_batches in
   let burst = List.concat (List.init 4 (fun _ -> all_batches)) in
   let got = Serve.serve_many ~clients:4 srv burst in
   List.iteri
@@ -191,7 +121,8 @@ let test_concurrent_clients () =
       Alcotest.(check bool)
         (Printf.sprintf "client result %d bit-identical" i)
         true
-        (results_bit_identical r (List.nth expected (i mod 3))))
+        (Spec.keyed_bits_equal (Spec.sort_keyed r)
+           (Spec.sort_keyed (List.nth expected (i mod 3)))))
     got
 
 (* The single-writer contract must be ENFORCED, not just documented. A model
@@ -227,8 +158,8 @@ let test_single_writer_enforced () =
       let decode _ = ()
     end)
   in
-  let srv = Serve.create M.F_ivm (empty_db ()) ~features in
-  Serve.apply_deltas srv (lattice_stream ~seed:3 ~steps:30);
+  let srv = Serve.create M.F_ivm (Sg.star_database ()) ~features in
+  Serve.apply_deltas srv (Sg.star_stream ~seed:3 30);
   ignore (Serve.Model.register srv blocking_model ~response:"m");
   let update = [ Delta.insert "D1" [| int 0; flt 1.0 |] ] in
   let writer = Domain.spawn (fun () -> Serve.apply_deltas srv update) in

@@ -19,93 +19,21 @@ module Delta = Fivm.Delta
 module Shard = Fivm.Shard
 module Faults = Resilience.Faults
 module Sharded = Resilience.Sharded
+module Sg = Datagen.Stream_gen
 
-let int n = Value.Int n
-let flt x = Value.Float x
-
-(* Star schema: F(a,b,m) with D1(a,u), D2(b,v); numeric features m,u,v.
-   The partition attribute resolves to "a" (in F and D1); D2 is broadcast. *)
-let empty_db () =
-  Database.create "stream"
-    [
-      Relation.create "F"
-        (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
-
-let features = [ "m"; "u"; "v" ]
+(* The star workload: the partition attribute resolves to "a" (in F and
+   D1); D2 is broadcast. *)
+let features = Sg.star_features
 let strategies = [ M.F_ivm; M.Higher_order; M.First_order ]
-let make strategy () = M.create strategy (empty_db ()) ~features
-
-(* Insert/delete stream over the star schema; [value] draws one feature. *)
-let random_update ~value rng inserted =
-  let fresh () =
-    let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-    let tuple =
-      match rel with
-      | "F" ->
-          [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4); flt (value rng) |]
-      | _ -> [| int (Util.Prng.int rng 4); flt (value rng) |]
-    in
-    Delta.insert rel tuple
-  in
-  if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-    let arr = Array.of_list !inserted in
-    let u = Util.Prng.choice rng arr in
-    inserted := List.filter (fun x -> x != u) !inserted;
-    Delta.delete u.Delta.relation u.Delta.tuple
-  end
-  else begin
-    let u = fresh () in
-    inserted := u :: !inserted;
-    u
-  end
-
-let stream_with ~value ~seed ~steps =
-  let rng = Util.Prng.create seed in
-  let inserted = ref [] in
-  List.init steps (fun _ -> random_update ~value rng inserted)
+let make strategy () = M.create strategy (Sg.star_database ()) ~features
 
 (* Exact-arithmetic stream: features are strictly positive multiples of
    1/16 (never -0.0, never rounding), so every covariance accumulation is
    exact and summation order cannot change a single bit. *)
-let lattice_stream ~seed ~steps =
-  stream_with
-    ~value:(fun rng -> float_of_int (1 + Util.Prng.int rng 64) /. 16.0)
-    ~seed ~steps
+let lattice_stream ~seed ~steps = Sg.star_stream ~seed steps
 
 (* Arbitrary-float stream: order-sensitive accumulations. *)
-let float_stream ~seed ~steps =
-  stream_with ~value:(fun rng -> Util.Prng.float rng 5.0) ~seed ~steps
-
-let bits = Int64.bits_of_float
-
-let cov_bit_identical a b =
-  let n = Cov.dim a in
-  Cov.dim b = n
-  && bits a.Cov.c = bits b.Cov.c
-  && (let ok = ref true in
-      for i = 0 to n - 1 do
-        if bits (Util.Vec.get a.Cov.s i) <> bits (Util.Vec.get b.Cov.s i) then ok := false;
-        for j = 0 to n - 1 do
-          if bits (Util.Mat.get a.Cov.q i j) <> bits (Util.Mat.get b.Cov.q i j) then
-            ok := false
-        done
-      done;
-      !ok)
-
-(* Shard directories nest (dir/shard-k/...): recursive removal. *)
-let with_temp_dir f =
-  let dir = Filename.temp_dir "shard" "" in
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir) (fun () -> f dir)
+let float_stream ~seed ~steps = Sg.star_stream ~draw:Sg.Uniform ~seed steps
 
 let clean_covariance strategy updates =
   let m = make strategy () in
@@ -128,10 +56,10 @@ let sharded_bit_identical strategy =
       let reference = clean_covariance strategy updates in
       List.for_all
         (fun shards ->
-          let sh = Shard.create strategy (empty_db ()) ~features ~shards in
+          let sh = Shard.create strategy (Sg.star_database ()) ~features ~shards in
           Shard.apply_batch sh updates;
-          cov_bit_identical reference (Shard.covariance sh)
-          && cov_bit_identical reference (Shard.recompute sh))
+          Cov.equal_bits reference (Shard.covariance sh)
+          && Cov.equal_bits reference (Shard.recompute sh))
         shard_counts)
 
 (* Single-update routing path (Shard.apply) agrees with the batch path. *)
@@ -139,32 +67,32 @@ let test_apply_matches_apply_batch () =
   let updates = lattice_stream ~seed:97 ~steps:300 in
   List.iter
     (fun strategy ->
-      let one = Shard.create strategy (empty_db ()) ~features ~shards:3 in
+      let one = Shard.create strategy (Sg.star_database ()) ~features ~shards:3 in
       List.iter (Shard.apply one) updates;
-      let batch = Shard.create strategy (empty_db ()) ~features ~shards:3 in
+      let batch = Shard.create strategy (Sg.star_database ()) ~features ~shards:3 in
       Shard.apply_batch batch updates;
       Alcotest.(check bool)
         (M.strategy_name strategy ^ ": apply = apply_batch")
         true
-        (cov_bit_identical (Shard.covariance one) (Shard.covariance batch)))
+        (Cov.equal_bits (Shard.covariance one) (Shard.covariance batch)))
     strategies
 
 (* The result may not depend on how many domains applied the shards. *)
 let test_domain_count_invariance () =
   let updates = lattice_stream ~seed:3 ~steps:400 in
   let reference =
-    let sh = Shard.create M.F_ivm (empty_db ()) ~features ~shards:4 in
+    let sh = Shard.create M.F_ivm (Sg.star_database ()) ~features ~shards:4 in
     Shard.apply_batch ~domains:1 sh updates;
     Shard.covariance sh
   in
   List.iter
     (fun domains ->
-      let sh = Shard.create M.F_ivm (empty_db ()) ~features ~shards:4 in
+      let sh = Shard.create M.F_ivm (Sg.star_database ()) ~features ~shards:4 in
       Shard.apply_batch ~domains sh updates;
       Alcotest.(check bool)
         (Printf.sprintf "domains=%d bit-identical to domains=1" domains)
         true
-        (cov_bit_identical reference (Shard.covariance sh)))
+        (Cov.equal_bits reference (Shard.covariance sh)))
     [ 2; 4; 8 ]
 
 (* ---- fault injection: per-shard crash recovery stays invariant ---- *)
@@ -180,8 +108,8 @@ let sharded_crash_recovery strategy =
       let reference = clean_covariance strategy updates in
       List.for_all
         (fun shards ->
-          with_temp_dir @@ fun dir ->
-          let plan = Shard.plan ~shards (empty_db ()) in
+          Scenario.with_temp_dir @@ fun dir ->
+          let plan = Shard.plan ~shards (Sg.star_database ()) in
           let spec = Printf.sprintf "crash-after:%d,torn-tail:4" crash_at in
           let sh =
             Sharded.create ~checkpoint_every:16
@@ -199,15 +127,15 @@ let sharded_crash_recovery strategy =
           in
           Sharded.crashes sh = expected_crashes
           && Sharded.seqs sh = expected
-          && cov_bit_identical reference (Sharded.covariance sh))
+          && Cov.equal_bits reference (Sharded.covariance sh))
         shard_counts)
 
 (* Clean stop/restart: per-shard recovery reads only that shard's state. *)
 let test_sharded_restart () =
-  with_temp_dir @@ fun dir ->
+  Scenario.with_temp_dir @@ fun dir ->
   let updates = lattice_stream ~seed:8 ~steps:400 in
   let reference = clean_covariance M.F_ivm updates in
-  let plan = Shard.plan ~shards:4 (empty_db ()) in
+  let plan = Shard.plan ~shards:4 (Sg.star_database ()) in
   let half = List.filteri (fun i _ -> i < 200) updates in
   let rest = List.filteri (fun i _ -> i >= 200) updates in
   let sh = Sharded.create ~checkpoint_every:32 ~dir ~plan (make M.F_ivm) in
@@ -227,12 +155,12 @@ let test_sharded_restart () =
   Alcotest.(check int) "all committed (with broadcast replication)" expected
     (Array.fold_left ( + ) 0 (Sharded.seqs sh));
   Alcotest.(check bool) "restarted sharded run is bit-identical" true
-    (cov_bit_identical reference (Sharded.covariance sh))
+    (Cov.equal_bits reference (Sharded.covariance sh))
 
 (* ---- routing ---- *)
 
 let test_plan_and_partition () =
-  let db = empty_db () in
+  let db = Sg.star_database () in
   let plan = Shard.plan ~shards:4 db in
   Alcotest.(check string) "partition attribute" "a" (Shard.plan_attr plan);
   Alcotest.(check int) "shards" 4 (Shard.plan_shards plan);
@@ -281,13 +209,13 @@ let test_plan_and_partition () =
 let test_arbitrary_floats_deterministic () =
   let updates = float_stream ~seed:1234 ~steps:500 in
   let run () =
-    let sh = Shard.create M.F_ivm (empty_db ()) ~features ~shards:3 in
+    let sh = Shard.create M.F_ivm (Sg.star_database ()) ~features ~shards:3 in
     Shard.apply_batch sh updates;
     Shard.covariance sh
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "two identical runs agree bit-for-bit" true
-    (cov_bit_identical a b);
+    (Cov.equal_bits a b);
   let reference = clean_covariance M.F_ivm updates in
   Alcotest.(check bool) "agrees with unsharded up to summation order" true
     (Cov.equal_rel ~eps:1e-9 reference a)
@@ -298,7 +226,7 @@ let test_shard_counters () =
   Obs.reset ();
   Obs.with_enabled true @@ fun () ->
   let updates = lattice_stream ~seed:77 ~steps:200 in
-  let sh = Shard.create M.F_ivm (empty_db ()) ~features ~shards:2 in
+  let sh = Shard.create M.F_ivm (Sg.star_database ()) ~features ~shards:2 in
   Shard.apply_batch sh updates;
   ignore (Shard.covariance sh);
   Alcotest.(check bool) "fivm.shard.routed > 0" true

@@ -19,26 +19,12 @@ module M = Fivm.Maintainer
 module Delta = Fivm.Delta
 module Shard = Fivm.Shard
 module Cov = Rings.Covariance
+module Sg = Datagen.Stream_gen
 
 let int n = Value.Int n
 let flt x = Value.Float x
 let bits = Int64.bits_of_float
 let qcheck = QCheck_alcotest.to_alcotest
-
-(* Sharded imports nest nothing (flat <name>.shard<k>.pages files), but be
-   thorough about cleanup anyway. *)
-let with_temp_dir f =
-  let dir = Filename.temp_dir "store" "" in
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-    (fun () -> f dir)
 
 (* Run [f] under an explicit Pool worker budget (the in-process equivalent
    of BORG_DOMAINS: budget 0 = everything inline = 1 domain, budget 3 = up
@@ -68,33 +54,6 @@ let rel_bit_identical a b =
           Array.iteri
             (fun j v -> if not (value_bits_equal v tb.(j)) then ok := false)
             ta
-      done;
-      !ok)
-
-let results_bit_equal (a : (string * Aggregates.Spec.result) list)
-    (b : (string * Aggregates.Spec.result) list) =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (ida, ra) (idb, rb) ->
-         ida = idb
-         && List.length ra = List.length rb
-         && List.for_all2
-              (fun (ka, va) (kb, vb) -> ka = kb && bits va = bits vb)
-              ra rb)
-       a b
-
-let cov_bit_identical a b =
-  let n = Cov.dim a in
-  Cov.dim b = n
-  && bits a.Cov.c = bits b.Cov.c
-  && (let ok = ref true in
-      for i = 0 to n - 1 do
-        if bits (Util.Vec.get a.Cov.s i) <> bits (Util.Vec.get b.Cov.s i) then
-          ok := false;
-        for j = 0 to n - 1 do
-          if bits (Util.Mat.get a.Cov.q i j) <> bits (Util.Mat.get b.Cov.q i j)
-          then ok := false
-        done
       done;
       !ok)
 
@@ -224,7 +183,7 @@ let mk_rel_of rows rng = random_relation rng rows
 let test_paged_boundary_sizes () =
   List.iter
     (fun rows ->
-      with_temp_dir @@ fun dir ->
+      Scenario.with_temp_dir @@ fun dir ->
       let rng = Util.Prng.create (1000 + rows) in
       let rel = mk_rel_of rows rng in
       let written = Loader.import_relation ~dir ~page_rows:8 rel in
@@ -262,7 +221,7 @@ let paged_roundtrip_any_budget =
       List.for_all
         (fun b ->
           with_worker_budget b @@ fun () ->
-          with_temp_dir @@ fun dir ->
+          Scenario.with_temp_dir @@ fun dir ->
           let rel = mk_rel_of rows (Util.Prng.create seed) in
           ignore (Loader.import_relation ~dir ~page_rows:16 rel);
           let p = Paged.openr ~cache_pages:2 ~dir "T" in
@@ -272,7 +231,7 @@ let paged_roundtrip_any_budget =
         budgets)
 
 let test_file_corruption_located () =
-  with_temp_dir @@ fun dir ->
+  Scenario.with_temp_dir @@ fun dir ->
   let rel = mk_rel_of 64 (Util.Prng.create 5) in
   ignore (Loader.import_relation ~dir ~page_rows:8 rel);
   let path = Paged.pages_path dir "T" in
@@ -330,7 +289,7 @@ let test_engine_differential () =
   let db = Datagen.Retailer.generate ~scale:0.02 ~seed:7 () in
   let batch = Aggregates.Batch.covariance Datagen.Retailer.features in
   let r_mem = Lmfao.Engine.eval_batch db batch in
-  with_temp_dir @@ fun dir ->
+  Scenario.with_temp_dir @@ fun dir ->
   Obs.with_enabled true @@ fun () ->
   Obs.reset ();
   let paged =
@@ -346,7 +305,7 @@ let test_engine_differential () =
   in
   let r_paged = Lmfao.Engine.eval_batch sdb batch in
   Alcotest.(check bool) "lmfao paged == in-memory" true
-    (results_bit_equal r_mem r_paged);
+    (Aggregates.Spec.keyed_bits_equal r_mem r_paged);
   Alcotest.(check bool) "pages were read" true
     (Obs.counter_value_by_name "store.page_reads" > 0);
   Alcotest.(check bool) "the 2-page cache thrashed" true
@@ -356,61 +315,24 @@ let test_engine_differential () =
 
 (* ---------------------------------------------------- F-IVM differential *)
 
-(* Star schema + dyadic-lattice streams, as in test_shard: exact payload
-   arithmetic makes every covariance accumulation order-independent down to
-   the last bit, so base-loading the stream's LIVE SET from per-shard page
-   directories must reproduce the directly-maintained triple exactly. *)
-let empty_db () =
-  Database.create "stream"
-    [
-      Relation.create "F"
-        (Schema.make
-           [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-      Relation.create "D1"
-        (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
-      Relation.create "D2"
-        (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-    ]
-
-let features = [ "m"; "u"; "v" ]
+(* The star workload on the dyadic lattice ([Datagen.Stream_gen]): exact
+   payload arithmetic makes every covariance accumulation order-independent
+   down to the last bit, so base-loading the stream's LIVE SET from
+   per-shard page directories must reproduce the directly-maintained triple
+   exactly. *)
+let features = Sg.star_features
 let strategies = [ M.F_ivm; M.Higher_order; M.First_order ]
-
-let lattice rng = flt (float_of_int (1 + Util.Prng.int rng 64) /. 16.0)
-
-let random_update rng inserted =
-  let fresh () =
-    let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-    let tuple =
-      match rel with
-      | "F" ->
-          [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4); lattice rng |]
-      | _ -> [| int (Util.Prng.int rng 4); lattice rng |]
-    in
-    Delta.insert rel tuple
-  in
-  if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-    let arr = Array.of_list !inserted in
-    let u = Util.Prng.choice rng arr in
-    inserted := List.filter (fun x -> x != u) !inserted;
-    Delta.delete u.Delta.relation u.Delta.tuple
-  end
-  else begin
-    let u = fresh () in
-    inserted := u :: !inserted;
-    u
-  end
 
 (* The stream plus its live multiset (inserts not yet deleted), the latter
    materialised as relations in insertion order. *)
 let lattice_stream_and_live ~seed ~steps =
-  let rng = Util.Prng.create seed in
-  let inserted = ref [] in
-  let updates = List.init steps (fun _ -> random_update rng inserted) in
-  let db = empty_db () in
+  let gen = Sg.star_gen () in
+  let updates = Sg.star_updates gen (Util.Prng.create seed) steps in
+  let db = Sg.star_database () in
   List.iter
     (fun u ->
       Relation.append (Database.relation db u.Delta.relation) u.Delta.tuple)
-    (List.rev !inserted);
+    (Sg.star_live gen);
   (updates, db)
 
 let fivm_load_base_bit_identical strategy =
@@ -421,10 +343,10 @@ let fivm_load_base_bit_identical strategy =
     QCheck2.Gen.int
     (fun seed ->
       let updates, live = lattice_stream_and_live ~seed ~steps:240 in
-      let m = M.create strategy (empty_db ()) ~features in
+      let m = M.create strategy (Sg.star_database ()) ~features in
       List.iter (M.apply m) updates;
       let direct = M.covariance m in
-      with_temp_dir @@ fun dir ->
+      Scenario.with_temp_dir @@ fun dir ->
       let shards = 3 in
       (* keyed relations (carrying "a") split into per-shard directories
          with the SAME routing rule Shard uses; D2 is broadcast *)
@@ -436,7 +358,7 @@ let fivm_load_base_bit_identical strategy =
            (Database.relation live "D1"));
       ignore
         (Loader.import_relation ~dir ~page_rows:8 (Database.relation live "D2"));
-      let sh = Shard.create ~attr:"a" strategy (empty_db ()) ~features ~shards in
+      let sh = Shard.create ~attr:"a" strategy (Sg.star_database ()) ~features ~shards in
       let opened = ref [] in
       let keep p =
         opened := p :: !opened;
@@ -455,7 +377,7 @@ let fivm_load_base_bit_identical strategy =
           Paged.stream (keep (Paged.openr ~cache_pages:2 ~dir "D2")) emit);
       let loaded = Shard.covariance sh in
       List.iter Paged.close !opened;
-      cov_bit_identical direct loaded)
+      Cov.equal_bits direct loaded)
 
 (* ---------------------------------------------------- spill-op properties *)
 
