@@ -85,23 +85,19 @@ let delta_join_sum storage task pair (u : Delta.update) =
     let n = Storage.node storage rel_name in
     let local = Cov_task.factor task pair rel_name tuple in
     List.fold_left
-      (fun acc (neighbour, _, _) ->
+      (fun acc neighbour ->
         if List.mem neighbour visited then acc
         else begin
           let key = Storage.key_for n ~neighbour tuple in
-          let partners = Storage.matching (Storage.node storage neighbour) ~neighbour:rel_name key in
           let s =
-            List.fold_left
-              (fun s t ->
-                let m = Storage.multiplicity (Storage.node storage neighbour) t in
-                s
-                +. float_of_int m
-                   *. expand neighbour t (rel_name :: visited))
-              0.0 partners
+            Storage.fold_matching (Storage.node storage neighbour) ~neighbour:rel_name key
+              (fun t m s ->
+                s +. float_of_int m *. expand neighbour t (rel_name :: visited))
+              0.0
           in
           acc *. s
         end)
-      local n.Storage.indexes
+      local (Storage.neighbours n)
   in
   float_of_int u.multiplicity *. expand u.relation u.tuple []
 
@@ -148,7 +144,7 @@ let strategy_of t =
   | First _ -> First_order
 
 (* Current contents as a fresh [Database.t]: replay [Storage.dump] (live
-   tuples in insertion-stamp order) into empty clones of the schema
+   tuples in insertion order) into empty clones of the schema
    relations. Order preservation keeps LMFAO's accumulation order — and so
    its float results — deterministic for a given stream. *)
 let snapshot t : Database.t =

@@ -38,7 +38,7 @@ val storage : t -> Storage.t
 
 val snapshot : t -> Database.t
 (** The current contents as a fresh [Database.t]: the storage dump replayed
-    in insertion-stamp order into empty clones of the schema relations, so
+    in insertion order into empty clones of the schema relations, so
     downstream float accumulation is deterministic for a given stream. This
     is the moment-assembly input for model refreshers that need aggregates
     beyond the maintained covariance triple (degree-4 monomials, data

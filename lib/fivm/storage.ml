@@ -7,31 +7,65 @@
    Updates arrive as boxed tuples (the streaming edge), but both the
    multiset and the indexes hash [Keypack] keys: join keys over in-range
    int attributes pack into immediate ints, so the per-update probes hash
-   ints rather than boxed tuple arrays. *)
+   ints rather than boxed tuple arrays.
+
+   Layout: each live distinct tuple is ONE [entry]. It sits in the
+   storage-wide live chain (insertion order, oldest first from the chain
+   sentinel) and, for index [i], in that index's bucket for its key through
+   [links.(2i)] (next, towards older) and [links.(2i+1)] (prev). A bucket is
+   a cyclic list through a sentinel entry, and a new tuple is linked right
+   after the sentinel, so bucket walks run newest first. That order is the
+   order downstream float accumulation sees, and [dump] replays the chain
+   oldest first so a restored storage rebuilds every bucket in the same
+   order. An insert links in O(#indexes); a delete to zero unlinks in
+   O(#indexes), rewriting only its neighbours' links and allocating the
+   same whatever the bucket sizes; a multiplicity change that stays
+   non-zero keeps the tuple's place. *)
 
 open Relational
 module Hybrid = Keypack.Hybrid
 
-(* Distinct-tuple entry: the multiplicity plus an insertion stamp. The stamp
-   orders [dump] output so a restored storage rebuilds its index lists in the
-   SAME order as the original — list order feeds float accumulation order in
-   the IVM strategies, and crash recovery promises bit-identical state. *)
-type entry = { mult : int ref; stamp : int }
+type entry = {
+  rel : string;
+  tuple : Tuple.t; (* as first inserted *)
+  mutable mult : int; (* never 0 while linked *)
+  mutable older : entry; (* live chain *)
+  mutable newer : entry;
+  links : entry array; (* per index: next at 2i, prev at 2i+1 *)
+}
+
+type index = {
+  neighbour : string;
+  positions : int array; (* key positions in this schema *)
+  buckets : entry Hybrid.t; (* key -> bucket sentinel *)
+}
 
 type node = {
   name : string;
   schema : Schema.t;
   all_positions : int array; (* identity; whole-tuple key for [tuples] *)
-  tuples : entry Hybrid.t; (* whole-tuple key -> live entry (mult never 0) *)
-  indexes : (string * int array * Tuple.t list ref Hybrid.t) list;
-      (* (neighbour, key positions in this schema, key -> distinct tuples) *)
+  tuples : entry Hybrid.t; (* whole-tuple key -> live entry *)
+  indexes : index array;
+  neighbours : string list; (* [indexes]' neighbours, same order *)
 }
 
 type t = {
   nodes : (string, node) Hashtbl.t;
   jt : Join_tree.t;
-  mutable next_stamp : int;
+  live : entry; (* chain sentinel: [live.newer] oldest, [live.older] newest *)
+  mutable total : int; (* sum of |multiplicity| over live entries *)
 }
+
+let rec nil =
+  { rel = ""; tuple = [||]; mult = 0; older = nil; newer = nil; links = [||] }
+
+(* A sentinel linked to itself in the chain and in every index slot. *)
+let sentinel width =
+  let s = { nil with links = Array.make width nil } in
+  s.older <- s;
+  s.newer <- s;
+  Array.fill s.links 0 width s;
+  s
 
 (* Undirected neighbour map from the join tree (via the default rooting plus
    reversal; every edge appears in both directions). *)
@@ -66,9 +100,11 @@ let create (db : Database.t) =
                 List.sort compare (Schema.common schema (Relation.schema other))
               in
               Some
-                ( b,
-                  Array.of_list (List.map (Schema.position schema) key),
-                  Hybrid.create 64 ))
+                {
+                  neighbour = b;
+                  positions = Array.of_list (List.map (Schema.position schema) key);
+                  buckets = Hybrid.create 64;
+                })
           edges
       in
       Hashtbl.replace nodes name
@@ -77,99 +113,126 @@ let create (db : Database.t) =
           schema;
           all_positions = Array.init (Schema.arity schema) Fun.id;
           tuples = Hybrid.create 256;
-          indexes;
+          indexes = Array.of_list indexes;
+          neighbours = List.map (fun ix -> ix.neighbour) indexes;
         })
     (Database.relations db);
-  { nodes; jt; next_stamp = 0 }
+  { nodes; jt; live = sentinel 0; total = 0 }
 
 let node t name =
   match Hashtbl.find_opt t.nodes name with
   | Some n -> n
   | None -> invalid_arg (Printf.sprintf "Storage.node: unknown relation %s" name)
 
+let schema (n : node) = n.schema
+let neighbours (n : node) = n.neighbours
 let tuple_key (n : node) tuple = Keypack.key_of_tuple n.all_positions tuple
 
 let multiplicity (n : node) tuple =
   match Hybrid.find_opt n.tuples (tuple_key n tuple) with
-  | Some e -> !(e.mult)
+  | Some e -> e.mult
   | None -> 0
 
-(* Distinct tuples of [n] joining with key [key] of neighbour [neighbour]. *)
-let matching (n : node) ~neighbour (key : Keypack.key) =
-  match List.find_opt (fun (b, _, _) -> b = neighbour) n.indexes with
-  | None -> invalid_arg "Storage.matching: not a neighbour"
-  | Some (_, _, idx) -> (
-      match Hybrid.find_opt idx key with Some l -> !l | None -> [])
+let index_of (n : node) ~neighbour caller =
+  let rec go i =
+    if i = Array.length n.indexes then invalid_arg (caller ^ ": not a neighbour")
+    else if n.indexes.(i).neighbour = neighbour then i
+    else go (i + 1)
+  in
+  go 0
+
+(* Fold over the live tuples of [n] joining with key [key] of neighbour
+   [neighbour], newest first. [f] must not update the storage. *)
+let fold_matching (n : node) ~neighbour (key : Keypack.key) f init =
+  let i = index_of n ~neighbour "Storage.fold_matching" in
+  match Hybrid.find_opt n.indexes.(i).buckets key with
+  | None -> init
+  | Some s ->
+      let rec go e acc = if e == s then acc else go e.links.(2 * i) (f e.tuple e.mult acc) in
+      go s.links.(2 * i) init
 
 let key_for (n : node) ~neighbour tuple : Keypack.key =
-  match List.find_opt (fun (b, _, _) -> b = neighbour) n.indexes with
-  | None -> invalid_arg "Storage.key_for: not a neighbour"
-  | Some (_, positions, _) -> Keypack.key_of_tuple positions tuple
+  Keypack.key_of_tuple n.indexes.(index_of n ~neighbour "Storage.key_for").positions tuple
+
+let insert t (n : node) tk (u : Delta.update) =
+  let k = Array.length n.indexes in
+  let live = t.live in
+  let e =
+    {
+      rel = n.name;
+      tuple = u.tuple;
+      mult = u.multiplicity;
+      older = live.older;
+      newer = live;
+      links = Array.make (2 * k) nil;
+    }
+  in
+  live.older.newer <- e;
+  live.older <- e;
+  Hybrid.replace n.tuples tk e;
+  for i = 0 to k - 1 do
+    let ix = n.indexes.(i) in
+    let key = Keypack.key_of_tuple ix.positions u.tuple in
+    let s =
+      match Hybrid.find_opt ix.buckets key with
+      | Some s -> s
+      | None ->
+          let s = sentinel (2 * k) in
+          Hybrid.add ix.buckets key s;
+          s
+    in
+    let first = s.links.(2 * i) in
+    e.links.(2 * i) <- first;
+    e.links.((2 * i) + 1) <- s;
+    first.links.((2 * i) + 1) <- e;
+    s.links.(2 * i) <- e
+  done
+
+(* Unlink [e] everywhere; a bucket left empty (its sentinel was both of [e]'s
+   neighbours) leaves its index. *)
+let remove (n : node) tk e =
+  Hybrid.remove n.tuples tk;
+  e.older.newer <- e.newer;
+  e.newer.older <- e.older;
+  for i = 0 to Array.length n.indexes - 1 do
+    let next = e.links.(2 * i) and prev = e.links.((2 * i) + 1) in
+    if next == prev then
+      Hybrid.remove n.indexes.(i).buckets
+        (Keypack.key_of_tuple n.indexes.(i).positions e.tuple)
+    else begin
+      prev.links.(2 * i) <- next;
+      next.links.((2 * i) + 1) <- prev
+    end
+  done
 
 let apply t (u : Delta.update) =
   let n = node t u.relation in
   let tk = tuple_key n u.tuple in
-  let old_m =
-    match Hybrid.find_opt n.tuples tk with Some e -> !(e.mult) | None -> 0
-  in
-  let new_m = old_m + u.multiplicity in
-  if old_m = 0 && new_m <> 0 then begin
-    let stamp = t.next_stamp in
-    t.next_stamp <- stamp + 1;
-    Hybrid.replace n.tuples tk { mult = ref new_m; stamp };
-    List.iter
-      (fun (_, positions, idx) ->
-        let key = Keypack.key_of_tuple positions u.tuple in
-        match Hybrid.find_opt idx key with
-        | Some l -> l := u.tuple :: !l
-        | None -> Hybrid.add idx key (ref [ u.tuple ]))
-      n.indexes
-  end
-  else if new_m = 0 then begin
-    Hybrid.remove n.tuples tk;
-    List.iter
-      (fun (_, positions, idx) ->
-        let key = Keypack.key_of_tuple positions u.tuple in
-        match Hybrid.find_opt idx key with
-        | Some l ->
-            l := List.filter (fun t -> not (Tuple.equal t u.tuple)) !l;
-            if !l = [] then Hybrid.remove idx key
-        | None -> ())
-      n.indexes
-  end
-  else
-    match Hybrid.find_opt n.tuples tk with
-    | Some e -> e.mult := new_m
-    | None -> assert false
+  match Hybrid.find_opt n.tuples tk with
+  | None ->
+      if u.multiplicity <> 0 then begin
+        insert t n tk u;
+        t.total <- t.total + abs u.multiplicity
+      end
+  | Some e ->
+      let m = e.mult + u.multiplicity in
+      t.total <- t.total + abs m - abs e.mult;
+      if m = 0 then remove n tk e else e.mult <- m
 
-let total_tuples t =
-  Hashtbl.fold
-    (fun _ n acc -> Hybrid.fold (fun _ e acc -> acc + abs !(e.mult)) n.tuples acc)
-    t.nodes 0
-
+let total_tuples t = t.total
 let join_tree t = t.jt
 
-(* Iterate distinct tuples with multiplicities; tuples are reconstructed
-   from their whole-tuple keys (packed keys unpack value-faithfully). *)
-let iter_tuples (n : node) f =
-  let arity = Array.length n.all_positions in
-  Hybrid.iter (fun k e -> f (Keypack.key_tuple arity k) !(e.mult)) n.tuples
+(* Live tuples with multiplicities, in the tuple table's order. *)
+let iter_tuples (n : node) f = Hybrid.iter (fun _ e -> f e.tuple e.mult) n.tuples
 
-(* Live contents in insertion-stamp order (oldest first): replaying the dump
-   as inserts into a fresh storage rebuilds every index list in the original
-   order, so float accumulation downstream reproduces bit-identically. *)
+(* Live contents oldest first: replaying the dump as inserts into a fresh
+   storage rebuilds every bucket in the original order, so float
+   accumulation downstream reproduces bit-identically. *)
 let dump t : Delta.update list =
-  let entries = ref [] in
-  Hashtbl.iter
-    (fun name n ->
-      let arity = Array.length n.all_positions in
-      Hybrid.iter
-        (fun k e ->
-          entries :=
-            (e.stamp, { Delta.relation = name;
-                        tuple = Keypack.key_tuple arity k;
-                        multiplicity = !(e.mult) })
-            :: !entries)
-        n.tuples)
-    t.nodes;
-  List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) !entries)
+  let rec go e acc =
+    if e == t.live then acc
+    else
+      go e.older
+        ({ Delta.relation = e.rel; tuple = e.tuple; multiplicity = e.mult } :: acc)
+  in
+  go t.live.older []

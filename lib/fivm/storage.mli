@@ -2,23 +2,13 @@
     indexes on every join key shared with a join-tree neighbour. Strategies
     compute their view deltas against the pre-update state, then the driver
     calls {!apply} once. Multiset and indexes hash {!Keypack} keys, so
-    in-range int join keys probe as immediate ints. *)
+    in-range int join keys probe as immediate ints. Inserts and deletes cost
+    O(number of neighbours) whatever the bucket sizes. *)
 
 open Relational
 
-type entry = { mult : int ref; stamp : int }
-(** Distinct-tuple entry: multiplicity plus the insertion stamp that orders
-    {!dump} (index-list order must survive checkpoint/restore). *)
-
-type node = {
-  name : string;
-  schema : Schema.t;
-  all_positions : int array;  (** identity positions (whole-tuple key) *)
-  tuples : entry Keypack.Hybrid.t;
-      (** whole-tuple key -> live entry (multiplicity never 0) *)
-  indexes : (string * int array * Tuple.t list ref Keypack.Hybrid.t) list;
-      (** (neighbour, key positions in this schema, key -> distinct tuples) *)
-}
+type node
+(** One relation's multiset and indexes. *)
 
 type t
 
@@ -26,10 +16,21 @@ val create : Database.t -> t
 (** Empty storage shaped by the database's schemas and join tree. *)
 
 val node : t -> string -> node
+(** @raise Invalid_argument on an unknown relation. *)
+
+val schema : node -> Schema.t
+
+val neighbours : node -> string list
+(** The node's join-tree neighbours, in a fixed order. *)
+
 val multiplicity : node -> Tuple.t -> int
 
-val matching : node -> neighbour:string -> Keypack.key -> Tuple.t list
-(** Distinct tuples of the node joining with the given neighbour-edge key. *)
+val fold_matching :
+  node -> neighbour:string -> Keypack.key -> (Tuple.t -> int -> 'a -> 'a) -> 'a -> 'a
+(** [fold_matching n ~neighbour key f init] folds [f tuple multiplicity] over
+    the live tuples of [n] joining with the given neighbour-edge key, newest
+    first (the order float accumulation downstream depends on). [f] must not
+    update the storage. *)
 
 val key_for : node -> neighbour:string -> Tuple.t -> Keypack.key
 (** A tuple's join key towards the given neighbour (sorted attribute
@@ -37,14 +38,19 @@ val key_for : node -> neighbour:string -> Tuple.t -> Keypack.key
 
 val apply : t -> Delta.update -> unit
 (** Apply the update to the multiset and all indexes; entries reaching
-    multiplicity 0 are removed. *)
+    multiplicity 0 are removed. A tuple keeps the representation it was
+    first inserted with while it stays live. *)
 
 val total_tuples : t -> int
+(** Sum of |multiplicity| over the live tuples, in O(1). *)
+
 val join_tree : t -> Join_tree.t
+
 val iter_tuples : node -> (Tuple.t -> int -> unit) -> unit
+(** Live tuples with their multiplicities, in hash-table order. *)
 
 val dump : t -> Delta.update list
-(** Live contents as bulk inserts in insertion-stamp order (oldest first):
-    applying them to a fresh storage reproduces every index list in the
+(** Live contents as bulk inserts in insertion order (oldest first):
+    applying them to a fresh storage reproduces every index bucket in the
     original order, which keeps downstream float accumulation bit-identical
     (the checkpoint/restore contract). *)

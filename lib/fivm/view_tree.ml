@@ -123,21 +123,19 @@ module Make (P : Payload.S) = struct
           let my_deltas : P.t ref Keypack.Hybrid.t = Keypack.Hybrid.create 8 in
           List.iter
             (fun (ck, d) ->
-              List.iter
-                (fun tuple ->
-                  let m = Storage.multiplicity n tuple in
-                  if m <> 0 then
-                    match children_product v t.storage tuple ~except:c with
-                    | None -> ()
-                    | Some others ->
-                        let contrib =
-                          P.mul (P.smul m (v.lift tuple)) (P.mul d others)
-                        in
-                        let key = Keypack.key_of_tuple v.key_positions tuple in
-                        (match Keypack.Hybrid.find_opt my_deltas key with
-                        | Some r -> r := P.add !r contrib
-                        | None -> Keypack.Hybrid.add my_deltas key (ref contrib)))
-                (Storage.matching n ~neighbour:child.name ck))
+              Storage.fold_matching n ~neighbour:child.name ck
+                (fun tuple m () ->
+                  match children_product v t.storage tuple ~except:c with
+                  | None -> ()
+                  | Some others -> (
+                      let contrib =
+                        P.mul (P.smul m (v.lift tuple)) (P.mul d others)
+                      in
+                      let key = Keypack.key_of_tuple v.key_positions tuple in
+                      match Keypack.Hybrid.find_opt my_deltas key with
+                      | Some r -> r := P.add !r contrib
+                      | None -> Keypack.Hybrid.add my_deltas key (ref contrib)))
+                ())
             child_deltas;
           Keypack.Hybrid.fold
             (fun key r acc ->

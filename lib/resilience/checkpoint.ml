@@ -2,7 +2,7 @@
 
    A checkpoint file is a magic string followed by ONE checksummed frame
    ([Codec.frame]) holding: format version, strategy tag, committed sequence
-   number, the base-storage dump (in insertion-stamp order), and the exact
+   number, the base-storage dump (in insertion order), and the exact
    maintained view payloads ([Maintainer.dump_views]). Storing the views
    verbatim — floats by bit pattern — rather than recomputing them on restore
    is what makes recovery bit-identical: a recomputation would re-associate
@@ -186,7 +186,7 @@ let restore ~dir ~(make : unit -> Maintainer.t) : restored option * int =
             end
             else begin
               (* replay the base storage DIRECTLY (no view propagation) in
-                 stamp order, then install the exact view payloads *)
+                 insertion order, then install the exact view payloads *)
               let storage = Maintainer.storage m in
               List.iter (Storage.apply storage) storage_dump;
               Maintainer.restore_views m views;

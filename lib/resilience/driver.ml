@@ -84,7 +84,7 @@ let validate (m : M.t) (u : Delta.update) =
   match Storage.node (M.storage m) u.relation with
   | exception Invalid_argument _ -> Error (Printf.sprintf "unknown relation %s" u.relation)
   | n ->
-      let arity = Schema.arity n.Storage.schema in
+      let arity = Schema.arity (Storage.schema n) in
       if Tuple.arity u.tuple <> arity then
         Error
           (Printf.sprintf "arity mismatch: relation %s has %d attributes, tuple has %d"
@@ -94,7 +94,7 @@ let validate (m : M.t) (u : Delta.update) =
         Array.iteri
           (fun i v ->
             if !err = None then begin
-              let attr = Schema.attr_at n.Storage.schema i in
+              let attr = Schema.attr_at (Storage.schema n) i in
               (match v with
               | Value.Float f when not (Float.is_finite f) ->
                   err :=
@@ -202,7 +202,7 @@ let checkpoint_now t =
   rotate_wal t
 
 (* Graceful degradation: rebuild views from base storage through a fresh
-   maintainer (every tuple replayed in stamp order), swap it in, and
+   maintainer (every tuple replayed in insertion order), swap it in, and
    checkpoint so the divergent state cannot be restored later. *)
 let rebuild t =
   Obs.incr c_rebuilds;

@@ -196,7 +196,7 @@ let result_of_plan cov plan =
 (* ---------- snapshot + recompute ---------- *)
 
 (* Current database contents as a fresh [Database.t] (storage dump replayed
-   in insertion-stamp order) — what a cache miss evaluates over and what
+   in insertion order) — what a cache miss evaluates over and what
    beyond-the-triple model refreshers recompute their statistics from. *)
 let snapshot t : Database.t = Maintainer.snapshot t.maintainer
 

@@ -222,7 +222,7 @@ end
 
 val snapshot : t -> Database.t
 (** The current database contents as a fresh [Database.t] (storage dump
-    replayed in insertion-stamp order) — what a cache miss evaluates over. *)
+    replayed in insertion order) — what a cache miss evaluates over. *)
 
 val maintainer : t -> Fivm.Maintainer.t
 val epoch : t -> int

@@ -179,6 +179,264 @@ let test_obs_counters_track_batch () =
     (Obs.gauge_value (Obs.gauge "fivm.storage_tuples"));
   Obs.reset ()
 
+(* ---- base storage: orders and delete cost ---- *)
+module S = Fivm.Storage
+module Hybrid = Keypack.Hybrid
+
+(* The straightforward storage layout: per-key newest-first tuple lists,
+   deletes by [List.filter], and insertion stamps sorted for [dump].
+   [Fivm.Storage] must expose exactly its orders, since bucket order fixes
+   the float accumulation order downstream. Join keys come from
+   [Storage.key_for] on the storage under test. *)
+module Ref_storage = struct
+  type entry = { mutable mult : int; stamp : int }
+
+  type node = {
+    arity : int;
+    tuples : entry Hybrid.t;
+    buckets : (string * Tuple.t list ref Hybrid.t) list;
+  }
+
+  type t = { s : S.t; nodes : (string * node) list; mutable next_stamp : int }
+
+  let create s (db : Database.t) =
+    let node rel =
+      let arity = Schema.arity (Relation.schema rel) in
+      let sn = S.node s (Relation.name rel) in
+      ( Relation.name rel,
+        {
+          arity;
+          tuples = Hybrid.create 16;
+          buckets = List.map (fun nb -> (nb, Hybrid.create 16)) (S.neighbours sn);
+        } )
+    in
+    { s; nodes = List.map node (Database.relations db); next_stamp = 0 }
+
+  let tuple_key n tuple = Keypack.key_of_tuple (Array.init n.arity Fun.id) tuple
+
+  let multiplicity r rel tuple =
+    let n = List.assoc rel r.nodes in
+    match Hybrid.find_opt n.tuples (tuple_key n tuple) with
+    | Some e -> e.mult
+    | None -> 0
+
+  let apply r (u : Delta.update) =
+    let n = List.assoc u.relation r.nodes in
+    let sn = S.node r.s u.relation in
+    let tk = tuple_key n u.tuple in
+    let old_m = multiplicity r u.relation u.tuple in
+    let new_m = old_m + u.multiplicity in
+    if old_m = 0 && new_m <> 0 then begin
+      Hybrid.replace n.tuples tk { mult = new_m; stamp = r.next_stamp };
+      r.next_stamp <- r.next_stamp + 1;
+      List.iter
+        (fun (neighbour, idx) ->
+          let key = S.key_for sn ~neighbour u.tuple in
+          match Hybrid.find_opt idx key with
+          | Some l -> l := u.tuple :: !l
+          | None -> Hybrid.add idx key (ref [ u.tuple ]))
+        n.buckets
+    end
+    else if new_m = 0 then begin
+      Hybrid.remove n.tuples tk;
+      List.iter
+        (fun (neighbour, idx) ->
+          let key = S.key_for sn ~neighbour u.tuple in
+          match Hybrid.find_opt idx key with
+          | Some l ->
+              l := List.filter (fun t -> not (Tuple.equal t u.tuple)) !l;
+              if !l = [] then Hybrid.remove idx key
+          | None -> ())
+        n.buckets
+    end
+    else (Option.get (Hybrid.find_opt n.tuples tk)).mult <- new_m
+
+  let matching r rel ~neighbour key =
+    match Hybrid.find_opt (List.assoc neighbour (List.assoc rel r.nodes).buckets) key with
+    | Some l -> List.map (fun t -> (t, multiplicity r rel t)) !l
+    | None -> []
+
+  let total r =
+    List.fold_left
+      (fun acc (_, n) -> Hybrid.fold (fun _ e acc -> acc + abs e.mult) n.tuples acc)
+      0 r.nodes
+
+  let dump r =
+    List.concat_map
+      (fun (rel, n) ->
+        Hybrid.fold
+          (fun k e acc -> (e.stamp, (rel, Keypack.key_tuple n.arity k, e.mult)) :: acc)
+          n.tuples [])
+      r.nodes
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
+end
+
+(* Tuples compared by value bits, so -0.0 and 0.0 differ. *)
+let tuple_bits t =
+  Array.to_list
+    (Array.map
+       (function
+         | Value.Float x -> Printf.sprintf "f%Lx" (Int64.bits_of_float x)
+         | v -> Value.to_string v)
+       t)
+
+(* A star whose join keys cover every key shape: packed pairs, packed
+   singletons with negative values, and boxed pairs, strings and floats
+   (with 0.0 and -0.0 as one key). D1's whole-tuple key packs unless
+   [c] or [a] is out of range. *)
+let layout_db () =
+  let rel name attrs = Relation.create name (Schema.make attrs) in
+  Database.create "layout"
+    [
+      rel "F"
+        [ ("a", Value.TInt); ("b", Value.TInt); ("e", Value.TInt); ("s", Value.TStr);
+          ("w", Value.TFloat) ];
+      rel "D1" [ ("a", Value.TInt); ("b", Value.TInt); ("c", Value.TInt) ];
+      rel "D2" [ ("s", Value.TStr); ("x", Value.TInt) ];
+      rel "D3" [ ("w", Value.TFloat); ("y", Value.TFloat) ];
+      rel "D4" [ ("e", Value.TInt); ("z", Value.TInt) ];
+    ]
+
+let layout_pools =
+  let ( let* ) l f = List.concat_map f l in
+  let str x = Value.Str x in
+  [|
+    ( "F",
+      Array.of_list
+        (let* a = [ 0; -1 ] in
+         let* e = [ 0; -7 ] in
+         let* s = [ "x"; "y" ] in
+         let* w = [ 0.0; -0.0; 1.5 ] in
+         [ [| int a; int 1; int e; str s; flt w |] ]) );
+    ( "D1",
+      Array.of_list
+        (let* a = [ 0; -1 ] in
+         let* c = [ 3; 1 lsl 40 ] in
+         [ [| int a; int 1; int c |] ]) );
+    ( "D2",
+      Array.of_list
+        (let* s = [ "x"; "y"; "z" ] in
+         [ [| str s; int 5 |] ]) );
+    ( "D3",
+      Array.of_list
+        (let* w = [ 0.0; -0.0; 1.5 ] in
+         let* y = [ 0.0; -0.0 ] in
+         [ [| flt w; flt y |] ]) );
+    ("D4", [| [| int 0; int 2 |]; [| int (-7); int 2 |]; [| int (-7); int 3 |] |]);
+  |]
+
+(* After every update, each bucket's [fold_matching] sequence, [dump],
+   [multiplicity] and [total_tuples] equal the reference's, bit for bit. *)
+let storage_matches_reference =
+  QCheck2.Test.make ~count:100 ~name:"storage orders = list-and-stamp reference"
+    QCheck2.Gen.(
+      list_size (int_range 1 120)
+        (triple (int_bound (Array.length layout_pools - 1)) (int_bound 1000) (int_bound 7)))
+    (fun ops ->
+      let db = layout_db () in
+      let s = S.create db in
+      let r = Ref_storage.create s db in
+      let bits l = List.map (fun (t, m) -> (tuple_bits t, m)) l in
+      (* every (relation, neighbour, key) the pools can reach, once *)
+      let probes =
+        Array.fold_left
+          (fun acc (rel, pool) ->
+            let n = S.node s rel in
+            List.fold_left
+              (fun acc neighbour ->
+                Array.fold_left
+                  (fun acc t ->
+                    let key = S.key_for n ~neighbour t in
+                    if
+                      List.exists
+                        (fun (r', nb, k) -> r' = rel && nb = neighbour && Keypack.key_equal k key)
+                        acc
+                    then acc
+                    else (rel, neighbour, key) :: acc)
+                  acc pool)
+              acc (S.neighbours n))
+          [] layout_pools
+      in
+      List.iteri
+        (fun step (ri, ti, code) ->
+          let rel, pool = layout_pools.(ri) in
+          let tuple = pool.(ti mod Array.length pool) in
+          let current = Ref_storage.multiplicity r rel tuple in
+          let multiplicity =
+            match code with
+            | 0 | 1 -> 1
+            | 2 -> -1
+            | 3 -> 2
+            | 4 -> -2
+            | 5 | 6 -> if current <> 0 then -current else 1
+            | _ -> 0
+          in
+          let u = { Delta.relation = rel; tuple; multiplicity } in
+          Ref_storage.apply r u;
+          S.apply s u;
+          let fail what =
+            QCheck2.Test.fail_reportf "step %d (%a): %s differs" step Delta.pp u what
+          in
+          let dump_bits = List.map (fun (rel, t, m) -> (rel, tuple_bits t, m)) in
+          let dumped =
+            List.map (fun (u : Delta.update) -> (u.relation, u.tuple, u.multiplicity)) (S.dump s)
+          in
+          if dump_bits (Ref_storage.dump r) <> dump_bits dumped then fail "dump";
+          if Ref_storage.total r <> S.total_tuples s then fail "total_tuples";
+          Array.iter
+            (fun (rel, pool) ->
+              let n = S.node s rel in
+              Array.iter
+                (fun t ->
+                  if Ref_storage.multiplicity r rel t <> S.multiplicity n t then
+                    fail "multiplicity")
+                pool)
+            layout_pools;
+          List.iter
+            (fun (rel, neighbour, key) ->
+              let got =
+                S.fold_matching (S.node s rel) ~neighbour key (fun t m acc -> (t, m) :: acc) []
+              in
+              if bits (List.rev got) <> bits (Ref_storage.matching r rel ~neighbour key) then
+                fail ("bucket " ^ rel ^ "->" ^ neighbour))
+            probes)
+        ops;
+      true)
+
+(* A delete unlinks one entry: it allocates the same whether its bucket
+   holds 10,000 tuples or 10. A delete that copies the bucket allocates in
+   proportion to it. *)
+let test_delete_cost_is_flat () =
+  let db =
+    Database.create "buckets"
+      [
+        Relation.create "F" (Schema.make [ ("a", Value.TInt); ("b", Value.TInt) ]);
+        Relation.create "D" (Schema.make [ ("a", Value.TInt); ("x", Value.TInt) ]);
+      ]
+  in
+  let s = S.create db in
+  let fact a b = [| int a; int b |] in
+  let fill a n = for b = 0 to n - 1 do S.apply s (Delta.insert "F" (fact a b)) done in
+  fill 0 10_000;
+  fill 1 10;
+  fill 2 2;
+  let words_to_delete a b =
+    let u = Delta.delete "F" (fact a b) in
+    let before = Gc.minor_words () in
+    S.apply s u;
+    Gc.minor_words () -. before
+  in
+  (* a first delete outside the measured pair, so neither pays one-off costs *)
+  ignore (words_to_delete 2 0);
+  let big = words_to_delete 0 5_000 in
+  let small = words_to_delete 1 5 in
+  Alcotest.(check bool)
+    (Printf.sprintf "10,000-tuple bucket: %.0f words; 10-tuple bucket: %.0f" big small)
+    true (big <= small);
+  Alcotest.(check int) "both deleted" 0
+    (S.multiplicity (S.node s "F") (fact 0 5_000) + S.multiplicity (S.node s "F") (fact 1 5))
+
 (* ---- triangle maintenance (cyclic IVM) ---- *)
 module Tri = Fivm.Triangle
 
@@ -353,6 +611,12 @@ let () =
           Alcotest.test_case "storage tracks tuples" `Quick test_view_sizes_reported;
           Alcotest.test_case "obs counters track batch" `Quick
             test_obs_counters_track_batch;
+        ] );
+      ( "storage",
+        [
+          qcheck storage_matches_reference;
+          Alcotest.test_case "delete cost independent of bucket size" `Quick
+            test_delete_cost_is_flat;
         ] );
       ( "semantics",
         [
