@@ -683,8 +683,9 @@ let learn_cmd =
      --check, every strategy runs and after every batch each served model
      goes through Scenario.model_audit: it must be at the current epoch and
      match a COLD retrain over from-scratch statistics — bit-identical
-     encodings for direct solves, prediction agreement within
-     Models.refresh_audit tolerance for iterative optimisers. *)
+     encodings for direct solves, prediction agreement within the
+     Models.refresh_audit tolerance or derived bound for iterative
+     optimisers. *)
   let models_arg =
     let known = String.concat ", " (List.map Ml.Model_intf.name Ml.Models.all) in
     Arg.(value

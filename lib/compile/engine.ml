@@ -27,7 +27,7 @@ type compiled = {
   fingerprint : int; (* Batch.fingerprint of the compiled batch *)
   signature : string; (* plan signature the cache revalidates against *)
   options : options;
-  groups : Lmfao.Ir.rooted list; (* one rooted plan per multi-root group *)
+  plan : Lmfao.Ir.grouped; (* the batch's scheduled view groups *)
 }
 
 let c_cache_hits = Obs.counter "lmfao.compile.cache_hits"
@@ -72,16 +72,16 @@ let signature_of (options : options) (db : Database.t) (batch : Batch.t) :
 
 let compile ?(options = default_options) (db : Database.t) (batch : Batch.t) :
     compiled =
-  let groups, _stats = Lmfao.Engine.compile ~options db batch in
+  let plan, _stats = Lmfao.Engine.compile ~options db batch in
   {
     fingerprint = Batch.fingerprint batch;
     signature = signature_of options db batch;
     options;
-    groups;
+    plan;
   }
 
 let run (c : compiled) (db : Database.t) : (string * Spec.result) list =
-  Lmfao.Engine.run ~options:c.options db c.groups
+  Lmfao.Engine.run ~options:c.options db c.plan
 
 (* A cached plan may be reused iff the batch, options and plan signature
    all still match. Cyclic schemas never reuse (they never compiled). *)

@@ -12,8 +12,8 @@ type options = Lmfao.Engine.options
 val default_options : options
 
 type compiled
-(** A compiled batch: one optimised {!Lmfao.Ir.rooted} per multi-root
-    group, tagged with the batch fingerprint and a plan signature. *)
+(** A compiled batch: its optimised {!Lmfao.Ir.grouped} plan, tagged with
+    the batch fingerprint and a plan signature. *)
 
 val compile : ?options:options -> Database.t -> Batch.t -> compiled
 (** Compile without consulting the cache ({!Lmfao.Engine.compile}: counts

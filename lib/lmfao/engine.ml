@@ -8,19 +8,22 @@
      assigned the restriction of the aggregate to the attributes owned by
      N's subtree; a subtree containing none of the aggregate's attributes is
      assigned a plain count (the paper's decomposition scheme).
-   - Restrictions that coincide across the batch are computed ONCE per node
-     (partial-aggregate sharing) and all partials at a node share one scan
-     of the node's relation (shared scans).
+   - Restrictions that coincide across the batch are computed ONCE per
+     directed view (partial-aggregate sharing), also across roots: every
+     root's view of relation X toward neighbour Y is one merged view.
+   - All the views over one relation share one scan (view groups): an up
+     pass toward the largest relation, then a down pass, so each relation
+     is scanned at most twice per batch.
    - Aggregates with group-by attributes are decomposed starting from the
      relation owning their first group-by attribute (multi-root
      decomposition), keeping high-cardinality grouping local to its node.
-   - Scans can be chunked across domains and independent subtrees computed
-     as parallel tasks (Section 4, "Parallelisation").
+   - Scans can be chunked across domains (Section 4, "Parallelisation").
 
    One pipeline evaluates every batch: [Plan] decides the decomposition
-   (restriction, sharing, root choice, ownership), [Lower] turns each
-   rooted plan into the typed physical IR, [Passes] optimise it, and
-   [Exec] binds it to the live columns and scans. [compile] and [run] are
+   (restriction, sharing, root choice, ownership) and merges and
+   schedules the views, [Lower] turns the merged plan into the typed
+   physical IR, [Passes] optimise each view, and [Exec] binds it to the
+   live columns and scans. [compile] and [run] are
    the two halves, so that [Compile.Engine] can cache plans across calls. *)
 
 open Relational
@@ -31,7 +34,7 @@ exception Unsupported = Plan.Unsupported
 
 type options = {
   share : bool; (* dedup identical partial aggregates (default true) *)
-  parallel : bool; (* chunked scans + parallel subtree tasks *)
+  parallel : bool; (* chunked scans *)
   multi_root : bool; (* root group-by aggregates at their group attr's node *)
   chunk_threshold : int; (* parallel scans only above this cardinality *)
 }
@@ -50,37 +53,28 @@ type stats = Plan.stats = {
 
 let c_plans = Obs.counter "lmfao.compile.plans"
 
-(* Plan -> Lower -> Passes: one optimised rooted plan per multi-root group,
-   in batch order, with the planner's statistics. *)
+(* Plan -> Lower -> Passes: the rooted plans of every multi-root group,
+   merged into one scheduled plan of view groups, with the merged plan's
+   statistics. *)
 let compile ?(options = default_options) (db : Database.t) (batch : Batch.t) :
-    Ir.rooted list * stats =
+    Ir.grouped * stats =
   Obs.with_span "lmfao.compile.plan" @@ fun () ->
   Obs.incr c_plans;
   let popts = plan_options options in
   let jt, groups = Plan.group_by_root popts db batch in
-  let stats = Plan.fresh_stats () in
-  let plans =
-    List.map
-      (fun (root, specs) ->
-        let ir =
-          Obs.with_span "lmfao.compile.lower" (fun () ->
-              Lower.rooted (Plan.build popts ~stats jt ~root specs))
-        in
-        Obs.with_span "lmfao.compile.passes" (fun () -> Passes.pipeline ir))
-      groups
+  let per_root = Plan.fresh_stats () in
+  let rooted =
+    List.map (fun (root, specs) -> Plan.build popts ~stats:per_root jt ~root specs) groups
   in
-  (plans, stats)
+  let grouped, stats = Plan.group jt ~stats:per_root rooted in
+  let ir = Obs.with_span "lmfao.compile.lower" (fun () -> Lower.grouped grouped) in
+  (Obs.with_span "lmfao.compile.passes" (fun () -> Passes.pipeline ir), stats)
 
-let run ?(options = default_options) (db : Database.t) (plans : Ir.rooted list)
-    : (string * Spec.result) list =
+let run ?(options = default_options) (db : Database.t) (plan : Ir.grouped) :
+    (string * Spec.result) list =
   Obs.with_span "lmfao.compile.exec" @@ fun () ->
-  let exec =
-    Exec.compute_rooted ~parallel:options.parallel
-      ~chunk_threshold:options.chunk_threshold db
-  in
-  if options.parallel && List.length plans > 1 then
-    List.concat (Util.Pool.parallel_tasks (List.map (fun p () -> exec p) plans))
-  else List.concat_map exec plans
+  Exec.run ~parallel:options.parallel ~chunk_threshold:options.chunk_threshold db
+    plan
 
 let choose_root = Plan.choose_root
 

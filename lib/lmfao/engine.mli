@@ -1,17 +1,19 @@
 (** LMFAO: Layered Multiple Functional Aggregate Optimisation (Sections 1.4
     and 4). Evaluates a batch of SUM-PRODUCT / GROUP BY / filter aggregates
     over the natural join of a database without materialising the join:
-    multi-root decomposition over the join tree, per-node deduplication of
-    identical partial aggregates (sharing), one shared scan per node, and
-    optional domain parallelism.
+    multi-root decomposition over the join tree, deduplication of
+    identical partial aggregates per directed view across all roots
+    (sharing), view groups — one scan computes every view over a relation
+    that it can, so each relation is scanned at most twice per batch — and
+    optional chunked domain parallelism.
 
     The entry point is {!eval}; {!compile} and {!run} are its two halves
-    (plan, lower and optimise; then execute). When observability is on
-    ({!Obs}), planning runs under the [lmfao.compile.plan] span, execution
-    under [lmfao.compile.exec] with one [lmfao.root:<R>] span per root and
-    one [lmfao.view:<R>] span per view, and the engine maintains the
-    [lmfao.views] / [lmfao.partials] / [lmfao.shared_away] /
-    [lmfao.tuples_scanned] / [lmfao.roots] counters. *)
+    (plan, merge, lower and optimise; then execute). When observability
+    is on ({!Obs}), planning runs under the [lmfao.compile.plan] span,
+    execution under [lmfao.compile.exec] with one flat [lmfao.view:<R>]
+    span per scan, and the engine maintains the [lmfao.views] /
+    [lmfao.partials] / [lmfao.shared_away] (merged views and their slots),
+    [lmfao.tuples_scanned] and [lmfao.roots] (root views) counters. *)
 
 open Relational
 module Spec = Aggregates.Spec
@@ -23,7 +25,7 @@ exception Unsupported of string
 
 type options = {
   share : bool;  (** dedup identical partial aggregates (default true) *)
-  parallel : bool;  (** chunked scans + parallel subtree tasks *)
+  parallel : bool;  (** chunked scans *)
   multi_root : bool;  (** per-aggregate root choice (default true) *)
   chunk_threshold : int;  (** parallel scans only above this cardinality *)
 }
@@ -31,9 +33,10 @@ type options = {
 val default_options : options
 
 type stats = Plan.stats = {
-  mutable views : int;  (** views (node plans) computed *)
+  mutable views : int;  (** merged directed views computed *)
   mutable partials : int;  (** distinct partial aggregates across all views *)
-  mutable shared_away : int;  (** batch restrictions collapsed by dedup *)
+  mutable shared_away : int;
+      (** batch restrictions collapsed by dedup, within and across roots *)
 }
 
 val choose_root : Join_tree.t -> default_root:string -> Spec.t -> string
@@ -42,18 +45,21 @@ val choose_root : Join_tree.t -> default_root:string -> Spec.t -> string
     relation. *)
 
 val compile :
-  ?options:options -> Database.t -> Batch.t -> Ir.rooted list * stats
-(** Plan the batch, lower each multi-root group to the physical IR and run
-    the {!Passes} over it: one rooted plan per group, in batch order, with
-    the planner's statistics. Counts [lmfao.compile.plans].
+  ?options:options -> Database.t -> Batch.t -> Ir.grouped * stats
+(** Plan the batch (one rooted plan per multi-root group), merge the
+    rooted plans into scheduled view groups ({!Plan.group}), lower them
+    to the physical IR and run the {!Passes} over every view; returns the
+    plan with the merged plan's statistics. Counts [lmfao.compile.plans].
     @raise Join_tree.Cyclic on cyclic schemas
     @raise Unsupported on non-decomposable filters *)
 
 val run :
-  ?options:options -> Database.t -> Ir.rooted list -> (string * Spec.result) list
-(** Execute compiled plans against a database whose schema and multi-root
-    assignment still match the one they were compiled for. Grouped results
-    list their groups in [Faggregate.Grouped.Key.compare] order. *)
+  ?options:options -> Database.t -> Ir.grouped -> (string * Spec.result) list
+(** Execute a compiled plan against a database whose schema and multi-root
+    assignment still match the one it was compiled for; its schedule came
+    from the cardinalities at compile time and affects only time and
+    memory. Grouped results list their groups in
+    [Faggregate.Grouped.Key.compare] order. *)
 
 type result = {
   keyed : (string * Spec.result) list;  (** results keyed by aggregate id *)

@@ -1,8 +1,8 @@
 (* Stage 3: closure-compile a physical IR plan against a live database and
-   run it.
+   run it: one scan per view group, in the plan's order.
 
-   Binding happens once per node per execution: relations are resolved by
-   name, column readers are specialised to the live [Column.data]
+   Binding happens once per view per chunk of a scan: relations are
+   resolved by name, column readers are specialised to the live [Column.data]
    representation ([float array]/[int array] accessors, no variant
    dispatch per row), key extractors are compiled, filters are compiled to
    position-resolved closures, and each slot becomes one kernel closure
@@ -26,10 +26,10 @@ module Spec = Aggregates.Spec
 (* ---------- grouped partial aggregates ---------- *)
 
 (* Float sums keyed by [Keypack] keys packed over a slot's group variables
-   in name order, kept in insertion order. Most view rows hold one or two
-   groups, so lookup scans the keys linearly; a hash index from key to
-   position is built only past [linear_max] entries. Results are sorted
-   once, at extraction. *)
+   in name order, kept in insertion order. Most view rows hold one group,
+   so the arrays start at one entry and lookup scans the keys linearly; a
+   hash index from key to position is built only past [linear_max]
+   entries. Results are sorted once, at extraction. *)
 module Grouped = struct
   type t = {
     mutable keys : Keypack.key array;
@@ -55,7 +55,7 @@ module Grouped = struct
   let push t k v =
     let n = t.len in
     if n = Array.length t.keys then begin
-      let ks = Array.make (Stdlib.max 2 (2 * n)) k in
+      let ks = Array.make (Stdlib.max 1 (2 * n)) k in
       let vs = Array.make (Array.length ks) 0.0 in
       Array.blit t.keys 0 ks 0 n;
       Array.blit t.vals 0 vs 0 n;
@@ -359,12 +359,12 @@ let grouped_kernel rel cols (s : Ir.slot) (l : layout) (refs : layout array)
         done;
         bump_product acc.gr.(l.idx) merge i current chosen 0 (coeff i child_rows)
 
-(* ---------- node execution ---------- *)
+(* ---------- view binding ---------- *)
 
 (* Payload layout: scalars and grouped partials counted separately in slot
    order; a grouped slot's variables are its own group columns and its
    children's variables, in name order. *)
-let layouts (node : Ir.node) (child_layouts : layout array array) =
+let layouts_of (view : Ir.view) (child_layouts : layout array array) =
   let ns = ref 0 and ng = ref 0 in
   Array.map
     (fun (s : Ir.slot) ->
@@ -385,12 +385,12 @@ let layouts (node : Ir.node) (child_layouts : layout array array) =
         Array.sort compare vars;
         { idx = !ng - 1; scalar = false; vars }
       end)
-    node.Ir.n_slots
+    view.Ir.v_slots
 
-(* Count specialization fallbacks for one node binding: term columns whose
+(* Count specialization fallbacks for one view binding: term columns whose
    live representation is boxed or has drifted from what the plan was
    specialised for. *)
-let count_fallbacks (node : Ir.node) cols =
+let count_fallbacks (view : Ir.view) cols =
   Array.iter
     (fun (s : Ir.slot) ->
       Array.iter
@@ -398,200 +398,276 @@ let count_fallbacks (node : Ir.node) cols =
           let live = Ir.rep_of cols t.Ir.t_pos in
           if live = Ir.Rboxed || live <> t.Ir.t_rep then Obs.incr c_fallbacks)
         s.Ir.s_terms)
-    node.Ir.n_slots
+    view.Ir.v_slots
 
-let rec compute ~parallel ~chunk_threshold (db : Database.t) (node : Ir.node) :
-    view * layout array =
-  Obs.with_span ("lmfao.view:" ^ node.Ir.n_rel) (fun () ->
-      compute_node ~parallel ~chunk_threshold db node)
+(* A child row that did not match: compared physically, never read. *)
+let no_row = { sc = [||]; gr = [||] }
 
-and compute_node ~parallel ~chunk_threshold db (node : Ir.node) :
-    view * layout array =
-  let children = Array.to_list node.Ir.n_children in
-  let kids =
-    if parallel && List.length children > 1 then
-      Util.Pool.parallel_tasks
-        (List.map
-           (fun c () -> compute ~parallel ~chunk_threshold db c)
-           children)
-    else List.map (compute ~parallel ~chunk_threshold db) children
-  in
-  let child_views = Array.of_list (List.map fst kids) in
-  let child_layouts = Array.of_list (List.map snd kids) in
-  let rel = Database.relation db node.Ir.n_rel in
-  let stream = Database.stream db node.Ir.n_rel in
-  let n = Relation.cardinality rel in
-  let n_children = Array.length child_views in
-  let n_slots = Array.length node.Ir.n_slots in
-  let layout = layouts node child_layouts in
+(* Bind one view to a chunk's live columns: [feed i] adds row [i] into
+   [acc] when every child of the view matched, reading the child rows the
+   scan probed into [found] through [wire] (child -> probe index). The
+   row's key is inserted BEFORE any filter runs: an all-filters-false row
+   still creates a zero row. *)
+let bind_view rel cols (view : Ir.view) (layout : layout array)
+    (child_refs : layout array array) (wire : int array) (found : row array)
+    (acc : view) : int -> unit =
+  let n_children = Array.length wire in
+  let n_slots = Array.length view.Ir.v_slots in
   let n_scalar = Array.fold_left (fun n l -> if l.scalar then n + 1 else n) 0 layout in
   let n_grouped = n_slots - n_scalar in
-  (* per slot: the layout of each child slot its kernel reads *)
+  let own_key = Relation.extractor rel view.Ir.v_key in
+  let nh = Array.length view.Ir.v_hoisted in
+  let buf = Array.make (max nh 1) 0.0 in
+  let hload = Array.map (fun pos -> reader cols pos) view.Ir.v_hoisted in
+  let slot_reader pos =
+    (* hoisted positions read the per-row buffer *)
+    let rec idx k =
+      if k >= nh then -1
+      else if view.Ir.v_hoisted.(k) = pos then k
+      else idx (k + 1)
+    in
+    match idx 0 with
+    | -1 -> reader cols pos
+    | k -> fun _ -> Array.unsafe_get buf k
+  in
+  let scan_ok = compile_filters cols view.Ir.v_scan_filters in
+  let kernels =
+    Array.mapi
+      (fun s_idx (s : Ir.slot) ->
+        let filt = compile_filters cols s.Ir.s_filters in
+        let no_filter = s.Ir.s_filters = [] in
+        let product =
+          build_product
+            (Array.map
+               (fun (t : Ir.term) -> (slot_reader t.Ir.t_pos, t.Ir.t_power))
+               s.Ir.s_terms)
+        in
+        let l = layout.(s_idx) in
+        let refs = child_refs.(s_idx) in
+        let p_idx = l.idx in
+        if l.scalar then (
+          match Array.length refs with
+          | 0 when no_filter ->
+              fun i _child_rows (acc : row) ->
+                acc.sc.(p_idx) <- acc.sc.(p_idx) +. product i
+          | 0 ->
+              fun i _child_rows (acc : row) ->
+                if filt i then acc.sc.(p_idx) <- acc.sc.(p_idx) +. product i
+          | nrefs ->
+              fun i child_rows (acc : row) ->
+                if filt i then begin
+                  let local = ref (product i) in
+                  for c = 0 to nrefs - 1 do
+                    let idx = (Array.unsafe_get refs c).idx in
+                    local := !local *. (Array.unsafe_get child_rows c).sc.(idx)
+                  done;
+                  acc.sc.(p_idx) <- acc.sc.(p_idx) +. !local
+                end)
+        else
+          let kernel = grouped_kernel rel cols s l refs product in
+          if no_filter then kernel
+          else fun i child_rows acc -> if filt i then kernel i child_rows acc)
+      view.Ir.v_slots
+  in
+  let child_rows = Array.make n_children no_row in
+  let rec matched c =
+    c = n_children
+    ||
+    let r = Array.unsafe_get found (Array.unsafe_get wire c) in
+    r != no_row
+    && begin
+         Array.unsafe_set child_rows c r;
+         matched (c + 1)
+       end
+  in
+  fun i ->
+    if matched 0 then begin
+      let key = own_key i in
+      let acc_row =
+        match Keypack.Hybrid.find_opt acc key with
+        | Some r -> r
+        | None ->
+            let r =
+              {
+                sc = Array.make n_scalar 0.0;
+                gr = Array.init n_grouped (fun _ -> Grouped.create ());
+              }
+            in
+            Keypack.Hybrid.add acc key r;
+            r
+      in
+      if scan_ok i then begin
+        for k = 0 to nh - 1 do
+          Array.unsafe_set buf k ((Array.unsafe_get hload k) i)
+        done;
+        for s = 0 to n_slots - 1 do
+          (Array.unsafe_get kernels s) i child_rows acc_row
+        done
+      end
+    end
+
+(* ---------- view groups ---------- *)
+
+(* One scan of [sc.sc_rel] computing every view in [sc.sc_views]. Each
+   incoming view (a child of some output) is probed once per row, in
+   first-use order; a row feeds every output whose own children all
+   matched, so a row with no partner in one incoming view still counts
+   toward the output that does not read it. A miss in an incoming view
+   that every output reads ends the row early. *)
+let scan_group ~parallel ~chunk_threshold db (g : Ir.grouped)
+    (layouts : layout array array) (live : view option array) (sc : Ir.scan) :
+    view array =
+  let outs = Array.map (fun v -> g.Ir.g_views.(v)) sc.Ir.sc_views in
+  (* the incoming views, each once in first-use order, with the key
+     columns that probe them (every output reads a child by its edge) *)
+  let incoming =
+    Array.fold_left
+      (fun acc (o : Ir.view) ->
+        Array.fold_left
+          (fun acc ck -> if List.mem_assoc (fst ck) acc then acc else acc @ [ ck ])
+          acc
+          (Array.combine o.Ir.v_children o.Ir.v_child_keys))
+      [] outs
+    |> Array.of_list
+  in
+  let n_inc = Array.length incoming in
+  let probe_index c =
+    let rec go j = if fst incoming.(j) = c then j else go (j + 1) in
+    go 0
+  in
+  let wires = Array.map (fun (o : Ir.view) -> Array.map probe_index o.Ir.v_children) outs in
+  let required =
+    Array.init n_inc (fun j -> Array.for_all (fun w -> Array.mem j w) wires)
+  in
+  let inc_views = Array.map (fun (c, _) -> Option.get live.(c)) incoming in
+  let out_layouts = Array.map (fun v -> layouts.(v)) sc.Ir.sc_views in
+  (* per output slot: the layout of each child slot its kernel reads *)
   let child_refs =
     Array.map
-      (fun (s : Ir.slot) ->
-        Array.mapi (fun c cs -> child_layouts.(c).(cs)) s.Ir.s_children)
-      node.Ir.n_slots
+      (fun (o : Ir.view) ->
+        Array.map
+          (fun (s : Ir.slot) ->
+            Array.mapi (fun c cs -> layouts.(o.Ir.v_children.(c)).(cs)) s.Ir.s_children)
+          o.Ir.v_slots)
+      outs
   in
-  count_fallbacks node (Relation.columns rel);
-  let nh = Array.length node.Ir.n_hoisted in
+  let rel = Database.relation db sc.Ir.sc_rel in
+  Array.iter (fun o -> count_fallbacks o (Relation.columns rel)) outs;
   (* [scan_into] is invoked once per chunk — a parallel slice of the
      resident relation, or one streamed page chunk. Everything
      representation-dependent (column readers, key extractors, filters,
-     kernels, the hoist buffer, the kernels' scratch arrays) is
-     specialised inside against THIS relation's live columns, so
-     concurrent chunks never share mutable state and streamed chunks bind
-     to their own pages. Construction is O(slots), amortised over a chunk
-     of rows. *)
-  let scan_into rel view lo len =
+     kernels, hoist buffers, scratch arrays) is specialised inside against
+     THIS relation's live columns, so concurrent chunks never share
+     mutable state and streamed chunks bind to their own pages.
+     Construction is O(slots), amortised over a chunk of rows. *)
+  let scan_into rel (accs : view array) lo len =
     Obs.add c_tuples_scanned len;
     ignore (Relation.scan rel);
     let cols = Relation.columns rel in
-    let own_key = Relation.extractor rel node.Ir.n_key in
-    let child_key = Array.map (Relation.extractor rel) node.Ir.n_child_keys in
-    let buf = Array.make (max nh 1) 0.0 in
-    let hload = Array.map (fun pos -> reader cols pos) node.Ir.n_hoisted in
-    let slot_reader pos =
-      (* hoisted positions read the per-row buffer *)
-      let rec idx k =
-        if k >= nh then -1
-        else if node.Ir.n_hoisted.(k) = pos then k
-        else idx (k + 1)
-      in
-      match idx 0 with
-      | -1 -> reader cols pos
-      | k -> fun _ -> Array.unsafe_get buf k
-    in
-    let scan_ok = compile_filters cols node.Ir.n_scan_filters in
-    let kernels =
+    let probe_key = Array.map (fun (_, key) -> Relation.extractor rel key) incoming in
+    let found = Array.make n_inc no_row in
+    let feeds =
       Array.mapi
-        (fun s_idx (s : Ir.slot) ->
-          let filt = compile_filters cols s.Ir.s_filters in
-          let no_filter = s.Ir.s_filters = [] in
-          let product =
-            build_product
-              (Array.map
-                 (fun (t : Ir.term) -> (slot_reader t.Ir.t_pos, t.Ir.t_power))
-                 s.Ir.s_terms)
-          in
-          let l = layout.(s_idx) in
-          let refs = child_refs.(s_idx) in
-          let p_idx = l.idx in
-          if l.scalar then (
-            match Array.length refs with
-            | 0 when no_filter ->
-                fun i _child_rows (acc : row) ->
-                  acc.sc.(p_idx) <- acc.sc.(p_idx) +. product i
-            | 0 ->
-                fun i _child_rows (acc : row) ->
-                  if filt i then acc.sc.(p_idx) <- acc.sc.(p_idx) +. product i
-            | nrefs ->
-                fun i child_rows (acc : row) ->
-                  if filt i then begin
-                    let local = ref (product i) in
-                    for c = 0 to nrefs - 1 do
-                      let idx = (Array.unsafe_get refs c).idx in
-                      local :=
-                        !local *. (Array.unsafe_get child_rows c).sc.(idx)
-                    done;
-                    acc.sc.(p_idx) <- acc.sc.(p_idx) +. !local
-                  end)
-          else
-            let kernel = grouped_kernel rel cols s l refs product in
-            if no_filter then kernel
-            else fun i child_rows acc -> if filt i then kernel i child_rows acc)
-        node.Ir.n_slots
+        (fun o view ->
+          bind_view rel cols view out_layouts.(o) child_refs.(o) wires.(o) found
+            accs.(o))
+        outs
     in
-    let child_rows = Array.make n_children { sc = [||]; gr = [||] } in
+    let n_out = Array.length feeds in
+    let rec probe i j =
+      j = n_inc
+      ||
+      match Keypack.Hybrid.find_opt inc_views.(j) (probe_key.(j) i) with
+      | Some r ->
+          found.(j) <- r;
+          probe i (j + 1)
+      | None ->
+          found.(j) <- no_row;
+          (not required.(j)) && probe i (j + 1)
+    in
     for i = lo to lo + len - 1 do
-      (* probe all children; a missing partner voids the row entirely *)
-      let rec probe c =
-        if c = n_children then true
-        else
-          match
-            Keypack.Hybrid.find_opt child_views.(c) (child_key.(c) i)
-          with
-          | Some r ->
-              child_rows.(c) <- r;
-              probe (c + 1)
-          | None -> false
-      in
-      if probe 0 then begin
-        let key = own_key i in
-        (* the row is inserted BEFORE any filter runs: an all-filters-false
-           row still creates a zero row *)
-        let acc_row =
-          match Keypack.Hybrid.find_opt view key with
-          | Some r -> r
-          | None ->
-              let r =
-                {
-                  sc = Array.make n_scalar 0.0;
-                  gr = Array.init n_grouped (fun _ -> Grouped.create ());
-                }
-              in
-              Keypack.Hybrid.add view key r;
-              r
-        in
-        if scan_ok i then begin
-          for k = 0 to nh - 1 do
-            Array.unsafe_set buf k ((Array.unsafe_get hload k) i)
-          done;
-          for s = 0 to n_slots - 1 do
-            (Array.unsafe_get kernels s) i child_rows acc_row
-          done
-        end
-      end
+      if probe i 0 then
+        for o = 0 to n_out - 1 do
+          (Array.unsafe_get feeds o) i
+        done
     done
   in
-  let view =
-    match stream with
-    | Some chunks ->
-        (* Out-of-core: sequential page chunks into ONE view, in global row
-           order — the float-op sequence of a sequential in-memory scan,
-           hence bit-identical to it. Parallel chunking stays off here. *)
-        let view : view = Keypack.Hybrid.create 256 in
-        chunks (fun chunk ->
-            scan_into chunk view 0 (Relation.cardinality chunk));
-        view
-    | None ->
-        if parallel && n > chunk_threshold then
-          Util.Pool.parallel_chunks n
-            (fun lo len ->
-              let view : view = Keypack.Hybrid.create 256 in
-              scan_into rel view lo len;
-              view)
-            ~combine:(fun acc v ->
-              match acc with None -> Some v | Some a -> Some (merge_views a v))
-            ~zero:None
-          |> Option.value ~default:(Keypack.Hybrid.create 1)
-        else begin
-          let view : view = Keypack.Hybrid.create 256 in
-          scan_into rel view 0 n;
-          view
-        end
-  in
-  (view, layout)
+  let fresh () : view array = Array.map (fun _ -> Keypack.Hybrid.create 256) outs in
+  match Database.stream db sc.Ir.sc_rel with
+  | Some chunks ->
+      (* Out-of-core: sequential page chunks into ONE set of views, in
+         global row order — the float-op sequence of a sequential
+         in-memory scan, hence bit-identical to it. Parallel chunking
+         stays off here. *)
+      let accs = fresh () in
+      chunks (fun chunk -> scan_into chunk accs 0 (Relation.cardinality chunk));
+      accs
+  | None ->
+      let n = Relation.cardinality rel in
+      if parallel && n > chunk_threshold then
+        Util.Pool.parallel_chunks n
+          (fun lo len ->
+            let accs = fresh () in
+            scan_into rel accs lo len;
+            accs)
+          ~combine:(fun acc v ->
+            match acc with
+            | None -> Some v
+            | Some a -> Some (Array.map2 merge_views a v))
+          ~zero:None
+        |> Option.fold ~none:(fresh ()) ~some:Fun.id
+      else begin
+        let accs = fresh () in
+        scan_into rel accs 0 n;
+        accs
+      end
 
-(* ---------- rooted execution ---------- *)
+(* ---------- batch execution ---------- *)
 
-let compute_rooted ~parallel ~chunk_threshold db (r : Ir.rooted) :
+let run ~parallel ~chunk_threshold db (g : Ir.grouped) :
     (string * Spec.result) list =
-  Obs.with_span ("lmfao.root:" ^ r.Ir.r_root) @@ fun () ->
-  Obs.incr c_roots;
-  let view, layout = compute ~parallel ~chunk_threshold db r.Ir.r_node in
-  (* the root view has the single empty key, which packs as [P 0] *)
-  let row = Keypack.Hybrid.find_opt view (Keypack.P 0) in
+  let nv = Array.length g.Ir.g_views in
+  (* children come first, so one pass lays every view out *)
+  let layouts = Array.make nv [||] in
+  Array.iteri
+    (fun v (view : Ir.view) ->
+      layouts.(v) <- layouts_of view (Array.map (fun c -> layouts.(c)) view.Ir.v_children))
+    g.Ir.g_views;
+  let is_root = Array.make nv false in
+  Array.iter (fun (_, v, _) -> is_root.(v) <- true) g.Ir.g_outputs;
+  (* the last scan that reads each view; it is dropped after that scan *)
+  let last_read = Array.make nv (-1) in
+  Array.iteri
+    (fun s (sc : Ir.scan) ->
+      Array.iter
+        (fun v -> Array.iter (fun c -> last_read.(c) <- s) g.Ir.g_views.(v).Ir.v_children)
+        sc.Ir.sc_views)
+    g.Ir.g_scans;
+  let live = Array.make nv None in
+  Array.iteri
+    (fun s (sc : Ir.scan) ->
+      let computed =
+        Obs.with_span ("lmfao.view:" ^ sc.Ir.sc_rel) (fun () ->
+            scan_group ~parallel ~chunk_threshold db g layouts live sc)
+      in
+      Array.iteri
+        (fun k v ->
+          if is_root.(v) then Obs.incr c_roots;
+          live.(v) <- Some computed.(k))
+        sc.Ir.sc_views;
+      Array.iteri (fun v last -> if last = s then live.(v) <- None) last_read)
+    g.Ir.g_scans;
   Array.to_list
     (Array.map
-       (fun (id, slot) ->
-         let l = layout.(slot) in
+       (fun (id, v, slot) ->
+         let l = layouts.(v).(slot) in
+         (* a root view has the single empty key, which packs as [P 0] *)
          let result =
-           match row with
+           match Keypack.Hybrid.find_opt (Option.get live.(v)) (Keypack.P 0) with
            | None -> if l.scalar then [ ([], 0.0) ] else []
            | Some r ->
                if l.scalar then [ ([], r.sc.(l.idx)) ]
                else Grouped.bindings l.vars r.gr.(l.idx)
          in
          (id, result))
-       r.Ir.r_outputs)
+       g.Ir.g_outputs)

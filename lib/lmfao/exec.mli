@@ -9,17 +9,21 @@
 open Relational
 module Spec = Aggregates.Spec
 
-val compute_rooted :
+val run :
   parallel:bool ->
   chunk_threshold:int ->
   Database.t ->
-  Ir.rooted ->
+  Ir.grouped ->
   (string * Spec.result) list
-(** Execute one rooted plan: bind (specialise readers, filters, kernels to
-    the live column representations — term columns that are boxed or
-    drifted since lowering count in [lmfao.compile.fallbacks]), scan, and
-    extract each output aggregate from its root slot. With [parallel],
-    sibling subtrees run as pool tasks and resident scans above
-    [chunk_threshold] rows run in chunks. Runs under [lmfao.root:<R>] /
-    [lmfao.view:<R>] spans and counts [lmfao.roots] and
-    [lmfao.tuples_scanned]. *)
+(** Execute a batch's grouped plan: run its scans in order, each under one
+    [lmfao.view:<R>] span. A scan binds its relation once per chunk
+    (specialising readers, filters and kernels to the live column
+    representations — term columns that are boxed or drifted since
+    lowering count in [lmfao.compile.fallbacks]), probes each incoming
+    view once per row and feeds every output view whose children all
+    matched. A view is dropped after the last scan that reads it; root
+    views are kept, and each output aggregate is extracted from its root
+    view's slot, in [g_outputs] order. With [parallel], resident scans
+    above [chunk_threshold] rows run in chunks merged in a fixed order.
+    Counts [lmfao.roots] (root views computed) and [lmfao.tuples_scanned]
+    (rows read, once per scan whatever its number of views). *)

@@ -1,10 +1,11 @@
 (* The typed physical IR of the LMFAO executor (what [Lower] produces and
    [Exec] runs).
 
-   A [rooted] tree describes one LMFAO rooted decomposition as pure data:
-   which relation each view scans, the join-key columns it groups by and
-   probes its children with, and per slot the term product,
-   group-by columns, residual filters and child-slot wiring. Everything is
+   A [grouped] plan describes one batch as pure data: its directed views
+   and the scans that compute them, each scan one relation and the views
+   it feeds. Per view: the join-key columns it groups by and probes its
+   children with, and per slot the term product, group-by columns,
+   residual filters and child-slot wiring. Everything is
    resolved to column positions and annotated with the column
    representation observed at lowering time, so the executor can emit
    monomorphic accessors and count any representation drift as an explicit
@@ -51,18 +52,23 @@ type slot = {
   s_scalar : bool;
 }
 
-type node = {
-  n_rel : string; (* resolved against the live database at bind time *)
-  n_key : int array; (* join-key positions with the parent, packed by [Keypack] *)
-  n_child_keys : int array array; (* per child: its join-key positions here *)
-  n_scan_filters : filter list; (* conjuncts common to EVERY slot, hoisted *)
-  n_hoisted : int array; (* columns preloaded once per row (>= 2 readers) *)
-  n_slots : slot array;
-  n_children : node array;
+(* One directed view: relation [v_rel] toward a neighbour, or its root
+   view ([v_key = [||]], the single empty key). *)
+type view = {
+  v_rel : string; (* resolved against the live database at bind time *)
+  v_key : int array; (* join-key positions toward the neighbour, packed by [Keypack] *)
+  v_children : int array; (* per child: index of its view toward us in [g_views] *)
+  v_child_keys : int array array; (* per child: its join-key positions here *)
+  v_scan_filters : filter list; (* conjuncts common to EVERY slot, hoisted *)
+  v_hoisted : int array; (* columns preloaded once per row (>= 2 readers) *)
+  v_slots : slot array;
 }
 
-type rooted = {
-  r_root : string;
-  r_node : node;
-  r_outputs : (string * int) array; (* aggregate id -> root slot index *)
+(* One scan of [sc_rel] computing the views [sc_views] at once. *)
+type scan = { sc_rel : string; sc_views : int array }
+
+type grouped = {
+  g_views : view array; (* a view's children have smaller indexes *)
+  g_scans : scan array; (* in execution order *)
+  g_outputs : (string * int * int) array; (* aggregate id -> root view, slot *)
 }

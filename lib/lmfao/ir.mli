@@ -1,5 +1,5 @@
-(** The typed physical IR of the LMFAO executor: one rooted decomposition
-    as pure, closure-free data. Attribute names are resolved to column
+(** The typed physical IR of the LMFAO executor: one batch's directed
+    views and the scans that compute them, as pure, closure-free data. Attribute names are resolved to column
     positions, column representations are recorded explicitly, and filters
     stay first-order — so passes rewrite plans as plain data, and the
     executor can emit monomorphic accessors per representation. *)
@@ -37,19 +37,25 @@ type slot = {
   s_scalar : bool;
 }
 
-type node = {
-  n_rel : string;  (** resolved against the live database at bind time *)
-  n_key : int array;  (** join-key positions with the parent *)
-  n_child_keys : int array array;  (** per child: its join-key positions here *)
-  n_scan_filters : filter list;
+(** One directed view: relation [v_rel] toward a neighbour, or its root
+    view. *)
+type view = {
+  v_rel : string;  (** resolved against the live database at bind time *)
+  v_key : int array;  (** join-key positions toward the neighbour; [[||]] at a root *)
+  v_children : int array;  (** per child: index of its view toward us *)
+  v_child_keys : int array array;  (** per child: its join-key positions here *)
+  v_scan_filters : filter list;
       (** conjuncts common to EVERY slot, hoisted to the scan *)
-  n_hoisted : int array;  (** columns preloaded once per row *)
-  n_slots : slot array;
-  n_children : node array;
+  v_hoisted : int array;  (** columns preloaded once per row *)
+  v_slots : slot array;
 }
 
-type rooted = {
-  r_root : string;
-  r_node : node;
-  r_outputs : (string * int) array;  (** aggregate id -> root slot index *)
+(** One scan of [sc_rel] that computes the views [sc_views]. *)
+type scan = { sc_rel : string; sc_views : int array }
+
+type grouped = {
+  g_views : view array;  (** a view's children have smaller indexes *)
+  g_scans : scan array;  (** in execution order; each view in exactly one *)
+  g_outputs : (string * int * int) array;
+      (** aggregate id -> root view index, slot index *)
 }

@@ -34,29 +34,28 @@ let slot schema cols (s : Plan.slot) : Ir.slot =
     s_scalar = s.Plan.scalar;
   }
 
-let rec node (p : Plan.node) : Ir.node =
-  let schema = Relation.schema p.Plan.rel in
-  let cols = Relation.columns p.Plan.rel in
+let view (v : Plan.view) : Ir.view =
+  let schema = Relation.schema v.Plan.v_rel in
+  let cols = Relation.columns v.Plan.v_rel in
   {
-    Ir.n_rel = Relation.name p.Plan.rel;
-    n_key = p.Plan.key_positions;
-    n_child_keys = p.Plan.child_keys;
-    n_scan_filters = [];
-    n_hoisted = [||];
-    n_slots = Array.map (slot schema cols) p.Plan.slots;
-    n_children = Array.of_list (List.map node p.Plan.children);
+    Ir.v_rel = Relation.name v.Plan.v_rel;
+    v_key = v.Plan.v_key;
+    v_children = v.Plan.v_children;
+    v_child_keys = v.Plan.v_child_keys;
+    v_scan_filters = [];
+    v_hoisted = [||];
+    v_slots = Array.map (slot schema cols) v.Plan.v_slots;
   }
 
-let rooted (r : Plan.rooted) : Ir.rooted =
+let grouped (g : Plan.grouped) : Ir.grouped =
   {
-    Ir.r_root = r.Plan.root;
-    r_node = node r.Plan.tree;
-    r_outputs =
+    Ir.g_views = Array.map view g.Plan.views;
+    g_scans =
+      Array.of_list
+        (List.map (fun (rel, views) -> { Ir.sc_rel = rel; sc_views = views }) g.Plan.scans);
+    g_outputs =
       Array.of_list
         (List.map
-           (fun ((s : Aggregates.Spec.t), key) ->
-             match Hashtbl.find_opt r.Plan.tree.Plan.slot_index key with
-             | Some i -> (s.id, i)
-             | None -> failwith "Lower.rooted: lost root slot")
-           r.Plan.requests);
+           (fun ((s : Aggregates.Spec.t), v, slot) -> (s.id, v, slot))
+           g.Plan.outputs);
   }

@@ -7,6 +7,7 @@ open Relational
 val filter : Schema.t -> Predicate.t -> Ir.filter
 (** Resolve a first-order predicate's attributes to column positions. *)
 
-val rooted : Plan.rooted -> Ir.rooted
-(** Lower one rooted logical plan. Column representations are recorded
-    from the relations' current state; the executor re-validates them. *)
+val grouped : Plan.grouped -> Ir.grouped
+(** Lower a batch's merged plan, view by view. Column representations are
+    recorded from the relations' current state; the executor re-validates
+    them. *)

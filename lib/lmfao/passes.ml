@@ -1,13 +1,13 @@
 (* Stage 2: optimisation passes over the physical IR.
 
-   Each pass is a total [Ir.rooted -> Ir.rooted] function that preserves
-   results BITWISE — the qcheck stage-equivalence suite executes every
+   Each pass is a total [Ir.grouped -> Ir.grouped] function, applied view
+   by view, that preserves results BITWISE — the qcheck stage-equivalence suite executes every
    intermediate plan and compares against the unoptimised one. The passes
    reuse the transformation vocabulary of [Ifaq.Rewrite] on the physical
    form: [fuse_filters] is predicate fusion (push_into_sums / factor_out
    applied to guards) and [hoist_loads] is loop-invariant code motion for
-   column reads. Sharing is decided earlier, by the planner's per-node
-   dedup of canonical partials.
+   column reads. Sharing is decided earlier, by the planner's dedup of
+   canonical partials per directed view.
 
    Bitwise preservation constrains what a pass may do:
 
@@ -24,15 +24,14 @@ let c_hoisted = Obs.counter "lmfao.compile.hoisted_loads"
 
 (* ---------- predicate fusion ---------- *)
 
-(* Hoist filter conjuncts shared by EVERY slot of a node into the node's
+(* Hoist filter conjuncts shared by EVERY slot of a view into the view's
    scan filter, so they are tested once per row instead of once per slot.
    Purely common-subexpression elimination: the scan filter gates the slot
    kernels, not the key insertion (see the bitwise note above). *)
-let fuse_filters (r : Ir.rooted) : Ir.rooted =
-  let rec go (node : Ir.node) : Ir.node =
-    let node = { node with Ir.n_children = Array.map go node.Ir.n_children } in
-    match Array.to_list node.Ir.n_slots with
-    | [] -> node
+let fuse_filters (g : Ir.grouped) : Ir.grouped =
+  let go (view : Ir.view) : Ir.view =
+    match Array.to_list view.Ir.v_slots with
+    | [] -> view
     | first :: rest ->
         let common =
           List.filter
@@ -40,7 +39,7 @@ let fuse_filters (r : Ir.rooted) : Ir.rooted =
               List.for_all (fun (s : Ir.slot) -> List.mem c s.Ir.s_filters) rest)
             (List.sort_uniq compare first.Ir.s_filters)
         in
-        if common = [] then node
+        if common = [] then view
         else begin
           Obs.add c_fused (List.length common);
           let strip (s : Ir.slot) =
@@ -51,13 +50,13 @@ let fuse_filters (r : Ir.rooted) : Ir.rooted =
             }
           in
           {
-            node with
-            Ir.n_scan_filters = node.Ir.n_scan_filters @ common;
-            n_slots = Array.map strip node.Ir.n_slots;
+            view with
+            Ir.v_scan_filters = view.Ir.v_scan_filters @ common;
+            v_slots = Array.map strip view.Ir.v_slots;
           }
         end
   in
-  { r with Ir.r_node = go r.Ir.r_node }
+  { g with Ir.g_views = Array.map go g.Ir.g_views }
 
 (* ---------- loop-invariant load hoisting ---------- *)
 
@@ -65,8 +64,8 @@ let fuse_filters (r : Ir.rooted) : Ir.rooted =
    executor loads them once per row into an unboxed buffer instead of
    re-dispatching per kernel. Only reads move; arithmetic stays in the
    kernels, so accumulation order is untouched. *)
-let hoist_loads (r : Ir.rooted) : Ir.rooted =
-  let rec go (node : Ir.node) : Ir.node =
+let hoist_loads (g : Ir.grouped) : Ir.grouped =
+  let go (view : Ir.view) : Ir.view =
     let uses = Hashtbl.create 8 in
     Array.iter
       (fun (s : Ir.slot) ->
@@ -75,21 +74,17 @@ let hoist_loads (r : Ir.rooted) : Ir.rooted =
             Hashtbl.replace uses t.Ir.t_pos
               (1 + Option.value ~default:0 (Hashtbl.find_opt uses t.Ir.t_pos)))
           s.Ir.s_terms)
-      node.Ir.n_slots;
+      view.Ir.v_slots;
     let hoisted =
       Hashtbl.fold (fun pos n acc -> if n >= 2 then pos :: acc else acc) uses []
     in
     let hoisted = Array.of_list (List.sort compare hoisted) in
     Obs.add c_hoisted (Array.length hoisted);
-    {
-      node with
-      Ir.n_hoisted = hoisted;
-      n_children = Array.map go node.Ir.n_children;
-    }
+    { view with Ir.v_hoisted = hoisted }
   in
-  { r with Ir.r_node = go r.Ir.r_node }
+  { g with Ir.g_views = Array.map go g.Ir.g_views }
 
 (* ---------- the pipeline ---------- *)
 
 let all = [ ("fuse-filters", fuse_filters); ("hoist-loads", hoist_loads) ]
-let pipeline (r : Ir.rooted) = List.fold_left (fun r (_, pass) -> pass r) r all
+let pipeline (g : Ir.grouped) = List.fold_left (fun g (_, pass) -> pass g) g all

@@ -3,18 +3,18 @@
     stage-equivalence suite); see the implementation header for the
     constraints this puts on each transformation. *)
 
-val fuse_filters : Ir.rooted -> Ir.rooted
-(** Hoist filter conjuncts shared by every slot of a node into the node's
+val fuse_filters : Ir.grouped -> Ir.grouped
+(** Hoist filter conjuncts shared by every slot of a view into the view's
     scan filter (tested once per row). The scan filter gates the slot
     kernels only — never the view's key insertion. *)
 
-val hoist_loads : Ir.rooted -> Ir.rooted
-(** Mark columns read by at least two slot kernels for a once-per-row
-    buffered load. *)
+val hoist_loads : Ir.grouped -> Ir.grouped
+(** Mark columns read by at least two slot kernels of a view for a
+    once-per-row buffered load. *)
 
-val all : (string * (Ir.rooted -> Ir.rooted)) list
+val all : (string * (Ir.grouped -> Ir.grouped)) list
 (** The pipeline stages in order, named (for the stage-equivalence
     suite). *)
 
-val pipeline : Ir.rooted -> Ir.rooted
+val pipeline : Ir.grouped -> Ir.grouped
 (** [fuse_filters |> hoist_loads]. *)

@@ -3,7 +3,9 @@
    The planner owns everything that is independent of HOW a view is
    executed: multi-root assignment, the top-down restriction of each
    aggregate over the join tree, per-node deduplication of identical
-   partials (sharing), and attribute ownership. Its output is pure data —
+   partials (sharing), attribute ownership, and the merge of every root's
+   plan into directed views with the schedule of their scans (view
+   groups). Its output is pure data —
    filters stay first-order [Predicate.t] conjuncts, terms and keys are
    resolved to column positions — which [Lower] translates into the
    executor's physical IR. *)
@@ -55,6 +57,27 @@ type rooted = {
   tree : node;
   requests : (Spec.t * string) list;
       (* each requested aggregate with its root slot key, in batch order *)
+}
+
+(* One directed view of a batch's merged plan: relation [v_rel] toward a
+   neighbour, or [v_rel]'s root view. By the running-intersection
+   property the restricted specs, join key and children of a directed
+   view depend only on its edge, so every root that asks for it asks for
+   the same slots' definitions. *)
+type view = {
+  v_rel : Relation.t;
+  v_key : int array; (* join-key positions with the neighbour; [||] at a root *)
+  v_children : int array; (* per child: index of its view toward us *)
+  v_child_keys : int array array; (* per child: child-key positions here *)
+  v_slots : slot array; (* [child_slots] index the children's [v_slots] *)
+}
+
+type grouped = {
+  views : view array; (* in schedule order: children before parents *)
+  scans : (string * int array) list;
+      (* the schedule: each scan's relation and the views it computes *)
+  outputs : (Spec.t * int * int) list;
+      (* each requested aggregate with its root view and slot, in batch order *)
 }
 
 let c_views = Obs.counter "lmfao.views"
@@ -113,16 +136,11 @@ let rec build_node ~options ~owner ~stats (node : Join_tree.node)
         Hashtbl.add tbl key (List.length !distinct);
         distinct := s :: !distinct
       end
-      else begin
-        stats.shared_away <- stats.shared_away + 1;
-        Obs.incr c_shared_away
-      end)
+      else stats.shared_away <- stats.shared_away + 1)
     specs;
   let distinct = Array.of_list (List.rev !distinct) in
   stats.partials <- stats.partials + Array.length distinct;
   stats.views <- stats.views + 1;
-  Obs.add c_partials (Array.length distinct);
-  Obs.incr c_views;
   let owned_here a = Hashtbl.find owner a = my_name in
   (* children plans: restrict each distinct partial to each child's subtree *)
   let children_with_specs =
@@ -303,3 +321,148 @@ let group_by_root options (db : Database.t) (batch : Batch.t) :
     List.map
       (fun root -> (root, List.rev !(Hashtbl.find groups root)))
       (List.rev !order) )
+
+(* ---------- view groups ---------- *)
+
+(* Merge the per-root plans into directed views, deduplicating slots by
+   key across roots, and schedule one scan per group of views over a
+   relation. The schedule roots the join tree at the largest relation C:
+   an up pass computes every view toward C, children first; C is scanned
+   for its root view and its views toward every neighbour but the
+   largest one, N; then a second scan of C computes C->N, after N->C has
+   been consumed; a down pass computes the remaining views, parents
+   first. Each relation is thus scanned at most twice, and N->C and C->N,
+   the batch's two largest views, are never needed at once. The schedule
+   depends on cardinalities, so it only moves time and memory: every
+   slot sums the same rows in the same order whatever the schedule. *)
+let group (jt : Join_tree.t) ~(stats : stats) (rooted : rooted list) :
+    grouped * stats =
+  (* (relation, toward) -> the first per-root node seen for the view, its
+     merged slot index by key, and its merged slots in reverse *)
+  let merged = Hashtbl.create 16 in
+  let slot_count = ref 0 in
+  (* Merge one per-root node as the view toward [toward]; returns the
+     merged slot index of each of its per-root slots. *)
+  let rec merge toward (n : node) : int array =
+    let name = Relation.name n.rel in
+    let child_maps = Array.of_list (List.map (merge (Some name)) n.children) in
+    let _, index, slots =
+      match Hashtbl.find_opt merged (name, toward) with
+      | Some m -> m
+      | None ->
+          let m = (n, Hashtbl.create 16, ref []) in
+          Hashtbl.add merged (name, toward) m;
+          m
+    in
+    Array.map
+      (fun (s : slot) ->
+        match Hashtbl.find_opt index s.key with
+        | Some j -> j
+        | None ->
+            let j = Hashtbl.length index in
+            Hashtbl.add index s.key j;
+            incr slot_count;
+            let child_slots = Array.mapi (fun c cs -> child_maps.(c).(cs)) s.child_slots in
+            slots := { s with child_slots } :: !slots;
+            j)
+      n.slots
+  in
+  let root_maps = List.map (fun r -> (r, merge None r.tree)) rooted in
+  (* the schedule, over (relation, toward) pairs *)
+  let cardinality name = Relation.cardinality (Join_tree.relation_by_name jt name) in
+  let largest names =
+    List.fold_left
+      (fun acc n ->
+        match acc with
+        | Some b when cardinality b >= cardinality n -> acc
+        | _ -> Some n)
+      None names
+  in
+  let name (n : Join_tree.node) = Relation.name n.rel in
+  let c = Option.get (largest (List.map Relation.name (Join_tree.relations jt))) in
+  let tree = Join_tree.tree ~root:c jt in
+  let big = largest (List.map name tree.children) in
+  let steps = ref [] in
+  let step rel views =
+    match List.filter (fun v -> Hashtbl.mem merged v) views with
+    | [] -> ()
+    | vs -> steps := (rel, vs) :: !steps
+  in
+  let rec up (n : Join_tree.node) =
+    List.iter
+      (fun ch ->
+        up ch;
+        step (name ch) [ (name ch, Some (name n)) ])
+      n.children
+  in
+  let rec down (n : Join_tree.node) =
+    List.iter
+      (fun ch ->
+        step (name ch)
+          ((name ch, None)
+          :: List.map (fun g -> (name ch, Some (name g))) ch.children);
+        down ch)
+      n.children
+  in
+  up tree;
+  step c
+    ((c, None)
+    :: List.filter_map
+         (fun ch -> if Some (name ch) = big then None else Some (c, Some (name ch)))
+         tree.children);
+  Option.iter (fun b -> step c [ (c, Some b) ]) big;
+  down tree;
+  let steps = List.rev !steps in
+  (* number the views in schedule order *)
+  let ids = Hashtbl.create 16 in
+  List.iter
+    (fun (_, vs) -> List.iter (fun v -> Hashtbl.add ids v (Hashtbl.length ids)) vs)
+    steps;
+  assert (Hashtbl.length ids = Hashtbl.length merged);
+  let views =
+    List.concat_map
+      (fun (_, vs) ->
+        List.map
+          (fun ((name, _) as v) ->
+            let (n : node), _, slots = Hashtbl.find merged v in
+            let child (ch : node) = Hashtbl.find ids (Relation.name ch.rel, Some name) in
+            {
+              v_rel = n.rel;
+              v_key = n.key_positions;
+              v_children = Array.of_list (List.map child n.children);
+              v_child_keys = n.child_keys;
+              v_slots = Array.of_list (List.rev !slots);
+            })
+          vs)
+      steps
+    |> Array.of_list
+  in
+  Array.iteri (fun id v -> assert (Array.for_all (fun c -> c < id) v.v_children)) views;
+  let outputs =
+    List.concat_map
+      (fun (r, map) ->
+        let root = Hashtbl.find ids (r.root, None) in
+        List.map
+          (fun ((s : Spec.t), key) -> (s, root, map.(Hashtbl.find r.tree.slot_index key)))
+          r.requests)
+      root_maps
+  in
+  let stats =
+    {
+      views = Array.length views;
+      partials = !slot_count;
+      shared_away = stats.shared_away + stats.partials - !slot_count;
+    }
+  in
+  Obs.add c_views stats.views;
+  Obs.add c_partials stats.partials;
+  Obs.add c_shared_away stats.shared_away;
+  ( {
+      views;
+      scans =
+        List.map
+          (fun (rel, vs) -> (rel, Array.of_list (List.map (Hashtbl.find ids) vs)))
+          steps;
+      outputs;
+    },
+    stats )

@@ -2,8 +2,10 @@
     physical IR. The planner decides
     WHAT each view computes — multi-root assignment, top-down restriction
     of every aggregate over the join tree, per-node dedup of identical
-    partials — and leaves the plan as pure data: first-order filter
-    conjuncts, (position, power) terms, explicit child-slot wiring. *)
+    partials, the merge of every root's views into directed views and the
+    order in which view groups are scanned — and leaves the plan as pure
+    data: first-order filter conjuncts, (position, power) terms, explicit
+    child-slot wiring. *)
 
 open Relational
 module Spec = Aggregates.Spec
@@ -85,7 +87,38 @@ val group_by_root :
 
 val build : options -> stats:stats -> Join_tree.t -> root:string ->
   Spec.t list -> rooted
-(** Build the rooted logical plan for one group of aggregates, updating
-    [stats] and the [lmfao.views] / [lmfao.partials] / [lmfao.shared_away]
-    counters.
+(** Build the rooted logical plan for one group of aggregates, adding its
+    per-root node and slot counts to [stats].
     @raise Unsupported on non-decomposable filters *)
+
+(** One directed view of a merged plan: relation [v_rel] toward a
+    neighbour, or [v_rel]'s root view. *)
+type view = {
+  v_rel : Relation.t;
+  v_key : int array;  (** join-key positions with the neighbour; [[||]] at a root *)
+  v_children : int array;
+      (** per child (the sorted neighbours but the one the view is toward):
+          the index of its view toward [v_rel] *)
+  v_child_keys : int array array;  (** per child: child-key positions here *)
+  v_slots : slot array;  (** [child_slots] index the children's [v_slots] *)
+}
+
+type grouped = {
+  views : view array;  (** in schedule order: children before parents *)
+  scans : (string * int array) list;
+      (** the schedule: per scan, the relation and the views it computes *)
+  outputs : (Spec.t * int * int) list;
+      (** each requested aggregate with its root view and slot, in the
+          order of the rooted plans and their requests *)
+}
+
+val group : Join_tree.t -> stats:stats -> rooted list -> grouped * stats
+(** Merge the rooted plans of one batch into directed views — slots
+    deduplicated by key across roots — and schedule their scans: an up
+    pass toward the largest relation C, one scan of C for its root view
+    and its views toward all but its largest neighbour N, a second scan
+    of C for C->N, then a down pass. Every relation is scanned at most
+    twice. [stats] holds the rooted plans' counts (from {!build}); the
+    result's stats count merged views and slots, with [shared_away]
+    covering both per-root and cross-root dedup, and are added to the
+    [lmfao.views] / [lmfao.partials] / [lmfao.shared_away] counters. *)

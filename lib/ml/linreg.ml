@@ -34,6 +34,11 @@ let default_cg = { cg_iterations = 1_000; cg_tolerance = 1e-12 }
 let c_iterations = Obs.counter "ml.iterations"
 let g_grad_norm = Obs.gauge "ml.gradient_norm"
 
+(* GD runs whose step budget ran out before the gradient met the
+   tolerance: a budget from the condition number makes this a sign of
+   rounding, not of too few steps. *)
+let c_unconverged = Obs.counter "ml.gd_unconverged"
+
 type model = {
   feature_columns : string array; (* columns of the weight vector *)
   weights : Vec.t;
@@ -70,9 +75,8 @@ let mse_of_moments a b yy count theta =
    the constant 1) entirely in moment space, returning the standardised
    (A', b') and the map from standardised weights back to raw-space
    weights. *)
-let standardise ~columns a b n =
-  let dim = Array.length b in
-  assert (columns.(0) = "intercept");
+let scaling a n =
+  let dim = Mat.rows a in
   let mean = Array.init dim (fun i -> Mat.get a 0 i /. n) in
   mean.(0) <- 0.0;
   let std =
@@ -82,6 +86,12 @@ let standardise ~columns a b n =
           let var = (Mat.get a i i /. n) -. (mean.(i) *. mean.(i)) in
           if var > 1e-12 then sqrt var else 1.0)
   in
+  (mean, std)
+
+let standardise ~columns a b n =
+  let dim = Array.length b in
+  assert (columns.(0) = "intercept");
+  let mean, std = scaling a n in
   (* centred features are orthogonal to the constant column, so the
      intercept row/column of A' is (n, 0, ..., 0) *)
   let a' =
@@ -111,6 +121,32 @@ let standardise ~columns a b n =
         else w.(i) *. std.(i))
   in
   (a', b', unstandardise, restandardise)
+
+(* An upper bound on the exact-line-search steps that take steepest
+   descent on f(theta) = theta' H theta / 2 - c' theta, H = A'/N + ridge I,
+   from a gradient of 2-norm [g0] to one below [tol]. H's eigenvalues lie
+   in [mu, l] with mu >= ridge (A' is positive semi-definite) and l at
+   most H's largest absolute row sum (Gershgorin). An exact line search
+   shrinks f - f* by at least rho^2, rho = (kappa - 1) / (kappa + 1) for
+   kappa = l / mu (Kantorovich), and ||g||^2 / (2 l) <= f - f* <=
+   ||g||^2 / (2 mu), so ||g_k|| <= sqrt kappa * rho^k * g0. Without a
+   ridge there is no bound: 0. *)
+let gd_steps ~ridge ~n a' ~g0 ~tol =
+  let dim = Mat.rows a' in
+  let row_sum i =
+    let acc = ref 0.0 in
+    for j = 0 to dim - 1 do
+      acc := !acc +. Float.abs ((Mat.get a' i j /. n) +. if i = j then ridge else 0.0)
+    done;
+    !acc
+  in
+  let l = List.fold_left Float.max 0.0 (List.init dim row_sum) in
+  if not (ridge > 0.0) || g0 < tol then 0
+  else
+    let kappa = Float.max 1.0 (l /. ridge) in
+    let rho = (kappa -. 1.0) /. (kappa +. 1.0) in
+    if rho <= 0.0 then 1
+    else 1 + int_of_float (Float.ceil (log (sqrt kappa *. g0 /. tol) /. -.log rho))
 
 let train ?(ridge = 1e-3) ?(method_ = Gradient_descent default_gd) ?warm_start
     (features : Feature.t) (m : Moment.t) : model =
@@ -149,15 +185,24 @@ let train ?(ridge = 1e-3) ?(method_ = Gradient_descent default_gd) ?warm_start
             restandardise w.weights
         | _ -> Vec.create dim
       in
+      let gradient () =
+        let at = Mat.matvec a' theta in
+        Array.init dim (fun i -> ((at.(i) -. b'.(i)) /. n) +. (ridge *. theta.(i)))
+      in
+      (* Run until the gradient meets the tolerance: the step budget is
+         the larger of [p.iterations] and the steps the Hessian's
+         condition number guarantees suffice. *)
+      let budget =
+        Stdlib.max p.iterations
+          (let g = gradient () in
+           gd_steps ~ridge ~n a' ~g0:(sqrt (Vec.dot g g)) ~tol:p.tolerance)
+      in
       let iterations = ref 0 in
       (try
-         for it = 1 to p.iterations do
+         for it = 1 to budget do
            iterations := it;
            Obs.incr c_iterations;
-           let at = Mat.matvec a' theta in
-           let grad =
-             Array.init dim (fun i -> ((at.(i) -. b'.(i)) /. n) +. (ridge *. theta.(i)))
-           in
+           let grad = gradient () in
            if Obs.is_enabled () then Obs.set_gauge g_grad_norm (Vec.norm_inf grad);
            if Vec.norm_inf grad < p.tolerance then raise Exit;
            let hg = Mat.matvec a' grad in
@@ -165,7 +210,8 @@ let train ?(ridge = 1e-3) ?(method_ = Gradient_descent default_gd) ?warm_start
            let ghg = (Vec.dot grad hg /. n) +. (ridge *. gg) in
            let alpha = if ghg > 0.0 then gg /. ghg else p.learning_rate in
            Vec.axpy ~alpha:(-.alpha) grad theta
-         done
+         done;
+         Obs.incr c_unconverged
        with Exit -> ());
       {
         feature_columns = columns;
@@ -226,25 +272,40 @@ let training_mse (model : model) (m : Moment.t) =
   let a, b, yy, _ = split m in
   mse_of_moments a b yy m.count model.weights
 
+(* The value of one feature column for a raw row: 1 for the intercept, an
+   indicator for a one-hot "attr=value" column, the attribute otherwise. *)
+let column_value (get : string -> Value.t) col =
+  if col = "intercept" then 1.0
+  else
+    match String.index_opt col '=' with
+    | Some eq ->
+        let attr = String.sub col 0 eq in
+        let value = String.sub col (eq + 1) (String.length col - eq - 1) in
+        if Value.to_string (get attr) = value then 1.0 else 0.0
+    | None -> Value.to_float (get col)
+
 (* Predict for a raw (non-encoded) row, given by attribute lookup. Unseen
    categories contribute nothing (their indicator column does not exist). *)
 let predict (model : model) (get : string -> Value.t) =
   let acc = ref 0.0 in
   Array.iteri
-    (fun i col ->
-      let v =
-        if col = "intercept" then 1.0
-        else
-          match String.index_opt col '=' with
-          | Some eq ->
-              let attr = String.sub col 0 eq in
-              let value = String.sub col (eq + 1) (String.length col - eq - 1) in
-              if Value.to_string (get attr) = value then 1.0 else 0.0
-          | None -> Value.to_float (get col)
-      in
-      acc := !acc +. (model.weights.(i) *. v))
+    (fun i col -> acc := !acc +. (model.weights.(i) *. column_value get col))
     model.feature_columns;
   !acc
+
+(* Ridge makes the objective [ridge]-strongly convex in standardised
+   space, so a run that stopped with ||g||_inf < tol, hence ||g||_2 <
+   sqrt d * tol, lies within sqrt d * tol / ridge of the optimum. Two such
+   runs are within twice that of each other, and a raw prediction is the
+   standardised probe z times the standardised weights. *)
+let gd_prediction_bound ~ridge ~tolerance (m : Moment.t) get =
+  let a, b, _yy, columns = split m in
+  let mean, std = scaling a (Stdlib.max 1.0 m.count) in
+  let z =
+    Array.mapi (fun i col -> (column_value get col -. mean.(i)) /. std.(i)) columns
+  in
+  let d = float_of_int (Array.length b) in
+  sqrt (Vec.dot z z) *. 2.0 *. tolerance *. sqrt d /. ridge
 
 let rmse_on (model : model) (rel : Relation.t) =
   let response =

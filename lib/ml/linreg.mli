@@ -12,7 +12,10 @@ type method_ =
   | Closed_form
   | Gradient_descent of gd_params
       (** steepest descent with exact line search (the Hessian is free from
-          the aggregates) *)
+          the aggregates), run until the gradient's max-norm is below
+          [tolerance]; the step budget is the larger of [iterations] and the
+          steps the Hessian's condition number guarantees suffice, and a
+          run that exhausts it counts in [ml.gd_unconverged] *)
   | Conjugate_gradient of cg_params
 
 and gd_params = { learning_rate : float; iterations : int; tolerance : float }
@@ -33,6 +36,14 @@ val train :
 (** [warm_start] resumes the gradient methods from a previous model's
     parameters — the Section 1.5 trick that keeps a maintained model's
     refresh below from-scratch retraining. *)
+
+val gd_prediction_bound :
+  ridge:float -> tolerance:float -> Moment.t -> (string -> Value.t) -> float
+(** How far apart two {!Gradient_descent} runs over these moments that both
+    stopped on [tolerance] can predict a raw row: each lies within
+    ‖g‖₂/ridge ≤ √d·tolerance/ridge of the ridge optimum in standardised
+    space, so their predictions differ by at most
+    ‖z‖₂·2·√d·tolerance/ridge for the row's standardised features z. *)
 
 val training_mse : model -> Moment.t -> float
 (** Training MSE computed purely from the moments — no data pass. *)

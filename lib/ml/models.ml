@@ -69,16 +69,27 @@ let decode_packed (r : Relational.Codec.reader) : Intf.packed =
 
 (* How a warm refresh must compare to a cold retrain over the SAME
    statistics: direct solves reproduce bit-identically (under exact input
-   arithmetic); convex optimisers run to tight convergence tolerances
-   (CG 1e-12, GD 1e-9) so warm and cold meet at the unique ridge optimum —
-   CG's stopping rule is much tighter than GD's, whose warm and cold paths
-   can land ~1e-6 apart in prediction space on ill-conditioned draws;
+   arithmetic); gradient descent stops on its gradient tolerance, so warm
+   and cold lie in a ball around the unique ridge optimum and their
+   predictions within the bound that ball implies; CG runs to 1e-12;
    fm/huber run a FIXED iteration budget of a (possibly non-convex)
    objective, so warm and cold need not meet — they only get a sanity
    envelope on predictions. *)
-let refresh_audit (m : Intf.t) : [ `Bitwise | `Tolerance of float ] =
+let refresh_audit (m : Intf.t) :
+    [ `Bitwise
+    | `Tolerance of float
+    | `Bound of Intf.moments -> (string -> Relational.Value.t) -> float ] =
   match Intf.name m with
   | "linreg-closed" | "polyreg" -> `Bitwise
   | "linreg-cg" -> `Tolerance 1e-6
-  | "linreg-gd" -> `Tolerance 1e-5
+  | "linreg-gd" ->
+      let ridge, tolerance =
+        match Linreg_gd.default_options with
+        | { Linreg.ridge; method_ = Linreg.Gradient_descent p } -> (ridge, p.Linreg.tolerance)
+        | _ -> assert false
+      in
+      `Bound
+        (fun moments get ->
+          Linreg.gd_prediction_bound ~ridge ~tolerance
+            (Lazy.force moments.Intf.covariance) get)
   | _ -> `Tolerance 0.5

@@ -10,7 +10,14 @@ val decode_packed : Relational.Codec.reader -> Model_intf.packed
 (** Inverse of {!Model_intf.encode_packed}: dispatch on the leading model
     name. @raise Relational.Codec.Decode_error on unknown names. *)
 
-val refresh_audit : Model_intf.t -> [ `Bitwise | `Tolerance of float ]
+val refresh_audit :
+  Model_intf.t ->
+  [ `Bitwise
+  | `Tolerance of float
+  | `Bound of Model_intf.moments -> (string -> Relational.Value.t) -> float ]
 (** How a warm refresh must compare to a cold retrain over the same
     statistics: [`Bitwise] for direct solves (bit-identical under exact
-    input arithmetic), [`Tolerance] for iterative optimisers. *)
+    input arithmetic); [`Bound] for gradient descent, whose predictions of
+    a row over given moments differ by at most the bound its gradient
+    tolerance implies ({!Linreg.gd_prediction_bound}); [`Tolerance] (a
+    relative prediction tolerance) for the other iterative optimisers. *)

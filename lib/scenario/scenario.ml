@@ -83,25 +83,34 @@ let model_audit ~probes srv name =
   else
     let spec = Serve.Model.spec_of srv name in
     let m = Serve.maintainer srv in
-    let cold =
-      Ml.Model_intf.train_packed spec
-        (Ml.Model_intf.moments_of_covariance
-           ~snapshot:(fun () -> Serve.snapshot srv)
-           (M.recompute m) ~features:(M.features m)
-           ~response:(Serve.Model.response_of srv name))
+    let moments =
+      Ml.Model_intf.moments_of_covariance
+        ~snapshot:(fun () -> Serve.snapshot srv)
+        (M.recompute m) ~features:(M.features m)
+        ~response:(Serve.Model.response_of srv name)
+    in
+    let cold = Ml.Model_intf.train_packed spec moments in
+    (* the first probe whose predictions differ by more than [limit] *)
+    let diverges limit =
+      match
+        List.find_map
+          (fun get ->
+            let w = Ml.Model_intf.predict_packed warm get in
+            let c = Ml.Model_intf.predict_packed cold get in
+            let l = limit get w c in
+            if Float.abs (w -. c) <= l then None
+            else Some (Printf.sprintf "prediction %.17g vs cold %.17g (allowed %g)" w c l))
+          probes
+      with
+      | None -> Ok ()
+      | Some e -> Error e
     in
     match Ml.Models.refresh_audit spec with
     | `Bitwise ->
         if String.equal (packed_bits warm) (packed_bits cold) then Ok ()
         else Error "encoded parameters differ bitwise"
-    | `Tolerance tol -> (
-        let diverges get =
-          let w = Ml.Model_intf.predict_packed warm get in
-          let c = Ml.Model_intf.predict_packed cold get in
-          if Float.abs (w -. c) <= tol *. (1.0 +. Float.abs w +. Float.abs c) then None
-          else Some (Printf.sprintf "prediction %.17g vs cold %.17g (tol %g)" w c tol)
-        in
-        match List.find_map diverges probes with None -> Ok () | Some e -> Error e)
+    | `Tolerance tol -> diverges (fun _ w c -> tol *. (1.0 +. Float.abs w +. Float.abs c))
+    | `Bound bound -> diverges (fun get _ _ -> bound moments get)
 
 (* Cancelled groups must VANISH from F-IVM views, not linger as zero
    payloads: net-zero churn would otherwise leave the view trees carrying

@@ -25,8 +25,9 @@ val model_audit :
 (** Refresh the served model [name] to the current epoch and compare it
     with a cold retrain over a from-scratch recompute of the server's
     triple, per {!Ml.Models.refresh_audit}: encoded parameters bit for bit,
-    or predictions at every probe within the model's tolerance. The error
-    says what diverged, including a served epoch behind the data. *)
+    or predictions at every probe within the model's tolerance or derived
+    bound. The error says what diverged, including a served epoch behind
+    the data. *)
 
 val zero_residue_rows : Fivm.Maintainer.t -> int
 (** F-IVM view entries holding an exactly-zero payload (0 for the other

@@ -164,6 +164,90 @@ let random_batches_match options_desc options =
       let db = random_star rng card domain in
       check_vs_flat ~options db (random_batch rng))
 
+(* ---- view groups on random trees ----
+
+   One scan of a relation feeds every view over it, so a single scan
+   serves outputs whose partner sets differ: a row with no partner in
+   N->X still counts toward X->N. Random star and path trees of 3-5
+   relations R0..Rn-1, where edge (i, j) joins on its own attribute
+   k<i>_<j> and every relation also has a category c<i> and a measure
+   m<i> on the dyadic lattice (multiples of 1/16, so every sum is exact).
+   Each relation gets one dangling tuple per edge, with a key its
+   neighbour never holds, and the batch roots aggregates at every
+   relation. *)
+
+let random_tree rng =
+  let n = 3 + Util.Prng.int rng 3 in
+  let edges =
+    if Util.Prng.int rng 2 = 0 then List.init (n - 1) (fun i -> (0, i + 1))
+    else List.init (n - 1) (fun i -> (i, i + 1))
+  in
+  let key (i, j) = Printf.sprintf "k%d_%d" i j in
+  let domain = 1 + Util.Prng.int rng 3 in
+  let rel i =
+    let mine = List.filter (fun (a, b) -> a = i || b = i) edges in
+    let schema =
+      Schema.make
+        (List.map (fun e -> (key e, Value.TInt)) mine
+        @ [ (Printf.sprintf "c%d" i, Value.TInt); (Printf.sprintf "m%d" i, Value.TFloat) ])
+    in
+    let row keys =
+      Array.of_list
+        (List.map int keys
+        @ [ int (Util.Prng.int rng 3); flt (float_of_int (Util.Prng.int rng 64) /. 16.0) ])
+    in
+    let rows =
+      List.init (Util.Prng.int rng 7) (fun _ ->
+          row (List.map (fun _ -> Util.Prng.int rng domain) mine))
+      (* dangling: this side's key on edge e is one its neighbour never has *)
+      @ List.map
+          (fun e ->
+            let (a, _) = e in
+            row (List.map (fun e' -> if e' = e then (if a = i then 100 else 200) else 0) mine))
+          mine
+    in
+    Relation.of_list (Printf.sprintf "R%d" i) schema rows
+  in
+  Database.create "tree" (List.init n rel)
+
+let tree_batch rng db =
+  let n = List.length (Database.relations db) in
+  let c i = Printf.sprintf "c%d" i and m i = Printf.sprintf "m%d" i in
+  let pick () = Util.Prng.int rng n in
+  let filter () =
+    match Util.Prng.int rng 3 with
+    | 0 -> Predicate.True
+    | 1 -> Predicate.Eq (c (pick ()), int (Util.Prng.int rng 3))
+    | _ -> Predicate.Ge (m (pick ()), flt (float_of_int (Util.Prng.int rng 4)))
+  in
+  let specs i =
+    let id k = Printf.sprintf "r%d_%d" i k in
+    [
+      (* roots at R<i>: its category groups, its measure leads the terms *)
+      Spec.make ~filter:(filter ()) ~id:(id 0) ~terms:[ (m (pick ()), 1) ]
+        ~group_by:[ c i ] ();
+      Spec.make ~filter:(filter ()) ~id:(id 1)
+        ~terms:[ (m i, 1 + Util.Prng.int rng 2); (m (pick ()), 1) ]
+        ~group_by:[] ();
+      Spec.make ~filter:(filter ()) ~id:(id 2) ~terms:[]
+        ~group_by:(List.sort_uniq compare [ c i; c (pick ()) ])
+        ();
+    ]
+  in
+  {
+    Batch.name = "tree";
+    aggregates = Spec.count ~id:"n" :: List.concat (List.init n specs);
+  }
+
+let view_groups_match_flat (desc, options) =
+  QCheck2.Test.make ~count:40
+    ~name:(Printf.sprintf "engine = flat bitwise: random trees, lattice data (%s)" desc)
+    QCheck2.Gen.int
+    (fun seed ->
+      let rng = Util.Prng.create seed in
+      let db = random_tree rng in
+      check_vs_flat ~options db (tree_batch rng db))
+
 (* ---- all datagen schemas ----
 
    Real-valued data: the engine agrees with the flat reference to a
@@ -371,16 +455,15 @@ let fallbacks_count_drift () =
 
 (* ---- stage equivalence of the IR passes ---- *)
 
-let lowered_plans db batch =
+(* The batch's merged plan of view groups, lowered, before any pass. *)
+let lowered_plan db batch =
   let popts = Lmfao.Plan.default_options in
   let jt, groups = Lmfao.Plan.group_by_root popts db batch in
   let stats = Lmfao.Plan.fresh_stats () in
-  List.map
-    (fun (root, specs) ->
-      Lmfao.Lower.rooted (Lmfao.Plan.build popts ~stats jt ~root specs))
-    groups
-
-let run_plans ~options db plans = Engine.run ~options db plans
+  let rooted =
+    List.map (fun (root, specs) -> Lmfao.Plan.build popts ~stats jt ~root specs) groups
+  in
+  Lmfao.Lower.grouped (fst (Lmfao.Plan.group jt ~stats rooted))
 
 let passes_preserve_results =
   QCheck2.Test.make ~count:20
@@ -393,25 +476,25 @@ let passes_preserve_results =
         if Util.Prng.int rng 2 = 0 then Batch.covariance features
         else random_batch rng
       in
-      let options = default in
-      let raw = lowered_plans db batch in
-      let reference = run_plans ~options db raw in
+      let run plan = Engine.run ~options:default db plan in
+      let raw = lowered_plan db batch in
+      let reference = run raw in
       (* cumulative: after each stage of the pipeline, results unchanged *)
       let _, ok =
         List.fold_left
-          (fun (plans, ok) (pass_name, pass) ->
-            let plans = List.map pass plans in
-            let got = run_plans ~options db plans in
+          (fun (plan, ok) (pass_name, pass) ->
+            let plan = pass plan in
+            let got = run plan in
             let ok' = ok && Spec.keyed_bits_equal reference got in
             if not ok' && ok then
               Format.eprintf "PASS %s changed results@." pass_name;
-            (plans, ok'))
+            (plan, ok'))
           (raw, true) Lmfao.Passes.all
       in
       (* and each pass individually on the raw plan *)
       List.for_all
         (fun (pass_name, pass) ->
-          let got = run_plans ~options db (List.map pass raw) in
+          let got = run (pass raw) in
           let ok = Spec.keyed_bits_equal reference got in
           if not ok then Format.eprintf "PASS %s (solo) changed results@." pass_name;
           ok)
@@ -433,6 +516,13 @@ let () =
         @ List.map
             (fun (desc, options) -> qcheck (random_batches_match desc options))
             all_options );
+      ( "view-groups",
+        List.map
+          (fun o -> qcheck (view_groups_match_flat o))
+          [
+            ("default", default);
+            ("parallel", { default with Engine.parallel = true; chunk_threshold = 2 });
+          ] );
       ( "datagen",
         [ Alcotest.test_case "all schemas = flat" `Quick datagen_schemas ] );
       ( "keys",

@@ -149,6 +149,39 @@ let counters_mirror_stats () =
   Alcotest.(check int) "disabled leaves counters at zero" 0
     (Obs.counter_value_by_name "lmfao.views")
 
+(* View groups scan each relation at most twice per batch, however many
+   roots the batch has: an up pass, two scans of the largest relation and
+   a down pass. One scan per root per relation (five on retailer) fails. *)
+let scans_at_most_twice () =
+  let check name db batch =
+    Obs.reset ();
+    Obs.with_enabled true (fun () -> ignore (Engine.eval db batch));
+    let scanned = Obs.counter_value_by_name "lmfao.tuples_scanned" in
+    let total = Database.total_cardinality db in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d tuples scanned, 0 < n <= 2 * %d" name scanned total)
+      true
+      (scanned > 0 && scanned <= 2 * total)
+  in
+  let retailer = Datagen.Retailer.generate ~scale:0.02 ~seed:3 () in
+  let rf = Datagen.Retailer.features in
+  List.iter
+    (fun (family, batch) -> check ("retailer " ^ family) retailer batch)
+    [
+      ("covariance", Batch.covariance rf);
+      ("k-means", Batch.kmeans rf);
+      ("decision node", Batch.decision_node ~db:retailer rf);
+      ("mutual information", Batch.mutual_information Datagen.Retailer.mi_attrs);
+    ];
+  List.iter
+    (fun (name, db, features) -> check (name ^ " covariance") db (Batch.covariance features))
+    [
+      ("favorita", Datagen.Favorita.generate ~scale:0.02 ~seed:4 (), Datagen.Favorita.features);
+      ("yelp", Datagen.Yelp.generate ~scale:0.02 ~seed:5 (), Datagen.Yelp.features);
+      ("tpcds", Datagen.Tpcds.generate ~scale:0.02 ~seed:6 (), Datagen.Tpcds.features);
+    ];
+  Obs.reset ()
+
 let unsupported_additive_filter () =
   let rng = Util.Prng.create 3 in
   let db = random_star rng 10 3 in
@@ -364,6 +397,11 @@ let () =
         [
           Alcotest.test_case "dedup reduces partials" `Quick sharing_reduces_partials;
           Alcotest.test_case "obs counters mirror stats" `Quick counters_mirror_stats;
+        ] );
+      ( "scans",
+        [
+          Alcotest.test_case "each relation scanned at most twice" `Quick
+            scans_at_most_twice;
         ] );
       ( "edges",
         [

@@ -306,6 +306,11 @@ let test_engine_differential () =
   let r_paged = Lmfao.Engine.eval_batch sdb batch in
   Alcotest.(check bool) "lmfao paged == in-memory" true
     (Aggregates.Spec.keyed_bits_equal r_mem r_paged);
+  (* parallel options leave streamed scans sequential, one reader per
+     paged relation at a time: the same bits *)
+  let parallel = { Lmfao.Engine.default_options with parallel = true; chunk_threshold = 1 } in
+  Alcotest.(check bool) "lmfao paged, parallel options == in-memory" true
+    (Aggregates.Spec.keyed_bits_equal r_mem (Lmfao.Engine.eval_batch ~options:parallel sdb batch));
   Alcotest.(check bool) "pages were read" true
     (Obs.counter_value_by_name "store.page_reads" > 0);
   Alcotest.(check bool) "the 2-page cache thrashed" true
