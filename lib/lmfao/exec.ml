@@ -1,13 +1,22 @@
 (* Stage 3: closure-compile a physical IR plan against a live database and
    run it: one scan per view group, in the plan's order.
 
-   Binding happens once per view per chunk of a scan: relations are
-   resolved by name, column readers are specialised to the live [Column.data]
-   representation ([float array]/[int array] accessors, no variant
-   dispatch per row), key extractors are compiled, filters are compiled to
-   position-resolved closures, and each slot becomes one kernel closure
-   with its payload offset and child payload indexes pre-resolved and its
-   term product unrolled for small arities.
+   Every directed view lives in [Flat_view] storage: an open-addressing
+   index from packed key to dense row id, scalar partials contiguous per
+   row in fixed-size float blocks, grouped partials as per-(row, slot)
+   entry chains in int and float blocks. Binding happens once per view per
+   chunk of a scan: relations are resolved by name, term columns are taken
+   as the live unboxed arrays, key readers pack straight to ints, filters
+   are compiled to position-resolved closures, and each slot becomes one
+   kernel closure with its payload offset and child probe indexes
+   pre-resolved. Per input row, each incoming view is probed once and its
+   matched row's scalar block, offset and first cell are resolved once;
+   each output row likewise, before its slots run. The scan loop allocates
+   nothing per row: keys are ints, a float never crosses a call that is
+   not inlined, and the multi-part grouped path enumerates combinations
+   through preallocated int and float arrays. Only the boxed paths — keys
+   that do not pack, term columns read lazily through [Column.float_at] —
+   allocate.
 
    Results are deterministic to the bit because float operations happen
    in a fixed order: term products are left-associated starting from 1.0,
@@ -15,98 +24,21 @@
    children's values after those in reverse child order, slots accumulate
    in slot-array order, rows accumulate in scan order and are inserted into
    the view before any filter is tested, and parallel scans use the fixed
-   [Pool.parallel_chunks] decomposition and merge order. A row adds at most
-   once into each key of a grouped partial — the group variables a slot's
-   own columns and its children contribute are disjoint — so the order in
-   which one row visits its keys never reaches the bits. *)
+   [Pool.parallel_chunks] decomposition and merge order. A grouped entry
+   is created at -0.0, so its first addition stores the operand bit for
+   bit, and a parallel merge copies the partials of a key new to its
+   target. A row adds at most once into each key of a grouped partial —
+   the group variables a slot's own columns and its children contribute
+   are disjoint — so the order in which one row visits its keys never
+   reaches the bits. *)
 
 open Relational
 module Spec = Aggregates.Spec
+module V = Flat_view
 
-(* ---------- grouped partial aggregates ---------- *)
-
-(* Float sums keyed by [Keypack] keys packed over a slot's group variables
-   in name order, kept in insertion order. Most view rows hold one group,
-   so the arrays start at one entry and lookup scans the keys linearly; a
-   hash index from key to position is built only past [linear_max]
-   entries. Results are sorted once, at extraction. *)
-module Grouped = struct
-  type t = {
-    mutable keys : Keypack.key array;
-    mutable vals : float array;
-    mutable len : int;
-    mutable index : int Keypack.Hybrid.t option;
-  }
-
-  let linear_max = 16
-  let create () = { keys = [||]; vals = [||]; len = 0; index = None }
-
-  let rec scan t k i =
-    if i = t.len then -1
-    else if Keypack.key_equal (Array.unsafe_get t.keys i) k then i
-    else scan t k (i + 1)
-
-  let find t k =
-    match t.index with
-    | None -> scan t k 0
-    | Some ix -> (
-        match Keypack.Hybrid.find_opt ix k with Some i -> i | None -> -1)
-
-  let push t k v =
-    let n = t.len in
-    if n = Array.length t.keys then begin
-      let ks = Array.make (Stdlib.max 1 (2 * n)) k in
-      let vs = Array.make (Array.length ks) 0.0 in
-      Array.blit t.keys 0 ks 0 n;
-      Array.blit t.vals 0 vs 0 n;
-      t.keys <- ks;
-      t.vals <- vs
-    end;
-    t.keys.(n) <- k;
-    t.vals.(n) <- v;
-    t.len <- n + 1;
-    match t.index with
-    | Some ix -> Keypack.Hybrid.add ix k n
-    | None when t.len > linear_max ->
-        let ix = Keypack.Hybrid.create (2 * t.len) in
-        for i = 0 to t.len - 1 do
-          Keypack.Hybrid.add ix t.keys.(i) i
-        done;
-        t.index <- Some ix
-    | None -> ()
-
-  (* A key's first addition stores [v] itself, not [0.0 +. v]. *)
-  let[@inline] bump t k v =
-    let i = find t k in
-    if i >= 0 then t.vals.(i) <- t.vals.(i) +. v else push t k v
-
-  let add_into a b =
-    for j = 0 to b.len - 1 do
-      bump a b.keys.(j) b.vals.(j)
-    done
-
-  (* Sorted in [Faggregate.Grouped.Key.compare] order: every key assigns
-     the same names in the same order, so that order is the lexicographic
-     [Value.compare] order of the unpacked values. *)
-  let bindings (vars : string array) t : Spec.result =
-    let k = Array.length vars in
-    let entries =
-      Array.init t.len (fun i -> (Keypack.key_tuple k t.keys.(i), t.vals.(i)))
-    in
-    Array.sort (fun (a, _) (b, _) -> Tuple.compare a b) entries;
-    Array.to_list
-      (Array.map
-         (fun (values, v) ->
-           (Array.to_list (Array.map2 (fun n x -> (n, x)) vars values), v))
-         entries)
-end
-
-type row = { sc : float array; gr : Grouped.t array }
-type view = row Keypack.Hybrid.t
-
-(* Where a slot's partial lives in a view row — [idx] into [row.sc] or
-   [row.gr] — and, for a grouped slot, the group variables its keys pack,
-   in name order. *)
+(* Where a slot's partial lives in a view row — scalar [idx], or grouped
+   slot [idx] — and, for a grouped slot, the group variables its keys
+   pack, in name order. *)
 type layout = { idx : int; scalar : bool; vars : string array }
 
 (* Specialization fallbacks: term columns that are boxed or whose
@@ -115,29 +47,46 @@ let c_fallbacks = Obs.counter "lmfao.compile.fallbacks"
 let c_tuples_scanned = Obs.counter "lmfao.tuples_scanned"
 let c_roots = Obs.counter "lmfao.roots"
 
-let merge_rows (a : row) (b : row) =
-  Array.iteri (fun i v -> a.sc.(i) <- a.sc.(i) +. v) b.sc;
-  Array.iteri (fun i g -> Grouped.add_into a.gr.(i) g) b.gr
+(* ---------- entry access ---------- *)
 
-let merge_views (a : view) (b : view) : view =
-  Keypack.Hybrid.iter
-    (fun key row_b ->
-      match Keypack.Hybrid.find_opt a key with
-      | Some row_a -> merge_rows row_a row_b
-      | None -> Keypack.Hybrid.add a key row_b)
-    b;
-  a
+(* [Flat_view]'s block arithmetic, inlined into the kernels: a call into
+   another module is not inlined when modules compile opaquely (as in
+   dune's default profile), and a float such a call takes or returns is
+   boxed. *)
+let pair_bits = V.pair_bits
+let pair_mask = (1 lsl pair_bits) - 1
+let value_bits = V.block_bits
+let value_mask = V.block_size - 1
 
-(* ---------- monomorphic column readers ---------- *)
+let[@inline] head (v : V.t) cell =
+  Array.unsafe_get (Array.unsafe_get v.V.cells (cell lsr pair_bits)) ((cell land pair_mask) lsl 1)
 
-(* Reader specialised to the live representation. Indexes stay within the
-   relation's cardinality, which the column capacity bounds, so the
-   unsafe reads are in range. Semantics are [Column.float_at]. *)
-let reader (cols : Column.t array) pos : int -> float =
-  match Column.data cols.(pos) with
-  | Column.Floats a -> fun i -> Array.unsafe_get a i
-  | Column.Ints a -> fun i -> float_of_int (Array.unsafe_get a i)
-  | Column.Boxed a -> fun i -> Value.to_float (Array.unsafe_get a i)
+let[@inline] key_of (v : V.t) e =
+  Array.unsafe_get (Array.unsafe_get v.V.links (e lsr pair_bits)) ((e land pair_mask) lsl 1)
+
+let[@inline] next_of (v : V.t) e =
+  Array.unsafe_get
+    (Array.unsafe_get v.V.links (e lsr pair_bits))
+    (((e land pair_mask) lsl 1) + 1)
+
+let[@inline] value_of (v : V.t) e =
+  Array.unsafe_get (Array.unsafe_get v.V.values (e lsr value_bits)) (e land value_mask)
+
+let[@inline] add_to (v : V.t) e x =
+  let b = Array.unsafe_get v.V.values (e lsr value_bits) in
+  let o = e land value_mask in
+  Array.unsafe_set b o (Array.unsafe_get b o +. x)
+
+(* Row [r]'s scalar block, and the offset of its first scalar there. *)
+let[@inline] scalar_block (v : V.t) r =
+  if v.V.scalars > 0 then Array.unsafe_get v.V.blocks (r lsr v.V.shift) else [||]
+
+let[@inline] scalar_base (v : V.t) r = (r land ((1 lsl v.V.shift) - 1)) * v.V.scalars
+
+(* The entry of [cell] in [out] for the key of entry [e] of [src]. *)
+let[@inline] entry_from out cell (src : V.t) e =
+  let k = key_of src e in
+  if k <> V.nopack then V.entry out cell k else V.entry_boxed out cell (V.boxed_key src e)
 
 (* ---------- filter compilation ---------- *)
 
@@ -199,95 +148,158 @@ let compile_filters cols = function
 
 (* ---------- term products ---------- *)
 
-(* Left-associated product starting from 1.0, unrolled for the common
-   arities: [local := 1.0; local := !local *. x; ...]. *)
-let build_product (terms : ((int -> float) * int) array) : int -> float =
-  match terms with
-  | [||] -> fun _ -> 1.0
-  | [| (r, 1) |] -> fun i -> 1.0 *. r i
-  | [| (r, 2) |] ->
-      fun i ->
-        let x = r i in
-        1.0 *. x *. x
-  | [| (r1, 1); (r2, 1) |] -> fun i -> 1.0 *. r1 i *. r2 i
-  | terms ->
-      fun i ->
-        let local = ref 1.0 in
-        Array.iter
-          (fun (r, power) ->
-            let x = r i in
-            for _ = 1 to power do
-              local := !local *. x
-            done)
-          terms;
-        !local
+(* A term column as the kernels read it: the live unboxed array, or, for
+   a column that is boxed or whose representation drifted since lowering
+   (counted in [lmfao.compile.fallbacks]), the column itself, read per row
+   through [Column.float_at] — so a cell no matched row reaches is never
+   converted. *)
+type term = Tf of float array | Ti of int array | Tlazy of Column.t
 
-(* ---------- grouped accumulation ---------- *)
+let term cols (t : Ir.term) =
+  let col = cols.(t.Ir.t_pos) in
+  match (Column.data col, t.Ir.t_rep) with
+  | Column.Floats a, Ir.Rfloat -> Tf a
+  | Column.Ints a, Ir.Rint -> Ti a
+  | _ -> Tlazy col
 
-(* Where each field of a merged key comes from: a local group column, or
-   field [f] of the key chosen from grouped part [g]. *)
-type source = Local of int | Part of int * int
+(* Left-associated product starting from 1.0:
+   [local := 1.0; local := !local *. x; ...]. *)
+let[@inline] product (terms : term array) (powers : int array) i =
+  let acc = ref 1.0 in
+  for t = 0 to Array.length terms - 1 do
+    let x =
+      match Array.unsafe_get terms t with
+      | Tf a -> Array.unsafe_get a i
+      | Ti a -> float_of_int (Array.unsafe_get a i)
+      | Tlazy c -> Column.float_at c i
+    in
+    for _ = 1 to Array.unsafe_get powers t do
+      acc := !acc *. x
+    done
+  done;
+  !acc
 
-(* The key of one combination: row [i]'s local group values and the key
-   chosen from each grouped part, merged in name order. It packs without
-   boxing when every field fits; otherwise [Keypack.key_of_tuple] builds
-   the same key any other producer of these values builds. *)
-let merger (cols : Column.t array) (sources : source array)
-    (arities : int array) : int -> Keypack.key array -> Keypack.key =
-  let k = Array.length sources in
-  let w = Keypack.field_width k in
-  let bound = 1 lsl w in
-  let local_ints =
-    Array.map
-      (function
-        | Local pos -> (
-            match Column.data cols.(pos) with
-            | Column.Ints a -> Some a
-            | _ -> None)
-        | Part _ -> None)
-      sources
-  in
-  let field g f p =
-    let ka = arities.(g) in
-    if ka = 1 then p
-    else
-      let wa = Keypack.field_width ka in
-      (p asr ((ka - 1 - f) * wa)) land ((1 lsl wa) - 1)
-  in
-  let positions = Array.init k Fun.id in
-  let boxed i chosen =
-    Keypack.key_of_tuple positions
-      (Array.map
-         (function
-           | Local pos -> Column.get cols.(pos) i
-           | Part (g, f) -> (Keypack.key_tuple arities.(g) chosen.(g)).(f))
-         sources)
-  in
-  fun i chosen ->
-    (* fields are non-negative, so -1 flags "does not pack" *)
-    let acc = ref 0 and j = ref 0 in
-    while !acc >= 0 && !j < k do
-      let x =
-        match (sources.(!j), local_ints.(!j)) with
-        | Local _, Some a -> a.(i)
-        | Local _, None -> -1
-        | Part (g, f), _ -> (
-            match chosen.(g) with Keypack.P p -> field g f p | Keypack.B _ -> -1)
-      in
-      acc := if x >= 0 && x < bound then (!acc lsl w) lor x else -1;
-      incr j
-    done;
-    if !acc >= 0 then Keypack.P !acc else boxed i chosen
+(* ---------- probes ---------- *)
 
-(* Bump every combination of one key per part into [acc], multiplying the
-   running product [v] by the parts' values in array order. *)
-let rec bump_product acc merge i (parts : Grouped.t array) chosen g v =
-  if g = Array.length parts then Grouped.bump acc (merge i chosen) v
+(* The incoming views of one scan chunk and, per input row, the row each
+   matched (-1: none) with that row's scalar block, first scalar offset
+   and first cell, resolved once per input row. *)
+type probes = {
+  views : V.t array;
+  hit : int array;
+  blk : float array array;
+  base : int array;
+  cell : int array;
+}
+
+(* A slot's coefficient: the term product times its scalar children's
+   partials ([js]: probe index, [idxs]: scalar slot), in child order. *)
+let[@inline] coeff terms powers (pr : probes) (js : int array) (idxs : int array) i =
+  let v = ref (product terms powers i) in
+  for c = 0 to Array.length js - 1 do
+    let j = Array.unsafe_get js c in
+    v :=
+      !v
+      *. Array.unsafe_get (Array.unsafe_get pr.blk j)
+           (Array.unsafe_get pr.base j + Array.unsafe_get idxs c)
+  done;
+  !v
+
+(* ---------- kernels ---------- *)
+
+(* One slot's kernel: [k i blk base cell0] adds input row [i] into the
+   output row whose scalars start at [blk.(base)] and whose cells start at
+   [cell0]. *)
+type kernel = int -> float array -> int -> int -> unit
+
+(* Every combination of one entry per grouped part, for the multi-part
+   grouped kernel: the state its recursion reads and writes, allocated
+   once per binding. *)
+type combo = {
+  out : V.t;
+  parts : V.t array;  (* per part, in reverse child order: its child view *)
+  part_probe : int array;  (* its probe index *)
+  part_idx : int array;  (* its grouped slot in the child *)
+  part_arity : int array;  (* its key's arity *)
+  part_cell : int array;  (* the cell it enumerates for the current row *)
+  chosen : int array;  (* the entry it contributes to the current combination *)
+  prod : float array;  (* [prod.(g)]: the product before part [g] *)
+  (* per field of the merged key, in name order: a local column
+     ([f_part] -1, [f_pos] its position, [f_ints] its int array or [||]
+     when it is not [Ints]) or field [f_pos] of part [f_part]'s key *)
+  f_part : int array;
+  f_pos : int array;
+  f_ints : int array array;
+  width : int;
+  bound : int;
+  cols : Column.t array;
+  mutable row : int;
+  mutable target : int;  (* the output cell *)
+}
+
+(* Field [f] of a packed key [p] of arity [arity]. *)
+let[@inline] field arity f p =
+  if arity = 1 then p
+  else
+    let w = Keypack.field_width arity in
+    (p asr ((arity - 1 - f) * w)) land ((1 lsl w) - 1)
+
+(* The merged key of the current combination, packed without boxing when
+   every field fits, else [V.nopack]. Merged keys have arity >= 2, so
+   packed ones are non-negative and -1 flags a field that does not fit. *)
+let merged_key st =
+  let acc = ref 0 and j = ref 0 in
+  let n = Array.length st.f_part in
+  while !acc >= 0 && !j < n do
+    let g = Array.unsafe_get st.f_part !j in
+    let x =
+      if g < 0 then
+        let a = Array.unsafe_get st.f_ints !j in
+        if Array.length a = 0 then -1 else Array.unsafe_get a st.row
+      else
+        let p = key_of st.parts.(g) st.chosen.(g) in
+        if p = V.nopack then -1 else field st.part_arity.(g) st.f_pos.(!j) p
+    in
+    acc := if x >= 0 && x < st.bound then (!acc lsl st.width) lor x else -1;
+    incr j
+  done;
+  if !acc >= 0 then !acc else V.nopack
+
+(* The same key boxed, for a combination whose key does not pack there:
+   the values any other producer of this key would read. *)
+let merged_tuple st : Tuple.t =
+  Array.init (Array.length st.f_part) (fun j ->
+      let g = st.f_part.(j) and f = st.f_pos.(j) in
+      if g < 0 then Column.get st.cols.(f) st.row
+      else
+        let src = st.parts.(g) and e = st.chosen.(g) in
+        let p = key_of src e in
+        if p = V.nopack then (V.boxed_key src e).(f)
+        else (Keypack.unpack st.part_arity.(g) p).(f))
+
+(* Add every combination of one entry per part from part [g] on, the
+   running product multiplied by the parts' values in part order. *)
+let rec enumerate st g =
+  if g = Array.length st.parts then begin
+    let k = merged_key st in
+    let e =
+      if k <> V.nopack then V.entry st.out st.target k
+      else
+        let key = merged_tuple st in
+        let k = V.pack_tuple key in
+        if k <> V.nopack then V.entry st.out st.target k
+        else V.entry_boxed st.out st.target key
+    in
+    add_to st.out e (Array.unsafe_get st.prod g)
+  end
   else begin
-    let p = parts.(g) in
-    for j = 0 to p.Grouped.len - 1 do
-      chosen.(g) <- p.Grouped.keys.(j);
-      bump_product acc merge i parts chosen (g + 1) (v *. p.Grouped.vals.(j))
+    let src = Array.unsafe_get st.parts g in
+    let e = ref (head src (Array.unsafe_get st.part_cell g)) in
+    while !e >= 0 do
+      Array.unsafe_set st.chosen g !e;
+      Array.unsafe_set st.prod (g + 1) (Array.unsafe_get st.prod g *. value_of src !e);
+      enumerate st (g + 1);
+      e := next_of src !e
     done
   end
 
@@ -299,65 +311,98 @@ let rec bump_product acc merge i (parts : Grouped.t array) chosen g v =
      keys, scaled by the coefficient;
    - otherwise: every combination of one key per part, merged with the
      local group values. *)
-let grouped_kernel rel cols (s : Ir.slot) (l : layout) (refs : layout array)
-    (product : int -> float) : int -> row array -> row -> unit =
+let grouped_kernel cols (s : Ir.slot) (l : layout) (refs : layout array)
+    (wire : int array) (pr : probes) (out : V.t) terms powers
+    (filt : int -> bool) : kernel =
   let children = List.init (Array.length refs) Fun.id in
-  let scalars =
-    Array.of_list
-      (List.filter_map
-         (fun c -> if refs.(c).scalar then Some (c, refs.(c).idx) else None)
-         children)
-  in
+  let scalars = List.filter (fun c -> refs.(c).scalar) children in
+  let js = Array.of_list (List.map (fun c -> wire.(c)) scalars) in
+  let idxs = Array.of_list (List.map (fun c -> refs.(c).idx) scalars) in
   let parts =
     Array.of_list (List.rev (List.filter (fun c -> not refs.(c).scalar) children))
   in
-  let coeff i (child_rows : row array) =
-    let v = ref (product i) in
-    for n = 0 to Array.length scalars - 1 do
-      let c, idx = scalars.(n) in
-      v := !v *. child_rows.(c).sc.(idx)
-    done;
-    !v
-  in
   let locals = List.sort compare (Array.to_list s.Ir.s_groups) in
+  let gidx = l.idx in
   match (parts, locals) with
   | [||], _ ->
-      let key = Relation.extractor rel (Array.of_list (List.map snd locals)) in
-      fun i child_rows acc ->
-        Grouped.bump acc.gr.(l.idx) (key i) (coeff i child_rows)
+      let positions = Array.of_list (List.map snd locals) in
+      let key = V.reader cols positions in
+      fun i _ _ cell0 ->
+        if filt i then begin
+          let v = coeff terms powers pr js idxs i in
+          let cell = cell0 + gidx in
+          let k = key i in
+          let e =
+            if k <> V.nopack then V.entry out cell k
+            else V.entry_boxed out cell (V.key_tuple cols positions i)
+          in
+          add_to out e v
+        end
   | [| c |], [] ->
-      let idx = refs.(c).idx in
-      fun i child_rows acc ->
-        let v = coeff i child_rows in
-        let part = child_rows.(c).gr.(idx) and a = acc.gr.(l.idx) in
-        for j = 0 to part.Grouped.len - 1 do
-          Grouped.bump a part.Grouped.keys.(j) (v *. part.Grouped.vals.(j))
-        done
+      let j = wire.(c) and cidx = refs.(c).idx in
+      let src = pr.views.(j) in
+      fun i _ _ cell0 ->
+        if filt i then begin
+          let v = coeff terms powers pr js idxs i in
+          let cell = cell0 + gidx in
+          let e = ref (head src (Array.unsafe_get pr.cell j + cidx)) in
+          while !e >= 0 do
+            let x = v *. value_of src !e in
+            add_to out (entry_from out cell src !e) x;
+            e := next_of src !e
+          done
+        end
   | _ ->
+      let np = Array.length parts in
       let source var =
         match List.assoc_opt var locals with
-        | Some pos -> Local pos
+        | Some pos -> (-1, pos)
         | None ->
             let rec find g f =
               let vars = refs.(parts.(g)).vars in
               if f = Array.length vars then find (g + 1) 0
-              else if String.equal vars.(f) var then Part (g, f)
+              else if String.equal vars.(f) var then (g, f)
               else find g (f + 1)
             in
             find 0 0
       in
-      let merge =
-        merger cols (Array.map source l.vars)
-          (Array.map (fun c -> Array.length refs.(c).vars) parts)
+      let fields = Array.map source l.vars in
+      let width = Keypack.field_width (Array.length l.vars) in
+      let st =
+        {
+          out;
+          parts = Array.map (fun c -> pr.views.(wire.(c))) parts;
+          part_probe = Array.map (fun c -> wire.(c)) parts;
+          part_idx = Array.map (fun c -> refs.(c).idx) parts;
+          part_arity = Array.map (fun c -> Array.length refs.(c).vars) parts;
+          part_cell = Array.make np 0;
+          chosen = Array.make np 0;
+          prod = Array.make (np + 1) 0.0;
+          f_part = Array.map fst fields;
+          f_pos = Array.map snd fields;
+          f_ints =
+            Array.map
+              (fun (g, pos) ->
+                if g >= 0 then [||]
+                else match Column.data cols.(pos) with Column.Ints a -> a | _ -> [||])
+              fields;
+          width;
+          bound = 1 lsl width;
+          cols;
+          row = 0;
+          target = 0;
+        }
       in
-      let chosen = Array.make (Array.length parts) (Keypack.P 0) in
-      let current = Array.make (Array.length parts) (Grouped.create ()) in
-      fun i child_rows acc ->
-        for g = 0 to Array.length parts - 1 do
-          let c = parts.(g) in
-          current.(g) <- child_rows.(c).gr.(refs.(c).idx)
-        done;
-        bump_product acc.gr.(l.idx) merge i current chosen 0 (coeff i child_rows)
+      fun i _ _ cell0 ->
+        if filt i then begin
+          st.row <- i;
+          st.target <- cell0 + gidx;
+          for g = 0 to np - 1 do
+            st.part_cell.(g) <- pr.cell.(st.part_probe.(g)) + st.part_idx.(g)
+          done;
+          st.prod.(0) <- coeff terms powers pr js idxs i;
+          enumerate st 0
+        end
 
 (* ---------- view binding ---------- *)
 
@@ -400,108 +445,58 @@ let count_fallbacks (view : Ir.view) cols =
         s.Ir.s_terms)
     view.Ir.v_slots
 
-(* A child row that did not match: compared physically, never read. *)
-let no_row = { sc = [||]; gr = [||] }
-
 (* Bind one view to a chunk's live columns: [feed i] adds row [i] into
-   [acc] when every child of the view matched, reading the child rows the
-   scan probed into [found] through [wire] (child -> probe index). The
-   row's key is inserted BEFORE any filter runs: an all-filters-false row
-   still creates a zero row. *)
-let bind_view rel cols (view : Ir.view) (layout : layout array)
-    (child_refs : layout array array) (wire : int array) (found : row array)
-    (acc : view) : int -> unit =
+   [out] when every child of the view matched ([wire]: child -> probe
+   index). The row's key is inserted BEFORE any filter runs: an
+   all-filters-false row still creates a zero row. *)
+let bind_view cols (view : Ir.view) (layout : layout array)
+    (child_refs : layout array array) (wire : int array) (pr : probes)
+    (out : V.t) : int -> unit =
   let n_children = Array.length wire in
   let n_slots = Array.length view.Ir.v_slots in
-  let n_scalar = Array.fold_left (fun n l -> if l.scalar then n + 1 else n) 0 layout in
-  let n_grouped = n_slots - n_scalar in
-  let own_key = Relation.extractor rel view.Ir.v_key in
-  let nh = Array.length view.Ir.v_hoisted in
-  let buf = Array.make (max nh 1) 0.0 in
-  let hload = Array.map (fun pos -> reader cols pos) view.Ir.v_hoisted in
-  let slot_reader pos =
-    (* hoisted positions read the per-row buffer *)
-    let rec idx k =
-      if k >= nh then -1
-      else if view.Ir.v_hoisted.(k) = pos then k
-      else idx (k + 1)
-    in
-    match idx 0 with
-    | -1 -> reader cols pos
-    | k -> fun _ -> Array.unsafe_get buf k
-  in
+  let own_key = V.reader cols view.Ir.v_key in
   let scan_ok = compile_filters cols view.Ir.v_scan_filters in
-  let kernels =
+  let kernels : kernel array =
     Array.mapi
       (fun s_idx (s : Ir.slot) ->
         let filt = compile_filters cols s.Ir.s_filters in
-        let no_filter = s.Ir.s_filters = [] in
-        let product =
-          build_product
-            (Array.map
-               (fun (t : Ir.term) -> (slot_reader t.Ir.t_pos, t.Ir.t_power))
-               s.Ir.s_terms)
-        in
-        let l = layout.(s_idx) in
-        let refs = child_refs.(s_idx) in
-        let p_idx = l.idx in
-        if l.scalar then (
-          match Array.length refs with
-          | 0 when no_filter ->
-              fun i _child_rows (acc : row) ->
-                acc.sc.(p_idx) <- acc.sc.(p_idx) +. product i
-          | 0 ->
-              fun i _child_rows (acc : row) ->
-                if filt i then acc.sc.(p_idx) <- acc.sc.(p_idx) +. product i
-          | nrefs ->
-              fun i child_rows (acc : row) ->
-                if filt i then begin
-                  let local = ref (product i) in
-                  for c = 0 to nrefs - 1 do
-                    let idx = (Array.unsafe_get refs c).idx in
-                    local := !local *. (Array.unsafe_get child_rows c).sc.(idx)
-                  done;
-                  acc.sc.(p_idx) <- acc.sc.(p_idx) +. !local
-                end)
-        else
-          let kernel = grouped_kernel rel cols s l refs product in
-          if no_filter then kernel
-          else fun i child_rows acc -> if filt i then kernel i child_rows acc)
+        let terms = Array.map (term cols) s.Ir.s_terms in
+        let powers = Array.map (fun (t : Ir.term) -> t.Ir.t_power) s.Ir.s_terms in
+        let l = layout.(s_idx) and refs = child_refs.(s_idx) in
+        if l.scalar then begin
+          (* every child of a scalar slot is scalar *)
+          let idxs = Array.map (fun (r : layout) -> r.idx) refs in
+          let p = l.idx in
+          if s.Ir.s_filters = [] then fun i blk base _ ->
+            let v = coeff terms powers pr wire idxs i in
+            let o = base + p in
+            Array.unsafe_set blk o (Array.unsafe_get blk o +. v)
+          else fun i blk base _ ->
+            if filt i then begin
+              let v = coeff terms powers pr wire idxs i in
+              let o = base + p in
+              Array.unsafe_set blk o (Array.unsafe_get blk o +. v)
+            end
+        end
+        else grouped_kernel cols s l refs wire pr out terms powers filt)
       view.Ir.v_slots
   in
-  let child_rows = Array.make n_children no_row in
   let rec matched c =
     c = n_children
-    ||
-    let r = Array.unsafe_get found (Array.unsafe_get wire c) in
-    r != no_row
-    && begin
-         Array.unsafe_set child_rows c r;
-         matched (c + 1)
-       end
+    || (Array.unsafe_get pr.hit (Array.unsafe_get wire c) >= 0 && matched (c + 1))
   in
   fun i ->
     if matched 0 then begin
-      let key = own_key i in
-      let acc_row =
-        match Keypack.Hybrid.find_opt acc key with
-        | Some r -> r
-        | None ->
-            let r =
-              {
-                sc = Array.make n_scalar 0.0;
-                gr = Array.init n_grouped (fun _ -> Grouped.create ());
-              }
-            in
-            Keypack.Hybrid.add acc key r;
-            r
+      let k = own_key i in
+      let r =
+        if k <> V.nopack then V.row out k
+        else V.row_boxed out (V.key_tuple cols view.Ir.v_key i)
       in
       if scan_ok i then begin
-        for k = 0 to nh - 1 do
-          Array.unsafe_set buf k ((Array.unsafe_get hload k) i)
-        done;
+        let blk = scalar_block out r and base = scalar_base out r in
+        let cell0 = r * out.V.grouped in
         for s = 0 to n_slots - 1 do
-          (Array.unsafe_get kernels s) i child_rows acc_row
+          (Array.unsafe_get kernels s) i blk base cell0
         done
       end
     end
@@ -515,8 +510,8 @@ let bind_view rel cols (view : Ir.view) (layout : layout array)
    toward the output that does not read it. A miss in an incoming view
    that every output reads ends the row early. *)
 let scan_group ~parallel ~chunk_threshold db (g : Ir.grouped)
-    (layouts : layout array array) (live : view option array) (sc : Ir.scan) :
-    view array =
+    (layouts : layout array array) (live : V.t option array) (sc : Ir.scan) :
+    V.t array =
   let outs = Array.map (fun v -> g.Ir.g_views.(v)) sc.Ir.sc_views in
   (* the incoming views, each once in first-use order, with the key
      columns that probe them (every output reads a child by its edge) *)
@@ -555,35 +550,49 @@ let scan_group ~parallel ~chunk_threshold db (g : Ir.grouped)
   Array.iter (fun o -> count_fallbacks o (Relation.columns rel)) outs;
   (* [scan_into] is invoked once per chunk — a parallel slice of the
      resident relation, or one streamed page chunk. Everything
-     representation-dependent (column readers, key extractors, filters,
-     kernels, hoist buffers, scratch arrays) is specialised inside against
-     THIS relation's live columns, so concurrent chunks never share
-     mutable state and streamed chunks bind to their own pages.
-     Construction is O(slots), amortised over a chunk of rows. *)
-  let scan_into rel (accs : view array) lo len =
+     representation-dependent (term columns, key readers, filters,
+     kernels, probe scratch) is specialised inside against THIS relation's
+     live columns, so concurrent chunks never share mutable state and
+     streamed chunks bind to their own pages. Construction is O(slots),
+     amortised over a chunk of rows. *)
+  let scan_into rel (accs : V.t array) lo len =
     Obs.add c_tuples_scanned len;
     ignore (Relation.scan rel);
     let cols = Relation.columns rel in
-    let probe_key = Array.map (fun (_, key) -> Relation.extractor rel key) incoming in
-    let found = Array.make n_inc no_row in
+    let probe_key = Array.map (fun (_, key) -> V.reader cols key) incoming in
+    let pr =
+      {
+        views = inc_views;
+        hit = Array.make n_inc (-1);
+        blk = Array.make n_inc [||];
+        base = Array.make n_inc 0;
+        cell = Array.make n_inc 0;
+      }
+    in
     let feeds =
       Array.mapi
         (fun o view ->
-          bind_view rel cols view out_layouts.(o) child_refs.(o) wires.(o) found
-            accs.(o))
+          bind_view cols view out_layouts.(o) child_refs.(o) wires.(o) pr accs.(o))
         outs
     in
     let n_out = Array.length feeds in
     let rec probe i j =
       j = n_inc
       ||
-      match Keypack.Hybrid.find_opt inc_views.(j) (probe_key.(j) i) with
-      | Some r ->
-          found.(j) <- r;
-          probe i (j + 1)
-      | None ->
-          found.(j) <- no_row;
-          (not required.(j)) && probe i (j + 1)
+      let v = inc_views.(j) in
+      let k = probe_key.(j) i in
+      let r =
+        if k <> V.nopack then V.find v k
+        else V.find_boxed v (V.key_tuple cols (snd incoming.(j)) i)
+      in
+      pr.hit.(j) <- r;
+      if r >= 0 then begin
+        pr.blk.(j) <- scalar_block v r;
+        pr.base.(j) <- scalar_base v r;
+        pr.cell.(j) <- r * v.V.grouped;
+        probe i (j + 1)
+      end
+      else (not required.(j)) && probe i (j + 1)
     in
     for i = lo to lo + len - 1 do
       if probe i 0 then
@@ -592,7 +601,13 @@ let scan_group ~parallel ~chunk_threshold db (g : Ir.grouped)
         done
     done
   in
-  let fresh () : view array = Array.map (fun _ -> Keypack.Hybrid.create 256) outs in
+  let fresh () =
+    Array.map
+      (fun (ls : layout array) ->
+        let ns = Array.fold_left (fun n l -> if l.scalar then n + 1 else n) 0 ls in
+        V.create ~scalars:ns ~grouped:(Array.length ls - ns))
+      out_layouts
+  in
   match Database.stream db sc.Ir.sc_rel with
   | Some chunks ->
       (* Out-of-core: sequential page chunks into ONE set of views, in
@@ -613,7 +628,9 @@ let scan_group ~parallel ~chunk_threshold db (g : Ir.grouped)
           ~combine:(fun acc v ->
             match acc with
             | None -> Some v
-            | Some a -> Some (Array.map2 merge_views a v))
+            | Some a ->
+                Array.iter2 V.merge a v;
+                Some a)
           ~zero:None
         |> Option.fold ~none:(fresh ()) ~some:Fun.id
       else begin
@@ -623,6 +640,14 @@ let scan_group ~parallel ~chunk_threshold db (g : Ir.grouped)
       end
 
 (* ---------- batch execution ---------- *)
+
+(* A grouped partial's groups, sorted in [Faggregate.Grouped.Key.compare]
+   order: every key assigns the same names in the same order, so that
+   order is the lexicographic [Value.compare] order of the values. *)
+let bindings (vars : string array) (pairs : (Tuple.t * float) list) : Spec.result =
+  List.map
+    (fun (values, v) -> (Array.to_list (Array.map2 (fun n x -> (n, x)) vars values), v))
+    (List.sort (fun (a, _) (b, _) -> Tuple.compare a b) pairs)
 
 let run ~parallel ~chunk_threshold db (g : Ir.grouped) :
     (string * Spec.result) list =
@@ -661,13 +686,18 @@ let run ~parallel ~chunk_threshold db (g : Ir.grouped) :
     (Array.map
        (fun (id, v, slot) ->
          let l = layouts.(v).(slot) in
-         (* a root view has the single empty key, which packs as [P 0] *)
+         let view = Option.get live.(v) in
+         (* a root view has the single empty key, which packs as 0 *)
          let result =
-           match Keypack.Hybrid.find_opt (Option.get live.(v)) (Keypack.P 0) with
-           | None -> if l.scalar then [ ([], 0.0) ] else []
-           | Some r ->
-               if l.scalar then [ ([], r.sc.(l.idx)) ]
-               else Grouped.bindings l.vars r.gr.(l.idx)
+           match V.find view 0 with
+           | -1 -> if l.scalar then [ ([], 0.0) ] else []
+           | r ->
+               if l.scalar then [ ([], V.scalar view r l.idx) ]
+               else
+                 bindings l.vars
+                   (V.cell_bindings view
+                      ((r * view.V.grouped) + l.idx)
+                      ~arity:(Array.length l.vars))
          in
          (id, result))
        g.Ir.g_outputs)

@@ -1,10 +1,13 @@
 (** Stage 3: closure-compile a physical IR plan against a live database
-    and run it — monomorphic column readers, pre-resolved payload offsets,
-    unrolled small-arity products, zero variant dispatch in the scan loop.
-    Grouped partials accumulate under packed {!Keypack} keys and are sorted
-    once, at extraction, in [Faggregate.Grouped.Key.compare] order. Float
-    operations run in a fixed order, so results are deterministic to the
-    bit (see the implementation header). *)
+    and run it. Every directed view lives in {!Flat_view} storage (an
+    open-addressing index from packed key to dense row id, scalar partials
+    contiguous per row in fixed-size float blocks, grouped partials as
+    per-(row, slot) entry chains), and the slot kernels read term columns
+    as unboxed arrays and keys as ints, so the scan loop allocates nothing
+    per row. Grouped partials are sorted once, at extraction, in
+    [Faggregate.Grouped.Key.compare] order. Float operations run in a
+    fixed order, so results are deterministic to the bit (see the
+    implementation header). *)
 
 open Relational
 module Spec = Aggregates.Spec
@@ -17,13 +20,15 @@ val run :
   (string * Spec.result) list
 (** Execute a batch's grouped plan: run its scans in order, each under one
     [lmfao.view:<R>] span. A scan binds its relation once per chunk
-    (specialising readers, filters and kernels to the live column
-    representations — term columns that are boxed or drifted since
-    lowering count in [lmfao.compile.fallbacks]), probes each incoming
-    view once per row and feeds every output view whose children all
-    matched. A view is dropped after the last scan that reads it; root
-    views are kept, and each output aggregate is extracted from its root
-    view's slot, in [g_outputs] order. With [parallel], resident scans
-    above [chunk_threshold] rows run in chunks merged in a fixed order.
-    Counts [lmfao.roots] (root views computed) and [lmfao.tuples_scanned]
-    (rows read, once per scan whatever its number of views). *)
+    (specialising term columns, key readers, filters and kernels to the
+    live column representations — term columns that are boxed or drifted
+    since lowering are read lazily per row and count in
+    [lmfao.compile.fallbacks]), probes each incoming view once per row and
+    feeds every output view whose children all matched. A view is dropped
+    after the last scan that reads it; root views are kept, and each
+    output aggregate is extracted from its root view's slot, in
+    [g_outputs] order. With [parallel], resident scans above
+    [chunk_threshold] rows run in chunks merged in a fixed order. Counts
+    [lmfao.roots] (root views computed), [lmfao.tuples_scanned] (rows
+    read, once per scan whatever its number of views) and, per view-key
+    insert, [keypack.packed] / [keypack.boxed]. *)

@@ -1,0 +1,417 @@
+(* Flat storage for the directed views of [Exec]: a view's rows, their
+   scalar partials and their grouped partials live in a few int and float
+   arrays, with no record, list cell or boxed key per row.
+
+   - Rows. Each key of the view maps to a dense row id (0, 1, 2, ... in
+     insertion order). A key that packs ([Keypack]'s packing) is found
+     through an open-addressing index of [key; row] pairs with linear
+     probing; a key that does not, through a [Tuple.Tbl] side table.
+     Wherever a key is an int, [nopack] ([min_int]) stands for "does not
+     pack", so an arity-1 [Int min_int] key takes the boxed side: every
+     key reader here follows that rule, so one logical key always lands on
+     one side.
+   - Scalar partials. Row r's [scalars] floats are contiguous in a float
+     block of at most [block_size] floats, allocated when its first row is
+     added and never moved: block [r lsr shift], from offset
+     [(r land (1 lsl shift - 1)) * scalars].
+   - Grouped partials. Cell [r * grouped + g] (row r, grouped slot g)
+     heads a chain of entries; an entry is a packed key (or [nopack]), the
+     next entry of its chain (-1 ends it), and a float value. Cells and
+     entries live in blocks too, so nothing moves as a view grows. A chain
+     is scanned linearly while its cell holds at most [linear_max]
+     entries; the entry that takes it past that promotes the cell to a
+     view-wide open-addressing index over (cell, key). Entries with boxed
+     keys are found through a (cell, tuple) hash table, never in a scan.
+   - A new entry starts at [-0.0], so its first addition stores the
+     operand bit for bit ([-0.0 +. v = v] for every v, zeros and NaNs
+     included). Scalars start at [+0.0]. *)
+
+open Relational
+
+let nopack = min_int
+let block_bits = 9
+let block_size = 1 lsl block_bits
+let pair_bits = block_bits - 1
+let linear_max = 16
+
+(* View-key inserts, as every [Keypack.Hybrid] table counts them. *)
+let c_packed = Obs.counter "keypack.packed"
+let c_boxed = Obs.counter "keypack.boxed"
+
+module Ctbl = Hashtbl.Make (struct
+  type t = int * Tuple.t
+
+  let equal (c, a) (d, b) = c = d && Tuple.equal a b
+  let hash (c, a) = (c * 31) + Tuple.hash a
+end)
+
+(* Keys that do not pack: rows by key, entries by (cell, key), and each
+   such entry's key. *)
+type boxed = {
+  b_rows : int Tuple.Tbl.t;
+  b_entries : int Ctbl.t;
+  b_keys : (int, Tuple.t) Hashtbl.t;
+}
+
+type t = {
+  scalars : int;
+  grouped : int;
+  shift : int;
+  mutable blocks : float array array;
+  mutable cells : int array array;
+  mutable links : int array array;
+  mutable values : float array array;
+  mutable index : int array;
+  mutable rows : int;
+  mutable entries : int;
+  mutable promoted : int array;
+  mutable n_promoted : int;
+  boxed : boxed;
+}
+
+(* The largest [s <= block_bits] with [(1 lsl s) * scalars <= block_size]:
+   a row never straddles two blocks, and a row wider than a block gets a
+   block to itself. *)
+let rows_shift scalars =
+  let rec go s =
+    if s < block_bits && (1 lsl (s + 1)) * scalars <= block_size then go (s + 1)
+    else s
+  in
+  go 0
+
+let create ~scalars ~grouped =
+  {
+    scalars;
+    grouped;
+    shift = rows_shift scalars;
+    blocks = [||];
+    cells = [||];
+    links = [||];
+    values = [||];
+    index = Array.make 16 (-1);
+    rows = 0;
+    entries = 0;
+    promoted = [||];
+    n_promoted = 0;
+    boxed =
+      { b_rows = Tuple.Tbl.create 1; b_entries = Ctbl.create 1; b_keys = Hashtbl.create 1 };
+  }
+
+(* [Keypack]'s multiplicative hash, high bits folded down. *)
+let[@inline] hash x =
+  let h = x * 0x2545F4914F6CDD1D in
+  h lxor (h asr 31)
+
+(* ---------- block arithmetic ---------- *)
+
+let pair_mask = (1 lsl pair_bits) - 1
+let[@inline] pair_block (blocks : int array array) i = Array.unsafe_get blocks (i lsr pair_bits)
+let[@inline] pair_at i = (i land pair_mask) lsl 1
+
+(* Cell [c]'s first entry and entry count; entry [e]'s key, next entry
+   and value. *)
+let[@inline] head t c = Array.unsafe_get (pair_block t.cells c) (pair_at c)
+let[@inline] count t c = Array.unsafe_get (pair_block t.cells c) (pair_at c + 1)
+let[@inline] key_of t e = Array.unsafe_get (pair_block t.links e) (pair_at e)
+let[@inline] next_of t e = Array.unsafe_get (pair_block t.links e) (pair_at e + 1)
+
+let[@inline] value_of t e =
+  Array.unsafe_get (Array.unsafe_get t.values (e lsr block_bits)) (e land (block_size - 1))
+
+(* Row [r]'s scalar block, and the offset of its first scalar there. *)
+let[@inline] block_of t r = t.blocks.(r lsr t.shift)
+let[@inline] base_of t r = (r land ((1 lsl t.shift) - 1)) * t.scalars
+
+(* ---------- key readers ---------- *)
+
+(* Closure-free packing loops; packed keys of arity >= 2 are non-negative,
+   so -1 flags a field that does not fit. *)
+let rec pack_ints (cols : int array array) k w bound i j acc =
+  if j = k then acc
+  else
+    let x = Array.unsafe_get (Array.unsafe_get cols j) i in
+    if x >= 0 && x < bound then pack_ints cols k w bound i (j + 1) ((acc lsl w) lor x)
+    else nopack
+
+let rec pack_data (datas : Column.data array) k w bound i j acc =
+  if j = k then acc
+  else
+    let x =
+      match Array.unsafe_get datas j with
+      | Column.Ints a -> Array.unsafe_get a i
+      | Column.Boxed a -> (
+          match Array.unsafe_get a i with Value.Int x -> x | _ -> -1)
+      | Column.Floats _ -> -1
+    in
+    if x >= 0 && x < bound then pack_data datas k w bound i (j + 1) ((acc lsl w) lor x)
+    else nopack
+
+let reader (cols : Column.t array) (positions : int array) : int -> int =
+  let k = Array.length positions in
+  if k = 0 then fun _ -> 0
+  else if k = 1 then
+    match Column.data cols.(positions.(0)) with
+    | Column.Ints a -> fun i -> Array.unsafe_get a i
+    | Column.Floats _ -> fun _ -> nopack
+    | Column.Boxed a -> (
+        fun i -> match Array.unsafe_get a i with Value.Int x -> x | _ -> nopack)
+  else
+    let w = Keypack.field_width k in
+    let bound = 1 lsl w in
+    let datas = Array.map (fun p -> Column.data cols.(p)) positions in
+    if Array.for_all (function Column.Ints _ -> true | _ -> false) datas then
+      let ints = Array.map (function Column.Ints a -> a | _ -> [||]) datas in
+      fun i -> pack_ints ints k w bound i 0 0
+    else fun i -> pack_data datas k w bound i 0 0
+
+let key_tuple (cols : Column.t array) (positions : int array) i : Tuple.t =
+  Array.map (fun p -> Column.get cols.(p) i) positions
+
+let pack_tuple (key : Tuple.t) =
+  match Keypack.key_of_tuple (Array.init (Array.length key) Fun.id) key with
+  | Keypack.P p -> p
+  | Keypack.B _ -> nopack
+
+(* ---------- rows ---------- *)
+
+(* The slot of [ix] holding [k], or the free slot where it belongs. *)
+let slot (ix : int array) k =
+  let mask = (Array.length ix lsr 1) - 1 in
+  let s = ref (hash k land mask) in
+  while
+    Array.unsafe_get ix ((!s lsl 1) + 1) >= 0 && Array.unsafe_get ix (!s lsl 1) <> k
+  do
+    s := (!s + 1) land mask
+  done;
+  !s
+
+let find t k = Array.unsafe_get t.index ((slot t.index k lsl 1) + 1)
+
+let find_boxed t key =
+  match Tuple.Tbl.find_opt t.boxed.b_rows key with Some r -> r | None -> -1
+
+let grow_index t =
+  let old = t.index in
+  let ix = Array.make (2 * Array.length old) (-1) in
+  for s = 0 to (Array.length old lsr 1) - 1 do
+    let r = old.((2 * s) + 1) in
+    if r >= 0 then begin
+      let k = old.(2 * s) in
+      let s' = slot ix k in
+      ix.(2 * s') <- k;
+      ix.((2 * s') + 1) <- r
+    end
+  done;
+  t.index <- ix
+
+(* [blocks] with room for block [b]. *)
+let room (blocks : 'a array array) b =
+  if b < Array.length blocks then blocks
+  else begin
+    let grown = Array.make (Stdlib.max 4 (2 * Array.length blocks)) [||] in
+    Array.blit blocks 0 grown 0 (Array.length blocks);
+    grown
+  end
+
+(* A new row's storage: its scalar block when it is the block's first
+   row, and every cell block its cells open. *)
+let add_row t =
+  let r = t.rows in
+  t.rows <- r + 1;
+  if t.scalars > 0 && base_of t r = 0 then begin
+    let b = r lsr t.shift in
+    t.blocks <- room t.blocks b;
+    t.blocks.(b) <- Array.make ((1 lsl t.shift) * t.scalars) 0.0
+  end;
+  if t.grouped > 0 then
+    for b = ((r * t.grouped) + pair_mask) lsr pair_bits
+        to (((r + 1) * t.grouped) - 1) lsr pair_bits do
+      t.cells <- room t.cells b;
+      let cb = Array.make block_size 0 in
+      for c = 0 to pair_mask do
+        cb.(2 * c) <- -1
+      done;
+      t.cells.(b) <- cb
+    done;
+  r
+
+let row t k =
+  let ix = t.index in
+  let s = slot ix k in
+  let r = Array.unsafe_get ix ((s lsl 1) + 1) in
+  if r >= 0 then r
+  else begin
+    let r = add_row t in
+    ix.(s lsl 1) <- k;
+    ix.((s lsl 1) + 1) <- r;
+    Obs.incr c_packed;
+    if 4 * t.rows > Array.length ix then grow_index t;
+    r
+  end
+
+let row_boxed t key =
+  match Tuple.Tbl.find_opt t.boxed.b_rows key with
+  | Some r -> r
+  | None ->
+      let r = add_row t in
+      Tuple.Tbl.add t.boxed.b_rows key r;
+      Obs.incr c_boxed;
+      r
+
+(* ---------- grouped entries ---------- *)
+
+let new_entry t cell k =
+  let e = t.entries in
+  t.entries <- e + 1;
+  if e land pair_mask = 0 then begin
+    t.links <- room t.links (e lsr pair_bits);
+    t.links.(e lsr pair_bits) <- Array.make block_size 0
+  end;
+  if e land (block_size - 1) = 0 then begin
+    t.values <- room t.values (e lsr block_bits);
+    t.values.(e lsr block_bits) <- Array.make block_size 0.0
+  end;
+  let cb = pair_block t.cells cell and co = pair_at cell in
+  let lb = pair_block t.links e and lo = pair_at e in
+  lb.(lo) <- k;
+  lb.(lo + 1) <- cb.(co);
+  cb.(co) <- e;
+  cb.(co + 1) <- cb.(co + 1) + 1;
+  t.values.(e lsr block_bits).(e land (block_size - 1)) <- -0.0;
+  e
+
+(* The slot of [p] holding (cell, k), or the free slot where it belongs. *)
+let pslot (p : int array) cell k =
+  let mask = (Array.length p / 3) - 1 in
+  let s = ref (hash (k + hash cell) land mask) in
+  while
+    Array.unsafe_get p ((3 * !s) + 2) >= 0
+    && (Array.unsafe_get p (3 * !s) <> cell || Array.unsafe_get p ((3 * !s) + 1) <> k)
+  do
+    s := (!s + 1) land mask
+  done;
+  !s
+
+let rec index_entry t cell k e =
+  if 2 * (t.n_promoted + 1) > Array.length t.promoted / 3 then begin
+    let old = t.promoted in
+    t.promoted <- Array.make (3 * Stdlib.max 64 (2 * (Array.length old / 3))) (-1);
+    t.n_promoted <- 0;
+    for s = 0 to (Array.length old / 3) - 1 do
+      let e' = old.((3 * s) + 2) in
+      if e' >= 0 then index_entry t old.(3 * s) old.((3 * s) + 1) e'
+    done
+  end;
+  let p = t.promoted in
+  let s = pslot p cell k in
+  p.(3 * s) <- cell;
+  p.((3 * s) + 1) <- k;
+  p.((3 * s) + 2) <- e;
+  t.n_promoted <- t.n_promoted + 1
+
+(* Index every packed entry of [cell]'s chain, the one just added
+   included. The index exists from here on, even when every entry so far
+   is boxed. *)
+let promote t cell =
+  if Array.length t.promoted = 0 then t.promoted <- Array.make (3 * 64) (-1);
+  let e = ref (head t cell) in
+  while !e >= 0 do
+    let k = key_of t !e in
+    if k <> nopack then index_entry t cell k !e;
+    e := next_of t !e
+  done
+
+let entry t cell k =
+  let n = count t cell in
+  if n > linear_max then begin
+    let e = t.promoted.((3 * pslot t.promoted cell k) + 2) in
+    if e >= 0 then e
+    else begin
+      let e = new_entry t cell k in
+      index_entry t cell k e;
+      e
+    end
+  end
+  else begin
+    let e = ref (head t cell) in
+    while !e >= 0 && key_of t !e <> k do
+      e := next_of t !e
+    done;
+    if !e >= 0 then !e
+    else begin
+      let e = new_entry t cell k in
+      if n = linear_max then promote t cell;
+      e
+    end
+  end
+
+let entry_boxed t cell key =
+  match Ctbl.find_opt t.boxed.b_entries (cell, key) with
+  | Some e -> e
+  | None ->
+      let n = count t cell in
+      let e = new_entry t cell nopack in
+      Ctbl.add t.boxed.b_entries (cell, key) e;
+      Hashtbl.add t.boxed.b_keys e key;
+      if n = linear_max then promote t cell;
+      e
+
+let boxed_key t e = Hashtbl.find t.boxed.b_keys e
+
+(* ---------- merging and reading out ---------- *)
+
+(* Add source row [sr] into target row [tr]; a fresh target row takes the
+   source's scalars as they are, and a key new to a target cell takes its
+   value as it is ([-0.0 +. v = v]). *)
+let merge_row into src sr tr ~fresh =
+  let ns = src.scalars in
+  if ns > 0 then begin
+    let sb = block_of src sr and so = base_of src sr in
+    let tb = block_of into tr and tof = base_of into tr in
+    if fresh then Array.blit sb so tb tof ns
+    else
+      for j = 0 to ns - 1 do
+        tb.(tof + j) <- tb.(tof + j) +. sb.(so + j)
+      done
+  end;
+  for g = 0 to src.grouped - 1 do
+    let tc = (tr * into.grouped) + g in
+    let e = ref (head src ((sr * src.grouped) + g)) in
+    while !e >= 0 do
+      let k = key_of src !e in
+      let te = if k <> nopack then entry into tc k else entry_boxed into tc (boxed_key src !e) in
+      let vb = into.values.(te lsr block_bits) and vo = te land (block_size - 1) in
+      vb.(vo) <- vb.(vo) +. value_of src !e;
+      e := next_of src !e
+    done
+  done
+
+let merge into src =
+  let ix = src.index in
+  for s = 0 to (Array.length ix lsr 1) - 1 do
+    let sr = ix.((2 * s) + 1) in
+    if sr >= 0 then begin
+      let k = ix.(2 * s) in
+      let tr = find into k in
+      if tr >= 0 then merge_row into src sr tr ~fresh:false
+      else merge_row into src sr (row into k) ~fresh:true
+    end
+  done;
+  Tuple.Tbl.iter
+    (fun key sr ->
+      let tr = find_boxed into key in
+      if tr >= 0 then merge_row into src sr tr ~fresh:false
+      else merge_row into src sr (row_boxed into key) ~fresh:true)
+    src.boxed.b_rows
+
+let scalar t r idx = (block_of t r).(base_of t r + idx)
+
+let cell_bindings t cell ~arity =
+  let acc = ref [] and e = ref (head t cell) in
+  while !e >= 0 do
+    let k = key_of t !e in
+    let key = if k <> nopack then Keypack.unpack arity k else boxed_key t !e in
+    acc := (key, value_of t !e) :: !acc;
+    e := next_of t !e
+  done;
+  !acc

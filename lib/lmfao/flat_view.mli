@@ -1,0 +1,105 @@
+(** Flat storage for one directed view of {!Exec}: an open-addressing
+    index from packed key to dense row id (with a [Tuple.Tbl] side table
+    for keys that do not pack), each row's scalar partials contiguous in a
+    fixed-size float block that never moves, and each (row, grouped slot)
+    cell's grouped partials as a chain of entries in int and float blocks.
+    A cell scans its chain up to 16 entries and is indexed past that. New
+    entries start at [-0.0], so a first addition stores its operand bit
+    for bit; scalars start at [+0.0].
+
+    The record is exposed so that [Exec]'s kernels read blocks in place;
+    everything that allocates or grows goes through the functions. *)
+
+open Relational
+
+val nopack : int
+(** [min_int]: an int key that does not pack. An arity-1 key equal to
+    [min_int] is treated as not packing, by every reader here. *)
+
+val block_bits : int
+(** Entry values: block [e lsr block_bits], offset [e land (block_size - 1)]. *)
+
+val block_size : int
+(** [1 lsl block_bits] = 512: the most floats a scalar block holds (a row
+    wider than that gets a block to itself), and the values per entry block. *)
+
+val pair_bits : int
+(** Cells and entry links hold two ints each, [1 lsl pair_bits] per block:
+    cell [c]'s head and count at [cells.(c lsr pair_bits)] offsets
+    [2 * (c land (1 lsl pair_bits - 1))] and [+ 1]; entry [e]'s key and
+    next likewise in [links]. *)
+
+type boxed
+(** Keys that do not pack: rows by key, entries by (cell, key). *)
+
+type t = private {
+  scalars : int;  (** scalar slots per row *)
+  grouped : int;  (** grouped slots per row; row r owns cells [r * grouped + g] *)
+  shift : int;
+      (** row r's scalars: block [r lsr shift], offset
+          [(r land (1 lsl shift - 1)) * scalars] *)
+  mutable blocks : float array array;  (** scalar blocks *)
+  mutable cells : int array array;  (** per cell: head entry (-1: none), count *)
+  mutable links : int array array;  (** per entry: key, next entry (-1: none) *)
+  mutable values : float array array;  (** per entry: its partial *)
+  mutable index : int array;  (** [key; row] pairs, row -1 when free *)
+  mutable rows : int;
+  mutable entries : int;
+  mutable promoted : int array;  (** [cell; key; entry] triples, entry -1 when free *)
+  mutable n_promoted : int;
+  boxed : boxed;
+}
+
+val create : scalars:int -> grouped:int -> t
+(** An empty view whose rows hold [scalars] scalar and [grouped] grouped
+    partials. *)
+
+(** {1 Keys} *)
+
+val reader : Column.t array -> int array -> int -> int
+(** [reader cols positions i]: row [i]'s key over the columns at
+    [positions], packed as {!Keypack} packs it, or {!nopack}. Specialised
+    to the columns' live representations; allocates nothing. *)
+
+val key_tuple : Column.t array -> int array -> int -> Tuple.t
+(** The boxed key of row [i], for a row whose {!reader} key is {!nopack}. *)
+
+val pack_tuple : Tuple.t -> int
+(** The packed form of a boxed key, or {!nopack}. *)
+
+(** {1 Rows} *)
+
+val find : t -> int -> int
+(** The row of a packed key, or -1. *)
+
+val find_boxed : t -> Tuple.t -> int
+
+val row : t -> int -> int
+(** The row of a packed key, added (scalars [+0.0], cells empty) when
+    new; counts [keypack.packed] on insert. *)
+
+val row_boxed : t -> Tuple.t -> int
+(** Likewise for a key that does not pack; counts [keypack.boxed]. *)
+
+val scalar : t -> int -> int -> float
+(** [scalar t r idx]: row [r]'s scalar partial [idx]. *)
+
+(** {1 Grouped entries} *)
+
+val entry : t -> int -> int -> int
+(** [entry t cell k]: the entry of packed key [k] in [cell], added at
+    [-0.0] when new. *)
+
+val entry_boxed : t -> int -> Tuple.t -> int
+(** Likewise for a key that does not pack. *)
+
+val boxed_key : t -> int -> Tuple.t
+(** The key of an entry whose key is {!nopack}. *)
+
+val cell_bindings : t -> int -> arity:int -> (Tuple.t * float) list
+(** A cell's (key, value) pairs, unordered, keys unpacked at [arity]. *)
+
+val merge : t -> t -> unit
+(** [merge into src] adds every row of [src] into [into]: per key, sums
+    in place, and a key new to [into] (a row, or an entry of a cell) takes
+    [src]'s partials as they are. *)

@@ -60,7 +60,6 @@ type view = {
   v_children : int array; (* per child: index of its view toward us in [g_views] *)
   v_child_keys : int array array; (* per child: its join-key positions here *)
   v_scan_filters : filter list; (* conjuncts common to EVERY slot, hoisted *)
-  v_hoisted : int array; (* columns preloaded once per row (>= 2 readers) *)
   v_slots : slot array;
 }
 

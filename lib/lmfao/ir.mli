@@ -46,7 +46,6 @@ type view = {
   v_child_keys : int array array;  (** per child: its join-key positions here *)
   v_scan_filters : filter list;
       (** conjuncts common to EVERY slot, hoisted to the scan *)
-  v_hoisted : int array;  (** columns preloaded once per row *)
   v_slots : slot array;
 }
 

@@ -3,7 +3,7 @@
    Lowering is a mechanical translation — every decision with a
    cost-model flavour (root choice, restriction, sharing, ownership) has
    already been made by the planner, and every optimisation on the
-   physical form (filter fusion, load hoisting) belongs to [Passes]. *)
+   physical form (filter fusion) belongs to [Passes]. *)
 
 open Relational
 
@@ -43,7 +43,6 @@ let view (v : Plan.view) : Ir.view =
     v_children = v.Plan.v_children;
     v_child_keys = v.Plan.v_child_keys;
     v_scan_filters = [];
-    v_hoisted = [||];
     v_slots = Array.map (slot schema cols) v.Plan.v_slots;
   }
 

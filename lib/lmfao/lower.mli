@@ -1,6 +1,6 @@
 (** Stage 1: mechanical lowering of a logical {!Plan} into the typed
-    physical IR. No optimisation happens here — filter fusion and load
-    hoisting are {!Passes}. *)
+    physical IR. No optimisation happens here — filter fusion is a
+    {!Passes} pass. *)
 
 open Relational
 

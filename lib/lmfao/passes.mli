@@ -8,13 +8,9 @@ val fuse_filters : Ir.grouped -> Ir.grouped
     scan filter (tested once per row). The scan filter gates the slot
     kernels only — never the view's key insertion. *)
 
-val hoist_loads : Ir.grouped -> Ir.grouped
-(** Mark columns read by at least two slot kernels of a view for a
-    once-per-row buffered load. *)
-
 val all : (string * (Ir.grouped -> Ir.grouped)) list
 (** The pipeline stages in order, named (for the stage-equivalence
     suite). *)
 
 val pipeline : Ir.grouped -> Ir.grouped
-(** [fuse_filters |> hoist_loads]. *)
+(** Every stage of {!all}, in order: [fuse_filters]. *)

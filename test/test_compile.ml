@@ -7,7 +7,7 @@
    materialised join, with groups in [Faggregate.Grouped.Key.compare]
    order, across random databases and batches (including filters and
    group-bys) and every option combination. Further suites check the real
-   schemas numerically, keys that mix packed and boxed representations,
+   schemas numerically, keys of every shape a view holds,
    plan-cache reuse and revalidation, specialization fallbacks, and stage
    equivalence of the IR passes. *)
 
@@ -295,58 +295,97 @@ let datagen_schemas () =
         Datagen.Tpcds.mi_attrs );
     ]
 
-(* ---- packed and boxed keys ----
+(* ---- key shapes ----
 
-   Two-attribute group-bys whose keys pack for some rows and not for
-   others: a negative int and an int >= 2^31 overflow the 31-bit fields of
-   an arity-2 key, and a string column never packs. The group-by
-   attributes sit in different relations, so keys are also merged across
-   views. Groups must come back in value order, not representation order. *)
+   A 3-relation tree whose join and group keys mix every shape a view
+   key or a grouped entry can take. R(a, k1, k2, g, m) joins D(a, f, h, n)
+   on [a] and E(k1, k2, t, w) on (k1, k2):
+   - [a] is a boxed column of ints (negative ones among them), strings
+     and floats (0.0 in R and -0.0 in D, which join), so one arity-1 key
+     packs in some rows and not in others;
+   - (k1, k2) is an arity-2 key whose k1 is sometimes negative and k2
+     sometimes >= 2^31, neither of which packs in a 31-bit field;
+   - the group columns are g (ints from -20 to 19: the root cell of
+     count|g, and each cell of the R->D view grouped by g, pass the 16
+     entries a chain is scanned for), f (floats, 0.0 and -0.0 among
+     them), h (ints), t (strings) and w (floats), grouped alone, in
+     pairs across relations, and six at once at D, which merges a
+     five-field key from R's side: more fields than D has columns.
+   E holds more than 4,096 distinct (k1, k2) keys, so the views between R
+   and E span several blocks and regrow their indexes. Measures are on the
+   dyadic lattice (multiples of 1/16), so every sum is exact and the engine
+   must match flat evaluation bit for bit, groups in value order. *)
 
-let mixed_keys () =
+let key_shapes_db rng =
   let big = 1 lsl 31 in
+  let pick l = List.nth l (Util.Prng.int rng (List.length l)) in
+  let dyadic () = flt (float_of_int (Util.Prng.int rng 64 - 32) /. 16.0) in
+  let n_e = 4100 + Util.Prng.int rng 400 in
+  (* the k-th (k1, k2) key; distinct for distinct k *)
+  let e_key k =
+    ( int (if k mod 7 = 0 then -(k + 1) else k),
+      int (if k mod 5 = 0 then big + k else k mod 13) )
+  in
+  let a_values =
+    [ int (-3); int (-1); int 0; int 2; Value.Str "p"; Value.Str "q"; flt 0.0; flt 1.5 ]
+  in
   let r =
     Relation.of_list "R"
       (Schema.make
-         [ ("a", Value.TInt); ("b", Value.TInt); ("k", Value.TInt);
-           ("s", Value.TStr); ("m", Value.TFloat) ])
-      (List.mapi
-         (fun i (a, b, k, s) ->
-           [| int a; int b; int k; Value.Str s; flt (float_of_int (i + 1)) |])
-         [ (0, 0, 3, "x"); (0, 1, -5, "y"); (1, 0, big + 1, "x");
-           (1, 1, 3, "y"); (2, 0, -5, "x"); (2, 1, 7, "x") ])
+         [ ("a", Value.TStr); ("k1", Value.TInt); ("k2", Value.TInt);
+           ("g", Value.TInt); ("m", Value.TFloat) ])
+      (List.init (4500 + Util.Prng.int rng 1000) (fun _ ->
+           (* a few keys E does not hold *)
+           let k1, k2 = e_key (Util.Prng.int rng (n_e + 50)) in
+           [| pick a_values; k1; k2; int (Util.Prng.int rng 40 - 20); dyadic () |]))
   in
   let d =
     Relation.of_list "D"
-      (Schema.make [ ("a", Value.TInt); ("j", Value.TInt) ])
-      [ [| int 0; int 2 |]; [| int 1; int (big + 3) |]; [| int 2; int (-1) |];
-        [| int 0; int 0 |] ]
+      (Schema.make
+         [ ("a", Value.TStr); ("f", Value.TFloat); ("h", Value.TInt); ("n", Value.TFloat) ])
+      (List.init (40 + Util.Prng.int rng 30) (fun _ ->
+           let a = match pick a_values with Value.Float 0.0 -> flt (-0.0) | v -> v in
+           [| a; pick [ flt 0.0; flt (-0.0); flt 0.5; flt (-2.0); flt 3.25 ];
+              int (Util.Prng.int rng 30 - 5); dyadic () |]))
   in
   let e =
     Relation.of_list "E"
-      (Schema.make [ ("b", Value.TInt); ("t", Value.TStr) ])
-      [ [| int 0; Value.Str "p" |]; [| int 1; Value.Str "q" |];
-        [| int 1; Value.Str "p" |] ]
+      (Schema.make
+         [ ("k1", Value.TInt); ("k2", Value.TInt); ("t", Value.TStr); ("w", Value.TFloat) ])
+      (List.init n_e (fun k ->
+           let k1, k2 = e_key k in
+           [| k1; k2; Value.Str (pick [ "x"; "y"; "z"; "w" ]); dyadic () |]))
   in
-  let db = Database.create "mixed" [ r; d; e ] in
-  let batch =
-    {
-      Batch.name = "mixed";
-      aggregates =
-        [
-          Spec.make ~id:"jk" ~terms:[ ("m", 1) ] ~group_by:[ "j"; "k" ] ();
-          Spec.make ~id:"ks" ~terms:[] ~group_by:[ "k"; "s" ] ();
-          Spec.make ~id:"jt" ~terms:[ ("m", 2) ] ~group_by:[ "j"; "t" ] ();
-          Spec.make ~id:"k" ~terms:[ ("m", 1) ] ~group_by:[ "k" ] ();
-        ];
-    }
-  in
-  List.iter
-    (fun (desc, options) ->
-      Alcotest.(check bool) (desc ^ ": = flat in Key.compare order") true
-        (check_vs_flat ~options db batch))
-    [ ("default", default);
-      ("parallel", { default with Engine.parallel = true; chunk_threshold = 1 }) ]
+  Database.create "key-shapes" [ r; d; e ]
+
+let key_shapes_batch =
+  let agg id terms group_by = Spec.make ~id ~terms ~group_by () in
+  {
+    Batch.name = "key-shapes";
+    aggregates =
+      [
+        Spec.count ~id:"n";
+        agg "count|g" [] [ "g" ];
+        agg "sum(m)|a" [ ("m", 1) ] [ "a" ];
+        agg "sum(n)|f" [ ("n", 1) ] [ "f" ];
+        agg "count|t" [] [ "t" ];
+        agg "count|k1,k2" [] [ "k1"; "k2" ];
+        agg "sum(m*w)|g,t" [ ("m", 1); ("w", 1) ] [ "g"; "t" ];
+        agg "sum(n)|h,g" [ ("n", 1) ] [ "h"; "g" ];
+        agg "sum(m)|f,g" [ ("m", 1) ] [ "f"; "g" ];
+        agg "count|g,h" [] [ "g"; "h" ];
+        agg "sum(w^2)|a,t" [ ("w", 2) ] [ "a"; "t" ];
+        agg "count|f,g,k1,k2,t,w" [] [ "f"; "g"; "k1"; "k2"; "t"; "w" ];
+      ];
+  }
+
+let key_shapes_match_flat (desc, options) =
+  QCheck2.Test.make ~count:4
+    ~name:(Printf.sprintf "engine = flat bitwise: mixed key shapes, lattice data (%s)" desc)
+    QCheck2.Gen.int
+    (fun seed ->
+      let db = key_shapes_db (Util.Prng.create seed) in
+      check_vs_flat ~options db key_shapes_batch)
 
 (* ---- cyclic fallback ---- *)
 
@@ -453,6 +492,46 @@ let fallbacks_count_drift () =
   Alcotest.(check bool) "boxed term column counted" true (fallbacks () > 0);
   Obs.reset ()
 
+(* A boxed term column is read lazily, row by row: F's term column x
+   holds ints and, only in rows whose key D does not hold, strings. Every
+   aggregate over x roots at F, so only F rows that found a partner in D
+   reach a kernel, and [Value.to_float] never sees a string. *)
+let boxed_terms_lazy () =
+  let f =
+    Relation.of_list "F"
+      (Schema.make [ ("a", Value.TInt); ("x", Value.TInt); ("g", Value.TInt) ])
+      (List.init 40 (fun i ->
+           if i mod 4 = 3 then [| int (100 + i); Value.Str "n/a"; int (i mod 3) |]
+           else [| int (i mod 5); int (i - 7); int (i mod 3) |]))
+  in
+  let d =
+    Relation.of_list "D"
+      (Schema.make [ ("a", Value.TInt); ("u", Value.TInt) ])
+      (List.init 10 (fun i -> [| int (i mod 5); int (i mod 2) |]))
+  in
+  let db = Database.create "boxed-terms" [ f; d ] in
+  let batch =
+    {
+      Batch.name = "boxed-terms";
+      aggregates =
+        [
+          Spec.count ~id:"n";
+          Spec.make ~id:"sum(x)" ~terms:[ ("x", 1) ] ~group_by:[] ();
+          Spec.make ~id:"sum(x^2)" ~terms:[ ("x", 2) ] ~group_by:[] ();
+          Spec.make ~id:"sum(x)|g" ~terms:[ ("x", 1) ] ~group_by:[ "g" ] ();
+          Spec.make ~id:"count|u" ~terms:[] ~group_by:[ "u" ] ();
+        ];
+    }
+  in
+  Alcotest.(check bool) "x is boxed" true
+    (match Column.data (Relation.columns f).(1) with Column.Boxed _ -> true | _ -> false);
+  Obs.reset ();
+  let ok = Obs.with_enabled true (fun () -> check_vs_flat ~options:default db batch) in
+  Alcotest.(check bool) "no raise, = flat bitwise" true ok;
+  Alcotest.(check bool) "boxed term column counted" true
+    (Obs.counter_value_by_name "lmfao.compile.fallbacks" > 0);
+  Obs.reset ()
+
 (* ---- stage equivalence of the IR passes ---- *)
 
 (* The batch's merged plan of view groups, lowered, before any pass. *)
@@ -526,7 +605,12 @@ let () =
       ( "datagen",
         [ Alcotest.test_case "all schemas = flat" `Quick datagen_schemas ] );
       ( "keys",
-        [ Alcotest.test_case "packed and boxed keys" `Quick mixed_keys ] );
+        List.map
+          (fun o -> qcheck (key_shapes_match_flat o))
+          [
+            ("default", default);
+            ("parallel", { default with Engine.parallel = true; chunk_threshold = 64 });
+          ] );
       ("cyclic", [ Alcotest.test_case "WCOJ fallback" `Quick cyclic_fallback ]);
       ( "cache",
         [
@@ -536,6 +620,9 @@ let () =
             cache_revalidates_roots;
         ] );
       ( "fallbacks",
-        [ Alcotest.test_case "count drifted term columns" `Quick fallbacks_count_drift ] );
+        [
+          Alcotest.test_case "count drifted term columns" `Quick fallbacks_count_drift;
+          Alcotest.test_case "boxed term column read lazily" `Quick boxed_terms_lazy;
+        ] );
       ("passes", [ qcheck passes_preserve_results ]);
     ]

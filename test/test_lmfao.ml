@@ -182,6 +182,54 @@ let scans_at_most_twice () =
     ];
   Obs.reset ()
 
+(* ---- allocation guard ----
+
+   The scan loop allocates nothing per input row. A copy of the database
+   in which every relation holds each of its rows twice has the same keys
+   and view sizes and twice the rows, so evaluating it may cost more
+   minor words than the original only through per-row allocation: the
+   difference must stay under one word per added row on all four
+   families. Boxing one key or one float per row reads two or more. *)
+
+let rows_twice db =
+  Database.create (Database.name db)
+    (List.map
+       (fun r ->
+         let n = Relation.cardinality r in
+         let out = Relation.create ~capacity:(2 * n) (Relation.name r) (Relation.schema r) in
+         for _ = 1 to 2 do
+           for i = 0 to n - 1 do
+             Relation.append_from out r i
+           done
+         done;
+         out)
+       (Database.relations db))
+
+let no_allocation_per_row () =
+  let db = Datagen.Retailer.generate ~scale:0.05 ~seed:1 () in
+  let twice = rows_twice db in
+  let added = float_of_int (Database.total_cardinality db) in
+  let rf = Datagen.Retailer.features in
+  List.iter
+    (fun (family, batch) ->
+      (* minor words of one evaluation after a warm-up one *)
+      let words db =
+        ignore (Engine.eval_batch db batch);
+        let before = Gc.minor_words () in
+        ignore (Engine.eval_batch db batch);
+        Gc.minor_words () -. before
+      in
+      let per_row = (words twice -. words db) /. added in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words per added row < 1" family per_row)
+        true (per_row < 1.0))
+    [
+      ("covariance", Batch.covariance rf);
+      ("k-means", Batch.kmeans rf);
+      ("decision node", Batch.decision_node ~db rf);
+      ("mutual information", Batch.mutual_information Datagen.Retailer.mi_attrs);
+    ]
+
 let unsupported_additive_filter () =
   let rng = Util.Prng.create 3 in
   let db = random_star rng 10 3 in
@@ -402,6 +450,8 @@ let () =
         [
           Alcotest.test_case "each relation scanned at most twice" `Quick
             scans_at_most_twice;
+          Alcotest.test_case "no minor allocation per input row" `Quick
+            no_allocation_per_row;
         ] );
       ( "edges",
         [
