@@ -5,43 +5,29 @@
      dune exec bench/main.exe -- fig3 fig5 ...   -- run selected entries
      BORG_SCALE=0.5 dune exec bench/main.exe     -- scale the datasets
 
-   Absolute numbers depend on this machine and the synthetic data scale;
+   Absolute numbers depend on the machine and the synthetic data scale;
    the reproduced quantity is the SHAPE: who wins, by what factor, and how
-   factors grow (the paper's numbers are quoted alongside). Micro-kernels
-   are additionally registered as Bechamel tests (entry "micro"). *)
+   factors grow (the paper's numbers are quoted alongside). Performance
+   claims are measured by perfbench/, not here. *)
+
+(* A usage error (a bad BORG_SCALE or an unknown entry name) is reported
+   before any entry runs, so a typo never passes for a finished run. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
 
 let scale =
   match Sys.getenv_opt "BORG_SCALE" with
-  | Some s -> (try float_of_string s with _ -> 1.0)
   | None -> 1.0
-
-(* BORG_OBS=1 switches the observability layer on for the whole run; each
-   entry then prints its counter snapshot (timings stay span-free unless an
-   entry opts in, so the measured numbers are not perturbed by reporting). *)
-let obs_on =
-  match Sys.getenv_opt "BORG_OBS" with
-  | Some ("0" | "false" | "") | None -> false
-  | Some _ -> true
+  | Some s -> (
+      match float_of_string_opt s with
+      | Some x when Float.is_finite x && x > 0.0 -> x
+      | _ -> usage_error "BORG_SCALE=%S is not a finite positive number" s)
 
 let seed = 42
-
-(* --json FILE: machine-readable per-entry timings (plus the per-entry
-   counter snapshot when BORG_OBS is on), for tracking the perf trajectory
-   across PRs. Populated by [record] calls at the measurement points and
-   written once after the run. *)
-let json_out = ref None
-let compare_with = ref None
-let timings : Obs.Json.t list ref = ref []
-
-let record ~entry ~engine seconds =
-  timings :=
-    Obs.Json.Obj
-      [
-        ("entry", Obs.Json.Str entry);
-        ("engine", Obs.Json.Str engine);
-        ("seconds", Obs.Json.Num seconds);
-      ]
-    :: !timings
 
 let line = String.make 78 '-'
 
@@ -112,11 +98,7 @@ let fig3 () =
     (human_bytes report.join_csv_bytes) (human_bytes stat_bytes);
   Printf.printf "%-24s %14.3f %14.3f\n" "RMSE (train)" report.rmse aware_rmse;
   Printf.printf "\nspeedup (total): %s   (paper: 2,160x on 84M rows)\n%!"
-    (pct (Baseline.Agnostic.total_seconds report /. aware_total));
-  record ~entry:"fig3" ~engine:"lmfao-batch" aware.stats_seconds;
-  record ~entry:"fig3" ~engine:"lmfao-total" aware_total;
-  record ~entry:"fig3" ~engine:"agnostic-total"
-    (Baseline.Agnostic.total_seconds report)
+    (pct (Baseline.Agnostic.total_seconds report /. aware_total))
 
 (* ------------------------------------------------------------ fig4left *)
 
@@ -204,11 +186,7 @@ let fig4left () =
             (Util.Timing.to_string t_dbx)
             (Util.Timing.to_string t_monet)
             (pct (t_dbx /. t_lmfao))
-            (pct (t_monet /. t_lmfao));
-          let tag engine = Printf.sprintf "%s-%s-%s" engine d.dname bname in
-          record ~entry:"fig4left" ~engine:(tag "lmfao") t_lmfao;
-          record ~entry:"fig4left" ~engine:(tag "dbx") t_dbx;
-          record ~entry:"fig4left" ~engine:(tag "monet") t_monet)
+            (pct (t_monet /. t_lmfao)))
         [
           (let batch = Aggregates.Batch.covariance d.features in
            ("C", batch, fun () -> ignore (Lmfao.Engine.eval d.db batch)));
@@ -317,10 +295,7 @@ let fig6 () =
             | Some b -> b
           in
           Printf.printf "%-10s | %-38s %12s %9s\n%!" d.dname stage_name
-            (Util.Timing.to_string t) (pct (base /. t));
-          record ~entry:"fig6"
-            ~engine:(Printf.sprintf "%s-%s" d.dname stage_name)
-            t)
+            (Util.Timing.to_string t) (pct (base /. t)))
         Baseline.Acdc.stages;
       Printf.printf "\n%!")
     (datasets ~s:(4.0 *. scale) ())
@@ -447,85 +422,6 @@ let ineq () =
         (pct (t_naive /. t_fast)))
     [ 500; 2000; 8000 ]
 
-(* ---------------------------------------------------------------- micro *)
-
-(* Bechamel micro-benchmarks: one kernel per table/figure. *)
-let micro () =
-  header "Bechamel micro-kernels (one per figure)" "";
-  let open Bechamel in
-  let db = Datagen.Retailer.generate ~scale:0.01 ~seed () in
-  let features = Datagen.Retailer.ivm_features in
-  let rels = Relational.Database.relations db in
-  let order = Factorized.Var_order.of_relations rels in
-  let cov_batch = Aggregates.Batch.covariance Datagen.Retailer.features in
-  let task = Fivm.Cov_task.make db ~features in
-  let dim = List.length features in
-  let stream = Array.of_list (Datagen.Stream_gen.inserts_of_database db) in
-  let tests =
-    [
-      Test.make ~name:"fig3: lmfao covariance batch (retailer)"
-        (Staged.stage (fun () -> ignore (Lmfao.Engine.eval db cov_batch)));
-      Test.make ~name:"fig4l: one unshared aggregate scan"
-        (let join = Relational.Database.materialise_join db in
-         let spec = List.hd cov_batch.Aggregates.Batch.aggregates in
-         Staged.stage (fun () -> ignore (Aggregates.Spec.eval_flat join spec)));
-      Test.make ~name:"fig4r: f-ivm 100-insert burst"
-        (Staged.stage (fun () ->
-             let m = Fivm.Maintainer.create Fivm.Maintainer.F_ivm db ~features in
-             for i = 0 to Stdlib.min 99 (Array.length stream - 1) do
-               Fivm.Maintainer.apply m stream.(i)
-             done));
-      Test.make ~name:"fig5: covariance batch synthesis"
-        (Staged.stage (fun () ->
-             ignore (Aggregates.Batch.covariance Datagen.Retailer.features)));
-      Test.make ~name:"fig6: covariance ring product"
-        (let a = Rings.Covariance.of_tuple (Array.init dim float_of_int) in
-         let b =
-           Rings.Covariance.of_tuple (Array.init dim (fun i -> float_of_int (i + 1)))
-         in
-         Staged.stage (fun () -> ignore (Rings.Covariance.mul a b)));
-      Test.make ~name:"fsize: factorised count (retailer)"
-        (Staged.stage (fun () -> ignore (Factorized.Fjoin.count rels order)));
-      Test.make ~name:"fig11: ifaq specialised stage eval"
-        (let relations = Ifaq.Gd_example.relations ~n_s:50 ~n_keys:6 ~seed () in
-         let program = snd (List.nth (Ifaq.Gd_example.all_stages ()) 3) in
-         Staged.stage (fun () -> ignore (Ifaq.Interp.run ~relations program)));
-      Test.make ~name:"s1.5: model re-solve from moments"
-        (let table = Lazy.force (Lmfao.Engine.eval db cov_batch).Lmfao.Engine.table in
-         let moment =
-           Ml.Moment.of_batch Datagen.Retailer.features (Hashtbl.find table)
-         in
-         Staged.stage (fun () ->
-             ignore
-               (Ml.Linreg.train ~method_:Ml.Linreg.Closed_form
-                  Datagen.Retailer.features moment)));
-      Test.make ~name:"fig10: cov-task tuple lift"
-        (let rel = List.hd rels in
-         let t = Relational.Relation.get rel 0 in
-         let name = Relational.Relation.name rel in
-         Staged.stage (fun () -> ignore (Fivm.Cov_task.lift_cov task name t)));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      Hashtbl.iter
-        (fun name wall ->
-          let estimate =
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-              instance wall
-          in
-          match Analyze.OLS.estimates estimate with
-          | Some [ t ] ->
-              Printf.printf "%-55s %12s/run\n%!" name
-                (Util.Timing.to_string (t *. 1e-9))
-          | _ -> Printf.printf "%-55s (no estimate)\n%!" name)
-        results)
-    tests
-
 (* --------------------------------------------------------------- ablate *)
 
 (* Ablations of the design choices DESIGN.md calls out: LMFAO's sharing,
@@ -639,9 +535,7 @@ let wcoj () =
         (Util.Timing.to_string t_wcoj)
         (Util.Timing.to_string t_binary)
         (pct (t_binary /. t_wcoj))
-        !intermediate;
-      record ~entry:"wcoj" ~engine:(Printf.sprintf "wcoj-%d" m) t_wcoj;
-      record ~entry:"wcoj" ~engine:(Printf.sprintf "binary-join-%d" m) t_binary)
+        !intermediate)
     [ 2_000; 8_000; 32_000 ];
   (* maintenance under updates *)
   let g = Fivm.Triangle.create () in
@@ -668,556 +562,6 @@ let wcoj () =
     (float_of_int n_updates /. t_maintain)
     (Fivm.Triangle.count g) (Fivm.Triangle.recompute g)
 
-(* ------------------------------------------------------------- recovery *)
-
-(* Recovery time vs checkpoint cadence: how long until the maintainer
-   answers again after a crash, from (a) a cold rebuild of the whole stream,
-   (b) checkpoint + WAL-tail replay at several cadences. The trade-off is
-   the classical one: frequent checkpoints cost steady-state throughput and
-   buy short recovery (small WAL tail), and vice versa. *)
-let recovery () =
-  header "Recovery time: checkpoint + WAL-tail replay vs cold rebuild" "";
-  let db = Datagen.Retailer.generate ~scale:(0.05 *. scale) ~seed () in
-  let features = Datagen.Retailer.ivm_features in
-  let stream = Array.of_list (Datagen.Stream_gen.inserts_of_database db) in
-  let n = Array.length stream in
-  let make () = Fivm.Maintainer.create Fivm.Maintainer.F_ivm db ~features in
-  Printf.printf "stream: %d inserts (F-IVM, retailer)\n" n;
-  (* cold rebuild reference: re-apply the whole stream *)
-  let t_cold =
-    Util.Timing.measure ~repeats:1 (fun () ->
-        let m = make () in
-        Array.iter (Fivm.Maintainer.apply m) stream)
-  in
-  Printf.printf "%-28s %12s %12s %14s\n" "configuration" "ingest" "recovery"
-    "vs cold";
-  Printf.printf "%-28s %12s %12s %14s\n" "cold rebuild (no WAL)" "--"
-    (Util.Timing.to_string t_cold) "1.0x";
-  record ~entry:"recovery" ~engine:"cold-rebuild" t_cold;
-  List.iter
-    (fun checkpoint_every ->
-      let dir = Filename.temp_dir "borg-recovery" "" in
-      let cleanup () =
-        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-        Sys.rmdir dir
-      in
-      Fun.protect ~finally:cleanup @@ fun () ->
-      let cfg = Resilience.Driver.config ~checkpoint_every dir in
-      let d = Resilience.Driver.create cfg make in
-      let t_ingest =
-        Util.Timing.measure ~repeats:1 (fun () ->
-            Array.iter (fun u -> ignore (Resilience.Driver.submit d u)) stream)
-      in
-      (* simulate the crash: abandon [d] and recover purely from disk *)
-      let t_recover =
-        Util.Timing.measure ~repeats:1 (fun () ->
-            ignore (Resilience.Driver.create cfg make))
-      in
-      let label = Printf.sprintf "checkpoint every %d" checkpoint_every in
-      Printf.printf "%-28s %12s %12s %14s\n%!" label
-        (Util.Timing.to_string t_ingest)
-        (Util.Timing.to_string t_recover)
-        (pct (t_cold /. t_recover));
-      record ~entry:"recovery"
-        ~engine:(Printf.sprintf "ckpt-%d-ingest" checkpoint_every)
-        t_ingest;
-      record ~entry:"recovery"
-        ~engine:(Printf.sprintf "ckpt-%d-recover" checkpoint_every)
-        t_recover)
-    [ 100; 1000; 10000 ]
-
-(* -------------------------------------------------------------- engines *)
-
-(* The engine facade: every Engine_intf implementation on the same batch,
-   through the one entry point the CLI uses (borg agg --engine). *)
-let engines () =
-  header "Engine facade: one covariance batch through every Engine_intf engine" "";
-  let db = Datagen.Retailer.generate ~scale:(0.1 *. scale) ~seed () in
-  let batch = Aggregates.Batch.covariance Datagen.Retailer.features in
-  Printf.printf "batch: %d aggregates, %d input tuples\n"
-    (Aggregates.Batch.size batch)
-    (Relational.Database.total_cardinality db);
-  List.iter
-    (fun e ->
-      let results, t =
-        Util.Timing.time (fun () -> Aggregates.Engine_intf.eval e db batch)
-      in
-      Printf.printf "  %-10s %10s  (%d aggregates; %s)\n%!"
-        (Aggregates.Engine_intf.name e)
-        (Util.Timing.to_string t) (List.length results)
-        (Aggregates.Engine_intf.description e);
-      record ~entry:"engines" ~engine:(Aggregates.Engine_intf.name e) t)
-    [
-      (module Lmfao.Engine : Aggregates.Engine_intf.S);
-      (module Baseline.Agnostic);
-      (module Baseline.Unshared.Dbx);
-      (module Baseline.Unshared.Monet);
-    ]
-
-(* ---------------------------------------------------------------- shard *)
-
-(* Sharded maintenance scaling: the retailer insert stream hash-partitioned
-   into N shards (Fivm.Shard). Wall time reflects this machine's core
-   count; "critical path" runs every shard alone (~domains:1) and takes the
-   slowest shard's apply time — the delta-application makespan an idle
-   N-core machine would see. Merge time is the canonical shard-order fold
-   of the per-shard covariances. *)
-let shard () =
-  header "Sharded F-IVM maintenance: shard-count scaling (retailer stream)" "";
-  let db = Datagen.Retailer.generate ~scale ~seed () in
-  let features = Datagen.Retailer.ivm_features in
-  let stream = Datagen.Stream_gen.inserts_of_database db in
-  Printf.printf "stream: %d inserts (F-IVM); partition attribute: %s; %d domains\n"
-    (List.length stream)
-    (Fivm.Shard.plan_attr (Fivm.Shard.plan ~shards:1 db))
-    (Util.Pool.num_domains ());
-  Printf.printf "%-8s %12s %14s %10s %16s\n" "shards" "wall" "critical path"
-    "merge" "speedup (crit)";
-  let base = ref nan in
-  List.iter
-    (fun shards ->
-      let sh_wall = Fivm.Shard.create Fivm.Maintainer.F_ivm db ~features ~shards in
-      let t_wall =
-        Util.Timing.measure ~repeats:1 (fun () ->
-            Fivm.Shard.apply_batch sh_wall stream)
-      in
-      let sh_crit = Fivm.Shard.create Fivm.Maintainer.F_ivm db ~features ~shards in
-      Fivm.Shard.apply_batch ~domains:1 sh_crit stream;
-      let t_crit =
-        Array.fold_left Stdlib.max 0.0 (Fivm.Shard.shard_seconds sh_crit)
-      in
-      let _, t_merge =
-        Util.Timing.time (fun () -> ignore (Fivm.Shard.covariance sh_crit))
-      in
-      if shards = 1 then base := t_crit;
-      Printf.printf "%-8d %12s %14s %10s %16s\n%!" shards
-        (Util.Timing.to_string t_wall)
-        (Util.Timing.to_string t_crit)
-        (Util.Timing.to_string t_merge)
-        (pct (!base /. t_crit));
-      record ~entry:"shard" ~engine:(Printf.sprintf "n%d-wall" shards) t_wall;
-      record ~entry:"shard" ~engine:(Printf.sprintf "n%d-critical" shards) t_crit;
-      record ~entry:"shard" ~engine:(Printf.sprintf "n%d-merge" shards) t_merge)
-    [ 1; 2; 4; 8 ]
-
-(* ---------------------------------------------------------------- serve *)
-
-(* Serving-layer cache economics: the numeric covariance batch over the
-   retailer stream, answered (a) cold by Lmfao.Engine.eval over the current
-   contents, (b) by the epoch-cached hit path, (c) re-served right after a
-   delta round refreshed the entry in place. The headline number is the
-   hit/cold ratio — the whole point of the cache is that repeated traffic
-   stops paying for LMFAO's decomposition. *)
-let serve_bench () =
-  header "Serving: epoch-cached hits vs cold LMFAO recompute (retailer)" "";
-  let db = Datagen.Retailer.generate ~scale ~seed () in
-  let features = Datagen.Retailer.ivm_features in
-  let stream = Array.of_list (Datagen.Stream_gen.inserts_of_database db) in
-  let n = Array.length stream in
-  let initial = n * 9 / 10 in
-  let seg lo len = Array.to_list (Array.sub stream lo len) in
-  let srv = Serve.create Fivm.Maintainer.F_ivm db ~features in
-  let t_load =
-    Util.Timing.measure ~repeats:1 (fun () ->
-        Serve.apply_deltas srv (seg 0 initial))
-  in
-  let batch = Aggregates.Batch.covariance_numeric features in
-  Printf.printf "stream: %d inserts loaded in %s; batch: %d aggregates\n" initial
-    (Util.Timing.to_string t_load)
-    (Aggregates.Batch.size batch);
-  let dbnow = Serve.snapshot srv in
-  let t_cold =
-    Util.Timing.measure ~repeats:3 (fun () ->
-        ignore (Lmfao.Engine.eval ~on_cyclic:`Materialize dbnow batch))
-  in
-  ignore (Serve.serve srv batch);
-  let t_hit =
-    Util.Timing.measure ~repeats:100 (fun () -> ignore (Serve.serve srv batch))
-  in
-  let t_refresh =
-    Util.Timing.measure ~repeats:3 (fun () ->
-        Serve.apply_deltas srv (seg initial 8))
-  in
-  let t_hit_after =
-    Util.Timing.measure ~repeats:100 (fun () -> ignore (Serve.serve srv batch))
-  in
-  let s = Serve.stats srv in
-  Printf.printf "%-34s %12s %14s\n" "path" "time" "vs cold";
-  Printf.printf "%-34s %12s %14s\n" "cold Lmfao.Engine.eval"
-    (Util.Timing.to_string t_cold) "1.0x";
-  Printf.printf "%-34s %12s %14s\n" "cache hit"
-    (Util.Timing.to_string t_hit)
-    (pct (t_cold /. t_hit));
-  Printf.printf "%-34s %12s %14s\n" "8-update delta round (refresh)"
-    (Util.Timing.to_string t_refresh)
-    (pct (t_cold /. t_refresh));
-  Printf.printf "%-34s %12s %14s\n" "hit after refresh"
-    (Util.Timing.to_string t_hit_after)
-    (pct (t_cold /. t_hit_after));
-  Printf.printf
-    "stats: %d hits, %d misses, %d refreshes, %d invalidations (epoch %d)\n%!"
-    s.Serve.hits s.Serve.misses s.Serve.refreshes s.Serve.invalidations
-    (Serve.epoch srv);
-  record ~entry:"serve" ~engine:"cold-eval" t_cold;
-  record ~entry:"serve" ~engine:"cache-hit" t_hit;
-  record ~entry:"serve" ~engine:"delta-refresh" t_refresh;
-  record ~entry:"serve" ~engine:"hit-after-refresh" t_hit_after
-
-(* ---------------------------------------------------------------- learn *)
-
-(* Online model maintenance economics (Section 1.5): after a delta round,
-   how expensive is keeping a served model fresh? Three rungs on the
-   retailer stream: (a) the aggregate refresh itself (the 8-update delta
-   round through the maintainer), (b) a warm model refresh — moment assembly
-   from the maintained triple + warm-started CG, data-size-independent, (c)
-   a cold retrain — recompute the covariance batch over the current contents
-   with LMFAO, then solve from scratch. The claim: (b) rides along with (a)
-   at negligible extra cost, while (c) pays a full data pass per refresh. *)
-let learn_bench () =
-  header "Online learning: warm model refresh vs cold retrain (retailer)"
-    "refreshing a maintained model costs O(d^2), not a data pass";
-  let db = Datagen.Retailer.generate ~scale ~seed () in
-  let features = Datagen.Retailer.ivm_features in
-  let response = "inventoryunits" in
-  let stream = Array.of_list (Datagen.Stream_gen.inserts_of_database db) in
-  let n = Array.length stream in
-  let initial = n * 9 / 10 in
-  let seg lo len = Array.to_list (Array.sub stream lo len) in
-  let srv = Serve.create Fivm.Maintainer.F_ivm db ~features in
-  Serve.apply_deltas srv (seg 0 initial);
-  (* register with an infinite staleness budget so apply_deltas leaves the
-     model alone and each rung can be timed in isolation *)
-  let spec = Ml.Models.find_exn "linreg-cg" in
-  let mname =
-    Serve.Model.register srv ~max_staleness:max_int spec ~response
-  in
-  (* [measure]'s warmup would consume the delta segment and leave the model
-     current (a no-op refresh), so time each stale->fresh cycle exactly once
-     per round and take medians *)
-  let median l =
-    let a = Array.of_list (List.sort compare l) in
-    let n = Array.length a in
-    if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-  in
-  let samples =
-    List.init 5 (fun r ->
-        let t_agg =
-          Util.Timing.time_only (fun () ->
-              Serve.apply_deltas srv (seg (initial + (8 * r)) 8))
-        in
-        let t_model =
-          Util.Timing.time_only (fun () -> Serve.Model.refresh srv mname)
-        in
-        (t_agg, t_model))
-  in
-  let t_agg = median (List.map fst samples) in
-  let t_model = median (List.map snd samples) in
-  (* cold retrain: statistics recomputed over the current contents, solve
-     from scratch — what serving would pay without the maintained triple *)
-  let feature =
-    Aggregates.Feature.make ~response
-      ~continuous:(List.filter (fun x -> x <> response) features)
-      ~categorical:[] ()
-  in
-  let dbnow = Serve.snapshot srv in
-  let cold =
-    Ml.Model_intf.timed_fit (module Ml.Linreg.Model) dbnow feature
-  in
-  let t_cold = cold.stats_seconds +. cold.solve_seconds in
-  Printf.printf "stream: %d inserts loaded; %d features, response %s\n" initial
-    (List.length features) response;
-  Printf.printf "%-34s %12s %14s\n" "path" "time" "vs cold retrain";
-  Printf.printf "%-34s %12s %14s\n" "aggregate refresh (8-update round)"
-    (Util.Timing.to_string t_agg) (pct (t_cold /. t_agg));
-  Printf.printf "%-34s %12s %14s\n" "warm model refresh (from triple)"
-    (Util.Timing.to_string t_model)
-    (pct (t_cold /. t_model));
-  Printf.printf "%-34s %12s %14s\n" "cold retrain (stats + solve)"
-    (Util.Timing.to_string t_cold) "1.0x";
-  Printf.printf
-    "model refresh / aggregate refresh: %.2fx (epoch %d, model epoch %d)\n%!"
-    (t_model /. t_agg) (Serve.epoch srv)
-    (Serve.Model.epoch_of srv mname);
-  record ~entry:"learn" ~engine:"aggregate-refresh" t_agg;
-  record ~entry:"learn" ~engine:"model-refresh-warm" t_model;
-  record ~entry:"learn" ~engine:"cold-retrain-stats" cold.stats_seconds;
-  record ~entry:"learn" ~engine:"cold-retrain-solve" cold.solve_seconds;
-  record ~entry:"learn" ~engine:"cold-retrain-total" t_cold
-
-(* -------------------------------------------------------------- traffic *)
-
-(* Tail latency vs offered load through the admission-controlled frontier:
-   open-loop Poisson/Zipf traffic (Traffic.Workload) against Serve.Admission
-   on the exact-arithmetic lattice schema, swept over lanes x load
-   multiplier. The shape to reproduce is the classical hockey stick: below
-   capacity the deadline never binds and everything is admitted fresh; past
-   capacity the queueing-delay gate trips and the p99 stays bounded because
-   excess requests degrade to stale answers instead of queueing without
-   limit. Lane count is a driver parameter, so one process sweeps 1/4/8
-   lanes regardless of BORG_DOMAINS. *)
-let traffic_bench () =
-  header "Traffic: tail latency vs offered load under admission control"
-    "overload degrades to explicit staleness; tails stay bounded";
-  let module Sg = Datagen.Stream_gen in
-  (* insert-only lattice updates *)
-  let lattice_updates = Sg.star_updates (Sg.star_gen ~deletes:false ()) in
-  let star_server () =
-    Serve.create Fivm.Maintainer.F_ivm (Sg.star_database ()) ~features:Sg.star_features
-  in
-  let catalog = Array.of_list Sg.star_batches in
-  (* per-request hit and miss costs on this machine, probed once on a warmed
-     server: the offered rate scales with the hit cost (the capacity the
-     cache is supposed to deliver), but the gate and deadline must absorb
-     the occasional post-delta cold recompute, which is orders of magnitude
-     dearer *)
-  let t_hit, t_miss =
-    let srv = star_server () in
-    Serve.apply_deltas srv (Sg.star_stream ~deletes:false ~seed 300);
-    let t_miss =
-      Float.max 1e-6
-        (Util.Timing.measure ~repeats:3 (fun () ->
-             Array.iter
-               (fun b ->
-                 ignore
-                   (Lmfao.Engine.eval ~on_cyclic:`Materialize
-                      (Serve.snapshot srv) b))
-               catalog)
-        /. float_of_int (Array.length catalog))
-    in
-    Array.iter (fun b -> ignore (Serve.serve srv b)) catalog;
-    let t_hit =
-      Float.max 1e-8
-        (Util.Timing.measure ~repeats:50 (fun () ->
-             Array.iter (fun b -> ignore (Serve.serve srv b)) catalog)
-        /. float_of_int (Array.length catalog))
-    in
-    (t_hit, t_miss)
-  in
-  (* every cell spans the same virtual window, long enough that the
-     single-writer flush stalls (four delta batches in two flushes, each a
-     few hundred us of measured apply time) are a small tax rather than the
-     whole story; the request count then follows from the offered rate *)
-  let duration = 0.01 *. Float.max 1.0 scale in
-  Printf.printf
-    "hit cost %s, miss cost %s; %.0fms virtual window per cell; open-loop \
-     Poisson, Zipf 1.2\n"
-    (Util.Timing.to_string t_hit)
-    (Util.Timing.to_string t_miss)
-    (duration *. 1e3);
-  Printf.printf "%-6s %-6s | %8s %8s %8s %8s | %10s %10s %10s\n" "lanes"
-    "load" "offered" "admit" "shed" "timeout" "p50" "p99" "max";
-  let total = ref 0 in
-  List.iter
-    (fun lanes ->
-      List.iter
-        (fun mult ->
-          let srv = star_server () in
-          Serve.apply_deltas srv (Sg.star_stream ~deletes:false ~seed 300);
-          let read_rate = mult *. float_of_int lanes /. t_hit in
-          let spec =
-            Traffic.Workload.spec ~seed ~duration ~read_rate
-              ~delta_rate:(4.0 /. duration) ~delta_batch:8 ~tenants:4
-              ~batch_skew:1.2 ~tenant_skew:1.2 ()
-          in
-          let events =
-            Traffic.Workload.generate spec
-              ~catalog:(Array.length catalog)
-              ~make_updates:lattice_updates
-          in
-          (* generous quotas: the bench isolates the queueing-delay gate
-             (the CLI exercises the per-tenant buckets); the gate absorbs a
-             few cold recomputes before shedding *)
-          let cfg =
-            Serve.Admission.config ~tenant_rate:read_rate ~tenant_burst:256.0
-              ~gate_delay:(Float.max (200.0 *. t_hit) (4.0 *. t_miss))
-              ~deadline:(Float.max (1000.0 *. t_hit) (20.0 *. t_miss))
-              ~seed ()
-          in
-          let adm = Serve.Admission.create cfg srv in
-          let r =
-            Traffic.Driver.run ~lanes ~flush_interval:(duration /. 2.0) adm
-              ~catalog ~events
-          in
-          total := !total + r.Traffic.Driver.offered;
-          Printf.printf "%-6d %-6s | %8d %8d %8d %8d | %10s %10s %10s\n%!"
-            lanes
-            (Printf.sprintf "%.1fx" mult)
-            r.Traffic.Driver.offered r.Traffic.Driver.admitted
-            r.Traffic.Driver.shed r.Traffic.Driver.timeout
-            (Util.Timing.to_string r.Traffic.Driver.p50)
-            (Util.Timing.to_string r.Traffic.Driver.p99)
-            (Util.Timing.to_string r.Traffic.Driver.max_latency);
-          let tag q = Printf.sprintf "l%d-x%.1f-%s" lanes mult q in
-          record ~entry:"traffic" ~engine:(tag "p50") r.Traffic.Driver.p50;
-          record ~entry:"traffic" ~engine:(tag "p99") r.Traffic.Driver.p99;
-          record ~entry:"traffic"
-            ~engine:(tag "admitted-frac")
-            (float_of_int r.Traffic.Driver.admitted
-            /. float_of_int (Stdlib.max 1 r.Traffic.Driver.offered)))
-        [ 0.5; 2.0; 8.0 ])
-    [ 1; 4; 8 ];
-  Printf.printf "total simulated requests: %d\n%!" !total
-
-(* ------------------------------------------------------------ outofcore *)
-
-(* ROADMAP item 3: the fig3 covariance batch over the paged columnar store.
-   Every relation is imported into `.pages` files and the engines scan them
-   through a FIXED page-cache budget, so the resident working set stays
-   flat while the dataset grows — the out-of-core property, gauge-verified:
-   at every scale the bench asserts store.cache_pages_peak <= budget and
-   that paged results are BIT-IDENTICAL to in-memory execution.
-
-   Scales are ABSOLUTE ({0.1, 0.5, 1.0}, seed fixed), deliberately ignoring
-   BORG_SCALE: the committed crossover table must mean the same thing on
-   every machine. Scale 1.0 is the repo's full retailer (84K Inventory
-   rows, 1/1000 of the paper's 84M — the shape, not the wall-clock). *)
-
-let outofcore () =
-  header "Out-of-core: fig3 covariance batch over the paged store"
-    "LMFAO/F-IVM report at full scale; working set no longer fits";
-  let features = Datagen.Retailer.features in
-  let batch = Aggregates.Batch.covariance features in
-  let page_rows = 1024 in
-  let cache_pages = 8 in
-  (* gauges/counters only move with the obs layer on; this entry opts in *)
-  let obs_was = Obs.is_enabled () in
-  Obs.set_enabled true;
-  let peak_gauge = Obs.gauge "store.cache_pages_peak" in
-  Printf.printf
-    "page cache budget: %d pages x %d rows (held fixed across scales)\n\n"
-    cache_pages page_rows;
-  Printf.printf "%-6s %10s | %12s %12s %8s | %10s %9s %9s\n" "scale" "rows"
-    "in-memory" "paged" "ratio" "pages" "peak" "bit-eq";
-  List.iter
-    (fun s ->
-      let db = Datagen.Retailer.generate ~scale:s ~seed () in
-      let rows = Relational.Database.total_cardinality db in
-      let t_mem =
-        Util.Timing.measure ~repeats:2 (fun () -> Lmfao.Engine.eval_batch db batch)
-      in
-      let r_mem = Lmfao.Engine.eval_batch db batch in
-      (* import every relation, then rebuild the database as planner stubs
-         plus page streams: same names, schemas and cardinalities, cells on
-         disk *)
-      let dir = Filename.temp_file "borg-outofcore" "" in
-      Sys.remove dir;
-      Unix.mkdir dir 0o700;
-      let paged =
-        List.map
-          (fun rel ->
-            ignore (Store.Loader.import_relation ~dir ~page_rows rel);
-            Store.Paged.openr ~cache_pages ~dir (Relational.Relation.name rel))
-          (Relational.Database.relations db)
-      in
-      let total_pages =
-        List.fold_left (fun acc p -> acc + Store.Paged.pages p) 0 paged
-      in
-      let sdb =
-        Relational.Database.create_streamed
-          (Relational.Database.name db ^ "_paged")
-          (List.map
-             (fun p -> (Store.Paged.stub p, Some (Store.Paged.stream p)))
-             paged)
-      in
-      Obs.set_gauge peak_gauge 0.0;
-      let t_paged =
-        Util.Timing.measure ~repeats:2 (fun () -> Lmfao.Engine.eval_batch sdb batch)
-      in
-      let r_paged = Lmfao.Engine.eval_batch sdb batch in
-      let peak = int_of_float (Obs.gauge_value peak_gauge) in
-      if not (Aggregates.Spec.keyed_bits_equal r_mem r_paged) then
-        failwith
-          (Printf.sprintf
-             "outofcore: paged results differ from in-memory at scale %g" s);
-      if peak > cache_pages then
-        failwith
-          (Printf.sprintf
-             "outofcore: cache peak %d exceeds budget %d at scale %g" peak
-             cache_pages s);
-      Printf.printf "%-6g %10d | %12s %12s %8s | %10d %9d %9s\n%!" s rows
-        (Util.Timing.to_string t_mem)
-        (Util.Timing.to_string t_paged)
-        (pct (t_paged /. t_mem))
-        total_pages peak "yes";
-      let tag e = Printf.sprintf "%s@%g" e s in
-      record ~entry:"outofcore" ~engine:(tag "in-memory") t_mem;
-      record ~entry:"outofcore" ~engine:(tag "paged") t_paged;
-      record ~entry:"outofcore" ~engine:(tag "cache-peak-pages") (float_of_int peak);
-      record ~entry:"outofcore" ~engine:(tag "cache-budget-pages")
-        (float_of_int cache_pages);
-      List.iter Store.Paged.close paged;
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      (try Unix.rmdir dir with Unix.Unix_error _ -> ()))
-    [ 0.1; 0.5; 1.0 ];
-  Printf.printf
-    "\npeak cache residency is flat while the dataset grows 10x: the paged\n\
-     path runs the full-scale batch in bounded memory, trading decode time\n\
-     (the in-memory vs paged ratio above is the crossover cost).\n%!";
-  Obs.set_enabled obs_was
-
-(* ------------------------------------------------------------- dispatch *)
-
-(* ------------------------------------------------------------ scenarios *)
-
-(* Hostile-stream maintenance throughput: every dataset x shape cell of the
-   scenario grammar (single-tuple and batched inserts, churn past zero,
-   out-of-order windows, Zipf-skewed victims, boxed high-cardinality keys)
-   pushed through F-IVM maintenance. The throughput column is delta tuples
-   per second through the maintained view tree; every cell ends with the
-   same bit-identity differential the scenario harness enforces, so a
-   number is only ever printed for a stream that was maintained CORRECTLY. *)
-let scenarios_bench () =
-  header "Hostile-stream maintenance throughput (dataset x shape, F-IVM)" "";
-  let datasets =
-    [
-      ("retailer", Datagen.Retailer.generate, Datagen.Retailer.ivm_features);
-      ("favorita", Datagen.Favorita.generate, Datagen.Favorita.ivm_features);
-      ("yelp", Datagen.Yelp.generate, Datagen.Yelp.ivm_features);
-      ("tpcds", Datagen.Tpcds.generate, Datagen.Tpcds.ivm_features);
-    ]
-  in
-  Printf.printf "%-10s %-14s %9s %9s %12s %14s\n" "dataset" "shape" "updates"
-    "deletes" "wall" "updates/s";
-  List.iter
-    (fun ( name,
-           (generate : ?scale:float -> seed:int -> unit -> Relational.Database.t),
-           features ) ->
-      let db0 = generate ~scale:(0.05 *. scale) ~seed () in
-      List.iter
-        (fun (sname, shape) ->
-          let db, batches = Datagen.Stream_gen.hostile ~seed shape db0 in
-          let updates = List.fold_left (fun n b -> n + List.length b) 0 batches in
-          let deletes =
-            List.fold_left
-              (fun n b ->
-                n
-                + List.length
-                    (List.filter
-                       (fun (u : Fivm.Delta.update) -> u.multiplicity < 0)
-                       b))
-              0 batches
-          in
-          let m = Fivm.Maintainer.create Fivm.Maintainer.F_ivm db ~features in
-          let (), wall =
-            Util.Timing.time (fun () ->
-                List.iter (Fivm.Maintainer.apply_batch m) batches)
-          in
-          if
-            not
-              (Rings.Covariance.equal_bits
-                 (Fivm.Maintainer.covariance m)
-                 (Fivm.Maintainer.recompute m))
-          then failwith (Printf.sprintf "scenarios: %s x %s diverged" name sname);
-          Printf.printf "%-10s %-14s %9d %9d %12s %14.0f\n%!" name sname updates
-            deletes
-            (Util.Timing.to_string wall)
-            (float_of_int updates /. wall);
-          record ~entry:"scenarios" ~engine:(name ^ "/" ^ sname) wall)
-        Datagen.Stream_gen.shapes)
-    datasets
-
 let entries =
   [
     ("fig3", fig3);
@@ -1231,126 +575,20 @@ let entries =
     ("ineq", ineq);
     ("ablate", ablate);
     ("wcoj", wcoj);
-    ("recovery", recovery);
-    ("shard", shard);
-    ("serve", serve_bench);
-    ("learn", learn_bench);
-    ("traffic", traffic_bench);
-    ("engines", engines);
-    ("outofcore", outofcore);
-    ("scenarios", scenarios_bench);
-    ("micro", micro);
   ]
 
 let () =
-  let rec parse_args acc = function
-    | "--json" :: file :: rest ->
-        json_out := Some file;
-        parse_args acc rest
-    | "--json" :: [] -> failwith "--json needs a file argument"
-    | "--compare" :: file :: rest ->
-        compare_with := Some file;
-        parse_args acc rest
-    | "--compare" :: [] -> failwith "--compare needs a file argument"
-    | x :: rest -> parse_args (x :: acc) rest
-    | [] -> List.rev acc
-  in
   let requested =
-    match parse_args [] (List.tl (Array.to_list Sys.argv)) with
+    match List.tl (Array.to_list Sys.argv) with
     | [] -> List.map fst entries
-    | rest -> rest
+    | names -> names
   in
-  Printf.printf "relational-data-borg benchmark harness (scale %.2f%s)\n" scale
-    (if obs_on then ", observability on" else "");
-  Obs.set_enabled obs_on;
-  List.iter
-    (fun name ->
-      match List.assoc_opt name entries with
-      | Some f ->
-          Obs.reset ();
-          let (), wall = Util.Timing.time f in
-          record ~entry:name ~engine:"wall" wall;
-          if obs_on then begin
-            match Obs.counter_snapshot () with
-            | [] -> ()
-            | snapshot ->
-                Printf.printf "\n[%s] counters:\n" name;
-                List.iter (fun (c, v) -> Printf.printf "  %-36s %12d\n" c v) snapshot;
-                Printf.printf "%!";
-                timings :=
-                  Obs.Json.Obj
-                    [
-                      ("entry", Obs.Json.Str name);
-                      ( "counters",
-                        Obs.Json.Obj
-                          (List.map
-                             (fun (c, v) -> (c, Obs.Json.num_int v))
-                             snapshot) );
-                    ]
-                  :: !timings
-          end
-      | None ->
-          Printf.printf "unknown entry %s (available: %s)\n" name
-            (String.concat ", " (List.map fst entries)))
-    requested;
-  (* --compare OLD.json: per-entry speedup of this run against a previous
-     --json dump, matched on (entry, engine). *)
-  (match !compare_with with
-  | None -> ()
-  | Some file ->
-      let triples doc =
-        match Obs.Json.member "timings" doc with
-        | Some (Obs.Json.Arr l) ->
-            List.filter_map
-              (fun o ->
-                match
-                  ( Obs.Json.member "entry" o,
-                    Obs.Json.member "engine" o,
-                    Obs.Json.member "seconds" o )
-                with
-                | ( Some (Obs.Json.Str e),
-                    Some (Obs.Json.Str g),
-                    Some (Obs.Json.Num s) ) ->
-                    Some ((e, g), s)
-                | _ -> None)
-              l
-        | _ -> []
-      in
-      match Obs.Json.parse (In_channel.with_open_text file In_channel.input_all) with
-      | Error msg -> Printf.printf "\n--compare %s: parse error: %s\n%!" file msg
-      | exception Sys_error msg -> Printf.printf "\n--compare: %s\n%!" msg
-      | Ok doc ->
-          let old = triples doc in
-          let now =
-            triples (Obs.Json.Obj [ ("timings", Obs.Json.Arr (List.rev !timings)) ])
-          in
-          header (Printf.sprintf "Comparison against %s (old / new)" file) "";
-          Printf.printf "%-12s %-22s %12s %12s %10s\n" "entry" "engine" "old"
-            "new" "speedup";
-          List.iter
-            (fun ((entry, engine), secs) ->
-              match List.assoc_opt (entry, engine) old with
-              | None -> ()
-              | Some old_secs ->
-                  Printf.printf "%-12s %-22s %12s %12s %10s\n" entry engine
-                    (Util.Timing.to_string old_secs)
-                    (Util.Timing.to_string secs)
-                    (pct (old_secs /. secs)))
-            now;
-          Printf.printf "%!");
-  match !json_out with
-  | None -> ()
-  | Some file ->
-      let doc =
-        Obs.Json.Obj
-          [
-            ("scale", Obs.Json.Num scale);
-            ("seed", Obs.Json.num_int seed);
-            ("timings", Obs.Json.Arr (List.rev !timings));
-          ]
-      in
-      let oc = open_out file in
-      output_string oc (Obs.Json.to_string doc);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "\nwrote %s\n%!" file
+  (match List.filter (fun name -> not (List.mem_assoc name entries)) requested with
+  | [] -> ()
+  | unknown ->
+      usage_error "unknown entr%s %s (available: %s)"
+        (if List.length unknown = 1 then "y" else "ies")
+        (String.concat ", " unknown)
+        (String.concat ", " (List.map fst entries)));
+  Printf.printf "relational-data-borg benchmark harness (scale %.2f)\n" scale;
+  List.iter (fun name -> (List.assoc name entries) ()) requested

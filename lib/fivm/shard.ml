@@ -105,7 +105,6 @@ type t = {
   strategy : Maintainer.strategy;
   maintainers : Maintainer.t array;
   deltas : Obs.counter array;
-  mutable seconds : float array;
 }
 
 let create ?attr strategy db ~features ~shards =
@@ -117,7 +116,7 @@ let create ?attr strategy db ~features ~shards =
     Array.init shards (fun k ->
         Obs.counter (Printf.sprintf "fivm.shard.%d.deltas" k))
   in
-  { plan; strategy; maintainers; deltas; seconds = Array.make shards 0.0 }
+  { plan; strategy; maintainers; deltas }
 
 let plan_of t = t.plan
 let shards t = t.plan.nshards
@@ -146,19 +145,15 @@ let apply_batch ?domains t updates =
     let widest = Array.fold_left Stdlib.max 0 lens in
     Obs.set_gauge g_skew (float_of_int widest /. mean)
   end;
-  let seconds = Array.make t.plan.nshards 0.0 in
   Obs.with_span "fivm.shard.batch" (fun () ->
       (* One task per shard; each task owns its maintainer exclusively, so
          tasks share no mutable state (Obs counters are atomic). *)
       let tasks =
         List.init t.plan.nshards (fun k () ->
-            let t0 = Obs.Clock.now () in
             List.iter (Maintainer.apply t.maintainers.(k)) queues.(k);
-            Obs.add t.deltas.(k) lens.(k);
-            seconds.(k) <- Obs.Clock.elapsed_since t0)
+            Obs.add t.deltas.(k) lens.(k))
       in
-      ignore (Util.Pool.parallel_tasks ?domains tasks));
-  t.seconds <- seconds
+      ignore (Util.Pool.parallel_tasks ?domains tasks))
 
 (* Stream a base relation into the shards from per-shard chunk sources
    (e.g. the per-shard page directories of [Store.Loader.import_sharded]):
@@ -206,5 +201,3 @@ let recompute t = merge (Array.map Maintainer.recompute t.maintainers)
 
 let view_rows t =
   Array.fold_left (fun acc m -> acc + Maintainer.view_rows m) 0 t.maintainers
-
-let shard_seconds t = t.seconds

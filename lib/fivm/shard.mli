@@ -102,7 +102,3 @@ val recompute : t -> Rings.Covariance.t
 
 val view_rows : t -> int
 (** Total view rows across all shards. *)
-
-val shard_seconds : t -> float array
-(** Per-shard maintenance seconds of the last {!apply_batch} — the max is
-    the batch's critical path (the makespan on an idle N-core machine). *)

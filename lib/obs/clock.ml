@@ -3,5 +3,3 @@
    meaningful. *)
 
 external now : unit -> float = "obs_monotonic_s"
-
-let elapsed_since t0 = now () -. t0

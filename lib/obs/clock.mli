@@ -5,6 +5,3 @@
 
 val now : unit -> float
 (** Seconds from an unspecified origin; only differences are meaningful. *)
-
-val elapsed_since : float -> float
-(** [elapsed_since t0] is [now () -. t0]. *)

@@ -1,13 +1,13 @@
 (* Engine-wide observability: hierarchical spans, a process-global registry
-   of named counters / gauges / histograms, a pluggable sink interface, a
-   tree reporter and a JSON exporter.
+   of named counters / gauges / histograms, a tree reporter and a JSON
+   exporter.
 
    Everything is gated on one [enabled] flag checked first in every hot-path
    operation, so an instrumented engine pays a single load-and-branch per
-   event when observability is off (the "null sink fast path"). Counters use
-   [Atomic] and spans keep one stack per domain, so instrumented code inside
-   [Util.Pool] workers stays safe; spans started on a worker domain with an
-   empty stack attach to the report root. *)
+   event when observability is off. Counters use [Atomic] and spans keep one
+   stack per domain, so instrumented code inside [Util.Pool] workers stays
+   safe; spans started on a worker domain with an empty stack attach to the
+   report root. *)
 
 module Clock = Clock
 module Json = Json
@@ -292,17 +292,6 @@ let span_seconds s = s.stop_s -. s.start_s
 let span_minor_words s = s.stop_words -. s.start_words
 let span_children s = List.rev s.children
 
-(* ---------- sinks ---------- *)
-
-type sink = {
-  on_span_start : span -> unit;
-  on_span_end : span -> unit; (* timings/allocations are final here *)
-}
-
-let null_sink = { on_span_start = (fun _ -> ()); on_span_end = (fun _ -> ()) }
-let sink = ref null_sink
-let set_sink s = sink := s
-
 (* ---------- span collection ---------- *)
 
 (* finished top-level spans, oldest first once snapshotted *)
@@ -335,7 +324,6 @@ let with_span name f =
         children = [];
       }
     in
-    !sink.on_span_start sp;
     let stack = domain_stack () in
     stack := sp :: !stack;
     let finish () =
@@ -354,8 +342,7 @@ let with_span name f =
                     | None -> !stack));
       (match !stack with
       | parent :: _ -> parent.children <- sp :: parent.children
-      | [] -> locked (fun () -> top_spans := sp :: !top_spans));
-      !sink.on_span_end sp
+      | [] -> locked (fun () -> top_spans := sp :: !top_spans))
     in
     Fun.protect ~finally:finish f
   end

@@ -1,6 +1,6 @@
 (** Engine-wide observability: hierarchical spans (wall clock + minor-heap
     allocation), a process-global registry of named counters / gauges /
-    histograms, a pluggable sink, a tree reporter and a JSON exporter.
+    histograms, a tree reporter and a JSON exporter.
 
     Everything is gated on one {!set_enabled} flag checked first in every
     operation, so instrumented engines pay a single load-and-branch per event
@@ -127,20 +127,6 @@ val span_minor_words : span -> float
 val span_children : span -> span list
 val spans : unit -> span list
 (** Finished top-level spans, oldest first. *)
-
-(** {1 Sinks}
-
-    Streaming notification of span edges, e.g. for live tracing. The
-    default {!null_sink} does nothing; accumulation into the registry for
-    {!pp_report} / {!to_json} happens regardless of the sink. *)
-
-type sink = {
-  on_span_start : span -> unit;
-  on_span_end : span -> unit;  (** timings and allocations are final here *)
-}
-
-val null_sink : sink
-val set_sink : sink -> unit
 
 (** {1 Snapshot, report, export} *)
 

@@ -14,9 +14,8 @@ let time f =
 
 let time_only f = snd (time f)
 
-(* Median-of-[repeats] timing with one warm-up run; used by the macro
-   benchmarks where a full Bechamel run would be too slow. Even [repeats]
-   average the two middle samples. *)
+(* Median-of-[repeats] timing with one warm-up run. Even [repeats] average
+   the two middle samples. *)
 let measure ?(repeats = 3) ?(warmup = true) f =
   if warmup then ignore (f ());
   let repeats = Stdlib.max 1 repeats in
