@@ -1,5 +1,7 @@
-(* A fingerprint-keyed cache of LMFAO plans over [Lmfao.Engine]'s [compile]
-   and [run] halves.
+(* A fingerprint-keyed cache of LMFAO plans over [Lmfao.Engine]'s two
+   stages: [compile] plans a batch into its [Lmfao.Plan.grouped] view
+   groups, which name their relations and so pin no data, and [run]
+   executes them against the live database.
 
    Compiled plans are cached globally, keyed by [Batch.fingerprint] — the
    same key [Serve] uses for its result cache — so planning is amortised
@@ -27,7 +29,7 @@ type compiled = {
   fingerprint : int; (* Batch.fingerprint of the compiled batch *)
   signature : string; (* plan signature the cache revalidates against *)
   options : options;
-  plan : Lmfao.Ir.grouped; (* the batch's scheduled view groups *)
+  plan : Plan.grouped; (* the batch's scheduled view groups *)
 }
 
 let c_cache_hits = Obs.counter "lmfao.compile.cache_hits"

@@ -1,5 +1,6 @@
-(** A fingerprint-keyed cache of LMFAO plans: {!Lmfao.Engine.compile} once
-    per batch shape, {!Lmfao.Engine.run} per call. Cached runs are bitwise
+(** A fingerprint-keyed cache of LMFAO plans: {!Lmfao.Engine.compile}
+    (planning into {!Lmfao.Plan.grouped} view groups) once per batch
+    shape, {!Lmfao.Engine.run} per call. Cached runs are bitwise
     equal to a fresh {!Lmfao.Engine.eval}; cyclic schemas fall back to
     {!Lmfao.Engine.eval_batch} (counted in [lmfao.compile.cyclic]). *)
 
@@ -12,13 +13,12 @@ type options = Lmfao.Engine.options
 val default_options : options
 
 type compiled
-(** A compiled batch: its optimised {!Lmfao.Ir.grouped} plan, tagged with
-    the batch fingerprint and a plan signature. *)
+(** A compiled batch: its {!Lmfao.Plan.grouped} plan, tagged with the
+    batch fingerprint and a plan signature. *)
 
 val compile : ?options:options -> Database.t -> Batch.t -> compiled
 (** Compile without consulting the cache ({!Lmfao.Engine.compile}: counts
-    [lmfao.compile.plans]; runs under the [lmfao.compile.plan] span with
-    [lmfao.compile.lower] / [lmfao.compile.passes] child spans).
+    [lmfao.compile.plans]; runs under the [lmfao.compile.plan] span).
     @raise Join_tree.Cyclic on cyclic schemas
     @raise Lmfao.Plan.Unsupported on non-decomposable filters *)
 

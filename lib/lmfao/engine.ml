@@ -19,12 +19,12 @@
      decomposition), keeping high-cardinality grouping local to its node.
    - Scans can be chunked across domains (Section 4, "Parallelisation").
 
-   One pipeline evaluates every batch: [Plan] decides the decomposition
-   (restriction, sharing, root choice, ownership) and merges and
-   schedules the views, [Lower] turns the merged plan into the typed
-   physical IR, [Passes] optimise each view, and [Exec] binds it to the
-   live columns and scans. [compile] and [run] are
-   the two halves, so that [Compile.Engine] can cache plans across calls. *)
+   One pipeline of two stages evaluates every batch: [Plan] decides the
+   decomposition (restriction, sharing, root choice, ownership), merges
+   and schedules the views and hoists each view's shared filter
+   conjuncts, and [Exec] binds that plan to the live columns and scans.
+   [compile] and [run] are the two stages, so that [Compile.Engine] can
+   cache plans across calls. *)
 
 open Relational
 module Spec = Aggregates.Spec
@@ -53,11 +53,10 @@ type stats = Plan.stats = {
 
 let c_plans = Obs.counter "lmfao.compile.plans"
 
-(* Plan -> Lower -> Passes: the rooted plans of every multi-root group,
-   merged into one scheduled plan of view groups, with the merged plan's
-   statistics. *)
+(* The rooted plans of every multi-root group, merged into one scheduled
+   plan of view groups, with the merged plan's statistics. *)
 let compile ?(options = default_options) (db : Database.t) (batch : Batch.t) :
-    Ir.grouped * stats =
+    Plan.grouped * stats =
   Obs.with_span "lmfao.compile.plan" @@ fun () ->
   Obs.incr c_plans;
   let popts = plan_options options in
@@ -66,17 +65,13 @@ let compile ?(options = default_options) (db : Database.t) (batch : Batch.t) :
   let rooted =
     List.map (fun (root, specs) -> Plan.build popts ~stats:per_root jt ~root specs) groups
   in
-  let grouped, stats = Plan.group jt ~stats:per_root rooted in
-  let ir = Obs.with_span "lmfao.compile.lower" (fun () -> Lower.grouped grouped) in
-  (Obs.with_span "lmfao.compile.passes" (fun () -> Passes.pipeline ir), stats)
+  Plan.group jt ~stats:per_root rooted
 
-let run ?(options = default_options) (db : Database.t) (plan : Ir.grouped) :
+let run ?(options = default_options) (db : Database.t) (plan : Plan.grouped) :
     (string * Spec.result) list =
   Obs.with_span "lmfao.compile.exec" @@ fun () ->
   Exec.run ~parallel:options.parallel ~chunk_threshold:options.chunk_threshold db
     plan
-
-let choose_root = Plan.choose_root
 
 (* ---------- the facade ---------- *)
 

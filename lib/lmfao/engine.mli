@@ -7,8 +7,8 @@
     that it can, so each relation is scanned at most twice per batch — and
     optional chunked domain parallelism.
 
-    The entry point is {!eval}; {!compile} and {!run} are its two halves
-    (plan, merge, lower and optimise; then execute). When observability
+    The entry point is {!eval}; {!compile} and {!run} are its two stages
+    (plan and merge into view groups; then execute). When observability
     is on ({!Obs}), planning runs under the [lmfao.compile.plan] span,
     execution under [lmfao.compile.exec] with one flat [lmfao.view:<R>]
     span per scan, and the engine maintains the [lmfao.views] /
@@ -39,22 +39,17 @@ type stats = Plan.stats = {
       (** batch restrictions collapsed by dedup, within and across roots *)
 }
 
-val choose_root : Join_tree.t -> default_root:string -> Spec.t -> string
-(** The multi-root policy: group-bys root at their first group attribute's
-    relation; products at their first term's owner; counts at the smallest
-    relation. *)
-
 val compile :
-  ?options:options -> Database.t -> Batch.t -> Ir.grouped * stats
-(** Plan the batch (one rooted plan per multi-root group), merge the
-    rooted plans into scheduled view groups ({!Plan.group}), lower them
-    to the physical IR and run the {!Passes} over every view; returns the
-    plan with the merged plan's statistics. Counts [lmfao.compile.plans].
+  ?options:options -> Database.t -> Batch.t -> Plan.grouped * stats
+(** Plan the batch (one rooted plan per multi-root group) and merge the
+    rooted plans into scheduled view groups ({!Plan.group}); returns the
+    plan {!run} executes, with the merged plan's statistics. Counts
+    [lmfao.compile.plans].
     @raise Join_tree.Cyclic on cyclic schemas
     @raise Unsupported on non-decomposable filters *)
 
 val run :
-  ?options:options -> Database.t -> Ir.grouped -> (string * Spec.result) list
+  ?options:options -> Database.t -> Plan.grouped -> (string * Spec.result) list
 (** Execute a compiled plan against a database whose schema and multi-root
     assignment still match the one it was compiled for; its schedule came
     from the cardinalities at compile time and affects only time and

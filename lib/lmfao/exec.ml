@@ -1,4 +1,4 @@
-(* Stage 3: closure-compile a physical IR plan against a live database and
+(* Closure-compile a batch's [Plan.grouped] against a live database and
    run it: one scan per view group, in the plan's order.
 
    Every directed view lives in [Flat_view] storage: an open-addressing
@@ -7,16 +7,16 @@
    entry chains in int and float blocks. Binding happens once per view per
    chunk of a scan: relations are resolved by name, term columns are taken
    as the live unboxed arrays, key readers pack straight to ints, filters
-   are compiled to position-resolved closures, and each slot becomes one
-   kernel closure with its payload offset and child probe indexes
-   pre-resolved. Per input row, each incoming view is probed once and its
-   matched row's scalar block, offset and first cell are resolved once;
-   each output row likewise, before its slots run. The scan loop allocates
-   nothing per row: keys are ints, a float never crosses a call that is
-   not inlined, and the multi-part grouped path enumerates combinations
-   through preallocated int and float arrays. Only the boxed paths — keys
-   that do not pack, term columns read lazily through [Column.float_at] —
-   allocate.
+   are compiled by [Predicate.compile_cols] against the chunk's columns,
+   and each slot becomes one kernel closure with its payload offset and
+   child probe indexes pre-resolved. Per input row, each incoming view is
+   probed once and its matched row's scalar block, offset and first cell
+   are resolved once; each output row likewise, before its slots run. The
+   scan loop allocates nothing per row: keys are ints, a float never
+   crosses a call that is not inlined, and the multi-part grouped path
+   enumerates combinations through preallocated int and float arrays.
+   Only the boxed paths — keys that do not pack, term columns read lazily
+   through [Column.float_at] — allocate.
 
    Results are deterministic to the bit because float operations happen
    in a fixed order: term products are left-associated starting from 1.0,
@@ -41,8 +41,7 @@ module V = Flat_view
    pack, in name order. *)
 type layout = { idx : int; scalar : bool; vars : string array }
 
-(* Specialization fallbacks: term columns that are boxed or whose
-   representation drifted since lowering. *)
+(* Specialization fallbacks: term columns that are boxed. *)
 let c_fallbacks = Obs.counter "lmfao.compile.fallbacks"
 let c_tuples_scanned = Obs.counter "lmfao.tuples_scanned"
 let c_roots = Obs.counter "lmfao.roots"
@@ -88,79 +87,30 @@ let[@inline] entry_from out cell (src : V.t) e =
   let k = key_of src e in
   if k <> V.nopack then V.entry out cell k else V.entry_boxed out cell (V.boxed_key src e)
 
-(* ---------- filter compilation ---------- *)
+(* ---------- filters ---------- *)
 
-(* Mirror of [Predicate.compile_cols], driven by the IR's positions. The
-   generic arms preserve [Value.compare]/[Value.equal] semantics for
-   boxed or cross-typed columns. *)
-let rec compile_filter (cols : Column.t array) (f : Ir.filter) : int -> bool =
-  match f with
-  | Ir.FTrue -> fun _ -> true
-  | Ir.FGe (p, c) -> (
-      let cl = cols.(p) in
-      match (Column.data cl, c) with
-      | Column.Ints arr, Value.Int x -> fun i -> arr.(i) >= x
-      | Column.Floats arr, Value.Float x -> fun i -> arr.(i) >= x
-      | _ -> fun i -> Value.compare (Column.get cl i) c >= 0)
-  | Ir.FLt (p, c) -> (
-      let cl = cols.(p) in
-      match (Column.data cl, c) with
-      | Column.Ints arr, Value.Int x -> fun i -> arr.(i) < x
-      | Column.Floats arr, Value.Float x -> fun i -> arr.(i) < x
-      | _ -> fun i -> Value.compare (Column.get cl i) c < 0)
-  | Ir.FEq (p, c) -> (
-      let cl = cols.(p) in
-      match (Column.data cl, c) with
-      | Column.Ints arr, Value.Int x -> fun i -> arr.(i) = x
-      | Column.Floats arr, Value.Float x -> fun i -> arr.(i) = x
-      | _ -> fun i -> Value.equal (Column.get cl i) c)
-  | Ir.FIn (p, cs) -> (
-      let cl = cols.(p) in
-      match Column.data cl with
-      | Column.Ints arr
-        when List.for_all (function Value.Int _ -> true | _ -> false) cs ->
-          let xs = List.map Value.to_int cs in
-          fun i -> List.mem arr.(i) xs
-      | _ -> fun i -> List.exists (Value.equal (Column.get cl i)) cs)
-  | Ir.FNot f ->
-      let g = compile_filter cols f in
-      fun i -> not (g i)
-  | Ir.FAnd (f, g) ->
-      let cf = compile_filter cols f and cg = compile_filter cols g in
-      fun i -> cf i && cg i
-  | Ir.FOr (f, g) ->
-      let cf = compile_filter cols f and cg = compile_filter cols g in
-      fun i -> cf i || cg i
-  | Ir.FAdditive (ts, c) ->
-      let compiled = List.map (fun (p, w) -> (cols.(p), w)) ts in
-      fun i ->
-        List.fold_left
-          (fun acc (cl, w) -> acc +. (w *. Column.float_at cl i))
-          0.0 compiled
-        > c
-
-let compile_filters cols = function
+(* A conjunction of filter conjuncts, compiled against a chunk's live
+   columns. *)
+let compile_conjuncts schema cols = function
   | [] -> fun _ -> true
-  | [ f ] -> compile_filter cols f
-  | fs ->
-      let compiled = List.map (compile_filter cols) fs in
+  | [ p ] -> Predicate.compile_cols schema cols p
+  | ps ->
+      let compiled = List.map (Predicate.compile_cols schema cols) ps in
       fun i -> List.for_all (fun f -> f i) compiled
 
 (* ---------- term products ---------- *)
 
 (* A term column as the kernels read it: the live unboxed array, or, for
-   a column that is boxed or whose representation drifted since lowering
-   (counted in [lmfao.compile.fallbacks]), the column itself, read per row
-   through [Column.float_at] — so a cell no matched row reaches is never
-   converted. *)
+   a boxed column (counted in [lmfao.compile.fallbacks]), the column
+   itself, read per row through [Column.float_at] — so a cell no matched
+   row reaches is never converted. *)
 type term = Tf of float array | Ti of int array | Tlazy of Column.t
 
-let term cols (t : Ir.term) =
-  let col = cols.(t.Ir.t_pos) in
-  match (Column.data col, t.Ir.t_rep) with
-  | Column.Floats a, Ir.Rfloat -> Tf a
-  | Column.Ints a, Ir.Rint -> Ti a
-  | _ -> Tlazy col
+let term col =
+  match Column.data col with
+  | Column.Floats a -> Tf a
+  | Column.Ints a -> Ti a
+  | Column.Boxed _ -> Tlazy col
 
 (* Left-associated product starting from 1.0:
    [local := 1.0; local := !local *. x; ...]. *)
@@ -311,7 +261,7 @@ let rec enumerate st g =
      keys, scaled by the coefficient;
    - otherwise: every combination of one key per part, merged with the
      local group values. *)
-let grouped_kernel cols (s : Ir.slot) (l : layout) (refs : layout array)
+let grouped_kernel cols (s : Plan.slot) (l : layout) (refs : layout array)
     (wire : int array) (pr : probes) (out : V.t) terms powers
     (filt : int -> bool) : kernel =
   let children = List.init (Array.length refs) Fun.id in
@@ -321,7 +271,7 @@ let grouped_kernel cols (s : Ir.slot) (l : layout) (refs : layout array)
   let parts =
     Array.of_list (List.rev (List.filter (fun c -> not refs.(c).scalar) children))
   in
-  let locals = List.sort compare (Array.to_list s.Ir.s_groups) in
+  let locals = List.sort compare (Array.to_list s.Plan.local_groups) in
   let gidx = l.idx in
   match (parts, locals) with
   | [||], _ ->
@@ -409,11 +359,11 @@ let grouped_kernel cols (s : Ir.slot) (l : layout) (refs : layout array)
 (* Payload layout: scalars and grouped partials counted separately in slot
    order; a grouped slot's variables are its own group columns and its
    children's variables, in name order. *)
-let layouts_of (view : Ir.view) (child_layouts : layout array array) =
+let layouts_of (view : Plan.view) (child_layouts : layout array array) =
   let ns = ref 0 and ng = ref 0 in
   Array.map
-    (fun (s : Ir.slot) ->
-      if s.Ir.s_scalar then begin
+    (fun (s : Plan.slot) ->
+      if s.Plan.scalar then begin
         incr ns;
         { idx = !ns - 1; scalar = true; vars = [||] }
       end
@@ -421,53 +371,53 @@ let layouts_of (view : Ir.view) (child_layouts : layout array array) =
         incr ng;
         let vars =
           Array.concat
-            (Array.map fst s.Ir.s_groups
+            (Array.map fst s.Plan.local_groups
             :: Array.to_list
                  (Array.mapi
                     (fun c cs -> child_layouts.(c).(cs).vars)
-                    s.Ir.s_children))
+                    s.Plan.child_slots))
         in
         Array.sort compare vars;
         { idx = !ng - 1; scalar = false; vars }
       end)
-    view.Ir.v_slots
+    view.Plan.v_slots
 
-(* Count specialization fallbacks for one view binding: term columns whose
-   live representation is boxed or has drifted from what the plan was
-   specialised for. *)
-let count_fallbacks (view : Ir.view) cols =
+(* Count specialization fallbacks for one view binding: term columns
+   whose live representation is boxed. *)
+let count_fallbacks (view : Plan.view) cols =
   Array.iter
-    (fun (s : Ir.slot) ->
+    (fun (s : Plan.slot) ->
       Array.iter
-        (fun (t : Ir.term) ->
-          let live = Ir.rep_of cols t.Ir.t_pos in
-          if live = Ir.Rboxed || live <> t.Ir.t_rep then Obs.incr c_fallbacks)
-        s.Ir.s_terms)
-    view.Ir.v_slots
+        (fun (pos, _) ->
+          match Column.data cols.(pos) with
+          | Column.Boxed _ -> Obs.incr c_fallbacks
+          | Column.Ints _ | Column.Floats _ -> ())
+        s.Plan.local_terms)
+    view.Plan.v_slots
 
 (* Bind one view to a chunk's live columns: [feed i] adds row [i] into
    [out] when every child of the view matched ([wire]: child -> probe
    index). The row's key is inserted BEFORE any filter runs: an
    all-filters-false row still creates a zero row. *)
-let bind_view cols (view : Ir.view) (layout : layout array)
+let bind_view schema cols (view : Plan.view) (layout : layout array)
     (child_refs : layout array array) (wire : int array) (pr : probes)
     (out : V.t) : int -> unit =
   let n_children = Array.length wire in
-  let n_slots = Array.length view.Ir.v_slots in
-  let own_key = V.reader cols view.Ir.v_key in
-  let scan_ok = compile_filters cols view.Ir.v_scan_filters in
+  let n_slots = Array.length view.Plan.v_slots in
+  let own_key = V.reader cols view.Plan.v_key in
+  let scan_ok = compile_conjuncts schema cols view.Plan.v_scan_filter in
   let kernels : kernel array =
     Array.mapi
-      (fun s_idx (s : Ir.slot) ->
-        let filt = compile_filters cols s.Ir.s_filters in
-        let terms = Array.map (term cols) s.Ir.s_terms in
-        let powers = Array.map (fun (t : Ir.term) -> t.Ir.t_power) s.Ir.s_terms in
+      (fun s_idx (s : Plan.slot) ->
+        let filt = compile_conjuncts schema cols s.Plan.local_filter in
+        let terms = Array.map (fun (pos, _) -> term cols.(pos)) s.Plan.local_terms in
+        let powers = Array.map snd s.Plan.local_terms in
         let l = layout.(s_idx) and refs = child_refs.(s_idx) in
         if l.scalar then begin
           (* every child of a scalar slot is scalar *)
           let idxs = Array.map (fun (r : layout) -> r.idx) refs in
           let p = l.idx in
-          if s.Ir.s_filters = [] then fun i blk base _ ->
+          if s.Plan.local_filter = [] then fun i blk base _ ->
             let v = coeff terms powers pr wire idxs i in
             let o = base + p in
             Array.unsafe_set blk o (Array.unsafe_get blk o +. v)
@@ -479,7 +429,7 @@ let bind_view cols (view : Ir.view) (layout : layout array)
             end
         end
         else grouped_kernel cols s l refs wire pr out terms powers filt)
-      view.Ir.v_slots
+      view.Plan.v_slots
   in
   let rec matched c =
     c = n_children
@@ -490,7 +440,7 @@ let bind_view cols (view : Ir.view) (layout : layout array)
       let k = own_key i in
       let r =
         if k <> V.nopack then V.row out k
-        else V.row_boxed out (V.key_tuple cols view.Ir.v_key i)
+        else V.row_boxed out (V.key_tuple cols view.Plan.v_key i)
       in
       if scan_ok i then begin
         let blk = scalar_block out r and base = scalar_base out r in
@@ -503,25 +453,25 @@ let bind_view cols (view : Ir.view) (layout : layout array)
 
 (* ---------- view groups ---------- *)
 
-(* One scan of [sc.sc_rel] computing every view in [sc.sc_views]. Each
+(* One scan of [rel_name] computing every view in [out_ids]. Each
    incoming view (a child of some output) is probed once per row, in
    first-use order; a row feeds every output whose own children all
    matched, so a row with no partner in one incoming view still counts
    toward the output that does not read it. A miss in an incoming view
    that every output reads ends the row early. *)
-let scan_group ~parallel ~chunk_threshold db (g : Ir.grouped)
-    (layouts : layout array array) (live : V.t option array) (sc : Ir.scan) :
-    V.t array =
-  let outs = Array.map (fun v -> g.Ir.g_views.(v)) sc.Ir.sc_views in
+let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
+    (layouts : layout array array) (live : V.t option array)
+    (rel_name, out_ids) : V.t array =
+  let outs = Array.map (fun v -> g.Plan.views.(v)) out_ids in
   (* the incoming views, each once in first-use order, with the key
      columns that probe them (every output reads a child by its edge) *)
   let incoming =
     Array.fold_left
-      (fun acc (o : Ir.view) ->
+      (fun acc (o : Plan.view) ->
         Array.fold_left
           (fun acc ck -> if List.mem_assoc (fst ck) acc then acc else acc @ [ ck ])
           acc
-          (Array.combine o.Ir.v_children o.Ir.v_child_keys))
+          (Array.combine o.Plan.v_children o.Plan.v_child_keys))
       [] outs
     |> Array.of_list
   in
@@ -530,23 +480,23 @@ let scan_group ~parallel ~chunk_threshold db (g : Ir.grouped)
     let rec go j = if fst incoming.(j) = c then j else go (j + 1) in
     go 0
   in
-  let wires = Array.map (fun (o : Ir.view) -> Array.map probe_index o.Ir.v_children) outs in
+  let wires = Array.map (fun (o : Plan.view) -> Array.map probe_index o.Plan.v_children) outs in
   let required =
     Array.init n_inc (fun j -> Array.for_all (fun w -> Array.mem j w) wires)
   in
   let inc_views = Array.map (fun (c, _) -> Option.get live.(c)) incoming in
-  let out_layouts = Array.map (fun v -> layouts.(v)) sc.Ir.sc_views in
+  let out_layouts = Array.map (fun v -> layouts.(v)) out_ids in
   (* per output slot: the layout of each child slot its kernel reads *)
   let child_refs =
     Array.map
-      (fun (o : Ir.view) ->
+      (fun (o : Plan.view) ->
         Array.map
-          (fun (s : Ir.slot) ->
-            Array.mapi (fun c cs -> layouts.(o.Ir.v_children.(c)).(cs)) s.Ir.s_children)
-          o.Ir.v_slots)
+          (fun (s : Plan.slot) ->
+            Array.mapi (fun c cs -> layouts.(o.Plan.v_children.(c)).(cs)) s.Plan.child_slots)
+          o.Plan.v_slots)
       outs
   in
-  let rel = Database.relation db sc.Ir.sc_rel in
+  let rel = Database.relation db rel_name in
   Array.iter (fun o -> count_fallbacks o (Relation.columns rel)) outs;
   (* [scan_into] is invoked once per chunk — a parallel slice of the
      resident relation, or one streamed page chunk. Everything
@@ -558,7 +508,7 @@ let scan_group ~parallel ~chunk_threshold db (g : Ir.grouped)
   let scan_into rel (accs : V.t array) lo len =
     Obs.add c_tuples_scanned len;
     ignore (Relation.scan rel);
-    let cols = Relation.columns rel in
+    let schema = Relation.schema rel and cols = Relation.columns rel in
     let probe_key = Array.map (fun (_, key) -> V.reader cols key) incoming in
     let pr =
       {
@@ -572,7 +522,7 @@ let scan_group ~parallel ~chunk_threshold db (g : Ir.grouped)
     let feeds =
       Array.mapi
         (fun o view ->
-          bind_view cols view out_layouts.(o) child_refs.(o) wires.(o) pr accs.(o))
+          bind_view schema cols view out_layouts.(o) child_refs.(o) wires.(o) pr accs.(o))
         outs
     in
     let n_out = Array.length feeds in
@@ -608,7 +558,7 @@ let scan_group ~parallel ~chunk_threshold db (g : Ir.grouped)
         V.create ~scalars:ns ~grouped:(Array.length ls - ns))
       out_layouts
   in
-  match Database.stream db sc.Ir.sc_rel with
+  match Database.stream db rel_name with
   | Some chunks ->
       (* Out-of-core: sequential page chunks into ONE set of views, in
          global row order — the float-op sequence of a sequential
@@ -649,55 +599,54 @@ let bindings (vars : string array) (pairs : (Tuple.t * float) list) : Spec.resul
     (fun (values, v) -> (Array.to_list (Array.map2 (fun n x -> (n, x)) vars values), v))
     (List.sort (fun (a, _) (b, _) -> Tuple.compare a b) pairs)
 
-let run ~parallel ~chunk_threshold db (g : Ir.grouped) :
+let run ~parallel ~chunk_threshold db (g : Plan.grouped) :
     (string * Spec.result) list =
-  let nv = Array.length g.Ir.g_views in
+  let nv = Array.length g.Plan.views in
   (* children come first, so one pass lays every view out *)
   let layouts = Array.make nv [||] in
   Array.iteri
-    (fun v (view : Ir.view) ->
-      layouts.(v) <- layouts_of view (Array.map (fun c -> layouts.(c)) view.Ir.v_children))
-    g.Ir.g_views;
+    (fun v (view : Plan.view) ->
+      layouts.(v) <- layouts_of view (Array.map (fun c -> layouts.(c)) view.Plan.v_children))
+    g.Plan.views;
   let is_root = Array.make nv false in
-  Array.iter (fun (_, v, _) -> is_root.(v) <- true) g.Ir.g_outputs;
+  List.iter (fun (_, v, _) -> is_root.(v) <- true) g.Plan.outputs;
   (* the last scan that reads each view; it is dropped after that scan *)
   let last_read = Array.make nv (-1) in
-  Array.iteri
-    (fun s (sc : Ir.scan) ->
+  List.iteri
+    (fun s (_, out_ids) ->
       Array.iter
-        (fun v -> Array.iter (fun c -> last_read.(c) <- s) g.Ir.g_views.(v).Ir.v_children)
-        sc.Ir.sc_views)
-    g.Ir.g_scans;
+        (fun v -> Array.iter (fun c -> last_read.(c) <- s) g.Plan.views.(v).Plan.v_children)
+        out_ids)
+    g.Plan.scans;
   let live = Array.make nv None in
-  Array.iteri
-    (fun s (sc : Ir.scan) ->
+  List.iteri
+    (fun s ((rel_name, out_ids) as sc) ->
       let computed =
-        Obs.with_span ("lmfao.view:" ^ sc.Ir.sc_rel) (fun () ->
+        Obs.with_span ("lmfao.view:" ^ rel_name) (fun () ->
             scan_group ~parallel ~chunk_threshold db g layouts live sc)
       in
       Array.iteri
         (fun k v ->
           if is_root.(v) then Obs.incr c_roots;
           live.(v) <- Some computed.(k))
-        sc.Ir.sc_views;
+        out_ids;
       Array.iteri (fun v last -> if last = s then live.(v) <- None) last_read)
-    g.Ir.g_scans;
-  Array.to_list
-    (Array.map
-       (fun (id, v, slot) ->
-         let l = layouts.(v).(slot) in
-         let view = Option.get live.(v) in
-         (* a root view has the single empty key, which packs as 0 *)
-         let result =
-           match V.find view 0 with
-           | -1 -> if l.scalar then [ ([], 0.0) ] else []
-           | r ->
-               if l.scalar then [ ([], V.scalar view r l.idx) ]
-               else
-                 bindings l.vars
-                   (V.cell_bindings view
-                      ((r * view.V.grouped) + l.idx)
-                      ~arity:(Array.length l.vars))
-         in
-         (id, result))
-       g.Ir.g_outputs)
+    g.Plan.scans;
+  List.map
+    (fun ((spec : Spec.t), v, slot) ->
+      let l = layouts.(v).(slot) in
+      let view = Option.get live.(v) in
+      (* a root view has the single empty key, which packs as 0 *)
+      let result =
+        match V.find view 0 with
+        | -1 -> if l.scalar then [ ([], 0.0) ] else []
+        | r ->
+            if l.scalar then [ ([], V.scalar view r l.idx) ]
+            else
+              bindings l.vars
+                (V.cell_bindings view
+                   ((r * view.V.grouped) + l.idx)
+                   ~arity:(Array.length l.vars))
+      in
+      (spec.id, result))
+    g.Plan.outputs

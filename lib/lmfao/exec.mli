@@ -1,4 +1,4 @@
-(** Stage 3: closure-compile a physical IR plan against a live database
+(** Closure-compile a batch's {!Plan.grouped} against a live database
     and run it. Every directed view lives in {!Flat_view} storage (an
     open-addressing index from packed key to dense row id, scalar partials
     contiguous per row in fixed-size float blocks, grouped partials as
@@ -16,18 +16,19 @@ val run :
   parallel:bool ->
   chunk_threshold:int ->
   Database.t ->
-  Ir.grouped ->
+  Plan.grouped ->
   (string * Spec.result) list
 (** Execute a batch's grouped plan: run its scans in order, each under one
     [lmfao.view:<R>] span. A scan binds its relation once per chunk
-    (specialising term columns, key readers, filters and kernels to the
-    live column representations — term columns that are boxed or drifted
-    since lowering are read lazily per row and count in
+    (specialising term columns, key readers, kernels and the
+    [Predicate.compile_cols] filters to the live column representations —
+    boxed term columns are read lazily per row and count in
     [lmfao.compile.fallbacks]), probes each incoming view once per row and
-    feeds every output view whose children all matched. A view is dropped
+    feeds every output view whose children all matched. A view's scan
+    filter gates its slot kernels, never its key insert. A view is dropped
     after the last scan that reads it; root views are kept, and each
     output aggregate is extracted from its root view's slot, in
-    [g_outputs] order. With [parallel], resident scans above
+    [outputs] order. With [parallel], resident scans above
     [chunk_threshold] rows run in chunks merged in a fixed order. Counts
     [lmfao.roots] (root views computed), [lmfao.tuples_scanned] (rows
     read, once per scan whatever its number of views) and, per view-key

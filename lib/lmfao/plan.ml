@@ -5,10 +5,10 @@
    aggregate over the join tree, per-node deduplication of identical
    partials (sharing), attribute ownership, and the merge of every root's
    plan into directed views with the schedule of their scans (view
-   groups). Its output is pure data —
-   filters stay first-order [Predicate.t] conjuncts, terms and keys are
-   resolved to column positions — which [Lower] translates into the
-   executor's physical IR. *)
+   groups). Its output is the plan [Exec] runs, as pure data: relations
+   are named, filters stay first-order [Predicate.t] conjuncts, terms and
+   keys are resolved to column positions, and child slots are wired by
+   index. *)
 
 open Relational
 module Spec = Aggregates.Spec
@@ -34,8 +34,6 @@ let fresh_stats () = { views = 0; partials = 0; shared_away = 0 }
 (* One partial aggregate computed at a node, shared by every batch
    aggregate whose restriction to this subtree coincides with it. *)
 type slot = {
-  key : string; (* canonical form (sharing on) or aggregate id (off) *)
-  spec : Spec.t; (* the restricted spec this slot computes *)
   local_terms : (int * int) array; (* (position, power) over owned attrs *)
   local_groups : (string * int) array; (* owned group-by attrs *)
   local_filter : Predicate.t list; (* owned filter conjuncts *)
@@ -48,6 +46,8 @@ type node = {
   key_positions : int array; (* this node's join key with its parent *)
   child_keys : int array array; (* per child: child-key positions in OUR schema *)
   slots : slot array;
+  slot_keys : string array;
+      (* per slot: canonical form (sharing on) or aggregate id (off) *)
   slot_index : (string, int) Hashtbl.t; (* slot key -> index into [slots] *)
   children : node list;
 }
@@ -65,10 +65,11 @@ type rooted = {
    view depend only on its edge, so every root that asks for it asks for
    the same slots' definitions. *)
 type view = {
-  v_rel : Relation.t;
+  v_rel : string; (* resolved against the live database at run time *)
   v_key : int array; (* join-key positions with the neighbour; [||] at a root *)
   v_children : int array; (* per child: index of its view toward us *)
   v_child_keys : int array array; (* per child: child-key positions here *)
+  v_scan_filter : Predicate.t list; (* conjuncts every slot tests, hoisted *)
   v_slots : slot array; (* [child_slots] index the children's [v_slots] *)
 }
 
@@ -83,6 +84,7 @@ type grouped = {
 let c_views = Obs.counter "lmfao.views"
 let c_partials = Obs.counter "lmfao.partials"
 let c_shared_away = Obs.counter "lmfao.shared_away"
+let c_fused = Obs.counter "lmfao.compile.filters_fused"
 
 (* ---------- filter decomposition ---------- *)
 
@@ -198,8 +200,6 @@ let rec build_node ~options ~owner ~stats (node : Join_tree.node)
           Array.of_list (List.map (fun arr -> arr.(i)) child_slot_of)
         in
         {
-          key = canonical s;
-          spec = s;
           local_terms;
           local_groups;
           local_filter;
@@ -208,8 +208,9 @@ let rec build_node ~options ~owner ~stats (node : Join_tree.node)
         })
       distinct
   in
+  let slot_keys = Array.map canonical distinct in
   let slot_index = Hashtbl.create (2 * Array.length slots) in
-  Array.iteri (fun i (s : slot) -> Hashtbl.replace slot_index s.key i) slots;
+  Array.iteri (fun i key -> Hashtbl.replace slot_index key i) slot_keys;
   {
     rel = node.rel;
     key_positions = Array.of_list (List.map (Schema.position schema) node.key);
@@ -220,6 +221,7 @@ let rec build_node ~options ~owner ~stats (node : Join_tree.node)
              Array.of_list (List.map (Schema.position schema) child.key))
            children_with_specs);
     slots;
+    slot_keys;
     slot_index;
     children = child_plans;
   }
@@ -324,6 +326,30 @@ let group_by_root options (db : Database.t) (batch : Batch.t) :
 
 (* ---------- view groups ---------- *)
 
+(* Hoist the filter conjuncts that EVERY slot of a view tests into the
+   view's scan filter, so a row tests them once instead of once per slot.
+   The scan filter gates the slot kernels, never the view's key insertion:
+   a row whose filters all fail still creates its zero row, which a parent
+   row then finds, so hoisting leaves every result bit alone. *)
+let hoist_filters (slots : slot array) : Predicate.t list * slot array =
+  match Array.to_list slots with
+  | [] -> ([], slots)
+  | first :: rest -> (
+      let common =
+        List.filter
+          (fun c -> List.for_all (fun s -> List.mem c s.local_filter) rest)
+          (List.sort_uniq compare first.local_filter)
+      in
+      match common with
+      | [] -> ([], slots)
+      | _ ->
+          Obs.add c_fused (List.length common);
+          let strip s =
+            let local_filter = List.filter (fun c -> not (List.mem c common)) s.local_filter in
+            { s with local_filter }
+          in
+          (common, Array.map strip slots))
+
 (* Merge the per-root plans into directed views, deduplicating slots by
    key across roots, and schedule one scan per group of views over a
    relation. The schedule roots the join tree at the largest relation C:
@@ -354,18 +380,18 @@ let group (jt : Join_tree.t) ~(stats : stats) (rooted : rooted list) :
           Hashtbl.add merged (name, toward) m;
           m
     in
-    Array.map
-      (fun (s : slot) ->
-        match Hashtbl.find_opt index s.key with
+    Array.map2
+      (fun (s : slot) key ->
+        match Hashtbl.find_opt index key with
         | Some j -> j
         | None ->
             let j = Hashtbl.length index in
-            Hashtbl.add index s.key j;
+            Hashtbl.add index key j;
             incr slot_count;
             let child_slots = Array.mapi (fun c cs -> child_maps.(c).(cs)) s.child_slots in
             slots := { s with child_slots } :: !slots;
             j)
-      n.slots
+      n.slots n.slot_keys
   in
   let root_maps = List.map (fun r -> (r, merge None r.tree)) rooted in
   (* the schedule, over (relation, toward) pairs *)
@@ -426,12 +452,16 @@ let group (jt : Join_tree.t) ~(stats : stats) (rooted : rooted list) :
           (fun ((name, _) as v) ->
             let (n : node), _, slots = Hashtbl.find merged v in
             let child (ch : node) = Hashtbl.find ids (Relation.name ch.rel, Some name) in
+            let v_scan_filter, v_slots =
+              hoist_filters (Array.of_list (List.rev !slots))
+            in
             {
-              v_rel = n.rel;
+              v_rel = name;
               v_key = n.key_positions;
               v_children = Array.of_list (List.map child n.children);
               v_child_keys = n.child_keys;
-              v_slots = Array.of_list (List.rev !slots);
+              v_scan_filter;
+              v_slots;
             })
           vs)
       steps

@@ -1,11 +1,11 @@
-(** Logical planning for LMFAO, lowered by {!Lower} into the executor's
-    physical IR. The planner decides
-    WHAT each view computes — multi-root assignment, top-down restriction
-    of every aggregate over the join tree, per-node dedup of identical
-    partials, the merge of every root's views into directed views and the
-    order in which view groups are scanned — and leaves the plan as pure
-    data: first-order filter conjuncts, (position, power) terms, explicit
-    child-slot wiring. *)
+(** Planning for LMFAO: the planner decides WHAT each view computes —
+    multi-root assignment, top-down restriction of every aggregate over the
+    join tree, per-node dedup of identical partials, the merge of every
+    root's views into directed views, the conjuncts each view tests once
+    per row, and the order in which view groups are scanned. Its
+    {!grouped} output is the plan {!Exec} runs, as pure data: named
+    relations, first-order filter conjuncts, (position, power) terms,
+    explicit child-slot wiring. *)
 
 open Relational
 module Spec = Aggregates.Spec
@@ -32,8 +32,6 @@ val fresh_stats : unit -> stats
 
 (** One partial aggregate computed at a node. *)
 type slot = {
-  key : string;  (** canonical form (sharing on) or aggregate id (off) *)
-  spec : Spec.t;  (** the restricted spec this slot computes *)
   local_terms : (int * int) array;  (** (position, power) over owned attrs *)
   local_groups : (string * int) array;  (** owned group-by attrs *)
   local_filter : Predicate.t list;  (** owned filter conjuncts *)
@@ -47,6 +45,8 @@ type node = {
   child_keys : int array array;
       (** per child: child-key positions in OUR schema *)
   slots : slot array;
+  slot_keys : string array;
+      (** per slot: canonical form (sharing on) or aggregate id (off) *)
   slot_index : (string, int) Hashtbl.t;  (** slot key -> index into [slots] *)
   children : node list;
 }
@@ -57,22 +57,6 @@ type rooted = {
   requests : (Spec.t * string) list;
       (** each requested aggregate with its root slot key, in batch order *)
 }
-
-val conjuncts : Predicate.t -> Predicate.t list
-(** Flatten a predicate into its conjuncts ([True] contributes none).
-    @raise Unsupported never — only {!conjunct_attr} rejects. *)
-
-val conjunct_attr : Predicate.t -> string
-(** The single attribute a conjunct constrains.
-    @raise Unsupported when the conjunct spans several attributes. *)
-
-val restrict : (string -> bool) -> Spec.t -> Spec.t
-(** Restrict a spec (terms, group-by, filter conjuncts) to the attributes
-    satisfying the predicate, keeping its id. *)
-
-val compute_owners : Join_tree.node -> (string, string) Hashtbl.t
-(** Attribute -> owning relation for a rooting: the node closest to the
-    root whose relation contains the attribute. *)
 
 val choose_root : Join_tree.t -> default_root:string -> Spec.t -> string
 (** The multi-root policy: group-bys root at their first group attribute's
@@ -94,12 +78,15 @@ val build : options -> stats:stats -> Join_tree.t -> root:string ->
 (** One directed view of a merged plan: relation [v_rel] toward a
     neighbour, or [v_rel]'s root view. *)
 type view = {
-  v_rel : Relation.t;
+  v_rel : string;  (** resolved against the live database at run time *)
   v_key : int array;  (** join-key positions with the neighbour; [[||]] at a root *)
   v_children : int array;
       (** per child (the sorted neighbours but the one the view is toward):
           the index of its view toward [v_rel] *)
   v_child_keys : int array array;  (** per child: child-key positions here *)
+  v_scan_filter : Predicate.t list;
+      (** the conjuncts every slot tests, hoisted out of their
+          [local_filter]s: they gate the slot kernels, never the key insert *)
   v_slots : slot array;  (** [child_slots] index the children's [v_slots] *)
 }
 
@@ -118,7 +105,9 @@ val group : Join_tree.t -> stats:stats -> rooted list -> grouped * stats
     pass toward the largest relation C, one scan of C for its root view
     and its views toward all but its largest neighbour N, a second scan
     of C for C->N, then a down pass. Every relation is scanned at most
-    twice. [stats] holds the rooted plans' counts (from {!build}); the
-    result's stats count merged views and slots, with [shared_away]
-    covering both per-root and cross-root dedup, and are added to the
-    [lmfao.views] / [lmfao.partials] / [lmfao.shared_away] counters. *)
+    twice. Each view's [v_scan_filter] holds the conjuncts all of its
+    slots test, counted in [lmfao.compile.filters_fused]. [stats] holds
+    the rooted plans' counts (from {!build}); the result's stats count
+    merged views and slots, with [shared_away] covering both per-root and
+    cross-root dedup, and are added to the [lmfao.views] /
+    [lmfao.partials] / [lmfao.shared_away] counters. *)

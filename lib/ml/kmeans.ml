@@ -148,53 +148,19 @@ let cell_of_value g i x =
 
 let centre_of_cell g i c = g.lo.(i) +. ((float_of_int c +. 0.5) *. g.step.(i))
 
-(* Extend each relation owning a dimension with that dimension's bucket
-   column; the grid weights are then one COUNT GROUP BY bucket columns. *)
-let augmented_database (db : Database.t) (g : grid) =
-  let owner = Hashtbl.create 8 in
-  Array.iteri
-    (fun i dim ->
-      let rel =
-        List.find
-          (fun r -> Schema.mem (Relation.schema r) dim)
-          (Database.relations db)
-      in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt owner (Relation.name rel)) in
-      Hashtbl.replace owner (Relation.name rel) ((i, dim) :: cur))
-    g.dims;
-  let relations =
-    List.map
-      (fun rel ->
-        match Hashtbl.find_opt owner (Relation.name rel) with
-        | None | Some [] -> rel
-        | Some dims ->
-            let schema = Relation.schema rel in
-            let extra =
-              List.map (fun (_, dim) -> Schema.attr (bucket_attr dim) Value.TInt) dims
-            in
-            let schema' = Schema.of_list (Schema.attrs schema @ extra) in
-            let n = Relation.cardinality rel in
-            let base = Array.map (fun c -> Column.sub c n) (Relation.columns rel) in
-            let buckets =
-              Array.of_list
-                (List.map
-                   (fun (i, dim) ->
-                     let src = Relation.column rel (Schema.position schema dim) in
-                     Column.of_ints
-                       (Array.init n (fun row ->
-                            cell_of_value g i (Column.float_at src row))))
-                   dims)
-            in
-            Relation.of_columns (Relation.name rel) schema'
-              (Array.append base buckets) n)
-      (Database.relations db)
-  in
-  Database.create (Database.name db ^ "_grid") relations
-
-(* The weighted coreset: occupied grid cells with their join counts. *)
+(* The weighted coreset: occupied grid cells with their join counts. Each
+   relation owning a dimension gains that dimension's bucket column, and
+   the grid weights are one COUNT GROUP BY the bucket columns. *)
 let coreset ?(engine_options = Lmfao.Engine.default_options) (db : Database.t)
     (g : grid) : (float array * float) array =
-  let db' = augmented_database db g in
+  let db' =
+    Lmfao.Derived.augment db
+      (Array.to_list
+         (Array.mapi
+            (fun i dim ->
+              (dim, bucket_attr dim, fun v -> cell_of_value g i (Value.to_float v)))
+            g.dims))
+  in
   let spec =
     Spec.make ~id:"cells" ~terms:[]
       ~group_by:(Array.to_list (Array.map bucket_attr g.dims))

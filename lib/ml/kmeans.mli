@@ -28,9 +28,6 @@ val make_grid : Database.t -> dims:string list -> cells:int -> grid
 val cell_of_value : grid -> int -> float -> int
 val centre_of_cell : grid -> int -> int -> float
 
-val augmented_database : Database.t -> grid -> Database.t
-(** Each dimension's owner relation gains its bucket column. *)
-
 val coreset :
   ?engine_options:Lmfao.Engine.options ->
   Database.t ->

@@ -45,49 +45,14 @@ let rec eval schema (tuple : Tuple.t) = function
       in
       s > c
 
-(* Compile to a closure with attribute positions resolved once; used on hot
-   paths where per-tuple name lookups would dominate. *)
-let compile schema p =
-  let rec go = function
-    | True -> fun _ -> true
-    | Ge (a, c) ->
-        let i = Schema.position schema a in
-        fun (t : Tuple.t) -> Value.compare t.(i) c >= 0
-    | Lt (a, c) ->
-        let i = Schema.position schema a in
-        fun (t : Tuple.t) -> Value.compare t.(i) c < 0
-    | Eq (a, c) ->
-        let i = Schema.position schema a in
-        fun (t : Tuple.t) -> Value.equal t.(i) c
-    | In (a, cs) ->
-        let i = Schema.position schema a in
-        fun (t : Tuple.t) -> List.exists (Value.equal t.(i)) cs
-    | Not p ->
-        let f = go p in
-        fun t -> not (f t)
-    | And (p, q) ->
-        let f = go p and g = go q in
-        fun t -> f t && g t
-    | Or (p, q) ->
-        let f = go p and g = go q in
-        fun t -> f t || g t
-    | Additive_ineq (terms, c) ->
-        let compiled =
-          List.map (fun (a, w) -> (Schema.position schema a, w)) terms
-        in
-        fun (t : Tuple.t) ->
-          List.fold_left
-            (fun acc (i, w) -> acc +. (w *. Value.to_float t.(i)))
-            0.0 compiled
-          > c
-  in
-  go p
-
 (* Columnar compilation: resolve each attribute to its column once and
    specialise the comparison to the column representation, so scans test
-   rows by index without materialising tuples. The generic fallback boxes
-   just the one referenced cell, preserving [Value.compare] semantics for
-   promoted or cross-typed columns. *)
+   rows by index without materialising tuples. Every path agrees with
+   [eval]: the generic fallback boxes just the one referenced cell,
+   keeping [Value.compare] semantics for promoted or cross-typed columns,
+   and the [Floats] fast paths, taken only for a non-NaN constant, match
+   [Value.compare]'s order, where NaN equals itself and sorts below every
+   float — so a NaN cell fails [>=] and passes [<]. *)
 let compile_cols schema (cols : Column.t array) p =
   let col a = cols.(Schema.position schema a) in
   let rec go = function
@@ -96,19 +61,22 @@ let compile_cols schema (cols : Column.t array) p =
         let cl = col a in
         match (Column.data cl, c) with
         | Column.Ints arr, Value.Int x -> fun i -> arr.(i) >= x
-        | Column.Floats arr, Value.Float x -> fun i -> arr.(i) >= x
+        | Column.Floats arr, Value.Float x when not (Float.is_nan x) ->
+            fun i -> arr.(i) >= x
         | _ -> fun i -> Value.compare (Column.get cl i) c >= 0)
     | Lt (a, c) -> (
         let cl = col a in
         match (Column.data cl, c) with
         | Column.Ints arr, Value.Int x -> fun i -> arr.(i) < x
-        | Column.Floats arr, Value.Float x -> fun i -> arr.(i) < x
+        | Column.Floats arr, Value.Float x when not (Float.is_nan x) ->
+            fun i -> not (arr.(i) >= x)
         | _ -> fun i -> Value.compare (Column.get cl i) c < 0)
     | Eq (a, c) -> (
         let cl = col a in
         match (Column.data cl, c) with
         | Column.Ints arr, Value.Int x -> fun i -> arr.(i) = x
-        | Column.Floats arr, Value.Float x -> fun i -> arr.(i) = x
+        | Column.Floats arr, Value.Float x when not (Float.is_nan x) ->
+            fun i -> arr.(i) = x
         | _ -> fun i -> Value.equal (Column.get cl i) c)
     | In (a, cs) -> (
         let cl = col a in

@@ -21,14 +21,11 @@ val attrs : t -> string list
 
 val eval : Schema.t -> Tuple.t -> t -> bool
 
-val compile : Schema.t -> t -> Tuple.t -> bool
-(** Resolve attribute positions once; the returned closure is used on hot
-    per-tuple paths. *)
-
 val compile_cols : Schema.t -> Column.t array -> t -> int -> bool
-(** Columnar variant of {!compile}: the closure tests a row INDEX against
-    the given columns (positionally aligned with the schema), with typed
-    fast paths and no tuple materialisation. *)
+(** Resolve attribute positions once and return a closure that tests a
+    row INDEX against the given columns (positionally aligned with the
+    schema), with typed fast paths and no tuple materialisation. It agrees
+    with {!eval} on every representation, NaN and ±0.0 included. *)
 
 val to_sql : t -> string
 (** SQL rendering (paper Section 2 presents the aggregate forms as SQL). *)

@@ -1,5 +1,5 @@
-(* Tests for the LMFAO pipeline (Plan -> Lower -> Passes -> Exec) and the
-   plan cache in [Compile.Engine].
+(* Tests for the LMFAO pipeline (Plan -> Exec) and the plan cache in
+   [Compile.Engine].
 
    The headline property is BIT-identity with the flat reference: on the
    integer-valued star schema every sum is exact, so [Lmfao.Engine] must
@@ -7,9 +7,9 @@
    materialised join, with groups in [Faggregate.Grouped.Key.compare]
    order, across random databases and batches (including filters and
    group-bys) and every option combination. Further suites check the real
-   schemas numerically, keys of every shape a view holds,
-   plan-cache reuse and revalidation, specialization fallbacks, and stage
-   equivalence of the IR passes. *)
+   schemas numerically, keys of every shape a view holds, plan-cache
+   reuse and revalidation, specialization fallbacks, and the planner's
+   filter hoisting: a plan answers as its unhoisted copy does. *)
 
 open Relational
 module Spec = Aggregates.Spec
@@ -473,10 +473,10 @@ let cache_revalidates_roots () =
 
 (* ---- specialization fallbacks ----
 
-   Only term columns that are boxed, or whose representation drifted since
-   lowering, count: grouped slots run on the one grouped path. *)
+   Only term columns that are boxed count: grouped slots run on the one
+   grouped path. *)
 
-let fallbacks_count_drift () =
+let fallbacks_count_boxed () =
   let rng = Util.Prng.create 5 in
   let db = random_star rng 20 3 in
   let batch = Batch.covariance features in
@@ -532,53 +532,65 @@ let boxed_terms_lazy () =
     (Obs.counter_value_by_name "lmfao.compile.fallbacks" > 0);
   Obs.reset ()
 
-(* ---- stage equivalence of the IR passes ---- *)
+(* ---- the planner's filter hoisting ----
 
-(* The batch's merged plan of view groups, lowered, before any pass. *)
-let lowered_plan db batch =
-  let popts = Lmfao.Plan.default_options in
-  let jt, groups = Lmfao.Plan.group_by_root popts db batch in
-  let stats = Lmfao.Plan.fresh_stats () in
-  let rooted =
-    List.map (fun (root, specs) -> Lmfao.Plan.build popts ~stats jt ~root specs) groups
+   [Plan.group] hoists the conjuncts every slot of a view tests into the
+   view's [v_scan_filter]. Pushing them back into each slot's
+   [local_filter] gives the unhoisted plan, which must answer bit for bit
+   as the hoisted one does. Half the batches give every aggregate one
+   shared conjunct, so every view over its attribute's owner hoists it. *)
+
+let unhoisted (plan : Lmfao.Plan.grouped) =
+  let push (v : Lmfao.Plan.view) =
+    let v_slots =
+      Array.map
+        (fun (s : Lmfao.Plan.slot) ->
+          { s with local_filter = v.v_scan_filter @ s.local_filter })
+        v.v_slots
+    in
+    { v with v_scan_filter = []; v_slots }
   in
-  Lmfao.Lower.grouped (fst (Lmfao.Plan.group jt ~stats rooted))
+  { plan with views = Array.map push plan.views }
 
-let passes_preserve_results =
-  QCheck2.Test.make ~count:20
-    ~name:"each IR pass preserves execution bitwise"
+let hoisting_preserves_results =
+  QCheck2.Test.make ~count:30
+    ~name:"hoisted scan filters preserve execution bitwise"
     QCheck2.Gen.(triple (int_range 0 25) (int_range 1 5) int)
     (fun (card, domain, seed) ->
       let rng = Util.Prng.create seed in
       let db = random_star rng card domain in
+      let batch = random_batch rng in
+      let shared =
+        if Util.Prng.int rng 2 = 0 then None
+        else
+          Some
+            (match Util.Prng.int rng 3 with
+            | 0 -> Predicate.Ge ("m2", flt (float_of_int (Util.Prng.int rng 10)))
+            | 1 -> Predicate.Lt ("u", flt (float_of_int (Util.Prng.int rng 10)))
+            | _ -> Predicate.Eq ("y", int (Util.Prng.int rng 3)))
+      in
       let batch =
-        if Util.Prng.int rng 2 = 0 then Batch.covariance features
-        else random_batch rng
+        match shared with
+        | None -> batch
+        | Some c ->
+            {
+              batch with
+              Batch.aggregates =
+                List.map
+                  (fun (s : Spec.t) -> { s with filter = Predicate.And (c, s.filter) })
+                  batch.Batch.aggregates;
+            }
       in
-      let run plan = Engine.run ~options:default db plan in
-      let raw = lowered_plan db batch in
-      let reference = run raw in
-      (* cumulative: after each stage of the pipeline, results unchanged *)
-      let _, ok =
-        List.fold_left
-          (fun (plan, ok) (pass_name, pass) ->
-            let plan = pass plan in
-            let got = run plan in
-            let ok' = ok && Spec.keyed_bits_equal reference got in
-            if not ok' && ok then
-              Format.eprintf "PASS %s changed results@." pass_name;
-            (plan, ok'))
-          (raw, true) Lmfao.Passes.all
+      let plan, _ = Engine.compile ~options:default db batch in
+      let hoisted = Array.exists (fun v -> v.Lmfao.Plan.v_scan_filter <> []) plan.views in
+      if shared <> None && not hoisted then Format.eprintf "NOTHING HOISTED@.";
+      let ok =
+        Spec.keyed_bits_equal
+          (Engine.run ~options:default db plan)
+          (Engine.run ~options:default db (unhoisted plan))
       in
-      (* and each pass individually on the raw plan *)
-      List.for_all
-        (fun (pass_name, pass) ->
-          let got = run (pass raw) in
-          let ok = Spec.keyed_bits_equal reference got in
-          if not ok then Format.eprintf "PASS %s (solo) changed results@." pass_name;
-          ok)
-        Lmfao.Passes.all
-      && ok)
+      if not ok then Format.eprintf "HOISTING changed results@.";
+      ok && (shared = None || hoisted))
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -621,8 +633,8 @@ let () =
         ] );
       ( "fallbacks",
         [
-          Alcotest.test_case "count drifted term columns" `Quick fallbacks_count_drift;
+          Alcotest.test_case "count boxed term columns" `Quick fallbacks_count_boxed;
           Alcotest.test_case "boxed term column read lazily" `Quick boxed_terms_lazy;
         ] );
-      ("passes", [ qcheck passes_preserve_results ]);
+      ("hoisting", [ qcheck hoisting_preserves_results ]);
     ]

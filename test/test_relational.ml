@@ -332,19 +332,36 @@ let test_database_join () =
   Alcotest.(check int) "join size" 3 (Relation.cardinality join);
   Alcotest.(check int) "total card" 5 (Database.total_cardinality db)
 
-(* compiled predicates agree with interpreted evaluation *)
-let predicate_compile_matches_eval =
-  QCheck2.Test.make ~count:200 ~name:"Predicate.compile = Predicate.eval"
+(* Compiled predicates agree with interpreted evaluation whatever the
+   column's representation: an int column and a float column, each also
+   as a Boxed copy, with NaN and ±0.0 among the float cells and the
+   constants, and Int and Float constants against both. *)
+let predicate_compile_cols_matches_eval =
+  let floats = [| nan; -0.0; 0.0; 1.0; 2.0; -1.5; infinity; neg_infinity |] in
+  let schema = Schema.make [ ("x", Value.TFloat) ] in
+  QCheck2.Test.make ~count:300
+    ~name:"Predicate.compile_cols = Predicate.eval on Ints, Floats and Boxed columns"
+    ~print:(fun (p, cells) ->
+      Format.asprintf "%a over cells %s" Predicate.pp p
+        (String.concat "; "
+           (List.map (fun (x, n) -> Printf.sprintf "(%h, %d)" x n) cells)))
     QCheck2.Gen.(
+      let float_cell = map (fun k -> floats.(k)) (int_range 0 (Array.length floats - 1)) in
+      let const =
+        oneof
+          [
+            map (fun x -> Value.Float x) float_cell;
+            map (fun c -> Value.Int c) (int_range (-1) 2);
+          ]
+      in
       let leaf =
         oneof
           [
-            map (fun c -> Predicate.Ge ("a", Value.Int c)) (int_range 0 5);
-            map (fun c -> Predicate.Lt ("b", Value.Int c)) (int_range 0 5);
-            map (fun c -> Predicate.Eq ("a", Value.Int c)) (int_range 0 5);
-            map
-              (fun cs -> Predicate.In ("b", List.map (fun c -> Value.Int c) cs))
-              (list_size (int_range 0 3) (int_range 0 5));
+            map (fun c -> Predicate.Ge ("x", c)) const;
+            map (fun c -> Predicate.Lt ("x", c)) const;
+            map (fun c -> Predicate.Eq ("x", c)) const;
+            map (fun cs -> Predicate.In ("x", cs)) (list_size (int_range 0 3) const);
+            map (fun c -> Predicate.Additive_ineq ([ ("x", -2.0) ], c)) float_cell;
             return Predicate.True;
           ]
       in
@@ -357,10 +374,22 @@ let predicate_compile_matches_eval =
             map2 (fun p q -> Predicate.Or (p, q)) leaf leaf;
           ]
       in
-      triple pred (int_range 0 5) (int_range 0 5))
-    (fun (p, x, y) ->
-      let t = [| int x; int y |] in
-      Predicate.eval schema_ab t p = Predicate.compile schema_ab p t)
+      pair pred (list_size (int_range 1 8) (pair float_cell (int_range (-1) 2))))
+    (fun (p, cells) ->
+      let xs = Array.of_list (List.map fst cells) in
+      let ns = Array.of_list (List.map snd cells) in
+      List.for_all
+        (fun col ->
+          let keep = Predicate.compile_cols schema [| col |] p in
+          List.for_all
+            (fun i -> keep i = Predicate.eval schema [| Column.get col i |] p)
+            (List.init (List.length cells) Fun.id))
+        [
+          Column.of_ints ns;
+          Column.of_boxed (Array.map int ns);
+          Column.of_floats xs;
+          Column.of_boxed (Array.map (fun x -> Value.Float x) xs);
+        ])
 
 let test_sort_by () =
   let r = rel_of "R" schema_ab [ [ 3; 1 ]; [ 1; 2 ]; [ 2; 0 ] ] in
@@ -569,7 +598,7 @@ let () =
           Alcotest.test_case "semijoin" `Quick test_semijoin;
           qcheck groupby_matches_reference;
           Alcotest.test_case "scalar aggregates" `Quick test_aggregate_scalar;
-          qcheck predicate_compile_matches_eval;
+          qcheck predicate_compile_cols_matches_eval;
           Alcotest.test_case "sort_by" `Quick test_sort_by;
           Alcotest.test_case "union" `Quick test_union;
           Alcotest.test_case "value accounting + csv" `Quick
