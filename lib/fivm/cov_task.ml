@@ -50,6 +50,12 @@ let lift_cov t rel_name (tuple : Tuple.t) : Payload.Cov_dyn.t =
     (owned_features t rel_name);
   `Elem (Rings.Covariance.of_tuple xs)
 
+(* The same lift written into a view tree's buffer; [lift_into t rel_name]
+   resolves the owned features once. *)
+let lift_into t rel_name =
+  let owned = Array.of_list (owned_features t rel_name) in
+  fun tuple ~into -> Payload.Cov.of_tuple owned tuple ~into
+
 (* All (n+1)(n+2)/2 aggregates of the symmetric covariance batch. *)
 let aggregate_pairs t =
   let n = t.dim in

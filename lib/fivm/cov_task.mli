@@ -21,6 +21,10 @@ val lift_cov : t -> string -> Tuple.t -> Payload.Cov_dyn.t
 (** Covariance-ring lift of a tuple: the sparse (1, x, x x^T) over its owned
     features. *)
 
+val lift_into : t -> string -> Tuple.t -> into:Payload.Cov.t -> unit
+(** {!lift_cov} written into a buffer, for view trees; [lift_into t name]
+    resolves the relation's owned features once. *)
+
 val aggregate_pairs : t -> (int * int) array
 (** All (i, j), 0 <= i <= j <= n, of the symmetric batch (0 = intercept). *)
 

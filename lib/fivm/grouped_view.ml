@@ -11,20 +11,16 @@ open Relational
 module GF = Factorized.Faggregate.Grouped_float
 module Spec = Aggregates.Spec
 
-(* the k-relation ring as an IVM payload: negation and integer scaling are
-   pointwise *)
-module P : Payload.S with type t = GF.t = struct
-  type t = GF.t
+(* the k-relation ring as an in-place IVM payload: a buffer is a cell
+   holding a persistent map, and integer scaling is pointwise *)
+module P = struct
+  type t = { mutable m : GF.t }
 
-  let zero = GF.zero
-  let one = GF.one
-  let add = GF.add
-  let mul = GF.mul
-  let equal = GF.equal
-  let to_string = GF.to_string
-  let neg m = GF.KMap.map (fun v -> -.v) m
-  let smul k m = GF.KMap.map (fun v -> float_of_int k *. v) m
-  let is_zero m = GF.KMap.for_all (fun _ v -> v = 0.0) m
+  let mul a b ~into = into.m <- GF.mul a.m b.m
+  let add x ~into = into.m <- GF.add into.m x.m
+  let scale k x = x.m <- GF.KMap.map (fun v -> float_of_int k *. v) x.m
+  let is_zero x = GF.KMap.for_all (fun _ v -> v = 0.0) x.m
+  let copy x ~into = into.m <- x.m
 end
 
 module Tree = View_tree.Make (P)
@@ -69,7 +65,7 @@ let create (db : Database.t) (spec : Spec.t) : t =
           else None)
         spec.group_by
     in
-    fun (tuple : Tuple.t) : GF.t ->
+    fun (tuple : Tuple.t) ~(into : P.t) ->
       let weight =
         List.fold_left
           (fun acc (pos, p) ->
@@ -81,9 +77,9 @@ let create (db : Database.t) (spec : Spec.t) : t =
       let assignment =
         List.sort compare (List.map (fun (a, pos) -> (a, tuple.(pos))) my_groups)
       in
-      GF.KMap.singleton assignment weight
+      into.m <- GF.KMap.singleton assignment weight
   in
-  let tree = Tree.create storage ~lift in
+  let tree = Tree.create storage ~zero:(fun () -> { P.m = GF.zero }) ~lift in
   { storage; tree; spec }
 
 let apply (t : t) (u : Delta.update) =
@@ -91,7 +87,7 @@ let apply (t : t) (u : Delta.update) =
   Storage.apply t.storage u
 
 let result (t : t) : Spec.result =
-  List.filter (fun (_, v) -> Float.abs v > 0.0) (GF.bindings (Tree.result t.tree))
+  List.filter (fun (_, v) -> Float.abs v > 0.0) (GF.bindings (Tree.result t.tree).m)
 
 let recompute (t : t) : Spec.result =
-  List.filter (fun (_, v) -> Float.abs v > 0.0) (GF.bindings (Tree.recompute t.tree))
+  List.filter (fun (_, v) -> Float.abs v > 0.0) (GF.bindings (Tree.recompute t.tree).m)

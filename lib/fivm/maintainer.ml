@@ -14,7 +14,7 @@
 open Relational
 module Cov = Rings.Covariance
 
-module Cov_tree = View_tree.Make (Payload.Cov_dyn)
+module Cov_tree = View_tree.Make (Payload.Cov)
 module Float_tree = View_tree.Make (Payload.Float)
 
 type strategy = F_ivm | Higher_order | First_order
@@ -52,21 +52,27 @@ type state =
    the join tree and LMFAO's accumulation order — survives a snapshot. *)
 type t = { schema : Database.t; state : state }
 
+let cov_tree (task : Cov_task.t) storage =
+  Cov_tree.create storage
+    ~zero:(fun () -> Payload.Cov.zero task.dim)
+    ~lift:(Cov_task.lift_into task)
+
 let create strategy (db : Database.t) ~features =
   let task = Cov_task.make db ~features in
   let storage = Storage.create db in
   let state =
     match strategy with
     | F_ivm ->
-        let tree = Cov_tree.create storage ~lift:(Cov_task.lift_cov task) in
-        Fivm { task; storage; tree }
+        Fivm { task; storage; tree = cov_tree task storage }
     | Higher_order ->
         let aggs = Cov_task.aggregate_pairs task in
         let trees =
           Array.map
             (fun pair ->
-              Float_tree.create storage ~lift:(fun rel tuple ->
-                  Cov_task.factor task pair rel tuple))
+              Float_tree.create storage
+                ~zero:(fun () -> Payload.Float.make 0.0)
+                ~lift:(fun rel tuple ~into ->
+                  Payload.Float.set into (Cov_task.factor task pair rel tuple)))
             aggs
         in
         Higher { task; storage; aggs; trees }
@@ -117,13 +123,17 @@ let apply t (u : Delta.update) =
         aggs;
       Storage.apply storage u
 
+(* A fresh triple: the root buffers are the trees' own and change under
+   later updates. *)
 let covariance t : Cov.t =
   match t.state with
-  | Fivm { task; tree; _ } -> Payload.cov_elem task.Cov_task.dim (Cov_tree.result tree)
+  | Fivm { tree; _ } -> Payload.Cov.to_covariance (Cov_tree.result tree)
   | Higher { task; aggs; trees; _ } ->
       Cov_task.assemble task
         (Array.to_list
-           (Array.mapi (fun k pair -> (pair, Float_tree.result trees.(k))) aggs))
+           (Array.mapi
+              (fun k pair -> (pair, Payload.Float.get (Float_tree.result trees.(k))))
+              aggs))
   | First { task; aggs; totals; _ } ->
       Cov_task.assemble task
         (Array.to_list (Array.mapi (fun k pair -> (pair, totals.(k))) aggs))
@@ -168,26 +178,35 @@ let snapshot t : Database.t =
    A view dump carries the EXACT accumulated payload floats of the strategy's
    maintained state; restoring it into a maintainer whose storage holds the
    same contents reproduces the state bit-identically (recomputation would
-   re-associate float additions and drift in the last ulps). *)
+   re-associate float additions and drift in the last ulps). Dumps hold
+   persistent values ([Cov_dyn] elements, floats); the trees' buffers are
+   converted on the way out and in. *)
 
 type view_dump =
   | Cov_views of (string * (Relational.Keypack.key * Payload.Cov_dyn.t) list) list
   | Float_views of (string * (Relational.Keypack.key * float) list) list array
   | Totals of float array
 
+let map_dump f =
+  List.map (fun (name, entries) -> (name, List.map (fun (k, p) -> (k, f p)) entries))
+
 let dump_views t =
   match t.state with
-  | Fivm { tree; _ } -> Cov_views (Cov_tree.export tree)
-  | Higher { trees; _ } -> Float_views (Array.map Float_tree.export trees)
+  | Fivm { tree; _ } ->
+      Cov_views (Cov_tree.export tree (fun b -> `Elem (Payload.Cov.to_covariance b)))
+  | Higher { trees; _ } ->
+      Float_views (Array.map (fun tree -> Float_tree.export tree Payload.Float.get) trees)
   | First { totals; _ } -> Totals (Array.copy totals)
 
 let restore_views t dump =
   match (t.state, dump) with
-  | Fivm { tree; _ }, Cov_views d -> Cov_tree.import tree d
+  | Fivm { task; tree; _ }, Cov_views d ->
+      Cov_tree.import tree
+        (map_dump (fun p -> Payload.Cov.of_covariance (Payload.cov_elem task.dim p)) d)
   | Higher { trees; _ }, Float_views ds ->
       if Array.length ds <> Array.length trees then
         invalid_arg "Maintainer.restore_views: tree count mismatch";
-      Array.iteri (fun i d -> Float_tree.import trees.(i) d) ds
+      Array.iteri (fun i d -> Float_tree.import trees.(i) (map_dump Payload.Float.make d)) ds
   | First { totals; _ }, Totals ts ->
       if Array.length ts <> Array.length totals then
         invalid_arg "Maintainer.restore_views: totals length mismatch";
@@ -198,33 +217,23 @@ let restore_views t dump =
    touching base storage) so that an audit against {!recompute} fails. Only
    reachable from the resilience layer's fault harness and tests. *)
 let perturb t x =
-  match t.state with
-  | Fivm { tree; _ } ->
-      let d =
-        List.map
-          (fun (name, entries) ->
-            ( name,
-              List.map
-                (fun (k, p) ->
-                  match p with
-                  | `Elem e -> (k, `Elem { e with Cov.c = e.Cov.c +. x })
-                  | p -> (k, p))
-                entries ))
-          (Cov_tree.export tree)
-      in
-      Cov_tree.import tree d
-  | Higher { trees; _ } ->
-      if Array.length trees > 0 then begin
-        let d =
-          List.map
-            (fun (name, entries) ->
-              (name, List.map (fun (k, v) -> (k, v +. x)) entries))
-            (Float_tree.export trees.(0))
-        in
-        Float_tree.import trees.(0) d
+  match dump_views t with
+  | Cov_views d ->
+      restore_views t
+        (Cov_views
+           (map_dump
+              (function `Elem e -> `Elem { e with Cov.c = e.Cov.c +. x } | p -> p)
+              d))
+  | Float_views ds ->
+      if Array.length ds > 0 then begin
+        ds.(0) <- map_dump (fun v -> v +. x) ds.(0);
+        restore_views t (Float_views ds)
       end
-  | First { totals; _ } ->
-      if Array.length totals > 0 then totals.(0) <- totals.(0) +. x
+  | Totals ts ->
+      if Array.length ts > 0 then begin
+        ts.(0) <- ts.(0) +. x;
+        restore_views t (Totals ts)
+      end
 
 let view_rows t =
   let sum sizes = List.fold_left (fun acc (_, n) -> acc + n) 0 sizes in
@@ -251,13 +260,13 @@ let apply_batch t (us : Delta.update list) =
    storage contents (used by tests and drift checks). *)
 let recompute t : Cov.t =
   match t.state with
-  | Fivm { task; tree; _ } -> Payload.cov_elem task.Cov_task.dim (Cov_tree.recompute tree)
+  | Fivm { tree; _ } -> Payload.Cov.to_covariance (Cov_tree.recompute tree)
   | Higher { task; aggs; trees; _ } ->
       Cov_task.assemble task
         (Array.to_list
-           (Array.mapi (fun k pair -> (pair, Float_tree.recompute trees.(k))) aggs))
-  | First { task; storage; aggs; _ } ->
-      (* build a temporary F-IVM tree shape for recomputation *)
-      let tree = Cov_tree.create storage ~lift:(Cov_task.lift_cov task) in
-      ignore aggs;
-      Payload.cov_elem task.Cov_task.dim (Cov_tree.recompute tree)
+           (Array.mapi
+              (fun k pair -> (pair, Payload.Float.get (Float_tree.recompute trees.(k))))
+              aggs))
+  | First { task; storage; _ } ->
+      (* a temporary F-IVM tree shape for recomputation *)
+      Payload.Cov.to_covariance (Cov_tree.recompute (cov_tree task storage))

@@ -1,48 +1,158 @@
-(* Payload rings for incremental view maintenance: a ring plus efficient
-   integer scaling (for Z-multiplicities). *)
+(* Payloads for incremental view maintenance.
+
+   A view tree owns one buffer per view entry plus per-node scratch, and
+   every ring operation writes into a buffer the tree already holds: a
+   product into a destination, a sum into its accumulator, a scaling in
+   place. A steady-state update therefore allocates no ring elements,
+   whatever the payload's size. The ring's one is never materialised: a
+   tree reads an empty product's first factor in place instead of
+   multiplying by one, which is also what keeps the covariance kernels
+   bit-identical to the persistent ring (multiplying by a concrete one
+   would turn -0.0 sums into 0.0). *)
 
 module type S = sig
-  include Rings.Sig.RING
+  type t
 
-  val smul : int -> t -> t
-  (** [smul m x] is the m-fold sum of [x] (negative m uses [neg]). *)
-
+  val mul : t -> t -> into:t -> unit
+  val add : t -> into:t -> unit
+  val scale : int -> t -> unit
   val is_zero : t -> bool
-  (** EXACT additive-identity test (no tolerance). Used by the view trees to
-      drop entries whose payload cancelled to zero, so a group that churned
-      down to zero multiplicity leaves no trace — bit-matching a recompute
-      that never saw the group. *)
+  val copy : t -> into:t -> unit
 end
 
-module Float : S with type t = float = struct
-  include Rings.Instances.R
+(* A flat float record, so writes store the float unboxed. *)
+module Float = struct
+  type t = { mutable v : float }
 
-  let smul m x = float_of_int m *. x
-  let is_zero x = x = 0.0
+  let make v = { v }
+  let get x = x.v
+  let set x v = x.v <- v
+  let mul a b ~into = into.v <- a.v *. b.v
+  let add x ~into = into.v <- into.v +. x.v
+  let scale m x = x.v <- float_of_int m *. x.v
+  let is_zero x = x.v = 0.0
+  let copy x ~into = into.v <- x.v
 end
 
-(* The covariance ring at a fixed dimension: F-IVM's compound payload. *)
-module Cov (D : sig
-  val n : int
-end) : S with type t = Rings.Covariance.t = struct
-  include Rings.Covariance.Make (D)
+(* The covariance ring on one unboxed array [c | s | Q row-major]. Each
+   kernel is the matching [Rings.Covariance] function with the same float
+   operations in the same order (operand order included), only reading and
+   writing buffers instead of building records: maintained views stay
+   bit-identical to the persistent ring's. The kernels check lengths once,
+   then index unchecked. *)
+module Cov = struct
+  type t = float array
 
-  let smul m x = Rings.Covariance.smul (float_of_int m) x
-  let is_zero = Rings.Covariance.is_zero
+  let zero d = Array.make (1 + d + (d * d)) 0.0
+
+  (* 1 + d + d² = n gives d = floor (sqrt (n - 1)). *)
+  let dim (x : t) = int_of_float (sqrt (float_of_int (Array.length x - 1)))
+
+  let check name (x : t) (into : t) =
+    if Array.length x <> Array.length into then invalid_arg ("Payload.Cov." ^ name)
+
+  (* typed, so the primitives compile to unboxed float-array accesses *)
+  let get (x : t) k = Array.unsafe_get x k
+  let set (x : t) k v = Array.unsafe_set x k v
+
+  (* [Rings.Covariance.mul]:
+     (c1*c2, c2*s1 + c1*s2, c2*Q1 + c1*Q2 + s1 s2^T + s2 s1^T). *)
+  let mul (a : t) (b : t) ~(into : t) =
+    check "mul" a into;
+    check "mul" b into;
+    if into == a || into == b then invalid_arg "Payload.Cov.mul: destination aliases an operand";
+    let d = dim into in
+    let ac = get a 0 and bc = get b 0 in
+    set into 0 (ac *. bc);
+    for i = 1 to d do
+      set into i ((bc *. get a i) +. (ac *. get b i))
+    done;
+    for i = 0 to d - 1 do
+      let asi = get a (1 + i) and bsi = get b (1 + i) in
+      let row = 1 + d + (i * d) in
+      for j = 0 to d - 1 do
+        let k = row + j in
+        set into k
+          ((bc *. get a k)
+          +. (ac *. get b k)
+          +. (asi *. get b (1 + j))
+          +. (bsi *. get a (1 + j)))
+      done
+    done
+
+  let add (x : t) ~(into : t) =
+    check "add" x into;
+    for k = 0 to Array.length into - 1 do
+      set into k (get into k +. get x k)
+    done
+
+  let scale m (x : t) =
+    let k = float_of_int m in
+    for i = 0 to Array.length x - 1 do
+      set x i (k *. get x i)
+    done
+
+  (* a loop: [Array.for_all] would box every element *)
+  let is_zero (x : t) =
+    let k = ref 0 in
+    while !k < Array.length x && get x !k = 0.0 do
+      incr k
+    done;
+    !k = Array.length x
+
+  let copy (x : t) ~(into : t) =
+    check "copy" x into;
+    Array.blit x 0 into 0 (Array.length x)
+
+  (* [Rings.Covariance.of_tuple xs] with [xs] zero outside the owned
+     features: c = 1, s = xs, and Q = 0 plus [Mat.ger]'s rank-1 update,
+     which skips the rows whose [1.0 *. x_i] is zero (so only owned rows
+     can be written). *)
+  let of_tuple (owned : (int * int) array) (tuple : Relational.Tuple.t) ~(into : t) =
+    let d = dim into in
+    Array.fill into 0 (Array.length into) 0.0;
+    into.(0) <- 1.0;
+    for k = 0 to Array.length owned - 1 do
+      let i, pos = owned.(k) in
+      into.(1 + i) <- Relational.Value.to_float tuple.(pos)
+    done;
+    for k = 0 to Array.length owned - 1 do
+      let i, _ = owned.(k) in
+      let axi = 1.0 *. into.(1 + i) in
+      if axi <> 0.0 then begin
+        let row = 1 + d + (i * d) in
+        for j = 0 to d - 1 do
+          into.(row + j) <- 0.0 +. (axi *. into.(1 + j))
+        done
+      end
+    done
+
+  let to_covariance (x : t) : Rings.Covariance.t =
+    let d = dim x in
+    {
+      c = x.(0);
+      s = Array.sub x 1 d;
+      q = Util.Mat.init d d (fun i j -> x.(1 + d + (i * d) + j));
+    }
+
+  let of_covariance (e : Rings.Covariance.t) : t =
+    let d = Rings.Covariance.dim e in
+    let x = zero d in
+    x.(0) <- e.c;
+    Array.blit e.s 0 x 1 d;
+    for i = 0 to d - 1 do
+      for j = 0 to d - 1 do
+        x.(1 + d + (i * d) + j) <- Util.Mat.get e.q i j
+      done
+    done;
+    x
 end
-
-let cov n : (module S with type t = Rings.Covariance.t) =
-  (module Cov (struct
-    let n = n
-  end))
 
 (* Dimension-agnostic covariance payload: [Zero] and [One] are symbolic so
    that the module needs no static dimension (the dimension is read off the
    first concrete element). [add One One], [neg One] and [smul m One] have no
-   dimension to build from and are rejected; the view-tree maintenance never
-   produces them (lifts are always concrete). *)
-module Cov_dyn : S with type t = [ `Zero | `One | `Elem of Rings.Covariance.t ] =
-struct
+   dimension to build from and are rejected. *)
+module Cov_dyn = struct
   module C = Rings.Covariance
 
   type t = [ `Zero | `One | `Elem of C.t ]

@@ -141,18 +141,30 @@ let index_of (n : node) ~neighbour caller =
   in
   go 0
 
-(* Fold over the live tuples of [n] joining with key [key] of neighbour
-   [neighbour], newest first. [f] must not update the storage. *)
-let fold_matching (n : node) ~neighbour (key : Keypack.key) f init =
-  let i = index_of n ~neighbour "Storage.fold_matching" in
-  match Hybrid.find_opt n.indexes.(i).buckets key with
+(* A resolved index: the index and its [links] slot (next at [slot]). *)
+type edge = { ix : index; slot : int }
+
+let edge_of (n : node) ~neighbour caller =
+  let i = index_of n ~neighbour caller in
+  { ix = n.indexes.(i); slot = 2 * i }
+
+let edge n ~neighbour = edge_of n ~neighbour "Storage.edge"
+
+(* Fold over the live tuples joining with [key] through the edge's index,
+   newest first. [f] must not update the storage. *)
+let fold_edge { ix; slot } (key : Keypack.key) f init =
+  match Hybrid.find_opt ix.buckets key with
   | None -> init
   | Some s ->
-      let rec go e acc = if e == s then acc else go e.links.(2 * i) (f e.tuple e.mult acc) in
-      go s.links.(2 * i) init
+      let rec go e acc = if e == s then acc else go e.links.(slot) (f e.tuple e.mult acc) in
+      go s.links.(slot) init
 
-let key_for (n : node) ~neighbour tuple : Keypack.key =
-  Keypack.key_of_tuple n.indexes.(index_of n ~neighbour "Storage.key_for").positions tuple
+let edge_key { ix; _ } tuple : Keypack.key = Keypack.key_of_tuple ix.positions tuple
+
+let fold_matching n ~neighbour key f init =
+  fold_edge (edge_of n ~neighbour "Storage.fold_matching") key f init
+
+let key_for n ~neighbour tuple = edge_key (edge_of n ~neighbour "Storage.key_for") tuple
 
 let insert t (n : node) tk (u : Delta.update) =
   let k = Array.length n.indexes in

@@ -36,6 +36,19 @@ val key_for : node -> neighbour:string -> Tuple.t -> Keypack.key
 (** A tuple's join key towards the given neighbour (sorted attribute
     order — both edge endpoints agree on it). *)
 
+type edge
+(** A node's index towards one neighbour, resolved once, so repeated probes
+    skip the neighbour lookup. *)
+
+val edge : node -> neighbour:string -> edge
+(** @raise Invalid_argument if [neighbour] is not a neighbour of the node. *)
+
+val fold_edge : edge -> Keypack.key -> (Tuple.t -> int -> 'a -> 'a) -> 'a -> 'a
+(** {!fold_matching} through a resolved edge. *)
+
+val edge_key : edge -> Tuple.t -> Keypack.key
+(** {!key_for} through a resolved edge. *)
+
 val apply : t -> Delta.update -> unit
 (** Apply the update to the multiset and all indexes; entries reaching
     multiplicity 0 are removed. A tuple keeps the representation it was

@@ -11,56 +11,84 @@
 
    Instantiated with [Payload.Float] and per-aggregate lifts this is
    higher-order delta processing with intermediate views; instantiated with
-   the covariance ring it is F-IVM proper — one tree maintaining the whole
-   aggregate batch. *)
+   [Payload.Cov] it is F-IVM proper — one tree maintaining the whole
+   aggregate batch.
+
+   Payloads are in-place ({!Payload.S}): each view entry owns one buffer
+   and deltas are added into it; each node owns scratch for its lift, its
+   children product and one contribution, plus a per-update delta table
+   reset between updates; delta and entry buffers cycle through a free
+   list. The updated relation's path to the root and every storage edge are
+   resolved at [create], so an update does no name lookups beyond one. *)
 
 open Relational
+module H = Keypack.Hybrid
 
 module Make (P : Payload.S) = struct
   type vnode = {
     name : string;
+    node : Storage.node;
     key_positions : int array; (* join key with parent, in storage schema *)
-    lift : Tuple.t -> P.t;
-    view : P.t ref Keypack.Hybrid.t;
+    lift : Tuple.t -> into:P.t -> unit;
+    view : P.t H.t; (* every entry owns its buffer *)
     children : vnode array;
-    child_names : string list array; (* subtree relation names per child *)
+    edges : Storage.edge array; (* this relation's index towards each child *)
+    deltas : P.t H.t; (* this level's deltas in the current update *)
+    lifted : P.t; (* scratch *)
+    prod : P.t;
+    prod' : P.t;
+    joined : P.t;
+    contrib : P.t;
   }
 
-  type t = { root : vnode; storage : Storage.t }
+  type t = {
+    root : vnode;
+    zero : unit -> P.t;
+    empty : P.t; (* [result] while the root view has no entry *)
+    paths : (string, vnode * (vnode * int) array) Hashtbl.t;
+        (* relation -> its node, then its ancestors bottom-up, each with the
+           index of the child on the path *)
+    free : P.t Stack.t; (* buffers released by views and delta tables *)
+  }
 
-  (* [lift name tuple] must give the ring image of a tuple of relation
-     [name] (the product of the lifts of the attributes owned by it). *)
-  let create storage ~lift =
-    let jt = Storage.join_tree storage in
+  (* [lift name tuple ~into] must write the ring image of a tuple of
+     relation [name] (the product of the lifts of the attributes owned by
+     it). *)
+  let create storage ~zero ~lift =
     let rec build (n : Join_tree.node) =
       let name = Relation.name n.rel in
       let schema = Relation.schema n.rel in
+      let node = Storage.node storage name in
       let children = Array.of_list (List.map build n.children) in
       {
         name;
+        node;
         (* sorted to match [Storage]'s edge-key order *)
         key_positions =
-          Array.of_list
-            (List.map (Schema.position schema) (List.sort compare n.key));
+          Array.of_list (List.map (Schema.position schema) (List.sort compare n.key));
         lift = lift name;
-        view = Keypack.Hybrid.create 256;
+        view = H.create 256;
         children;
-        child_names =
-          Array.map
-            (fun c ->
-              let rec names (v : vnode) =
-                v.name :: List.concat_map names (Array.to_list v.children)
-              in
-              names c)
-            children;
+        edges = Array.map (fun c -> Storage.edge node ~neighbour:c.name) children;
+        deltas = H.create 8;
+        lifted = zero ();
+        prod = zero ();
+        prod' = zero ();
+        joined = zero ();
+        contrib = zero ();
       }
     in
-    { root = build (Join_tree.tree jt); storage }
+    let root = build (Join_tree.tree (Storage.join_tree storage)) in
+    let paths = Hashtbl.create 8 in
+    let rec index ancestors v =
+      Hashtbl.replace paths v.name (v, Array.of_list ancestors);
+      Array.iteri (fun i c -> index ((v, i) :: ancestors) c) v.children
+    in
+    index [] root;
+    { root; zero; empty = zero (); paths; free = Stack.create () }
 
-  let view_get (v : vnode) (key : Keypack.key) =
-    match Keypack.Hybrid.find_opt v.view key with
-    | Some r -> Some !r
-    | None -> None
+  let take t = if Stack.is_empty t.free then t.zero () else Stack.pop t.free
+  let release t b = Stack.push b t.free
 
   (* Accumulate a delta into the view, DROPPING the entry when the payload
      cancels to exact zero: a group churned down to zero multiplicity must
@@ -68,156 +96,190 @@ module Make (P : Payload.S) = struct
      checkpoint dumps, and the -0.0/+0.0 bits reachable through
      [children_product]) diverges from a recompute that never saw the
      group. [P.is_zero] is exact, so near-zero accumulations survive. *)
-  let view_add (v : vnode) (key : Keypack.key) delta =
-    match Keypack.Hybrid.find_opt v.view key with
-    | Some r ->
-        let sum = P.add !r delta in
-        if P.is_zero sum then Keypack.Hybrid.remove v.view key else r := sum
-    | None -> if not (P.is_zero delta) then Keypack.Hybrid.add v.view key (ref delta)
+  let view_add t v key d =
+    match H.find_opt v.view key with
+    | Some acc ->
+        P.add d ~into:acc;
+        if P.is_zero acc then begin
+          H.remove v.view key;
+          release t acc
+        end
+    | None ->
+        if not (P.is_zero d) then begin
+          let b = take t in
+          P.copy d ~into:b;
+          H.add v.view key b
+        end
 
-  (* Product of the children's views for a tuple of [v]'s relation, skipping
-     child [except]. [None] if some child has no matching key (no join
-     partner: the tuple currently contributes nothing). *)
-  let children_product (v : vnode) storage tuple ~except =
-    let n = Storage.node storage v.name in
+  exception No_partner
+
+  (* Product of the children's views for a tuple of [v]'s relation, in child
+     order, skipping child [except]. [None] is the empty product, the ring's
+     one, which is never materialised: a first factor is read in place.
+     Raises [No_partner] if some child has no matching key (the tuple
+     currently contributes nothing). Partial products alternate between
+     [v]'s two product buffers. *)
+  let children_product v tuple ~except =
     let rec go i acc =
-      if i = Array.length v.children then Some acc
+      if i = Array.length v.children then acc
       else if i = except then go (i + 1) acc
       else
-        let child = v.children.(i) in
-        let key = Storage.key_for n ~neighbour:child.name tuple in
-        match view_get child key with
-        | Some p -> go (i + 1) (P.mul acc p)
-        | None -> None
+        match H.find_opt v.children.(i).view (Storage.edge_key v.edges.(i) tuple) with
+        | None -> raise_notrace No_partner
+        | Some p -> (
+            match acc with
+            | None -> go (i + 1) (Some p)
+            | Some a ->
+                let into = if a == v.prod then v.prod' else v.prod in
+                P.mul a p ~into;
+                go (i + 1) (Some into))
     in
-    go 0 P.one
+    go 0 None
+
+  (* m * lift(tuple) into [v]'s lift buffer. Scaling by 1 multiplies every
+     float by 1.0, which is exact, so it is skipped. *)
+  let lift_scaled v tuple m =
+    v.lift tuple ~into:v.lifted;
+    if m <> 1 then P.scale m v.lifted
+
+  (* The updated node's delta: m * lift(tuple) times its children's views. *)
+  let leaf_delta t v (u : Delta.update) =
+    match children_product v u.tuple ~except:(-1) with
+    | exception No_partner -> []
+    | product ->
+        lift_scaled v u.tuple u.multiplicity;
+        let d = take t in
+        (match product with
+        | Some p -> P.mul v.lifted p ~into:d
+        | None -> P.copy v.lifted ~into:d);
+        let key = Keypack.key_of_tuple v.key_positions u.tuple in
+        view_add t v key d;
+        [ (key, d) ]
+
+  (* An ancestor's deltas: every child delta [(ck, d)] meets the stored
+     tuples of [v] joining [ck] through child [c]'s edge, each contributing
+     m * lift(tuple) * (d * its other children's views). Contributions to
+     one key add up in child-delta order, then newest tuple first. The
+     result lists the keys in reverse table order, which is the order the
+     next level consumes them in. *)
+  let ancestor_deltas t v c child_deltas =
+    H.reset v.deltas;
+    List.iter
+      (fun (ck, d) ->
+        Storage.fold_edge v.edges.(c) ck
+          (fun tuple m () ->
+            match children_product v tuple ~except:c with
+            | exception No_partner -> ()
+            | others -> (
+                let joined =
+                  match others with
+                  | Some o ->
+                      P.mul d o ~into:v.joined;
+                      v.joined
+                  | None -> d
+                in
+                lift_scaled v tuple m;
+                let key = Keypack.key_of_tuple v.key_positions tuple in
+                match H.find_opt v.deltas key with
+                | Some acc ->
+                    P.mul v.lifted joined ~into:v.contrib;
+                    P.add v.contrib ~into:acc
+                | None ->
+                    let b = take t in
+                    P.mul v.lifted joined ~into:b;
+                    H.add v.deltas key b))
+          ())
+      child_deltas;
+    H.fold
+      (fun key d acc ->
+        view_add t v key d;
+        (key, d) :: acc)
+      v.deltas []
 
   (* Apply one update; the delta is computed against the CURRENT storage
-     (call [Storage.apply] after all trees have seen the update). Returns
-     unit; the root view is updated in place. *)
-  let delta (t : t) (u : Delta.update) =
-    (* propagate: returns the per-key view deltas produced at [v] *)
-    let rec propagate (v : vnode) : (Keypack.key * P.t) list =
-      if v.name = u.relation then begin
-        let d0 = P.smul u.multiplicity (v.lift u.tuple) in
-        match children_product v t.storage u.tuple ~except:(-1) with
-        | None -> []
-        | Some prod ->
-            let delta = P.mul d0 prod in
-            let key = Keypack.key_of_tuple v.key_positions u.tuple in
-            view_add v key delta;
-            [ (key, delta) ]
-      end
-      else begin
-        (* find the child subtree holding the updated relation *)
-        let child_idx = ref (-1) in
-        Array.iteri
-          (fun i names -> if List.mem u.relation names then child_idx := i)
-          v.child_names;
-        if !child_idx < 0 then []
-        else begin
-          let c = !child_idx in
-          let child = v.children.(c) in
-          let child_deltas = propagate child in
-          let n = Storage.node t.storage v.name in
-          let my_deltas : P.t ref Keypack.Hybrid.t = Keypack.Hybrid.create 8 in
-          List.iter
-            (fun (ck, d) ->
-              Storage.fold_matching n ~neighbour:child.name ck
-                (fun tuple m () ->
-                  match children_product v t.storage tuple ~except:c with
-                  | None -> ()
-                  | Some others -> (
-                      let contrib =
-                        P.mul (P.smul m (v.lift tuple)) (P.mul d others)
-                      in
-                      let key = Keypack.key_of_tuple v.key_positions tuple in
-                      match Keypack.Hybrid.find_opt my_deltas key with
-                      | Some r -> r := P.add !r contrib
-                      | None -> Keypack.Hybrid.add my_deltas key (ref contrib)))
-                ())
-            child_deltas;
-          Keypack.Hybrid.fold
-            (fun key r acc ->
-              view_add v key !r;
-              (key, !r) :: acc)
-            my_deltas []
-        end
-      end
-    in
-    ignore (propagate t.root)
+     (call [Storage.apply] after all trees have seen the update). A level's
+     delta buffers go back to the free list once its parent consumed them. *)
+  let delta t (u : Delta.update) =
+    match Hashtbl.find_opt t.paths u.relation with
+    | None -> ()
+    | Some (leaf, ancestors) ->
+        let release_all = List.iter (fun (_, d) -> release t d) in
+        let rec climb i = function
+          | [] -> ()
+          | deltas when i = Array.length ancestors -> release_all deltas
+          | deltas ->
+              let v, c = ancestors.(i) in
+              let up = ancestor_deltas t v c deltas in
+              release_all deltas;
+              climb (i + 1) up
+        in
+        climb 0 (leaf_delta t leaf u)
 
   (* The maintained result: the root view at the empty key ([P 0]). *)
-  let result (t : t) =
-    match view_get t.root (Keypack.P 0) with Some p -> p | None -> P.zero
+  let result t = match H.find_opt t.root.view (Keypack.P 0) with Some p -> p | None -> t.empty
 
   (* From-scratch recomputation over the current storage (reference for
-     tests): enumerate the join recursively through the view-tree shape. *)
-  let recompute (t : t) =
-    let storage = t.storage in
-    let rec eval (v : vnode) : P.t ref Keypack.Hybrid.t =
+     tests): enumerate the join recursively through the view-tree shape,
+     multiplying each tuple's lift by its children's views in child order. *)
+  let recompute t =
+    let rec eval v : P.t H.t =
       let child_views = Array.map eval v.children in
-      let out = Keypack.Hybrid.create 64 in
-      let n = Storage.node storage v.name in
-      Storage.iter_tuples n (fun tuple m ->
+      let out = H.create 64 in
+      let a = t.zero () and b = t.zero () in
+      Storage.iter_tuples v.node (fun tuple m ->
+          lift_scaled v tuple m;
           let rec go i acc =
             if i = Array.length v.children then Some acc
             else
-              let key = Storage.key_for n ~neighbour:v.children.(i).name tuple in
-              match Keypack.Hybrid.find_opt child_views.(i) key with
-              | Some p -> go (i + 1) (P.mul acc !p)
+              match H.find_opt child_views.(i) (Storage.edge_key v.edges.(i) tuple) with
+              | Some p ->
+                  let into = if acc == a then b else a in
+                  P.mul acc p ~into;
+                  go (i + 1) into
               | None -> None
           in
-          match go 0 (P.smul m (v.lift tuple)) with
+          match go 0 v.lifted with
           | None -> ()
           | Some p -> (
               let key = Keypack.key_of_tuple v.key_positions tuple in
-              match Keypack.Hybrid.find_opt out key with
-              | Some r -> r := P.add !r p
-              | None -> Keypack.Hybrid.add out key (ref p)));
+              match H.find_opt out key with
+              | Some r -> P.add p ~into:r
+              | None ->
+                  let r = t.zero () in
+                  P.copy p ~into:r;
+                  H.add out key r));
       out
     in
-    match Keypack.Hybrid.find_opt (eval t.root) (Keypack.P 0) with
-    | Some p -> !p
-    | None -> P.zero
+    match H.find_opt (eval t.root) (Keypack.P 0) with Some p -> p | None -> t.zero ()
 
-  let view_sizes (t : t) =
-    let rec go (v : vnode) acc =
-      Array.fold_left
-        (fun acc c -> go c acc)
-        ((v.name, Keypack.Hybrid.length v.view) :: acc)
-        v.children
+  let view_sizes t =
+    let rec go v acc =
+      Array.fold_left (fun acc c -> go c acc) ((v.name, H.length v.view) :: acc) v.children
     in
     go t.root []
 
   (* Checkpoint support: dump every node's view as (key, payload) pairs and
-     load such a dump back into a freshly created tree. Payload refs hold the
+     load such a dump back into a freshly created tree. Entries hold the
      EXACT accumulated ring values, so export -> import restores the
      maintained state bit-identically (a from-scratch recomputation would
      re-associate float additions). Keys are sorted for a deterministic
      serialisation; node names are unique (they are relation names). *)
-  let export (t : t) : (string * (Keypack.key * P.t) list) list =
-    let rec go (v : vnode) acc =
-      let entries =
-        Keypack.Hybrid.fold (fun k r acc -> (k, !r) :: acc) v.view []
-      in
-      let entries =
-        List.sort (fun (a, _) (b, _) -> Keypack.key_compare a b) entries
-      in
+  let export t f =
+    let rec go v acc =
+      let entries = H.fold (fun k p acc -> (k, f p) :: acc) v.view [] in
+      let entries = List.sort (fun (a, _) (b, _) -> Keypack.key_compare a b) entries in
       Array.fold_left (fun acc c -> go c acc) ((v.name, entries) :: acc) v.children
     in
     go t.root []
 
-  let import (t : t) (dump : (string * (Keypack.key * P.t) list) list) =
-    let rec go (v : vnode) =
-      Keypack.Hybrid.clear v.view;
+  let import t dump =
+    let rec go v =
+      H.clear v.view;
       (match List.assoc_opt v.name dump with
       | Some entries ->
           (* skip exact-zero payloads so restoring a dump written before the
              zero-drop discipline still yields a normalised tree *)
-          List.iter
-            (fun (k, p) -> if not (P.is_zero p) then Keypack.Hybrid.add v.view k (ref p))
-            entries
+          List.iter (fun (k, p) -> if not (P.is_zero p) then H.add v.view k p) entries
       | None -> ());
       Array.iter go v.children
     in

@@ -2,37 +2,46 @@
     view per join-tree node mapping its parent-join key to the ring
     aggregate of its subtree; single-tuple updates propagate bottom-up as
     deltas joined with sibling views. With [Payload.Float] and per-aggregate
-    lifts this is higher-order delta processing; with the covariance ring it
-    is F-IVM proper. *)
+    lifts this is higher-order delta processing; with [Payload.Cov] it is
+    F-IVM proper. Payloads live in buffers the tree owns and accumulates
+    into ({!Payload.S}). *)
 
 open Relational
 
 module Make (P : Payload.S) : sig
   type t
 
-  val create : Storage.t -> lift:(string -> Tuple.t -> P.t) -> t
-  (** [lift name tuple] is the ring image of a tuple of relation [name]
-      (the product of the lifts of the attributes it owns). Views start
-      empty (matching the empty storage). *)
+  val create :
+    Storage.t -> zero:(unit -> P.t) -> lift:(string -> Tuple.t -> into:P.t -> unit) -> t
+  (** [zero ()] is a fresh zero buffer; the tree makes every buffer it owns
+      with it. [lift name tuple ~into] writes the ring image of a tuple of
+      relation [name] (the product of the lifts of the attributes it owns);
+      it is applied to [name] once per node, here. Views start empty
+      (matching the empty storage). *)
 
   val delta : t -> Delta.update -> unit
   (** Process one update against the CURRENT storage; call
       {!Storage.apply} once afterwards (after all trees saw the delta). *)
 
   val result : t -> P.t
-  (** The maintained query result: the root view at the empty key. *)
+  (** The maintained query result: the root view at the empty key (a zero
+      buffer when absent). The buffer is the tree's own: read it, or copy
+      it out, before the next {!delta}. *)
 
   val recompute : t -> P.t
-  (** From-scratch recomputation over the current storage (test oracle). *)
+  (** From-scratch recomputation over the current storage (test oracle),
+      in a fresh buffer. *)
 
   val view_sizes : t -> (string * int) list
   (** Per-node view cardinalities (diagnostics). *)
 
-  val export : t -> (string * (Keypack.key * P.t) list) list
-  (** Per-node view contents (keys sorted), carrying the exact accumulated
-      payloads — the checkpoint representation of maintained state. *)
+  val export : t -> (P.t -> 'a) -> (string * (Keypack.key * 'a) list) list
+  (** Per-node view contents (keys sorted), each exact accumulated payload
+      read through the given function — the checkpoint representation of
+      maintained state. *)
 
   val import : t -> (string * (Keypack.key * P.t) list) list -> unit
-  (** Replace all view contents with an {!export} dump (bit-identical
-      restore); nodes absent from the dump become empty. *)
+  (** Replace all view contents with a dump whose buffers the tree takes
+      over (bit-identical restore); nodes absent from the dump become
+      empty. *)
 end

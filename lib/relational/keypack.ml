@@ -180,6 +180,10 @@ module Hybrid = struct
     Itbl.clear t.packed;
     Tuple.Tbl.clear t.boxed
 
+  let reset t =
+    Itbl.reset t.packed;
+    Tuple.Tbl.reset t.boxed
+
   let iter f t =
     Itbl.iter (fun p v -> f (P p) v) t.packed;
     Tuple.Tbl.iter (fun k v -> f (B k) v) t.boxed

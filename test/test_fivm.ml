@@ -102,6 +102,27 @@ let test_bulk_multiplicity () =
   Alcotest.(check (float 1e-9)) "sum m = 6" 6.0
     (Util.Vec.get (Cov.sums (M.covariance m)) 0)
 
+(* [M.covariance] hands out a copy: a returned triple keeps its bits under
+   later updates, and writing into its arrays leaves the next one alone. *)
+let test_covariance_is_a_copy () =
+  let copy (c : Cov.t) = { c with Cov.s = Array.copy c.Cov.s; q = Util.Mat.copy c.Cov.q } in
+  List.iter
+    (fun strategy ->
+      let name = M.strategy_name strategy in
+      let m = run_updates strategy (stream ~seed:31 ~steps:80) in
+      let c = M.covariance m in
+      let kept = copy c in
+      List.iter (M.apply m) (stream ~seed:32 ~steps:80);
+      let now = M.covariance m in
+      Alcotest.(check bool) (name ^ ": the updates moved the triple") false (Cov.equal_bits now kept);
+      Alcotest.(check bool) (name ^ ": an earlier triple keeps its bits") true (Cov.equal_bits c kept);
+      let want = copy now in
+      Util.Vec.fill now.Cov.s nan;
+      Util.Mat.set now.Cov.q 0 0 nan;
+      Alcotest.(check bool) (name ^ ": writes into a triple stay out") true
+        (Cov.equal_bits (M.covariance m) want))
+    [ M.F_ivm; M.Higher_order ]
+
 let test_throughput_sanity () =
   (* F-IVM should process a small stream strictly faster than first-order on
      a join with fan-out; this is the Figure 4 (right) shape at toy scale.
@@ -437,6 +458,50 @@ let test_delete_cost_is_flat () =
   Alcotest.(check int) "both deleted" 0
     (S.multiplicity (S.node s "F") (fact 0 5_000) + S.multiplicity (S.node s "F") (fact 1 5))
 
+(* Steady-state F-IVM allocates no ring elements: once a fact's view keys
+   exist, deleting it and inserting it again allocates the same minor words
+   at d=2 as at d=10 (a d=10 covariance triple is 111 floats; allocating
+   payloads spend several per update). The schema is fixed; only the
+   feature list, and so the payload's dimension, changes. *)
+let test_update_allocation_is_flat () =
+  let xs = List.init 8 (Printf.sprintf "x%d") in
+  let words features =
+    let db =
+      Database.create "alloc"
+        [
+          Relation.create "F"
+            (Schema.make
+               ([ ("a", Value.TInt); ("b", Value.TInt) ]
+               @ List.map (fun x -> (x, Value.TFloat)) xs));
+          Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat) ]);
+          Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
+        ]
+    in
+    let m = M.create M.F_ivm db ~features in
+    let fact k =
+      Array.append
+        [| int (k mod 4); int (k mod 3) |]
+        (Array.init 8 (fun j -> flt (float_of_int (1 + ((k + j) mod 7)) /. 16.0)))
+    in
+    for a = 0 to 3 do M.apply m (Delta.insert "D1" [| int a; flt (float_of_int (a + 1)) |]) done;
+    for b = 0 to 2 do M.apply m (Delta.insert "D2" [| int b; flt (float_of_int (b + 2)) |]) done;
+    for k = 0 to 59 do M.apply m (Delta.insert "F" (fact k)) done;
+    let cycle k =
+      M.apply m (Delta.delete "F" (fact k));
+      M.apply m (Delta.insert "F" (fact k))
+    in
+    (* a first cycle outside the measurement, so none pays one-off costs *)
+    cycle 0;
+    let before = Gc.minor_words () in
+    for k = 1 to 20 do cycle k done;
+    (Gc.minor_words () -. before) /. 40.0
+  in
+  let w2 = words [ "u"; "v" ] and w10 = words (xs @ [ "u"; "v" ]) in
+  Alcotest.(check bool)
+    (Printf.sprintf "d=2: %.1f words per update; d=10: %.1f" w2 w10)
+    true
+    (w2 = w10 && w10 <= 500.0)
+
 (* ---- triangle maintenance (cyclic IVM) ---- *)
 module Tri = Fivm.Triangle
 
@@ -617,6 +682,8 @@ let () =
           qcheck storage_matches_reference;
           Alcotest.test_case "delete cost independent of bucket size" `Quick
             test_delete_cost_is_flat;
+          Alcotest.test_case "update allocation independent of dimension" `Quick
+            test_update_allocation_is_flat;
         ] );
       ( "semantics",
         [
@@ -625,6 +692,7 @@ let () =
           Alcotest.test_case "insert then delete = identity" `Quick
             test_insert_then_delete_is_identity;
           Alcotest.test_case "bulk multiplicities" `Quick test_bulk_multiplicity;
+          Alcotest.test_case "covariance is a copy" `Quick test_covariance_is_a_copy;
           Alcotest.test_case "stream completes" `Quick test_throughput_sanity;
         ] );
     ]

@@ -177,6 +177,33 @@ let test_checkpoint_roundtrip () =
                (M.covariance r.Checkpoint.maintainer)))
     [ M.F_ivm; M.Higher_order; M.First_order ]
 
+(* Maintained state pinned on a fixed real-valued insert/delete stream: per
+   strategy, the CRC-32 of its checkpoint file (storage dump plus the exact
+   view payloads) and of its recomputed triple. The values were recorded
+   with the view trees' earlier persistent (allocating) payloads, and the
+   in-place kernels must reproduce every float bit for bit: a reordered
+   accumulation, in maintenance or in recomputation, fails here. *)
+let pinned_crcs =
+  [ (M.F_ivm, 0x6e335260, 0x1055626d); (M.Higher_order, 0xbfb3de8f, 0x1055626d) ]
+
+let test_state_pinned () =
+  Scenario.with_temp_dir @@ fun dir ->
+  let hex = Printf.sprintf "%08x" in
+  List.iteri
+    (fun i (strategy, checkpoint, recomputed) ->
+      let name = M.strategy_name strategy in
+      let m = make strategy () in
+      List.iter (M.apply m) (stream ~seed:2024 ~steps:600);
+      let path = Checkpoint.write ~dir ~seq:(i + 1) m in
+      let file = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check string) (name ^ ": checkpoint CRC-32") (hex checkpoint)
+        (hex (Util.Checksum.crc32 file));
+      let b = Buffer.create 256 in
+      Cov.encode b (M.recompute m);
+      Alcotest.(check string) (name ^ ": recompute CRC-32") (hex recomputed)
+        (hex (Util.Checksum.crc32 (Buffer.contents b))))
+    pinned_crcs
+
 let test_checkpoint_corruption_falls_back () =
   Scenario.with_temp_dir @@ fun dir ->
   let m = make M.F_ivm () in
@@ -370,6 +397,8 @@ let () =
           Alcotest.test_case "round-trip, bit-identical" `Quick test_checkpoint_roundtrip;
           Alcotest.test_case "corruption falls back" `Quick
             test_checkpoint_corruption_falls_back;
+          Alcotest.test_case "state pinned on a real-valued stream" `Quick
+            test_state_pinned;
         ] );
       ( "crash-recovery",
         [
