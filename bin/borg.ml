@@ -479,9 +479,10 @@ let agg_cmd =
          & info [ "check" ]
              ~doc:
                "Audit the result: evaluate the batch twice (bitwise for \
-                lmfao, numerically otherwise) and compare numerically \
-                against flat evaluation over the materialised join. Exits 1 \
-                on divergence.")
+                lmfao, within the error bound otherwise) and compare against \
+                flat evaluation over the materialised join within a derived \
+                forward-error bound, 2·γ_m·Σ|terms| per group. Exits 1 on \
+                divergence.")
   in
   let batch_arg =
     let bconv =
@@ -522,30 +523,24 @@ let agg_cmd =
     if check then begin
       let ename = Aggregates.Engine_intf.name engine in
       let again = Aggregates.Engine_intf.eval engine db batch in
-      let reference =
-        Aggregates.Batch.eval_flat (Database.materialise_join db) batch
-      in
+      let join = Database.materialise_join db in
+      let reference = Aggregates.Batch.eval_flat_bounded join batch in
       let bitwise = String.equal ename Lmfao.Engine.name in
-      (* flat evaluation has no group that no join row reaches, where an
-         engine may hold an explicit zero *)
-      let nonzero (id, r) = (id, List.filter (fun (_, v) -> v <> 0.0) r) in
-      let numeric a b =
-        List.length a = List.length b
-        && List.for_all2
-             (fun (id, r) (id', r') ->
-               String.equal id id' && Aggregates.Spec.result_equal r r')
-             (List.sort compare (List.map nonzero a))
-             (List.sort compare (List.map nonzero b))
-      in
+      (* m bounds the rounded operations any one term passes through in
+         either evaluation (see [Batch.rounding_ops]). Flat evaluation
+         holds no group that no join row reaches, where an engine may hold
+         an explicit zero: both count as 0 within the bound. *)
+      let m = Aggregates.Batch.rounding_ops db ~join_rows:(Relation.cardinality join) batch in
+      let bounded = Aggregates.Spec.keyed_within_bound ~m reference in
       let ok_rerun =
         if bitwise then Aggregates.Spec.keyed_bits_equal results again
-        else numeric results again
+        else bounded again
       in
-      let ok_ref = numeric results reference in
-      Printf.printf "check: rerun %s (%s), vs flat reference %s (numeric)\n"
-        (if ok_rerun then "identical" else "DIVERGED")
-        (if bitwise then "bitwise" else "numeric")
-        (if ok_ref then "agrees" else "DIVERGED");
+      let ok_ref = bounded results in
+      Printf.printf "check: rerun %s (%s), vs flat reference %s (within 2·γ_m·Σ|terms|, m = %d)\n"
+        (if not ok_rerun then "DIVERGED" else if bitwise then "identical" else "agrees")
+        (if bitwise then "bitwise" else "bounded")
+        (if ok_ref then "agrees" else "DIVERGED") m;
       if not (ok_rerun && ok_ref) then begin
         Printf.eprintf "borg agg: engine %s diverges from the reference\n"
           ename;

@@ -171,6 +171,26 @@ let kmeans (f : Feature.t) =
 let eval_flat rel batch =
   List.map (fun spec -> (spec.Spec.id, Spec.eval_flat rel spec)) batch.aggregates
 
+let eval_flat_bounded rel batch =
+  List.map (fun spec -> (spec.Spec.id, Spec.eval_flat_bounded rel spec)) batch.aggregates
+
+(* The rounded operations one term of an aggregate can pass through.
+   Flat evaluation: P multiplications (P, the batch's largest total
+   power) and at most N additions (N, the join's rows). A factorised
+   engine: the same P multiplications, at most one per child partial it
+   multiplies in (fewer than k, the relations), and per relation R at
+   most |R| additions into its view plus at most |R| merges of parallel
+   chunks. Twice the larger covers the rounding of the reference's
+   Σ|terms| too, since gamma m / (1 - gamma m) <= gamma (2m). *)
+let rounding_ops db ~join_rows batch =
+  let p =
+    List.fold_left
+      (fun acc (s : Spec.t) -> Stdlib.max acc (List.fold_left (fun n (_, e) -> n + e) 0 s.terms))
+      0 batch.aggregates
+  in
+  let k = List.length (Database.relations db) in
+  2 * (p + k + (2 * Database.total_cardinality db) + join_rows)
+
 let pp ppf b =
   Format.fprintf ppf "batch %s: %d aggregates@\n" b.name (size b);
   List.iter (fun a -> Format.fprintf ppf "  %a@\n" Spec.pp a) b.aggregates

@@ -31,6 +31,21 @@ val kmeans : Feature.t -> t
 val eval_flat : Relation.t -> t -> (string * Spec.result) list
 (** Naive evaluation of the whole batch over a materialised data matrix. *)
 
+val eval_flat_bounded : Relation.t -> t -> (string * Spec.bounded) list
+(** {!eval_flat} with each group's Σ|terms| ({!Spec.eval_flat_bounded}). *)
+
+val rounding_ops : Database.t -> join_rows:int -> t -> int
+(** The [m] of {!Spec.within_bound} for a batch over a database whose
+    join has [join_rows] rows, evaluated flat over the join or by a
+    factorised engine over the relations:
+    2·(P + k + 2·Σ|R| + N), with P the batch's largest total power, k the
+    relations, Σ|R| their total cardinality and N = [join_rows]. Flat
+    evaluation passes a term through at most P + N rounded operations; a
+    factorised one through at most P + k + 2·Σ|R| (its P multiplications,
+    one per child partial, and per relation at most |R| additions into a
+    view plus |R| merges of parallel chunks). The factor two covers the
+    rounding of the reference's Σ|terms|. *)
+
 val pp : Format.formatter -> t -> unit
 
 val fingerprint : t -> int

@@ -64,10 +64,13 @@ let lookup (r : result) key =
   | Some (_, v) -> v
   | None -> 0.0
 
+type bounded = ((string * Value.t) list * float * float) list
+
 (* Reference evaluation over a materialised data matrix: one columnar scan,
-   hash group-by on packed keys. This is also what the per-aggregate
-   baselines use. *)
-let eval_flat rel t : result =
+   hash group-by on packed keys, each group's sum of term products kept
+   beside the sum of their absolute values. This is also what the
+   per-aggregate baselines use. *)
+let eval_flat_bounded rel t : bounded =
   let schema = Relation.schema rel in
   let cols = Relation.columns rel in
   let keep = Predicate.compile_cols schema cols t.filter in
@@ -78,7 +81,8 @@ let eval_flat rel t : result =
   let key_positions = Array.of_list (List.map snd group_positions) in
   let key_of = Relation.extractor rel key_positions in
   let key_arity = Array.length key_positions in
-  let table : float ref Keypack.Hybrid.t = Keypack.Hybrid.create 64 in
+  (* per group: [| sum; sum of absolute values |] *)
+  let table : float array Keypack.Hybrid.t = Keypack.Hybrid.create 64 in
   ignore (Relation.scan rel);
   for i = 0 to Relation.cardinality rel - 1 do
     if keep i then begin
@@ -92,8 +96,10 @@ let eval_flat rel t : result =
       in
       let key = key_of i in
       match Keypack.Hybrid.find_opt table key with
-      | Some r -> r := !r +. v
-      | None -> Keypack.Hybrid.add table key (ref v)
+      | Some r ->
+          r.(0) <- r.(0) +. v;
+          r.(1) <- r.(1) +. Float.abs v
+      | None -> Keypack.Hybrid.add table key [| v; Float.abs v |]
     end
   done;
   let names = List.map fst group_positions in
@@ -103,8 +109,35 @@ let eval_flat rel t : result =
       let assignment =
         List.sort compare (List.map2 (fun n x -> (n, x)) names (Array.to_list tup))
       in
-      (assignment, !v) :: acc)
+      (assignment, v.(0), v.(1)) :: acc)
     table []
+
+let eval_flat rel t : result = List.map (fun (k, v, _) -> (k, v)) (eval_flat_bounded rel t)
+
+(* Higham's gamma_m = m u / (1 - m u), u = 2^-53: the relative error a
+   term picks up through m rounded additions and multiplications. *)
+let gamma m =
+  let mu = float_of_int m *. epsilon_float /. 2.0 in
+  if mu >= 1.0 then infinity else mu /. (1.0 -. mu)
+
+let within_bound ~m (reference : bounded) (r : result) =
+  let tol = 2.0 *. gamma m in
+  let refs = Hashtbl.create 16 and seen = Hashtbl.create 16 in
+  List.iter (fun (k, v, a) -> Hashtbl.replace refs k (v, a)) reference;
+  List.for_all
+    (fun (k, v) ->
+      Hashtbl.replace seen k ();
+      let f, a = Option.value ~default:(0.0, 0.0) (Hashtbl.find_opt refs k) in
+      Float.abs (v -. f) <= tol *. a)
+    r
+  && List.for_all (fun (k, f, a) -> Hashtbl.mem seen k || Float.abs f <= tol *. a) reference
+
+let keyed_within_bound ~m reference keyed =
+  List.length keyed = List.length reference
+  && List.for_all
+       (fun (id, flat) ->
+         match List.assoc_opt id keyed with Some r -> within_bound ~m flat r | None -> false)
+       reference
 
 let result_equal ?(eps = 1e-6) (a : result) (b : result) =
   let norm r = List.sort compare r in

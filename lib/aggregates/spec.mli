@@ -53,6 +53,26 @@ val to_sql : ?relation:string -> t -> string
 (** The SQL the aggregate stands for over the feature-extraction query
     (Section 2.1's "SELECT X, agg FROM Q GROUP BY X"). *)
 
+type bounded = ((string * Value.t) list * float * float) list
+(** Grouped sums, each with the sum of its terms' absolute values. *)
+
+val eval_flat_bounded : Relation.t -> t -> bounded
+(** {!eval_flat}, with Σ|term product| accumulated beside each group's
+    sum in the same scan. *)
+
+val within_bound : m:int -> bounded -> result -> bool
+(** [within_bound ~m reference r]: every group's value [v] in [r] lies
+    within 2·γₘ·Σ|terms| of the reference sum, with Higham's
+    γₘ = m·u / (1 − m·u), u = 2⁻⁵³ (infinite once m·u ≥ 1), where both
+    come from evaluations that pass each term through at most [m] rounded
+    additions and multiplications. A group absent on one side counts as 0
+    there, with Σ|terms| = 0 when the reference lacks it. Any order of
+    groups. *)
+
+val keyed_within_bound : m:int -> (string * bounded) list -> (string * result) list -> bool
+(** Batch results: exactly the reference's aggregate ids, in any order,
+    each {!within_bound}. *)
+
 val result_equal : ?eps:float -> result -> result -> bool
 (** Numeric equality up to relative [eps], in any group order. *)
 

@@ -5,7 +5,10 @@
 
    Compiled plans are cached globally, keyed by [Batch.fingerprint] — the
    same key [Serve] uses for its result cache — so planning is amortised
-   across epochs and delta rounds. A cached plan is revalidated against a
+   across epochs and delta rounds. The cache holds at most
+   [cache_capacity] plans and evicts the least recently used one, so a
+   long-lived server that meets ever new batches (every distinct filter
+   is a new fingerprint) keeps it bounded. A cached plan is revalidated against a
    cheap plan signature (schema shape, options, and the multi-root
    assignment, which depends on relation CARDINALITIES and so can drift as
    data changes); on any mismatch the batch is recompiled. That keeps a
@@ -33,6 +36,7 @@ type compiled = {
 }
 
 let c_cache_hits = Obs.counter "lmfao.compile.cache_hits"
+let c_cache_evictions = Obs.counter "lmfao.compile.cache_evictions"
 let c_cyclic = Obs.counter "lmfao.compile.cyclic"
 
 (* Everything the compiled plans depend on besides the batch itself: the
@@ -98,24 +102,47 @@ let reusable (c : compiled) ?(options = default_options) (db : Database.t)
 
 (* ---------- the global plan cache ---------- *)
 
-let cache : (int, compiled) Hashtbl.t = Hashtbl.create 16
+let cache_capacity = 64
+
+(* Each plan with the tick of its last use; a full cache evicts the
+   smallest tick, found by a scan of at most [cache_capacity] entries. *)
+let cache : (int, compiled * int ref) Hashtbl.t = Hashtbl.create cache_capacity
+let tick = ref 0
 let cache_lock = Mutex.create ()
 
 let locked f =
   Mutex.lock cache_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock cache_lock) f
 
+let cache_size () = locked (fun () -> Hashtbl.length cache)
+
+let evict_lru () =
+  let oldest =
+    Hashtbl.fold
+      (fun fp (_, used) acc ->
+        match acc with Some (_, u) when u <= !used -> acc | _ -> Some (fp, !used))
+      cache None
+  in
+  Option.iter
+    (fun (fp, _) ->
+      Hashtbl.remove cache fp;
+      Obs.incr c_cache_evictions)
+    oldest
+
 let find_or_compile ?(options = default_options) db batch : compiled =
   locked @@ fun () ->
   let fp = Batch.fingerprint batch in
   let signature = signature_of options db batch in
+  incr tick;
   match Hashtbl.find_opt cache fp with
-  | Some c when c.options = options && String.equal c.signature signature ->
+  | Some (c, used) when c.options = options && String.equal c.signature signature ->
       Obs.incr c_cache_hits;
+      used := !tick;
       c
-  | _ ->
+  | cached ->
       let c = compile ~options db batch in
-      Hashtbl.replace cache fp c;
+      if Option.is_none cached && Hashtbl.length cache >= cache_capacity then evict_lru ();
+      Hashtbl.replace cache fp (c, ref !tick);
       c
 
 let eval_batch ?(options = default_options) db batch :

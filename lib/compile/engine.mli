@@ -34,8 +34,16 @@ val reusable : compiled -> ?options:options -> Database.t -> Batch.t -> bool
 val find_or_compile : ?options:options -> Database.t -> Batch.t -> compiled
 (** Consult the global fingerprint-keyed plan cache (revalidating the
     signature; hits count [lmfao.compile.cache_hits]), compiling on miss.
-    Thread-safe.
+    The cache holds at most {!cache_capacity} plans: a miss on a full
+    cache evicts the least recently used plan, counted in
+    [lmfao.compile.cache_evictions]. Thread-safe.
     @raise Join_tree.Cyclic on cyclic schemas *)
+
+val cache_capacity : int
+(** 64 plans. *)
+
+val cache_size : unit -> int
+(** Plans in the cache now. *)
 
 val eval_batch :
   ?options:options -> Database.t -> Batch.t -> (string * Spec.result) list

@@ -1,10 +1,14 @@
 (* Closure-compile a batch's [Plan.grouped] against a live database and
    run it: one scan per view group, in the plan's order.
 
-   Every directed view lives in [Flat_view] storage: an open-addressing
-   index from packed key to dense row id, scalar partials contiguous per
-   row in fixed-size float blocks, grouped partials as per-(row, slot)
-   entry chains in int and float blocks. Binding happens once per view per
+   Every directed view lives in [Flat_view] storage: dense rows in
+   insertion order with their packed keys recorded, scalar partials
+   contiguous per row in fixed-size float blocks, grouped partials as
+   per-(row, slot) entry chains in int and float blocks. A view whose keys
+   arrived in increasing order — one computed by a scan of a relation
+   clustered on its key ([Database.create]) — has no hash index, and a
+   scan whose probe keys never step backwards reads it through a forward
+   cursor: a merge join. Binding happens once per view per
    chunk of a scan: relations are resolved by name, term columns are taken
    as the live unboxed arrays, key readers pack straight to ints, filters
    are compiled by [Predicate.compile_cols] against the chunk's columns,
@@ -45,6 +49,8 @@ type layout = { idx : int; scalar : bool; vars : string array }
 let c_fallbacks = Obs.counter "lmfao.compile.fallbacks"
 let c_tuples_scanned = Obs.counter "lmfao.tuples_scanned"
 let c_roots = Obs.counter "lmfao.roots"
+let c_merge_probes = Obs.counter "lmfao.merge_probes"
+let c_hash_probes = Obs.counter "lmfao.hash_probes"
 
 (* ---------- entry access ---------- *)
 
@@ -458,7 +464,15 @@ let bind_view schema cols (view : Plan.view) (layout : layout array)
    first-use order; a row feeds every output whose own children all
    matched, so a row with no partner in one incoming view still counts
    toward the output that does not read it. A miss in an incoming view
-   that every output reads ends the row early. *)
+   that every output reads ends the row early.
+
+   An in-order incoming view is probed through a forward cursor per chunk
+   while the chunk's probe keys do not step backwards, and through its
+   hash index otherwise: a sequential scan builds the index at its first
+   backward step, and a parallel scan, before its chunks start, for every
+   in-order view whose probe keys step backwards anywhere in the
+   relation, so no index is built while chunks run. Either way a probe
+   finds the same row. *)
 let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
     (layouts : layout array array) (live : V.t option array)
     (rel_name, out_ids) : V.t array =
@@ -526,14 +540,44 @@ let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
         outs
     in
     let n_out = Array.length feeds in
+    (* per incoming view: hashed, or its cursor and last probe key *)
+    let hashed = Array.map (fun v -> not (V.in_order v)) inc_views in
+    let cursor_at = Array.make n_inc 0 and last = Array.make n_inc V.nopack in
+    let merges = ref 0 and hashes = ref 0 in
+    (* an in-order view's row for [k]: by the cursor while the probe keys
+       do not step backwards, by the hash index from the first step back *)
+    let cursor j (v : V.t) k =
+      if k >= Array.unsafe_get last j then begin
+        Array.unsafe_set last j k;
+        incr merges;
+        let keys = v.V.keys and rows = v.V.rows in
+        let c = Array.unsafe_get cursor_at j in
+        let c = if c < rows && Array.unsafe_get keys c < k then V.seek v c k else c in
+        Array.unsafe_set cursor_at j c;
+        if c < rows && Array.unsafe_get keys c = k then c else -1
+      end
+      else begin
+        V.ensure_index v;
+        Array.unsafe_set hashed j true;
+        incr hashes;
+        V.find v k
+      end
+    in
     let rec probe i j =
       j = n_inc
       ||
       let v = inc_views.(j) in
       let k = probe_key.(j) i in
       let r =
-        if k <> V.nopack then V.find v k
-        else V.find_boxed v (V.key_tuple cols (snd incoming.(j)) i)
+        if k = V.nopack then begin
+          incr hashes;
+          V.find_boxed v (V.key_tuple cols (snd incoming.(j)) i)
+        end
+        else if Array.unsafe_get hashed j then begin
+          incr hashes;
+          V.find v k
+        end
+        else cursor j v k
       in
       pr.hit.(j) <- r;
       if r >= 0 then begin
@@ -549,7 +593,9 @@ let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
         for o = 0 to n_out - 1 do
           (Array.unsafe_get feeds o) i
         done
-    done
+    done;
+    Obs.add c_merge_probes !merges;
+    Obs.add c_hash_probes !hashes
   in
   let fresh () =
     Array.map
@@ -569,7 +615,23 @@ let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
       accs
   | None ->
       let n = Relation.cardinality rel in
-      if parallel && n > chunk_threshold then
+      if parallel && n > chunk_threshold then begin
+        let cols = Relation.columns rel in
+        Array.iteri
+          (fun j (_, key) ->
+            let v = inc_views.(j) in
+            if V.in_order v then begin
+              let key = V.reader cols key in
+              let rec forward i prev =
+                i = n
+                ||
+                let k = key i in
+                if k = V.nopack then forward (i + 1) prev
+                else k >= prev && forward (i + 1) k
+              in
+              if not (forward 0 V.nopack) then V.ensure_index v
+            end)
+          incoming;
         Util.Pool.parallel_chunks n
           (fun lo len ->
             let accs = fresh () in
@@ -583,6 +645,7 @@ let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
                 Some a)
           ~zero:None
         |> Option.fold ~none:(fresh ()) ~some:Fun.id
+      end
       else begin
         let accs = fresh () in
         scan_into rel accs 0 n;

@@ -3,9 +3,14 @@
    arrays, with no record, list cell or boxed key per row.
 
    - Rows. Each key of the view maps to a dense row id (0, 1, 2, ... in
-     insertion order). A key that packs ([Keypack]'s packing) is found
-     through an open-addressing index of [key; row] pairs with linear
-     probing; a key that does not, through a [Tuple.Tbl] side table.
+     insertion order), and row r's packed key ([Keypack]'s packing) is
+     recorded at [keys.(r)]. While keys arrive strictly increasing the
+     view is in key order and has no index: a key is found by binary
+     search, and a scan in the same order walks the keys with {!seek}.
+     The first key out of that order, or the first that does not pack,
+     builds an open-addressing index of [key; row] pairs with linear
+     probing from the recorded keys, and the view keeps it from then on.
+     A key that does not pack is found through a [Tuple.Tbl] side table.
      Wherever a key is an int, [nopack] ([min_int]) stands for "does not
      pack", so an arity-1 [Int min_int] key takes the boxed side: every
      key reader here follows that rule, so one logical key always lands on
@@ -62,6 +67,7 @@ type t = {
   mutable links : int array array;
   mutable values : float array array;
   mutable index : int array;
+  mutable keys : int array;
   mutable rows : int;
   mutable entries : int;
   mutable promoted : int array;
@@ -88,7 +94,8 @@ let create ~scalars ~grouped =
     cells = [||];
     links = [||];
     values = [||];
-    index = Array.make 16 (-1);
+    index = [||];
+    keys = Array.make 16 0;
     rows = 0;
     entries = 0;
     promoted = [||];
@@ -185,7 +192,36 @@ let slot (ix : int array) k =
   done;
   !s
 
-let find t k = Array.unsafe_get t.index ((slot t.index k lsl 1) + 1)
+let in_order t = Array.length t.index = 0
+
+(* The first row from [from] whose key is at least [k] ([t.rows] when
+   none), in an in-order view: gallop forward, then bisect. *)
+let seek t from k =
+  let keys = t.keys and n = t.rows in
+  let lo = ref from and step = ref 1 in
+  while !lo + !step < n && Array.unsafe_get keys (!lo + !step) < k do
+    lo := !lo + !step;
+    step := 2 * !step
+  done;
+  (* keys.(!lo) < k unless !lo = from; the answer is in (!lo, !lo + step] *)
+  let lo = ref (if !lo < n && Array.unsafe_get keys !lo >= k then !lo - 1 else !lo)
+  and hi = ref (Stdlib.min n (!lo + !step)) in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get keys mid < k then lo := mid else hi := mid
+  done;
+  !hi
+
+let find t k =
+  let ix = t.index in
+  if Array.length ix > 0 then Array.unsafe_get ix ((slot ix k lsl 1) + 1)
+  else begin
+    let n = t.rows in
+    if n = 0 || k > Array.unsafe_get t.keys (n - 1) then -1
+    else
+      let r = seek t 0 k in
+      if Array.unsafe_get t.keys r = k then r else -1
+  end
 
 let find_boxed t key =
   match Tuple.Tbl.find_opt t.boxed.b_rows key with Some r -> r | None -> -1
@@ -235,25 +271,72 @@ let add_row t =
     done;
   r
 
-let row t k =
+(* A new row with recorded key [k]. *)
+let new_row t k =
+  let r = add_row t in
+  if r = Array.length t.keys then begin
+    let grown = Array.make (2 * r) 0 in
+    Array.blit t.keys 0 grown 0 r;
+    t.keys <- grown
+  end;
+  t.keys.(r) <- k;
+  r
+
+(* Index every recorded packed key: the view leaves key order. *)
+let build_index t =
+  let len = ref 32 in
+  while 4 * (t.rows + 1) > !len do
+    len := 2 * !len
+  done;
+  let ix = Array.make !len (-1) in
+  for r = 0 to t.rows - 1 do
+    let k = t.keys.(r) in
+    if k <> nopack then begin
+      let s = slot ix k in
+      ix.(2 * s) <- k;
+      ix.((2 * s) + 1) <- r
+    end
+  done;
+  t.index <- ix
+
+let ensure_index t = if in_order t then build_index t
+
+let rec row t k =
   let ix = t.index in
-  let s = slot ix k in
-  let r = Array.unsafe_get ix ((s lsl 1) + 1) in
-  if r >= 0 then r
+  if Array.length ix > 0 then begin
+    let s = slot ix k in
+    let r = Array.unsafe_get ix ((s lsl 1) + 1) in
+    if r >= 0 then r
+    else begin
+      let r = new_row t k in
+      ix.(s lsl 1) <- k;
+      ix.((s lsl 1) + 1) <- r;
+      Obs.incr c_packed;
+      if 4 * t.rows > Array.length ix then grow_index t;
+      r
+    end
+  end
   else begin
-    let r = add_row t in
-    ix.(s lsl 1) <- k;
-    ix.((s lsl 1) + 1) <- r;
-    Obs.incr c_packed;
-    if 4 * t.rows > Array.length ix then grow_index t;
-    r
+    (* in order: a repeat of the last key, a larger key, or the first
+       key out of order *)
+    let n = t.rows in
+    if n > 0 && Array.unsafe_get t.keys (n - 1) = k then n - 1
+    else if n = 0 || Array.unsafe_get t.keys (n - 1) < k then begin
+      Obs.incr c_packed;
+      new_row t k
+    end
+    else begin
+      build_index t;
+      row t k
+    end
   end
 
 let row_boxed t key =
   match Tuple.Tbl.find_opt t.boxed.b_rows key with
   | Some r -> r
   | None ->
-      let r = add_row t in
+      ensure_index t;
+      let r = new_row t nopack in
       Tuple.Tbl.add t.boxed.b_rows key r;
       Obs.incr c_boxed;
       r
@@ -387,11 +470,9 @@ let merge_row into src sr tr ~fresh =
   done
 
 let merge into src =
-  let ix = src.index in
-  for s = 0 to (Array.length ix lsr 1) - 1 do
-    let sr = ix.((2 * s) + 1) in
-    if sr >= 0 then begin
-      let k = ix.(2 * s) in
+  for sr = 0 to src.rows - 1 do
+    let k = src.keys.(sr) in
+    if k <> nopack then begin
       let tr = find into k in
       if tr >= 0 then merge_row into src sr tr ~fresh:false
       else merge_row into src sr (row into k) ~fresh:true

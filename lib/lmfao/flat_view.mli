@@ -1,11 +1,18 @@
-(** Flat storage for one directed view of {!Exec}: an open-addressing
-    index from packed key to dense row id (with a [Tuple.Tbl] side table
-    for keys that do not pack), each row's scalar partials contiguous in a
-    fixed-size float block that never moves, and each (row, grouped slot)
-    cell's grouped partials as a chain of entries in int and float blocks.
-    A cell scans its chain up to 16 entries and is indexed past that. New
-    entries start at [-0.0], so a first addition stores its operand bit
-    for bit; scalars start at [+0.0].
+(** Flat storage for one directed view of {!Exec}.
+
+    - Rows: dense ids in insertion order, each with its packed key
+      recorded. While keys arrive strictly increasing the view is in key
+      order and has no index: a key is found by binary search, or walked
+      to by {!seek}. The first key out of that order, or the first that
+      does not pack, builds an open-addressing index from packed key to
+      row out of the recorded keys; keys that do not pack go to a
+      [Tuple.Tbl] side table.
+    - Partials: each row's scalars contiguous in a fixed-size float block
+      that never moves, and each (row, grouped slot) cell's grouped
+      partials as a chain of entries in int and float blocks. A cell
+      scans its chain up to 16 entries and is indexed past that. New
+      entries start at [-0.0], so a first addition stores its operand bit
+      for bit; scalars start at [+0.0].
 
     The record is exposed so that [Exec]'s kernels read blocks in place;
     everything that allocates or grows goes through the functions. *)
@@ -42,7 +49,9 @@ type t = private {
   mutable cells : int array array;  (** per cell: head entry (-1: none), count *)
   mutable links : int array array;  (** per entry: key, next entry (-1: none) *)
   mutable values : float array array;  (** per entry: its partial *)
-  mutable index : int array;  (** [key; row] pairs, row -1 when free *)
+  mutable index : int array;
+      (** [key; row] pairs, row -1 when free; [[||]] while in key order *)
+  mutable keys : int array;  (** row r's packed key, or {!nopack} *)
   mutable rows : int;
   mutable entries : int;
   mutable promoted : int array;  (** [cell; key; entry] triples, entry -1 when free *)
@@ -69,17 +78,33 @@ val pack_tuple : Tuple.t -> int
 
 (** {1 Rows} *)
 
+val in_order : t -> bool
+(** Whether every key so far packed and arrived strictly increasing: the
+    view has no index, and [keys] is sorted over its rows. *)
+
 val find : t -> int -> int
-(** The row of a packed key, or -1. *)
+(** The row of a packed key, or -1: binary search in an in-order view. *)
+
+val seek : t -> int -> int -> int
+(** [seek t from k]: in an in-order view, the first row from [from] whose
+    key is at least [k], or [t.rows]; gallops forward from [from], so a
+    walk that skips few rows pays little. *)
+
+val ensure_index : t -> unit
+(** Build the index of an in-order view (from then on it is not in
+    order); nothing for one that has it. Not safe while another domain
+    reads the view. *)
 
 val find_boxed : t -> Tuple.t -> int
 
 val row : t -> int -> int
 (** The row of a packed key, added (scalars [+0.0], cells empty) when
-    new; counts [keypack.packed] on insert. *)
+    new; counts [keypack.packed] on insert. A key below the last of an
+    in-order view builds the index. *)
 
 val row_boxed : t -> Tuple.t -> int
-(** Likewise for a key that does not pack; counts [keypack.boxed]. *)
+(** Likewise for a key that does not pack; counts [keypack.boxed] and
+    builds the index. *)
 
 val scalar : t -> int -> int -> float
 (** [scalar t r idx]: row [r]'s scalar partial [idx]. *)
@@ -100,6 +125,8 @@ val cell_bindings : t -> int -> arity:int -> (Tuple.t * float) list
 (** A cell's (key, value) pairs, unordered, keys unpacked at [arity]. *)
 
 val merge : t -> t -> unit
-(** [merge into src] adds every row of [src] into [into]: per key, sums
-    in place, and a key new to [into] (a row, or an entry of a cell) takes
-    [src]'s partials as they are. *)
+(** [merge into src] adds every row of [src] into [into], packed keys in
+    [src]'s row order and then boxed ones: per key, sums in place, and a
+    key new to [into] (a row, or an entry of a cell) takes [src]'s
+    partials as they are. Merging an in-order view whose keys start at or
+    after [into]'s last keeps [into] in order. *)

@@ -110,3 +110,27 @@ let sub t n =
       | Floats a -> Floats (Array.sub a 0 (Stdlib.min n' (Array.length a)))
       | Boxed a -> Boxed (Array.sub a 0 (Stdlib.min n' (Array.length a))));
   }
+
+(* Move cell [i] to [dest.(i)] for every [i < n], where [dest] permutes
+   [0, n): one scatter into a fresh array of the same capacity. *)
+let scatter t dest n =
+  if Array.length dest < n || n > capacity t then invalid_arg "Column.scatter";
+  match t.data with
+  | Ints a ->
+      let b = Array.make (Array.length a) 0 in
+      for i = 0 to n - 1 do
+        b.(Array.unsafe_get dest i) <- Array.unsafe_get a i
+      done;
+      t.data <- Ints b
+  | Floats a ->
+      let b = Array.make (Array.length a) 0.0 in
+      for i = 0 to n - 1 do
+        b.(Array.unsafe_get dest i) <- Array.unsafe_get a i
+      done;
+      t.data <- Floats b
+  | Boxed a ->
+      let b = Array.make (Array.length a) Value.Null in
+      for i = 0 to n - 1 do
+        b.(Array.unsafe_get dest i) <- Array.unsafe_get a i
+      done;
+      t.data <- Boxed b

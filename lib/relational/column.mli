@@ -45,3 +45,7 @@ val copy_cell : src:t -> src_i:int -> dst:t -> dst_i:int -> unit
 
 val grow : t -> int -> unit
 val sub : t -> int -> t
+
+val scatter : t -> int array -> int -> unit
+(** [scatter t dest n] moves cell [i] to [dest.(i)] for every [i < n];
+    [dest] must permute [\[0, n)]. The column keeps its capacity. *)

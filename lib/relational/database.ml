@@ -25,8 +25,48 @@ let check_distinct relations =
       Hashtbl.add seen n ())
     relations
 
+let c_clustered = Obs.counter "relational.clustered_rows"
+
+(* Cluster each relation of an acyclic schema on its join key with its
+   largest neighbour in the join tree (ties to the first by name), with
+   the key's attributes in the relation's own order — the order in which
+   the view toward that neighbour packs them. A scan of the relation then
+   meets that view's keys in increasing order, and so does the
+   neighbour's scan when the neighbour is clustered on the same edge, as
+   the two largest relations are. *)
+let cluster relations =
+  let big r = Relation.cardinality r >= 2 in
+  if List.length relations >= 2 && List.exists big relations then
+    match Join_tree.build relations with
+    | exception Join_tree.Cyclic -> ()
+    | jt ->
+        List.iter
+          (fun r ->
+            let schema = Relation.schema r in
+            let keyed =
+              List.filter_map
+                (fun (n : Join_tree.node) ->
+                  match Schema.common schema (Relation.schema n.rel) with
+                  | [] -> None
+                  | key -> Some (Relation.cardinality n.rel, key))
+                (Join_tree.tree ~root:(Relation.name r) jt).children
+            in
+            let largest =
+              List.fold_left
+                (fun acc (c, key) ->
+                  match acc with Some (c', _) when c' >= c -> acc | _ -> Some (c, key))
+                None keyed
+            in
+            match largest with
+            | Some (_, key) when big r ->
+                if Relation.cluster r (Array.of_list (Schema.positions schema key)) then
+                  Obs.add c_clustered (Relation.cardinality r)
+            | _ -> ())
+          relations
+
 let create name relations =
   check_distinct relations;
+  cluster relations;
   { name; relations; streams = Hashtbl.create 4 }
 
 let create_streamed name entries =

@@ -9,7 +9,17 @@ type chunks = (Relation.t -> unit) -> unit
     in-memory {!Relation.t} slice sharing the full relation's schema. *)
 
 val create : string -> Relation.t list -> t
-(** Raises on duplicate relation names. *)
+(** Raises on duplicate relation names.
+
+    [create] reorders the given relations' rows in place: on an acyclic
+    schema, each relation with at least two rows is stably sorted
+    ({!Relation.cluster}) on its join key with its largest neighbour in
+    the join tree (ties go to the first by name), the key's attributes in
+    the relation's own order. Rows already in that order stay put, as do
+    relations whose key columns are not [Ints], every relation of a
+    cyclic schema or of a one-relation database, and rows appended after
+    [create]. Each relation it reorders adds its cardinality to
+    [relational.clustered_rows]. *)
 
 val create_streamed : string -> (Relation.t * chunks option) list -> t
 (** Like {!create}, but relations paired with [Some chunks] are out-of-core:

@@ -2,7 +2,8 @@
 
    Relations are bags (duplicates allowed); set semantics is available via
    [distinct]. Mutation is append-only — the IVM layer models deletions with
-   Z-multiplicities instead (see [Fivm.Delta]).
+   Z-multiplicities instead (see [Fivm.Delta]) — apart from {!cluster},
+   which reorders the rows in place.
 
    The physical layout is columnar: one typed column per attribute, unboxed
    [int array] / [float array] where the schema allows, promoted to boxed
@@ -142,6 +143,103 @@ let of_projection name src positions out_schema =
     size = src.size;
     capacity = Stdlib.max 1 src.size;
   }
+
+(* ---- clustering ---- *)
+
+(* The rank of each row's composite key over the [Ints] key columns [a],
+   with the number of ranks, when that number is at most [limit]: field
+   [j] is offset by its minimum and weighted by the product of the later
+   fields' ranges, so ranks order rows as their keys do. *)
+let composite_ranks (a : int array array) n ~limit =
+  let k = Array.length a in
+  let lo = Array.make k max_int and hi = Array.make k min_int in
+  Array.iteri
+    (fun j col ->
+      for i = 0 to n - 1 do
+        let x = col.(i) in
+        if x < lo.(j) then lo.(j) <- x;
+        if x > hi.(j) then hi.(j) <- x
+      done)
+    a;
+  let stride = Array.make k 1 and ranks = ref 1 in
+  for j = k - 1 downto 0 do
+    let range = hi.(j) - lo.(j) + 1 in
+    stride.(j) <- !ranks;
+    ranks := if range <= 0 || !ranks > limit / range then limit + 1 else !ranks * range
+  done;
+  if !ranks > limit then None
+  else begin
+    let rank = Array.make n 0 in
+    Array.iteri
+      (fun j col ->
+        let l = lo.(j) and w = stride.(j) in
+        for i = 0 to n - 1 do
+          rank.(i) <- rank.(i) + ((col.(i) - l) * w)
+        done)
+      a;
+    Some (rank, !ranks)
+  end
+
+(* Each row's position in the stable order of [rank]: one counting pass
+   and one placing pass, written over [rank]. *)
+let counting_dest rank ranks =
+  let start = Array.make (ranks + 1) 0 in
+  Array.iter (fun r -> start.(r + 1) <- start.(r + 1) + 1) rank;
+  for r = 1 to ranks do
+    start.(r) <- start.(r) + start.(r - 1)
+  done;
+  Array.iteri
+    (fun i r ->
+      rank.(i) <- start.(r);
+      start.(r) <- start.(r) + 1)
+    rank;
+  rank
+
+(* The same without ranks, for keys whose ranges multiply past the
+   counting limit: a stable merge sort of row ids. *)
+let merge_dest (a : int array array) n =
+  let cmp i j =
+    let rec go f =
+      if f = Array.length a then 0
+      else match Int.compare a.(f).(i) a.(f).(j) with 0 -> go (f + 1) | c -> c
+    in
+    go 0
+  in
+  let order = Array.init n Fun.id in
+  Array.stable_sort cmp order;
+  let dest = Array.make n 0 in
+  Array.iteri (fun pos i -> dest.(i) <- pos) order;
+  dest
+
+let cluster t positions =
+  let n = t.size in
+  let keys =
+    Array.map
+      (fun p -> match Column.data t.cols.(p) with Column.Ints a -> Some a | _ -> None)
+      positions
+  in
+  if n < 2 || positions = [||] || Array.exists Option.is_none keys then false
+  else begin
+    let a = Array.map Option.get keys in
+    let rec sorted i f =
+      i = n
+      ||
+      if f = Array.length a then sorted (i + 1) 0
+      else
+        let c = Int.compare a.(f).(i - 1) a.(f).(i) in
+        if c < 0 then sorted (i + 1) 0 else c = 0 && sorted i (f + 1)
+    in
+    if sorted 1 0 then false
+    else begin
+      let dest =
+        match composite_ranks a n ~limit:(Stdlib.max 1024 (4 * n)) with
+        | Some (rank, ranks) -> counting_dest rank ranks
+        | None -> merge_dest a n
+      in
+      Array.iter (fun c -> Column.scatter c dest n) t.cols;
+      true
+    end
+  end
 
 (* ---- boxed access (edges and compatibility) ---- *)
 

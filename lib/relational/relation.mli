@@ -73,6 +73,15 @@ val of_columns : string -> Schema.t -> Column.t array -> int -> t
     with [schema], each holding at least [size] cells); ownership
     transfers to the relation. *)
 
+val cluster : t -> int array -> bool
+(** [cluster t positions] reorders [t]'s rows in place, stably sorted on
+    the columns at [positions] (lexicographically, in that order), and
+    says whether any row moved. It moves nothing when the rows are already
+    in that order, when [t] has fewer than two rows, or when a key column
+    is not [Ints]. One counting sort over the composite key (a stable
+    merge sort of row ids when the key ranges multiply past
+    [max 1024 (4 * cardinality)]), then one scatter per column. *)
+
 (** {1 Boxed access (edges and compatibility)}
 
     These materialise boxed tuples (counted by [relational.boxed_tuples]). *)

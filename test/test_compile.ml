@@ -444,6 +444,41 @@ let plan_cache_behaviour () =
         (cached_matches_fresh ~options:default db2 batch));
   Obs.reset ()
 
+(* The cache is bounded: past [cache_capacity] distinct batches it evicts
+   the least recently used plan, and the plan just used stays cached. *)
+let cache_is_bounded () =
+  let rng = Util.Prng.create 5 in
+  let db = random_star rng 20 3 in
+  let batch i =
+    {
+      Batch.name = Printf.sprintf "threshold %d" i;
+      aggregates =
+        [
+          Spec.make ~filter:(Predicate.Ge ("m1", flt (float_of_int i))) ~id:"n" ~terms:[]
+            ~group_by:[] ();
+        ];
+    }
+  in
+  let cap = Cengine.cache_capacity in
+  Obs.reset ();
+  Obs.with_enabled true (fun () ->
+      for i = 0 to (2 * cap) - 1 do
+        ignore (Cengine.eval_batch db (batch i))
+      done;
+      Alcotest.(check bool) "at most the cap" true (Cengine.cache_size () <= cap);
+      Alcotest.(check bool) "evictions counted" true
+        (Obs.counter_value_by_name "lmfao.compile.cache_evictions" >= cap);
+      let hits0 = Obs.counter_value_by_name "lmfao.compile.cache_hits" in
+      ignore (Cengine.eval_batch db (batch ((2 * cap) - 1)));
+      Alcotest.(check int) "the most recent batch still hits" (hits0 + 1)
+        (Obs.counter_value_by_name "lmfao.compile.cache_hits");
+      (* an old batch was evicted and compiles again *)
+      let plans0 = Obs.counter_value_by_name "lmfao.compile.plans" in
+      ignore (Cengine.eval_batch db (batch 0));
+      Alcotest.(check int) "the oldest batch was evicted" (plans0 + 1)
+        (Obs.counter_value_by_name "lmfao.compile.plans"));
+  Obs.reset ()
+
 (* The plan signature covers the cardinality-dependent root assignment:
    pure counts root at the SMALLEST relation, so growing a different
    relation to be smallest must recompile rather than reuse a stale
@@ -628,6 +663,8 @@ let () =
         [
           Alcotest.test_case "fingerprint cache hits and reuse" `Quick
             plan_cache_behaviour;
+          Alcotest.test_case "bounded, least recently used evicted" `Quick
+            cache_is_bounded;
           Alcotest.test_case "signature revalidates roots" `Quick
             cache_revalidates_roots;
         ] );

@@ -362,6 +362,139 @@ let parallel_differential_matrix =
         { default with share = false; multi_root = false } );
     ]
 
+(* ---- in-order views ----
+
+   A view whose keys arrive strictly increasing keeps no index and is
+   found by binary search or walked by [seek]; the first key out of that
+   order, or the first boxed key, builds the index from the recorded
+   keys. Every key stays findable across both changes. *)
+let flat_view_orders () =
+  let module V = Lmfao.Flat_view in
+  let v = V.create ~scalars:1 ~grouped:0 in
+  for k = 0 to 49 do
+    Alcotest.(check int) "appended" k (V.row v (3 * k));
+    Alcotest.(check int) "repeat of the last key" k (V.row v (3 * k))
+  done;
+  Alcotest.(check bool) "increasing keys: in order" true (V.in_order v);
+  let expect k = if k >= 0 && k < 150 && k mod 3 = 0 then k / 3 else -1 in
+  (* a cursor walking forward over every key and the gaps between *)
+  let cursor = ref 0 in
+  for k = -2 to 152 do
+    cursor := V.seek v !cursor k;
+    let hit = if !cursor < v.V.rows && v.V.keys.(!cursor) = k then !cursor else -1 in
+    Alcotest.(check int) "forward cursor" (expect k) hit
+  done;
+  (* stepping back: fresh cursors and binary search *)
+  for k = 152 downto -2 do
+    let c = V.seek v 0 k in
+    let hit = if c < v.V.rows && v.V.keys.(c) = k then c else -1 in
+    Alcotest.(check int) "cursor from the start" (expect k) hit;
+    Alcotest.(check int) "find in order" (expect k) (V.find v k)
+  done;
+  Alcotest.(check int) "an out-of-order key is a new row" 50 (V.row v 1);
+  Alcotest.(check bool) "out of order: indexed" false (V.in_order v);
+  let boxed = [| Value.Str "k" |] in
+  Alcotest.(check int) "a boxed key is a new row" 51 (V.row_boxed v boxed);
+  for k = -2 to 152 do
+    Alcotest.(check int) "find indexed" (if k = 1 then 50 else expect k) (V.find v k)
+  done;
+  Alcotest.(check int) "find boxed" 51 (V.find_boxed v boxed);
+  (* a boxed key alone also takes a view out of order *)
+  let w = V.create ~scalars:1 ~grouped:0 in
+  ignore (V.row w 7);
+  ignore (V.row_boxed w boxed);
+  Alcotest.(check bool) "boxed key: indexed" false (V.in_order w);
+  Alcotest.(check int) "find after a boxed key" 0 (V.find w 7);
+  (* merging views whose keys follow on keeps the target in order *)
+  let a = V.create ~scalars:1 ~grouped:0 and b = V.create ~scalars:1 ~grouped:0 in
+  List.iter (fun k -> ignore (V.row a k)) [ 1; 4; 6 ];
+  List.iter (fun k -> ignore (V.row b k)) [ 6; 8; 9 ];
+  V.merge a b;
+  Alcotest.(check bool) "merged in order" true (V.in_order a);
+  Alcotest.(check (list int)) "merged rows" [ 0; 1; 2; 3; 4; -1 ]
+    (List.map (V.find a) [ 1; 4; 6; 8; 9; 5 ])
+
+(* The same data clustered at load, and refilled in a seeded shuffled
+   order after [Database.create], as [Serve.snapshot] fills its copy. *)
+let refill_shuffled ~seed db =
+  let rels =
+    List.map (fun r -> Relation.create (Relation.name r) (Relation.schema r)) (Database.relations db)
+  in
+  let copy = Database.create (Database.name db ^ "-shuffled") rels in
+  let rng = Util.Prng.create seed in
+  List.iter2
+    (fun src dst ->
+      let rows = Array.of_list (Relation.to_list src) in
+      Util.Prng.shuffle_in_place rng rows;
+      Array.iter (Relation.append dst) rows)
+    (Database.relations db) rels;
+  copy
+
+(* LMFAO over a clustered retailer database and over its shuffled copy,
+   sequentially and in parallel chunks on four domains, for all four
+   families: bit for bit on the dyadic lattice, where every sum is exact,
+   and within the derived error bound of flat evaluation on real data.
+   Only the clustered runs merge-probe; a parallel clustered scan whose
+   consumer probes out of key order (Inventory probing the Items view by
+   ksn) takes the hash index and still matches the sequential bits. *)
+let clustered_matches_shuffled () =
+  let real = Datagen.Retailer.generate ~scale:0.05 ~seed:3 () in
+  let lattice = Datagen.Stream_gen.lattice_database real in
+  let features = Datagen.Retailer.features in
+  let batches db =
+    [
+      Batch.covariance features;
+      Batch.decision_node ~db features;
+      Batch.mutual_information Datagen.Retailer.mi_attrs;
+      Batch.kmeans features;
+    ]
+  in
+  let run db batch parallel =
+    Obs.reset ();
+    let r =
+      Obs.with_enabled true (fun () ->
+          (Engine.eval ~options:{ default with parallel; chunk_threshold = 64 } db batch).Engine.keyed)
+    in
+    let c = Obs.counter_value_by_name in
+    (r, c "lmfao.merge_probes", c "lmfao.hash_probes")
+  in
+  with_domains_env "4" @@ fun () ->
+  List.iter
+    (fun (data, exact) ->
+      let shuffled = refill_shuffled ~seed:11 data in
+      let join = Database.materialise_join data in
+      List.iter
+        (fun (batch : Batch.t) ->
+          let what = Printf.sprintf "%s (%s)" batch.Batch.name (if exact then "lattice" else "real") in
+          let runs =
+            List.map
+              (fun (db, parallel) -> (db == data, parallel, run db batch parallel))
+              [ (data, false); (data, true); (shuffled, false); (shuffled, true) ]
+          in
+          let seq = match runs with (_, _, (r, _, _)) :: _ -> r | [] -> assert false in
+          let reference = Batch.eval_flat_bounded join batch in
+          let m = Batch.rounding_ops data ~join_rows:(Relation.cardinality join) batch in
+          List.iter
+            (fun (clustered, parallel, (r, merges, hashes)) ->
+              let run_name =
+                Printf.sprintf "%s, %s, %s" what
+                  (if clustered then "clustered" else "shuffled")
+                  (if parallel then "parallel" else "sequential")
+              in
+              if exact then
+                Alcotest.(check bool) (run_name ^ ": bits") true (Spec.keyed_bits_equal seq r)
+              else
+                Alcotest.(check bool) (run_name ^ ": within bound") true
+                  (Spec.keyed_within_bound ~m reference r);
+              Alcotest.(check bool) (run_name ^ ": merge probes only when clustered") clustered
+                (merges > 0);
+              if clustered && parallel then
+                Alcotest.(check bool) (run_name ^ ": out-of-order consumer hashed") true (hashes > 0))
+            runs)
+        (batches data))
+    [ (lattice, true); (real, false) ];
+  Obs.reset ()
+
 (* ---- cyclic fallback ----
 
    Cyclic schemas (no join tree) fall back to a materialised WCOJ join.
@@ -441,6 +574,12 @@ let () =
             cyclic_fallback_reports_stats;
         ] );
       ("sql", [ Alcotest.test_case "Spec.to_sql" `Quick test_spec_to_sql ]);
+      ( "in-order views",
+        [
+          Alcotest.test_case "find and cursor across index builds" `Quick flat_view_orders;
+          Alcotest.test_case "clustered = shuffled, all families" `Quick
+            clustered_matches_shuffled;
+        ] );
       ( "sharing",
         [
           Alcotest.test_case "dedup reduces partials" `Quick sharing_reduces_partials;

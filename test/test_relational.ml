@@ -332,6 +332,143 @@ let test_database_join () =
   Alcotest.(check int) "join size" 3 (Relation.cardinality join);
   Alcotest.(check int) "total card" 5 (Database.total_cardinality db)
 
+(* --- clustering at load --- *)
+
+let rows rel = List.map Array.to_list (Relation.to_list rel)
+
+(* A random tree-shaped schema of [n] relations R0..R(n-1): relation i > 0
+   hangs under a random earlier relation through one or two edge
+   attributes that only the two of them hold, so the join tree is the
+   generating tree. Attributes are shuffled within each schema; values are
+   drawn from [domain] (small, so keys tie; or wide, past the counting
+   limit); cardinalities are 0 to 20. Returns the relations with each
+   one's parent and edge attributes. *)
+let random_tree_db rng n domain =
+  let parent = Array.init n (fun i -> if i = 0 then -1 else Util.Prng.int rng i) in
+  let edge =
+    Array.init n (fun i ->
+        if i = 0 then [] else List.init (1 + Util.Prng.int rng 2) (Printf.sprintf "e%d_%d" i))
+  in
+  let rels =
+    Array.init n (fun i ->
+        let children = List.filter (fun c -> parent.(c) = i) (List.init n Fun.id) in
+        let names =
+          Array.of_list (edge.(i) @ List.concat_map (fun c -> edge.(c)) children @ [ Printf.sprintf "v%d" i ])
+        in
+        Util.Prng.shuffle_in_place rng names;
+        random_rel rng (Printf.sprintf "R%d" i) (Array.to_list names) (Util.Prng.int rng 21) domain)
+  in
+  (rels, parent, edge)
+
+(* The oracle: each relation with at least two rows, stably sorted on its
+   edge attributes (in its own attribute order) with its largest
+   neighbour, ties to the first by name. *)
+let expected_clustering (rels : Relation.t array) parent edge =
+  let n = Array.length rels in
+  Array.mapi
+    (fun i r ->
+      let neighbours =
+        (if parent.(i) >= 0 then [ (parent.(i), edge.(i)) ] else [])
+        @ List.filter_map
+            (fun c -> if parent.(c) = i then Some (c, edge.(c)) else None)
+            (List.init n Fun.id)
+      in
+      let largest =
+        List.fold_left
+          (fun acc (j, e) ->
+            match acc with
+            | Some (j', _) when Relation.cardinality rels.(j') >= Relation.cardinality rels.(j) ->
+                acc
+            | _ -> Some (j, e))
+          None
+          (List.sort compare neighbours)
+      in
+      let rs = rows r in
+      match largest with
+      | Some (_, e) when Relation.cardinality r >= 2 ->
+          let positions =
+            List.filter_map
+              (fun a -> if List.mem a e then Some (Schema.position (Relation.schema r) a) else None)
+              (Schema.names (Relation.schema r))
+          in
+          let key row = List.map (fun p -> List.nth row p) positions in
+          List.stable_sort (fun a b -> compare (key a) (key b)) rs
+      | _ -> rs)
+    rels
+
+let clustering_matches_oracle =
+  QCheck2.Test.make ~count:200
+    ~name:"create clusters each relation stably on its key with its largest neighbour"
+    QCheck2.Gen.(triple (int_range 1 6) bool int)
+    (fun (n, wide, seed) ->
+      let rng = Util.Prng.create seed in
+      let rels, parent, edge = random_tree_db rng n (if wide then 1 lsl 40 else 3) in
+      let before = Array.map rows rels in
+      let expected = expected_clustering rels parent edge in
+      Obs.reset ();
+      let db = Obs.with_enabled true (fun () -> Database.create "tree" (Array.to_list rels)) in
+      let moved = Obs.counter_value_by_name "relational.clustered_rows" in
+      let after = Array.map rows rels in
+      let ok =
+        after = expected
+        && Array.for_all2 (fun a b -> List.sort compare a = List.sort compare b) before after
+        && moved
+           = Array.fold_left ( + ) 0
+               (Array.mapi
+                  (fun i r -> if before.(i) = after.(i) then 0 else Relation.cardinality r)
+                  rels)
+      in
+      (* a second create over the same relations moves no row *)
+      ignore (Obs.with_enabled true (fun () -> Database.create "again" (Database.relations db)));
+      let ok =
+        ok
+        && Obs.counter_value_by_name "relational.clustered_rows" = moved
+        && Array.map rows rels = after
+      in
+      Obs.reset ();
+      ok)
+
+let test_clustering_skips () =
+  let unsorted name attrs = rel_of name (Schema.make (List.map (fun a -> (a, Value.TInt)) attrs)) in
+  let untouched what rels =
+    let before = List.map rows rels in
+    Obs.reset ();
+    ignore (Obs.with_enabled true (fun () -> Database.create what rels));
+    Alcotest.(check bool) (what ^ ": rows untouched") true (List.map rows rels = before);
+    Alcotest.(check int) (what ^ ": nothing clustered") 0
+      (Obs.counter_value_by_name "relational.clustered_rows");
+    Obs.reset ()
+  in
+  untouched "cyclic"
+    [
+      unsorted "R" [ "a"; "b" ] [ [ 2; 1 ]; [ 1; 2 ]; [ 0; 3 ] ];
+      unsorted "S" [ "b"; "c" ] [ [ 3; 1 ]; [ 1; 0 ]; [ 2; 2 ] ];
+      unsorted "T" [ "c"; "a" ] [ [ 2; 0 ]; [ 0; 2 ]; [ 1; 1 ] ];
+    ];
+  untouched "single" [ unsorted "R" [ "a"; "b" ] [ [ 2; 1 ]; [ 1; 2 ]; [ 0; 3 ] ] ];
+  untouched "empty" [ unsorted "R" [ "a"; "b" ] []; unsorted "S" [ "a"; "c" ] [] ];
+  (* key columns that are not Ints: a float key, and an int key promoted
+     to boxed values by a Null *)
+  let fl =
+    Relation.of_list "F"
+      (Schema.make [ ("k", Value.TFloat); ("x", Value.TInt) ])
+      [ [| Value.Float 2.0; int 0 |]; [| Value.Float 1.0; int 1 |] ]
+  and fd =
+    Relation.of_list "D"
+      (Schema.make [ ("k", Value.TFloat); ("y", Value.TInt) ])
+      [ [| Value.Float 1.0; int 5 |]; [| Value.Float 0.0; int 6 |]; [| Value.Float 3.0; int 4 |] ]
+  in
+  untouched "float keys" [ fl; fd ];
+  let boxed = unsorted "B" [ "a"; "x" ] [ [ 2; 0 ]; [ 1; 1 ] ] in
+  Relation.append boxed [| Value.Null; int 2 |];
+  untouched "boxed keys" [ boxed; unsorted "C" [ "a"; "y" ] [ [ 0; 1 ]; [ 1; 0 ]; [ 2; 2 ]; [ 3; 3 ] ] ];
+  (* and a relation appended to after create keeps its order *)
+  let r = unsorted "R" [ "a"; "b" ] [] and s = unsorted "S" [ "a"; "c" ] [] in
+  ignore (Database.create "late" [ r; s ]);
+  List.iter (fun x -> Relation.append r [| int x; int 0 |]) [ 2; 0; 1 ];
+  Alcotest.(check bool) "filled after create: insertion order" true
+    (rows r = [ [ int 2; int 0 ]; [ int 0; int 0 ]; [ int 1; int 0 ] ])
+
 (* Compiled predicates agree with interpreted evaluation whatever the
    column's representation: an int column and a float column, each also
    as a Boxed copy, with NaN and ±0.0 among the float cells and the
@@ -632,5 +769,10 @@ let () =
             test_join_tree_running_intersection;
           Alcotest.test_case "cyclic raises" `Quick test_join_tree_cyclic_raises;
         ] );
-      ("database", [ Alcotest.test_case "materialise join" `Quick test_database_join ]);
+      ( "database",
+        [
+          Alcotest.test_case "materialise join" `Quick test_database_join;
+          qcheck clustering_matches_oracle;
+          Alcotest.test_case "clustering skips" `Quick test_clustering_skips;
+        ] );
     ]
