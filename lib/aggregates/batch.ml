@@ -195,15 +195,48 @@ let pp ppf b =
   Format.fprintf ppf "batch %s: %d aggregates@\n" b.name (size b);
   List.iter (fun a -> Format.fprintf ppf "  %a@\n" Spec.pp a) b.aggregates
 
-(* Content fingerprint: the batch's canonical forms folded through CRC-32,
-   chaining each step's digest into the next input so aggregate ORDER
-   matters (two batches answer positionally). Used by [Serve] as the cache
-   key for a batch shape. *)
+(* Content fingerprint: a hash of the batch's name and, in order, every
+   aggregate's id, terms, group-by and filter, read from the structure
+   (nothing is printed), so aggregate ORDER matters (two batches answer
+   positionally). Equal batches have equal fingerprints; the caches keyed
+   by it ([Serve]'s results, [Compile.Engine]'s plans, the admission
+   shadow cache) also compare the batches, so a collision costs a miss,
+   never another batch's answer. *)
 let fingerprint b =
-  List.fold_left
-    (fun acc s -> Util.Checksum.crc32 (Printf.sprintf "%08x|%s" acc (Spec.canonical s)))
-    (Util.Checksum.crc32 b.name)
-    b.aggregates
+  let mix h x =
+    let h = (h lxor x) * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+  in
+  let str h s = mix h (Hashtbl.hash s) in
+  let value h = function
+    | Value.Null -> mix h 1
+    | Value.Int x -> mix (mix h 2) x
+    | Value.Float x -> mix (mix h 3) (Hashtbl.hash x)
+    | Value.Str s -> str (mix h 4) s
+  in
+  let rec filter h = function
+    | Predicate.True -> mix h 5
+    | Predicate.Ge (a, c) -> value (str (mix h 6) a) c
+    | Predicate.Lt (a, c) -> value (str (mix h 7) a) c
+    | Predicate.Eq (a, c) -> value (str (mix h 8) a) c
+    | Predicate.In (a, cs) -> List.fold_left value (mix (str (mix h 9) a) (List.length cs)) cs
+    | Predicate.Not p -> filter (mix h 10) p
+    | Predicate.And (p, q) -> filter (filter (mix h 11) p) q
+    | Predicate.Or (p, q) -> filter (filter (mix h 12) p) q
+    | Predicate.Additive_ineq (ts, c) ->
+        mix
+          (List.fold_left (fun h (a, w) -> mix (str h a) (Hashtbl.hash w)) (mix h 13) ts)
+          (Hashtbl.hash c)
+  in
+  let spec h (s : Spec.t) =
+    let h = str h s.id in
+    let h = List.fold_left (fun h (a, p) -> mix (str h a) p) (mix h (List.length s.terms)) s.terms in
+    let h = List.fold_left str (mix h (List.length s.group_by)) s.group_by in
+    filter h s.filter
+  in
+  List.fold_left spec (str 0 b.name) b.aggregates land max_int
+
+let equal (a : t) b = a == b || compare a b = 0
 
 (* The numeric-only covariance batch: COUNT, SUM(x), SUM(x*y) over the given
    features, no categorical interactions. Exactly the aggregates a serving

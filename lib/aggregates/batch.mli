@@ -49,9 +49,14 @@ val rounding_ops : Database.t -> join_rows:int -> t -> int
 val pp : Format.formatter -> t -> unit
 
 val fingerprint : t -> int
-(** Order-sensitive content fingerprint of the batch (name plus every
-    aggregate's {!Spec.canonical} folded through [Util.Checksum.crc32]);
-    non-negative and stable across processes. Cache key material. *)
+(** Order-sensitive content fingerprint of the batch: a hash of its name
+    and every aggregate's id, terms, group-by and filter, read from their
+    structure; non-negative and stable across processes. Cache key
+    material: equal batches have equal fingerprints, and a cache that
+    keys by it also checks {!equal} on a hit. *)
+
+val equal : t -> t -> bool
+(** Structural equality ([compare = 0]), immediate for the same value. *)
 
 val covariance_numeric : string list -> t
 (** The numeric part of {!covariance} over an explicit feature list: COUNT,

@@ -32,19 +32,54 @@ let attrs t =
   List.sort_uniq compare
     (List.map fst t.terms @ t.group_by @ Predicate.attrs t.filter)
 
+(* A filter's canonical text: [Predicate.pp]'s shape, with every constant
+   printed exactly — floats in hexadecimal, strings quoted — and ints and
+   floats told apart, so that two filters get the same text iff they are
+   the same filter. ([Predicate.pp] rounds floats to six digits.) *)
+let add_canonical_filter b p =
+  let add = Buffer.add_string b in
+  let float x = add (Printf.sprintf "%h" x) in
+  let value = function
+    | Value.Null -> add "null"
+    | Value.Int x -> add (string_of_int x)
+    | Value.Float x -> float x
+    | Value.Str s -> add (Printf.sprintf "%S" s)
+  in
+  let rec go = function
+    | Predicate.True -> add "true"
+    | Predicate.Ge (a, c) -> add a; add " >= "; value c
+    | Predicate.Lt (a, c) -> add a; add " < "; value c
+    | Predicate.Eq (a, c) -> add a; add " = "; value c
+    | Predicate.In (a, cs) ->
+        add a;
+        add " in (";
+        List.iteri (fun i c -> if i > 0 then add ", "; value c) cs;
+        add ")"
+    | Predicate.Not p -> add "not ("; go p; add ")"
+    | Predicate.And (p, q) -> add "("; go p; add " and "; go q; add ")"
+    | Predicate.Or (p, q) -> add "("; go p; add " or "; go q; add ")"
+    | Predicate.Additive_ineq (terms, c) ->
+        List.iteri
+          (fun i (a, w) ->
+            if i > 0 then add " + ";
+            float w;
+            add "*";
+            add a)
+          terms;
+        add " > ";
+        float c
+  in
+  go p
+
 (* Canonical structural key, ignoring [id]: used to deduplicate identical
    (partial) aggregates within a batch — LMFAO's sharing. *)
 let canonical t =
-  let terms = String.concat "*" (List.map (fun (a, p) -> Printf.sprintf "%s^%d" a p) t.terms) in
-  let groups = String.concat "," t.group_by in
-  (* the trivial filter skips the Format machinery: [canonical] runs once
-     per spec per node per root during LMFAO planning *)
-  let filter =
-    match t.filter with
-    | Predicate.True -> "true"
-    | f -> Format.asprintf "%a" Predicate.pp f
-  in
-  Printf.sprintf "S[%s|%s|%s]" terms groups filter
+  let terms = String.concat "*" (List.map (fun (a, p) -> a ^ "^" ^ string_of_int p) t.terms) in
+  let b = Buffer.create 64 in
+  Buffer.add_string b ("S[" ^ terms ^ "|" ^ String.concat "," t.group_by ^ "|");
+  add_canonical_filter b t.filter;
+  Buffer.add_char b ']';
+  Buffer.contents b
 
 let is_scalar t = t.group_by = []
 

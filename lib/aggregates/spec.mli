@@ -32,7 +32,10 @@ val attrs : t -> string list
 (** Sorted distinct attributes mentioned anywhere in the aggregate. *)
 
 val canonical : t -> string
-(** Structural key ignoring [id] — the dedup key for LMFAO's sharing. *)
+(** Structural key ignoring [id] — the dedup key for LMFAO's sharing. Its
+    own printer writes every filter constant exactly (floats in
+    hexadecimal), so two specs share a key iff they agree in everything
+    but [id]. *)
 
 val is_scalar : t -> bool
 

@@ -5,7 +5,10 @@
 
    Compiled plans are cached globally, keyed by [Batch.fingerprint] — the
    same key [Serve] uses for its result cache — so planning is amortised
-   across epochs and delta rounds. The cache holds at most
+   across epochs and delta rounds. A hit also requires the cached batch to
+   equal the request: a plan answers under its own batch's ids, so neither
+   a fingerprint collision nor a batch that differs only in its ids may
+   reuse it. The cache holds at most
    [cache_capacity] plans and evicts the least recently used one, so a
    long-lived server that meets ever new batches (every distinct filter
    is a new fingerprint) keeps it bounded. A cached plan is revalidated against a
@@ -29,7 +32,7 @@ type options = Lmfao.Engine.options
 let default_options = Lmfao.Engine.default_options
 
 type compiled = {
-  fingerprint : int; (* Batch.fingerprint of the compiled batch *)
+  batch : Batch.t; (* the compiled batch; reuse requires an equal one *)
   signature : string; (* plan signature the cache revalidates against *)
   options : options;
   plan : Plan.grouped; (* the batch's scheduled view groups *)
@@ -80,7 +83,7 @@ let compile ?(options = default_options) (db : Database.t) (batch : Batch.t) :
     compiled =
   let plan, _stats = Lmfao.Engine.compile ~options db batch in
   {
-    fingerprint = Batch.fingerprint batch;
+    batch;
     signature = signature_of options db batch;
     options;
     plan;
@@ -89,12 +92,14 @@ let compile ?(options = default_options) (db : Database.t) (batch : Batch.t) :
 let run (c : compiled) (db : Database.t) : (string * Spec.result) list =
   Lmfao.Engine.run ~options:c.options db c.plan
 
-(* A cached plan may be reused iff the batch, options and plan signature
-   all still match. Cyclic schemas never reuse (they never compiled). *)
+(* A cached plan may be reused iff the batch (equal, not just its
+   fingerprint: a plan's outputs carry the batch's ids), options and plan
+   signature all still match. Cyclic schemas never reuse (they never
+   compiled). *)
 let reusable (c : compiled) ?(options = default_options) (db : Database.t)
     (batch : Batch.t) : bool =
   c.options = options
-  && c.fingerprint = Batch.fingerprint batch
+  && Batch.equal c.batch batch
   &&
   match signature_of options db batch with
   | s -> String.equal c.signature s
@@ -135,7 +140,8 @@ let find_or_compile ?(options = default_options) db batch : compiled =
   let signature = signature_of options db batch in
   incr tick;
   match Hashtbl.find_opt cache fp with
-  | Some (c, used) when c.options = options && String.equal c.signature signature ->
+  | Some (c, used)
+    when c.options = options && Batch.equal c.batch batch && String.equal c.signature signature ->
       Obs.incr c_cache_hits;
       used := !tick;
       c

@@ -14,7 +14,7 @@ val default_options : options
 
 type compiled
 (** A compiled batch: its {!Lmfao.Plan.grouped} plan, tagged with the
-    batch fingerprint and a plan signature. *)
+    batch itself and a plan signature. *)
 
 val compile : ?options:options -> Database.t -> Batch.t -> compiled
 (** Compile without consulting the cache ({!Lmfao.Engine.compile}: counts
@@ -28,12 +28,14 @@ val run : compiled -> Database.t -> (string * Spec.result) list
 
 val reusable : compiled -> ?options:options -> Database.t -> Batch.t -> bool
 (** Whether a cached plan may serve this (db, batch, options): the batch
-    fingerprint, the options, and the plan signature — schema shape plus
-    the cardinality-dependent multi-root assignment — all still match. *)
+    ({!Batch.equal}: a plan answers under its own batch's ids), the
+    options, and the plan signature — schema shape plus the
+    cardinality-dependent multi-root assignment — all still match. *)
 
 val find_or_compile : ?options:options -> Database.t -> Batch.t -> compiled
-(** Consult the global fingerprint-keyed plan cache (revalidating the
-    signature; hits count [lmfao.compile.cache_hits]), compiling on miss.
+(** Consult the global fingerprint-keyed plan cache (a hit needs an equal
+    batch and options and a matching signature; hits count
+    [lmfao.compile.cache_hits]), compiling on miss.
     The cache holds at most {!cache_capacity} plans: a miss on a full
     cache evicts the least recently used plan, counted in
     [lmfao.compile.cache_evictions]. Thread-safe.

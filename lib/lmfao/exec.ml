@@ -1,49 +1,67 @@
-(* Closure-compile a batch's [Plan.grouped] against a live database and
-   run it: one scan per view group, in the plan's order.
+(* Bind a batch's [Plan.grouped] against a live database and run it: one
+   scan per view group, in the plan's order.
 
    Every directed view lives in [Flat_view] storage: dense rows in
    insertion order with their packed keys recorded, scalar partials
-   contiguous per row in fixed-size float blocks, grouped partials as
-   per-(row, slot) entry chains in int and float blocks. A view whose keys
-   arrived in increasing order — one computed by a scan of a relation
-   clustered on its key ([Database.create]) — has no hash index, and a
-   scan whose probe keys never step backwards reads it through a forward
-   cursor: a merge join. Binding happens once per view per
-   chunk of a scan: relations are resolved by name, term columns are taken
-   as the live unboxed arrays, key readers pack straight to ints, filters
-   are compiled by [Predicate.compile_cols] against the chunk's columns,
-   and each slot becomes one kernel closure with its payload offset and
-   child probe indexes pre-resolved. Per input row, each incoming view is
-   probed once and its matched row's scalar block, offset and first cell
-   are resolved once; each output row likewise, before its slots run. The
-   scan loop allocates nothing per row: keys are ints, a float never
-   crosses a call that is not inlined, and the multi-part grouped path
-   enumerates combinations through preallocated int and float arrays.
-   Only the boxed paths — keys that do not pack, term columns read lazily
-   through [Column.float_at] — allocate.
+   contiguous per row in fixed-size float blocks, and grouped partials as
+   per-(row, family) entry chains whose entries hold one value per member
+   of the family. A view whose keys arrived in increasing order — one
+   computed by a scan of a relation clustered on its key
+   ([Database.create]) — has no hash index, and a scan whose probe keys
+   never step backwards reads it through a forward cursor: a merge join.
 
-   Results are deterministic to the bit because float operations happen
-   in a fixed order: term products are left-associated starting from 1.0,
-   scalar children multiply in child order after the terms and grouped
-   children's values after those in reverse child order, slots accumulate
-   in slot-array order, rows accumulate in scan order and are inserted into
-   the view before any filter is tested, and parallel scans use the fixed
-   [Pool.parallel_chunks] decomposition and merge order. A grouped entry
-   is created at -0.0, so its first addition stores the operand bit for
-   bit, and a parallel merge copies the partials of a key new to its
-   target. A row adds at most once into each key of a grouped partial —
-   the group variables a slot's own columns and its children contribute
-   are disjoint — so the order in which one row visits its keys never
-   reaches the bits. *)
+   Each view runs as one program. Once per scan, its slots are compiled
+   into index arrays: every distinct local term product and every
+   distinct local conjunct list gets a number, the scalar slots become one
+   multiply-add loop, and the grouped slots run by family ([Plan.view]'s
+   [v_families]: slots with the same local group columns, local filter and
+   child families, hence the same keys). Once per chunk of the scan, the
+   program binds to the live columns: relations are resolved by name, term
+   columns are taken as the live unboxed arrays, key readers pack straight
+   to ints, and filters are compiled by [Predicate.compile_cols]. Per
+   input row, each incoming view is probed once and its matched row's
+   scalar block, offset and first cell are resolved once; each output row
+   likewise. Then each distinct conjunct list is tested once, each
+   distinct product is computed once, the scalar slots run, and each
+   family whose filter passed finds its keys once — one lookup, one walk
+   of its grouped child's chain, or one enumeration of its children's
+   combinations — for all its members. The scan loop allocates nothing
+   per row: keys are ints, a float never crosses a call that is not
+   inlined, and the multi-part grouped path enumerates combinations
+   through preallocated int and float arrays. Only the boxed paths — keys
+   that do not pack, term columns read lazily through [Column.float_at] —
+   allocate.
+
+   Results are deterministic to the bit because each member's float
+   operations happen in a fixed order: term products are left-associated
+   starting from 1.0, scalar children multiply in child order after the
+   terms and grouped children's values after those in reverse child
+   order, rows accumulate in scan order and are inserted into the view
+   before any filter is tested, and parallel scans use the fixed
+   [Pool.parallel_chunks] decomposition and merge order. Sharing a product
+   or a conjunct list between slots, or a key lookup between the members
+   of a family, changes no operation a member's value sees. A grouped
+   entry's values are created at -0.0, so a member's first addition
+   stores the operand bit for bit, and a parallel merge copies the
+   partials of a key new to its target. A row adds at most once into each
+   key of a grouped partial — the group variables a slot's own columns and
+   its children contribute are disjoint — so the order in which one row
+   visits its keys never reaches the bits. *)
 
 open Relational
 module Spec = Aggregates.Spec
 module V = Flat_view
 
-(* Where a slot's partial lives in a view row — scalar [idx], or grouped
-   slot [idx] — and, for a grouped slot, the group variables its keys
-   pack, in name order. *)
-type layout = { idx : int; scalar : bool; vars : string array }
+(* Where a view's slots live in its rows: per slot its scalar index, or
+   its family and its member index there; per family its members and the
+   group variables its keys pack, in name order. *)
+type layout = {
+  place : int array;  (* per slot: scalar index, or member in its family *)
+  family : int array;  (* per slot: its family, -1 for a scalar slot *)
+  widths : int array;  (* per family: its members *)
+  vars : string array array;  (* per family: its group variables *)
+  n_scalars : int;
+}
 
 (* Specialization fallbacks: term columns that are boxed. *)
 let c_fallbacks = Obs.counter "lmfao.compile.fallbacks"
@@ -54,33 +72,30 @@ let c_hash_probes = Obs.counter "lmfao.hash_probes"
 
 (* ---------- entry access ---------- *)
 
-(* [Flat_view]'s block arithmetic, inlined into the kernels: a call into
+(* [Flat_view]'s block arithmetic, inlined into the programs: a call into
    another module is not inlined when modules compile opaquely (as in
    dune's default profile), and a float such a call takes or returns is
    boxed. *)
-let pair_bits = V.pair_bits
+let pair_bits = 8
+let value_bits = 9
+let () = assert (pair_bits = V.pair_bits && value_bits = V.block_bits)
 let pair_mask = (1 lsl pair_bits) - 1
-let value_bits = V.block_bits
-let value_mask = V.block_size - 1
+let value_mask = (1 lsl value_bits) - 1
 
 let[@inline] head (v : V.t) cell =
   Array.unsafe_get (Array.unsafe_get v.V.cells (cell lsr pair_bits)) ((cell land pair_mask) lsl 1)
 
+(* Entry [e]'s key and next entry; its values start at offset [e]. *)
 let[@inline] key_of (v : V.t) e =
-  Array.unsafe_get (Array.unsafe_get v.V.links (e lsr pair_bits)) ((e land pair_mask) lsl 1)
+  Array.unsafe_get (Array.unsafe_get v.V.links (e lsr value_bits)) ((e land value_mask) lsl 1)
 
 let[@inline] next_of (v : V.t) e =
   Array.unsafe_get
-    (Array.unsafe_get v.V.links (e lsr pair_bits))
-    (((e land pair_mask) lsl 1) + 1)
+    (Array.unsafe_get v.V.links (e lsr value_bits))
+    (((e land value_mask) lsl 1) + 1)
 
-let[@inline] value_of (v : V.t) e =
-  Array.unsafe_get (Array.unsafe_get v.V.values (e lsr value_bits)) (e land value_mask)
-
-let[@inline] add_to (v : V.t) e x =
-  let b = Array.unsafe_get v.V.values (e lsr value_bits) in
-  let o = e land value_mask in
-  Array.unsafe_set b o (Array.unsafe_get b o +. x)
+(* The value block holding offset [o]; [o land value_mask] is its place. *)
+let[@inline] block_at (v : V.t) o = Array.unsafe_get v.V.values (o lsr value_bits)
 
 (* Row [r]'s scalar block, and the offset of its first scalar there. *)
 let[@inline] scalar_block (v : V.t) r =
@@ -92,6 +107,16 @@ let[@inline] scalar_base (v : V.t) r = (r land ((1 lsl v.V.shift) - 1)) * v.V.sc
 let[@inline] entry_from out cell (src : V.t) e =
   let k = key_of src e in
   if k <> V.nopack then V.entry out cell k else V.entry_boxed out cell (V.boxed_key src e)
+
+(* Add [xs.(base)] .. [xs.(base + n - 1)] into the [n] members of entry [o]
+   of [out]. *)
+let[@inline] add_values (out : V.t) o (xs : float array) base n =
+  let b = block_at out o and o = o land value_mask in
+  if n = 1 then Array.unsafe_set b o (Array.unsafe_get b o +. Array.unsafe_get xs base)
+  else
+    for m = 0 to n - 1 do
+      Array.unsafe_set b (o + m) (Array.unsafe_get b (o + m) +. Array.unsafe_get xs (base + m))
+    done
 
 (* ---------- filters ---------- *)
 
@@ -106,10 +131,10 @@ let compile_conjuncts schema cols = function
 
 (* ---------- term products ---------- *)
 
-(* A term column as the kernels read it: the live unboxed array, or, for
+(* A term column as the programs read it: the live unboxed array, or, for
    a boxed column (counted in [lmfao.compile.fallbacks]), the column
    itself, read per row through [Column.float_at] — so a cell no matched
-   row reaches is never converted. *)
+   row whose filter passes reaches is never converted. *)
 type term = Tf of float array | Ti of int array | Tlazy of Column.t
 
 let term col =
@@ -148,38 +173,228 @@ type probes = {
   cell : int array;
 }
 
-(* A slot's coefficient: the term product times its scalar children's
-   partials ([js]: probe index, [idxs]: scalar slot), in child order. *)
-let[@inline] coeff terms powers (pr : probes) (js : int array) (idxs : int array) i =
-  let v = ref (product terms powers i) in
-  for c = 0 to Array.length js - 1 do
-    let j = Array.unsafe_get js c in
-    v :=
-      !v
-      *. Array.unsafe_get (Array.unsafe_get pr.blk j)
-           (Array.unsafe_get pr.base j + Array.unsafe_get idxs c)
-  done;
-  !v
+(* The partial at scalar index [idx] of the row probe [j] matched. *)
+let[@inline] child_scalar (pr : probes) j idx =
+  Array.unsafe_get (Array.unsafe_get pr.blk j) (Array.unsafe_get pr.base j + idx)
 
-(* ---------- kernels ---------- *)
+(* ---------- programs ---------- *)
 
-(* One slot's kernel: [k i blk base cell0] adds input row [i] into the
-   output row whose scalars start at [blk.(base)] and whose cells start at
-   [cell0]. *)
-type kernel = int -> float array -> int -> int -> unit
+(* How a family finds its keys for a row:
+   - [Local]: no grouped child; the key is the row's local group columns
+     (their positions, in name order);
+   - [One]: no local group and one grouped child (the hot root shape):
+     each key of that child's family, at the child's cell of the family;
+   - [Many]: every combination of one key per grouped child ("part"),
+     merged with the local group values. *)
+type shape = Local of int array | One | Many of many
 
-(* Every combination of one entry per grouped part, for the multi-part
-   grouped kernel: the state its recursion reads and writes, allocated
-   once per binding. *)
+and many = {
+  parts : int array;  (* the grouped children, in reverse child order *)
+  part_arity : int array;  (* per part: the arity of its keys *)
+  f_part : int array;
+      (* per field of the merged key, in name order: its part, or -1 for
+         a local column *)
+  f_pos : int array;  (* the local column's position, or the field in the part's key *)
+}
+
+(* A family of the view: its members' term products and scalar children,
+   and, per grouped child, the child family and each member's member
+   there. *)
+type family = {
+  cell : int;  (* the family's cell in a row *)
+  members : int;
+  filter : int;  (* its conjunct list, or -1 *)
+  prod : int array;  (* per member: its term product *)
+  scalar_children : int array;  (* in child order *)
+  scalar_idx : int array;
+      (* per member m and scalar child c, at [m * |scalar_children| + c]:
+         the child partial's scalar index *)
+  grouped_children : int array;  (* in child order *)
+  child_family : int array;  (* per grouped child: its family in the child *)
+  child_member : int array;
+      (* per grouped child g and member m, at [g * members + m]: the
+         member's member in the child family *)
+  shape : shape;
+}
+
+(* A view's program, fixed once per scan. *)
+type program = {
+  products : (int * int) array array;  (* distinct local (position, power) lists *)
+  conjuncts : Predicate.t list array;  (* distinct non-empty local conjunct lists *)
+  product_filters : int array array;
+      (* per product: the conjunct lists of the slots using it, [||] when
+         one of them has none *)
+  (* the scalar slots, in slot order, which is their order in a row's
+     scalar block *)
+  s_filter : int array;  (* per scalar slot: its conjunct list, or -1 *)
+  s_prod : int array;  (* its term product *)
+  s_child : int array;  (* per scalar slot s and child c, at [s * children + c]: its scalar *)
+  families : family array;
+}
+
+(* Payload layout: scalars counted in slot order; a family's variables
+   are its first member's own group columns and its children's families'
+   variables, in name order. *)
+let layout_of (view : Plan.view) (children : layout array) : layout =
+  let slots = view.Plan.v_slots in
+  let place = Array.make (Array.length slots) 0 and family = Array.make (Array.length slots) (-1) in
+  let n_scalars = ref 0 in
+  Array.iteri
+    (fun s (slot : Plan.slot) ->
+      if slot.Plan.scalar then begin
+        place.(s) <- !n_scalars;
+        incr n_scalars
+      end)
+    slots;
+  Array.iteri
+    (fun f members ->
+      Array.iteri
+        (fun m s ->
+          family.(s) <- f;
+          place.(s) <- m)
+        members)
+    view.Plan.v_families;
+  let vars members =
+    let s = slots.(members.(0)) in
+    let child c cs =
+      let l = children.(c) in
+      if l.family.(cs) < 0 then [||] else l.vars.(l.family.(cs))
+    in
+    let v =
+      Array.concat (Array.map fst s.Plan.local_groups :: Array.to_list (Array.mapi child s.Plan.child_slots))
+    in
+    Array.sort compare v;
+    v
+  in
+  {
+    place;
+    family;
+    widths = Array.map Array.length view.Plan.v_families;
+    vars = Array.map vars view.Plan.v_families;
+    n_scalars = !n_scalars;
+  }
+
+(* Number each distinct value [x] of a table as it is first met. *)
+let numbering () =
+  let tbl = Hashtbl.create 16 and items = ref [] in
+  let id x =
+    match Hashtbl.find_opt tbl x with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length tbl in
+        Hashtbl.add tbl x i;
+        items := x :: !items;
+        i
+  in
+  (id, fun () -> Array.of_list (List.rev !items))
+
+let program (view : Plan.view) (l : layout) (children : layout array) : program =
+  let slots = view.Plan.v_slots in
+  let n_children = Array.length children in
+  let prod_id, products = numbering () and conj_id, conjuncts = numbering () in
+  let users = Hashtbl.create 16 in
+  let use (s : Plan.slot) =
+    let q = prod_id s.Plan.local_terms in
+    let f =
+      match List.sort_uniq compare s.Plan.local_filter with [] -> -1 | c -> conj_id c
+    in
+    Hashtbl.replace users q (f :: Option.value ~default:[] (Hashtbl.find_opt users q));
+    (q, f)
+  in
+  (* slot [s]'s partial in child [c]: its scalar index or its member *)
+  let child_place s c = children.(c).place.(slots.(s).Plan.child_slots.(c)) in
+  let concat_map g a = Array.concat (Array.to_list (Array.map g a)) in
+  let scalars = List.filter (fun s -> l.family.(s) < 0) (List.init (Array.length slots) Fun.id) in
+  let scalars = Array.of_list (List.map (fun s -> (s, use slots.(s))) scalars) in
+  let s_child = concat_map (fun (s, _) -> Array.init n_children (child_place s)) scalars in
+  let family f members =
+    let first = slots.(members.(0)) in
+    let uses = Array.map (fun s -> use slots.(s)) members in
+    let grouped c = children.(c).family.(first.Plan.child_slots.(c)) >= 0 in
+    let all = List.init n_children Fun.id in
+    let scalar_children = Array.of_list (List.filter (fun c -> not (grouped c)) all) in
+    let grouped_children = Array.of_list (List.filter grouped all) in
+    let locals = List.sort compare (Array.to_list first.Plan.local_groups) in
+    let child_family =
+      Array.map (fun c -> children.(c).family.(first.Plan.child_slots.(c))) grouped_children
+    in
+    let shape =
+      match (grouped_children, locals) with
+      | [||], _ -> Local (Array.of_list (List.map snd locals))
+      | [| _ |], [] -> One
+      | _ ->
+          let parts = Array.of_list (List.rev (List.init (Array.length grouped_children) Fun.id)) in
+          let part_vars g =
+            let c = grouped_children.(parts.(g)) in
+            children.(c).vars.(child_family.(parts.(g)))
+          in
+          let source var =
+            match List.assoc_opt var locals with
+            | Some pos -> (-1, pos)
+            | None ->
+                let rec find g f =
+                  let vars = part_vars g in
+                  if f = Array.length vars then find (g + 1) 0
+                  else if String.equal vars.(f) var then (g, f)
+                  else find g (f + 1)
+                in
+                find 0 0
+          in
+          let fields = Array.map source l.vars.(f) in
+          Many
+            {
+              parts;
+              part_arity = Array.init (Array.length parts) (fun g -> Array.length (part_vars g));
+              f_part = Array.map fst fields;
+              f_pos = Array.map snd fields;
+            }
+    in
+    {
+      cell = f;
+      members = Array.length members;
+      filter = snd uses.(0);
+      prod = Array.map fst uses;
+      scalar_children;
+      scalar_idx = concat_map (fun s -> Array.map (child_place s) scalar_children) members;
+      grouped_children;
+      child_family;
+      child_member =
+        concat_map (fun c -> Array.map (fun s -> child_place s c) members) grouped_children;
+      shape;
+    }
+  in
+  let families = Array.mapi family view.Plan.v_families in
+  let products = products () in
+  {
+    products;
+    conjuncts = conjuncts ();
+    product_filters =
+      Array.init (Array.length products) (fun q ->
+          let fs = Hashtbl.find users q in
+          if List.mem (-1) fs then [||] else Array.of_list (List.sort_uniq compare fs));
+    s_filter = Array.map (fun (_, (_, f)) -> f) scalars;
+    s_prod = Array.map (fun (_, (q, _)) -> q) scalars;
+    s_child;
+    families;
+  }
+
+(* ---------- binding ---------- *)
+
+(* Every combination of one entry per grouped part, for a [Many] family:
+   the state its recursion reads and writes, allocated once per binding. *)
 type combo = {
   out : V.t;
+  nm : int;  (* the family's members *)
   parts : V.t array;  (* per part, in reverse child order: its child view *)
   part_probe : int array;  (* its probe index *)
-  part_idx : int array;  (* its grouped slot in the child *)
+  part_family : int array;  (* its family in the child *)
+  part_member : int array;  (* per part g and member m, at [g * nm + m]: the member there *)
   part_arity : int array;  (* its key's arity *)
   part_cell : int array;  (* the cell it enumerates for the current row *)
   chosen : int array;  (* the entry it contributes to the current combination *)
-  prod : float array;  (* [prod.(g)]: the product before part [g] *)
+  prod : float array;
+      (* per member m, at [g * nm + m]: its product before part [g]; the
+         members' coefficients at [0, nm) *)
   (* per field of the merged key, in name order: a local column
      ([f_part] -1, [f_pos] its position, [f_ints] its int array or [||]
      when it is not [Ints]) or field [f_pos] of part [f_part]'s key *)
@@ -233,12 +448,13 @@ let merged_tuple st : Tuple.t =
         if p = V.nopack then (V.boxed_key src e).(f)
         else (Keypack.unpack st.part_arity.(g) p).(f))
 
-(* Add every combination of one entry per part from part [g] on, the
-   running product multiplied by the parts' values in part order. *)
+(* Add every combination of one entry per part from part [g] on, each
+   member's running product multiplied by its values in part order. *)
 let rec enumerate st g =
+  let nm = st.nm in
   if g = Array.length st.parts then begin
     let k = merged_key st in
-    let e =
+    let o =
       if k <> V.nopack then V.entry st.out st.target k
       else
         let key = merged_tuple st in
@@ -246,147 +462,68 @@ let rec enumerate st g =
         if k <> V.nopack then V.entry st.out st.target k
         else V.entry_boxed st.out st.target key
     in
-    add_to st.out e (Array.unsafe_get st.prod g)
+    add_values st.out o st.prod (g * nm) nm
   end
   else begin
     let src = Array.unsafe_get st.parts g in
     let e = ref (head src (Array.unsafe_get st.part_cell g)) in
     while !e >= 0 do
       Array.unsafe_set st.chosen g !e;
-      Array.unsafe_set st.prod (g + 1) (Array.unsafe_get st.prod g *. value_of src !e);
+      let b = block_at src !e and o = !e land value_mask in
+      if nm = 1 then
+        Array.unsafe_set st.prod (g + 1)
+          (Array.unsafe_get st.prod g *. Array.unsafe_get b (o + Array.unsafe_get st.part_member g))
+      else
+        for m = 0 to nm - 1 do
+          let i = (g * nm) + m in
+          Array.unsafe_set st.prod (i + nm)
+            (Array.unsafe_get st.prod i
+            *. Array.unsafe_get b (o + Array.unsafe_get st.part_member i))
+        done;
       enumerate st (g + 1);
       e := next_of src !e
     done
   end
 
-(* The kernel of a grouped slot. The coefficient is the term product times
-   the scalar children's partials in child order; the grouped children
-   ("parts") then multiply in reverse child order. Three shapes:
-   - no part: the key is the row's local group columns;
-   - no local group and one part (the hot root shape): each of the part's
-     keys, scaled by the coefficient;
-   - otherwise: every combination of one key per part, merged with the
-     local group values. *)
-let grouped_kernel cols (s : Plan.slot) (l : layout) (refs : layout array)
-    (wire : int array) (pr : probes) (out : V.t) terms powers
-    (filt : int -> bool) : kernel =
-  let children = List.init (Array.length refs) Fun.id in
-  let scalars = List.filter (fun c -> refs.(c).scalar) children in
-  let js = Array.of_list (List.map (fun c -> wire.(c)) scalars) in
-  let idxs = Array.of_list (List.map (fun c -> refs.(c).idx) scalars) in
-  let parts =
-    Array.of_list (List.rev (List.filter (fun c -> not refs.(c).scalar) children))
-  in
-  let locals = List.sort compare (Array.to_list s.Plan.local_groups) in
-  let gidx = l.idx in
-  match (parts, locals) with
-  | [||], _ ->
-      let positions = Array.of_list (List.map snd locals) in
-      let key = V.reader cols positions in
-      fun i _ _ cell0 ->
-        if filt i then begin
-          let v = coeff terms powers pr js idxs i in
-          let cell = cell0 + gidx in
-          let k = key i in
-          let e =
-            if k <> V.nopack then V.entry out cell k
-            else V.entry_boxed out cell (V.key_tuple cols positions i)
-          in
-          add_to out e v
-        end
-  | [| c |], [] ->
-      let j = wire.(c) and cidx = refs.(c).idx in
-      let src = pr.views.(j) in
-      fun i _ _ cell0 ->
-        if filt i then begin
-          let v = coeff terms powers pr js idxs i in
-          let cell = cell0 + gidx in
-          let e = ref (head src (Array.unsafe_get pr.cell j + cidx)) in
-          while !e >= 0 do
-            let x = v *. value_of src !e in
-            add_to out (entry_from out cell src !e) x;
-            e := next_of src !e
-          done
-        end
-  | _ ->
-      let np = Array.length parts in
-      let source var =
-        match List.assoc_opt var locals with
-        | Some pos -> (-1, pos)
-        | None ->
-            let rec find g f =
-              let vars = refs.(parts.(g)).vars in
-              if f = Array.length vars then find (g + 1) 0
-              else if String.equal vars.(f) var then (g, f)
-              else find g (f + 1)
-            in
-            find 0 0
-      in
-      let fields = Array.map source l.vars in
-      let width = Keypack.field_width (Array.length l.vars) in
-      let st =
+(* How a bound family finds its keys: [One]'s probe index, or [Many]'s
+   combination state. *)
+type keys = K_local of (int -> int) * int array | K_one of int | K_many of combo
+
+(* Bind a family to a chunk's live columns. *)
+let bind_family cols (wire : int array) (pr : probes) (out : V.t) (f : family) =
+  match f.shape with
+  | Local positions -> K_local (V.reader cols positions, positions)
+  | One -> K_one wire.(f.grouped_children.(0))
+  | Many m ->
+      let np = Array.length m.parts and nm = f.members in
+      let child g = f.grouped_children.(m.parts.(g)) in
+      K_many
         {
           out;
-          parts = Array.map (fun c -> pr.views.(wire.(c))) parts;
-          part_probe = Array.map (fun c -> wire.(c)) parts;
-          part_idx = Array.map (fun c -> refs.(c).idx) parts;
-          part_arity = Array.map (fun c -> Array.length refs.(c).vars) parts;
+          nm;
+          parts = Array.init np (fun g -> pr.views.(wire.(child g)));
+          part_probe = Array.init np (fun g -> wire.(child g));
+          part_family = Array.init np (fun g -> f.child_family.(m.parts.(g)));
+          part_member =
+            Array.init (np * nm) (fun i -> f.child_member.((m.parts.(i / nm) * nm) + (i mod nm)));
+          part_arity = m.part_arity;
           part_cell = Array.make np 0;
           chosen = Array.make np 0;
-          prod = Array.make (np + 1) 0.0;
-          f_part = Array.map fst fields;
-          f_pos = Array.map snd fields;
+          prod = Array.make ((np + 1) * nm) 0.0;
+          f_part = m.f_part;
+          f_pos = m.f_pos;
           f_ints =
-            Array.map
-              (fun (g, pos) ->
+            Array.map2
+              (fun g pos ->
                 if g >= 0 then [||]
                 else match Column.data cols.(pos) with Column.Ints a -> a | _ -> [||])
-              fields;
-          width;
-          bound = 1 lsl width;
+              m.f_part m.f_pos;
+          width = Keypack.field_width (Array.length m.f_part);
+          bound = 1 lsl Keypack.field_width (Array.length m.f_part);
           cols;
           row = 0;
           target = 0;
         }
-      in
-      fun i _ _ cell0 ->
-        if filt i then begin
-          st.row <- i;
-          st.target <- cell0 + gidx;
-          for g = 0 to np - 1 do
-            st.part_cell.(g) <- pr.cell.(st.part_probe.(g)) + st.part_idx.(g)
-          done;
-          st.prod.(0) <- coeff terms powers pr js idxs i;
-          enumerate st 0
-        end
-
-(* ---------- view binding ---------- *)
-
-(* Payload layout: scalars and grouped partials counted separately in slot
-   order; a grouped slot's variables are its own group columns and its
-   children's variables, in name order. *)
-let layouts_of (view : Plan.view) (child_layouts : layout array array) =
-  let ns = ref 0 and ng = ref 0 in
-  Array.map
-    (fun (s : Plan.slot) ->
-      if s.Plan.scalar then begin
-        incr ns;
-        { idx = !ns - 1; scalar = true; vars = [||] }
-      end
-      else begin
-        incr ng;
-        let vars =
-          Array.concat
-            (Array.map fst s.Plan.local_groups
-            :: Array.to_list
-                 (Array.mapi
-                    (fun c cs -> child_layouts.(c).(cs).vars)
-                    s.Plan.child_slots))
-        in
-        Array.sort compare vars;
-        { idx = !ng - 1; scalar = false; vars }
-      end)
-    view.Plan.v_slots
 
 (* Count specialization fallbacks for one view binding: term columns
    whose live representation is boxed. *)
@@ -401,42 +538,151 @@ let count_fallbacks (view : Plan.view) cols =
         s.Plan.local_terms)
     view.Plan.v_slots
 
-(* Bind one view to a chunk's live columns: [feed i] adds row [i] into
-   [out] when every child of the view matched ([wire]: child -> probe
-   index). The row's key is inserted BEFORE any filter runs: an
+(* Bind one view's program to a chunk's live columns: [feed i] adds row
+   [i] into [out] when every child of the view matched ([wire]: child ->
+   probe index). The row's key is inserted BEFORE any filter runs: an
    all-filters-false row still creates a zero row. *)
-let bind_view schema cols (view : Plan.view) (layout : layout array)
-    (child_refs : layout array array) (wire : int array) (pr : probes)
+let bind_view schema cols (view : Plan.view) (p : program) (wire : int array) (pr : probes)
     (out : V.t) : int -> unit =
   let n_children = Array.length wire in
-  let n_slots = Array.length view.Plan.v_slots in
   let own_key = V.reader cols view.Plan.v_key in
   let scan_ok = compile_conjuncts schema cols view.Plan.v_scan_filter in
-  let kernels : kernel array =
-    Array.mapi
-      (fun s_idx (s : Plan.slot) ->
-        let filt = compile_conjuncts schema cols s.Plan.local_filter in
-        let terms = Array.map (fun (pos, _) -> term cols.(pos)) s.Plan.local_terms in
-        let powers = Array.map snd s.Plan.local_terms in
-        let l = layout.(s_idx) and refs = child_refs.(s_idx) in
-        if l.scalar then begin
-          (* every child of a scalar slot is scalar *)
-          let idxs = Array.map (fun (r : layout) -> r.idx) refs in
-          let p = l.idx in
-          if s.Plan.local_filter = [] then fun i blk base _ ->
-            let v = coeff terms powers pr wire idxs i in
-            let o = base + p in
-            Array.unsafe_set blk o (Array.unsafe_get blk o +. v)
-          else fun i blk base _ ->
-            if filt i then begin
-              let v = coeff terms powers pr wire idxs i in
-              let o = base + p in
-              Array.unsafe_set blk o (Array.unsafe_get blk o +. v)
-            end
-        end
-        else grouped_kernel cols s l refs wire pr out terms powers filt)
-      view.Plan.v_slots
+  let filters = Array.map (compile_conjuncts schema cols) p.conjuncts in
+  let n_filters = Array.length filters in
+  let ok = Array.make n_filters false in
+  let terms = Array.map (Array.map (fun (pos, _) -> term cols.(pos))) p.products in
+  let powers = Array.map (Array.map snd) p.products in
+  (* a product with a boxed term is computed only for a row where a slot
+     using it passes its filter; the others always *)
+  let boxed q = Array.exists (function Tlazy _ -> true | Tf _ | Ti _ -> false) terms.(q) in
+  let eager, on_demand = List.partition (fun q -> not (boxed q)) (List.init (Array.length terms) Fun.id) in
+  let eager = Array.of_list eager and on_demand = Array.of_list on_demand in
+  let pv = Array.make (Array.length terms) 0.0 in
+  let needed q =
+    let fs = p.product_filters.(q) in
+    let rec any j = j < Array.length fs && (ok.(fs.(j)) || any (j + 1)) in
+    Array.length fs = 0 || any 0
   in
+  let n_scalars = Array.length p.s_filter in
+  let families = p.families in
+  let n_families = Array.length families in
+  (* Members [0, n) in one multiply-add loop: member m, when its conjunct
+     list [filters.(m)] passes (-1: none), has the coefficient of its term
+     product [prod.(m)] times its scalar children's partials in child order
+     ([probes]: the children's probe indexes; [idx.(m * |probes| + c)]:
+     child c's scalar index), stored at [dst.(o + m)] or, with [add], added
+     there. Unrolled for up to two children. A view's scalar slots run as
+     the members of one such loop, added into the row's scalar block. *)
+  let coefficients filters prod idx probes n (dst : float array) o add =
+    match Array.length probes with
+    | 0 ->
+        for m = 0 to n - 1 do
+          let f = Array.unsafe_get filters m in
+          if f < 0 || Array.unsafe_get ok f then begin
+            let v = Array.unsafe_get pv (Array.unsafe_get prod m) and d = o + m in
+            Array.unsafe_set dst d (if add then Array.unsafe_get dst d +. v else v)
+          end
+        done
+    | 1 ->
+        let j = Array.unsafe_get probes 0 in
+        let b = Array.unsafe_get pr.blk j and bo = Array.unsafe_get pr.base j in
+        for m = 0 to n - 1 do
+          let f = Array.unsafe_get filters m in
+          if f < 0 || Array.unsafe_get ok f then begin
+            let v =
+              Array.unsafe_get pv (Array.unsafe_get prod m)
+              *. Array.unsafe_get b (bo + Array.unsafe_get idx m)
+            and d = o + m in
+            Array.unsafe_set dst d (if add then Array.unsafe_get dst d +. v else v)
+          end
+        done
+    | 2 ->
+        let j0 = Array.unsafe_get probes 0 and j1 = Array.unsafe_get probes 1 in
+        let b0 = Array.unsafe_get pr.blk j0 and o0 = Array.unsafe_get pr.base j0 in
+        let b1 = Array.unsafe_get pr.blk j1 and o1 = Array.unsafe_get pr.base j1 in
+        for m = 0 to n - 1 do
+          let f = Array.unsafe_get filters m in
+          if f < 0 || Array.unsafe_get ok f then begin
+            let v =
+              Array.unsafe_get pv (Array.unsafe_get prod m)
+              *. Array.unsafe_get b0 (o0 + Array.unsafe_get idx (2 * m))
+              *. Array.unsafe_get b1 (o1 + Array.unsafe_get idx ((2 * m) + 1))
+            and d = o + m in
+            Array.unsafe_set dst d (if add then Array.unsafe_get dst d +. v else v)
+          end
+        done
+    | nc ->
+        for m = 0 to n - 1 do
+          let f = Array.unsafe_get filters m in
+          if f < 0 || Array.unsafe_get ok f then begin
+            let v = ref (Array.unsafe_get pv (Array.unsafe_get prod m)) in
+            for c = 0 to nc - 1 do
+              v :=
+                !v
+                *. child_scalar pr (Array.unsafe_get probes c)
+                     (Array.unsafe_get idx ((m * nc) + c))
+            done;
+            let d = o + m in
+            Array.unsafe_set dst d (if add then Array.unsafe_get dst d +. !v else !v)
+          end
+        done
+  in
+  (* Each family as one closure [run i cell0], its shape, constants and
+     working arrays bound in: when its filter passes, its members'
+     coefficients go to its keys for row [i], whose output row's cells
+     start at [cell0]. *)
+  let runner (f : family) : int -> int -> unit =
+    let cv = Array.make f.members 0.0 in
+    let probes = Array.map (fun c -> wire.(c)) f.scalar_children in
+    let filter = f.filter and nm = f.members and fc = f.cell in
+    (* the family's filter is tested once, before its members run *)
+    let unfiltered = Array.make nm (-1) and prod = f.prod and idx = f.scalar_idx in
+    match bind_family cols wire pr out f with
+    | K_local (key, positions) ->
+        fun i cell0 ->
+          if filter < 0 || Array.unsafe_get ok filter then begin
+            let cell = cell0 + fc in
+            let k = key i in
+            let o =
+              if k <> V.nopack then V.entry out cell k
+              else V.entry_boxed out cell (V.key_tuple cols positions i)
+            in
+            coefficients unfiltered prod idx probes nm (block_at out o) (o land value_mask) true
+          end
+    | K_one j ->
+        let members = f.child_member and cfam = f.child_family.(0) in
+        fun _ cell0 ->
+          if filter < 0 || Array.unsafe_get ok filter then begin
+            coefficients unfiltered prod idx probes nm cv 0 false;
+            let src = Array.unsafe_get pr.views j in
+            let cell = cell0 + fc in
+            let e = ref (head src (Array.unsafe_get pr.cell j + cfam)) in
+            while !e >= 0 do
+              let tof = entry_from out cell src !e in
+              let sb = block_at src !e and so = !e land value_mask in
+              let tb = block_at out tof and tof = tof land value_mask in
+              for m = 0 to nm - 1 do
+                let x =
+                  Array.unsafe_get cv m *. Array.unsafe_get sb (so + Array.unsafe_get members m)
+                in
+                Array.unsafe_set tb (tof + m) (Array.unsafe_get tb (tof + m) +. x)
+              done;
+              e := next_of src !e
+            done
+          end
+    | K_many st ->
+        fun i cell0 ->
+          if filter < 0 || Array.unsafe_get ok filter then begin
+            coefficients unfiltered prod idx probes nm st.prod 0 false;
+            st.row <- i;
+            st.target <- cell0 + fc;
+            for g = 0 to Array.length st.parts - 1 do
+              st.part_cell.(g) <- pr.cell.(st.part_probe.(g)) + st.part_family.(g)
+            done;
+            enumerate st 0
+          end
+  in
+  let runners = Array.map runner families in
   let rec matched c =
     c = n_children
     || (Array.unsafe_get pr.hit (Array.unsafe_get wire c) >= 0 && matched (c + 1))
@@ -449,10 +695,23 @@ let bind_view schema cols (view : Plan.view) (layout : layout array)
         else V.row_boxed out (V.key_tuple cols view.Plan.v_key i)
       in
       if scan_ok i then begin
-        let blk = scalar_block out r and base = scalar_base out r in
-        let cell0 = r * out.V.grouped in
-        for s = 0 to n_slots - 1 do
-          (Array.unsafe_get kernels s) i blk base cell0
+        for f = 0 to n_filters - 1 do
+          Array.unsafe_set ok f ((Array.unsafe_get filters f) i)
+        done;
+        for e = 0 to Array.length eager - 1 do
+          let q = Array.unsafe_get eager e in
+          Array.unsafe_set pv q (product (Array.unsafe_get terms q) (Array.unsafe_get powers q) i)
+        done;
+        for d = 0 to Array.length on_demand - 1 do
+          let q = on_demand.(d) in
+          if needed q then pv.(q) <- product terms.(q) powers.(q) i
+        done;
+        if n_scalars > 0 then
+          coefficients p.s_filter p.s_prod p.s_child wire n_scalars (scalar_block out r)
+            (scalar_base out r) true;
+        let cell0 = r * out.V.families in
+        for k = 0 to n_families - 1 do
+          (Array.unsafe_get runners k) i cell0
         done
       end
     end
@@ -474,7 +733,7 @@ let bind_view schema cols (view : Plan.view) (layout : layout array)
    relation, so no index is built while chunks run. Either way a probe
    finds the same row. *)
 let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
-    (layouts : layout array array) (live : V.t option array)
+    (layouts : layout array) (live : V.t option array)
     (rel_name, out_ids) : V.t array =
   let outs = Array.map (fun v -> g.Plan.views.(v)) out_ids in
   (* the incoming views, each once in first-use order, with the key
@@ -500,25 +759,21 @@ let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
   in
   let inc_views = Array.map (fun (c, _) -> Option.get live.(c)) incoming in
   let out_layouts = Array.map (fun v -> layouts.(v)) out_ids in
-  (* per output slot: the layout of each child slot its kernel reads *)
-  let child_refs =
-    Array.map
-      (fun (o : Plan.view) ->
-        Array.map
-          (fun (s : Plan.slot) ->
-            Array.mapi (fun c cs -> layouts.(o.Plan.v_children.(c)).(cs)) s.Plan.child_slots)
-          o.Plan.v_slots)
+  let programs =
+    Array.mapi
+      (fun o (view : Plan.view) ->
+        program view out_layouts.(o) (Array.map (fun c -> layouts.(c)) view.Plan.v_children))
       outs
   in
   let rel = Database.relation db rel_name in
   Array.iter (fun o -> count_fallbacks o (Relation.columns rel)) outs;
   (* [scan_into] is invoked once per chunk — a parallel slice of the
      resident relation, or one streamed page chunk. Everything
-     representation-dependent (term columns, key readers, filters,
-     kernels, probe scratch) is specialised inside against THIS relation's
-     live columns, so concurrent chunks never share mutable state and
-     streamed chunks bind to their own pages. Construction is O(slots),
-     amortised over a chunk of rows. *)
+     representation-dependent (term columns, key readers, filters, the
+     per-row product, combination and probe arrays) is bound inside
+     against THIS relation's live columns, so concurrent chunks never
+     share mutable state and streamed chunks bind to their own pages.
+     Binding is O(slots), amortised over a chunk of rows. *)
   let scan_into rel (accs : V.t array) lo len =
     Obs.add c_tuples_scanned len;
     ignore (Relation.scan rel);
@@ -535,8 +790,7 @@ let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
     in
     let feeds =
       Array.mapi
-        (fun o view ->
-          bind_view schema cols view out_layouts.(o) child_refs.(o) wires.(o) pr accs.(o))
+        (fun o view -> bind_view schema cols view programs.(o) wires.(o) pr accs.(o))
         outs
     in
     let n_out = Array.length feeds in
@@ -583,7 +837,7 @@ let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
       if r >= 0 then begin
         pr.blk.(j) <- scalar_block v r;
         pr.base.(j) <- scalar_base v r;
-        pr.cell.(j) <- r * v.V.grouped;
+        pr.cell.(j) <- r * v.V.families;
         probe i (j + 1)
       end
       else (not required.(j)) && probe i (j + 1)
@@ -598,11 +852,7 @@ let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
     Obs.add c_hash_probes !hashes
   in
   let fresh () =
-    Array.map
-      (fun (ls : layout array) ->
-        let ns = Array.fold_left (fun n l -> if l.scalar then n + 1 else n) 0 ls in
-        V.create ~scalars:ns ~grouped:(Array.length ls - ns))
-      out_layouts
+    Array.map (fun (l : layout) -> V.create ~scalars:l.n_scalars ~widths:l.widths) out_layouts
   in
   match Database.stream db rel_name with
   | Some chunks ->
@@ -666,10 +916,10 @@ let run ~parallel ~chunk_threshold db (g : Plan.grouped) :
     (string * Spec.result) list =
   let nv = Array.length g.Plan.views in
   (* children come first, so one pass lays every view out *)
-  let layouts = Array.make nv [||] in
+  let layouts = Array.make nv { place = [||]; family = [||]; widths = [||]; vars = [||]; n_scalars = 0 } in
   Array.iteri
     (fun v (view : Plan.view) ->
-      layouts.(v) <- layouts_of view (Array.map (fun c -> layouts.(c)) view.Plan.v_children))
+      layouts.(v) <- layout_of view (Array.map (fun c -> layouts.(c)) view.Plan.v_children))
     g.Plan.views;
   let is_root = Array.make nv false in
   List.iter (fun (_, v, _) -> is_root.(v) <- true) g.Plan.outputs;
@@ -697,19 +947,20 @@ let run ~parallel ~chunk_threshold db (g : Plan.grouped) :
     g.Plan.scans;
   List.map
     (fun ((spec : Spec.t), v, slot) ->
-      let l = layouts.(v).(slot) in
+      let l = layouts.(v) in
       let view = Option.get live.(v) in
+      let f = l.family.(slot) and place = l.place.(slot) in
       (* a root view has the single empty key, which packs as 0 *)
       let result =
         match V.find view 0 with
-        | -1 -> if l.scalar then [ ([], 0.0) ] else []
+        | -1 -> if f < 0 then [ ([], 0.0) ] else []
         | r ->
-            if l.scalar then [ ([], V.scalar view r l.idx) ]
+            if f < 0 then [ ([], V.scalar view r place) ]
             else
-              bindings l.vars
+              bindings l.vars.(f)
                 (V.cell_bindings view
-                   ((r * view.V.grouped) + l.idx)
-                   ~arity:(Array.length l.vars))
+                   ((r * view.V.families) + f)
+                   ~arity:(Array.length l.vars.(f)) ~member:place)
       in
       (spec.id, result))
     g.Plan.outputs

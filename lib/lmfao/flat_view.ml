@@ -19,17 +19,24 @@
      block of at most [block_size] floats, allocated when its first row is
      added and never moved: block [r lsr shift], from offset
      [(r land (1 lsl shift - 1)) * scalars].
-   - Grouped partials. Cell [r * grouped + g] (row r, grouped slot g)
-     heads a chain of entries; an entry is a packed key (or [nopack]), the
-     next entry of its chain (-1 ends it), and a float value. Cells and
-     entries live in blocks too, so nothing moves as a view grows. A chain
-     is scanned linearly while its cell holds at most [linear_max]
-     entries; the entry that takes it past that promotes the cell to a
-     view-wide open-addressing index over (cell, key). Entries with boxed
-     keys are found through a (cell, tuple) hash table, never in a scan.
-   - A new entry starts at [-0.0], so its first addition stores the
-     operand bit for bit ([-0.0 +. v = v] for every v, zeros and NaNs
-     included). Scalars start at [+0.0]. *)
+   - Grouped partials, by family: the grouped slots whose keys are always
+     the same ([Plan.view]'s [v_families]) share one chain per row. Cell
+     [r * families + f] (row r, family f) heads a chain of entries. An
+     entry holds one value per member of its family, contiguous inside one
+     value block, and is named by the offset of its first value: the
+     links block beside each value block holds, at the entry's offset, its
+     packed key (or [nopack]) and the next entry of its chain (-1 ends
+     it). A family of width 1 thus spends two ints and one float per
+     entry; a wider one leaves the link pairs of its other members unused.
+     Cells, links and values live in blocks, so nothing moves as a view
+     grows. A chain is scanned linearly while its cell holds at most
+     [linear_max] entries; the entry that takes it past that promotes the
+     cell to a view-wide open-addressing index over (cell, key). Entries
+     with boxed keys are found through a (cell, tuple) hash table, never
+     in a scan.
+   - A new entry's values start at [-0.0], so a member's first addition
+     stores the operand bit for bit ([-0.0 +. v = v] for every v, zeros
+     and NaNs included). Scalars start at [+0.0]. *)
 
 open Relational
 
@@ -60,16 +67,18 @@ type boxed = {
 
 type t = {
   scalars : int;
-  grouped : int;
+  families : int;
+  widths : int array;
+  width : int;
   shift : int;
   mutable blocks : float array array;
   mutable cells : int array array;
   mutable links : int array array;
   mutable values : float array array;
+  mutable top : int;
   mutable index : int array;
   mutable keys : int array;
   mutable rows : int;
-  mutable entries : int;
   mutable promoted : int array;
   mutable n_promoted : int;
   boxed : boxed;
@@ -85,19 +94,25 @@ let rows_shift scalars =
   in
   go 0
 
-let create ~scalars ~grouped =
+let create ~scalars ~widths =
+  if Array.exists (fun w -> w < 1 || w > block_size) widths then
+    invalid_arg "Flat_view.create: a family of 1 to block_size members";
   {
     scalars;
-    grouped;
+    families = Array.length widths;
+    widths = Array.copy widths;
+    width =
+      (if Array.length widths > 0 && Array.for_all (( = ) widths.(0)) widths then widths.(0)
+       else 0);
     shift = rows_shift scalars;
     blocks = [||];
     cells = [||];
     links = [||];
     values = [||];
+    top = 0;
     index = [||];
     keys = Array.make 16 0;
     rows = 0;
-    entries = 0;
     promoted = [||];
     n_promoted = 0;
     boxed =
@@ -115,15 +130,17 @@ let pair_mask = (1 lsl pair_bits) - 1
 let[@inline] pair_block (blocks : int array array) i = Array.unsafe_get blocks (i lsr pair_bits)
 let[@inline] pair_at i = (i land pair_mask) lsl 1
 
-(* Cell [c]'s first entry and entry count; entry [e]'s key, next entry
-   and value. *)
+(* Cell [c]'s first entry and entry count; entry [e]'s key and next
+   entry. *)
 let[@inline] head t c = Array.unsafe_get (pair_block t.cells c) (pair_at c)
 let[@inline] count t c = Array.unsafe_get (pair_block t.cells c) (pair_at c + 1)
-let[@inline] key_of t e = Array.unsafe_get (pair_block t.links e) (pair_at e)
-let[@inline] next_of t e = Array.unsafe_get (pair_block t.links e) (pair_at e + 1)
+let[@inline] in_block o = o land (block_size - 1)
+let[@inline] link_block t e = Array.unsafe_get t.links (e lsr block_bits)
+let[@inline] key_of t e = Array.unsafe_get (link_block t e) (2 * in_block e)
+let[@inline] next_of t e = Array.unsafe_get (link_block t e) ((2 * in_block e) + 1)
 
-let[@inline] value_of t e =
-  Array.unsafe_get (Array.unsafe_get t.values (e lsr block_bits)) (e land (block_size - 1))
+(* The value block holding entry (or offset) [o]. *)
+let[@inline] value_block t o = Array.unsafe_get t.values (o lsr block_bits)
 
 (* Row [r]'s scalar block, and the offset of its first scalar there. *)
 let[@inline] block_of t r = t.blocks.(r lsr t.shift)
@@ -259,9 +276,9 @@ let add_row t =
     t.blocks <- room t.blocks b;
     t.blocks.(b) <- Array.make ((1 lsl t.shift) * t.scalars) 0.0
   end;
-  if t.grouped > 0 then
-    for b = ((r * t.grouped) + pair_mask) lsr pair_bits
-        to (((r + 1) * t.grouped) - 1) lsr pair_bits do
+  if t.families > 0 then
+    for b = ((r * t.families) + pair_mask) lsr pair_bits
+        to (((r + 1) * t.families) - 1) lsr pair_bits do
       t.cells <- room t.cells b;
       let cb = Array.make block_size 0 in
       for c = 0 to pair_mask do
@@ -343,24 +360,26 @@ let row_boxed t key =
 
 (* ---------- grouped entries ---------- *)
 
+(* A new entry of [cell]'s family, its values at [-0.0] at the top of the
+   current value block, or at the start of a new one when they do not fit
+   there. *)
 let new_entry t cell k =
-  let e = t.entries in
-  t.entries <- e + 1;
-  if e land pair_mask = 0 then begin
-    t.links <- room t.links (e lsr pair_bits);
-    t.links.(e lsr pair_bits) <- Array.make block_size 0
+  let w = if t.width > 0 then t.width else t.widths.(cell mod t.families) in
+  let e = if in_block t.top + w > block_size then (t.top lor (block_size - 1)) + 1 else t.top in
+  if in_block e = 0 then begin
+    let b = e lsr block_bits in
+    t.values <- room t.values b;
+    t.values.(b) <- Array.make block_size (-0.0);
+    t.links <- room t.links b;
+    t.links.(b) <- Array.make (2 * block_size) 0
   end;
-  if e land (block_size - 1) = 0 then begin
-    t.values <- room t.values (e lsr block_bits);
-    t.values.(e lsr block_bits) <- Array.make block_size 0.0
-  end;
+  t.top <- e + w;
   let cb = pair_block t.cells cell and co = pair_at cell in
-  let lb = pair_block t.links e and lo = pair_at e in
+  let lb = link_block t e and lo = 2 * in_block e in
   lb.(lo) <- k;
   lb.(lo + 1) <- cb.(co);
   cb.(co) <- e;
   cb.(co + 1) <- cb.(co + 1) + 1;
-  t.values.(e lsr block_bits).(e land (block_size - 1)) <- -0.0;
   e
 
 (* The slot of [p] holding (cell, k), or the free slot where it belongs. *)
@@ -445,7 +464,7 @@ let boxed_key t e = Hashtbl.find t.boxed.b_keys e
 
 (* Add source row [sr] into target row [tr]; a fresh target row takes the
    source's scalars as they are, and a key new to a target cell takes its
-   value as it is ([-0.0 +. v = v]). *)
+   values as they are ([-0.0 +. v = v]). *)
 let merge_row into src sr tr ~fresh =
   let ns = src.scalars in
   if ns > 0 then begin
@@ -457,14 +476,17 @@ let merge_row into src sr tr ~fresh =
         tb.(tof + j) <- tb.(tof + j) +. sb.(so + j)
       done
   end;
-  for g = 0 to src.grouped - 1 do
-    let tc = (tr * into.grouped) + g in
-    let e = ref (head src ((sr * src.grouped) + g)) in
+  for f = 0 to src.families - 1 do
+    let tc = (tr * into.families) + f in
+    let e = ref (head src ((sr * src.families) + f)) in
     while !e >= 0 do
       let k = key_of src !e in
-      let te = if k <> nopack then entry into tc k else entry_boxed into tc (boxed_key src !e) in
-      let vb = into.values.(te lsr block_bits) and vo = te land (block_size - 1) in
-      vb.(vo) <- vb.(vo) +. value_of src !e;
+      let tof = if k <> nopack then entry into tc k else entry_boxed into tc (boxed_key src !e) in
+      let sb = value_block src !e and so = in_block !e in
+      let tb = value_block into tof and tof = in_block tof in
+      for m = 0 to src.widths.(f) - 1 do
+        tb.(tof + m) <- tb.(tof + m) +. sb.(so + m)
+      done;
       e := next_of src !e
     done
   done
@@ -487,12 +509,13 @@ let merge into src =
 
 let scalar t r idx = (block_of t r).(base_of t r + idx)
 
-let cell_bindings t cell ~arity =
+let cell_bindings t cell ~arity ~member =
   let acc = ref [] and e = ref (head t cell) in
   while !e >= 0 do
     let k = key_of t !e in
     let key = if k <> nopack then Keypack.unpack arity k else boxed_key t !e in
-    acc := (key, value_of t !e) :: !acc;
+    let o = !e + member in
+    acc := (key, (value_block t o).(in_block o)) :: !acc;
     e := next_of t !e
   done;
   !acc

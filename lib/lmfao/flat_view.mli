@@ -8,13 +8,19 @@
       row out of the recorded keys; keys that do not pack go to a
       [Tuple.Tbl] side table.
     - Partials: each row's scalars contiguous in a fixed-size float block
-      that never moves, and each (row, grouped slot) cell's grouped
-      partials as a chain of entries in int and float blocks. A cell
-      scans its chain up to 16 entries and is indexed past that. New
-      entries start at [-0.0], so a first addition stores its operand bit
-      for bit; scalars start at [+0.0].
+      that never moves. Grouped slots come in families (slots that always
+      have the same keys, {!Plan.view}'s [v_families]); each (row, family)
+      cell holds one chain of entries. An entry holds one value per member
+      of its family, contiguous inside one value block, and is named by
+      the offset [e] of its first value: member [m]'s value is at
+      [values.(e lsr block_bits)] offset [(e land (block_size - 1)) + m],
+      and the entry's key and next entry at [links.(e lsr block_bits)]
+      offsets [2 * (e land (block_size - 1))] and [+ 1]. A cell scans its
+      chain up to 16 entries and is indexed past that. New entries' values
+      start at [-0.0], so a first addition stores its operand bit for bit;
+      scalars start at [+0.0].
 
-    The record is exposed so that [Exec]'s kernels read blocks in place;
+    The record is exposed so that [Exec]'s programs read blocks in place;
     everything that allocates or grows goes through the functions. *)
 
 open Relational
@@ -28,40 +34,44 @@ val block_bits : int
 
 val block_size : int
 (** [1 lsl block_bits] = 512: the most floats a scalar block holds (a row
-    wider than that gets a block to itself), and the values per entry block. *)
+    wider than that gets a block to itself), the floats per value block,
+    and the most members a family holds. *)
 
 val pair_bits : int
-(** Cells and entry links hold two ints each, [1 lsl pair_bits] per block:
-    cell [c]'s head and count at [cells.(c lsr pair_bits)] offsets
-    [2 * (c land (1 lsl pair_bits - 1))] and [+ 1]; entry [e]'s key and
-    next likewise in [links]. *)
+(** Cells hold two ints each, [1 lsl pair_bits] per block: cell [c]'s head
+    and count at [cells.(c lsr pair_bits)] offsets
+    [2 * (c land (1 lsl pair_bits - 1))] and [+ 1]. *)
 
 type boxed
 (** Keys that do not pack: rows by key, entries by (cell, key). *)
 
 type t = private {
   scalars : int;  (** scalar slots per row *)
-  grouped : int;  (** grouped slots per row; row r owns cells [r * grouped + g] *)
+  families : int;  (** families per row; row r owns cells [r * families + f] *)
+  widths : int array;  (** per family: its members, the values per entry *)
+  width : int;  (** the width every family has, 0 when they differ *)
   shift : int;
       (** row r's scalars: block [r lsr shift], offset
           [(r land (1 lsl shift - 1)) * scalars] *)
   mutable blocks : float array array;  (** scalar blocks *)
   mutable cells : int array array;  (** per cell: head entry (-1: none), count *)
-  mutable links : int array array;  (** per entry: key, next entry (-1: none) *)
-  mutable values : float array array;  (** per entry: its partial *)
+  mutable links : int array array;
+      (** beside each value block: per entry, its key and next entry (-1: none) *)
+  mutable values : float array array;  (** per entry: its members' partials *)
+  mutable top : int;  (** the next free value offset *)
   mutable index : int array;
       (** [key; row] pairs, row -1 when free; [[||]] while in key order *)
   mutable keys : int array;  (** row r's packed key, or {!nopack} *)
   mutable rows : int;
-  mutable entries : int;
   mutable promoted : int array;  (** [cell; key; entry] triples, entry -1 when free *)
   mutable n_promoted : int;
   boxed : boxed;
 }
 
-val create : scalars:int -> grouped:int -> t
-(** An empty view whose rows hold [scalars] scalar and [grouped] grouped
-    partials. *)
+val create : scalars:int -> widths:int array -> t
+(** An empty view whose rows hold [scalars] scalar partials and one cell
+    per family, family [f] with [widths.(f)] members.
+    @raise Invalid_argument unless every width is in [1, block_size]. *)
 
 (** {1 Keys} *)
 
@@ -112,8 +122,8 @@ val scalar : t -> int -> int -> float
 (** {1 Grouped entries} *)
 
 val entry : t -> int -> int -> int
-(** [entry t cell k]: the entry of packed key [k] in [cell], added at
-    [-0.0] when new. *)
+(** [entry t cell k]: the entry of packed key [k] in [cell], added with
+    its values at [-0.0] when new. *)
 
 val entry_boxed : t -> int -> Tuple.t -> int
 (** Likewise for a key that does not pack. *)
@@ -121,12 +131,14 @@ val entry_boxed : t -> int -> Tuple.t -> int
 val boxed_key : t -> int -> Tuple.t
 (** The key of an entry whose key is {!nopack}. *)
 
-val cell_bindings : t -> int -> arity:int -> (Tuple.t * float) list
-(** A cell's (key, value) pairs, unordered, keys unpacked at [arity]. *)
+val cell_bindings : t -> int -> arity:int -> member:int -> (Tuple.t * float) list
+(** A cell's (key, value) pairs for one member of its family, unordered,
+    keys unpacked at [arity]. *)
 
 val merge : t -> t -> unit
 (** [merge into src] adds every row of [src] into [into], packed keys in
-    [src]'s row order and then boxed ones: per key, sums in place, and a
-    key new to [into] (a row, or an entry of a cell) takes [src]'s
-    partials as they are. Merging an in-order view whose keys start at or
-    after [into]'s last keeps [into] in order. *)
+    [src]'s row order and then boxed ones: per key, sums in place member by
+    member, and a key new to [into] (a row, or an entry of a cell) takes
+    [src]'s partials as they are. The two views must have the same
+    scalars and family widths. Merging an in-order view whose keys start
+    at or after [into]'s last keeps [into] in order. *)

@@ -71,6 +71,7 @@ type view = {
   v_child_keys : int array array; (* per child: child-key positions here *)
   v_scan_filter : Predicate.t list; (* conjuncts every slot tests, hoisted *)
   v_slots : slot array; (* [child_slots] index the children's [v_slots] *)
+  v_families : int array array; (* per family: its grouped slots, in slot order *)
 }
 
 type grouped = {
@@ -85,6 +86,7 @@ let c_views = Obs.counter "lmfao.views"
 let c_partials = Obs.counter "lmfao.partials"
 let c_shared_away = Obs.counter "lmfao.shared_away"
 let c_fused = Obs.counter "lmfao.compile.filters_fused"
+let c_families = Obs.counter "lmfao.families"
 
 (* ---------- filter decomposition ---------- *)
 
@@ -259,24 +261,32 @@ let build options ~stats (jt : Join_tree.t) ~root (specs : Spec.t list) :
 
 (* Root choice per aggregate (the heart of LMFAO's multi-root design):
    group-by aggregates root at the relation owning their first group-by
-   attribute (grouping stays local); scalar products root at the relation
-   owning their first term, so the products are computed over that (usually
-   small dimension) relation while the big fact table contributes only
-   DEDUPLICATED partial sums — one per attribute rather than one per
-   aggregate; pure counts root at the smallest relation. *)
+   attribute (grouping stays local); scalar products root at the smallest
+   relation owning one of their terms (ties go to the earlier term, so a
+   product of one relation's attributes roots where its first term's owner
+   is), so the products are computed over a small dimension relation while
+   the big fact table contributes only DEDUPLICATED partial sums — one per
+   attribute rather than one per aggregate; pure counts root at the
+   smallest relation. *)
 let choose_root (jt : Join_tree.t) ~default_root (s : Spec.t) =
+  let owner attr =
+    List.find_opt (fun r -> Schema.mem (Relation.schema r) attr) (Join_tree.relations jt)
+  in
   let owner_of attr =
-    match
-      List.find_opt
-        (fun r -> Schema.mem (Relation.schema r) attr)
-        (Join_tree.relations jt)
-    with
-    | Some r -> Relation.name r
-    | None -> default_root
+    match owner attr with Some r -> Relation.name r | None -> default_root
   in
   match (s.group_by, s.terms) with
   | g :: _, _ -> owner_of g
-  | [], (a, _) :: _ -> owner_of a
+  | [], (a, _) :: rest ->
+      let size attr =
+        match owner attr with Some r -> Relation.cardinality r | None -> max_int
+      in
+      fst
+        (List.fold_left
+           (fun ((_, n) as best) (b, _) ->
+             let m = size b in
+             if m < n then (owner_of b, m) else best)
+           (owner_of a, size a) rest)
   | [], [] -> (
       match
         List.sort
@@ -328,7 +338,7 @@ let group_by_root options (db : Database.t) (batch : Batch.t) :
 
 (* Hoist the filter conjuncts that EVERY slot of a view tests into the
    view's scan filter, so a row tests them once instead of once per slot.
-   The scan filter gates the slot kernels, never the view's key insertion:
+   The scan filter gates the slots, never the view's key insertion:
    a row whose filters all fail still creates its zero row, which a parent
    row then finds, so hoisting leaves every result bit alone. *)
 let hoist_filters (slots : slot array) : Predicate.t list * slot array =
@@ -349,6 +359,38 @@ let hoist_filters (slots : slot array) : Predicate.t list * slot array =
             { s with local_filter }
           in
           (common, Array.map strip slots))
+
+(* Gather the grouped slots of a view into families: slots whose keys are
+   exactly the same because they come from the same source — the same
+   local group columns, the same local filter, and per child the same
+   family of the child view (or, for a scalar child, none). A row then
+   finds a family's key once for all its members. A family holds at most
+   [Flat_view.block_size] members, so that one entry's values fit in one
+   value block; a wider one splits. [child_family.(c)] maps child [c]'s
+   slots to their families (-1 for a scalar slot); the result maps this
+   view's slots. *)
+let families (child_family : int array array) (slots : slot array) : int array =
+  let by_source = Hashtbl.create 8 and n = ref 0 in
+  Array.map
+    (fun s ->
+      if s.scalar then -1
+      else begin
+        let source =
+          ( List.sort compare (Array.to_list s.local_groups),
+            List.sort_uniq compare s.local_filter,
+            Array.mapi (fun c cs -> child_family.(c).(cs)) s.child_slots )
+        in
+        let f, size =
+          match Hashtbl.find_opt by_source source with
+          | Some (f, size) when size < Flat_view.block_size -> (f, size)
+          | _ ->
+              incr n;
+              (!n - 1, 0)
+        in
+        Hashtbl.replace by_source source (f, size + 1);
+        f
+      end)
+    slots
 
 (* Merge the per-root plans into directed views, deduplicating slots by
    key across roots, and schedule one scan per group of views over a
@@ -462,10 +504,27 @@ let group (jt : Join_tree.t) ~(stats : stats) (rooted : rooted list) :
               v_child_keys = n.child_keys;
               v_scan_filter;
               v_slots;
+              v_families = [||];
             })
           vs)
       steps
     |> Array.of_list
+  in
+  (* families, children first: a family's source names its children's *)
+  let slot_family = Array.make (Array.length views) [||] in
+  let views =
+    Array.mapi
+      (fun id v ->
+        let family = families (Array.map (fun c -> slot_family.(c)) v.v_children) v.v_slots in
+        slot_family.(id) <- family;
+        let n = Array.fold_left (fun n f -> Stdlib.max n (f + 1)) 0 family in
+        let members = Array.make n [] in
+        for s = Array.length family - 1 downto 0 do
+          if family.(s) >= 0 then members.(family.(s)) <- s :: members.(family.(s))
+        done;
+        Obs.add c_families n;
+        { v with v_families = Array.map Array.of_list members })
+      views
   in
   Array.iteri (fun id v -> assert (Array.for_all (fun c -> c < id) v.v_children)) views;
   let outputs =

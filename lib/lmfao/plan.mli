@@ -60,7 +60,9 @@ type rooted = {
 
 val choose_root : Join_tree.t -> default_root:string -> Spec.t -> string
 (** The multi-root policy: group-bys root at their first group attribute's
-    relation; products at their first term's owner; counts at the smallest
+    relation; scalar products at the smallest relation that owns one of
+    their terms, ties to the earlier term (so an aggregate with at most one
+    term roots at its first term's owner); counts at the smallest
     relation. *)
 
 val group_by_root :
@@ -86,8 +88,14 @@ type view = {
   v_child_keys : int array array;  (** per child: child-key positions here *)
   v_scan_filter : Predicate.t list;
       (** the conjuncts every slot tests, hoisted out of their
-          [local_filter]s: they gate the slot kernels, never the key insert *)
+          [local_filter]s: they gate the slots, never the key insert *)
   v_slots : slot array;  (** [child_slots] index the children's [v_slots] *)
+  v_families : int array array;
+      (** the grouped slots in families, each family's members in slot
+          order: slots with the same local group columns, the same local
+          filter and, per child, the same child family (or a scalar child
+          partial), which therefore have exactly the same keys. At most
+          [Flat_view.block_size] members each. *)
 }
 
 type grouped = {
@@ -106,7 +114,8 @@ val group : Join_tree.t -> stats:stats -> rooted list -> grouped * stats
     and its views toward all but its largest neighbour N, a second scan
     of C for C->N, then a down pass. Every relation is scanned at most
     twice. Each view's [v_scan_filter] holds the conjuncts all of its
-    slots test, counted in [lmfao.compile.filters_fused]. [stats] holds
+    slots test, counted in [lmfao.compile.filters_fused], and its
+    [v_families] are counted in [lmfao.families]. [stats] holds
     the rooted plans' counts (from {!build}); the result's stats count
     merged views and slots, with [shared_away] covering both per-root and
     cross-root dedup, and are added to the [lmfao.views] /

@@ -10,7 +10,8 @@
      (Batch.fingerprint, database epoch)
 
    where the epoch is an atomic counter advanced by every delta batch. A
-   request whose cached entry carries the current epoch is a HIT (no engine
+   request whose cached entry carries the current epoch and holds the
+   same batch (a fingerprint match alone is not enough) is a HIT (no engine
    work at all). On delta application, cache entries are either
 
    - REFRESHED in place, when every aggregate of the batch is a coordinate
@@ -43,6 +44,7 @@ module Maintainer = Fivm.Maintainer
 type coord = C | S of int | Q of int * int
 
 type entry = {
+  e_batch : Batch.t; (* the batch answered; a hit must equal it *)
   mutable e_epoch : int; (* epoch the cached result is valid for *)
   mutable e_result : (string * Spec.result) list;
   refresh : (string * coord) list option;
@@ -226,7 +228,7 @@ let serve t (batch : Batch.t) : (string * Spec.result) list =
   let cached =
     locked t (fun () ->
         match Hashtbl.find_opt t.cache fp with
-        | Some e when e.e_epoch = now -> Some e.e_result
+        | Some e when e.e_epoch = now && Batch.equal e.e_batch batch -> Some e.e_result
         | _ -> None)
   in
   match cached with
@@ -240,13 +242,14 @@ let serve t (batch : Batch.t) : (string * Spec.result) list =
       let keyed = recompute t batch in
       locked t (fun () ->
           match Hashtbl.find_opt t.cache fp with
-          | Some e when e.e_epoch >= now ->
+          | Some e when e.e_epoch >= now && Batch.equal e.e_batch batch ->
               (* a concurrent miss (or a refresh) got there first; keep the
                  newer entry *)
               ()
           | _ ->
               Hashtbl.replace t.cache fp
                 {
+                  e_batch = batch;
                   e_epoch = now;
                   e_result = keyed;
                   refresh = refresh_plan t batch;
@@ -496,8 +499,8 @@ module Admission = struct
     cfg : config;
     prng : Util.Prng.t;
     tenants : (string, bucket) Hashtbl.t;
-    shadow : (int, int * (string * Spec.result) list) Hashtbl.t;
-        (* fingerprint -> (epoch, exact result served at that epoch) *)
+    shadow : (int, Batch.t * int * (string * Spec.result) list) Hashtbl.t;
+        (* fingerprint -> (batch, epoch, exact result served at that epoch) *)
     mutable pending : Fivm.Delta.update list list; (* newest first *)
     mutable pending_updates : int;
   }
@@ -556,14 +559,14 @@ module Admission = struct
      batch (shed — a degraded but correct answer), otherwise the request is
      effectively dropped (timeout — no answer at all). Either way the
      resolution is a cache lookup, free on the virtual timeline. *)
-  let shed_outcome a ~fp ~arrival =
+  let shed_outcome a ~batch ~fp ~arrival =
     Obs.observe h_latency 0.0;
     let status, result =
       match Hashtbl.find_opt a.shadow fp with
-      | Some (e, r) ->
+      | Some (b, e, r) when Batch.equal b batch ->
           Obs.incr c_shed;
           (Stale e, Some r)
-      | None ->
+      | Some _ | None ->
           Obs.incr c_timeout;
           (Timeout, None)
     in
@@ -582,14 +585,14 @@ module Admission = struct
     let fp = Batch.fingerprint batch in
     if not (take_token a ~tenant ~now:arrival) then
       (* over quota: this tenant gets a degraded answer, never a lane *)
-      shed_outcome a ~fp ~arrival
+      shed_outcome a ~batch ~fp ~arrival
     else begin
       let started = Float.max arrival lane_free in
       let queue_delay = started -. arrival in
       if queue_delay > a.cfg.gate_delay then
         (* global gate: the lanes are so far behind that admitting would
            only grow the queue — answer stale instead *)
-        shed_outcome a ~fp ~arrival
+        shed_outcome a ~batch ~fp ~arrival
       else begin
         (* admitted to a lane: real engine work on the virtual timeline,
            with transient faults retried under full-jitter backoff *)
@@ -648,7 +651,7 @@ module Admission = struct
             end
             else begin
               let e = Atomic.get a.srv.epoch in
-              Hashtbl.replace a.shadow fp (e, r);
+              Hashtbl.replace a.shadow fp (batch, e, r);
               Obs.incr c_admitted;
               {
                 status = Fresh e;

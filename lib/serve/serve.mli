@@ -1,7 +1,9 @@
 (** Concurrent aggregate AND model serving over {!Lmfao.Engine} with an
     epoch-invalidated result cache kept fresh by {!Fivm.Maintainer}.
 
-    Batches are cached under [(Batch.fingerprint, epoch)]: every delta batch
+    Batches are cached under [(Batch.fingerprint, epoch)], and a hit also
+    requires the cached batch to equal the request ({!Batch.equal}): every
+    delta batch
     advances the atomic epoch, then either refreshes cache entries in place
     (batches made entirely of maintained covariance-triple coordinates —
     COUNT / SUM(x) / SUM(x^2) / SUM(x*y) over the features, unfiltered,

@@ -176,7 +176,7 @@ let random_batches_match options_desc options =
    neighbour never holds, and the batch roots aggregates at every
    relation. *)
 
-let random_tree rng =
+let random_tree ?(real = false) rng =
   let n = 3 + Util.Prng.int rng 3 in
   let edges =
     if Util.Prng.int rng 2 = 0 then List.init (n - 1) (fun i -> (0, i + 1))
@@ -191,10 +191,12 @@ let random_tree rng =
         (List.map (fun e -> (key e, Value.TInt)) mine
         @ [ (Printf.sprintf "c%d" i, Value.TInt); (Printf.sprintf "m%d" i, Value.TFloat) ])
     in
+    (* real measures: the lattice value scaled off the lattice, with the
+       same draws *)
+    let measure k = if real then (float_of_int k /. 16.0 *. 1.1) +. 0.01 else float_of_int k /. 16.0 in
     let row keys =
       Array.of_list
-        (List.map int keys
-        @ [ int (Util.Prng.int rng 3); flt (float_of_int (Util.Prng.int rng 64) /. 16.0) ])
+        (List.map int keys @ [ int (Util.Prng.int rng 3); flt (measure (Util.Prng.int rng 64)) ])
     in
     let rows =
       List.init (Util.Prng.int rng 7) (fun _ ->
@@ -247,6 +249,93 @@ let view_groups_match_flat (desc, options) =
       let rng = Util.Prng.create seed in
       let db = random_tree rng in
       check_vs_flat ~options db (tree_batch rng db))
+
+(* ---- families ----
+
+   Batches built to form families on the random trees: several group sets
+   of one to three categories, each under a few filters from a small pool
+   (conjuncts on several relations among them), each with several products
+   of measures across relations, so that slots share keys in every shape a
+   family takes — local group columns only, one grouped child and no local
+   group, local columns merged with grouped children — beside scalar
+   products across relations and a count. On the lattice the engine must
+   match flat evaluation bit for bit; on real measures (the same draws
+   scaled off the lattice) within [Spec.within_bound]; both sequentially
+   and in parallel chunks on four domains. *)
+
+let family_batch rng db =
+  let n = List.length (Database.relations db) in
+  let c i = Printf.sprintf "c%d" i and m i = Printf.sprintf "m%d" i in
+  let pick () = Util.Prng.int rng n in
+  let filters =
+    [
+      Predicate.True;
+      Predicate.Eq (c (pick ()), int (Util.Prng.int rng 3));
+      Predicate.And
+        ( Predicate.Ge (m (pick ()), flt (float_of_int (Util.Prng.int rng 3))),
+          Predicate.Eq (c (pick ()), int (Util.Prng.int rng 3)) );
+    ]
+  in
+  let products () =
+    List.init
+      (2 + Util.Prng.int rng 3)
+      (fun _ ->
+        match Util.Prng.int rng 3 with
+        | 0 -> []
+        | 1 -> [ (m (pick ()), 1 + Util.Prng.int rng 2) ]
+        | _ -> [ (m (pick ()), 1); (m (pick ()), 1) ])
+  in
+  let group_sets =
+    List.init
+      (2 + Util.Prng.int rng 3)
+      (fun _ -> List.sort_uniq compare (List.init (1 + Util.Prng.int rng 3) (fun _ -> c (pick ()))))
+  in
+  let id = ref 0 in
+  let spec filter terms group_by =
+    incr id;
+    Spec.make ~filter ~id:(Printf.sprintf "f%d" !id) ~terms ~group_by ()
+  in
+  let grouped =
+    List.concat_map
+      (fun group_by ->
+        List.concat_map
+          (fun filter ->
+            if Util.Prng.int rng 2 = 0 then []
+            else List.map (fun terms -> spec filter terms group_by) (products ()))
+          filters)
+      group_sets
+  in
+  let scalar = List.map (fun terms -> spec Predicate.True terms []) (products ()) in
+  { Batch.name = "families"; aggregates = (Spec.count ~id:"n" :: grouped) @ scalar }
+
+let on_four_domains f =
+  let saved = Sys.getenv_opt "BORG_DOMAINS" and budget = Util.Pool.worker_budget () in
+  Unix.putenv "BORG_DOMAINS" "4";
+  Util.Pool.set_worker_budget 3;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "BORG_DOMAINS" (Option.value saved ~default:"");
+      Util.Pool.set_worker_budget budget)
+    f
+
+let families_match_flat =
+  QCheck2.Test.make ~count:25
+    ~name:"families: engine = flat (lattice bitwise, real within bound), sequential and parallel"
+    QCheck2.Gen.int
+    (fun seed ->
+      let lattice = random_tree (Util.Prng.create seed) in
+      let real = random_tree ~real:true (Util.Prng.create seed) in
+      let batch = family_batch (Util.Prng.create (seed + 1)) lattice in
+      let within db options =
+        let join = Database.materialise_join db in
+        let m = Batch.rounding_ops db ~join_rows:(Relation.cardinality join) batch in
+        Spec.keyed_within_bound ~m (Batch.eval_flat_bounded join batch)
+          (Engine.eval_batch ~options db batch)
+      in
+      let parallel = { default with Engine.parallel = true; chunk_threshold = 2 } in
+      let sequential_ok = check_vs_flat ~options:default lattice batch && within real default in
+      sequential_ok
+      && on_four_domains (fun () -> check_vs_flat ~options:parallel lattice batch && within real parallel))
 
 (* ---- all datagen schemas ----
 
@@ -506,6 +595,34 @@ let cache_revalidates_roots () =
   Alcotest.(check bool) "large D (roots moved)" true
     (cached_matches_fresh ~options:default (db false) batch)
 
+(* Two thresholds that agree to six significant digits: at retailer scale
+   0.05, seed 1, [prize >= 32.629302406863651] holds for 4004 join rows
+   and [prize >= 32.629302472122255] for 1290. Batches that differ only
+   there are different batches, and so are batches that differ only in
+   their ids: neither may reuse the other's plan. *)
+let close_thresholds_and_ids () =
+  let db = Datagen.Retailer.generate ~scale:0.05 ~seed:1 () in
+  let batch id t =
+    {
+      Batch.name = "threshold";
+      aggregates =
+        [ Spec.make ~filter:(Predicate.Ge ("prize", flt t)) ~id ~terms:[] ~group_by:[] () ];
+    }
+  in
+  let count b = Spec.scalar_result (List.assoc (List.hd b.Batch.aggregates).Spec.id (Cengine.eval_batch db b)) in
+  Alcotest.(check (float 0.0)) "lower threshold" 4004.0 (count (batch "n" 32.629302406863651));
+  Alcotest.(check (float 0.0)) "higher threshold, after the lower one" 1290.0
+    (count (batch "n" 32.629302472122255));
+  Alcotest.(check (list string)) "another id, after the first" [ "m" ]
+    (List.map fst (Cengine.eval_batch db (batch "m" 32.629302472122255)));
+  let c = Cengine.compile db (batch "n" 32.629302472122255) in
+  Alcotest.(check bool) "a plan is not reusable for other ids" false
+    (Cengine.reusable c db (batch "m" 32.629302472122255));
+  Alcotest.(check bool) "nor for a close threshold" false
+    (Cengine.reusable c db (batch "n" 32.629302406863651));
+  Alcotest.(check bool) "but is for its own batch" true
+    (Cengine.reusable c db (batch "n" 32.629302472122255))
+
 (* ---- specialization fallbacks ----
 
    Only term columns that are boxed count: grouped slots run on the one
@@ -649,6 +766,7 @@ let () =
             ("default", default);
             ("parallel", { default with Engine.parallel = true; chunk_threshold = 2 });
           ] );
+      ("families", [ qcheck families_match_flat ]);
       ( "datagen",
         [ Alcotest.test_case "all schemas = flat" `Quick datagen_schemas ] );
       ( "keys",
@@ -667,6 +785,8 @@ let () =
             cache_is_bounded;
           Alcotest.test_case "signature revalidates roots" `Quick
             cache_revalidates_roots;
+          Alcotest.test_case "close thresholds and other ids miss" `Quick
+            close_thresholds_and_ids;
         ] );
       ( "fallbacks",
         [

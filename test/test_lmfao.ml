@@ -370,7 +370,7 @@ let parallel_differential_matrix =
    keys. Every key stays findable across both changes. *)
 let flat_view_orders () =
   let module V = Lmfao.Flat_view in
-  let v = V.create ~scalars:1 ~grouped:0 in
+  let v = V.create ~scalars:1 ~widths:[||] in
   for k = 0 to 49 do
     Alcotest.(check int) "appended" k (V.row v (3 * k));
     Alcotest.(check int) "repeat of the last key" k (V.row v (3 * k))
@@ -400,19 +400,162 @@ let flat_view_orders () =
   done;
   Alcotest.(check int) "find boxed" 51 (V.find_boxed v boxed);
   (* a boxed key alone also takes a view out of order *)
-  let w = V.create ~scalars:1 ~grouped:0 in
+  let w = V.create ~scalars:1 ~widths:[||] in
   ignore (V.row w 7);
   ignore (V.row_boxed w boxed);
   Alcotest.(check bool) "boxed key: indexed" false (V.in_order w);
   Alcotest.(check int) "find after a boxed key" 0 (V.find w 7);
   (* merging views whose keys follow on keeps the target in order *)
-  let a = V.create ~scalars:1 ~grouped:0 and b = V.create ~scalars:1 ~grouped:0 in
+  let a = V.create ~scalars:1 ~widths:[||] and b = V.create ~scalars:1 ~widths:[||] in
   List.iter (fun k -> ignore (V.row a k)) [ 1; 4; 6 ];
   List.iter (fun k -> ignore (V.row b k)) [ 6; 8; 9 ];
   V.merge a b;
   Alcotest.(check bool) "merged in order" true (V.in_order a);
   Alcotest.(check (list int)) "merged rows" [ 0; 1; 2; 3; 4; -1 ]
     (List.map (V.find a) [ 1; 4; 6; 8; 9; 5 ])
+
+(* ---- families ----
+
+   A family's entries hold one value per member, contiguously: entries of
+   width 1 and 3 side by side in one row, a chain promoted past the 16
+   entries it scans, boxed keys, merges into new and existing entries, and
+   extraction member by member. *)
+let flat_view_families () =
+  let module V = Lmfao.Flat_view in
+  let widths = [| 1; 3; 1 |] in
+  let v = V.create ~scalars:0 ~widths in
+  let value (v : V.t) e m = v.V.values.(e lsr V.block_bits).((e land (V.block_size - 1)) + m) in
+  let add (v : V.t) e m x =
+    let b = v.V.values.(e lsr V.block_bits) and o = (e land (V.block_size - 1)) + m in
+    b.(o) <- b.(o) +. x
+  in
+  let cell (v : V.t) r f = (r * v.V.families) + f in
+  let r = V.row v 7 in
+  let e = V.entry v (cell v r 1) 5 in
+  for m = 0 to 2 do
+    Alcotest.(check bool) "a new entry's members start at -0.0" true
+      (Int64.bits_of_float (value v e m) = Int64.bits_of_float (-0.0))
+  done;
+  add v e 0 1.0;
+  add v e 2 2.0;
+  Alcotest.(check int) "the same key finds the same entry" e (V.entry v (cell v r 1) 5);
+  (* 40 keys in one cell: promoted past 16, each still found *)
+  for k = 0 to 39 do
+    add v (V.entry v (cell v r 0) k) 0 (float_of_int k)
+  done;
+  for k = 0 to 39 do
+    add v (V.entry v (cell v r 0) k) 0 1.0
+  done;
+  let boxed = [| Value.Str "s" |] in
+  let eb = V.entry_boxed v (cell v r 2) boxed in
+  add v eb 0 4.0;
+  Alcotest.(check int) "a boxed key finds its entry" eb (V.entry_boxed v (cell v r 2) boxed);
+  let members c m =
+    List.sort compare
+      (List.map (fun (k, x) -> (Array.to_list k, x)) (V.cell_bindings v c ~arity:1 ~member:m))
+  in
+  let key k = [ Value.Int k ] in
+  Alcotest.(check (list (pair (list (of_pp Value.pp)) (float 0.0))))
+    "member 0 of the wide family" [ (key 5, 1.0) ] (members (cell v r 1) 0);
+  Alcotest.(check (list (pair (list (of_pp Value.pp)) (float 0.0))))
+    "member 2 of the wide family" [ (key 5, 2.0) ] (members (cell v r 1) 2);
+  Alcotest.(check (list (pair (list (of_pp Value.pp)) (float 0.0))))
+    "the promoted chain" (List.init 40 (fun k -> (key k, float_of_int (k + 1))))
+    (members (cell v r 0) 0);
+  Alcotest.(check (list (pair (list (of_pp Value.pp)) (float 0.0))))
+    "the boxed key" [ (Array.to_list boxed, 4.0) ] (members (cell v r 2) 0);
+  (* merging: an existing key adds member by member, a new key and a new
+     row arrive as they are *)
+  let w = V.create ~scalars:0 ~widths in
+  let rw = V.row w 7 in
+  let e5 = V.entry w (cell w rw 1) 5 and e6 = V.entry w (cell w rw 1) 6 in
+  List.iteri (fun m x -> add w e5 m x) [ 10.0; 20.0; 30.0 ];
+  List.iteri (fun m x -> add w e6 m x) [ 0.5; -0.0; 1.5 ];
+  let r9 = V.row w 9 in
+  add w (V.entry w (cell w r9 0) 3) 0 7.0;
+  V.merge v w;
+  let triple k =
+    let e = V.entry v (cell v r 1) k in
+    List.map (fun m -> Int64.bits_of_float (value v e m)) [ 0; 1; 2 ]
+  in
+  let bits = List.map Int64.bits_of_float in
+  Alcotest.(check (list int64)) "existing key: summed per member" (bits [ 11.0; 20.0; 32.0 ])
+    (triple 5);
+  Alcotest.(check (list int64)) "new key: taken as it is" (bits [ 0.5; -0.0; 1.5 ]) (triple 6);
+  let r9' = V.find v 9 in
+  Alcotest.(check bool) "new row merged" true (r9' >= 0);
+  Alcotest.(check (float 0.0)) "new row's entry" 7.0 (value v (V.entry v (cell v r9' 0) 3) 0)
+
+(* Two thresholds that agree to six significant digits are two partials:
+   the planner's canonical keys print constants exactly. At retailer scale
+   0.05, seed 1, [prize >= 32.629302406863651] holds for 4004 join rows
+   and [prize >= 32.629302472122255] for 1290; the engine tells the two
+   apart as flat evaluation does. *)
+let close_thresholds_two_partials () =
+  let db = Datagen.Retailer.generate ~scale:0.05 ~seed:1 () in
+  let count id t = Spec.make ~filter:(Predicate.Ge ("prize", flt t)) ~id ~terms:[] ~group_by:[] () in
+  let batch =
+    {
+      Batch.name = "thresholds";
+      aggregates = [ count "lo" 32.629302406863651; count "hi" 32.629302472122255 ];
+    }
+  in
+  let flat = Batch.eval_flat (Database.materialise_join db) batch in
+  let got = Engine.eval_batch db batch in
+  List.iter
+    (fun (id, expected) ->
+      Alcotest.(check (float 0.0)) (id ^ ": flat") expected (Spec.scalar_result (List.assoc id flat));
+      Alcotest.(check (float 0.0)) (id ^ ": engine") expected (Spec.scalar_result (List.assoc id got)))
+    [ ("lo", 4004.0); ("hi", 1290.0) ]
+
+(* The root rule: a scalar product roots at the smallest relation owning
+   one of its terms, so the retailer covariance batch roots
+   sum(maxtemp*population) at Demographics and sum(inventoryunits*maxtemp)
+   at Weather; every aggregate with at most one term roots as the rule
+   before it did (first group attribute's owner, else first term's owner,
+   else the smallest relation). *)
+let root_choice () =
+  let db = Datagen.Retailer.generate ~scale:0.05 ~seed:1 () in
+  let jt = Database.join_tree db in
+  let root = Lmfao.Plan.choose_root jt ~default_root:"Inventory" in
+  let owner a =
+    Relation.name
+      (List.find (fun r -> Schema.mem (Relation.schema r) a) (Join_tree.relations jt))
+  in
+  let smallest =
+    Relation.name
+      (List.hd
+         (List.sort
+            (fun a b -> compare (Relation.cardinality a) (Relation.cardinality b))
+            (Join_tree.relations jt)))
+  in
+  let before (s : Spec.t) =
+    match (s.group_by, s.terms) with
+    | g :: _, _ -> owner g
+    | [], (a, _) :: _ -> owner a
+    | [], [] -> smallest
+  in
+  let covariance = Batch.covariance Datagen.Retailer.features in
+  let by_terms terms =
+    List.find (fun (s : Spec.t) -> s.terms = terms && s.group_by = []) covariance.Batch.aggregates
+  in
+  Alcotest.(check string) "sum(maxtemp*population)" "Demographics"
+    (root (by_terms [ ("maxtemp", 1); ("population", 1) ]));
+  Alcotest.(check string) "sum(inventoryunits*maxtemp)" "Weather"
+    (root (by_terms [ ("inventoryunits", 1); ("maxtemp", 1) ]));
+  List.iter
+    (fun (b : Batch.t) ->
+      List.iter
+        (fun (s : Spec.t) ->
+          if List.length s.terms <= 1 then
+            Alcotest.(check string) (b.Batch.name ^ " " ^ s.id) (before s) (root s))
+        b.Batch.aggregates)
+    [
+      covariance;
+      Batch.kmeans Datagen.Retailer.features;
+      Batch.decision_node ~db Datagen.Retailer.features;
+      Batch.mutual_information Datagen.Retailer.mi_attrs;
+    ]
 
 (* The same data clustered at load, and refilled in a seeded shuffled
    order after [Database.create], as [Serve.snapshot] fills its copy. *)
@@ -580,8 +723,15 @@ let () =
           Alcotest.test_case "clustered = shuffled, all families" `Quick
             clustered_matches_shuffled;
         ] );
+      ( "families",
+        [
+          Alcotest.test_case "entries by family in Flat_view" `Quick flat_view_families;
+          Alcotest.test_case "root rule for scalar products" `Quick root_choice;
+        ] );
       ( "sharing",
         [
+          Alcotest.test_case "close thresholds are two partials" `Quick
+            close_thresholds_two_partials;
           Alcotest.test_case "dedup reduces partials" `Quick sharing_reduces_partials;
           Alcotest.test_case "obs counters mirror stats" `Quick counters_mirror_stats;
         ] );

@@ -98,6 +98,31 @@ let test_stats_and_epoch () =
   Alcotest.(check int) "refresh served without recompute" (before + 2)
     (Serve.stats srv).Serve.hits
 
+(* A hit needs the cached batch itself, not just its fingerprint: two
+   batches that differ only in their aggregate ids each get their own
+   answer, keyed by their own ids, and repeats of either still hit. *)
+let test_ids_are_part_of_the_batch () =
+  let srv = Serve.create M.F_ivm (Sg.star_database ()) ~features in
+  Serve.apply_deltas srv (Sg.star_stream ~seed:5 30);
+  let rename prefix (b : Batch.t) =
+    {
+      b with
+      Batch.aggregates =
+        List.map (fun (a : Spec.t) -> { a with Spec.id = prefix ^ a.Spec.id }) b.Batch.aggregates;
+    }
+  in
+  let a = rename "a:" cov_batch and b = rename "b:" cov_batch in
+  let ids r = List.map fst r in
+  let ra = Serve.serve srv a in
+  let rb = Serve.serve srv b in
+  Alcotest.(check (list string)) "first batch keyed by its ids" (ids ra)
+    (List.map (fun (s : Spec.t) -> s.Spec.id) a.Batch.aggregates);
+  Alcotest.(check (list string)) "second batch keyed by its own ids" (ids rb)
+    (List.map (fun (s : Spec.t) -> s.Spec.id) b.Batch.aggregates);
+  let hits = (Serve.stats srv).Serve.hits in
+  Alcotest.(check (list string)) "a repeat hits with its own ids" (ids rb) (ids (Serve.serve srv b));
+  Alcotest.(check int) "the repeat was a hit" (hits + 1) (Serve.stats srv).Serve.hits
+
 (* Concurrent clients: K pool tasks serving the same mix must each get the
    bit-identical answer. A worker budget is forced (this machine may
    default to zero tokens) so real domains are exercised. *)
@@ -201,6 +226,8 @@ let () =
             test_stats_and_epoch;
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients;
+          Alcotest.test_case "batches differing only in ids" `Quick
+            test_ids_are_part_of_the_batch;
         ] );
       ( "writer",
         [

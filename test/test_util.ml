@@ -213,6 +213,36 @@ let test_crc32_vectors () =
       | exception Invalid_argument _ -> ())
     [ (-1, 2); (0, -1); (10, 4) ]
 
+(* The bytewise table algorithm, kept here as the reference the sliced
+   implementation must reproduce. *)
+let crc32_bytewise s ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+(* Random strings and sub-ranges, short (0-64 bytes: every tail length
+   and alignment) and long: the sliced CRC equals the bytewise one. *)
+let crc32_matches_bytewise =
+  QCheck2.Test.make ~count:300 ~name:"crc32_sub = bytewise reference"
+    QCheck2.Gen.(
+      let* long = bool in
+      let* s = string_size (if long then int_range 64 3000 else int_range 0 80) in
+      let n = String.length s in
+      let* pos = int_range 0 n in
+      let* len = int_range 0 (if long then n - pos else Stdlib.min 64 (n - pos)) in
+      return (s, pos, len))
+    (fun (s, pos, len) -> Checksum.crc32_sub s ~pos ~len = crc32_bytewise s ~pos ~len)
+
 (* Checksums taken from several domains at once, as concurrent serving
    clients do, all agree with the sequential value. *)
 let test_crc32_concurrent () =
@@ -427,6 +457,7 @@ let () =
           Alcotest.test_case "crc32 check values" `Quick test_crc32_vectors;
           Alcotest.test_case "crc32 from several domains" `Quick
             test_crc32_concurrent;
+          qcheck crc32_matches_bytewise;
         ] );
       ( "pool",
         [
