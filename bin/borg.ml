@@ -172,24 +172,48 @@ let tree_cmd =
   let depth_arg =
     Arg.(value & opt int 4 & info [ "depth" ] ~docv:"D" ~doc:"Maximum tree depth.")
   in
-  let run (name, spec) scale seed depth trace metrics_out =
+  let check_arg =
+    Arg.(value & flag
+         & info [ "check" ]
+             ~doc:
+               "Train on the dataset's dyadic-lattice copy, where every sum \
+                is exact, and again by flat scans over the materialised join; \
+                exits 1 unless the two trees are bit-identical (splits, \
+                thresholds, counts and predictions).")
+  in
+  let run (name, spec) scale seed depth check trace metrics_out =
     with_obs trace metrics_out @@ fun () ->
     let db = spec.generate ~scale ~seed () in
-    Printf.printf "training a depth-%d regression tree over %s...\n" depth name;
+    let db = if check then Sg.lattice_database db else db in
+    let params = { Ml.Decision_tree.default_params with max_depth = depth } in
+    Printf.printf "training a depth-%d regression tree over %s%s...\n" depth name
+      (if check then " (lattice copy)" else "");
     let tree, seconds =
-      Util.Timing.time (fun () ->
-          Ml.Decision_tree.train
-            ~params:{ Ml.Decision_tree.default_params with max_depth = depth }
-            db spec.features)
+      Util.Timing.time (fun () -> Ml.Decision_tree.train ~params db spec.features)
     in
     Printf.printf "trained in %s (%d nodes)\n" (Util.Timing.to_string seconds)
       (Ml.Decision_tree.size tree);
-    Format.printf "%a@." (Ml.Decision_tree.pp ?indent:None) tree
+    Format.printf "%a@." (Ml.Decision_tree.pp ?indent:None) tree;
+    if check then begin
+      let thresholds = Ml.Decision_tree.thresholds_of_db db spec.features in
+      let flat =
+        Ml.Decision_tree.train_flat ~params (Database.materialise_join db) spec.features
+          ~thresholds
+      in
+      let same = Ml.Decision_tree.equal_bits tree flat in
+      Printf.printf "check: tree vs flat training over the materialised join %s\n"
+        (if same then "identical (bitwise)" else "DIVERGED");
+      if not same then begin
+        Format.eprintf "borg tree: the flat tree differs:@.%a@."
+          (Ml.Decision_tree.pp ?indent:None) flat;
+        exit 1
+      end
+    end
   in
   Cmd.v
     (Cmd.info "tree" ~doc:"Train a CART regression tree from aggregate batches.")
-    Term.(const run $ dataset_arg $ scale_arg $ seed_arg $ depth_arg $ trace_arg
-          $ metrics_out_arg)
+    Term.(const run $ dataset_arg $ scale_arg $ seed_arg $ depth_arg $ check_arg
+          $ trace_arg $ metrics_out_arg)
 
 (* ---- batches ---- *)
 
@@ -511,9 +535,17 @@ let agg_cmd =
     Printf.printf "engine %s: %s\n"
       (Aggregates.Engine_intf.name engine)
       (Aggregates.Engine_intf.description engine);
-    let results, seconds =
-      Util.Timing.time (fun () -> Aggregates.Engine_intf.eval engine db batch)
+    let ename = Aggregates.Engine_intf.name engine in
+    (* LMFAO scans in chunks on every domain BORG_DOMAINS grants; the
+       other engines run with their defaults *)
+    let eval () =
+      if String.equal ename Lmfao.Engine.name then
+        Lmfao.Engine.eval_batch
+          ~options:{ Lmfao.Engine.default_options with parallel = Util.Pool.num_domains () > 1 }
+          db batch
+      else Aggregates.Engine_intf.eval engine db batch
     in
+    let results, seconds = Util.Timing.time eval in
     Printf.printf "batch %s over %s (scale %g): %d aggregates in %s\n"
       batch.Aggregates.Batch.name
       name scale (List.length results) (Util.Timing.to_string seconds);
@@ -521,8 +553,7 @@ let agg_cmd =
       (fun (id, rows) -> Printf.printf "  %-24s %6d group(s)\n" id (List.length rows))
       results;
     if check then begin
-      let ename = Aggregates.Engine_intf.name engine in
-      let again = Aggregates.Engine_intf.eval engine db batch in
+      let again = eval () in
       let join = Database.materialise_join db in
       let reference = Aggregates.Batch.eval_flat_bounded join batch in
       let bitwise = String.equal ename Lmfao.Engine.name in

@@ -69,6 +69,7 @@ let c_tuples_scanned = Obs.counter "lmfao.tuples_scanned"
 let c_roots = Obs.counter "lmfao.roots"
 let c_merge_probes = Obs.counter "lmfao.merge_probes"
 let c_hash_probes = Obs.counter "lmfao.hash_probes"
+let c_parallel_scans = Obs.counter "lmfao.parallel_scans"
 
 (* ---------- entry access ---------- *)
 
@@ -866,6 +867,7 @@ let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
   | None ->
       let n = Relation.cardinality rel in
       if parallel && n > chunk_threshold then begin
+        Obs.incr c_parallel_scans;
         let cols = Relation.columns rel in
         Array.iteri
           (fun j (_, key) ->

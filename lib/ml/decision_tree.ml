@@ -192,6 +192,20 @@ let train_flat ?(params = default_params) (join : Relation.t) (f : Feature.t)
   in
   grow ~params ~evaluate ~path:Predicate.True f thresholds 0
 
+(* Bitwise equality: the same splits (categories equal as values,
+   thresholds by bit pattern), counts and predictions at every node. *)
+let rec equal_bits a b =
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  match (a, b) with
+  | Leaf a, Leaf b -> same a.prediction b.prediction && same a.count b.count
+  | Node a, Node b ->
+      (match (a.split, b.split) with
+      | Threshold (x, c), Threshold (y, d) -> String.equal x y && same c d
+      | Category (k, v), Category (l, w) -> String.equal k l && Value.equal v w
+      | _ -> false)
+      && same a.count b.count && equal_bits a.left b.left && equal_bits a.right b.right
+  | _ -> false
+
 let rec predict tree (get : string -> Value.t) =
   match tree with
   | Leaf { prediction; _ } -> prediction

@@ -52,6 +52,10 @@ val train_flat :
 (** The same algorithm with batches answered by scans over a materialised
     matrix — the reference implementation. *)
 
+val equal_bits : tree -> tree -> bool
+(** The same splits, counts and predictions at every node, floats by bit
+    pattern. *)
+
 val predict : tree -> (string -> Value.t) -> float
 val rmse_on : tree -> Relation.t -> response:string -> float
 val depth : tree -> int

@@ -2,15 +2,20 @@
    paged columnar store: fixed-width little-endian primitives plus
    value/tuple/key encodings.
 
-   Writers append to a [Buffer.t]; readers consume a [reader] cursor over a
+   Writers append to a [Buffer.t] (the paged store writes a page of known
+   size into [Bytes.t] in place, with [put_value] and [seal_frame]);
+   readers consume a [reader] cursor over a byte range [pos, lim) of a
    string and raise [Decode_error] on any malformed or truncated input —
    callers (WAL replay, checkpoint restore, page decode) turn that into
    "stop at the last valid prefix" or a located diagnostic rather than
    crashing. Errors carry the BYTE OFFSET at which the failing read began
    (mirroring [Util.Csvio.Malformed]'s source position for text input), so
-   a corrupt page or checkpoint can be pointed at, not just detected. The
-   encoding is self-contained per record: no global symbol table, so a
-   record can be decoded out of any valid byte range. *)
+   a corrupt page or checkpoint can be pointed at, not just detected.
+   Offsets are positions in the reader's string: a frame's payload is read
+   in place, through a reader bounded to it, so an error inside it is
+   located where its bytes are. The encoding is self-contained per record:
+   no global symbol table, so a record can be decoded out of any valid
+   byte range. *)
 
 type error = { offset : int; reason : string }
 (* [offset] is the position in the decoded string where the failing read
@@ -30,13 +35,17 @@ let () =
 
 let fail ?(offset = -1) reason = raise (Decode_error { offset; reason })
 
-type reader = { buf : string; mutable pos : int }
+type reader = { buf : string; mutable pos : int; lim : int }
 
-let reader ?(pos = 0) buf = { buf; pos }
+let reader ?(pos = 0) ?len buf =
+  let len = match len with Some n -> n | None -> String.length buf - pos in
+  if pos < 0 || len < 0 || pos + len > String.length buf then
+    invalid_arg "Codec.reader";
+  { buf; pos; lim = pos + len }
 
-let eof r = r.pos >= String.length r.buf
+let eof r = r.pos >= r.lim
 
-let remaining r = String.length r.buf - r.pos
+let remaining r = r.lim - r.pos
 
 let fail_at r reason = fail ~offset:r.pos reason
 
@@ -81,6 +90,40 @@ let read_f64 r =
   r.pos <- r.pos + 8;
   v
 
+(* [n] fixed-width cells: all present, or an error located at the first
+   missing cell *)
+let need_cells r n =
+  let present = remaining r / 8 in
+  if present < n then
+    fail ~offset:(r.pos + (8 * present)) "truncated input: need 8 bytes"
+
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] get64_le s i = if Sys.big_endian then bswap64 (get64u s i) else get64u s i
+
+(* Typed loops over [n] consecutive cells into fresh arrays: no closure and
+   no boxed float per cell, and nothing shared with the reader's string.
+   [need_cells] has checked the whole range, so the cells are read
+   unchecked. *)
+let read_i64s r n =
+  need_cells r n;
+  let a = Array.make n 0 and buf = r.buf and base = r.pos in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (Int64.to_int (get64_le buf (base + (8 * i))))
+  done;
+  r.pos <- base + (8 * n);
+  a
+
+let read_f64s r n =
+  need_cells r n;
+  let a = Array.create_float n and buf = r.buf and base = r.pos in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (Int64.float_of_bits (get64_le buf (base + (8 * i))))
+  done;
+  r.pos <- base + (8 * n);
+  a
+
 let str b s =
   u32 b (String.length s);
   Buffer.add_string b s
@@ -106,6 +149,32 @@ let value b = function
   | Value.Str s ->
       u8 b 3;
       str b s
+
+(* In place: the encoded size of a value, and its encoding written at
+   [pos] of [b] (returns the position after it). Same bytes as [value]. *)
+let value_size = function
+  | Value.Null -> 1
+  | Value.Int _ | Value.Float _ -> 9
+  | Value.Str s -> 5 + String.length s
+
+let put_value b pos = function
+  | Value.Null ->
+      Bytes.set_uint8 b pos 0;
+      pos + 1
+  | Value.Int n ->
+      Bytes.set_uint8 b pos 1;
+      Bytes.set_int64_le b (pos + 1) (Int64.of_int n);
+      pos + 9
+  | Value.Float x ->
+      Bytes.set_uint8 b pos 2;
+      Bytes.set_int64_le b (pos + 1) (Int64.bits_of_float x);
+      pos + 9
+  | Value.Str s ->
+      let n = String.length s in
+      Bytes.set_uint8 b pos 3;
+      Bytes.set_int32_le b (pos + 1) (Int32.of_int n);
+      Bytes.blit_string s 0 b (pos + 5) n;
+      pos + 5 + n
 
 let read_value r =
   let start = r.pos in
@@ -147,15 +216,26 @@ let read_key r =
 (* ---- checksummed frames ---- *)
 
 (* [len u32][crc32 u32][payload]: the framing used for every WAL record,
-   checkpoint body and store page. A frame only decodes if it is completely
-   present and its checksum matches, so a torn tail or flipped bit reads as
-   "no frame" — located at the frame's start. *)
+   checkpoint body, store page and store meta. A frame only decodes if it
+   is completely present and its checksum matches, so a torn tail or
+   flipped bit reads as "no frame" — located at the frame's start. *)
+
+let frame_header = 8
 
 let frame b payload =
   u32 b (String.length payload);
   u32 b (Util.Checksum.crc32 payload);
   Buffer.add_string b payload
 
+(* Frame a payload already written at [pos + frame_header] of [b]: its
+   length and checksum go into the header at [pos]. *)
+let seal_frame b ~pos ~len =
+  let crc = Util.Checksum.crc32_bytes b ~pos:(pos + frame_header) ~len in
+  Bytes.set_int32_le b pos (Int32.of_int len);
+  Bytes.set_int32_le b (pos + 4) (Int32.of_int crc)
+
+(* The payload is checked where it lies and read through a reader bounded
+   to it: no copy, and errors inside it keep their true offsets. *)
 let read_frame r =
   let start = r.pos in
   let len = read_u32 r in
@@ -163,6 +243,6 @@ let read_frame r =
   if len > remaining r then fail ~offset:start "truncated frame";
   if Util.Checksum.crc32_sub r.buf ~pos:r.pos ~len <> crc then
     fail ~offset:start "frame checksum mismatch";
-  let payload = String.sub r.buf r.pos len in
+  let payload = { buf = r.buf; pos = r.pos; lim = r.pos + len } in
   r.pos <- r.pos + len;
   payload

@@ -2,8 +2,8 @@
     fixed-width little-endian primitives, value/tuple/key encodings, and
     checksummed frames. Writers append to a [Buffer.t]; readers raise
     {!Decode_error} on malformed or truncated input, LOCATED at the byte
-    offset where the failing read began (floats round-trip
-    bit-identically). *)
+    offset in the reader's string where the failing read began (floats
+    round-trip bit-identically). *)
 
 type error = {
   offset : int;  (** byte offset of the failing read; [-1] when semantic *)
@@ -18,9 +18,13 @@ val error_message : error -> string
 val fail : ?offset:int -> string -> 'a
 (** Raise {!Decode_error} ([offset] defaults to [-1]: unlocated). *)
 
-type reader = { buf : string; mutable pos : int }
+type reader = { buf : string; mutable pos : int; lim : int }
+(** A cursor over [buf]'s bytes [pos, lim). *)
 
-val reader : ?pos:int -> string -> reader
+val reader : ?pos:int -> ?len:int -> string -> reader
+(** Read [len] bytes of the string from [pos] (defaults: from 0, to the
+    end). @raise Invalid_argument when the range is outside the string. *)
+
 val eof : reader -> bool
 val remaining : reader -> int
 
@@ -45,11 +49,24 @@ val f64 : Buffer.t -> float -> unit
 
 val read_f64 : reader -> float
 
+val read_i64s : reader -> int -> int array
+(** [n] consecutive {!i64} cells into a fresh array; a truncation is
+    located at the first missing cell. *)
+
+val read_f64s : reader -> int -> float array
+(** [n] consecutive {!f64} cells into a fresh float array (no boxing). *)
+
 val str : Buffer.t -> string -> unit
 val read_str : reader -> string
 
 val value : Buffer.t -> Value.t -> unit
 val read_value : reader -> Value.t
+
+val value_size : Value.t -> int
+(** Bytes {!value} writes for this value. *)
+
+val put_value : Bytes.t -> int -> Value.t -> int
+(** Write {!value}'s bytes at the position; returns the position after. *)
 
 val tuple : Buffer.t -> Tuple.t -> unit
 val read_tuple : reader -> Tuple.t
@@ -62,4 +79,16 @@ val frame : Buffer.t -> string -> unit
     with a matching checksum — torn tails and bit flips read as "no frame",
     located at the frame's first byte. *)
 
-val read_frame : reader -> string
+val frame_header : int
+(** Bytes before a frame's payload: [len] and [crc32], 4 each. *)
+
+val seal_frame : Bytes.t -> pos:int -> len:int -> unit
+(** Frame in place: the [len]-byte payload already written at
+    [pos + frame_header] gets its header at [pos], the same bytes {!frame}
+    writes. *)
+
+val read_frame : reader -> reader
+(** Check a frame where it lies and return a reader bounded to its
+    payload (no copy); the outer reader moves past the frame. Errors read
+    through the payload reader are located at their offsets in the outer
+    reader's string. *)

@@ -156,9 +156,7 @@ let decode_file path : int * int * Delta.update list * Maintainer.view_dump =
   let mlen = String.length magic in
   if String.length s < mlen || String.sub s 0 mlen <> magic then
     Codec.fail "bad magic";
-  let rd = Codec.reader ~pos:mlen s in
-  let payload = Codec.read_frame rd in
-  let rd = Codec.reader payload in
+  let rd = Codec.read_frame (Codec.reader ~pos:mlen s) in
   let version = Codec.read_u8 rd in
   if version <> 1 then
     Codec.fail (Printf.sprintf "unsupported version %d" version);

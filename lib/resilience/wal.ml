@@ -56,8 +56,7 @@ let replay path : replay =
     let records = ref [] and valid = ref 0 and torn = ref false in
     (try
        while not (Codec.eof rd) do
-         let payload = Codec.read_frame rd in
-         records := decode_record (Codec.reader payload) :: !records;
+         records := decode_record (Codec.read_frame rd) :: !records;
          valid := rd.Codec.pos
        done
      with Codec.Decode_error _ -> torn := true);

@@ -20,61 +20,82 @@ let magic = "BPG1"
 
 type t = { index : int; rows : int; columns : Column.t array }
 
+(* A page is written once, into bytes of its exact size, and checksummed
+   there. *)
 let encode ~index rel ~lo ~rows =
-  let payload = Buffer.create (rows * 16) in
-  Codec.u32 payload index;
-  Codec.u32 payload rows;
   let cols = Relational.Relation.columns rel in
-  Codec.u8 payload (Array.length cols);
+  let cells col =
+    match Column.data col with
+    | Column.Ints _ | Column.Floats _ -> 8 * rows
+    | Column.Boxed a ->
+        let n = ref 0 in
+        for i = lo to lo + rows - 1 do
+          n := !n + Codec.value_size a.(i)
+        done;
+        !n
+  in
+  let len = Array.fold_left (fun n col -> n + 1 + cells col) 9 cols in
+  let mlen = String.length magic in
+  let b = Bytes.create (mlen + Codec.frame_header + len) in
+  Bytes.blit_string magic 0 b 0 mlen;
+  let p = mlen + Codec.frame_header in
+  Bytes.set_int32_le b p (Int32.of_int index);
+  Bytes.set_int32_le b (p + 4) (Int32.of_int rows);
+  Bytes.set_uint8 b (p + 8) (Array.length cols);
+  let p = ref (p + 9) in
   Array.iter
     (fun col ->
+      let cell = !p + 1 in
       match Column.data col with
       | Column.Ints a ->
-          Codec.u8 payload 0;
-          for i = lo to lo + rows - 1 do
-            Codec.i64 payload a.(i)
-          done
+          Bytes.set_uint8 b !p 0;
+          for i = 0 to rows - 1 do
+            Bytes.set_int64_le b (cell + (8 * i)) (Int64.of_int a.(lo + i))
+          done;
+          p := cell + (8 * rows)
       | Column.Floats a ->
-          Codec.u8 payload 1;
-          for i = lo to lo + rows - 1 do
-            Codec.f64 payload a.(i)
-          done
+          Bytes.set_uint8 b !p 1;
+          for i = 0 to rows - 1 do
+            Bytes.set_int64_le b (cell + (8 * i)) (Int64.bits_of_float a.(lo + i))
+          done;
+          p := cell + (8 * rows)
       | Column.Boxed a ->
-          Codec.u8 payload 2;
+          Bytes.set_uint8 b !p 2;
+          p := cell;
           for i = lo to lo + rows - 1 do
-            Codec.value payload a.(i)
+            p := Codec.put_value b !p a.(i)
           done)
     cols;
-  let b = Buffer.create (Buffer.length payload + 16) in
-  Buffer.add_string b magic;
-  Codec.frame b (Buffer.contents payload);
-  Buffer.contents b
+  Codec.seal_frame b ~pos:mlen ~len;
+  Bytes.unsafe_to_string b
 
-(* Decode a page from [s]; [at] is the page's byte offset in its file, used
-   to relocate decode errors from page-relative to file-absolute offsets. *)
-let decode ?(at = 0) s =
+(* Decode the page held in the first [len] bytes of [s] (default: all of
+   it). [at] is the page's byte offset in its file: errors are located at
+   their offset in the page image plus [at]. Every cell is copied out of
+   [s], so the caller may reuse it once [decode] returns. *)
+let decode ?(at = 0) ?len s =
   let relocate e =
     let offset = if e.Codec.offset < 0 then at else at + e.Codec.offset in
     Codec.fail ~offset e.Codec.reason
   in
   try
-    let rd = Codec.reader s in
+    let rd = Codec.reader ?len s in
     let mlen = String.length magic in
     if Codec.remaining rd < mlen || String.sub s 0 mlen <> magic then
       Codec.fail ~offset:0 "bad page magic";
     rd.Codec.pos <- mlen;
-    let payload = Codec.read_frame rd in
-    let rd = Codec.reader payload in
+    let rd = Codec.read_frame rd in
     let index = Codec.read_u32 rd in
     let rows = Codec.read_u32 rd in
     let ncols = Codec.read_u8 rd in
     let columns =
       Array.init ncols (fun _ ->
+          let tag_at = rd.Codec.pos in
           match Codec.read_u8 rd with
-          | 0 -> Column.of_ints (Array.init rows (fun _ -> Codec.read_i64 rd))
-          | 1 -> Column.of_floats (Array.init rows (fun _ -> Codec.read_f64 rd))
+          | 0 -> Column.of_ints (Codec.read_i64s rd rows)
+          | 1 -> Column.of_floats (Codec.read_f64s rd rows)
           | 2 -> Column.of_boxed (Array.init rows (fun _ -> Codec.read_value rd))
-          | tag -> Codec.fail_at rd (Printf.sprintf "bad column tag %d" tag))
+          | tag -> Codec.fail ~offset:tag_at (Printf.sprintf "bad column tag %d" tag))
     in
     { index; rows; columns }
   with Codec.Decode_error e -> relocate e

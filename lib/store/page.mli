@@ -8,9 +8,11 @@ val magic : string
 val encode : index:int -> Relational.Relation.t -> lo:int -> rows:int -> string
 (** Encode rows [lo, lo+rows) of the relation as one page. *)
 
-val decode : ?at:int -> string -> t
-(** Decode one page. Raises [Relational.Codec.Decode_error] on torn or
-    corrupt input, located at the absolute file offset [at + relative]. *)
+val decode : ?at:int -> ?len:int -> string -> t
+(** Decode the page in the first [len] bytes of the string (default: all
+    of it); the page shares nothing with the string. Raises
+    [Relational.Codec.Decode_error] on torn or corrupt input, located at
+    the absolute file offset [at + offset in the page]. *)
 
 val to_relation : string -> Relational.Schema.t -> t -> Relational.Relation.t
 (** Wrap a decoded page as an in-memory relation chunk. *)

@@ -13,11 +13,11 @@
    since the directory is itself one checksummed frame, a torn or corrupt
    meta reads as "no relation" with a located error.
 
-   A reader handle decodes pages on demand through a bounded [Cache]; scans
-   touch one page at a time in directory order, so a full-relation scan
-   holds at most [cache_pages] decoded pages resident no matter the
-   relation's cardinality — that is the out-of-core property the bench
-   gauges verify. *)
+   A reader handle reads each page into one buffer of its own and decodes
+   it on demand through a bounded [Cache]; scans touch one page at a time
+   in directory order, so a full-relation scan holds at most [cache_pages]
+   decoded pages resident no matter the relation's cardinality — that is
+   the out-of-core property the bench gauges verify. *)
 
 module Codec = Relational.Codec
 module Schema = Relational.Schema
@@ -75,9 +75,7 @@ let read_meta ~dir name =
   let mlen = String.length meta_magic in
   if String.length s < mlen || String.sub s 0 mlen <> meta_magic then
     Codec.fail ~offset:0 "bad meta magic";
-  let rd = Codec.reader ~pos:mlen s in
-  let payload = Codec.read_frame rd in
-  let rd = Codec.reader payload in
+  let rd = Codec.read_frame (Codec.reader ~pos:mlen s) in
   let stored_name = Codec.read_str rd in
   let ncols = Codec.read_u32 rd in
   let attrs =
@@ -176,6 +174,7 @@ type t = {
   directory : (int * int * int) array;
   ic : In_channel.t;
   cache : Page.t Cache.t;
+  buf : Bytes.t; (* the largest page: every read lands here *)
 }
 
 let openr ?(cache_pages = default_cache_pages) ~dir name =
@@ -191,6 +190,7 @@ let openr ?(cache_pages = default_cache_pages) ~dir name =
     directory;
     ic = In_channel.open_bin (pages_path dir name);
     cache = Cache.create ~budget:cache_pages;
+    buf = Bytes.create (Array.fold_left (fun m (_, bytes, _) -> Stdlib.max m bytes) 0 directory);
   }
 
 let name t = t.name
@@ -200,15 +200,15 @@ let page_rows t = t.page_rows
 let pages t = Array.length t.directory
 let close t = In_channel.close t.ic
 
+(* Each page is read into the handle's one buffer and decoded from there;
+   the decoded page copies every cell out, so the next read may overwrite
+   the buffer. A handle is single-reader, as its channel and cache are. *)
 let load_page t i =
   let offset, bytes, prows = t.directory.(i) in
   In_channel.seek t.ic (Int64.of_int offset);
-  let s =
-    match In_channel.really_input_string t.ic bytes with
-    | Some s -> s
-    | None -> Codec.fail ~offset (Printf.sprintf "torn page %d: short read" i)
-  in
-  let page = Page.decode ~at:offset s in
+  if In_channel.really_input t.ic t.buf 0 bytes = None then
+    Codec.fail ~offset (Printf.sprintf "torn page %d: short read" i);
+  let page = Page.decode ~at:offset ~len:bytes (Bytes.unsafe_to_string t.buf) in
   if page.Page.index <> i then
     Codec.fail ~offset (Printf.sprintf "page %d holds index %d" i page.Page.index);
   if page.Page.rows <> prows then

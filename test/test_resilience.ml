@@ -81,14 +81,26 @@ let test_codec_roundtrip () =
     | _ -> false);
   Alcotest.(check int) "min_int" min_int (C.read_i64 rd);
   Alcotest.(check bool) "inf" true (C.read_f64 rd = infinity);
-  Alcotest.(check bool) "eof" true (C.eof rd)
+  Alcotest.(check bool) "eof" true (C.eof rd);
+  (* the in-place writer gives the same bytes, of the announced size *)
+  let values = [ Value.Null; int (-42); flt (-0.0); Value.Str "hello" ] in
+  let b = Buffer.create 32 in
+  List.iter (C.value b) values;
+  let d = Bytes.create (List.fold_left (fun n v -> n + C.value_size v) 0 values) in
+  let stop = List.fold_left (fun p v -> C.put_value d p v) 0 values in
+  Alcotest.(check int) "put_value fills value_size" (Bytes.length d) stop;
+  Alcotest.(check string) "put_value = value" (Buffer.contents b) (Bytes.to_string d)
 
 let test_frame_rejects_damage () =
   let module C = Codec in
   let b = Buffer.create 32 in
   C.frame b "payload bytes";
   let s = Buffer.contents b in
-  Alcotest.(check string) "roundtrip" "payload bytes" (C.read_frame (C.reader s));
+  (* the payload is read in place, after the 8-byte header *)
+  let payload = C.read_frame (C.reader s) in
+  Alcotest.(check int) "payload in place" C.frame_header payload.C.pos;
+  Alcotest.(check string) "roundtrip" "payload bytes"
+    (String.sub payload.C.buf payload.C.pos (C.remaining payload));
   (* truncation *)
   (try
      ignore (C.read_frame (C.reader (String.sub s 0 (String.length s - 1))));

@@ -174,6 +174,107 @@ let page_rejects_flips =
       located_rejection ~at:None enc flip
       && located_rejection ~at:(Some 8192) enc flip)
 
+(* Errors inside a frame's payload are located at their true offsets: the
+   payload is read in place, 12 bytes (magic, length, CRC) into the page. *)
+let test_decode_errors_at_true_offsets () =
+  (* a one-column page: index, rows and ncols (9 payload bytes), then the
+     column as [column] writes it *)
+  let page ~rows column =
+    let payload = Buffer.create 32 in
+    Codec.u32 payload 0;
+    Codec.u32 payload rows;
+    Codec.u8 payload 1;
+    column payload;
+    let b = Buffer.create 64 in
+    Buffer.add_string b Page.magic;
+    Codec.frame b (Buffer.contents payload);
+    Buffer.contents b
+  in
+  (* the tag byte (7) is at payload offset 9 *)
+  let bad_tag = page ~rows:1 (fun b -> Codec.u8 b 7) in
+  (* an Ints column of two rows holding one cell: the missing cell starts
+     at payload offset 18 *)
+  let truncated =
+    page ~rows:2 (fun b ->
+        Codec.u8 b 0;
+        Codec.i64 b 42)
+  in
+  let offset_of ?at s =
+    match Page.decode ?at s with
+    | _ -> Alcotest.fail "malformed payload accepted"
+    | exception Codec.Decode_error { offset; _ } -> offset
+  in
+  Alcotest.(check int) "bad tag" 21 (offset_of bad_tag);
+  Alcotest.(check int) "bad tag, at 1000" 1021 (offset_of ~at:1000 bad_tag);
+  Alcotest.(check int) "truncated ints" 30 (offset_of truncated);
+  Alcotest.(check int) "truncated ints, at 1000" 1030 (offset_of ~at:1000 truncated)
+
+(* Decoding allocates the column arrays and a fixed number of minor words,
+   whatever the row count: no closure call and no boxed float per cell.
+   A column array of at most 256 cells is itself a minor allocation (one
+   word per cell and a header); a larger one goes to the major heap. *)
+let test_decode_allocation_bounded () =
+  let rel = Relation.create "T" (Schema.make [ ("k", Value.TInt); ("m", Value.TFloat) ]) in
+  for i = 0 to 1023 do
+    Relation.append rel [| int i; flt (float_of_int i /. 3.0) |]
+  done;
+  let minor_overhead rows =
+    let enc = Page.encode ~index:0 rel ~lo:0 ~rows in
+    ignore (Page.decode enc);
+    let before = Gc.minor_words () in
+    let p = Page.decode enc in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "rows" rows p.Page.rows;
+    let arrays = if rows <= 256 then 2 * (rows + 1) else 0 in
+    int_of_float words - arrays
+  in
+  let small = minor_overhead 64 and large = minor_overhead 1024 in
+  Alcotest.(check int) "same minor words at 64 and 1024 rows" small large;
+  Alcotest.(check bool) (Printf.sprintf "overhead %d words is small" small) true (small < 128)
+
+(* The handle reads every page into one buffer, so a held chunk must not
+   share it: page 0 stays intact after pages 1 and 2 are read over it. *)
+let test_held_chunk_survives_buffer_reuse () =
+  Scenario.with_temp_dir @@ fun dir ->
+  let rel = random_relation (Util.Prng.create 17) 24 in
+  ignore (Loader.import_relation ~dir ~page_rows:8 rel);
+  let p = Paged.openr ~cache_pages:2 ~dir "T" in
+  let first = Paged.chunk p 0 in
+  ignore (Paged.chunk p 1);
+  ignore (Paged.chunk p 2);
+  Paged.close p;
+  let source = Relation.create "T" (Relation.schema rel) in
+  for i = 0 to 7 do
+    Relation.append_from source rel i
+  done;
+  Alcotest.(check bool) "page 0 bit-identical" true (rel_bit_identical source first)
+
+(* The on-disk format is pinned: the CRC-32 of the page and meta files of
+   one fixed relation (ints, floats, strings and nulls over three pages). *)
+let test_format_pinned () =
+  let rel =
+    Relation.create "Pinned"
+      (Schema.make [ ("k", Value.TInt); ("m", Value.TFloat); ("s", Value.TStr); ("x", Value.TInt) ])
+  in
+  for i = 0 to 19 do
+    let m =
+      match i mod 5 with
+      | 0 -> -0.0
+      | 1 -> infinity
+      | 2 -> 4.9e-324
+      | _ -> (float_of_int i /. 8.0) -. 1.25
+    in
+    let x = if i mod 3 = 0 then Value.Null else int ((i * i) - 50) in
+    Relation.append rel
+      [| int ((i * 37) - 100); flt m; Value.Str (String.make (i mod 4) (Char.chr (97 + i))); x |]
+  done;
+  Scenario.with_temp_dir @@ fun dir ->
+  ignore (Loader.import_relation ~dir ~page_rows:8 rel);
+  let crc path = Util.Checksum.crc32 (In_channel.with_open_bin path In_channel.input_all) in
+  let hex = Printf.sprintf "%08x" in
+  Alcotest.(check string) "pages file" "1d96216b" (hex (crc (Paged.pages_path dir "Pinned")));
+  Alcotest.(check string) "meta file" "6e416240" (hex (crc (Paged.meta_path dir "Pinned")))
+
 (* ----------------------------------------------- paged files round-trip *)
 
 let mk_rel_of rows rng = random_relation rng rows
@@ -500,6 +601,11 @@ let () =
           qcheck page_slice_roundtrip;
           qcheck page_rejects_torn_tail;
           qcheck page_rejects_flips;
+          Alcotest.test_case "decode errors at their true offsets" `Quick
+            test_decode_errors_at_true_offsets;
+          Alcotest.test_case "decode allocation is bounded" `Quick
+            test_decode_allocation_bounded;
+          Alcotest.test_case "format is pinned" `Quick test_format_pinned;
         ] );
       ( "paged-files",
         [
@@ -508,6 +614,8 @@ let () =
           qcheck paged_roundtrip_any_budget;
           Alcotest.test_case "corruption is rejected with located errors"
             `Quick test_file_corruption_located;
+          Alcotest.test_case "a held chunk survives buffer reuse" `Quick
+            test_held_chunk_survives_buffer_reuse;
         ] );
       ( "engine-differential",
         [

@@ -214,7 +214,7 @@ let test_crc32_vectors () =
     [ (-1, 2); (0, -1); (10, 4) ]
 
 (* The bytewise table algorithm, kept here as the reference the sliced
-   implementation must reproduce. *)
+   C implementation must reproduce. *)
 let crc32_bytewise s ~pos ~len =
   let table =
     Array.init 256 (fun n ->
@@ -242,6 +242,21 @@ let crc32_matches_bytewise =
       let* len = int_range 0 (if long then n - pos else Stdlib.min 64 (n - pos)) in
       return (s, pos, len))
     (fun (s, pos, len) -> Checksum.crc32_sub s ~pos ~len = crc32_bytewise s ~pos ~len)
+
+(* Every start alignment (0-31) against every length up to 100 bytes, and
+   long unaligned ranges: the C loop's 16-byte steps and byte tail equal
+   the bytewise reference at each combination. *)
+let test_crc32_alignments () =
+  let s = String.init 4200 (fun i -> Char.chr ((i * 131) lxor (i lsr 3) land 0xFF)) in
+  for pos = 0 to 31 do
+    for len = 0 to 100 do
+      if Checksum.crc32_sub s ~pos ~len <> crc32_bytewise s ~pos ~len then
+        Alcotest.failf "pos %d len %d" pos len
+    done;
+    let len = String.length s - pos - (pos * 7) in
+    if Checksum.crc32_sub s ~pos ~len <> crc32_bytewise s ~pos ~len then
+      Alcotest.failf "pos %d len %d" pos len
+  done
 
 (* Checksums taken from several domains at once, as concurrent serving
    clients do, all agree with the sequential value. *)
@@ -458,6 +473,8 @@ let () =
           Alcotest.test_case "crc32 from several domains" `Quick
             test_crc32_concurrent;
           qcheck crc32_matches_bytewise;
+          Alcotest.test_case "crc32 at every alignment and tail" `Quick
+            test_crc32_alignments;
         ] );
       ( "pool",
         [
