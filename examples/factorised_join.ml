@@ -75,16 +75,9 @@ let () =
 
   (* Figure 10: the covariance ring evaluates SUM(1), SUM(price) and
      SUM(price * price) together, sharing counts into sums into products *)
-  let lift var v =
-    if var = "price" then `Elem (Cov.lift 1 0 (Value.to_float v))
-    else `Elem (Cov.one 1)
-  in
-  let triple =
-    Fagg.eval (module Fivm.Payload.Cov_dyn) ~lift frep
-  in
-  let triple = Fivm.Payload.cov_elem 1 triple in
+  let module R = (val Cov.make_ring 1) in
+  let lift var v = if var = "price" then Cov.lift 1 0 (Value.to_float v) else R.one in
+  let triple = Fagg.eval (module R) ~lift frep in
   Printf.printf
     "\ncovariance-ring triple over the f-rep:\n  count = %g, SUM(price) = %g, SUM(price^2) = %g\n"
-    (Cov.count triple)
-    (Util.Vec.get (Cov.sums triple) 0)
-    (Util.Mat.get (Cov.products triple) 0 0)
+    (Cov.count triple) (Cov.sum triple 0) (Cov.product triple 0 0)

@@ -19,7 +19,6 @@
 open Relational
 module Cov = Rings.Covariance
 module Cov_task = Fivm.Cov_task
-module P = Fivm.Payload.Cov_dyn
 
 (* ---- generic bottom-up pass over the join tree with scalar payloads ---- *)
 
@@ -157,7 +156,7 @@ let stage1_specialised (db : Database.t) ~features : Cov.t =
 
 let ring_pass ?(parallel = false) (db : Database.t) (task : Cov_task.t) : Cov.t =
   let jt = Database.join_tree db in
-  let rec view (node : Join_tree.node) : P.t ref Keypack.Hybrid.t =
+  let rec view (node : Join_tree.node) : Cov.t ref Keypack.Hybrid.t =
     let child_views = List.map (fun c -> (c, view c)) node.children in
     let schema = Relation.schema node.rel in
     let name = Relation.name node.rel in
@@ -171,9 +170,16 @@ let ring_pass ?(parallel = false) (db : Database.t) (task : Cov_task.t) : Cov.t 
             v ))
         child_views
     in
-    let lift = Cov_task.lift_cov task name in
     let n = Relation.cardinality node.rel in
     let scan lo len =
+      (* one lift per scan: it owns a feature vector, and chunks run in
+         parallel *)
+      let lift = Cov_task.lift_into task name in
+      let lifted tuple =
+        let x = Cov.zero task.Cov_task.dim in
+        lift tuple ~into:x;
+        x
+      in
       let out = Keypack.Hybrid.create 64 in
       for idx = lo to lo + len - 1 do
         let tuple = Relation.get node.rel idx in
@@ -181,15 +187,15 @@ let ring_pass ?(parallel = false) (db : Database.t) (task : Cov_task.t) : Cov.t 
           | [] -> Some acc
           | (key_of, v) :: rest -> (
               match Keypack.Hybrid.find_opt v (key_of idx) with
-              | Some partial -> probe (P.mul acc !partial) rest
+              | Some partial -> probe (Cov.mul acc !partial) rest
               | None -> None)
         in
-        match probe (lift tuple) child_keys with
+        match probe (lifted tuple) child_keys with
         | None -> ()
         | Some contrib -> (
             let key = own_key idx in
             match Keypack.Hybrid.find_opt out key with
-            | Some r -> r := P.add !r contrib
+            | Some r -> r := Cov.add !r contrib
             | None -> Keypack.Hybrid.add out key (ref contrib))
       done;
       out
@@ -203,7 +209,7 @@ let ring_pass ?(parallel = false) (db : Database.t) (task : Cov_task.t) : Cov.t 
               Keypack.Hybrid.iter
                 (fun key r ->
                   match Keypack.Hybrid.find_opt a key with
-                  | Some r0 -> r0 := P.add !r0 !r
+                  | Some r0 -> r0 := Cov.add !r0 !r
                   | None -> Keypack.Hybrid.add a key r)
                 v;
               Some a)
@@ -213,7 +219,7 @@ let ring_pass ?(parallel = false) (db : Database.t) (task : Cov_task.t) : Cov.t 
   in
   let root_view = view (Join_tree.tree jt) in
   match Keypack.Hybrid.find_opt root_view (Keypack.P 0) with
-  | Some r -> Fivm.Payload.cov_elem task.Cov_task.dim !r
+  | Some r -> !r
   | None -> Cov.zero task.Cov_task.dim
 
 let stage2_shared (db : Database.t) ~features : Cov.t =

@@ -41,20 +41,19 @@ let make (db : Database.t) ~features =
 let owned_features t rel_name =
   Option.value ~default:[] (Hashtbl.find_opt t.owned rel_name)
 
-(* Ring lift of a tuple of [rel_name]: the product of the covariance-ring
-   lifts of its owned features, built directly as a sparse (1, x, x x^T). *)
-let lift_cov t rel_name (tuple : Tuple.t) : Payload.Cov_dyn.t =
-  let xs = Array.make t.dim 0.0 in
-  List.iter
-    (fun (i, pos) -> xs.(i) <- Value.to_float tuple.(pos))
-    (owned_features t rel_name);
-  `Elem (Rings.Covariance.of_tuple xs)
-
-(* The same lift written into a view tree's buffer; [lift_into t rel_name]
-   resolves the owned features once. *)
+(* Ring lift of a tuple of [rel_name], written into a buffer: the product
+   of the covariance-ring lifts of its owned features, (1, x, x x^T) with x
+   zero outside them. [lift_into t rel_name] resolves the owned features
+   once and fills its own feature vector per call. *)
 let lift_into t rel_name =
   let owned = Array.of_list (owned_features t rel_name) in
-  fun tuple ~into -> Payload.Cov.of_tuple owned tuple ~into
+  let xs = Array.make t.dim 0.0 in
+  fun (tuple : Tuple.t) ~into ->
+    for k = 0 to Array.length owned - 1 do
+      let i, pos = owned.(k) in
+      xs.(i) <- Value.to_float tuple.(pos)
+    done;
+    Rings.Covariance.of_tuple_into xs ~into
 
 (* All (n+1)(n+2)/2 aggregates of the symmetric covariance batch. *)
 let aggregate_pairs t =
@@ -84,17 +83,10 @@ let factor t (i, j) rel_name (tuple : Tuple.t) =
 
 (* Assemble the covariance triple from per-aggregate scalar totals. *)
 let assemble t (totals : ((int * int) * float) list) =
-  let n = t.dim in
-  let c = ref 0.0 in
-  let s = Util.Vec.create n in
-  let q = Util.Mat.create n n in
+  let m = Array.make_matrix (t.dim + 1) (t.dim + 1) 0.0 in
   List.iter
     (fun ((i, j), v) ->
-      if i = 0 && j = 0 then c := v
-      else if i = 0 then Util.Vec.set s (j - 1) v
-      else begin
-        Util.Mat.set q (i - 1) (j - 1) v;
-        Util.Mat.set q (j - 1) (i - 1) v
-      end)
+      m.(i).(j) <- v;
+      m.(j).(i) <- v)
     totals;
-  { Rings.Covariance.c = !c; s; q }
+  Rings.Covariance.init t.dim (fun i j -> m.(i).(j))

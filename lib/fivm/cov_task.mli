@@ -17,13 +17,11 @@ val make : Database.t -> features:string list -> t
 val owned_features : t -> string -> (int * int) list
 (** (feature index, column position) pairs owned by the relation. *)
 
-val lift_cov : t -> string -> Tuple.t -> Payload.Cov_dyn.t
-(** Covariance-ring lift of a tuple: the sparse (1, x, x x^T) over its owned
-    features. *)
-
-val lift_into : t -> string -> Tuple.t -> into:Payload.Cov.t -> unit
-(** {!lift_cov} written into a buffer, for view trees; [lift_into t name]
-    resolves the relation's owned features once. *)
+val lift_into : t -> string -> Tuple.t -> into:Rings.Covariance.t -> unit
+(** Covariance-ring lift of a tuple, written into a buffer: the sparse
+    (1, x, x x^T) over its owned features. [lift_into t name] resolves the
+    relation's owned features once and returns a function that owns a
+    feature vector, so one domain at a time may call it. *)
 
 val aggregate_pairs : t -> (int * int) array
 (** All (i, j), 0 <= i <= j <= n, of the symmetric batch (0 = intercept). *)

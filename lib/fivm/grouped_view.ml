@@ -16,8 +16,8 @@ module Spec = Aggregates.Spec
 module P = struct
   type t = { mutable m : GF.t }
 
-  let mul a b ~into = into.m <- GF.mul a.m b.m
-  let add x ~into = into.m <- GF.add into.m x.m
+  let mul_into a b ~into = into.m <- GF.mul a.m b.m
+  let add_into x ~into = into.m <- GF.add into.m x.m
   let scale k x = x.m <- GF.KMap.map (fun v -> float_of_int k *. v) x.m
   let is_zero x = GF.KMap.for_all (fun _ v -> v = 0.0) x.m
   let copy x ~into = into.m <- x.m

@@ -14,7 +14,7 @@
 open Relational
 module Cov = Rings.Covariance
 
-module Cov_tree = View_tree.Make (Payload.Cov)
+module Cov_tree = View_tree.Make (Cov)
 module Float_tree = View_tree.Make (Payload.Float)
 
 type strategy = F_ivm | Higher_order | First_order
@@ -54,7 +54,7 @@ type t = { schema : Database.t; state : state }
 
 let cov_tree (task : Cov_task.t) storage =
   Cov_tree.create storage
-    ~zero:(fun () -> Payload.Cov.zero task.dim)
+    ~zero:(fun () -> Cov.zero task.dim)
     ~lift:(Cov_task.lift_into task)
 
 let create strategy (db : Database.t) ~features =
@@ -127,7 +127,7 @@ let apply t (u : Delta.update) =
    later updates. *)
 let covariance t : Cov.t =
   match t.state with
-  | Fivm { tree; _ } -> Payload.Cov.to_covariance (Cov_tree.result tree)
+  | Fivm { tree; _ } -> Array.copy (Cov_tree.result tree)
   | Higher { task; aggs; trees; _ } ->
       Cov_task.assemble task
         (Array.to_list
@@ -179,11 +179,10 @@ let snapshot t : Database.t =
    maintained state; restoring it into a maintainer whose storage holds the
    same contents reproduces the state bit-identically (recomputation would
    re-associate float additions and drift in the last ulps). Dumps hold
-   persistent values ([Cov_dyn] elements, floats); the trees' buffers are
-   converted on the way out and in. *)
+   their own copies of the trees' buffers, in both directions. *)
 
 type view_dump =
-  | Cov_views of (string * (Relational.Keypack.key * Payload.Cov_dyn.t) list) list
+  | Cov_views of (string * (Relational.Keypack.key * Cov.t) list) list
   | Float_views of (string * (Relational.Keypack.key * float) list) list array
   | Totals of float array
 
@@ -193,25 +192,29 @@ let map_dump f =
 let dump_views t =
   match t.state with
   | Fivm { tree; _ } ->
-      Cov_views (Cov_tree.export tree (fun b -> `Elem (Payload.Cov.to_covariance b)))
+      Cov_views (Cov_tree.export tree Array.copy)
   | Higher { trees; _ } ->
       Float_views (Array.map (fun tree -> Float_tree.export tree Payload.Float.get) trees)
   | First { totals; _ } -> Totals (Array.copy totals)
 
-let restore_views t dump =
+let dump_fits t dump =
   match (t.state, dump) with
-  | Fivm { task; tree; _ }, Cov_views d ->
-      Cov_tree.import tree
-        (map_dump (fun p -> Payload.Cov.of_covariance (Payload.cov_elem task.dim p)) d)
+  | Fivm { task; _ }, Cov_views d ->
+      List.for_all
+        (fun (_, entries) -> List.for_all (fun (_, p) -> Cov.dim p = task.dim) entries)
+        d
+  | Higher { trees; _ }, Float_views ds -> Array.length ds = Array.length trees
+  | First { totals; _ }, Totals ts -> Array.length ts = Array.length totals
+  | _ -> false
+
+let restore_views t dump =
+  if not (dump_fits t dump) then invalid_arg "Maintainer.restore_views: the dump does not fit";
+  match (t.state, dump) with
+  | Fivm { tree; _ }, Cov_views d -> Cov_tree.import tree (map_dump Array.copy d)
   | Higher { trees; _ }, Float_views ds ->
-      if Array.length ds <> Array.length trees then
-        invalid_arg "Maintainer.restore_views: tree count mismatch";
       Array.iteri (fun i d -> Float_tree.import trees.(i) (map_dump Payload.Float.make d)) ds
-  | First { totals; _ }, Totals ts ->
-      if Array.length ts <> Array.length totals then
-        invalid_arg "Maintainer.restore_views: totals length mismatch";
-      Array.blit ts 0 totals 0 (Array.length ts)
-  | _ -> invalid_arg "Maintainer.restore_views: strategy mismatch"
+  | First { totals; _ }, Totals ts -> Array.blit ts 0 totals 0 (Array.length ts)
+  | _ -> assert false (* [dump_fits] pairs each strategy with its dump *)
 
 (* Fault-injection hook: corrupt the maintained state in place (WITHOUT
    touching base storage) so that an audit against {!recompute} fails. Only
@@ -219,11 +222,9 @@ let restore_views t dump =
 let perturb t x =
   match dump_views t with
   | Cov_views d ->
-      restore_views t
-        (Cov_views
-           (map_dump
-              (function `Elem e -> `Elem { e with Cov.c = e.Cov.c +. x } | p -> p)
-              d))
+      (* the dump holds copies: bump each triple's count (cell 0) in place *)
+      List.iter (fun (_, es) -> List.iter (fun (_, e) -> e.(0) <- Cov.count e +. x) es) d;
+      restore_views t (Cov_views d)
   | Float_views ds ->
       if Array.length ds > 0 then begin
         ds.(0) <- map_dump (fun v -> v +. x) ds.(0);
@@ -260,7 +261,7 @@ let apply_batch t (us : Delta.update list) =
    storage contents (used by tests and drift checks). *)
 let recompute t : Cov.t =
   match t.state with
-  | Fivm { tree; _ } -> Payload.Cov.to_covariance (Cov_tree.recompute tree)
+  | Fivm { tree; _ } -> Cov_tree.recompute tree
   | Higher { task; aggs; trees; _ } ->
       Cov_task.assemble task
         (Array.to_list
@@ -269,4 +270,4 @@ let recompute t : Cov.t =
               aggs))
   | First { task; storage; _ } ->
       (* a temporary F-IVM tree shape for recomputation *)
-      Payload.Cov.to_covariance (Cov_tree.recompute (cov_tree task storage))
+      Cov_tree.recompute (cov_tree task storage)

@@ -56,7 +56,7 @@ val recompute : t -> Rings.Covariance.t
 (** {2 Checkpoint hooks (used by {!Resilience})} *)
 
 type view_dump =
-  | Cov_views of (string * (Keypack.key * Payload.Cov_dyn.t) list) list
+  | Cov_views of (string * (Keypack.key * Rings.Covariance.t) list) list
       (** F-IVM: per-node covariance-ring view contents. *)
   | Float_views of (string * (Keypack.key * float) list) list array
       (** Higher-order: per-aggregate per-node scalar view contents. *)
@@ -68,9 +68,13 @@ val dump_views : t -> view_dump
     the state bit-identically (recomputation would re-associate float
     additions). *)
 
+val dump_fits : t -> view_dump -> bool
+(** Whether the dump has this maintainer's shape: its strategy, and every
+    triple's dimension, the tree count or the totals length. *)
+
 val restore_views : t -> view_dump -> unit
-(** Replace the maintained view state with a dump. Raises [Invalid_argument]
-    if the dump's shape does not match the maintainer's strategy. *)
+(** Replace the maintained view state with a copy of a dump.
+    @raise Invalid_argument unless {!dump_fits}. *)
 
 val perturb : t -> float -> unit
 (** Fault-injection hook: corrupt the maintained view state in place (base

@@ -5,17 +5,18 @@
 
 (** The in-place ring protocol {!View_tree.Make} runs on. The ring's one
     is never materialised: the tree treats an empty product symbolically,
-    reading its first factor in place of multiplying by one. *)
+    reading its first factor in place of multiplying by one.
+    {!Rings.Covariance} (F-IVM's payload) satisfies it as it stands. *)
 module type S = sig
   type t
   (** A mutable buffer holding one ring element. *)
 
-  val mul : t -> t -> into:t -> unit
-  (** [mul a b ~into] sets [into] to the product [a * b], in that operand
-      order. [into] must alias neither operand. *)
+  val mul_into : t -> t -> into:t -> unit
+  (** [mul_into a b ~into] sets [into] to the product [a * b], in that
+      operand order. [into] must alias neither operand. *)
 
-  val add : t -> into:t -> unit
-  (** [add x ~into] sets [into] to [into + x]. *)
+  val add_into : t -> into:t -> unit
+  (** [add_into x ~into] sets [into] to [into + x]. *)
 
   val scale : int -> t -> unit
   (** [scale m x] sets [x] to its m-fold sum, [m * x] (any sign). *)
@@ -37,45 +38,3 @@ module Float : sig
   val get : t -> float
   val set : t -> float -> unit
 end
-
-(** The covariance ring at dimension d, unboxed: (c, s, Q) as one float
-    array of 1 + d + d², laid out [c | s | Q row-major]. Every kernel
-    performs {!Rings.Covariance}'s float operations in the same order, so
-    results are bit-identical to the persistent ring's. *)
-module Cov : sig
-  include S with type t = float array
-
-  val zero : int -> t
-  (** A fresh zero buffer of dimension d. *)
-
-  val dim : t -> int
-
-  val of_tuple : (int * int) array -> Relational.Tuple.t -> into:t -> unit
-  (** [of_tuple owned tuple ~into] writes {!Rings.Covariance.of_tuple}[ xs],
-      where [xs.(i)] is column [p] of [tuple] for each [(i, p)] in [owned]
-      and [0.0] elsewhere. *)
-
-  val to_covariance : t -> Rings.Covariance.t
-  (** A fresh persistent copy. *)
-
-  val of_covariance : Rings.Covariance.t -> t
-  (** A fresh buffer holding the triple. *)
-end
-
-(** Dimension-agnostic persistent covariance ring, for persistent-ring
-    users (the factorised evaluator, AC/DC, checkpoint payloads): [`Zero]
-    and [`One] are symbolic, so no static dimension is needed (it is read
-    off the first concrete element). The dimension-less combinations
-    ([`One + `One], [neg `One], [smul m `One]) are rejected. *)
-module Cov_dyn : sig
-  include Rings.Sig.RING with type t = [ `Zero | `One | `Elem of Rings.Covariance.t ]
-
-  val smul : int -> t -> t
-  (** m-fold sum ([neg] for negative m). *)
-
-  val is_zero : t -> bool
-  (** Exact, as {!S.is_zero}. *)
-end
-
-val cov_elem : int -> [ `Zero | `One | `Elem of Rings.Covariance.t ] -> Rings.Covariance.t
-(** Concretise a dynamic payload at the given dimension. *)

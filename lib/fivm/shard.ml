@@ -183,15 +183,16 @@ let load_base ?domains t ~relation chunks_of =
       in
       ignore (Util.Pool.parallel_tasks ?domains tasks))
 
-(* Merge folds FROM shard 0's triple (not from Cov.zero): ring addition
-   with a zero can normalise -0.0 payloads, and starting from shard 0
-   makes the 1-shard pipeline return its maintainer's triple verbatim. *)
+(* Merge folds FROM a copy of shard 0's triple (not from Cov.zero): ring
+   addition with a zero can normalise -0.0 payloads, and starting from
+   shard 0 makes the 1-shard pipeline return its maintainer's triple bit
+   for bit. *)
 let merge parts =
-  let acc = ref parts.(0) in
+  let acc = Array.copy parts.(0) in
   for k = 1 to Array.length parts - 1 do
-    acc := Cov.add !acc parts.(k)
+    Cov.add_into parts.(k) ~into:acc
   done;
-  !acc
+  acc
 
 let covariance t =
   Obs.with_span "fivm.shard.merge" (fun () ->

@@ -91,10 +91,13 @@ val load_base :
     (no partition attribute) must replay the full relation for every
     shard. Runs inside an [fivm.shard.load_base] span. *)
 
+val merge : Rings.Covariance.t array -> Rings.Covariance.t
+(** Per-shard triples folded with ring addition in shard order into a
+    fresh triple, starting FROM shard 0's triple (so one part comes back
+    bit for bit). The one merge of sharded results, resilient ones too. *)
+
 val covariance : t -> Rings.Covariance.t
-(** Merged covariance: per-shard triples folded with ring addition in
-    shard order, starting FROM shard 0's triple (so a 1-shard pipeline
-    returns shard 0's triple verbatim, bit for bit). Runs inside an
+(** {!merge} of the shards' maintained triples, inside an
     [fivm.shard.merge] span. *)
 
 val recompute : t -> Rings.Covariance.t

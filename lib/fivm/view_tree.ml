@@ -11,7 +11,7 @@
 
    Instantiated with [Payload.Float] and per-aggregate lifts this is
    higher-order delta processing with intermediate views; instantiated with
-   [Payload.Cov] it is F-IVM proper — one tree maintaining the whole
+   [Rings.Covariance] it is F-IVM proper — one tree maintaining the whole
    aggregate batch.
 
    Payloads are in-place ({!Payload.S}): each view entry owns one buffer
@@ -99,7 +99,7 @@ module Make (P : Payload.S) = struct
   let view_add t v key d =
     match H.find_opt v.view key with
     | Some acc ->
-        P.add d ~into:acc;
+        P.add_into d ~into:acc;
         if P.is_zero acc then begin
           H.remove v.view key;
           release t acc
@@ -131,7 +131,7 @@ module Make (P : Payload.S) = struct
             | None -> go (i + 1) (Some p)
             | Some a ->
                 let into = if a == v.prod then v.prod' else v.prod in
-                P.mul a p ~into;
+                P.mul_into a p ~into;
                 go (i + 1) (Some into))
     in
     go 0 None
@@ -150,7 +150,7 @@ module Make (P : Payload.S) = struct
         lift_scaled v u.tuple u.multiplicity;
         let d = take t in
         (match product with
-        | Some p -> P.mul v.lifted p ~into:d
+        | Some p -> P.mul_into v.lifted p ~into:d
         | None -> P.copy v.lifted ~into:d);
         let key = Keypack.key_of_tuple v.key_positions u.tuple in
         view_add t v key d;
@@ -174,7 +174,7 @@ module Make (P : Payload.S) = struct
                 let joined =
                   match others with
                   | Some o ->
-                      P.mul d o ~into:v.joined;
+                      P.mul_into d o ~into:v.joined;
                       v.joined
                   | None -> d
                 in
@@ -182,11 +182,11 @@ module Make (P : Payload.S) = struct
                 let key = Keypack.key_of_tuple v.key_positions tuple in
                 match H.find_opt v.deltas key with
                 | Some acc ->
-                    P.mul v.lifted joined ~into:v.contrib;
-                    P.add v.contrib ~into:acc
+                    P.mul_into v.lifted joined ~into:v.contrib;
+                    P.add_into v.contrib ~into:acc
                 | None ->
                     let b = take t in
-                    P.mul v.lifted joined ~into:b;
+                    P.mul_into v.lifted joined ~into:b;
                     H.add v.deltas key b))
           ())
       child_deltas;
@@ -234,7 +234,7 @@ module Make (P : Payload.S) = struct
               match H.find_opt child_views.(i) (Storage.edge_key v.edges.(i) tuple) with
               | Some p ->
                   let into = if acc == a then b else a in
-                  P.mul acc p ~into;
+                  P.mul_into acc p ~into;
                   go (i + 1) into
               | None -> None
           in
@@ -243,7 +243,7 @@ module Make (P : Payload.S) = struct
           | Some p -> (
               let key = Keypack.key_of_tuple v.key_positions tuple in
               match H.find_opt out key with
-              | Some r -> P.add p ~into:r
+              | Some r -> P.add_into p ~into:r
               | None ->
                   let r = t.zero () in
                   P.copy p ~into:r;

@@ -2,8 +2,8 @@
     view per join-tree node mapping its parent-join key to the ring
     aggregate of its subtree; single-tuple updates propagate bottom-up as
     deltas joined with sibling views. With [Payload.Float] and per-aggregate
-    lifts this is higher-order delta processing; with [Payload.Cov] it is
-    F-IVM proper. Payloads live in buffers the tree owns and accumulates
+    lifts this is higher-order delta processing; with [Rings.Covariance] it
+    is F-IVM proper. Payloads live in buffers the tree owns and accumulates
     into ({!Payload.S}). *)
 
 open Relational

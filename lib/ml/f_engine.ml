@@ -12,7 +12,6 @@
 
 open Relational
 module Cov = Rings.Covariance
-module P = Fivm.Payload.Cov_dyn
 
 (* Observability ([f.*]): how many value lifts the single factorised pass
    performs — the per-value work of Figure 9's re-mapping. *)
@@ -26,16 +25,14 @@ let covariance ?(cache = true) (db : Database.t) ~(features : string list) : Cov
   let dim = List.length features in
   let index = Hashtbl.create 16 in
   List.iteri (fun i f -> Hashtbl.replace index f i) features;
-  let lift var v : P.t =
+  let module R = (val Cov.make_ring dim) in
+  let lift var v =
     Obs.incr c_lift_ops;
     match Hashtbl.find_opt index var with
-    | Some i -> `Elem (Cov.lift dim i (Value.to_float v))
-    | None -> `One
+    | Some i -> Cov.lift dim i (Value.to_float v)
+    | None -> R.one
   in
-  let result =
-    Factorized.Fjoin.eval_semiring ~cache (module P) ~lift rels order
-  in
-  Fivm.Payload.cov_elem dim result
+  Factorized.Fjoin.eval_semiring ~cache (module R) ~lift rels order
 
 (* Ridge linear regression trained from the factorised covariance pass:
    response must be listed among [features]. The triple is wrapped as a

@@ -10,10 +10,9 @@ module Cov = Rings.Covariance
 (* Centred covariance matrix from the ring triple. *)
 let centred_covariance (t : Cov.t) : Mat.t =
   let n = Stdlib.max 1.0 (Cov.count t) in
-  let s = Cov.sums t and q = Cov.products t in
-  let d = Vec.dim s in
+  let d = Cov.dim t in
   Mat.init d d (fun i j ->
-      (Mat.get q i j /. n) -. (s.(i) /. n *. (s.(j) /. n)))
+      (Cov.product t i j /. n) -. (Cov.sum t i /. n *. (Cov.sum t j /. n)))
 
 type component = { eigenvalue : float; vector : Vec.t }
 

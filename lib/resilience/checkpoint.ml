@@ -53,19 +53,18 @@ let decode_list rd dec =
     Codec.fail (Printf.sprintf "implausible list length %d" n);
   List.init n (fun _ -> dec rd)
 
-let encode_cov_payload b = function
-  | `Zero -> Codec.u8 b 0
-  | `One -> Codec.u8 b 1
-  | `Elem e ->
-      Codec.u8 b 2;
-      Cov.encode b e
+(* Each triple is tagged 2, the tag of a concrete element since the first
+   format; 0 and 1 (a symbolic zero and one) were never written, because
+   view trees drop zero entries and every lift is concrete. *)
+let encode_cov_payload b e =
+  Codec.u8 b 2;
+  Cov.encode b e
 
-let decode_cov_payload rd : Payload.Cov_dyn.t =
+let decode_cov_payload rd =
+  let at = rd.Codec.pos in
   match Codec.read_u8 rd with
-  | 0 -> `Zero
-  | 1 -> `One
-  | 2 -> `Elem (Cov.decode rd)
-  | n -> Codec.fail (Printf.sprintf "bad payload tag %d" n)
+  | 2 -> Cov.decode rd
+  | n -> Codec.fail ~offset:at (Printf.sprintf "bad payload tag %d" n)
 
 let encode_group enc_payload b (name, entries) =
   Codec.str b name;
@@ -176,9 +175,13 @@ let restore ~dir ~(make : unit -> Maintainer.t) : restored option * int =
         match decode_file path with
         | tag, seq, storage_dump, views ->
             let m = make () in
-            if tag <> strategy_tag (Maintainer.strategy_of m) then begin
-              (* someone changed strategy under the same directory: this
-                 checkpoint cannot seed the requested maintainer *)
+            if
+              tag <> strategy_tag (Maintainer.strategy_of m)
+              || not (Maintainer.dump_fits m views)
+            then begin
+              (* someone changed the strategy or the features under the
+                 same directory: this checkpoint cannot seed the requested
+                 maintainer *)
               incr corrupt;
               try_candidates rest
             end

@@ -5,7 +5,6 @@
    the recovered sequence number. *)
 
 open Fivm
-module Cov = Rings.Covariance
 
 let c_crashes = Obs.counter "resilience.shard.crashes"
 
@@ -74,15 +73,7 @@ let submit_batch ?domains t updates =
       in
       ignore (Util.Pool.parallel_tasks ?domains tasks))
 
-(* Canonical shard-order merge starting from shard 0's triple — see
-   Fivm.Shard.covariance. *)
-let covariance t =
-  let parts = Array.map Driver.covariance t.drivers in
-  let acc = ref parts.(0) in
-  for k = 1 to Array.length parts - 1 do
-    acc := Cov.add !acc parts.(k)
-  done;
-  !acc
+let covariance t = Shard.merge (Array.map Driver.covariance t.drivers)
 
 let seqs t = Array.map Driver.seq t.drivers
 let seq t = Array.fold_left ( + ) 0 (seqs t)

@@ -42,8 +42,7 @@ val submit_batch : ?domains:int -> t -> Delta.update list -> unit
     exhausts [max_restarts]. *)
 
 val covariance : t -> Rings.Covariance.t
-(** Per-shard driver covariances merged in canonical shard order
-    (folded from shard 0's triple, as {!Fivm.Shard.covariance}). *)
+(** Per-shard driver covariances merged by {!Fivm.Shard.merge}. *)
 
 val seq : t -> int
 (** Total committed updates across shards. *)

@@ -14,192 +14,251 @@
    scale sums, sums build products. Lifting feature i's value x to
    (1, x*e_i, x^2*E_ii) and taking the ring product across a tuple's features
    yields the tuple's full second-moment contribution; summing over tuples
-   yields all (n+1)^2 covariance aggregates in one pass. *)
+   yields all (n+1)^2 covariance aggregates in one pass.
+
+   A triple is one unboxed float array of 1 + n + n^2 cells, laid out
+   [c | s | Q row-major]. The in-place kernels below are the ring's only
+   arithmetic: a view tree runs them on buffers it owns, and every
+   persistent operation allocates a fresh array and runs the same kernel,
+   so both get the same bits by construction. *)
 
 open Util
 
-type t = { c : float; s : Vec.t; q : Mat.t }
+type t = float array
 
-let dim t = Vec.dim t.s
+(* 1 + n + n^2 = len gives n = floor (sqrt (len - 1)). *)
+let dim (x : t) = int_of_float (sqrt (float_of_int (Array.length x - 1)))
 
-let zero n = { c = 0.0; s = Vec.create n; q = Mat.create n n }
+let zero n : t = Array.make (1 + n + (n * n)) 0.0
 
-let one n = { c = 1.0; s = Vec.create n; q = Mat.create n n }
+let one n =
+  let x = zero n in
+  x.(0) <- 1.0;
+  x
 
-let add a b = { c = a.c +. b.c; s = Vec.add a.s b.s; q = Mat.add a.q b.q }
+(* The kernels index unchecked: an operand must have [into]'s length, and
+   that must be a triple's, 1 + d + d^2. *)
+let check name (x : t) (into : t) =
+  let d = dim into in
+  if Array.length x <> Array.length into || Array.length into <> 1 + d + (d * d) then
+    invalid_arg ("Covariance." ^ name)
 
-let neg a = { c = -.a.c; s = Vec.scale (-1.0) a.s; q = Mat.scale (-1.0) a.q }
+(* typed, so the primitives compile to unboxed float-array accesses *)
+let get (x : t) k = Array.unsafe_get x k
+let set (x : t) k v = Array.unsafe_set x k v
 
-let smul k a = { c = k *. a.c; s = Vec.scale k a.s; q = Mat.scale k a.q }
+(* ---- in-place kernels ---- *)
 
-let mul a b =
-  let n = dim a in
-  let c = a.c *. b.c in
-  let s = Vec.create n in
-  for i = 0 to n - 1 do
-    s.(i) <- (b.c *. a.s.(i)) +. (a.c *. b.s.(i))
+let mul_into (a : t) (b : t) ~(into : t) =
+  check "mul_into" a into;
+  check "mul_into" b into;
+  if into == a || into == b then
+    invalid_arg "Covariance.mul_into: destination aliases an operand";
+  let d = dim into in
+  let ac = get a 0 and bc = get b 0 in
+  set into 0 (ac *. bc);
+  for i = 1 to d do
+    set into i ((bc *. get a i) +. (ac *. get b i))
   done;
-  let q = Mat.create n n in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Mat.set q i j
-        ((b.c *. Mat.get a.q i j)
-        +. (a.c *. Mat.get b.q i j)
-        +. (a.s.(i) *. b.s.(j))
-        +. (b.s.(i) *. a.s.(j)))
+  for i = 0 to d - 1 do
+    let asi = get a (1 + i) and bsi = get b (1 + i) in
+    let row = 1 + d + (i * d) in
+    for j = 0 to d - 1 do
+      let k = row + j in
+      set into k
+        ((bc *. get a k)
+        +. (ac *. get b k)
+        +. (asi *. get b (1 + j))
+        +. (bsi *. get a (1 + j)))
     done
-  done;
-  { c; s; q }
+  done
 
-(* Lift of feature [i]'s value [x]: the ring image of a single attribute
-   value (Figure 10's per-value triples, generalised with the x^2 diagonal). *)
-let lift n i x =
-  let s = Vec.create n in
-  s.(i) <- x;
-  let q = Mat.create n n in
-  Mat.set q i i (x *. x);
-  { c = 1.0; s; q }
+let add_into (x : t) ~(into : t) =
+  check "add_into" x into;
+  for k = 0 to Array.length into - 1 do
+    set into k (get into k +. get x k)
+  done
 
-(* Fast path: the ring product of the lifts of all features of one tuple is
-   (1, x, x x^T); build it directly instead of n-1 ring multiplications. *)
-let of_tuple xs =
-  let n = Array.length xs in
-  let q = Mat.create n n in
-  Mat.ger ~alpha:1.0 xs xs q;
-  { c = 1.0; s = Vec.copy xs; q }
-
-(* Mutable accumulator: folds tuples (with multiplicities) into a running
-   (c, s, Q) without allocating a triple per tuple. This is the specialised
-   inner loop that the "specialisation" stage of Figure 6 uses. *)
-module Acc = struct
-  type acc = { mutable count : float; sums : Vec.t; prods : Mat.t }
-
-  let create n = { count = 0.0; sums = Vec.create n; prods = Mat.create n n }
-
-  let add_tuple acc ?(multiplicity = 1.0) xs =
-    acc.count <- acc.count +. multiplicity;
-    Vec.axpy ~alpha:multiplicity xs acc.sums;
-    Mat.ger ~alpha:multiplicity xs xs acc.prods
-
-  let add_triple acc (x : t) =
-    acc.count <- acc.count +. x.c;
-    Vec.add_in_place acc.sums x.s;
-    Mat.add_in_place acc.prods x.q
-
-  let freeze acc : t =
-    { c = acc.count; s = Vec.copy acc.sums; q = Mat.copy acc.prods }
-end
+let scale m (x : t) =
+  let k = float_of_int m in
+  for i = 0 to Array.length x - 1 do
+    set x i (k *. get x i)
+  done
 
 (* Exact structural zero (no tolerance): the test that decides whether a
    maintained view entry may be dropped. Tolerant comparison here would
    discard near-zero-but-real contributions and break bit-identity with a
    from-scratch recompute; [x = 0.0] admits both float zeros, which is right
    because an exactly-cancelled group is indistinguishable from one a
-   recompute never saw. *)
-let is_zero a =
-  a.c = 0.0
-  &&
-  let n = dim a in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if a.s.(i) <> 0.0 then ok := false;
-    for j = 0 to n - 1 do
-      if Mat.get a.q i j <> 0.0 then ok := false
-    done
+   recompute never saw. A loop: [Array.for_all] would box every cell. *)
+let is_zero (x : t) =
+  let k = ref 0 in
+  while !k < Array.length x && get x !k = 0.0 do
+    incr k
   done;
-  !ok
+  !k = Array.length x
+
+let copy (x : t) ~(into : t) =
+  check "copy" x into;
+  Array.blit x 0 into 0 (Array.length x)
+
+(* (1, xs, xs xs^T), the product of the lifts of every feature of one
+   tuple, built directly instead of by n-1 ring multiplications. Rows of Q
+   whose x_i is zero are skipped and stay 0.0, and the others read
+   [0.0 +. x_i *. x_j], which turns a -0.0 product into 0.0. *)
+let of_tuple_into (xs : float array) ~(into : t) =
+  let d = Array.length xs in
+  if Array.length into <> 1 + d + (d * d) then invalid_arg "Covariance.of_tuple_into";
+  Array.fill into 0 (Array.length into) 0.0;
+  set into 0 1.0;
+  Array.blit xs 0 into 1 d;
+  for i = 0 to d - 1 do
+    let xi = Array.unsafe_get xs i in
+    if xi <> 0.0 then begin
+      let row = 1 + d + (i * d) in
+      for j = 0 to d - 1 do
+        set into (row + j) (0.0 +. (xi *. Array.unsafe_get xs j))
+      done
+    end
+  done
+
+(* ---- persistent operations: a fresh array, then the kernel ---- *)
+
+let add a b =
+  let r = Array.copy a in
+  add_into b ~into:r;
+  r
+
+let mul a b =
+  let r = zero (dim a) in
+  mul_into a b ~into:r;
+  r
+
+let of_tuple xs =
+  let r = zero (Array.length xs) in
+  of_tuple_into xs ~into:r;
+  r
+
+(* Lift of feature [i]'s value [x]: the ring image of a single attribute
+   value (Figure 10's per-value triples, generalised with the x^2 diagonal). *)
+let lift n i x =
+  let xs = Array.make n 0.0 in
+  xs.(i) <- x;
+  of_tuple xs
+
+(* Mutable accumulator: folds tuples (with multiplicities) into a running
+   triple by the textbook updates, an axpy for the sums and a rank-1 update
+   for the products, without allocating a triple per tuple. Tests use it
+   as the flat reference that the ring-based engines are checked
+   against. *)
+module Acc = struct
+  type acc = t
+
+  let create = zero
+
+  let add_tuple (acc : acc) ?(multiplicity = 1.0) xs =
+    let d = dim acc in
+    acc.(0) <- acc.(0) +. multiplicity;
+    for i = 0 to d - 1 do
+      acc.(1 + i) <- (multiplicity *. xs.(i)) +. acc.(1 + i)
+    done;
+    for i = 0 to d - 1 do
+      let axi = multiplicity *. xs.(i) in
+      if axi <> 0.0 then begin
+        let row = 1 + d + (i * d) in
+        for j = 0 to d - 1 do
+          acc.(row + j) <- acc.(row + j) +. (axi *. xs.(j))
+        done
+      end
+    done
+
+  let freeze (acc : acc) : t = Array.copy acc
+end
+
+let same_shape (a : t) (b : t) = Array.length a = Array.length b
 
 let equal ?(eps = 1e-7) a b =
-  Float.abs (a.c -. b.c) <= eps && Vec.equal ~eps a.s b.s && Mat.equal ~eps a.q b.q
+  same_shape a b && Array.for_all2 (fun x y -> Float.abs (x -. y) <= eps) a b
 
 (* Relative comparison: tolerant of accumulation-order float differences on
    large-magnitude sums. *)
 let equal_rel ?(eps = 1e-9) a b =
   let close x y = Float.abs (x -. y) <= eps *. (1.0 +. Float.abs x +. Float.abs y) in
-  dim a = dim b
-  && close a.c b.c
-  && (let ok = ref true in
-      for i = 0 to dim a - 1 do
-        if not (close a.s.(i) b.s.(i)) then ok := false;
-        for j = 0 to dim a - 1 do
-          if not (close (Mat.get a.q i j) (Mat.get b.q i j)) then ok := false
-        done
-      done;
-      !ok)
+  same_shape a b && Array.for_all2 close a b
 
 (* Bitwise equality, the exact counterpart of [equal_rel]: the same
    dimension and every component equal by bit pattern, so one ulp or -0.0
    against 0.0 is a difference. *)
 let equal_bits a b =
   let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
-  dim a = dim b
-  && same a.c b.c
-  && (let ok = ref true in
-      for i = 0 to dim a - 1 do
-        if not (same a.s.(i) b.s.(i)) then ok := false;
-        for j = 0 to dim a - 1 do
-          if not (same (Mat.get a.q i j) (Mat.get b.q i j)) then ok := false
-        done
-      done;
-      !ok)
+  same_shape a b && Array.for_all2 same a b
 
-let count t = t.c
-let sums t = t.s
-let products t = t.q
+let count (x : t) = x.(0)
+
+let sum x i =
+  if i < 0 || i >= dim x then invalid_arg "Covariance.sum";
+  x.(1 + i)
+
+let product x i j =
+  let n = dim x in
+  if i < 0 || i >= n || j < 0 || j >= n then invalid_arg "Covariance.product";
+  x.(1 + n + (i * n) + j)
+
+(* The inverse of [moment_matrix]: [f i j] is read once per cell, with
+   slot 0 the intercept; product (i-1, j-1) lives at 1 + n + (i-1)n + j-1. *)
+let init n f =
+  let x = zero n in
+  x.(0) <- f 0 0;
+  for i = 1 to n do
+    x.(i) <- f 0 i
+  done;
+  for i = 1 to n do
+    for j = 1 to n do
+      x.(n + ((i - 1) * n) + j) <- f i j
+    done
+  done;
+  x
 
 (* Assemble the (n+1)x(n+1) symmetric moment matrix with an intercept slot
    at index 0: [[c, s^T], [s, Q]]. This is the "sigma" matrix the linear
    regression gradient is built from. *)
-let moment_matrix t =
-  let n = dim t in
+let moment_matrix x =
+  let n = dim x in
   Mat.init (n + 1) (n + 1) (fun i j ->
       match (i, j) with
-      | 0, 0 -> t.c
-      | 0, j -> t.s.(j - 1)
-      | i, 0 -> t.s.(i - 1)
-      | i, j -> Mat.get t.q (i - 1) (j - 1))
+      | 0, 0 -> count x
+      | 0, j -> sum x (j - 1)
+      | i, 0 -> sum x (i - 1)
+      | i, j -> product x (i - 1) (j - 1))
 
-(* Binary codec (checkpoint payloads): dimension, count, sums, then the
-   product matrix row-major, every float by its exact bit pattern — a
-   decoded triple is bit-identical to the encoded one, which the
-   crash-recovery equivalence guarantee depends on. *)
-let encode b t =
-  let n = dim t in
-  Relational.Codec.u32 b n;
-  Relational.Codec.f64 b t.c;
-  for i = 0 to n - 1 do
-    Relational.Codec.f64 b t.s.(i)
-  done;
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Relational.Codec.f64 b (Mat.get t.q i j)
-    done
+(* Binary codec (checkpoint payloads): the dimension, then every cell in
+   layout order (count, sums, products row-major), each by its exact bit
+   pattern — a decoded triple is bit-identical to the encoded one, which
+   the crash-recovery equivalence guarantee depends on. *)
+let encode b (x : t) =
+  Relational.Codec.u32 b (dim x);
+  for k = 0 to Array.length x - 1 do
+    Relational.Codec.f64 b x.(k)
   done
 
-let decode r =
+(* [read_f64s] checks that all 1 + n + n^2 cells are present before it
+   allocates, so a short payload claiming a large dimension fails cheaply. *)
+let decode (r : Relational.Codec.reader) : t =
+  let at = r.Relational.Codec.pos in
   let n = Relational.Codec.read_u32 r in
-  if n > 65536 then Relational.Codec.fail "covariance dim";
-  let c = Relational.Codec.read_f64 r in
-  let s = Vec.create n in
-  for i = 0 to n - 1 do
-    s.(i) <- Relational.Codec.read_f64 r
-  done;
-  let q = Mat.create n n in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Mat.set q i j (Relational.Codec.read_f64 r)
-    done
-  done;
-  { c; s; q }
+  if n > 65536 then Relational.Codec.fail ~offset:at "covariance dim";
+  Relational.Codec.read_f64s r (1 + n + (n * n))
 
-let to_string t =
-  Format.asprintf "(c=%g, s=%a)" t.c Vec.pp t.s
+let to_string x = Format.asprintf "(c=%g, s=%a)" (count x) Vec.pp (Array.sub x 1 (dim x))
 
-let pp ppf t =
-  Format.fprintf ppf "c = %g@\ns = %a@\nQ =@\n%a" t.c Vec.pp t.s Mat.pp t.q
+let pp ppf x =
+  let n = dim x in
+  Format.fprintf ppf "c = %g@\ns = %a@\nQ =@\n%a" (count x) Vec.pp (Array.sub x 1 n) Mat.pp
+    (Mat.init n n (product x))
 
-(* First-class semiring instance over a fixed dimension, for the generic
-   factorised evaluator. *)
+(* First-class ring instance over a fixed dimension, for the generic
+   factorised evaluator. Its zero and one are shared, and no operation
+   writes an operand. *)
 module Make (D : sig
   val n : int
 end) : Sig.RING with type t = t = struct
@@ -209,7 +268,12 @@ end) : Sig.RING with type t = t = struct
   let one = one D.n
   let add = add
   let mul = mul
-  let neg = neg
+
+  let neg a =
+    let r = Array.copy a in
+    scale (-1) r;
+    r
+
   let equal = equal ~eps:1e-7
   let to_string = to_string
 end

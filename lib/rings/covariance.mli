@@ -1,22 +1,52 @@
 (** The covariance ring (paper Section 5.2): triples (c, s, Q) of
     [SUM(1)], [SUM(x_i)] and [SUM(x_i * x_j)] over a fixed feature dimension,
     with the ring product that shares counts into sums and sums into
-    products. *)
+    products.
 
-open Util
+    A triple of dimension n is one float array of 1 + n + n² cells, laid
+    out [c | s | Q row-major]. The in-place kernels ([mul_into],
+    [add_into], [scale], [copy], [is_zero], [of_tuple_into]) are the ring's
+    only arithmetic: F-IVM's view trees run them on buffers they own, and
+    every persistent operation ([add], [mul], [of_tuple], [lift], the
+    {!Make} instance) allocates a fresh array and runs the same kernel. *)
 
-type t = { c : float; s : Vec.t; q : Mat.t }
+type t = float array
 
 val dim : t -> int
+
 val zero : int -> t
-(** [zero n] for dimension [n]. *)
+(** [zero n], a fresh zero triple of dimension [n]. *)
 
 val one : int -> t
-val add : t -> t -> t
-val neg : t -> t
-val smul : float -> t -> t
-(** Scalar multiple (= repeated [add]). *)
 
+(** {2 In-place kernels} *)
+
+val mul_into : t -> t -> into:t -> unit
+(** [mul_into a b ~into] sets [into] to the ring product [a * b], in that
+    operand order. [into] must alias neither operand.
+    @raise Invalid_argument on a dimension mismatch or an alias. *)
+
+val add_into : t -> into:t -> unit
+(** [add_into x ~into] sets [into] to [into + x]. *)
+
+val scale : int -> t -> unit
+(** [scale m x] sets [x] to its m-fold sum, [m * x] (any sign). *)
+
+val copy : t -> into:t -> unit
+(** [copy x ~into] overwrites [into] with [x]. *)
+
+val is_zero : t -> bool
+(** Exact structural zero (every component [= 0.0], either float zero; no
+    tolerance) — safe to use for dropping exactly-cancelled view entries
+    without perturbing bit-identity. *)
+
+val of_tuple_into : float array -> into:t -> unit
+(** [of_tuple_into xs ~into] sets [into] to [(1, xs, xs xs^T)], the
+    product of the lifts of all features of one tuple. *)
+
+(** {2 Persistent operations} *)
+
+val add : t -> t -> t
 val mul : t -> t -> t
 (** The covariance-ring product of Section 5.2. *)
 
@@ -25,23 +55,18 @@ val lift : int -> int -> float -> t
     value [x] in dimension [n]. *)
 
 val of_tuple : float array -> t
-(** [(1, x, x x^T)] — the product of the lifts of all features of one tuple,
-    built directly. *)
+(** [(1, x, x x^T)], by {!of_tuple_into}. *)
 
-(** Mutable accumulator for tight fold loops (no per-tuple allocation). *)
+(** Mutable accumulator folding tuples by the textbook axpy and rank-1
+    updates, with no per-tuple allocation: the flat reference that tests
+    check the ring-based engines against. *)
 module Acc : sig
   type acc
 
   val create : int -> acc
   val add_tuple : acc -> ?multiplicity:float -> float array -> unit
-  val add_triple : acc -> t -> unit
   val freeze : acc -> t
 end
-
-val is_zero : t -> bool
-(** Exact structural zero (every component [= 0.0], either float zero; no
-    tolerance) — safe to use for dropping exactly-cancelled view entries
-    without perturbing bit-identity. *)
 
 val equal : ?eps:float -> t -> t -> bool
 (** Absolute tolerance. *)
@@ -56,19 +81,31 @@ val equal_bits : t -> t -> bool
     and recovered triples must match a recompute to the last bit. *)
 
 val count : t -> float
-val sums : t -> Vec.t
-val products : t -> Mat.t
 
-val moment_matrix : t -> Mat.t
+val sum : t -> int -> float
+(** [sum x i] is [SUM(x_i)], for [0 <= i < dim x]. *)
+
+val product : t -> int -> int -> float
+(** [product x i j] is [SUM(x_i * x_j)]. *)
+
+val moment_matrix : t -> Util.Mat.t
 (** The (n+1)x(n+1) symmetric moment matrix [[c, s^T]; [s, Q]] with the
     intercept in slot 0 — the input to gradient-descent linear regression. *)
 
+val init : int -> (int -> int -> float) -> t
+(** [init n f] is the triple of dimension [n] whose moment matrix has
+    [f i j] at [(i, j)]: the count at [(0, 0)], [SUM(x_j)] at [(0, j+1)]
+    and [SUM(x_i * x_j)] at [(i+1, j+1)]. Cells [(i, 0)] for [i > 0] are
+    not read. *)
+
 val encode : Buffer.t -> t -> unit
-(** Binary codec for checkpoint payloads; floats are stored by bit pattern,
-    so {!decode} returns a bit-identical triple. *)
+(** Binary codec for checkpoint payloads: the dimension, then c, s and Q
+    row-major, floats by bit pattern, so {!decode} returns a bit-identical
+    triple. *)
 
 val decode : Relational.Codec.reader -> t
-(** @raise Relational.Codec.Decode_error on malformed input. *)
+(** Checks that every cell is present before allocating.
+    @raise Relational.Codec.Decode_error on malformed input, located. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
@@ -76,6 +113,8 @@ val pp : Format.formatter -> t -> unit
 module Make (_ : sig
   val n : int
 end) : Sig.RING with type t = t
+(** The ring at a fixed dimension. Its [zero] and [one] are shared, and
+    no operation writes an operand. *)
 
 val make_ring : int -> (module Sig.RING with type t = t)
 (** First-class ring instance at the given dimension. *)

@@ -121,7 +121,7 @@ let zero_residue_rows (m : M.t) =
       List.fold_left
         (fun acc (_, entries) ->
           acc
-          + List.length (List.filter (fun (_, p) -> Fivm.Payload.Cov_dyn.is_zero p) entries))
+          + List.length (List.filter (fun (_, p) -> Rings.Covariance.is_zero p) entries))
         0 views
   | _ -> 0
 

@@ -188,9 +188,9 @@ let refresh_plan t (batch : Batch.t) =
   all [] batch.Batch.aggregates
 
 let coord_value (cov : Cov.t) = function
-  | C -> cov.Cov.c
-  | S i -> Util.Vec.get cov.Cov.s i
-  | Q (i, j) -> Util.Mat.get cov.Cov.q i j
+  | C -> Cov.count cov
+  | S i -> Cov.sum cov i
+  | Q (i, j) -> Cov.product cov i j
 
 let result_of_plan cov plan =
   List.map (fun (id, c) -> (id, [ ([], coord_value cov c) ])) plan

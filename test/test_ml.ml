@@ -142,13 +142,7 @@ let test_cg_residual_below_tolerance () =
       [| 69.6171875; 79.1875; 89.6328125 |];
     |]
   in
-  let cov =
-    {
-      Cov.c = 20.0;
-      s = [| 37.0; 42.9375; 36.875 |];
-      q = Util.Mat.init 3 3 (fun i j -> q.(i).(j));
-    }
-  in
+  let cov = Array.concat ([| 20.0; 37.0; 42.9375; 36.875 |] :: Array.to_list q) in
   let moment =
     Ml.Moment.of_covariance cov ~features:[ "m"; "u"; "v" ] ~response:(Some "m")
   in
@@ -604,6 +598,18 @@ let f_engine_matches =
       let via_acdc = Baseline.Acdc.stage2_shared db ~features in
       Cov.equal_rel ~eps:1e-7 via_f via_acdc)
 
+(* F twice over one database gives the same bits, and so does F without
+   its subtree cache: the ring's persistent operations never write a
+   shared operand. *)
+let test_f_engine_deterministic () =
+  let db = planted_db ~seed:43 ~noise:0.5 () in
+  let features = [ "y"; "m"; "u" ] in
+  let first = Ml.F_engine.covariance db ~features in
+  let again = Ml.F_engine.covariance db ~features in
+  let uncached = Ml.F_engine.covariance ~cache:false db ~features in
+  Alcotest.(check bool) "twice" true (Cov.equal_bits first again);
+  Alcotest.(check bool) "without the cache" true (Cov.equal_bits first uncached)
+
 let test_f_engine_linreg () =
   let db = planted_db ~seed:41 () in
   let model =
@@ -817,5 +823,7 @@ let () =
           qcheck f_engine_matches;
           Alcotest.test_case "factorised linreg recovers slopes" `Quick
             test_f_engine_linreg;
+          Alcotest.test_case "F gives the same bits twice" `Quick
+            test_f_engine_deterministic;
         ] );
     ]

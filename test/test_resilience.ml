@@ -130,6 +130,29 @@ let cov_codec_roundtrip =
       let c' = Cov.decode (Codec.reader (Buffer.contents b)) in
       Cov.equal_bits c c')
 
+(* A payload that claims dimension 4,096 but holds only c and s: the
+   decoder must see that the 4,096² products are missing before it
+   allocates room for them (128 MiB). *)
+let test_cov_decode_checks_before_allocating () =
+  let n = 4096 in
+  let b = Buffer.create (4 + (8 * (n + 1))) in
+  Codec.u32 b n;
+  for _ = 0 to n do
+    Codec.f64 b 1.0
+  done;
+  let payload = Buffer.contents b in
+  let before = Gc.allocated_bytes () in
+  let offset =
+    match Cov.decode (Codec.reader payload) with
+    | _ -> Alcotest.fail "a truncated triple decoded"
+    | exception Codec.Decode_error e -> e.Codec.offset
+  in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "located at the first missing product" (String.length payload) offset;
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.0f bytes, under 1 MiB" allocated)
+    true (allocated < 1048576.0)
+
 (* ---- WAL ---- *)
 
 let test_wal_roundtrip_and_torn_tail () =
@@ -243,6 +266,62 @@ let test_checkpoint_corruption_falls_back () =
   let restored, corrupt = Checkpoint.restore ~dir ~make:(make M.F_ivm) in
   Alcotest.(check bool) "both skipped" true (corrupt >= 2);
   Alcotest.(check bool) "empty start" true (restored = None)
+
+(* An F-IVM entry tagged 1 (a symbolic one, which no writer produces) is
+   refused like any bad tag, and restore falls back to the previous
+   checkpoint. The newest file's last entry ends the frame: its tag byte
+   is 109 bytes from the end at dimension 3 (tag, u32 dim, 13 cells). *)
+let test_checkpoint_refuses_tag_one () =
+  Scenario.with_temp_dir @@ fun dir ->
+  let m = make M.F_ivm () in
+  List.iteri
+    (fun i u ->
+      M.apply m u;
+      if i = 19 then ignore (Checkpoint.write ~dir ~seq:20 m))
+    (stream ~seed:8 ~steps:40);
+  let path = Checkpoint.write ~dir ~seq:40 m in
+  let s = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  let tag = Bytes.length s - (1 + 4 + (8 * 13)) in
+  Alcotest.(check int) "the last entry's tag" 2 (Char.code (Bytes.get s tag));
+  Bytes.set s tag '\001';
+  let magic = 8 in
+  Codec.seal_frame s ~pos:magic ~len:(Bytes.length s - magic - Codec.frame_header);
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc s);
+  let restored, corrupt = Checkpoint.restore ~dir ~make:(make M.F_ivm) in
+  Alcotest.(check int) "the tagged checkpoint is refused" 1 corrupt;
+  match restored with
+  | Some r -> Alcotest.(check int) "fell back to the older checkpoint" 20 r.Checkpoint.seq
+  | None -> Alcotest.fail "older checkpoint not restored"
+
+(* A checkpoint written over features m, u, v cannot seed a maintainer over
+   u, v (another triple dimension, tree count or totals length): restore
+   skips it like a strategy mismatch and takes the older checkpoint that
+   fits, which keeps maintaining. *)
+let test_checkpoint_shape_mismatch_skipped () =
+  List.iter
+    (fun strategy ->
+      Scenario.with_temp_dir @@ fun dir ->
+      let name = M.strategy_name strategy in
+      let narrow () = M.create strategy (Sg.star_database ()) ~features:[ "u"; "v" ] in
+      let updates = stream ~seed:9 ~steps:30 in
+      let fits = narrow () in
+      List.iter (M.apply fits) updates;
+      ignore (Checkpoint.write ~dir ~seq:10 fits);
+      let wide = make strategy () in
+      List.iter (M.apply wide) updates;
+      ignore (Checkpoint.write ~dir ~seq:20 wide);
+      let restored, corrupt = Checkpoint.restore ~dir ~make:narrow in
+      Alcotest.(check int) (name ^ ": the wide checkpoint is skipped") 1 corrupt;
+      match restored with
+      | None -> Alcotest.fail (name ^ ": the fitting checkpoint was not restored")
+      | Some r ->
+          Alcotest.(check int) (name ^ ": restored the fitting checkpoint") 10 r.Checkpoint.seq;
+          let tail = stream ~seed:10 ~steps:20 in
+          List.iter (M.apply fits) tail;
+          List.iter (M.apply r.Checkpoint.maintainer) tail;
+          Alcotest.(check bool) (name ^ ": keeps maintaining") true
+            (Cov.equal_bits (M.covariance fits) (M.covariance r.Checkpoint.maintainer)))
+    [ M.F_ivm; M.Higher_order; M.First_order ]
 
 (* ---- the core promise: crash recovery is bit-identical ---- *)
 
@@ -401,6 +480,8 @@ let () =
           Alcotest.test_case "primitive round-trips" `Quick test_codec_roundtrip;
           Alcotest.test_case "frames reject damage" `Quick test_frame_rejects_damage;
           qcheck cov_codec_roundtrip;
+          Alcotest.test_case "triple decode checks before allocating" `Quick
+            test_cov_decode_checks_before_allocating;
         ] );
       ( "wal",
         [ Alcotest.test_case "round-trip and torn tail" `Quick test_wal_roundtrip_and_torn_tail ] );
@@ -411,6 +492,9 @@ let () =
             test_checkpoint_corruption_falls_back;
           Alcotest.test_case "state pinned on a real-valued stream" `Quick
             test_state_pinned;
+          Alcotest.test_case "tag 1 refused, falls back" `Quick test_checkpoint_refuses_tag_one;
+          Alcotest.test_case "shape mismatch skipped" `Quick
+            test_checkpoint_shape_mismatch_skipped;
         ] );
       ( "crash-recovery",
         [

@@ -129,16 +129,16 @@ let test_figure10_numbers () =
     List.fold_left (fun acc p -> Cov.add acc (lift_price p)) (Cov.zero d) items
   in
   Alcotest.(check (float 1e-9)) "items count" 3.0 (Cov.count items_triple);
-  Alcotest.(check (float 1e-9)) "items sum" 10.0 (Vec.get (Cov.sums items_triple) 0);
-  let orders_triple = Cov.smul 2.0 (Cov.one d) in
+  Alcotest.(check (float 1e-9)) "items sum" 10.0 (Cov.sum items_triple 0);
+  let orders_triple = Cov.add (Cov.one d) (Cov.one d) in
   let burger_subtree = Cov.mul orders_triple items_triple in
   Alcotest.(check (float 1e-9)) "count 6" 6.0 (Cov.count burger_subtree);
-  Alcotest.(check (float 1e-9)) "sum 20" 20.0 (Vec.get (Cov.sums burger_subtree) 0);
+  Alcotest.(check (float 1e-9)) "sum 20" 20.0 (Cov.sum burger_subtree 0);
   (* multiply by the lift of f(burger) = 1 on feature 1 *)
   let with_dish = Cov.mul burger_subtree (Cov.lift d 1 1.0) in
   (* SUM(price * dish) entry (0,1) should be 20 * f(burger) = 20 *)
   Alcotest.(check (float 1e-9)) "price*dish = 20" 20.0
-    (Mat.get (Cov.products with_dish) 0 1)
+    (Cov.product with_dish 0 1)
 
 let test_moment_matrix_layout () =
   let t = cov_of_rows [ [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |] ] in
@@ -159,9 +159,9 @@ let test_acc_matches_functional () =
   Alcotest.(check bool) "acc = fold" true
     (Cov.equal ~eps:1e-6 functional (cov_of_rows rows))
 
-(* ---- the dimension-agnostic payload used by F-IVM ---- *)
 (* Bitwise equality accepts a copy and rejects every single-bit-class
-   difference a tolerant comparison would forgive. *)
+   difference a tolerant comparison would forgive. Cells of the flat
+   layout at dimension 3: c at 0, s at 1..3, Q(i, j) at 4 + 3i + j. *)
 let test_equal_bits_rejects () =
   let base = Cov.of_tuple [| 1.5; 0.0; 2.25 |] in
   let edit f =
@@ -174,40 +174,53 @@ let test_equal_bits_rejects () =
     (fun (what, other) ->
       Alcotest.(check bool) (what ^ " rejected") false (Cov.equal_bits base other))
     [
-      ("one-ulp sum", edit (fun c -> c.Cov.s.(0) <- Float.succ 1.5));
-      ("-0.0 sum", edit (fun c -> c.Cov.s.(1) <- -0.0));
-      ( "one-ulp product",
-        edit (fun c -> Mat.set c.Cov.q 2 0 (Float.pred (Mat.get c.Cov.q 2 0))) );
-      ("count", { base with Cov.c = 2.0 });
+      ("one-ulp sum", edit (fun c -> c.(1) <- Float.succ 1.5));
+      ("-0.0 sum", edit (fun c -> c.(2) <- -0.0));
+      ("one-ulp product", edit (fun c -> c.(10) <- Float.pred c.(10)));
+      ("count", edit (fun c -> c.(0) <- 2.0));
       ("dimension", Cov.of_tuple [| 1.5; 0.0 |]);
     ]
 
-module PD = Fivm.Payload.Cov_dyn
+(* Persistent operations and a ring instance allocate every result: no
+   operand, and neither the instance's shared zero nor its one, is written
+   or handed out, so writing into a result disturbs nothing. *)
+let test_persistent_ops_write_nothing () =
+  let module R = (val Cov.make_ring dim) in
+  let a = Cov.of_tuple [| 1.5; -0.0; 2.25 |] and b = Cov.lift dim 1 3.0 in
+  let xs = [| 0.5; 0.0; -4.0 |] in
+  let operands = [ a; b; R.zero; R.one; xs ] in
+  let kept = List.map Array.copy operands in
+  let results =
+    [
+      R.add a b; R.mul a b; R.neg a; R.add R.zero a; R.add a R.zero; R.mul R.one a;
+      R.mul a R.one; R.mul R.zero a; R.add R.zero R.zero; R.mul R.one R.one;
+      Cov.add a b; Cov.mul a b; Cov.of_tuple xs; Cov.lift dim 2 xs.(2);
+    ]
+  in
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "a fresh result" false (List.exists (fun o -> r == o) operands);
+      Array.fill r 0 (Array.length r) nan)
+    results;
+  List.iter2
+    (fun o k -> Alcotest.(check bool) "operand kept its bits" true (Cov.equal_bits o k))
+    operands kept;
+  Alcotest.(check bool) "zero is zero" true (Cov.equal_bits R.zero (Cov.zero dim));
+  Alcotest.(check bool) "one is one" true (Cov.equal_bits R.one (Cov.one dim))
 
-let test_cov_dyn_symbolic_identities () =
-  let e = `Elem (Cov.of_tuple [| 1.0; 2.0 |]) in
-  Alcotest.(check bool) "0 + x = x" true (PD.equal (PD.add PD.zero e) e);
-  Alcotest.(check bool) "1 * x = x" true (PD.equal (PD.mul PD.one e) e);
-  Alcotest.(check bool) "0 * x = 0" true (PD.equal (PD.mul PD.zero e) PD.zero);
-  Alcotest.(check bool) "x + (-x) = 0" true (PD.equal (PD.add e (PD.neg e)) PD.zero);
-  Alcotest.(check bool) "smul 3" true
-    (PD.equal (PD.smul 3 e) (PD.add e (PD.add e e)))
-
-let test_cov_dyn_rejects_dimensionless () =
-  Alcotest.(check bool) "One+One rejected" true
-    (match PD.add PD.one PD.one with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "neg One rejected" true
-    (match PD.neg PD.one with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_cov_elem () =
-  Alcotest.(check bool) "zero" true
-    (Cov.equal (Fivm.Payload.cov_elem 2 `Zero) (Cov.zero 2));
-  Alcotest.(check bool) "one" true
-    (Cov.equal (Fivm.Payload.cov_elem 2 `One) (Cov.one 2))
+(* The kernels index unchecked, so they refuse any buffer whose length is
+   no triple's: 5 cells would read as dimension 2, which needs 7. *)
+let test_kernels_refuse_bad_lengths () =
+  let bad = Array.make 5 1.0 and into = Array.make 5 0.0 in
+  let refused what f =
+    Alcotest.(check bool) (what ^ " refused") true
+      (match f () with exception Invalid_argument _ -> true | () -> false)
+  in
+  refused "mul_into" (fun () -> Cov.mul_into bad bad ~into);
+  refused "add_into" (fun () -> Cov.add_into bad ~into);
+  refused "copy" (fun () -> Cov.copy bad ~into);
+  refused "of_tuple_into" (fun () -> Cov.of_tuple_into [| 1.0; 2.0 |] ~into);
+  refused "a dimension mismatch" (fun () -> Cov.add_into (Cov.zero 2) ~into:(Cov.zero 3))
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -224,13 +237,6 @@ let () =
         List.map qcheck (semiring_axioms "max-plus" (module I.Max_plus) float_gen) );
       ( "covariance-ring-axioms",
         List.map qcheck (ring_axioms "cov" (module CovRing) cov_gen) );
-      ( "cov-dyn-payload",
-        [
-          Alcotest.test_case "symbolic identities" `Quick test_cov_dyn_symbolic_identities;
-          Alcotest.test_case "dimensionless rejected" `Quick
-            test_cov_dyn_rejects_dimensionless;
-          Alcotest.test_case "cov_elem" `Quick test_cov_elem;
-        ] );
       ( "covariance-ring-semantics",
         [
           Alcotest.test_case "lift product = of_tuple" `Quick
@@ -244,5 +250,8 @@ let () =
             test_acc_matches_functional;
           Alcotest.test_case "equal_bits rejects any bit difference" `Quick
             test_equal_bits_rejects;
+          Alcotest.test_case "persistent operations write nothing" `Quick
+            test_persistent_ops_write_nothing;
+          Alcotest.test_case "kernels refuse bad lengths" `Quick test_kernels_refuse_bad_lengths;
         ] );
     ]
