@@ -174,15 +174,14 @@ let ring_pass ?(parallel = false) (db : Database.t) (task : Cov_task.t) : Cov.t 
     let scan lo len =
       (* one lift per scan: it owns a feature vector, and chunks run in
          parallel *)
-      let lift = Cov_task.lift_into task name in
-      let lifted tuple =
+      let lift = Cov_task.lift_into task name (Relation.columns node.rel) in
+      let lifted idx =
         let x = Cov.zero task.Cov_task.dim in
-        lift tuple ~into:x;
+        lift idx ~into:x;
         x
       in
       let out = Keypack.Hybrid.create 64 in
       for idx = lo to lo + len - 1 do
-        let tuple = Relation.get node.rel idx in
         let rec probe acc = function
           | [] -> Some acc
           | (key_of, v) :: rest -> (
@@ -190,7 +189,7 @@ let ring_pass ?(parallel = false) (db : Database.t) (task : Cov_task.t) : Cov.t 
               | Some partial -> probe (Cov.mul acc !partial) rest
               | None -> None)
         in
-        match probe (lifted tuple) child_keys with
+        match probe (lifted idx) child_keys with
         | None -> ()
         | Some contrib -> (
             let key = own_key idx in

@@ -82,6 +82,7 @@ let generate ?(scale = 1.0) ~seed () =
     let c = Relation.column items 3 in
     Array.init s.n_items (fun i -> Column.int_at c i)
   in
+  let items_zipf = Util.Prng.zipf_sampler ~n:s.n_items ~s:1.1 in
   let sales =
     build "Sales"
       [
@@ -90,7 +91,7 @@ let generate ?(scale = 1.0) ~seed () =
       ]
       s.n_sales
       (fun _ ->
-        let item = Util.Prng.zipf rng ~n:s.n_items ~s:1.1 - 1 in
+        let item = Util.Prng.zipf rng items_zipf - 1 in
         let promo = if Util.Prng.float rng 1.0 < 0.15 then 1 else 0 in
         let units =
           clamp 0.0 500.0

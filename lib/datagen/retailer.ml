@@ -145,6 +145,7 @@ let generate ?(scale = 1.0) ~seed () =
     let c = Relation.column stores 4 in
     Array.init s.n_locn (fun l -> Column.float_at c l)
   in
+  let items_zipf = Util.Prng.zipf_sampler ~n:s.n_items ~s:1.05 in
   let inventory =
     build "Inventory"
       [
@@ -155,7 +156,7 @@ let generate ?(scale = 1.0) ~seed () =
       (fun _ ->
         let locn = Util.Prng.int rng s.n_locn in
         let dateid = Util.Prng.int rng s.n_dates in
-        let ksn = Util.Prng.zipf rng ~n:s.n_items ~s:1.05 - 1 in
+        let ksn = Util.Prng.zipf rng items_zipf - 1 in
         (* the signal: cheaper items and bigger stores carry more stock *)
         let units =
           clamp 0.0 5_000.0

@@ -268,9 +268,10 @@ let hostile ?(seed = 7) shape (db : Database.t) =
         let ops =
           if n = 0 then []
           else
+            let victims = Util.Prng.zipf_sampler ~n ~s in
             List.concat
               (List.init n (fun _ ->
-                   delete_insert fact_inserts.(Util.Prng.zipf rng ~n ~s - 1)))
+                   delete_insert fact_inserts.(Util.Prng.zipf rng victims - 1)))
         in
         chunk 64 (base @ ops)
     | High_card -> chunk 64 (base @ churn_pairs 0.25)

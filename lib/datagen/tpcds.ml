@@ -141,6 +141,7 @@ let generate ?(scale = 1.0) ~seed () =
     let c = Relation.column item 4 in
     Array.init s.n_items (fun i -> Column.float_at c i)
   in
+  let items_zipf = Util.Prng.zipf_sampler ~n:s.n_items ~s:1.1 in
   let store_sales =
     build "StoreSales"
       ([
@@ -157,7 +158,7 @@ let generate ?(scale = 1.0) ~seed () =
           ])
       s.n_sales
       (fun _ ->
-        let itemsk = Util.Prng.zipf rng ~n:s.n_items ~s:1.1 - 1 in
+        let itemsk = Util.Prng.zipf rng items_zipf - 1 in
         let price = item_price.(itemsk) in
         let qty =
           clamp 1.0 100.0

@@ -97,6 +97,8 @@ let generate ?(scale = 1.0) ~seed () =
     let c = Relation.column users 2 in
     Array.init s.n_users (fun u -> Column.float_at c u)
   in
+  let users_zipf = Util.Prng.zipf_sampler ~n:s.n_users ~s:1.1
+  and business_zipf = Util.Prng.zipf_sampler ~n:s.n_business ~s:1.1 in
   let reviews =
     build "Review"
       [
@@ -105,8 +107,8 @@ let generate ?(scale = 1.0) ~seed () =
       ]
       s.n_reviews
       (fun _ ->
-        let userid = Util.Prng.zipf rng ~n:s.n_users ~s:1.1 - 1 in
-        let busid = Util.Prng.zipf rng ~n:s.n_business ~s:1.1 - 1 in
+        let userid = Util.Prng.zipf rng users_zipf - 1 in
+        let busid = Util.Prng.zipf rng business_zipf - 1 in
         let stars =
           clamp 1.0 5.0
             ((0.5 *. b_stars.(busid))

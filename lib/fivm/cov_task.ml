@@ -41,17 +41,24 @@ let make (db : Database.t) ~features =
 let owned_features t rel_name =
   Option.value ~default:[] (Hashtbl.find_opt t.owned rel_name)
 
-(* Ring lift of a tuple of [rel_name], written into a buffer: the product
-   of the covariance-ring lifts of its owned features, (1, x, x x^T) with x
-   zero outside them. [lift_into t rel_name] resolves the owned features
-   once and fills its own feature vector per call. *)
-let lift_into t rel_name =
+(* Cell [r] of a column as a float, with [Value.to_float] semantics. *)
+let[@inline] cell_float (cols : Column.t array) pos r =
+  match Column.data cols.(pos) with
+  | Column.Floats a -> a.(r)
+  | Column.Ints a -> float_of_int a.(r)
+  | Column.Boxed a -> Value.to_float a.(r)
+
+(* Ring lift of row [r] of [rel_name]'s columns, written into a buffer: the
+   product of the covariance-ring lifts of its owned features, (1, x, x
+   x^T) with x zero outside them. [lift_into t rel_name cols] resolves the
+   owned features once and fills its own feature vector per call. *)
+let lift_into t rel_name cols =
   let owned = Array.of_list (owned_features t rel_name) in
   let xs = Array.make t.dim 0.0 in
-  fun (tuple : Tuple.t) ~into ->
+  fun r ~into ->
     for k = 0 to Array.length owned - 1 do
       let i, pos = owned.(k) in
-      xs.(i) <- Value.to_float tuple.(pos)
+      xs.(i) <- cell_float cols pos r
     done;
     Rings.Covariance.of_tuple_into xs ~into
 
@@ -66,20 +73,19 @@ let aggregate_pairs t =
   done;
   Array.of_list (List.rev !acc)
 
-(* Scalar factor contributed by a tuple of [rel_name] to aggregate (i, j):
-   the owned part of x_i * x_j (x_0 = 1). *)
-let factor t (i, j) rel_name (tuple : Tuple.t) =
+(* Scalar factor contributed by row [r] of [rel_name]'s columns to
+   aggregate (i, j): the owned part of x_i * x_j (x_0 = 1). The owned
+   positions are resolved once, by [factor t (i, j) rel_name]. *)
+let factor t (i, j) rel_name =
   let mine = owned_features t rel_name in
-  let value idx =
-    if idx = 0 then Some 1.0
-    else
-      match List.find_opt (fun (f, _) -> f = idx - 1) mine with
-      | Some (_, pos) -> Some (Value.to_float tuple.(pos))
-      | None -> None
+  let position idx =
+    if idx = 0 then None else Option.map snd (List.find_opt (fun (f, _) -> f = idx - 1) mine)
   in
-  let f = match value i with Some x when i > 0 -> x | _ -> 1.0 in
-  let g = match value j with Some x when j > 0 -> x | _ -> 1.0 in
-  f *. g
+  let pi = position i and pj = position j in
+  fun cols r ->
+    let f = match pi with Some p -> cell_float cols p r | None -> 1.0 in
+    let g = match pj with Some p -> cell_float cols p r | None -> 1.0 in
+    f *. g
 
 (* Assemble the covariance triple from per-aggregate scalar totals. *)
 let assemble t (totals : ((int * int) * float) list) =

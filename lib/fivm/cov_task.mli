@@ -17,18 +17,20 @@ val make : Database.t -> features:string list -> t
 val owned_features : t -> string -> (int * int) list
 (** (feature index, column position) pairs owned by the relation. *)
 
-val lift_into : t -> string -> Tuple.t -> into:Rings.Covariance.t -> unit
-(** Covariance-ring lift of a tuple, written into a buffer: the sparse
-    (1, x, x x^T) over its owned features. [lift_into t name] resolves the
+val lift_into : t -> string -> Column.t array -> int -> into:Rings.Covariance.t -> unit
+(** Covariance-ring lift of row [r] of a relation's columns, written into
+    a buffer: the sparse (1, x, x x^T) over its owned features, each read
+    as {!Value.to_float} would. [lift_into t name cols] resolves the
     relation's owned features once and returns a function that owns a
     feature vector, so one domain at a time may call it. *)
 
 val aggregate_pairs : t -> (int * int) array
 (** All (i, j), 0 <= i <= j <= n, of the symmetric batch (0 = intercept). *)
 
-val factor : t -> int * int -> string -> Tuple.t -> float
-(** The scalar factor a tuple contributes to aggregate (i, j): the owned
-    part of x_i * x_j with x_0 = 1. *)
+val factor : t -> int * int -> string -> Column.t array -> int -> float
+(** The scalar factor row [r] of a relation's columns contributes to
+    aggregate (i, j): the owned part of x_i * x_j with x_0 = 1.
+    [factor t (i, j) name] resolves the owned positions once. *)
 
 val assemble : t -> ((int * int) * float) list -> Rings.Covariance.t
 (** Rebuild the covariance triple from per-aggregate scalar totals. *)

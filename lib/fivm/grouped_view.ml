@@ -47,7 +47,8 @@ let create (db : Database.t) (spec : Spec.t) : t =
       | None -> invalid_arg ("Grouped_view.create: unknown attribute " ^ attr))
     (Spec.attrs spec);
   let storage = Storage.create db in
-  let lift rel_name =
+  let lift node =
+    let rel_name = Storage.name node and cells = Storage.cells node in
     let schema = Relation.schema (Database.relation db rel_name) in
     let my_terms =
       List.filter_map
@@ -65,17 +66,17 @@ let create (db : Database.t) (spec : Spec.t) : t =
           else None)
         spec.group_by
     in
-    fun (tuple : Tuple.t) ~(into : P.t) ->
+    fun r ~(into : P.t) ->
       let weight =
         List.fold_left
           (fun acc (pos, p) ->
-            let x = Value.to_float tuple.(pos) in
+            let x = Column.float_at cells.(pos) r in
             let rec pow acc k = if k = 0 then acc else pow (acc *. x) (k - 1) in
             pow acc p)
           1.0 my_terms
       in
       let assignment =
-        List.sort compare (List.map (fun (a, pos) -> (a, tuple.(pos))) my_groups)
+        List.sort compare (List.map (fun (a, pos) -> (a, Column.get cells.(pos) r)) my_groups)
       in
       into.m <- GF.KMap.singleton assignment weight
   in
@@ -83,8 +84,10 @@ let create (db : Database.t) (spec : Spec.t) : t =
   { storage; tree; spec }
 
 let apply (t : t) (u : Delta.update) =
-  Tree.delta t.tree u;
-  Storage.apply t.storage u
+  let n = Storage.node t.storage u.relation in
+  let r = Storage.stage n u.tuple in
+  Tree.delta t.tree n r u.multiplicity;
+  Storage.apply_staged t.storage n u.multiplicity
 
 let result (t : t) : Spec.result =
   List.filter (fun (_, v) -> Float.abs v > 0.0) (GF.bindings (Tree.result t.tree).m)

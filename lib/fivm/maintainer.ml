@@ -55,7 +55,7 @@ type t = { schema : Database.t; state : state }
 let cov_tree (task : Cov_task.t) storage =
   Cov_tree.create storage
     ~zero:(fun () -> Cov.zero task.dim)
-    ~lift:(Cov_task.lift_into task)
+    ~lift:(fun node -> Cov_task.lift_into task (Storage.name node) (Storage.cells node))
 
 let create strategy (db : Database.t) ~features =
   let task = Cov_task.make db ~features in
@@ -71,8 +71,10 @@ let create strategy (db : Database.t) ~features =
             (fun pair ->
               Float_tree.create storage
                 ~zero:(fun () -> Payload.Float.make 0.0)
-                ~lift:(fun rel tuple ~into ->
-                  Payload.Float.set into (Cov_task.factor task pair rel tuple)))
+                ~lift:(fun node ->
+                  let factor = Cov_task.factor task pair (Storage.name node) in
+                  let cells = Storage.cells node in
+                  fun r ~into -> Payload.Float.set into (factor cells r)))
             aggs
         in
         Higher { task; storage; aggs; trees }
@@ -83,45 +85,52 @@ let create strategy (db : Database.t) ~features =
   { schema = db; state }
 
 (* Delta-join evaluation for first-order IVM: the sum, over all extensions
-   of the updated tuple to full join results, of the aggregate's factor
-   product times the stored multiplicities. Walks the join tree's adjacency
-   via the storage indexes (index nested-loop join). *)
-let delta_join_sum storage task pair (u : Delta.update) =
-  let rec expand rel_name tuple visited =
-    let n = Storage.node storage rel_name in
-    let local = Cov_task.factor task pair rel_name tuple in
+   of the updated tuple (row [r] of [n], staged) to full join results, of
+   the aggregate's factor product times the stored multiplicities. Walks
+   the join tree's adjacency via the storage indexes (index nested-loop
+   join). *)
+let delta_join_sum storage task pair n r m =
+  let rec expand n r visited =
+    let name = Storage.name n in
+    let local = Cov_task.factor task pair name (Storage.cells n) r in
     List.fold_left
       (fun acc neighbour ->
         if List.mem neighbour visited then acc
         else begin
-          let key = Storage.key_for n ~neighbour tuple in
+          let key = Storage.edge_key (Storage.edge n ~neighbour) r in
+          let partner = Storage.node storage neighbour in
           let s =
-            Storage.fold_matching (Storage.node storage neighbour) ~neighbour:rel_name key
-              (fun t m s ->
-                s +. float_of_int m *. expand neighbour t (rel_name :: visited))
+            Storage.fold_edge (Storage.edge partner ~neighbour:name) key
+              (fun r' m s -> s +. float_of_int m *. expand partner r' (name :: visited))
               0.0
           in
           acc *. s
         end)
       local (Storage.neighbours n)
   in
-  float_of_int u.multiplicity *. expand u.relation u.tuple []
+  float_of_int m *. expand n r []
 
+let storage t =
+  match t.state with
+  | Fivm { storage; _ } | Higher { storage; _ } | First { storage; _ } -> storage
+
+(* The update is unboxed once, into its relation's staging row, which the
+   strategy reads before the storage applies it. *)
 let apply t (u : Delta.update) =
   Obs.incr c_updates;
   Obs.add c_delta_tuples (abs u.multiplicity);
-  match t.state with
-  | Fivm { storage; tree; _ } ->
-      Cov_tree.delta tree u;
-      Storage.apply storage u
-  | Higher { storage; trees; _ } ->
-      Array.iter (fun tree -> Float_tree.delta tree u) trees;
-      Storage.apply storage u
-  | First { storage; task; aggs; totals } ->
+  let storage = storage t in
+  let n = Storage.node storage u.relation in
+  let r = Storage.stage n u.tuple in
+  let m = u.multiplicity in
+  (match t.state with
+  | Fivm { tree; _ } -> Cov_tree.delta tree n r m
+  | Higher { trees; _ } -> Array.iter (fun tree -> Float_tree.delta tree n r m) trees
+  | First { task; aggs; totals; _ } ->
       Array.iteri
-        (fun k pair -> totals.(k) <- totals.(k) +. delta_join_sum storage task pair u)
-        aggs;
-      Storage.apply storage u
+        (fun k pair -> totals.(k) <- totals.(k) +. delta_join_sum storage task pair n r m)
+        aggs);
+  Storage.apply_staged storage n m
 
 (* A fresh triple: the root buffers are the trees' own and change under
    later updates. *)
@@ -138,10 +147,6 @@ let covariance t : Cov.t =
       Cov_task.assemble task
         (Array.to_list (Array.mapi (fun k pair -> (pair, totals.(k))) aggs))
 
-let storage t =
-  match t.state with
-  | Fivm { storage; _ } | Higher { storage; _ } | First { storage; _ } -> storage
-
 let features t =
   match t.state with
   | Fivm { task; _ } | Higher { task; _ } | First { task; _ } ->
@@ -153,24 +158,24 @@ let strategy_of t =
   | Higher _ -> Higher_order
   | First _ -> First_order
 
-(* Current contents as a fresh [Database.t]: replay [Storage.dump] (live
-   tuples in insertion order) into empty clones of the schema
-   relations. Order preservation keeps LMFAO's accumulation order — and so
-   its float results — deterministic for a given stream. *)
+(* Current contents as a fresh [Database.t]: empty clones of the schema
+   relations, each filled after [Database.create] (so nothing reorders
+   them) with its storage rows copied out column by column, in insertion
+   order. Order preservation keeps LMFAO's accumulation order — and so its
+   float results — deterministic for a given stream. *)
 let snapshot t : Database.t =
   let rels =
     List.map
-      (fun r -> Relation.create (Relation.name r) (Relation.schema r))
+      (fun r -> Relation.create ~capacity:1 (Relation.name r) (Relation.schema r))
       (Database.relations t.schema)
   in
   let db = Database.create (Database.name t.schema) rels in
+  let storage = storage t in
   List.iter
-    (fun (u : Delta.update) ->
-      let rel = Database.relation db u.Delta.relation in
-      for _ = 1 to u.Delta.multiplicity do
-        Relation.append rel u.Delta.tuple
-      done)
-    (Storage.dump (storage t));
+    (fun rel ->
+      let cols, size = Storage.columns (Storage.node storage (Relation.name rel)) in
+      Relation.install rel cols size)
+    rels;
   db
 
 (* ---- checkpoint hooks (used by lib/resilience) ----

@@ -37,9 +37,11 @@ val covariance : t -> Rings.Covariance.t
 val storage : t -> Storage.t
 
 val snapshot : t -> Database.t
-(** The current contents as a fresh [Database.t]: the storage dump replayed
-    in insertion order into empty clones of the schema relations, so
-    downstream float accumulation is deterministic for a given stream. This
+(** The current contents as a fresh [Database.t]: empty clones of the
+    schema relations, filled after [Database.create] with the storage's
+    rows copied out as exact-size columns ({!Storage.columns}), in
+    insertion order, so downstream float accumulation is deterministic for
+    a given stream. This
     is the moment-assembly input for model refreshers that need aggregates
     beyond the maintained covariance triple (degree-4 monomials, data
     passes). *)

@@ -1,71 +1,309 @@
 (* Mutable base-relation storage for IVM: per relation, a Z-multiset of
-   tuples plus hash indexes on every join key shared with a join-tree
-   neighbour. All three maintenance strategies read this storage; updates are
-   applied once per delta, after the strategies have computed their view
-   deltas against the pre-update state.
+   tuples plus an index on every join key shared with a join-tree
+   neighbour. All three maintenance strategies read this storage; updates
+   are applied once per delta, after the strategies have computed their
+   view deltas against the pre-update state.
 
-   Updates arrive as boxed tuples (the streaming edge), but both the
-   multiset and the indexes hash [Keypack] keys: join keys over in-range
-   int attributes pack into immediate ints, so the per-update probes hash
-   ints rather than boxed tuple arrays.
+   Layout. A relation keeps its tuples as rows of typed columns
+   ([Column.t]: unboxed ints and floats, boxed values only where a cell
+   does not fit), in first-insertion order, beside per-row int arrays: the
+   multiplicity (0 marks a dead row), an insertion stamp from a
+   storage-wide clock, and the row's bucket links. Row [rows] is the
+   staging row: [stage] writes an update's tuple there once, every
+   strategy reads it there, and a tuple that becomes live keeps it as its
+   row.
 
-   Layout: each live distinct tuple is ONE [entry]. It sits in the
-   storage-wide live chain (insertion order, oldest first from the chain
-   sentinel) and, for index [i], in that index's bucket for its key through
-   [links.(2i)] (next, towards older) and [links.(2i+1)] (prev). A bucket is
-   a cyclic list through a sentinel entry, and a new tuple is linked right
-   after the sentinel, so bucket walks run newest first. That order is the
-   order downstream float accumulation sees, and [dump] replays the chain
-   oldest first so a restored storage rebuilds every bucket in the same
-   order. An insert links in O(#indexes); a delete to zero unlinks in
-   O(#indexes), rewriting only its neighbours' links and allocating the
-   same whatever the bucket sizes; a multiplicity change that stays
-   non-zero keeps the tuple's place. *)
+   - The whole-tuple index is an open-addressing table with linear
+     probing. A slot holds its row id and 30 high bits of the row's hash in
+     one int, so a probe compares cells (ints by value, floats with
+     [Value.equal]'s semantics: [+0.0 = -0.0], NaN equals NaN) only when
+     the hash bits match. A dead row leaves its slot marked [dead_slot];
+     probes pass over such slots, and a new row takes the first one it met
+     or the free slot that ended the probe.
+   - Each join-key index maps a packed key ([Keypack]'s packing) through
+     an open-addressing table of (key, newest row) pairs, and keys that do
+     not pack through a [Tuple.Tbl]. A bucket is a doubly linked list over
+     row ids: row r's links for an index sit at [links.(r * stride + off)]
+     (older) and the int after it (newer). New rows link at the head, so
+     bucket walks run newest first: the order downstream float
+     accumulation sees. A bucket left empty keeps its key (head -1) until
+     the table is rebuilt. Wherever a key is an int, [nopack] ([min_int])
+     stands for "does not pack", so an arity-1 [Int min_int] key takes the
+     boxed side on every path.
+   - A tuple reaching multiplicity 0 unlinks from its buckets in
+     O(#indexes) and leaves a dead row. Dead rows are compacted away in
+     order once they outnumber live ones, or when a full node has a
+     sixteenth of its rows dead (instead of growing), and the tables are
+     rebuilt in place from the live rows: bucket order and row order
+     survive, and each compaction is paid for by the deletes that made its
+     dead rows.
+
+   [dump] merges the relations' rows by stamp, so replaying it into a fresh
+   storage rebuilds every row and bucket in the same order; [columns]
+   finds the runs of live rows once and copies each column out with one
+   blit per run. *)
 
 open Relational
-module Hybrid = Keypack.Hybrid
 
-type entry = {
-  rel : string;
-  tuple : Tuple.t; (* as first inserted *)
-  mutable mult : int; (* never 0 while linked *)
-  mutable older : entry; (* live chain *)
-  mutable newer : entry;
-  links : entry array; (* per index: next at 2i, prev at 2i+1 *)
-}
+let c_compactions = Obs.counter "fivm.storage_compactions"
+let nopack = min_int
+let vacant = -2 (* a free slot of a join-key table *)
+let free_slot = -1 (* whole-tuple table slots *)
+let dead_slot = -2
 
 type index = {
   neighbour : string;
   positions : int array; (* key positions in this schema *)
-  buckets : entry Hybrid.t; (* key -> bucket sentinel *)
+  off : int; (* this index's link pair within a row's links *)
+  mutable pairs : int array; (* per slot: packed key, newest row *)
+  mutable used : int; (* slots holding a key *)
+  boxed : int Tuple.Tbl.t; (* keys that do not pack -> newest row *)
 }
 
 type node = {
   name : string;
   schema : Schema.t;
-  all_positions : int array; (* identity; whole-tuple key for [tuples] *)
-  tuples : entry Hybrid.t; (* whole-tuple key -> live entry *)
+  all_positions : int array;
+  float_col : int; (* a TFloat column, or -1 *)
+  cells : Column.t array;
   indexes : index array;
   neighbours : string list; (* [indexes]' neighbours, same order *)
+  stride : int; (* links per row: older and newer per index *)
+  mutable rows : int; (* row slots in use, dead ones included *)
+  mutable capacity : int;
+  mutable mult : int array;
+  mutable stamp : int array;
+  mutable links : int array;
+  mutable live : int;
+  mutable table : int array; (* whole-tuple index: [entry h row] per slot *)
+  mutable table_used : int; (* slots not free *)
+  sides : int array;
+      (* live rows whose whole-tuple key packs and their peak, then the
+         same for the others: the table sizes of [iter_in_hash_order] *)
 }
 
 type t = {
-  nodes : (string, node) Hashtbl.t;
+  nodes : node array; (* database order *)
   jt : Join_tree.t;
-  live : entry; (* chain sentinel: [live.newer] oldest, [live.older] newest *)
-  mutable total : int; (* sum of |multiplicity| over live entries *)
+  mutable total : int; (* sum of |multiplicity| over live rows *)
+  mutable clock : int;
 }
 
-let rec nil =
-  { rel = ""; tuple = [||]; mult = 0; older = nil; newer = nil; links = [||] }
+(* ---------- cells, hashes and keys ---------- *)
 
-(* A sentinel linked to itself in the chain and in every index slot. *)
-let sentinel width =
-  let s = { nil with links = Array.make width nil } in
-  s.older <- s;
-  s.newer <- s;
-  Array.fill s.links 0 width s;
-  s
+(* [Keypack]'s multiplicative hash, high bits folded down. *)
+let[@inline] mix x =
+  let h = x * 0x2545F4914F6CDD1D in
+  h lxor (h asr 31)
+
+let[@inline] float_hash x =
+  if x = 0.0 then 0 else if x <> x then 1 else Int64.to_int (Int64.bits_of_float x)
+
+let value_hash = function
+  | Value.Int x -> x
+  | Value.Float x -> float_hash x
+  | Value.Null -> 2
+  | Value.Str s -> Hashtbl.hash s
+
+let row_hash n r =
+  let h = ref 17 in
+  for j = 0 to Array.length n.cells - 1 do
+    let c =
+      match Column.data (Array.unsafe_get n.cells j) with
+      | Column.Ints a -> a.(r)
+      | Column.Floats a -> float_hash a.(r)
+      | Column.Boxed a -> value_hash a.(r)
+    in
+    h := mix (!h + c)
+  done;
+  !h
+
+let cell_equal c r s =
+  match Column.data c with
+  | Column.Ints a -> a.(r) = a.(s)
+  | Column.Floats a ->
+      let x = a.(r) and y = a.(s) in
+      x = y || (x <> x && y <> y)
+  | Column.Boxed a -> Value.equal a.(r) a.(s)
+
+(* Closure-free loops: comparing rows, packing keys, probing tables and
+   walking buckets allocate nothing. *)
+let rec same_from cells r s j =
+  j = Array.length cells || (cell_equal cells.(j) r s && same_from cells r s (j + 1))
+
+(* Field [p] of row [r] as an int that packs, or -1 ([Keypack]'s fields
+   are non-negative). *)
+let field cells p r =
+  match Column.data (Array.unsafe_get cells p) with
+  | Column.Ints a -> a.(r)
+  | Column.Floats _ -> -1
+  | Column.Boxed a -> ( match a.(r) with Value.Int x -> x | _ -> -1)
+
+let rec pack_from cells positions w bound r j acc =
+  if j = Array.length positions then acc
+  else
+    let x = field cells (Array.unsafe_get positions j) r in
+    if x >= 0 && x < bound then pack_from cells positions w bound r (j + 1) ((acc lsl w) lor x)
+    else nopack
+
+(* Row [r]'s packed key on [positions], or [nopack]. *)
+let packed cells positions r =
+  let k = Array.length positions in
+  if k = 0 then 0
+  else if k = 1 then
+    match Column.data cells.(positions.(0)) with
+    | Column.Ints a -> a.(r)
+    | Column.Floats _ -> nopack
+    | Column.Boxed a -> ( match a.(r) with Value.Int x -> x | _ -> nopack)
+  else
+    let w = Keypack.field_width k in
+    pack_from cells positions w (1 lsl w) r 0 0
+
+let boxed_key cells positions r = Array.map (fun p -> Column.get cells.(p) r) positions
+let tuple_of n r = Array.map (fun c -> Column.get c r) n.cells
+
+(* [Keypack.key_of_tuple positions] of row [r]: an arity-1 [Int min_int]
+   is [P min_int] there. *)
+let key n positions r : Keypack.key =
+  let p = packed n.cells positions r in
+  if p <> nopack then Keypack.P p
+  else
+    match boxed_key n.cells positions r with
+    | [| Value.Int x |] -> Keypack.P x
+    | t -> Keypack.B t
+
+(* Whether [Keypack.key_of_tuple] packs the whole tuple of row [r]. A
+   float never packs, so a TFloat column still holding floats settles it
+   without reading the row. *)
+let holds_floats c = match Column.data c with Column.Floats _ -> true | _ -> false
+
+let whole_packs n r =
+  if n.float_col >= 0 && holds_floats n.cells.(n.float_col) then false
+  else if Array.length n.cells = 1 then
+    match Column.data n.cells.(0) with
+    | Column.Ints _ -> true
+    | Column.Floats _ -> false
+    | Column.Boxed a -> ( match a.(r) with Value.Int _ -> true | _ -> false)
+  else packed n.cells n.all_positions r <> nopack
+
+(* ---------- join-key indexes ---------- *)
+
+(* A power of two at least four times [n], and at least 16. *)
+let table_size n =
+  let rec go s = if s >= 4 * n then s else go (2 * s) in
+  go 16
+
+(* The slot of packed key [p], or the free slot that ends its probe. *)
+let rec slot_from pairs mask p i =
+  if Array.unsafe_get pairs ((2 * i) + 1) = vacant || Array.unsafe_get pairs (2 * i) = p then i
+  else slot_from pairs mask p ((i + 1) land mask)
+
+let slot ix p =
+  let mask = (Array.length ix.pairs / 2) - 1 in
+  slot_from ix.pairs mask p (mix p land mask)
+
+(* Rebuild a join-key table at [size] slots, keeping the keys whose bucket
+   holds rows. *)
+let rehash ix size =
+  let old = ix.pairs in
+  ix.pairs <- Array.make (2 * size) vacant;
+  ix.used <- 0;
+  for i = 0 to (Array.length old / 2) - 1 do
+    let h = old.((2 * i) + 1) in
+    if h >= 0 then begin
+      let s = slot ix old.(2 * i) in
+      ix.pairs.(2 * s) <- old.(2 * i);
+      ix.pairs.((2 * s) + 1) <- h;
+      ix.used <- ix.used + 1
+    end
+  done
+
+let head ix p =
+  let h = ix.pairs.((2 * slot ix p) + 1) in
+  if h = vacant then -1 else h
+
+let boxed_head ix key = Option.value ~default:(-1) (Tuple.Tbl.find_opt ix.boxed key)
+
+(* Link row [r] at the head of its bucket. *)
+let link n ix r =
+  let p = packed n.cells ix.positions r in
+  let first =
+    if p <> nopack then begin
+      if 2 * (ix.used + 1) > Array.length ix.pairs / 2 then
+        rehash ix (table_size (ix.used + 1));
+      let s = slot ix p in
+      let h = ix.pairs.((2 * s) + 1) in
+      ix.pairs.(2 * s) <- p;
+      ix.pairs.((2 * s) + 1) <- r;
+      if h = vacant then begin
+        ix.used <- ix.used + 1;
+        -1
+      end
+      else h
+    end
+    else begin
+      let key = boxed_key n.cells ix.positions r in
+      let h = boxed_head ix key in
+      Tuple.Tbl.replace ix.boxed key r;
+      h
+    end
+  in
+  let links = n.links and at = (r * n.stride) + ix.off in
+  links.(at) <- first;
+  links.(at + 1) <- -1;
+  if first >= 0 then links.((first * n.stride) + ix.off + 1) <- r
+
+let unlink n ix r =
+  let links = n.links and at = (r * n.stride) + ix.off in
+  let o = links.(at) and w = links.(at + 1) in
+  if o >= 0 then links.((o * n.stride) + ix.off + 1) <- w;
+  if w >= 0 then links.((w * n.stride) + ix.off) <- o
+  else
+    let p = packed n.cells ix.positions r in
+    if p <> nopack then ix.pairs.((2 * slot ix p) + 1) <- o
+    else
+      let key = boxed_key n.cells ix.positions r in
+      if o >= 0 then Tuple.Tbl.replace ix.boxed key o else Tuple.Tbl.remove ix.boxed key
+
+(* ---------- the whole-tuple index ---------- *)
+
+(* A slot's entry: bits 32-61 of the hash above the row id, so entries
+   are non-negative and the probe start (the hash's low bits) and the
+   compared bits are independent. *)
+let[@inline] entry h r = ((h lsr 32) land 0x3FFFFFFF) lsl 32 lor r
+let[@inline] row_of e = e land 0xFFFFFFFF
+
+(* The slot of the live row equal to row [s] (hash [h]), or [-1 - slot]
+   with the slot a new row would take. *)
+let rec probe n tbl mask bits s i reuse =
+  let e = Array.unsafe_get tbl i in
+  if e = free_slot then -1 - if reuse >= 0 then reuse else i
+  else if e = dead_slot then
+    probe n tbl mask bits s ((i + 1) land mask) (if reuse >= 0 then reuse else i)
+  else if e lsr 32 = bits && same_from n.cells (row_of e) s 0 then i
+  else probe n tbl mask bits s ((i + 1) land mask) reuse
+
+let find n h s =
+  let tbl = n.table in
+  let mask = Array.length tbl - 1 in
+  probe n tbl mask (entry h 0 lsr 32) s (h land mask) (-1)
+
+(* Rebuild the whole-tuple index from the live rows, in place unless they
+   need a larger table. *)
+let retable n =
+  let size = table_size (n.live + 1) in
+  if size > Array.length n.table then n.table <- Array.make size free_slot
+  else Array.fill n.table 0 (Array.length n.table) free_slot;
+  n.table_used <- 0;
+  for r = 0 to n.rows - 1 do
+    if n.mult.(r) <> 0 then begin
+      let h = row_hash n r in
+      n.table.(-1 - find n h r) <- entry h r;
+      n.table_used <- n.table_used + 1
+    end
+  done
+
+(* ---------- construction ---------- *)
 
 (* Undirected neighbour map from the join tree (via the default rooting plus
    reversal; every edge appears in both directions). *)
@@ -81,170 +319,395 @@ let neighbour_edges jt =
   walk (Join_tree.tree jt) None;
   !edges
 
+let initial_rows = 16
+
 let create (db : Database.t) =
   let jt = Database.join_tree db in
   let edges = neighbour_edges jt in
-  let nodes = Hashtbl.create 8 in
-  List.iter
-    (fun rel ->
-      let name = Relation.name rel in
-      let schema = Relation.schema rel in
-      let indexes =
-        List.filter_map
-          (fun (a, b) ->
-            if a <> name then None
-            else
-              let other = Join_tree.relation_by_name jt b in
-              (* sorted so both endpoints of an edge agree on key order *)
-              let key =
-                List.sort compare (Schema.common schema (Relation.schema other))
-              in
-              Some
-                {
-                  neighbour = b;
-                  positions = Array.of_list (List.map (Schema.position schema) key);
-                  buckets = Hybrid.create 64;
-                })
-          edges
-      in
-      Hashtbl.replace nodes name
-        {
-          name;
-          schema;
-          all_positions = Array.init (Schema.arity schema) Fun.id;
-          tuples = Hybrid.create 256;
-          indexes = Array.of_list indexes;
-          neighbours = List.map (fun ix -> ix.neighbour) indexes;
-        })
-    (Database.relations db);
-  { nodes; jt; live = sentinel 0; total = 0 }
-
-let node t name =
-  match Hashtbl.find_opt t.nodes name with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Storage.node: unknown relation %s" name)
-
-let schema (n : node) = n.schema
-let neighbours (n : node) = n.neighbours
-let tuple_key (n : node) tuple = Keypack.key_of_tuple n.all_positions tuple
-
-let multiplicity (n : node) tuple =
-  match Hybrid.find_opt n.tuples (tuple_key n tuple) with
-  | Some e -> e.mult
-  | None -> 0
-
-let index_of (n : node) ~neighbour caller =
-  let rec go i =
-    if i = Array.length n.indexes then invalid_arg (caller ^ ": not a neighbour")
-    else if n.indexes.(i).neighbour = neighbour then i
-    else go (i + 1)
-  in
-  go 0
-
-(* A resolved index: the index and its [links] slot (next at [slot]). *)
-type edge = { ix : index; slot : int }
-
-let edge_of (n : node) ~neighbour caller =
-  let i = index_of n ~neighbour caller in
-  { ix = n.indexes.(i); slot = 2 * i }
-
-let edge n ~neighbour = edge_of n ~neighbour "Storage.edge"
-
-(* Fold over the live tuples joining with [key] through the edge's index,
-   newest first. [f] must not update the storage. *)
-let fold_edge { ix; slot } (key : Keypack.key) f init =
-  match Hybrid.find_opt ix.buckets key with
-  | None -> init
-  | Some s ->
-      let rec go e acc = if e == s then acc else go e.links.(slot) (f e.tuple e.mult acc) in
-      go s.links.(slot) init
-
-let edge_key { ix; _ } tuple : Keypack.key = Keypack.key_of_tuple ix.positions tuple
-
-let fold_matching n ~neighbour key f init =
-  fold_edge (edge_of n ~neighbour "Storage.fold_matching") key f init
-
-let key_for n ~neighbour tuple = edge_key (edge_of n ~neighbour "Storage.key_for") tuple
-
-let insert t (n : node) tk (u : Delta.update) =
-  let k = Array.length n.indexes in
-  let live = t.live in
-  let e =
+  let node rel =
+    let name = Relation.name rel in
+    let schema = Relation.schema rel in
+    let indexes =
+      List.filter (fun (a, _) -> a = name) edges
+      |> List.mapi (fun i (_, b) ->
+             let other = Join_tree.relation_by_name jt b in
+             (* sorted so both endpoints of an edge agree on key order *)
+             let key = List.sort compare (Schema.common schema (Relation.schema other)) in
+             {
+               neighbour = b;
+               positions = Array.of_list (List.map (Schema.position schema) key);
+               off = 2 * i;
+               pairs = Array.make 32 vacant;
+               used = 0;
+               boxed = Tuple.Tbl.create 8;
+             })
+    in
+    let stride = 2 * List.length indexes in
     {
-      rel = n.name;
-      tuple = u.tuple;
-      mult = u.multiplicity;
-      older = live.older;
-      newer = live;
-      links = Array.make (2 * k) nil;
+      name;
+      schema;
+      all_positions = Array.init (Schema.arity schema) Fun.id;
+      float_col =
+        Option.value ~default:(-1)
+          (List.find_index (fun (a : Schema.attr) -> a.ty = Value.TFloat) (Schema.attrs schema));
+      cells =
+        Array.of_list
+          (List.map (fun (a : Schema.attr) -> Column.create a.ty initial_rows) (Schema.attrs schema));
+      indexes = Array.of_list indexes;
+      neighbours = List.map (fun ix -> ix.neighbour) indexes;
+      stride;
+      rows = 0;
+      capacity = initial_rows;
+      mult = Array.make initial_rows 0;
+      stamp = Array.make initial_rows 0;
+      links = Array.make (initial_rows * stride) (-1);
+      live = 0;
+      table = Array.make 16 free_slot;
+      table_used = 0;
+      sides = Array.make 4 0;
     }
   in
-  live.older.newer <- e;
-  live.older <- e;
-  Hybrid.replace n.tuples tk e;
-  for i = 0 to k - 1 do
-    let ix = n.indexes.(i) in
-    let key = Keypack.key_of_tuple ix.positions u.tuple in
-    let s =
-      match Hybrid.find_opt ix.buckets key with
-      | Some s -> s
-      | None ->
-          let s = sentinel (2 * k) in
-          Hybrid.add ix.buckets key s;
-          s
-    in
-    let first = s.links.(2 * i) in
-    e.links.(2 * i) <- first;
-    e.links.((2 * i) + 1) <- s;
-    first.links.((2 * i) + 1) <- e;
-    s.links.(2 * i) <- e
-  done
+  { nodes = Array.of_list (List.map node (Database.relations db)); jt; total = 0; clock = 0 }
 
-(* Unlink [e] everywhere; a bucket left empty (its sentinel was both of [e]'s
-   neighbours) leaves its index. *)
-let remove (n : node) tk e =
-  Hybrid.remove n.tuples tk;
-  e.older.newer <- e.newer;
-  e.newer.older <- e.older;
-  for i = 0 to Array.length n.indexes - 1 do
-    let next = e.links.(2 * i) and prev = e.links.((2 * i) + 1) in
-    if next == prev then
-      Hybrid.remove n.indexes.(i).buckets
-        (Keypack.key_of_tuple n.indexes.(i).positions e.tuple)
-    else begin
-      prev.links.(2 * i) <- next;
-      next.links.((2 * i) + 1) <- prev
-    end
-  done
+let rec node_from nodes name i =
+  if i = Array.length nodes then
+    invalid_arg (Printf.sprintf "Storage.node: unknown relation %s" name)
+  else if String.equal nodes.(i).name name then nodes.(i)
+  else node_from nodes name (i + 1)
 
-let apply t (u : Delta.update) =
-  let n = node t u.relation in
-  let tk = tuple_key n u.tuple in
-  match Hybrid.find_opt n.tuples tk with
-  | None ->
-      if u.multiplicity <> 0 then begin
-        insert t n tk u;
-        t.total <- t.total + abs u.multiplicity
-      end
-  | Some e ->
-      let m = e.mult + u.multiplicity in
-      t.total <- t.total + abs m - abs e.mult;
-      if m = 0 then remove n tk e else e.mult <- m
+let node t name = node_from t.nodes name 0
 
+let name (n : node) = n.name
+let schema (n : node) = n.schema
+let neighbours (n : node) = n.neighbours
+let cells (n : node) = n.cells
 let total_tuples t = t.total
 let join_tree t = t.jt
 
-(* Live tuples with multiplicities, in the tuple table's order. *)
-let iter_tuples (n : node) f = Hybrid.iter (fun _ e -> f e.tuple e.mult) n.tuples
+(* ---------- compaction and staging ---------- *)
 
-(* Live contents oldest first: replaying the dump as inserts into a fresh
-   storage rebuilds every bucket in the original order, so float
-   accumulation downstream reproduces bit-identically. *)
-let dump t : Delta.update list =
-  let rec go e acc =
-    if e == t.live then acc
-    else
-      go e.older
-        ({ Delta.relation = e.rel; tuple = e.tuple; multiplicity = e.mult } :: acc)
+(* Move the rows with a non-zero multiplicity down over the dead ones, in
+   order, and clear the rest: one typed loop per representation, so no
+   cell is boxed and no int store pays the write barrier. *)
+let keep_ints (a : int array) mult rows =
+  let w = ref 0 in
+  for r = 0 to rows - 1 do
+    if Array.unsafe_get mult r <> 0 then begin
+      Array.unsafe_set a !w (Array.unsafe_get a r);
+      incr w
+    end
+  done;
+  Array.fill a !w (rows - !w) 0
+
+let keep_floats (a : float array) mult rows =
+  let w = ref 0 in
+  for r = 0 to rows - 1 do
+    if Array.unsafe_get mult r <> 0 then begin
+      Array.unsafe_set a !w (Array.unsafe_get a r);
+      incr w
+    end
+  done;
+  Array.fill a !w (rows - !w) 0.0
+
+let keep_values (a : Value.t array) mult rows =
+  let w = ref 0 in
+  for r = 0 to rows - 1 do
+    if Array.unsafe_get mult r <> 0 then begin
+      Array.unsafe_set a !w (Array.unsafe_get a r);
+      incr w
+    end
+  done;
+  Array.fill a !w (rows - !w) Value.Null
+
+(* Drop the dead rows, keeping the order, and rebuild every table in
+   place. *)
+let compact n =
+  Obs.incr c_compactions;
+  let mult = n.mult and rows = n.rows in
+  for j = 0 to Array.length n.cells - 1 do
+    match Column.data n.cells.(j) with
+    | Column.Ints a -> keep_ints a mult rows
+    | Column.Floats a -> keep_floats a mult rows
+    | Column.Boxed a -> keep_values a mult rows
+  done;
+  keep_ints n.stamp mult rows;
+  keep_ints mult mult rows;
+  n.rows <- n.live;
+  retable n;
+  for k = 0 to Array.length n.indexes - 1 do
+    let ix = n.indexes.(k) in
+    Array.fill ix.pairs 0 (Array.length ix.pairs) vacant;
+    ix.used <- 0;
+    Tuple.Tbl.reset ix.boxed;
+    for r = 0 to n.rows - 1 do
+      link n ix r
+    done
+  done
+
+let extend a size fill =
+  let b = Array.make size fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Room for the staging row: a full node compacts when at least a
+   sixteenth of its rows are dead, and doubles otherwise. *)
+let reserve n =
+  if n.rows = n.capacity then
+    if 16 * (n.rows - n.live) >= n.rows then compact n
+    else begin
+      let cap = 2 * n.capacity in
+      Array.iter (fun c -> Column.grow c cap) n.cells;
+      n.mult <- extend n.mult cap 0;
+      n.stamp <- extend n.stamp cap 0;
+      n.links <- extend n.links (cap * n.stride) (-1);
+      n.capacity <- cap
+    end
+
+let stage n (tuple : Tuple.t) =
+  if Array.length tuple <> Array.length n.cells then
+    invalid_arg
+      (Printf.sprintf "Storage.stage: arity mismatch on %s (%d vs %d)" n.name
+         (Array.length tuple) (Array.length n.cells));
+  reserve n;
+  let s = n.rows in
+  for j = 0 to Array.length n.cells - 1 do
+    Column.set n.cells.(j) s tuple.(j)
+  done;
+  s
+
+let multiplicity n tuple =
+  let s = stage n tuple in
+  let i = find n (row_hash n s) s in
+  if i >= 0 then n.mult.(row_of n.table.(i)) else 0
+
+(* ---------- reading through join keys ---------- *)
+
+type edge = { en : node; ix : index }
+
+let edge n ~neighbour =
+  match Array.find_opt (fun ix -> ix.neighbour = neighbour) n.indexes with
+  | Some ix -> { en = n; ix }
+  | None -> invalid_arg "Storage.edge: not a neighbour"
+
+let edge_key { en; ix } r = key en ix.positions r
+
+let rec fold_from links stride off mult f r acc =
+  if r < 0 then acc
+  else fold_from links stride off mult f links.((r * stride) + off) (f r mult.(r) acc)
+
+let fold_edge { en; ix } (k : Keypack.key) f init =
+  let first =
+    match k with
+    | Keypack.P p when p <> nopack -> head ix p
+    | Keypack.P _ -> boxed_head ix (Keypack.key_tuple 1 k)
+    | Keypack.B t -> boxed_head ix t
   in
-  go t.live.older []
+  fold_from en.links en.stride ix.off en.mult f first init
+
+(* ---------- updates ---------- *)
+
+let count_side n r d =
+  let i = if whole_packs n r then 0 else 2 in
+  let c = n.sides.(i) + d in
+  n.sides.(i) <- c;
+  if c > n.sides.(i + 1) then n.sides.(i + 1) <- c
+
+(* The staged row [s] (hash [h]) becomes live with multiplicity [m] at
+   whole-tuple slot [i]. *)
+let add_row t n s h i m =
+  if n.table.(i) = free_slot then n.table_used <- n.table_used + 1;
+  n.table.(i) <- entry h s;
+  n.mult.(s) <- m;
+  n.stamp.(s) <- t.clock;
+  t.clock <- t.clock + 1;
+  n.rows <- s + 1;
+  n.live <- n.live + 1;
+  count_side n s 1;
+  for k = 0 to Array.length n.indexes - 1 do
+    link n n.indexes.(k) s
+  done
+
+(* Row [r], at whole-tuple slot [i], reached multiplicity 0. *)
+let kill n r i =
+  for k = 0 to Array.length n.indexes - 1 do
+    unlink n n.indexes.(k) r
+  done;
+  n.table.(i) <- dead_slot;
+  n.mult.(r) <- 0;
+  n.live <- n.live - 1;
+  count_side n r (-1);
+  if n.rows - n.live > n.live then compact n
+
+let apply_staged t n m =
+  if m <> 0 then begin
+    let s = n.rows in
+    let h = row_hash n s in
+    let i = find n h s in
+    if i >= 0 then begin
+      let r = row_of n.table.(i) in
+      let old = n.mult.(r) in
+      let m' = old + m in
+      t.total <- t.total + abs m' - abs old;
+      if m' = 0 then kill n r i else n.mult.(r) <- m'
+    end
+    else begin
+      let i = -1 - i in
+      if n.table.(i) = free_slot && 2 * (n.table_used + 1) > Array.length n.table then begin
+        retable n;
+        add_row t n s h (-1 - find n h s) m
+      end
+      else add_row t n s h i m;
+      t.total <- t.total + abs m
+    end
+  end
+
+let apply t (u : Delta.update) =
+  let n = node t u.relation in
+  ignore (stage n u.tuple);
+  apply_staged t n u.multiplicity
+
+(* ---------- reading the contents ---------- *)
+
+(* The bucket count of a [Hashtbl] created for [initial] entries once it
+   has held [peak]: 16 or more, doubled whenever it exceeds twice that. *)
+let hashtbl_buckets initial peak =
+  let rec go l = if peak <= 2 * l then l else go (2 * l) in
+  go (max 16 initial)
+
+let iter_in_hash_order n f =
+  let packed_buckets = hashtbl_buckets 256 n.sides.(1)
+  and boxed_buckets = hashtbl_buckets 8 n.sides.(3) in
+  (* a row's place: its side's buckets after the other side's, then its
+     bucket; newest first within one *)
+  let place = Array.make n.rows 0 and live = ref [] in
+  for r = n.rows - 1 downto 0 do
+    if n.mult.(r) <> 0 then begin
+      let k = key n n.all_positions r in
+      place.(r) <-
+        (match k with
+        | Keypack.P _ -> Keypack.key_hash k land (packed_buckets - 1)
+        | Keypack.B _ -> packed_buckets + (Keypack.key_hash k land (boxed_buckets - 1)));
+      live := r :: !live
+    end
+  done;
+  let rows = Array.of_list !live in
+  Array.stable_sort
+    (fun a b ->
+      let c = Int.compare place.(a) place.(b) in
+      if c <> 0 then c else Int.compare n.stamp.(b) n.stamp.(a))
+    rows;
+  Array.iter (fun r -> f r n.mult.(r)) rows
+
+(* The rows to copy, as [start; length; copies] triples in row order:
+   each run of rows of multiplicity 1 once, and each row of multiplicity
+   m > 1 alone, m times. Counted first, then filled, with no allocation
+   besides the triples. *)
+let rec skip_ones (mult : int array) rows r =
+  if r < rows && Array.unsafe_get mult r = 1 then skip_ones mult rows (r + 1) else r
+
+let rec count_runs (mult : int array) rows r k =
+  if r >= rows then k
+  else
+    let m = Array.unsafe_get mult r in
+    if m = 1 then count_runs mult rows (skip_ones mult rows r) (k + 1)
+    else count_runs mult rows (r + 1) (if m > 1 then k + 1 else k)
+
+let rec fill_runs (mult : int array) rows out r k =
+  if r < rows then begin
+    let m = Array.unsafe_get mult r in
+    let e = if m = 1 then skip_ones mult rows r else r + 1 in
+    if m >= 1 then begin
+      out.(k) <- r;
+      out.(k + 1) <- e - r;
+      out.(k + 2) <- m
+    end;
+    fill_runs mult rows out e (if m >= 1 then k + 3 else k)
+  end
+
+let runs n =
+  let out = Array.make (3 * count_runs n.mult n.rows 0 0) 0 in
+  fill_runs n.mult n.rows out 0 0;
+  out
+
+(* Rows the runs copy. *)
+let copied runs =
+  let size = ref 0 in
+  for k = 0 to (Array.length runs / 3) - 1 do
+    size := !size + (runs.((3 * k) + 1) * runs.((3 * k) + 2))
+  done;
+  !size
+
+(* One column's copy: a [blit] per run and copy, into [dst]. *)
+let copy_runs blit runs src dst =
+  let w = ref 0 in
+  for k = 0 to (Array.length runs / 3) - 1 do
+    let start = runs.(3 * k) and len = runs.((3 * k) + 1) in
+    for _ = 1 to runs.((3 * k) + 2) do
+      blit src start dst !w len;
+      w := !w + len
+    done
+  done;
+  dst
+
+(* Typed blits: [Array.blit] is a C call, and into a major-heap int array
+   it stores through the write barrier. *)
+let blit_ints (src : int array) s (dst : int array) d len =
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst (d + i) (Array.unsafe_get src (s + i))
+  done
+
+let blit_floats (src : float array) s (dst : float array) d len =
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst (d + i) (Array.unsafe_get src (s + i))
+  done
+
+(* A boxed column whose copied cells all fit its declared type comes out
+   typed, as appending them to a fresh relation would leave it. *)
+let of_boxed (ty : Value.ty) (cells : Value.t array) =
+  let fits = function
+    | Value.Int _ -> ty = Value.TInt
+    | Value.Float _ -> ty = Value.TFloat
+    | Value.Null | Value.Str _ -> false
+  in
+  match ty with
+  | Value.TInt when Array.for_all fits cells -> Column.of_ints (Array.map Value.to_int cells)
+  | Value.TFloat when Array.for_all fits cells ->
+      Column.of_floats (Array.map Value.to_float cells)
+  | _ -> Column.of_boxed cells
+
+let columns n =
+  let runs = runs n in
+  let size = copied runs in
+  let cols =
+    Array.mapi
+      (fun j c ->
+        match Column.data c with
+        | Column.Ints a -> Column.of_ints (copy_runs blit_ints runs a (Array.make size 0))
+        | Column.Floats a ->
+            Column.of_floats (copy_runs blit_floats runs a (Array.create_float size))
+        | Column.Boxed a ->
+            of_boxed (Schema.attr_at n.schema j).ty
+              (copy_runs Array.blit runs a (Array.make size Value.Null)))
+      n.cells
+  in
+  (cols, size)
+
+(* Live contents oldest first: the nodes' rows merged by stamp, built
+   newest first. *)
+let dump t : Delta.update list =
+  let rec prev_live n r = if r >= 0 && n.mult.(r) = 0 then prev_live n (r - 1) else r in
+  let cur = Array.map (fun n -> prev_live n (n.rows - 1)) t.nodes in
+  let rec go acc =
+    let best = ref (-1) in
+    Array.iteri
+      (fun i r ->
+        if r >= 0 && (!best < 0 || t.nodes.(i).stamp.(r) > t.nodes.(!best).stamp.(cur.(!best)))
+        then best := i)
+      cur;
+    if !best < 0 then acc
+    else
+      let n = t.nodes.(!best) and r = cur.(!best) in
+      cur.(!best) <- prev_live n (r - 1);
+      go ({ Delta.relation = n.name; tuple = tuple_of n r; multiplicity = n.mult.(r) } :: acc)
+  in
+  go []

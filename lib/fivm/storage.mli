@@ -1,14 +1,18 @@
-(** Mutable base-relation storage for IVM: Z-multisets of tuples plus hash
-    indexes on every join key shared with a join-tree neighbour. Strategies
-    compute their view deltas against the pre-update state, then the driver
-    calls {!apply} once. Multiset and indexes hash {!Keypack} keys, so
-    in-range int join keys probe as immediate ints. Inserts and deletes cost
-    O(number of neighbours) whatever the bucket sizes. *)
+(** Mutable base-relation storage for IVM: per relation, a Z-multiset of
+    tuples held once as typed rows, plus an index on every join key shared
+    with a join-tree neighbour. Strategies compute their view deltas
+    against the pre-update state, then the driver applies the update once.
+
+    An update is unboxed once, at the edge: {!stage} writes its tuple into
+    the relation's staging row, which strategies read like any other row,
+    and {!apply_staged} then applies it. Rows are read through their cells
+    ({!cells}) and found through join keys ({!fold_edge}); inserts and
+    deletes cost O(number of neighbours) whatever the bucket sizes. *)
 
 open Relational
 
 type node
-(** One relation's multiset and indexes. *)
+(** One relation's rows and indexes. *)
 
 type t
 
@@ -18,49 +22,85 @@ val create : Database.t -> t
 val node : t -> string -> node
 (** @raise Invalid_argument on an unknown relation. *)
 
+val name : node -> string
 val schema : node -> Schema.t
 
 val neighbours : node -> string list
 (** The node's join-tree neighbours, in a fixed order. *)
 
+(** {2 Rows} *)
+
+val cells : node -> Column.t array
+(** The node's typed columns, aligned with its schema: cell [r] of column
+    [j] is attribute [j] of row [r], for a live row or the staged row. A
+    column's representation may change at the next {!stage}, so match
+    {!Column.data} per read. Read-only. *)
+
+val stage : node -> Tuple.t -> int
+(** Write the tuple into the node's staging row and return that row. It
+    reads like a live row (cells, keys) but is in no index, and it holds
+    until the next [stage] on the node. Row ids hold between updates only:
+    staging and applying may compact the node, which renumbers its rows.
+    @raise Invalid_argument on an arity mismatch. *)
+
 val multiplicity : node -> Tuple.t -> int
+(** Multiplicity of the tuple (0 when absent). Stages it. *)
 
-val fold_matching :
-  node -> neighbour:string -> Keypack.key -> (Tuple.t -> int -> 'a -> 'a) -> 'a -> 'a
-(** [fold_matching n ~neighbour key f init] folds [f tuple multiplicity] over
-    the live tuples of [n] joining with the given neighbour-edge key, newest
-    first (the order float accumulation downstream depends on). [f] must not
-    update the storage. *)
+val key : node -> int array -> int -> Keypack.key
+(** [key n positions r] is row [r]'s key on the given positions, exactly
+    {!Keypack.key_of_tuple} of the row's tuple. *)
 
-val key_for : node -> neighbour:string -> Tuple.t -> Keypack.key
-(** A tuple's join key towards the given neighbour (sorted attribute
-    order — both edge endpoints agree on it). *)
+(** {2 Join-key indexes} *)
 
 type edge
-(** A node's index towards one neighbour, resolved once, so repeated probes
-    skip the neighbour lookup. *)
+(** A node's index towards one neighbour, resolved once. *)
 
 val edge : node -> neighbour:string -> edge
 (** @raise Invalid_argument if [neighbour] is not a neighbour of the node. *)
 
-val fold_edge : edge -> Keypack.key -> (Tuple.t -> int -> 'a -> 'a) -> 'a -> 'a
-(** {!fold_matching} through a resolved edge. *)
+val edge_key : edge -> int -> Keypack.key
+(** A row's join key towards the edge's neighbour (sorted attribute order,
+    so both endpoints of an edge agree on it). *)
 
-val edge_key : edge -> Tuple.t -> Keypack.key
-(** {!key_for} through a resolved edge. *)
+val fold_edge : edge -> Keypack.key -> (int -> int -> 'a -> 'a) -> 'a -> 'a
+(** [fold_edge e key f init] folds [f row multiplicity] over the live rows
+    joining with the key, newest first (the order float accumulation
+    downstream depends on). [f] must not update the storage. *)
+
+(** {2 Updates} *)
+
+val apply_staged : t -> node -> int -> unit
+(** Add the multiplicity to the staged tuple's. A tuple that becomes live
+    takes a new row after the node's others; one that reaches 0 leaves its
+    row dead. Dead rows are compacted away, keeping the order, once they
+    outnumber live ones or when a full node has a sixteenth of its rows
+    dead ([fivm.storage_compactions]). A live tuple keeps the cells it was
+    first inserted with; tuples are equal cell by cell as {!Value.equal}
+    says, so [+0.0] and [-0.0] are one tuple. *)
 
 val apply : t -> Delta.update -> unit
-(** Apply the update to the multiset and all indexes; entries reaching
-    multiplicity 0 are removed. A tuple keeps the representation it was
-    first inserted with while it stays live. *)
+(** {!stage} then {!apply_staged}. *)
 
 val total_tuples : t -> int
 (** Sum of |multiplicity| over the live tuples, in O(1). *)
 
 val join_tree : t -> Join_tree.t
 
-val iter_tuples : node -> (Tuple.t -> int -> unit) -> unit
-(** Live tuples with their multiplicities, in hash-table order. *)
+(** {2 Reading the contents} *)
+
+val iter_in_hash_order : node -> (int -> int -> unit) -> unit
+(** Live rows with their multiplicities, in the order of a chained hash
+    table over whole-tuple keys: rows whose key packs first, then the
+    others; by bucket ([Keypack.key_hash] modulo 256 or 16 buckets,
+    doubled while the side's peak row count exceeded twice that); newest
+    first within a bucket. This is the recomputation oracle's accumulation
+    order, whose bits test_resilience pins. *)
+
+val columns : node -> Column.t array * int
+(** The live rows as fresh exact-size columns, and their length: [m]
+    copies of a row of multiplicity [m] (none for [m <= 0]), in row order.
+    A column is typed when every copied cell fits its declared type, and
+    boxed otherwise. *)
 
 val dump : t -> Delta.update list
 (** Live contents as bulk inserts in insertion order (oldest first):

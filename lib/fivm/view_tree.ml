@@ -19,7 +19,11 @@
    children product and one contribution, plus a per-update delta table
    reset between updates; delta and entry buffers cycle through a free
    list. The updated relation's path to the root and every storage edge are
-   resolved at [create], so an update does no name lookups beyond one. *)
+   resolved at [create], so an update does no name lookups beyond one.
+
+   Tuples are storage rows: the updated tuple is the node's staged row, and
+   partners come out of the storage's buckets as row ids, so lifts and keys
+   read typed cells and never a boxed tuple. *)
 
 open Relational
 module H = Keypack.Hybrid
@@ -29,7 +33,7 @@ module Make (P : Payload.S) = struct
     name : string;
     node : Storage.node;
     key_positions : int array; (* join key with parent, in storage schema *)
-    lift : Tuple.t -> into:P.t -> unit;
+    lift : int -> into:P.t -> unit; (* a row's lift *)
     view : P.t H.t; (* every entry owns its buffer *)
     children : vnode array;
     edges : Storage.edge array; (* this relation's index towards each child *)
@@ -51,9 +55,8 @@ module Make (P : Payload.S) = struct
     free : P.t Stack.t; (* buffers released by views and delta tables *)
   }
 
-  (* [lift name tuple ~into] must write the ring image of a tuple of
-     relation [name] (the product of the lifts of the attributes owned by
-     it). *)
+  (* [lift node r ~into] must write the ring image of row [r] of the node's
+     relation (the product of the lifts of the attributes owned by it). *)
   let create storage ~zero ~lift =
     let rec build (n : Join_tree.node) =
       let name = Relation.name n.rel in
@@ -66,7 +69,7 @@ module Make (P : Payload.S) = struct
         (* sorted to match [Storage]'s edge-key order *)
         key_positions =
           Array.of_list (List.map (Schema.position schema) (List.sort compare n.key));
-        lift = lift name;
+        lift = lift node;
         view = H.create 256;
         children;
         edges = Array.map (fun c -> Storage.edge node ~neighbour:c.name) children;
@@ -113,18 +116,18 @@ module Make (P : Payload.S) = struct
 
   exception No_partner
 
-  (* Product of the children's views for a tuple of [v]'s relation, in child
+  (* Product of the children's views for row [r] of [v]'s relation, in child
      order, skipping child [except]. [None] is the empty product, the ring's
      one, which is never materialised: a first factor is read in place.
      Raises [No_partner] if some child has no matching key (the tuple
      currently contributes nothing). Partial products alternate between
      [v]'s two product buffers. *)
-  let children_product v tuple ~except =
+  let children_product v r ~except =
     let rec go i acc =
       if i = Array.length v.children then acc
       else if i = except then go (i + 1) acc
       else
-        match H.find_opt v.children.(i).view (Storage.edge_key v.edges.(i) tuple) with
+        match H.find_opt v.children.(i).view (Storage.edge_key v.edges.(i) r) with
         | None -> raise_notrace No_partner
         | Some p -> (
             match acc with
@@ -136,30 +139,30 @@ module Make (P : Payload.S) = struct
     in
     go 0 None
 
-  (* m * lift(tuple) into [v]'s lift buffer. Scaling by 1 multiplies every
+  (* m * lift(row) into [v]'s lift buffer. Scaling by 1 multiplies every
      float by 1.0, which is exact, so it is skipped. *)
-  let lift_scaled v tuple m =
-    v.lift tuple ~into:v.lifted;
+  let lift_scaled v r m =
+    v.lift r ~into:v.lifted;
     if m <> 1 then P.scale m v.lifted
 
-  (* The updated node's delta: m * lift(tuple) times its children's views. *)
-  let leaf_delta t v (u : Delta.update) =
-    match children_product v u.tuple ~except:(-1) with
+  (* The updated node's delta: m * lift(row) times its children's views. *)
+  let leaf_delta t v r m =
+    match children_product v r ~except:(-1) with
     | exception No_partner -> []
     | product ->
-        lift_scaled v u.tuple u.multiplicity;
+        lift_scaled v r m;
         let d = take t in
         (match product with
         | Some p -> P.mul_into v.lifted p ~into:d
         | None -> P.copy v.lifted ~into:d);
-        let key = Keypack.key_of_tuple v.key_positions u.tuple in
+        let key = Storage.key v.node v.key_positions r in
         view_add t v key d;
         [ (key, d) ]
 
   (* An ancestor's deltas: every child delta [(ck, d)] meets the stored
-     tuples of [v] joining [ck] through child [c]'s edge, each contributing
-     m * lift(tuple) * (d * its other children's views). Contributions to
-     one key add up in child-delta order, then newest tuple first. The
+     rows of [v] joining [ck] through child [c]'s edge, each contributing
+     m * lift(row) * (d * its other children's views). Contributions to
+     one key add up in child-delta order, then newest row first. The
      result lists the keys in reverse table order, which is the order the
      next level consumes them in. *)
   let ancestor_deltas t v c child_deltas =
@@ -167,8 +170,8 @@ module Make (P : Payload.S) = struct
     List.iter
       (fun (ck, d) ->
         Storage.fold_edge v.edges.(c) ck
-          (fun tuple m () ->
-            match children_product v tuple ~except:c with
+          (fun r m () ->
+            match children_product v r ~except:c with
             | exception No_partner -> ()
             | others -> (
                 let joined =
@@ -178,8 +181,8 @@ module Make (P : Payload.S) = struct
                       v.joined
                   | None -> d
                 in
-                lift_scaled v tuple m;
-                let key = Keypack.key_of_tuple v.key_positions tuple in
+                lift_scaled v r m;
+                let key = Storage.key v.node v.key_positions r in
                 match H.find_opt v.deltas key with
                 | Some acc ->
                     P.mul_into v.lifted joined ~into:v.contrib;
@@ -196,11 +199,12 @@ module Make (P : Payload.S) = struct
         (key, d) :: acc)
       v.deltas []
 
-  (* Apply one update; the delta is computed against the CURRENT storage
-     (call [Storage.apply] after all trees have seen the update). A level's
+  (* Apply one update, staged as row [r] of [node], with multiplicity [m];
+     the delta is computed against the CURRENT storage (call
+     [Storage.apply_staged] after all trees have seen the update). A level's
      delta buffers go back to the free list once its parent consumed them. *)
-  let delta t (u : Delta.update) =
-    match Hashtbl.find_opt t.paths u.relation with
+  let delta t node r m =
+    match Hashtbl.find_opt t.paths (Storage.name node) with
     | None -> ()
     | Some (leaf, ancestors) ->
         let release_all = List.iter (fun (_, d) -> release t d) in
@@ -213,25 +217,26 @@ module Make (P : Payload.S) = struct
               release_all deltas;
               climb (i + 1) up
         in
-        climb 0 (leaf_delta t leaf u)
+        climb 0 (leaf_delta t leaf r m)
 
   (* The maintained result: the root view at the empty key ([P 0]). *)
   let result t = match H.find_opt t.root.view (Keypack.P 0) with Some p -> p | None -> t.empty
 
   (* From-scratch recomputation over the current storage (reference for
      tests): enumerate the join recursively through the view-tree shape,
-     multiplying each tuple's lift by its children's views in child order. *)
+     multiplying each row's lift by its children's views in child order,
+     rows in [Storage.iter_in_hash_order]. *)
   let recompute t =
     let rec eval v : P.t H.t =
       let child_views = Array.map eval v.children in
       let out = H.create 64 in
       let a = t.zero () and b = t.zero () in
-      Storage.iter_tuples v.node (fun tuple m ->
-          lift_scaled v tuple m;
+      Storage.iter_in_hash_order v.node (fun r m ->
+          lift_scaled v r m;
           let rec go i acc =
             if i = Array.length v.children then Some acc
             else
-              match H.find_opt child_views.(i) (Storage.edge_key v.edges.(i) tuple) with
+              match H.find_opt child_views.(i) (Storage.edge_key v.edges.(i) r) with
               | Some p ->
                   let into = if acc == a then b else a in
                   P.mul_into acc p ~into;
@@ -241,7 +246,7 @@ module Make (P : Payload.S) = struct
           match go 0 v.lifted with
           | None -> ()
           | Some p -> (
-              let key = Keypack.key_of_tuple v.key_positions tuple in
+              let key = Storage.key v.node v.key_positions r in
               match H.find_opt out key with
               | Some r -> P.add_into p ~into:r
               | None ->

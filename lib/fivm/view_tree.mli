@@ -12,16 +12,18 @@ module Make (P : Payload.S) : sig
   type t
 
   val create :
-    Storage.t -> zero:(unit -> P.t) -> lift:(string -> Tuple.t -> into:P.t -> unit) -> t
+    Storage.t -> zero:(unit -> P.t) -> lift:(Storage.node -> int -> into:P.t -> unit) -> t
   (** [zero ()] is a fresh zero buffer; the tree makes every buffer it owns
-      with it. [lift name tuple ~into] writes the ring image of a tuple of
-      relation [name] (the product of the lifts of the attributes it owns);
-      it is applied to [name] once per node, here. Views start empty
+      with it. [lift node r ~into] writes the ring image of row [r] of the
+      node's relation (the product of the lifts of the attributes it owns);
+      it is applied to [node] once per node, here. Views start empty
       (matching the empty storage). *)
 
-  val delta : t -> Delta.update -> unit
-  (** Process one update against the CURRENT storage; call
-      {!Storage.apply} once afterwards (after all trees saw the delta). *)
+  val delta : t -> Storage.node -> int -> int -> unit
+  (** [delta t node r m] processes an update of multiplicity [m] to the
+      tuple staged as row [r] of [node] ({!Storage.stage}), against the
+      CURRENT storage; call {!Storage.apply_staged} once afterwards (after
+      all trees saw the delta). *)
 
   val result : t -> P.t
   (** The maintained query result: the root view at the empty key (a zero

@@ -150,31 +150,43 @@ let value b = function
       u8 b 3;
       str b s
 
-(* In place: the encoded size of a value, and its encoding written at
-   [pos] of [b] (returns the position after it). Same bytes as [value]. *)
+(* In place: each [put_*] writes the same bytes as its [Buffer] writer
+   at [pos] of [b] and returns the position after them; each [*_size] is
+   the byte count. A frame's payload is written once, at its exact size,
+   and sealed where it lies ({!seal_frame}). *)
+let put_u8 b pos n =
+  Bytes.set_uint8 b pos (n land 0xFF);
+  pos + 1
+
+let put_u32 b pos n =
+  Bytes.set_int32_le b pos (Int32.of_int n);
+  pos + 4
+
+let put_i64 b pos n =
+  Bytes.set_int64_le b pos (Int64.of_int n);
+  pos + 8
+
+let put_f64 b pos x =
+  Bytes.set_int64_le b pos (Int64.bits_of_float x);
+  pos + 8
+
+let str_size s = 4 + String.length s
+
+let put_str b pos s =
+  let n = String.length s in
+  Bytes.blit_string s 0 b (put_u32 b pos n) n;
+  pos + 4 + n
+
 let value_size = function
   | Value.Null -> 1
   | Value.Int _ | Value.Float _ -> 9
-  | Value.Str s -> 5 + String.length s
+  | Value.Str s -> 1 + str_size s
 
 let put_value b pos = function
-  | Value.Null ->
-      Bytes.set_uint8 b pos 0;
-      pos + 1
-  | Value.Int n ->
-      Bytes.set_uint8 b pos 1;
-      Bytes.set_int64_le b (pos + 1) (Int64.of_int n);
-      pos + 9
-  | Value.Float x ->
-      Bytes.set_uint8 b pos 2;
-      Bytes.set_int64_le b (pos + 1) (Int64.bits_of_float x);
-      pos + 9
-  | Value.Str s ->
-      let n = String.length s in
-      Bytes.set_uint8 b pos 3;
-      Bytes.set_int32_le b (pos + 1) (Int32.of_int n);
-      Bytes.blit_string s 0 b (pos + 5) n;
-      pos + 5 + n
+  | Value.Null -> put_u8 b pos 0
+  | Value.Int n -> put_i64 b (put_u8 b pos 1) n
+  | Value.Float x -> put_f64 b (put_u8 b pos 2) x
+  | Value.Str s -> put_str b (put_u8 b pos 3) s
 
 let read_value r =
   let start = r.pos in
@@ -188,6 +200,9 @@ let read_value r =
 let tuple b (t : Tuple.t) =
   u32 b (Array.length t);
   Array.iter (value b) t
+
+let tuple_size (t : Tuple.t) = Array.fold_left (fun acc v -> acc + value_size v) 4 t
+let put_tuple b pos (t : Tuple.t) = Array.fold_left (put_value b) (put_u32 b pos (Array.length t)) t
 
 let read_tuple r : Tuple.t =
   let start = r.pos in
@@ -205,6 +220,12 @@ let key b = function
   | Keypack.B t ->
       u8 b 1;
       tuple b t
+
+let key_size = function Keypack.P _ -> 9 | Keypack.B t -> 1 + tuple_size t
+
+let put_key b pos = function
+  | Keypack.P k -> put_i64 b (put_u8 b pos 0) k
+  | Keypack.B t -> put_tuple b (put_u8 b pos 1) t
 
 let read_key r =
   let start = r.pos in

@@ -62,11 +62,25 @@ val read_str : reader -> string
 val value : Buffer.t -> Value.t -> unit
 val read_value : reader -> Value.t
 
-val value_size : Value.t -> int
-(** Bytes {!value} writes for this value. *)
+(** {2 In-place writers}
 
+    Each [put_*] writes the bytes of the [Buffer] writer of the same name
+    at a position of a [Bytes.t] and returns the position after them; each
+    [*_size] is their count. A frame's payload is written once, at its
+    exact size, and sealed in place ({!seal_frame}). *)
+
+val put_u8 : Bytes.t -> int -> int -> int
+val put_u32 : Bytes.t -> int -> int -> int
+val put_i64 : Bytes.t -> int -> int -> int
+val put_f64 : Bytes.t -> int -> float -> int
+val str_size : string -> int
+val put_str : Bytes.t -> int -> string -> int
+val value_size : Value.t -> int
 val put_value : Bytes.t -> int -> Value.t -> int
-(** Write {!value}'s bytes at the position; returns the position after. *)
+val tuple_size : Tuple.t -> int
+val put_tuple : Bytes.t -> int -> Tuple.t -> int
+val key_size : Keypack.key -> int
+val put_key : Bytes.t -> int -> Keypack.key -> int
 
 val tuple : Buffer.t -> Tuple.t -> unit
 val read_tuple : reader -> Tuple.t

@@ -133,6 +133,16 @@ let of_columns name schema cols size =
   in
   { name; schema; cols; size; capacity }
 
+(* Replace [t]'s rows with freshly built columns, under the same terms as
+   [of_columns]. *)
+let install t cols size =
+  if Array.length cols <> Array.length t.cols then
+    invalid_arg (Printf.sprintf "Relation.install: arity mismatch on %s" t.name);
+  Array.blit cols 0 t.cols 0 (Array.length cols);
+  t.size <- size;
+  t.capacity <-
+    Array.fold_left (fun acc c -> Stdlib.min acc (Column.capacity c)) (Stdlib.max 1 size) cols
+
 (* Whole-column projection: the output columns are copies of the selected
    input columns, no per-row work at all. *)
 let of_projection name src positions out_schema =

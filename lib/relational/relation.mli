@@ -73,6 +73,11 @@ val of_columns : string -> Schema.t -> Column.t array -> int -> t
     with [schema], each holding at least [size] cells); ownership
     transfers to the relation. *)
 
+val install : t -> Column.t array -> int -> unit
+(** [install t cols size] replaces [t]'s rows with freshly built columns,
+    under the terms of {!of_columns}; [t] keeps its name and schema.
+    @raise Invalid_argument when [cols] does not match the arity. *)
+
 val cluster : t -> int array -> bool
 (** [cluster t positions] reorders [t]'s rows in place, stably sorted on
     the columns at [positions] (lexicographically, in that order), and

@@ -1,12 +1,13 @@
 (* Checkpoint/restore of maintainer state.
 
    A checkpoint file is a magic string followed by ONE checksummed frame
-   ([Codec.frame]) holding: format version, strategy tag, committed sequence
+   holding: format version, strategy tag, committed sequence
    number, the base-storage dump (in insertion order), and the exact
    maintained view payloads ([Maintainer.dump_views]). Storing the views
    verbatim — floats by bit pattern — rather than recomputing them on restore
    is what makes recovery bit-identical: a recomputation would re-associate
-   float additions and drift in the last ulps.
+   float additions and drift in the last ulps. The file is written once, at
+   its exact size, and its frame sealed in place ([Codec.seal_frame]).
 
    Writes go to a [.tmp] sibling and are renamed into place, so a crash
    mid-write never leaves a half checkpoint under the live name. Restore
@@ -32,10 +33,11 @@ let strategy_of_tag = function
   | 2 -> Maintainer.First_order
   | n -> Codec.fail (Printf.sprintf "bad strategy tag %d" n)
 
-let encode_update b (u : Delta.update) =
-  Codec.str b u.relation;
-  Codec.tuple b u.tuple;
-  Codec.i64 b u.multiplicity
+(* Each [*_size] is the byte count its [put_*] writes. *)
+let update_size (u : Delta.update) = Codec.str_size u.relation + Codec.tuple_size u.tuple + 8
+
+let put_update b pos (u : Delta.update) =
+  Codec.put_i64 b (Codec.put_tuple b (Codec.put_str b pos u.relation) u.tuple) u.multiplicity
 
 let decode_update rd : Delta.update =
   let relation = Codec.read_str rd in
@@ -43,9 +45,8 @@ let decode_update rd : Delta.update =
   let multiplicity = Codec.read_i64 rd in
   { relation; tuple; multiplicity }
 
-let encode_list b enc xs =
-  Codec.i64 b (List.length xs);
-  List.iter (enc b) xs
+let list_size size xs = List.fold_left (fun acc x -> acc + size x) 8 xs
+let put_list put b pos xs = List.fold_left (put b) (Codec.put_i64 b pos (List.length xs)) xs
 
 let decode_list rd dec =
   let n = Codec.read_i64 rd in
@@ -56,9 +57,10 @@ let decode_list rd dec =
 (* Each triple is tagged 2, the tag of a concrete element since the first
    format; 0 and 1 (a symbolic zero and one) were never written, because
    view trees drop zero entries and every lift is concrete. *)
-let encode_cov_payload b e =
-  Codec.u8 b 2;
-  Cov.encode b e
+let cov_size e = 1 + 4 + (8 * Array.length e)
+
+let put_cov b pos e =
+  Array.fold_left (Codec.put_f64 b) (Codec.put_u32 b (Codec.put_u8 b pos 2) (Cov.dim e)) e
 
 let decode_cov_payload rd =
   let at = rd.Codec.pos in
@@ -66,12 +68,11 @@ let decode_cov_payload rd =
   | 2 -> Cov.decode rd
   | n -> Codec.fail ~offset:at (Printf.sprintf "bad payload tag %d" n)
 
-let encode_group enc_payload b (name, entries) =
-  Codec.str b name;
-  encode_list b
-    (fun b (k, p) ->
-      Codec.key b k;
-      enc_payload b p)
+let group_size payload_size (name, entries) =
+  Codec.str_size name + list_size (fun (k, p) -> Codec.key_size k + payload_size p) entries
+
+let put_group put_payload b pos (name, entries) =
+  put_list (fun b pos (k, p) -> put_payload b (Codec.put_key b pos k) p) b (Codec.put_str b pos name)
     entries
 
 let decode_group dec_payload rd =
@@ -84,18 +85,23 @@ let decode_group dec_payload rd =
   in
   (name, entries)
 
-let encode_views b = function
-  | Maintainer.Cov_views groups ->
-      Codec.u8 b 0;
-      encode_list b (encode_group encode_cov_payload) groups
+let views_size = function
+  | Maintainer.Cov_views groups -> 1 + list_size (group_size cov_size) groups
   | Maintainer.Float_views per_agg ->
-      Codec.u8 b 1;
-      Codec.i64 b (Array.length per_agg);
-      Array.iter (fun groups -> encode_list b (encode_group Codec.f64) groups) per_agg
+      Array.fold_left (fun acc groups -> acc + list_size (group_size (fun _ -> 8)) groups) 9 per_agg
+  | Maintainer.Totals totals -> 9 + (8 * Array.length totals)
+
+let put_views b pos = function
+  | Maintainer.Cov_views groups -> put_list (put_group put_cov) b (Codec.put_u8 b pos 0) groups
+  | Maintainer.Float_views per_agg ->
+      Array.fold_left
+        (put_list (put_group Codec.put_f64) b)
+        (Codec.put_i64 b (Codec.put_u8 b pos 1) (Array.length per_agg))
+        per_agg
   | Maintainer.Totals totals ->
-      Codec.u8 b 2;
-      Codec.i64 b (Array.length totals);
-      Array.iter (Codec.f64 b) totals
+      Array.fold_left (Codec.put_f64 b)
+        (Codec.put_i64 b (Codec.put_u8 b pos 2) (Array.length totals))
+        totals
 
 let decode_views rd : Maintainer.view_dump =
   match Codec.read_u8 rd with
@@ -131,18 +137,20 @@ let list dir =
 let keep = 2
 
 let write ~dir ~seq (m : Maintainer.t) =
-  let payload = Buffer.create 4096 in
-  Codec.u8 payload 1 (* version *);
-  Codec.u8 payload (strategy_tag (Maintainer.strategy_of m));
-  Codec.i64 payload seq;
-  encode_list payload encode_update (Storage.dump (Maintainer.storage m));
-  encode_views payload (Maintainer.dump_views m);
-  let file = Buffer.create (Buffer.length payload + 16) in
-  Buffer.add_string file magic;
-  Codec.frame file (Buffer.contents payload);
+  let dump = Storage.dump (Maintainer.storage m) and views = Maintainer.dump_views m in
+  let len = 1 + 1 + 8 + list_size update_size dump + views_size views in
+  let mlen = String.length magic in
+  let file = Bytes.create (mlen + Codec.frame_header + len) in
+  Bytes.blit_string magic 0 file 0 mlen;
+  let pos = Codec.put_u8 file (mlen + Codec.frame_header) 1 (* version *) in
+  let pos = Codec.put_u8 file pos (strategy_tag (Maintainer.strategy_of m)) in
+  let pos = put_list put_update file (Codec.put_i64 file pos seq) dump in
+  let pos = put_views file pos views in
+  assert (pos = Bytes.length file);
+  Codec.seal_frame file ~pos:mlen ~len;
   let path = path_of dir seq in
   let tmp = path ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc -> Buffer.output_buffer oc file);
+  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_bytes oc file);
   Sys.rename tmp path;
   (* prune, keeping the newest [keep] *)
   List.iteri

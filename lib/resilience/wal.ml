@@ -1,6 +1,7 @@
 (* Append-only write-ahead log of delta updates.
 
-   One checksummed frame per record ([Codec.frame]: length, CRC-32, payload);
+   One checksummed frame per record (length, CRC-32, payload), written
+   once at its exact size and sealed in place ([Codec.seal_frame]);
    each record carries the sequence number the update commits as, so replay
    after a checkpoint restore can skip the prefix already covered by the
    checkpoint. Appends flush before returning — a record that [append]
@@ -15,11 +16,17 @@ module Codec = Relational.Codec
 
 type record = { seq : int; update : Fivm.Delta.update }
 
-let encode_record b (r : record) =
-  Codec.i64 b r.seq;
-  Codec.str b r.update.relation;
-  Codec.tuple b r.update.tuple;
-  Codec.i64 b r.update.multiplicity
+(* One framed record, built in place. *)
+let framed (r : record) =
+  let u = r.update in
+  let len = 8 + Codec.str_size u.relation + Codec.tuple_size u.tuple + 8 in
+  let b = Bytes.create (Codec.frame_header + len) in
+  let pos = Codec.put_i64 b Codec.frame_header r.seq in
+  let pos = Codec.put_str b pos u.relation in
+  let pos = Codec.put_tuple b pos u.tuple in
+  ignore (Codec.put_i64 b pos u.multiplicity);
+  Codec.seal_frame b ~pos:0 ~len;
+  b
 
 let decode_record rd : record =
   let seq = Codec.read_i64 rd in
@@ -37,11 +44,7 @@ let open_append path =
   }
 
 let append w r =
-  let payload = Buffer.create 64 in
-  encode_record payload r;
-  let framed = Buffer.create 80 in
-  Codec.frame framed (Buffer.contents payload);
-  Buffer.output_buffer w.oc framed;
+  output_bytes w.oc (framed r);
   flush w.oc
 
 let close w = close_out_noerr w.oc
@@ -74,14 +77,8 @@ let shear_tail path ~bytes =
   if n > 0 then Unix.truncate path (max 0 (n - bytes))
 
 let rewrite path (records : record list) =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun r ->
-      let payload = Buffer.create 64 in
-      encode_record payload r;
-      Codec.frame b (Buffer.contents payload))
-    records;
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Buffer.contents b))
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (fun r -> Out_channel.output_bytes oc (framed r)) records)
 
 (* Damage injection: reverse the order of the last [frames] valid records,
    simulating a log whose tail was flushed out of sequence (seqs arrive

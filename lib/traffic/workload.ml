@@ -70,14 +70,16 @@ let generate s ~catalog ~make_updates =
   let read_draw = Util.Prng.split root in
   let delta_clock = Util.Prng.split root in
   let delta_draw = Util.Prng.split root in
+  let tenants = Util.Prng.zipf_sampler ~n:s.tenants ~s:s.tenant_skew
+  and batches = Util.Prng.zipf_sampler ~n:catalog ~s:s.batch_skew in
   let reads =
     List.map
       (fun at ->
         Read
           {
             at;
-            tenant = Util.Prng.zipf read_draw ~n:s.tenants ~s:s.tenant_skew - 1;
-            batch = Util.Prng.zipf read_draw ~n:catalog ~s:s.batch_skew - 1;
+            tenant = Util.Prng.zipf read_draw tenants - 1;
+            batch = Util.Prng.zipf read_draw batches - 1;
           })
       (arrivals read_clock ~rate:s.read_rate ~duration:s.duration)
   in

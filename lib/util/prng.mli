@@ -51,6 +51,15 @@ val backoff : t -> base:float -> cap:float -> attempt:int -> float
     from 0 and is clamped internally so large values cannot overflow.
     Deterministic under seed; raises on negative [base] or [cap]. *)
 
-val zipf : t -> n:int -> s:float -> int
-(** Zipf-distributed rank in [\[1, n\]] with skew exponent [s] (s <= 0 gives
-    uniform). Used to generate realistically skewed foreign keys. *)
+type zipf
+(** A Zipf sampler over ranks [\[1, n\]]: its table of x^(s-1). Build it
+    once and draw from it as often as needed; it is immutable, so
+    generators on several domains may share it. *)
+
+val zipf_sampler : n:int -> s:float -> zipf
+(** [zipf_sampler ~n ~s] with skew exponent [s] (s <= 0 gives uniform).
+    Raises on [n <= 0]. *)
+
+val zipf : t -> zipf -> int
+(** A Zipf-distributed rank in [\[1, n\]]. Used to generate realistically
+    skewed foreign keys. *)

@@ -198,97 +198,99 @@ let test_obs_counters_track_batch () =
     (Obs.gauge_value (Obs.gauge "fivm.storage_tuples"));
   Obs.reset ()
 
-(* ---- base storage: orders and delete cost ---- *)
+(* ---- base storage: orders, snapshots and costs ---- *)
 module S = Fivm.Storage
-module Hybrid = Keypack.Hybrid
 
-(* The straightforward storage layout: per-key newest-first tuple lists,
-   deletes by [List.filter], and insertion stamps sorted for [dump].
-   [Fivm.Storage] must expose exactly its orders, since bucket order fixes
-   the float accumulation order downstream. Join keys come from
-   [Storage.key_for] on the storage under test. *)
+(* A straightforward model of the storage: per relation a newest-first
+   list of live (tuple, multiplicity, stamp) entries as first inserted,
+   deletes by [List.filter], buckets by filtering on
+   [Keypack.key_of_tuple], insertion stamps sorted for [dump], and the
+   snapshot a replay of that dump into fresh relations (m copies of a tuple
+   of multiplicity m, appended after [Database.create]). [Fivm.Storage]
+   must expose exactly its orders, since bucket order fixes the float
+   accumulation order downstream, and its snapshot row for row. *)
 module Ref_storage = struct
-  type entry = { mutable mult : int; stamp : int }
+  type entry = { tuple : Tuple.t; mutable mult : int; stamp : int }
 
   type node = {
-    arity : int;
-    tuples : entry Hybrid.t;
-    buckets : (string * Tuple.t list ref Hybrid.t) list;
+    rel : Relation.t; (* name and schema *)
+    keys : (string * int array) list; (* neighbour -> sorted key positions *)
+    mutable live : entry list; (* newest first *)
   }
 
-  type t = { s : S.t; nodes : (string * node) list; mutable next_stamp : int }
+  type t = { db : Database.t; nodes : (string * node) list; mutable clock : int }
 
-  let create s (db : Database.t) =
+  let create (db : Database.t) =
     let node rel =
-      let arity = Schema.arity (Relation.schema rel) in
-      let sn = S.node s (Relation.name rel) in
-      ( Relation.name rel,
-        {
-          arity;
-          tuples = Hybrid.create 16;
-          buckets = List.map (fun nb -> (nb, Hybrid.create 16)) (S.neighbours sn);
-        } )
+      let schema = Relation.schema rel in
+      let keys =
+        List.filter_map
+          (fun other ->
+            match Schema.common schema (Relation.schema other) with
+            | [] -> None
+            | key when other != rel ->
+                Some
+                  ( Relation.name other,
+                    Array.of_list (List.map (Schema.position schema) (List.sort compare key)) )
+            | _ -> None)
+          (Database.relations db)
+      in
+      (Relation.name rel, { rel; keys; live = [] })
     in
-    { s; nodes = List.map node (Database.relations db); next_stamp = 0 }
+    { db; nodes = List.map node (Database.relations db); clock = 0 }
 
-  let tuple_key n tuple = Keypack.key_of_tuple (Array.init n.arity Fun.id) tuple
+  let find r rel tuple =
+    List.find_opt (fun e -> Tuple.equal e.tuple tuple) (List.assoc rel r.nodes).live
 
-  let multiplicity r rel tuple =
-    let n = List.assoc rel r.nodes in
-    match Hybrid.find_opt n.tuples (tuple_key n tuple) with
-    | Some e -> e.mult
-    | None -> 0
+  let multiplicity r rel tuple = match find r rel tuple with Some e -> e.mult | None -> 0
 
   let apply r (u : Delta.update) =
     let n = List.assoc u.relation r.nodes in
-    let sn = S.node r.s u.relation in
-    let tk = tuple_key n u.tuple in
-    let old_m = multiplicity r u.relation u.tuple in
-    let new_m = old_m + u.multiplicity in
-    if old_m = 0 && new_m <> 0 then begin
-      Hybrid.replace n.tuples tk { mult = new_m; stamp = r.next_stamp };
-      r.next_stamp <- r.next_stamp + 1;
-      List.iter
-        (fun (neighbour, idx) ->
-          let key = S.key_for sn ~neighbour u.tuple in
-          match Hybrid.find_opt idx key with
-          | Some l -> l := u.tuple :: !l
-          | None -> Hybrid.add idx key (ref [ u.tuple ]))
-        n.buckets
-    end
-    else if new_m = 0 then begin
-      Hybrid.remove n.tuples tk;
-      List.iter
-        (fun (neighbour, idx) ->
-          let key = S.key_for sn ~neighbour u.tuple in
-          match Hybrid.find_opt idx key with
-          | Some l ->
-              l := List.filter (fun t -> not (Tuple.equal t u.tuple)) !l;
-              if !l = [] then Hybrid.remove idx key
-          | None -> ())
-        n.buckets
-    end
-    else (Option.get (Hybrid.find_opt n.tuples tk)).mult <- new_m
+    match find r u.relation u.tuple with
+    | Some e ->
+        let m = e.mult + u.multiplicity in
+        if m = 0 then n.live <- List.filter (fun e' -> e' != e) n.live else e.mult <- m
+    | None ->
+        if u.multiplicity <> 0 then begin
+          n.live <- { tuple = u.tuple; mult = u.multiplicity; stamp = r.clock } :: n.live;
+          r.clock <- r.clock + 1
+        end
 
   let matching r rel ~neighbour key =
-    match Hybrid.find_opt (List.assoc neighbour (List.assoc rel r.nodes).buckets) key with
-    | Some l -> List.map (fun t -> (t, multiplicity r rel t)) !l
-    | None -> []
+    let n = List.assoc rel r.nodes in
+    let positions = List.assoc neighbour n.keys in
+    List.filter_map
+      (fun e ->
+        if Keypack.key_equal (Keypack.key_of_tuple positions e.tuple) key then
+          Some (e.tuple, e.mult)
+        else None)
+      n.live
 
   let total r =
     List.fold_left
-      (fun acc (_, n) -> Hybrid.fold (fun _ e acc -> acc + abs e.mult) n.tuples acc)
+      (fun acc (_, n) -> List.fold_left (fun acc e -> acc + abs e.mult) acc n.live)
       0 r.nodes
 
   let dump r =
-    List.concat_map
-      (fun (rel, n) ->
-        Hybrid.fold
-          (fun k e acc -> (e.stamp, (rel, Keypack.key_tuple n.arity k, e.mult)) :: acc)
-          n.tuples [])
-      r.nodes
+    List.concat_map (fun (rel, n) -> List.map (fun e -> (e.stamp, (rel, e.tuple, e.mult))) n.live) r.nodes
     |> List.sort (fun (a, _) (b, _) -> compare a b)
     |> List.map snd
+
+  let snapshot r =
+    let rels =
+      List.map
+        (fun rel -> Relation.create (Relation.name rel) (Relation.schema rel))
+        (Database.relations r.db)
+    in
+    let db = Database.create (Database.name r.db) rels in
+    List.iter
+      (fun (rel, tuple, m) ->
+        let rel = Database.relation db rel in
+        for _ = 1 to m do
+          Relation.append rel tuple
+        done)
+      (dump r);
+    db
 end
 
 (* Tuples compared by value bits, so -0.0 and 0.0 differ. *)
@@ -297,13 +299,26 @@ let tuple_bits t =
     (Array.map
        (function
          | Value.Float x -> Printf.sprintf "f%Lx" (Int64.bits_of_float x)
+         | Value.Int x -> Printf.sprintf "i%d" x
          | v -> Value.to_string v)
        t)
+
+let representation c =
+  match Column.data c with
+  | Column.Ints _ -> "ints"
+  | Column.Floats _ -> "floats"
+  | Column.Boxed _ -> "boxed"
+
+(* A relation's rows by bits, and its columns' representations. *)
+let relation_bits rel =
+  ( List.map tuple_bits (Relation.to_list rel),
+    Array.to_list (Array.map representation (Relation.columns rel)) )
 
 (* A star whose join keys cover every key shape: packed pairs, packed
    singletons with negative values, and boxed pairs, strings and floats
    (with 0.0 and -0.0 as one key). D1's whole-tuple key packs unless
-   [c] or [a] is out of range. *)
+   [c] or [a] is out of range. F's and D3's float columns also receive an
+   [Int], and D4's int column a [Float], which promotes them. *)
 let layout_db () =
   let rel name attrs = Relation.create name (Schema.make attrs) in
   Database.create "layout"
@@ -323,11 +338,12 @@ let layout_pools =
   [|
     ( "F",
       Array.of_list
-        (let* a = [ 0; -1 ] in
-         let* e = [ 0; -7 ] in
-         let* s = [ "x"; "y" ] in
-         let* w = [ 0.0; -0.0; 1.5 ] in
-         [ [| int a; int 1; int e; str s; flt w |] ]) );
+        ((let* a = [ 0; -1 ] in
+          let* e = [ 0; -7 ] in
+          let* s = [ "x"; "y" ] in
+          let* w = [ 0.0; -0.0; 1.5 ] in
+          [ [| int a; int 1; int e; str s; flt w |] ])
+        @ [ [| int 0; int 1; int 0; str "x"; int 2 |] ]) );
     ( "D1",
       Array.of_list
         (let* a = [ 0; -1 ] in
@@ -339,89 +355,125 @@ let layout_pools =
          [ [| str s; int 5 |] ]) );
     ( "D3",
       Array.of_list
-        (let* w = [ 0.0; -0.0; 1.5 ] in
-         let* y = [ 0.0; -0.0 ] in
-         [ [| flt w; flt y |] ]) );
-    ("D4", [| [| int 0; int 2 |]; [| int (-7); int 2 |]; [| int (-7); int 3 |] |]);
+        ((let* w = [ 0.0; -0.0; 1.5 ] in
+          let* y = [ 0.0; -0.0 ] in
+          [ [| flt w; flt y |] ])
+        @ [ [| int 2; flt 0.5 |]; [| flt 1.5; int 0 |] ]) );
+    ( "D4",
+      [| [| int 0; int 2 |]; [| int (-7); int 2 |]; [| int (-7); int 3 |]; [| int 0; flt 2.5 |] |]
+    );
   |]
 
-(* After every update, each bucket's [fold_matching] sequence, [dump],
-   [multiplicity] and [total_tuples] equal the reference's, bit for bit. *)
+(* Every (relation, neighbour, key) the pools can reach, once. *)
+let layout_probes r =
+  Array.fold_left
+    (fun acc (rel, pool) ->
+      let n = List.assoc rel r.Ref_storage.nodes in
+      List.fold_left
+        (fun acc (neighbour, positions) ->
+          Array.fold_left
+            (fun acc t ->
+              let key = Keypack.key_of_tuple positions t in
+              if
+                List.exists
+                  (fun (r', nb, k) -> r' = rel && nb = neighbour && Keypack.key_equal k key)
+                  acc
+              then acc
+              else (rel, neighbour, key) :: acc)
+            acc pool)
+        acc n.keys)
+    [] layout_pools
+
+(* After an update, the storage under a maintainer and the reference agree
+   on every multiplicity, every bucket's newest-first [fold_edge]
+   sequence, [dump], [total_tuples], and the snapshot's rows and column
+   representations, all bit for bit. *)
+let check_against_reference m r probes step (u : Delta.update) =
+  let s = M.storage m in
+  let fail what = QCheck2.Test.fail_reportf "step %d (%a): %s differs" step Delta.pp u what in
+  let bits l = List.map (fun (t, m) -> (tuple_bits t, m)) l in
+  let dump_bits = List.map (fun (rel, t, m) -> (rel, tuple_bits t, m)) in
+  let dumped = List.map (fun (u : Delta.update) -> (u.relation, u.tuple, u.multiplicity)) (S.dump s) in
+  if dump_bits (Ref_storage.dump r) <> dump_bits dumped then fail "dump";
+  if Ref_storage.total r <> S.total_tuples s then fail "total_tuples";
+  Array.iter
+    (fun (rel, pool) ->
+      let n = S.node s rel in
+      Array.iter
+        (fun t -> if Ref_storage.multiplicity r rel t <> S.multiplicity n t then fail "multiplicity")
+        pool)
+    layout_pools;
+  List.iter
+    (fun (rel, neighbour, key) ->
+      let n = S.node s rel in
+      let row r = Array.map (fun c -> Column.get c r) (S.cells n) in
+      let got = S.fold_edge (S.edge n ~neighbour) key (fun r m acc -> (row r, m) :: acc) [] in
+      if bits (List.rev got) <> bits (Ref_storage.matching r rel ~neighbour key) then
+        fail ("bucket " ^ rel ^ "->" ^ neighbour))
+    probes;
+  let expected = Ref_storage.snapshot r and snap = M.snapshot m in
+  List.iter
+    (fun rel ->
+      let name = Relation.name rel in
+      if relation_bits rel <> relation_bits (Database.relation snap name) then
+        fail ("snapshot of " ^ name))
+    (Database.relations expected)
+
+(* One update code: an insert, a delete (past zero too), a bulk of two
+   either way, a delete to zero (or an insert when absent) and a no-op. *)
+let layout_update r (ri, ti, code) =
+  let rel, pool = layout_pools.(ri) in
+  let tuple = pool.(ti mod Array.length pool) in
+  let current = Ref_storage.multiplicity r rel tuple in
+  let multiplicity =
+    match code with
+    | 0 | 1 -> 1
+    | 2 -> -1
+    | 3 -> 2
+    | 4 -> -2
+    | 5 | 6 -> if current <> 0 then -current else 1
+    | _ -> 0
+  in
+  { Delta.relation = rel; tuple; multiplicity }
+
+let run_layout ops =
+  let db = layout_db () in
+  let m = M.create M.F_ivm db ~features:[] in
+  let r = Ref_storage.create db in
+  let probes = layout_probes r in
+  List.iteri
+    (fun step op ->
+      let u = layout_update r op in
+      Ref_storage.apply r u;
+      M.apply m u;
+      check_against_reference m r probes step u)
+    ops
+
 let storage_matches_reference =
   QCheck2.Test.make ~count:100 ~name:"storage orders = list-and-stamp reference"
     QCheck2.Gen.(
-      list_size (int_range 1 120)
+      list_size (int_range 1 200)
         (triple (int_bound (Array.length layout_pools - 1)) (int_bound 1000) (int_bound 7)))
     (fun ops ->
-      let db = layout_db () in
-      let s = S.create db in
-      let r = Ref_storage.create s db in
-      let bits l = List.map (fun (t, m) -> (tuple_bits t, m)) l in
-      (* every (relation, neighbour, key) the pools can reach, once *)
-      let probes =
-        Array.fold_left
-          (fun acc (rel, pool) ->
-            let n = S.node s rel in
-            List.fold_left
-              (fun acc neighbour ->
-                Array.fold_left
-                  (fun acc t ->
-                    let key = S.key_for n ~neighbour t in
-                    if
-                      List.exists
-                        (fun (r', nb, k) -> r' = rel && nb = neighbour && Keypack.key_equal k key)
-                        acc
-                    then acc
-                    else (rel, neighbour, key) :: acc)
-                  acc pool)
-              acc (S.neighbours n))
-          [] layout_pools
-      in
-      List.iteri
-        (fun step (ri, ti, code) ->
-          let rel, pool = layout_pools.(ri) in
-          let tuple = pool.(ti mod Array.length pool) in
-          let current = Ref_storage.multiplicity r rel tuple in
-          let multiplicity =
-            match code with
-            | 0 | 1 -> 1
-            | 2 -> -1
-            | 3 -> 2
-            | 4 -> -2
-            | 5 | 6 -> if current <> 0 then -current else 1
-            | _ -> 0
-          in
-          let u = { Delta.relation = rel; tuple; multiplicity } in
-          Ref_storage.apply r u;
-          S.apply s u;
-          let fail what =
-            QCheck2.Test.fail_reportf "step %d (%a): %s differs" step Delta.pp u what
-          in
-          let dump_bits = List.map (fun (rel, t, m) -> (rel, tuple_bits t, m)) in
-          let dumped =
-            List.map (fun (u : Delta.update) -> (u.relation, u.tuple, u.multiplicity)) (S.dump s)
-          in
-          if dump_bits (Ref_storage.dump r) <> dump_bits dumped then fail "dump";
-          if Ref_storage.total r <> S.total_tuples s then fail "total_tuples";
-          Array.iter
-            (fun (rel, pool) ->
-              let n = S.node s rel in
-              Array.iter
-                (fun t ->
-                  if Ref_storage.multiplicity r rel t <> S.multiplicity n t then
-                    fail "multiplicity")
-                pool)
-            layout_pools;
-          List.iter
-            (fun (rel, neighbour, key) ->
-              let got =
-                S.fold_matching (S.node s rel) ~neighbour key (fun t m acc -> (t, m) :: acc) []
-              in
-              if bits (List.rev got) <> bits (Ref_storage.matching r rel ~neighbour key) then
-                fail ("bucket " ^ rel ^ "->" ^ neighbour))
-            probes)
-        ops;
+      run_layout ops;
       true)
+
+(* Churn that compacts: fill every pool, delete three tuples in four, and
+   insert them again, checking the storage against the reference after
+   every update, so before and after each compaction. *)
+let test_compaction_keeps_orders () =
+  let each f = Array.iteri (fun ri (_, pool) -> Array.iteri (fun ti _ -> f ri ti) pool) layout_pools in
+  let ops = ref [] in
+  let add op = ops := op :: !ops in
+  each (fun ri ti -> add (ri, ti, 0));
+  each (fun ri ti -> if ti mod 4 <> 0 then add (ri, ti, 5));
+  each (fun ri ti -> if ti mod 4 <> 0 then add (ri, ti, 3));
+  each (fun ri ti -> if ti mod 2 = 0 then add (ri, ti, 5));
+  Obs.reset ();
+  Obs.with_enabled true (fun () -> run_layout (List.rev !ops));
+  let compactions = Obs.counter_value_by_name "fivm.storage_compactions" in
+  Obs.reset ();
+  Alcotest.(check bool) (Printf.sprintf "%d compactions" compactions) true (compactions > 0)
 
 (* A delete unlinks one entry: it allocates the same whether its bucket
    holds 10,000 tuples or 10. A delete that copies the bucket allocates in
@@ -455,6 +507,75 @@ let test_delete_cost_is_flat () =
     true (big <= small);
   Alcotest.(check int) "both deleted" 0
     (S.multiplicity (S.node s "F") (fact 0 5_000) + S.multiplicity (S.node s "F") (fact 1 5))
+
+(* A delete, and an insert of a live tuple, allocate nothing in the
+   storage: the tuple is unboxed into the staging row once, and probes,
+   links and multiplicities are int arrays. A newly live tuple may grow
+   the node, so it is left out. *)
+let test_apply_allocation_is_bounded () =
+  let db =
+    Database.create "rows"
+      [
+        Relation.create "F"
+          (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("x", Value.TFloat) ]);
+        Relation.create "D" (Schema.make [ ("a", Value.TInt); ("y", Value.TFloat) ]);
+      ]
+  in
+  let s = S.create db in
+  let fact k = [| int (k mod 7); int k; flt (float_of_int k /. 8.0) |] in
+  for k = 0 to 999 do
+    S.apply s (Delta.insert "F" (fact k))
+  done;
+  let updates = List.init 200 (fun k -> Delta.insert "F" (fact k)) in
+  let deletes = List.init 200 (fun k -> Delta.delete "F" (fact (k + 200))) in
+  let words us =
+    let before = Gc.minor_words () in
+    List.iter (S.apply s) us;
+    (Gc.minor_words () -. before) /. float_of_int (List.length us)
+  in
+  let repeat = words updates and delete = words deletes in
+  Alcotest.(check bool)
+    (Printf.sprintf "repeat insert: %.1f words; delete: %.1f words" repeat delete)
+    true
+    (repeat <= 2.0 && delete <= 2.0);
+  Alcotest.(check int) "multiplicities" 2 (S.multiplicity (S.node s "F") (fact 5));
+  Alcotest.(check int) "deleted" 0 (S.multiplicity (S.node s "F") (fact 205))
+
+(* A snapshot copies rows into columns allocated outside the minor heap,
+   so its minor allocation is the same at 2,000 rows as at 20,000. *)
+let test_snapshot_allocation_is_flat () =
+  let words rows =
+    let db =
+      Database.create "snap"
+        [
+          Relation.create "F"
+            (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("x", Value.TFloat) ]);
+          Relation.create "D" (Schema.make [ ("a", Value.TInt); ("y", Value.TFloat) ]);
+        ]
+    in
+    let m = M.create M.F_ivm db ~features:[ "x"; "y" ] in
+    for a = 0 to 6 do
+      M.apply m (Delta.insert "D" [| int a; flt 1.0 |])
+    done;
+    for k = 0 to rows - 1 do
+      M.apply m (Delta.insert "F" [| int (k mod 7); int k; flt (float_of_int k /. 8.0) |])
+    done;
+    (* churn, so the storage holds dead rows too *)
+    for k = 0 to (rows / 10) - 1 do
+      M.apply m (Delta.delete "F" [| int (k mod 7); int k; flt (float_of_int k /. 8.0) |])
+    done;
+    ignore (M.snapshot m);
+    let before = Gc.minor_words () in
+    let snap = M.snapshot m in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "snapshot rows" (rows - (rows / 10))
+      (Relation.cardinality (Database.relation snap "F"));
+    words
+  in
+  let small = words 2_000 and big = words 20_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "2,000 rows: %.0f minor words; 20,000 rows: %.0f" small big)
+    true (big <= small)
 
 (* Steady-state F-IVM allocates no ring elements: once a fact's view keys
    exist, deleting it and inserting it again allocates the same minor words
@@ -678,8 +799,13 @@ let () =
       ( "storage",
         [
           qcheck storage_matches_reference;
+          Alcotest.test_case "compaction keeps orders and snapshots" `Quick
+            test_compaction_keeps_orders;
           Alcotest.test_case "delete cost independent of bucket size" `Quick
             test_delete_cost_is_flat;
+          Alcotest.test_case "apply allocation bounded" `Quick test_apply_allocation_is_bounded;
+          Alcotest.test_case "snapshot allocation independent of rows" `Quick
+            test_snapshot_allocation_is_flat;
           Alcotest.test_case "update allocation independent of dimension" `Quick
             test_update_allocation_is_flat;
         ] );

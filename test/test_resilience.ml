@@ -155,6 +155,40 @@ let test_cov_decode_checks_before_allocating () =
 
 (* ---- WAL ---- *)
 
+(* A record is written in place at its exact size; its bytes are the frame
+   [Codec.frame] makes of the same fields written into a [Buffer]: seq,
+   relation, tuple, multiplicity. Values of every tag, -0.0 and wide
+   strings included. *)
+let test_wal_bytes_match_buffer_framing () =
+  Scenario.with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "wal.log" in
+  let records =
+    List.mapi
+      (fun i tuple -> { Wal.seq = i + 1; update = Delta.delete (Printf.sprintf "R%d" i) tuple })
+      [
+        [| int 1; flt (-0.0); Value.Str "x" |];
+        [| Value.Null; int min_int; flt Float.nan |];
+        [| Value.Str (String.make 300 'y') |];
+        [||];
+      ]
+  in
+  let w = Wal.open_append path in
+  List.iter (Wal.append w) records;
+  Wal.close w;
+  let expected = Buffer.create 256 in
+  List.iter
+    (fun (r : Wal.record) ->
+      let payload = Buffer.create 64 in
+      Codec.i64 payload r.seq;
+      Codec.str payload r.update.relation;
+      Codec.tuple payload r.update.tuple;
+      Codec.i64 payload r.update.multiplicity;
+      Codec.frame expected (Buffer.contents payload))
+    records;
+  Alcotest.(check string) "file bytes" (Buffer.contents expected)
+    (In_channel.with_open_bin path In_channel.input_all)
+
+
 let test_wal_roundtrip_and_torn_tail () =
   Scenario.with_temp_dir @@ fun dir ->
   let path = Filename.concat dir "wal.log" in
@@ -484,7 +518,11 @@ let () =
             test_cov_decode_checks_before_allocating;
         ] );
       ( "wal",
-        [ Alcotest.test_case "round-trip and torn tail" `Quick test_wal_roundtrip_and_torn_tail ] );
+        [
+          Alcotest.test_case "round-trip and torn tail" `Quick test_wal_roundtrip_and_torn_tail;
+          Alcotest.test_case "records framed as by Codec.frame" `Quick
+            test_wal_bytes_match_buffer_framing;
+        ] );
       ( "checkpoint",
         [
           Alcotest.test_case "round-trip, bit-identical" `Quick test_checkpoint_roundtrip;

@@ -23,10 +23,62 @@ let test_prng_split_independent () =
   let ys = List.init 10 (fun _ -> Prng.int b 1000) in
   Alcotest.(check bool) "streams differ" true (xs <> ys)
 
+(* Known answers: the streams must not change, since every dataset is
+   generated from them. Floats are compared by their hex images. *)
+let test_prng_known_answers () =
+  let draws k f = List.init k (fun _ -> f ()) in
+  let hex = List.map (Printf.sprintf "%h") in
+  let zipf = Prng.zipf_sampler ~n:2240 ~s:1.05 in
+  let r = Prng.create 42 in
+  Alcotest.(check (list int)) "bits"
+    [ 3419864383188818853; 737456523031723072; 1284820937115690964; 1587299515064563941 ]
+    (draws 4 (fun () -> Prng.bits r));
+  let r = Prng.create 42 in
+  Alcotest.(check (list string)) "float"
+    [ "0x1.7bae644c5fd6ep-1"; "0x1.477f199d93378p-3"; "0x1.1d499d5c4c3e8p-2"; "0x1.607387fc392b9p-2" ]
+    (hex (draws 4 (fun () -> Prng.float r 1.0)));
+  let r = Prng.create 42 in
+  Alcotest.(check (list string)) "gaussian"
+    [ "0x1.2a2b12d51bd42p+1"; "-0x1.22953d3a46ap-2"; "0x1.3d634e6a0a15ep+2"; "0x1.4badc7e96f464p+1" ]
+    (hex (draws 4 (fun () -> Prng.gaussian r ~mu:1.5 ~sigma:2.0)));
+  let r = Prng.create 42 in
+  Alcotest.(check (list int)) "zipf ~n:2240 ~s:1.05" [ 2; 2; 2; 2; 2; 2; 25; 4 ]
+    (draws 8 (fun () -> Prng.zipf r zipf));
+  (* one stream after [split]: bits, then floats, gaussians and ranks *)
+  let r = Prng.create 42 in
+  let s = Prng.split r in
+  Alcotest.(check (list int)) "bits after split"
+    [ 4418786343556581925; 1166897920761108503; 3279809799458010469 ]
+    (draws 3 (fun () -> Prng.bits s));
+  Alcotest.(check (list string)) "float after split"
+    [ "0x1.ecc1a4c89f8b2p-1"; "0x1.e4bc06888bbbap-2" ]
+    (hex (draws 2 (fun () -> Prng.float s 1.0)));
+  Alcotest.(check (list string)) "gaussian after split"
+    [ "-0x1.5445fa9f45b7ap-3"; "-0x1.1e4be123c135ep+0" ]
+    (hex (draws 2 (fun () -> Prng.gaussian s ~mu:0.0 ~sigma:1.0)));
+  Alcotest.(check (list int)) "zipf after split" [ 2; 3; 2; 2 ] (draws 4 (fun () -> Prng.zipf s zipf));
+  Alcotest.(check int) "the parent after split" 737456523031723072 (Prng.bits r)
+
+(* The state is unboxed, so a draw allocates nothing but the float it
+   returns: two words for [float] and for [gaussian] (a call from another
+   module boxes its result), none for [bits]. *)
+let test_prng_allocates_nothing () =
+  let r = Prng.create 5 in
+  let acc = ref 0 and sum = ref 0.0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    acc := !acc lxor Prng.bits r;
+    sum := !sum +. Prng.float r 1.0 +. Prng.gaussian r ~mu:0.0 ~sigma:1.0
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity (!acc, !sum));
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words for 3,000 draws" words) true
+    (words <= 4_000.0)
+
 let test_zipf_bounds () =
-  let rng = Prng.create 3 in
+  let rng = Prng.create 3 and z = Prng.zipf_sampler ~n:50 ~s:1.2 in
   for _ = 1 to 500 do
-    let r = Prng.zipf rng ~n:50 ~s:1.2 in
+    let r = Prng.zipf rng z in
     Alcotest.(check bool) "rank bounds" true (r >= 1 && r <= 50)
   done
 
@@ -442,6 +494,9 @@ let () =
           Alcotest.test_case "int_range bounds" `Quick test_prng_range;
           Alcotest.test_case "split independence" `Quick test_prng_split_independent;
           Alcotest.test_case "zipf bounds" `Quick test_zipf_bounds;
+          Alcotest.test_case "known answers" `Quick test_prng_known_answers;
+          Alcotest.test_case "draws allocate only their result" `Quick
+            test_prng_allocates_nothing;
           Alcotest.test_case "backoff deterministic and bounded" `Quick
             test_backoff_deterministic_and_bounded;
           Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
