@@ -240,10 +240,30 @@ let ivm_cmd =
   let limit_arg =
     Arg.(value & opt int max_int & info [ "limit" ] ~docv:"N" ~doc:"Insert at most N tuples.")
   in
-  let run (name, spec) scale seed strategy limit trace metrics_out =
+  let check_arg =
+    Arg.(value & flag
+         & info [ "check" ]
+             ~doc:
+               "Maintain the dataset's dyadic-lattice copy, where every sum is \
+                exact, with the dimensions inserted after the facts (so each \
+                dimension insert meets stored facts and propagates many deltas \
+                per level), and exit 1 unless the maintained covariance triple \
+                is bit-identical to a from-scratch recomputation.")
+  in
+  let run (name, spec) scale seed strategy limit check trace metrics_out =
     with_obs trace metrics_out @@ fun () ->
     let db = spec.generate ~scale ~seed () in
-    let stream = Datagen.Stream_gen.inserts_of_database db in
+    let db = if check then Sg.lattice_database db else db in
+    let stream = Sg.inserts_of_database db in
+    let stream =
+      if not check then stream
+      else
+        let fact = Relation.name (Sg.fact_relation db) in
+        let facts, dims =
+          List.partition (fun (u : Fivm.Delta.update) -> u.relation = fact) stream
+        in
+        facts @ dims
+    in
     let m = Fivm.Maintainer.create strategy db ~features:spec.ivm_features in
     let batch =
       List.filteri (fun i _ -> i < limit) stream
@@ -252,18 +272,26 @@ let ivm_cmd =
     let seconds =
       Util.Timing.time_only (fun () -> Fivm.Maintainer.apply_batch m batch)
     in
-    Printf.printf "%s over %s: %d inserts in %s (%.0f tuples/s)\n"
+    Printf.printf "%s over %s%s: %d inserts in %s (%.0f tuples/s)\n"
       (Fivm.Maintainer.strategy_name strategy)
-      name !n
+      name
+      (if check then " (lattice copy, dimensions last)" else "")
+      !n
       (Util.Timing.to_string seconds)
       (float_of_int !n /. seconds);
     let cov = Fivm.Maintainer.covariance m in
-    Printf.printf "maintained join count: %g\n" (Rings.Covariance.count cov)
+    Printf.printf "maintained join count: %g\n" (Rings.Covariance.count cov);
+    if check then begin
+      let same = Rings.Covariance.equal_bits cov (Fivm.Maintainer.recompute m) in
+      Printf.printf "check: maintained vs recomputed triple %s\n"
+        (if same then "identical (bitwise)" else "DIVERGED");
+      if not same then exit 1
+    end
   in
   Cmd.v
     (Cmd.info "ivm" ~doc:"Maintain the covariance matrix under an insert stream.")
     Term.(const run $ dataset_arg $ scale_arg $ seed_arg $ method_arg $ limit_arg
-          $ trace_arg $ metrics_out_arg)
+          $ check_arg $ trace_arg $ metrics_out_arg)
 
 (* ---- maintain: resilient IVM with WAL, checkpoints and fault injection ---- *)
 

@@ -50,17 +50,30 @@ let[@inline] cell_float (cols : Column.t array) pos r =
 
 (* Ring lift of row [r] of [rel_name]'s columns, written into a buffer: the
    product of the covariance-ring lifts of its owned features, (1, x, x
-   x^T) with x zero outside them. [lift_into t rel_name cols] resolves the
-   owned features once and fills its own feature vector per call. *)
-let lift_into t rel_name cols =
-  let owned = Array.of_list (owned_features t rel_name) in
-  let xs = Array.make t.dim 0.0 in
+   x^T). [lift_into] writes it among all features, with x zero outside
+   the owned ones; [lift_owned_into] over the owned features alone, in
+   ascending index order. Either resolves the owned features once and
+   fills its own feature vector per call. *)
+let owned_ascending t rel_name = Array.of_list (List.sort compare (owned_features t rel_name))
+
+(* [slots.(k)] is where owned feature [k]'s value goes in [xs]. *)
+let fill_lift owned slots xs cols =
   fun r ~into ->
     for k = 0 to Array.length owned - 1 do
-      let i, pos = owned.(k) in
-      xs.(i) <- cell_float cols pos r
+      xs.(slots.(k)) <- cell_float cols (snd owned.(k)) r
     done;
     Rings.Covariance.of_tuple_into xs ~into
+
+let lift_into t rel_name cols =
+  let owned = owned_ascending t rel_name in
+  fill_lift owned (Array.map fst owned) (Array.make t.dim 0.0) cols
+
+let owned_indices t rel_name = Array.map fst (owned_ascending t rel_name)
+
+let lift_owned_into t rel_name cols =
+  let owned = owned_ascending t rel_name in
+  let d = Array.length owned in
+  fill_lift owned (Array.init d Fun.id) (Array.make d 0.0) cols
 
 (* All (n+1)(n+2)/2 aggregates of the symmetric covariance batch. *)
 let aggregate_pairs t =

@@ -24,6 +24,14 @@ val lift_into : t -> string -> Column.t array -> int -> into:Rings.Covariance.t 
     relation's owned features once and returns a function that owns a
     feature vector, so one domain at a time may call it. *)
 
+val owned_indices : t -> string -> int array
+(** The indices of the features the relation owns, ascending. *)
+
+val lift_owned_into : t -> string -> Column.t array -> int -> into:Rings.Covariance.t -> unit
+(** {!lift_into} over the relation's owned features alone: a triple of
+    dimension [Array.length (owned_indices t name)], whose feature [k] is
+    feature [(owned_indices t name).(k)]. *)
+
 val aggregate_pairs : t -> (int * int) array
 (** All (i, j), 0 <= i <= j <= n, of the symmetric batch (0 = intercept). *)
 

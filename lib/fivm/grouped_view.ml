@@ -15,8 +15,13 @@ module Spec = Aggregates.Spec
    holding a persistent map, and integer scaling is pointwise *)
 module P = struct
   type t = { mutable m : GF.t }
+  type shape = unit
+  type product = unit
 
-  let mul_into a b ~into = into.m <- GF.mul a.m b.m
+  let union () () = ()
+  let zero () = { m = GF.zero }
+  let product () () = ()
+  let mul_into () a b ~into = into.m <- GF.mul a.m b.m
   let add_into x ~into = into.m <- GF.add into.m x.m
   let scale k x = x.m <- GF.KMap.map (fun v -> float_of_int k *. v) x.m
   let is_zero x = GF.KMap.for_all (fun _ v -> v = 0.0) x.m
@@ -80,7 +85,7 @@ let create (db : Database.t) (spec : Spec.t) : t =
       in
       into.m <- GF.KMap.singleton assignment weight
   in
-  let tree = Tree.create storage ~zero:(fun () -> { P.m = GF.zero }) ~lift in
+  let tree = Tree.create storage ~lift:(fun node -> ((), lift node)) in
   { storage; tree; spec }
 
 let apply (t : t) (u : Delta.update) =

@@ -14,7 +14,7 @@
 open Relational
 module Cov = Rings.Covariance
 
-module Cov_tree = View_tree.Make (Cov)
+module Cov_tree = View_tree.Make (Payload.Cov)
 module Float_tree = View_tree.Make (Payload.Float)
 
 type strategy = F_ivm | Higher_order | First_order
@@ -52,10 +52,11 @@ type state =
    the join tree and LMFAO's accumulation order — survives a snapshot. *)
 type t = { schema : Database.t; state : state }
 
+(* Each node lifts over the features its relation owns. *)
 let cov_tree (task : Cov_task.t) storage =
-  Cov_tree.create storage
-    ~zero:(fun () -> Cov.zero task.dim)
-    ~lift:(fun node -> Cov_task.lift_into task (Storage.name node) (Storage.cells node))
+  Cov_tree.create storage ~lift:(fun node ->
+      let name = Storage.name node in
+      (Cov_task.owned_indices task name, Cov_task.lift_owned_into task name (Storage.cells node)))
 
 let create strategy (db : Database.t) ~features =
   let task = Cov_task.make db ~features in
@@ -69,12 +70,10 @@ let create strategy (db : Database.t) ~features =
         let trees =
           Array.map
             (fun pair ->
-              Float_tree.create storage
-                ~zero:(fun () -> Payload.Float.make 0.0)
-                ~lift:(fun node ->
+              Float_tree.create storage ~lift:(fun node ->
                   let factor = Cov_task.factor task pair (Storage.name node) in
                   let cells = Storage.cells node in
-                  fun r ~into -> Payload.Float.set into (factor cells r)))
+                  ((), fun r ~into -> Payload.Float.set into (factor cells r))))
             aggs
         in
         Higher { task; storage; aggs; trees }
@@ -88,7 +87,7 @@ let create strategy (db : Database.t) ~features =
    of the updated tuple (row [r] of [n], staged) to full join results, of
    the aggregate's factor product times the stored multiplicities. Walks
    the join tree's adjacency via the storage indexes (index nested-loop
-   join). *)
+   join), each bucket newest first. *)
 let delta_join_sum storage task pair n r m =
   let rec expand n r visited =
     let name = Storage.name n in
@@ -97,14 +96,22 @@ let delta_join_sum storage task pair n r m =
       (fun acc neighbour ->
         if List.mem neighbour visited then acc
         else begin
-          let key = Storage.edge_key (Storage.edge n ~neighbour) r in
+          let e = Storage.edge n ~neighbour in
           let partner = Storage.node storage neighbour in
-          let s =
-            Storage.fold_edge (Storage.edge partner ~neighbour:name) key
-              (fun r' m s -> s +. float_of_int m *. expand partner r' (name :: visited))
-              0.0
+          let back = Storage.edge partner ~neighbour:name in
+          let p = Storage.edge_packed e r in
+          let rec sum r' s =
+            if r' < 0 then s
+            else
+              sum (Storage.next back r')
+                (s
+                +. float_of_int (Storage.row_multiplicity partner r')
+                   *. expand partner r' (name :: visited))
           in
-          acc *. s
+          acc
+          *. sum
+               (Storage.first back p (if p = Storage.nopack then Storage.edge_tuple e r else [||]))
+               0.0
         end)
       local (Storage.neighbours n)
   in
@@ -184,7 +191,12 @@ let snapshot t : Database.t =
    maintained state; restoring it into a maintainer whose storage holds the
    same contents reproduces the state bit-identically (recomputation would
    re-associate float additions and drift in the last ulps). Dumps hold
-   their own copies of the trees' buffers, in both directions. *)
+   their own copies of the trees' buffers, in both directions.
+
+   F-IVM triples are dumped at the task's full dimension, +0.0 outside
+   their node's features, so the bytes do not depend on how a node stores
+   them; a dump with a nonzero cell outside its node's features (or a node
+   this tree does not have) does not fit. *)
 
 type view_dump =
   | Cov_views of (string * (Relational.Keypack.key * Cov.t) list) list
@@ -196,18 +208,29 @@ let map_dump f =
 
 let dump_views t =
   match t.state with
-  | Fivm { tree; _ } ->
-      Cov_views (Cov_tree.export tree Array.copy)
+  | Fivm { task; tree; _ } ->
+      Cov_views (Cov_tree.export tree (fun shape p -> Cov.embed task.dim shape p))
   | Higher { trees; _ } ->
-      Float_views (Array.map (fun tree -> Float_tree.export tree Payload.Float.get) trees)
+      Float_views (Array.map (fun tree -> Float_tree.export tree (fun () -> Payload.Float.get)) trees)
   | First { totals; _ } -> Totals (Array.copy totals)
+
+(* An F-IVM dump restricted to each node's features, or [None]. *)
+let restrict_dump (task : Cov_task.t) tree d =
+  let exception Misfit in
+  let restrict shape (k, p) =
+    if Array.length p <> 1 + task.dim + (task.dim * task.dim) then raise Misfit;
+    match Cov.restrict shape p with Some p -> (k, p) | None -> raise Misfit
+  in
+  let node (name, entries) =
+    match Cov_tree.shape_of tree name with
+    | Some shape -> (name, List.map (restrict shape) entries)
+    | None -> raise Misfit
+  in
+  match List.map node d with d -> Some d | exception Misfit -> None
 
 let dump_fits t dump =
   match (t.state, dump) with
-  | Fivm { task; _ }, Cov_views d ->
-      List.for_all
-        (fun (_, entries) -> List.for_all (fun (_, p) -> Cov.dim p = task.dim) entries)
-        d
+  | Fivm { task; tree; _ }, Cov_views d -> Option.is_some (restrict_dump task tree d)
   | Higher { trees; _ }, Float_views ds -> Array.length ds = Array.length trees
   | First { totals; _ }, Totals ts -> Array.length ts = Array.length totals
   | _ -> false
@@ -215,7 +238,8 @@ let dump_fits t dump =
 let restore_views t dump =
   if not (dump_fits t dump) then invalid_arg "Maintainer.restore_views: the dump does not fit";
   match (t.state, dump) with
-  | Fivm { tree; _ }, Cov_views d -> Cov_tree.import tree (map_dump Array.copy d)
+  | Fivm { task; tree; _ }, Cov_views d ->
+      Cov_tree.import tree (Option.get (restrict_dump task tree d))
   | Higher { trees; _ }, Float_views ds ->
       Array.iteri (fun i d -> Float_tree.import trees.(i) (map_dump Payload.Float.make d)) ds
   | First { totals; _ }, Totals ts -> Array.blit ts 0 totals 0 (Array.length ts)
@@ -248,6 +272,14 @@ let view_rows t =
   | Higher { trees; _ } ->
       Array.fold_left (fun acc tree -> acc + sum (Float_tree.view_sizes tree)) 0 trees
   | First _ -> 0
+
+let entry_floats t =
+  match t.state with
+  | Fivm { tree; _ } ->
+      List.map
+        (fun (name, entries) -> (name, List.sort_uniq compare (List.map snd entries)))
+        (Cov_tree.export tree (fun _ p -> Array.length p))
+  | Higher _ | First _ -> []
 
 (* One delta batch inside a span, with the view/storage size gauges
    refreshed once at the end (refreshing them per update would cost more

@@ -31,6 +31,11 @@ val view_rows : t -> int
 (** Total rows across all maintained views (0 for first-order, which keeps
     none). *)
 
+val entry_floats : t -> (string * int list) list
+(** F-IVM: per view-tree node, the distinct float counts of its view
+    entries, each [1 + d + d²] for the [d] features owned in the node's
+    subtree; [[]] for the other strategies (diagnostics). *)
+
 val covariance : t -> Rings.Covariance.t
 (** The maintained covariance triple. *)
 

@@ -489,20 +489,15 @@ let edge n ~neighbour =
   | Some ix -> { en = n; ix }
   | None -> invalid_arg "Storage.edge: not a neighbour"
 
-let edge_key { en; ix } r = key en ix.positions r
-
-let rec fold_from links stride off mult f r acc =
-  if r < 0 then acc
-  else fold_from links stride off mult f links.((r * stride) + off) (f r mult.(r) acc)
-
-let fold_edge { en; ix } (k : Keypack.key) f init =
-  let first =
-    match k with
-    | Keypack.P p when p <> nopack -> head ix p
-    | Keypack.P _ -> boxed_head ix (Keypack.key_tuple 1 k)
-    | Keypack.B t -> boxed_head ix t
-  in
-  fold_from en.links en.stride ix.off en.mult f first init
+(* Keys as ints and bucket walks by row id: no [Keypack.key], closure or
+   option on an update's path. *)
+let packed_key n positions r = packed n.cells positions r
+let key_tuple n positions r = boxed_key n.cells positions r
+let edge_packed { en; ix } r = packed en.cells ix.positions r
+let edge_tuple { en; ix } r = boxed_key en.cells ix.positions r
+let first { ix; _ } p key = if p <> nopack then head ix p else boxed_head ix key
+let next { en; ix } r = en.links.((r * en.stride) + ix.off)
+let row_multiplicity n r = n.mult.(r)
 
 (* ---------- updates ---------- *)
 

@@ -6,7 +6,7 @@
     An update is unboxed once, at the edge: {!stage} writes its tuple into
     the relation's staging row, which strategies read like any other row,
     and {!apply_staged} then applies it. Rows are read through their cells
-    ({!cells}) and found through join keys ({!fold_edge}); inserts and
+    ({!cells}) and found through join keys ({!first}, {!next}); inserts and
     deletes cost O(number of neighbours) whatever the bucket sizes. *)
 
 open Relational
@@ -46,10 +46,6 @@ val stage : node -> Tuple.t -> int
 val multiplicity : node -> Tuple.t -> int
 (** Multiplicity of the tuple (0 when absent). Stages it. *)
 
-val key : node -> int array -> int -> Keypack.key
-(** [key n positions r] is row [r]'s key on the given positions, exactly
-    {!Keypack.key_of_tuple} of the row's tuple. *)
-
 (** {2 Join-key indexes} *)
 
 type edge
@@ -58,14 +54,40 @@ type edge
 val edge : node -> neighbour:string -> edge
 (** @raise Invalid_argument if [neighbour] is not a neighbour of the node. *)
 
-val edge_key : edge -> int -> Keypack.key
-(** A row's join key towards the edge's neighbour (sorted attribute order,
-    so both endpoints of an edge agree on it). *)
+(** {2 Keys and buckets without allocation}
 
-val fold_edge : edge -> Keypack.key -> (int -> int -> 'a -> 'a) -> 'a -> 'a
-(** [fold_edge e key f init] folds [f row multiplicity] over the live rows
-    joining with the key, newest first (the order float accumulation
-    downstream depends on). [f] must not update the storage. *)
+    Keys as ints: a key packs as {!Keypack} packs it, and {!nopack} stands
+    for one that does not, which is then read as a tuple. An arity-1 key
+    [Int min_int] does not pack here. *)
+
+val nopack : int
+(** [min_int]. *)
+
+val packed_key : node -> int array -> int -> int
+(** [packed_key n positions r]: row [r]'s key on the positions, packed, or
+    {!nopack}. *)
+
+val key_tuple : node -> int array -> int -> Tuple.t
+(** Row [r]'s key on the positions as a fresh tuple. *)
+
+val edge_packed : edge -> int -> int
+(** A row's join key towards the edge's neighbour, packed, or {!nopack}. *)
+
+val edge_tuple : edge -> int -> Tuple.t
+(** The same key as a fresh tuple. *)
+
+val first : edge -> int -> Tuple.t -> int
+(** [first e p key]: the newest live row joining the packed key [p], or,
+    when [p] is {!nopack}, joining [key]; -1 when there is none. [key] is
+    read only in that case. *)
+
+val next : edge -> int -> int
+(** The next older live row of a row's bucket, or -1: {!first} and [next]
+    walk a bucket newest first (the order float accumulation downstream
+    depends on). The storage must not be updated during a walk. *)
+
+val row_multiplicity : node -> int -> int
+(** A live row's multiplicity. *)
 
 (** {2 Updates} *)
 

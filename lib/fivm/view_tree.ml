@@ -11,87 +11,391 @@
 
    Instantiated with [Payload.Float] and per-aggregate lifts this is
    higher-order delta processing with intermediate views; instantiated with
-   [Rings.Covariance] it is F-IVM proper — one tree maintaining the whole
+   [Payload.Cov] it is F-IVM proper — one tree maintaining the whole
    aggregate batch.
 
-   Payloads are in-place ({!Payload.S}): each view entry owns one buffer
-   and deltas are added into it; each node owns scratch for its lift, its
-   children product and one contribution, plus a per-update delta table
-   reset between updates; delta and entry buffers cycle through a free
-   list. The updated relation's path to the root and every storage edge are
-   resolved at [create], so an update does no name lookups beyond one.
+   Shapes. A node's buffers have the shape of its subtree: the union of its
+   relation's lift shape and its children's shapes. For the covariance ring
+   that is the features owned in the subtree, so a leaf owning one feature
+   keeps 3-float triples and only the root keeps the full triple. Every
+   product multiplies operands of disjoint shapes through a plan made here,
+   once: the children's product (per skipped child, step by step), a
+   child's delta times the others, and the lift times the children.
+
+   Views and deltas are entry tables: packed keys map to dense ids through
+   an open-addressing table, keys that do not pack through a [Tuple.Tbl],
+   and each id owns one buffer of the node's shape. A view entry's id and
+   buffer go back to the node's free list when its payload cancels; a
+   node's delta table holds the deltas of the current update and is cleared
+   at the next. Storage edges, product plans and scratch are resolved at
+   [create], so an update probes each table once per key and allocates
+   nothing: no key, option, closure or list.
 
    Tuples are storage rows: the updated tuple is the node's staged row, and
    partners come out of the storage's buckets as row ids, so lifts and keys
    read typed cells and never a boxed tuple. *)
 
 open Relational
-module H = Keypack.Hybrid
+
+let nopack = Storage.nopack
+let c_packed = Obs.counter "keypack.packed"
+let c_boxed = Obs.counter "keypack.boxed"
+
+(* [Keypack]'s multiplicative hash, high bits folded down. *)
+let[@inline] mix x =
+  let h = x * 0x2545F4914F6CDD1D in
+  h lxor (h asr 31)
+
+(* ---------- packed keys to ids ---------- *)
+
+(* Linear probing over [key; id] pairs; an id of -1 marks a vacant slot.
+   At most half the slots are used. A removal shifts the rest of its probe
+   run back, so there are no tombstones. *)
+type slots = { mutable pairs : int array; mutable used : int }
+
+(* The slot holding packed key [p], or -1. *)
+let rec slot_of pairs mask p i =
+  if Array.unsafe_get pairs ((2 * i) + 1) < 0 then -1
+  else if Array.unsafe_get pairs (2 * i) = p then i
+  else slot_of pairs mask p ((i + 1) land mask)
+
+let find_slot s p =
+  let mask = (Array.length s.pairs lsr 1) - 1 in
+  slot_of s.pairs mask p (mix p land mask)
+
+(* The id of packed key [p], or -1. *)
+let find_packed s p =
+  let i = find_slot s p in
+  if i < 0 then -1 else s.pairs.((2 * i) + 1)
+
+let rec vacancy pairs mask i =
+  if Array.unsafe_get pairs ((2 * i) + 1) < 0 then i else vacancy pairs mask ((i + 1) land mask)
+
+let rec place s p id =
+  let size = Array.length s.pairs lsr 1 in
+  if 2 * (s.used + 1) > size then begin
+    let old = s.pairs in
+    s.pairs <- Array.make (4 * size) (-1);
+    s.used <- 0;
+    for i = 0 to size - 1 do
+      if old.((2 * i) + 1) >= 0 then place s old.(2 * i) old.((2 * i) + 1)
+    done;
+    place s p id
+  end
+  else begin
+    let mask = size - 1 in
+    let i = vacancy s.pairs mask (mix p land mask) in
+    s.pairs.(2 * i) <- p;
+    s.pairs.((2 * i) + 1) <- id;
+    s.used <- s.used + 1
+  end
+
+(* Fill [hole] from the rest of its probe run: an entry moves back unless
+   its home lies cyclically in (hole, j]. *)
+let rec shift pairs mask hole j =
+  let j = (j + 1) land mask in
+  let id = Array.unsafe_get pairs ((2 * j) + 1) in
+  if id < 0 then Array.unsafe_set pairs ((2 * hole) + 1) (-1)
+  else
+    let h = mix (Array.unsafe_get pairs (2 * j)) land mask in
+    if if hole <= j then h <= hole || h > j else h <= hole && h > j then begin
+      Array.unsafe_set pairs (2 * hole) (Array.unsafe_get pairs (2 * j));
+      Array.unsafe_set pairs ((2 * hole) + 1) id;
+      shift pairs mask j j
+    end
+    else shift pairs mask hole j
+
+let remove_packed s p =
+  let i = find_slot s p in
+  if i >= 0 then begin
+    s.used <- s.used - 1;
+    shift s.pairs ((Array.length s.pairs lsr 1) - 1) i i
+  end
+
+(* ---------- entry tables ---------- *)
+
+(* Keys to dense ids, each id owning one buffer. Ids below [ids] are
+   handed out (or on the free list); buffers below [Array.length bufs]
+   exist, so a cleared table reuses them. *)
+type 'p entries = {
+  slots : slots; (* packed key -> id *)
+  boxed : int Tuple.Tbl.t; (* key that does not pack -> id *)
+  fresh : unit -> 'p;
+  mutable bufs : 'p array; (* id -> its buffer *)
+  mutable keys : int array; (* id -> packed key, or [nopack] *)
+  mutable tuples : Tuple.t array; (* id -> its key, when it does not pack *)
+  mutable ids : int;
+  mutable free : int array; (* released ids, [nfree] of them *)
+  mutable nfree : int;
+}
+
+let entries fresh =
+  {
+    slots = { pairs = Array.make 32 (-1); used = 0 };
+    boxed = Tuple.Tbl.create 8;
+    fresh;
+    bufs = [||];
+    keys = [||];
+    tuples = [||];
+    ids = 0;
+    free = [||];
+    nfree = 0;
+  }
+
+let extend a size fill =
+  let b = Array.make size fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* The id of a key ([tuple] is read only when [p] is [nopack]), or -1. *)
+let find e p tuple =
+  if p <> nopack then find_packed e.slots p
+  else match Tuple.Tbl.find_opt e.boxed tuple with Some id -> id | None -> -1
+
+let add e p tuple =
+  let id =
+    if e.nfree > 0 then begin
+      e.nfree <- e.nfree - 1;
+      e.free.(e.nfree)
+    end
+    else begin
+      let id = e.ids in
+      e.ids <- id + 1;
+      if id = Array.length e.bufs then begin
+        let size = max 8 (2 * id) in
+        e.bufs <- extend e.bufs size (e.fresh ());
+        for k = id + 1 to size - 1 do
+          e.bufs.(k) <- e.fresh ()
+        done;
+        e.keys <- extend e.keys size nopack;
+        e.tuples <- extend e.tuples size [||]
+      end;
+      id
+    end
+  in
+  e.keys.(id) <- p;
+  if p <> nopack then begin
+    Obs.incr c_packed;
+    place e.slots p id
+  end
+  else begin
+    Obs.incr c_boxed;
+    e.tuples.(id) <- tuple;
+    Tuple.Tbl.replace e.boxed tuple id
+  end;
+  id
+
+let release e id =
+  let p = e.keys.(id) in
+  if p <> nopack then remove_packed e.slots p
+  else begin
+    Tuple.Tbl.remove e.boxed e.tuples.(id);
+    e.tuples.(id) <- [||]
+  end;
+  if e.nfree = Array.length e.free then e.free <- extend e.free (max 8 (2 * e.nfree)) 0;
+  e.free.(e.nfree) <- id;
+  e.nfree <- e.nfree + 1
+
+(* Empty the table, keeping its buffers. *)
+let clear e =
+  if 16 * e.slots.used >= Array.length e.slots.pairs then begin
+    Array.fill e.slots.pairs 0 (Array.length e.slots.pairs) (-1);
+    e.slots.used <- 0
+  end
+  else
+    for id = 0 to e.ids - 1 do
+      let p = e.keys.(id) in
+      if p <> nopack then remove_packed e.slots p
+    done;
+  if Tuple.Tbl.length e.boxed > 0 then Tuple.Tbl.reset e.boxed;
+  e.ids <- 0;
+  e.nfree <- 0
+
+let size e = e.slots.used + Tuple.Tbl.length e.boxed
+
+(* Every live (key, buffer) pair, keys as [Keypack.key_of_tuple] reads
+   them: an arity-1 [Int min_int] is [P min_int]. *)
+let bindings e =
+  let out = ref [] in
+  for i = 0 to (Array.length e.slots.pairs / 2) - 1 do
+    let id = e.slots.pairs.((2 * i) + 1) in
+    if id >= 0 then out := (Keypack.P e.slots.pairs.(2 * i), e.bufs.(id)) :: !out
+  done;
+  Tuple.Tbl.iter
+    (fun t id ->
+      out := (Keypack.key_of_tuple (Array.init (Array.length t) Fun.id) t, e.bufs.(id)) :: !out)
+    e.boxed;
+  !out
+
+(* A [Keypack.key] as this table's (packed key, tuple) pair. *)
+let of_key (k : Keypack.key) =
+  match k with
+  | Keypack.P p when p <> nopack -> (p, [||])
+  | Keypack.P _ -> (nopack, Keypack.key_tuple 1 k)
+  | Keypack.B t -> (
+      match Keypack.key_of_tuple (Array.init (Array.length t) Fun.id) t with
+      | Keypack.P p when p <> nopack -> (p, [||])
+      | _ -> (nopack, t))
+
+(* A node's deltas, in the order its parent consumes them ([seq]), with
+   scratch for sorting them. *)
+type order = { mutable seq : int array; mutable rank : int array; mutable counts : int array }
+
+let rec buckets l c = if c <= 2 * l then l else buckets (2 * l) c
+
+(* The parent consumes a level's deltas in the order that folding a
+   [Keypack.Hybrid] table of them (grown from 16 buckets) into a list
+   leaves them: keys that do not pack first, then packed keys; on each
+   side by hash bucket, last bucket first, and within a bucket in
+   insertion order. Upstream contributions, and so every real-valued bit,
+   then add up as they did over such a table. A stable counting sort of
+   the ids by [rank]. *)
+let sort_deltas o (e : _ entries) =
+  let n = e.ids in
+  if Array.length o.seq < n then begin
+    o.seq <- Array.make (2 * n) 0;
+    o.rank <- Array.make (2 * n) 0
+  end;
+  if n = 1 then o.seq.(0) <- 0
+  else if n > 1 then begin
+    let nb = Tuple.Tbl.length e.boxed in
+    let bb = buckets 16 nb and pb = buckets 16 (n - nb) in
+    if Array.length o.counts < bb + pb + 1 then o.counts <- Array.make (2 * (bb + pb + 1)) 0;
+    Array.fill o.counts 0 (bb + pb + 1) 0;
+    for id = 0 to n - 1 do
+      let p = e.keys.(id) in
+      let k =
+        if p <> nopack then bb + pb - 1 - (mix p land (pb - 1))
+        else bb - 1 - (Tuple.hash e.tuples.(id) land (bb - 1))
+      in
+      o.rank.(id) <- k;
+      o.counts.(k + 1) <- o.counts.(k + 1) + 1
+    done;
+    for k = 1 to bb + pb do
+      o.counts.(k) <- o.counts.(k) + o.counts.(k - 1)
+    done;
+    for id = 0 to n - 1 do
+      let k = o.rank.(id) in
+      o.seq.(o.counts.(k)) <- id;
+      o.counts.(k) <- o.counts.(k) + 1
+    done
+  end
 
 module Make (P : Payload.S) = struct
+  (* The product of a node's children's views for one row, skipping one
+     child: [first] is read in place (-1: the empty product, the ring's
+     one, never materialised), then step [k] multiplies the product so far
+     by child [next.(k)] into [steps.(k)] with [plans.(k)]. *)
+  type chain = {
+    first : int;
+    next : int array;
+    plans : P.product array;
+    steps : P.t array;
+  }
+
   type vnode = {
     name : string;
     node : Storage.node;
+    lift_shape : P.shape; (* the relation's own *)
+    shape : P.shape; (* the subtree's: every buffer here but [lifted] *)
     key_positions : int array; (* join key with parent, in storage schema *)
     lift : int -> into:P.t -> unit; (* a row's lift *)
-    view : P.t H.t; (* every entry owns its buffer *)
     children : vnode array;
     edges : Storage.edge array; (* this relation's index towards each child *)
-    deltas : P.t H.t; (* this level's deltas in the current update *)
-    lifted : P.t; (* scratch *)
-    prod : P.t;
-    prod' : P.t;
-    joined : P.t;
+    view : P.t entries;
+    deltas : P.t entries; (* this node's deltas in the current update *)
+    order : order; (* the deltas' ids, in the order the parent reads them *)
+    lifted : P.t;
+    chains : chain array; (* at [except + 1], the children but [except] *)
+    lift_plan : P.product option; (* lift times all children; None at a leaf *)
+    joins : P.product option array;
+        (* per child: its delta times the other children, None when it has
+           no siblings *)
+    joined : P.t; (* a child's delta times the other children *)
     contrib : P.t;
   }
 
-  type t = {
-    root : vnode;
-    zero : unit -> P.t;
-    empty : P.t; (* [result] while the root view has no entry *)
-    paths : (string, vnode * (vnode * int) array) Hashtbl.t;
-        (* relation -> its node, then its ancestors bottom-up, each with the
-           index of the child on the path *)
-    free : P.t Stack.t; (* buffers released by views and delta tables *)
-  }
+  (* A relation's node and its ancestors bottom-up, each with the index of
+     the child on the path. *)
+  type path = { leaf : vnode; ups : vnode array; via : int array }
 
-  (* [lift node r ~into] must write the ring image of row [r] of the node's
-     relation (the product of the lifts of the attributes owned by it). *)
-  let create storage ~zero ~lift =
+  type t = { root : vnode; empty : P.t; paths : path array }
+
+  let chain (children : vnode array) except =
+    match List.filter (( <> ) except) (List.init (Array.length children) Fun.id) with
+    | [] -> ({ first = -1; next = [||]; plans = [||]; steps = [||] }, None)
+    | first :: rest ->
+        let shape = ref children.(first).shape in
+        let steps =
+          List.map
+            (fun i ->
+              let plan = P.product !shape children.(i).shape in
+              shape := P.union !shape children.(i).shape;
+              (i, plan, P.zero !shape))
+            rest
+        in
+        let pick f = Array.of_list (List.map f steps) in
+        ( {
+            first;
+            next = pick (fun (i, _, _) -> i);
+            plans = pick (fun (_, p, _) -> p);
+            steps = pick (fun (_, _, b) -> b);
+          },
+          Some !shape )
+
+  (* [lift node] gives the shape of the node's lifts and a function writing
+     the lift of row [r] into a buffer of that shape (the product of the
+     lifts of the attributes the relation owns); it is applied to [node]
+     once per node, here. Views start empty (matching the empty storage). *)
+  let create storage ~lift =
     let rec build (n : Join_tree.node) =
       let name = Relation.name n.rel in
       let schema = Relation.schema n.rel in
       let node = Storage.node storage name in
       let children = Array.of_list (List.map build n.children) in
+      let lift_shape, lift = lift node in
+      let chains = Array.init (Array.length children + 1) (fun e -> chain children (e - 1)) in
+      let below = snd chains.(0) in
+      let shape = match below with Some s -> P.union lift_shape s | None -> lift_shape in
       {
         name;
         node;
+        lift_shape;
+        shape;
         (* sorted to match [Storage]'s edge-key order *)
         key_positions =
           Array.of_list (List.map (Schema.position schema) (List.sort compare n.key));
-        lift = lift node;
-        view = H.create 256;
+        lift;
         children;
         edges = Array.map (fun c -> Storage.edge node ~neighbour:c.name) children;
-        deltas = H.create 8;
-        lifted = zero ();
-        prod = zero ();
-        prod' = zero ();
-        joined = zero ();
-        contrib = zero ();
+        view = entries (fun () -> P.zero shape);
+        deltas = entries (fun () -> P.zero shape);
+        order = { seq = [||]; rank = [||]; counts = [||] };
+        lifted = P.zero lift_shape;
+        chains = Array.map fst chains;
+        lift_plan = Option.map (P.product lift_shape) below;
+        joins =
+          Array.mapi
+            (fun c child -> Option.map (P.product child.shape) (snd chains.(c + 1)))
+            children;
+        joined = P.zero (Option.value below ~default:lift_shape);
+        contrib = P.zero shape;
       }
     in
     let root = build (Join_tree.tree (Storage.join_tree storage)) in
-    let paths = Hashtbl.create 8 in
+    let paths = ref [] in
     let rec index ancestors v =
-      Hashtbl.replace paths v.name (v, Array.of_list ancestors);
+      let ups = Array.of_list ancestors in
+      paths := { leaf = v; ups = Array.map fst ups; via = Array.map snd ups } :: !paths;
       Array.iteri (fun i c -> index ((v, i) :: ancestors) c) v.children
     in
     index [] root;
-    { root; zero; empty = zero (); paths; free = Stack.create () }
+    { root; empty = P.zero root.shape; paths = Array.of_list !paths }
 
-  let take t = if Stack.is_empty t.free then t.zero () else Stack.pop t.free
-  let release t b = Stack.push b t.free
+  let rec path_from paths node i =
+    if i = Array.length paths then -1
+    else if paths.(i).leaf.node == node then i
+    else path_from paths node (i + 1)
 
   (* Accumulate a delta into the view, DROPPING the entry when the payload
      cancels to exact zero: a group churned down to zero multiplicity must
@@ -99,45 +403,40 @@ module Make (P : Payload.S) = struct
      checkpoint dumps, and the -0.0/+0.0 bits reachable through
      [children_product]) diverges from a recompute that never saw the
      group. [P.is_zero] is exact, so near-zero accumulations survive. *)
-  let view_add t v key d =
-    match H.find_opt v.view key with
-    | Some acc ->
-        P.add_into d ~into:acc;
-        if P.is_zero acc then begin
-          H.remove v.view key;
-          release t acc
-        end
-    | None ->
-        if not (P.is_zero d) then begin
-          let b = take t in
-          P.copy d ~into:b;
-          H.add v.view key b
-        end
+  let view_add v p tuple d =
+    let e = v.view in
+    let id = find e p tuple in
+    if id >= 0 then begin
+      let acc = e.bufs.(id) in
+      P.add_into d ~into:acc;
+      if P.is_zero acc then release e id
+    end
+    else if not (P.is_zero d) then P.copy d ~into:e.bufs.(add e p tuple)
 
   exception No_partner
 
-  (* Product of the children's views for row [r] of [v]'s relation, in child
-     order, skipping child [except]. [None] is the empty product, the ring's
-     one, which is never materialised: a first factor is read in place.
-     Raises [No_partner] if some child has no matching key (the tuple
-     currently contributes nothing). Partial products alternate between
-     [v]'s two product buffers. *)
-  let children_product v r ~except =
-    let rec go i acc =
-      if i = Array.length v.children then acc
-      else if i = except then go (i + 1) acc
-      else
-        match H.find_opt v.children.(i).view (Storage.edge_key v.edges.(i) r) with
-        | None -> raise_notrace No_partner
-        | Some p -> (
-            match acc with
-            | None -> go (i + 1) (Some p)
-            | Some a ->
-                let into = if a == v.prod then v.prod' else v.prod in
-                P.mul_into a p ~into;
-                go (i + 1) (Some into))
+  (* Child [i]'s view entry joining row [r] of [v]'s relation. Raises
+     [No_partner] if there is none (the row currently contributes
+     nothing). *)
+  let child_entry v i r =
+    let c = v.children.(i) and e = v.edges.(i) in
+    let p = Storage.edge_packed e r in
+    let id =
+      if p <> nopack then find_packed c.view.slots p else find c.view p (Storage.edge_tuple e r)
     in
-    go 0 None
+    if id < 0 then raise_notrace No_partner;
+    c.view.bufs.(id)
+
+  let rec chain_from v ch r k acc =
+    if k = Array.length ch.next then acc
+    else begin
+      let into = ch.steps.(k) in
+      P.mul_into ch.plans.(k) acc (child_entry v ch.next.(k) r) ~into;
+      chain_from v ch r (k + 1) into
+    end
+
+  (* The chain's product for row [r]; the chain must not be empty. *)
+  let children_product v ch r = chain_from v ch r 0 (child_entry v ch.first r)
 
   (* m * lift(row) into [v]'s lift buffer. Scaling by 1 multiplies every
      float by 1.0, which is exact, so it is skipped. *)
@@ -145,123 +444,153 @@ module Make (P : Payload.S) = struct
     v.lift r ~into:v.lifted;
     if m <> 1 then P.scale m v.lifted
 
+  let key v r = Storage.packed_key v.node v.key_positions r
+
+  let key_tuple v p r = if p = nopack then Storage.key_tuple v.node v.key_positions r else [||]
+
   (* The updated node's delta: m * lift(row) times its children's views. *)
-  let leaf_delta t v r m =
-    match children_product v r ~except:(-1) with
-    | exception No_partner -> []
+  let leaf_delta v r m =
+    clear v.deltas;
+    let ch = v.chains.(0) in
+    match if ch.first < 0 then v.lifted else children_product v ch r with
+    | exception No_partner -> ()
     | product ->
         lift_scaled v r m;
-        let d = take t in
-        (match product with
-        | Some p -> P.mul_into v.lifted p ~into:d
+        let p = key v r in
+        let tuple = key_tuple v p r in
+        let d = v.deltas.bufs.(add v.deltas p tuple) in
+        (match v.lift_plan with
+        | Some plan -> P.mul_into plan v.lifted product ~into:d
         | None -> P.copy v.lifted ~into:d);
-        let key = Storage.key v.node v.key_positions r in
-        view_add t v key d;
-        [ (key, d) ]
+        view_add v p tuple d;
+        sort_deltas v.order v.deltas
 
-  (* An ancestor's deltas: every child delta [(ck, d)] meets the stored
-     rows of [v] joining [ck] through child [c]'s edge, each contributing
-     m * lift(row) * (d * its other children's views). Contributions to
-     one key add up in child-delta order, then newest row first. The
-     result lists the keys in reverse table order, which is the order the
-     next level consumes them in. *)
-  let ancestor_deltas t v c child_deltas =
-    H.reset v.deltas;
-    List.iter
-      (fun (ck, d) ->
-        Storage.fold_edge v.edges.(c) ck
-          (fun r m () ->
-            match children_product v r ~except:c with
-            | exception No_partner -> ()
-            | others -> (
-                let joined =
-                  match others with
-                  | Some o ->
-                      P.mul_into d o ~into:v.joined;
-                      v.joined
-                  | None -> d
-                in
-                lift_scaled v r m;
-                let key = Storage.key v.node v.key_positions r in
-                match H.find_opt v.deltas key with
-                | Some acc ->
-                    P.mul_into v.lifted joined ~into:v.contrib;
-                    P.add_into v.contrib ~into:acc
-                | None ->
-                    let b = take t in
-                    P.mul_into v.lifted joined ~into:b;
-                    H.add v.deltas key b))
-          ())
-      child_deltas;
-    H.fold
-      (fun key d acc ->
-        view_add t v key d;
-        (key, d) :: acc)
-      v.deltas []
+  (* Row [r] of [v]'s relation, of multiplicity [m], joins the delta [d]
+     of child [c]: it contributes m * lift(row) * (d * the other children's
+     views) to [v]'s delta at its key. *)
+  let contribute v c d r m =
+    let ch = v.chains.(c + 1) in
+    match
+      match v.joins.(c) with
+      | None -> d
+      | Some plan ->
+          let others = children_product v ch r in
+          P.mul_into plan d others ~into:v.joined;
+          v.joined
+    with
+    | exception No_partner -> ()
+    | joined -> (
+        lift_scaled v r m;
+        let plan = match v.lift_plan with Some plan -> plan | None -> assert false in
+        let p = key v r in
+        let tuple = key_tuple v p r in
+        let id = find v.deltas p tuple in
+        if id >= 0 then begin
+          P.mul_into plan v.lifted joined ~into:v.contrib;
+          P.add_into v.contrib ~into:v.deltas.bufs.(id)
+        end
+        else P.mul_into plan v.lifted joined ~into:v.deltas.bufs.(add v.deltas p tuple))
+
+  let rec walk v c d e r =
+    if r >= 0 then begin
+      contribute v c d r (Storage.row_multiplicity v.node r);
+      walk v c d e (Storage.next e r)
+    end
+
+  (* An ancestor's deltas: every delta of child [c], in the order the
+     child left them, meets the stored rows of [v] joining its key, newest
+     first. Contributions to one key add up in that order. *)
+  let ancestor_deltas v c =
+    clear v.deltas;
+    let child = v.children.(c).deltas and e = v.edges.(c) in
+    let seq = v.children.(c).order.seq in
+    for k = 0 to child.ids - 1 do
+      let id = seq.(k) in
+      let p = child.keys.(id) in
+      walk v c child.bufs.(id) e (Storage.first e p child.tuples.(id))
+    done;
+    let e = v.deltas in
+    for id = 0 to e.ids - 1 do
+      view_add v e.keys.(id) e.tuples.(id) e.bufs.(id)
+    done;
+    sort_deltas v.order e
+
+  let rec climb path i (below : vnode) =
+    if i < Array.length path.ups && below.deltas.ids > 0 then begin
+      ancestor_deltas path.ups.(i) path.via.(i);
+      climb path (i + 1) path.ups.(i)
+    end
 
   (* Apply one update, staged as row [r] of [node], with multiplicity [m];
      the delta is computed against the CURRENT storage (call
-     [Storage.apply_staged] after all trees have seen the update). A level's
-     delta buffers go back to the free list once its parent consumed them. *)
+     [Storage.apply_staged] after all trees have seen the update). *)
   let delta t node r m =
-    match Hashtbl.find_opt t.paths (Storage.name node) with
-    | None -> ()
-    | Some (leaf, ancestors) ->
-        let release_all = List.iter (fun (_, d) -> release t d) in
-        let rec climb i = function
-          | [] -> ()
-          | deltas when i = Array.length ancestors -> release_all deltas
-          | deltas ->
-              let v, c = ancestors.(i) in
-              let up = ancestor_deltas t v c deltas in
-              release_all deltas;
-              climb (i + 1) up
-        in
-        climb 0 (leaf_delta t leaf r m)
+    let i = path_from t.paths node 0 in
+    if i >= 0 then begin
+      let path = t.paths.(i) in
+      leaf_delta path.leaf r m;
+      climb path 0 path.leaf
+    end
 
-  (* The maintained result: the root view at the empty key ([P 0]). *)
-  let result t = match H.find_opt t.root.view (Keypack.P 0) with Some p -> p | None -> t.empty
+  (* The maintained result: the root view at the empty key (packed 0). *)
+  let result t =
+    let id = find_packed t.root.view.slots 0 in
+    if id >= 0 then t.root.view.bufs.(id) else t.empty
 
   (* From-scratch recomputation over the current storage (reference for
      tests): enumerate the join recursively through the view-tree shape,
      multiplying each row's lift by its children's views in child order,
-     rows in [Storage.iter_in_hash_order]. *)
+     rows in [Storage.iter_in_hash_order], into fresh tables. *)
   let recompute t =
-    let rec eval v : P.t H.t =
+    let rec eval v =
       let child_views = Array.map eval v.children in
-      let out = H.create 64 in
-      let a = t.zero () and b = t.zero () in
+      let shape = ref v.lift_shape in
+      let steps =
+        Array.map
+          (fun c ->
+            let plan = P.product !shape c.shape in
+            shape := P.union !shape c.shape;
+            (plan, P.zero !shape))
+          v.children
+      in
+      let out = entries (fun () -> P.zero v.shape) in
       Storage.iter_in_hash_order v.node (fun r m ->
           lift_scaled v r m;
           let rec go i acc =
             if i = Array.length v.children then Some acc
             else
-              match H.find_opt child_views.(i) (Storage.edge_key v.edges.(i) r) with
-              | Some p ->
-                  let into = if acc == a then b else a in
-                  P.mul_into acc p ~into;
-                  go (i + 1) into
-              | None -> None
+              let e = v.edges.(i) in
+              let p = Storage.edge_packed e r in
+              let id = find child_views.(i) p (if p = nopack then Storage.edge_tuple e r else [||]) in
+              if id < 0 then None
+              else begin
+                let plan, into = steps.(i) in
+                P.mul_into plan acc child_views.(i).bufs.(id) ~into;
+                go (i + 1) into
+              end
           in
           match go 0 v.lifted with
           | None -> ()
-          | Some p -> (
-              let key = Storage.key v.node v.key_positions r in
-              match H.find_opt out key with
-              | Some r -> P.add_into p ~into:r
-              | None ->
-                  let r = t.zero () in
-                  P.copy p ~into:r;
-                  H.add out key r));
+          | Some prod ->
+              let p = key v r in
+              let tuple = key_tuple v p r in
+              let id = find out p tuple in
+              if id >= 0 then P.add_into prod ~into:out.bufs.(id)
+              else P.copy prod ~into:out.bufs.(add out p tuple));
       out
     in
-    match H.find_opt (eval t.root) (Keypack.P 0) with Some p -> p | None -> t.zero ()
+    let out = eval t.root in
+    let id = find_packed out.slots 0 in
+    if id >= 0 then out.bufs.(id) else P.zero t.root.shape
 
-  let view_sizes t =
-    let rec go v acc =
-      Array.fold_left (fun acc c -> go c acc) ((v.name, H.length v.view) :: acc) v.children
-    in
-    go t.root []
+  let fold_nodes f t init =
+    let rec go v acc = Array.fold_left (fun acc c -> go c acc) (f v acc) v.children in
+    go t.root init
+
+  let view_sizes t = fold_nodes (fun v acc -> (v.name, size v.view) :: acc) t []
+
+  let shape_of t name =
+    fold_nodes (fun v acc -> if String.equal v.name name then Some v.shape else acc) t None
 
   (* Checkpoint support: dump every node's view as (key, payload) pairs and
      load such a dump back into a freshly created tree. Entries hold the
@@ -270,23 +599,27 @@ module Make (P : Payload.S) = struct
      re-associate float additions). Keys are sorted for a deterministic
      serialisation; node names are unique (they are relation names). *)
   let export t f =
-    let rec go v acc =
-      let entries = H.fold (fun k p acc -> (k, f p) :: acc) v.view [] in
-      let entries = List.sort (fun (a, _) (b, _) -> Keypack.key_compare a b) entries in
-      Array.fold_left (fun acc c -> go c acc) ((v.name, entries) :: acc) v.children
-    in
-    go t.root []
+    fold_nodes
+      (fun v acc ->
+        let entries = List.map (fun (k, p) -> (k, f v.shape p)) (bindings v.view) in
+        (v.name, List.sort (fun (a, _) (b, _) -> Keypack.key_compare a b) entries) :: acc)
+      t []
 
   let import t dump =
-    let rec go v =
-      H.clear v.view;
-      (match List.assoc_opt v.name dump with
-      | Some entries ->
-          (* skip exact-zero payloads so restoring a dump written before the
-             zero-drop discipline still yields a normalised tree *)
-          List.iter (fun (k, p) -> if not (P.is_zero p) then H.add v.view k p) entries
-      | None -> ());
-      Array.iter go v.children
-    in
-    go t.root
+    fold_nodes
+      (fun v () ->
+        clear v.view;
+        match List.assoc_opt v.name dump with
+        | Some entries ->
+            (* skip exact-zero payloads so restoring a dump written before the
+               zero-drop discipline still yields a normalised tree *)
+            List.iter
+              (fun (k, p) ->
+                if not (P.is_zero p) then begin
+                  let packed, tuple = of_key k in
+                  P.copy p ~into:v.view.bufs.(add v.view packed tuple)
+                end)
+              entries
+        | None -> ())
+      t ()
 end

@@ -165,24 +165,7 @@ module Hybrid = struct
         Obs.incr c_boxed;
         Tuple.Tbl.add t.boxed k v
 
-  let replace t key v =
-    match key with
-    | P p -> Itbl.replace t.packed p v
-    | B k -> Tuple.Tbl.replace t.boxed k v
-
-  let remove t = function
-    | P p -> Itbl.remove t.packed p
-    | B k -> Tuple.Tbl.remove t.boxed k
-
   let length t = Itbl.length t.packed + Tuple.Tbl.length t.boxed
-
-  let clear t =
-    Itbl.clear t.packed;
-    Tuple.Tbl.clear t.boxed
-
-  let reset t =
-    Itbl.reset t.packed;
-    Tuple.Tbl.reset t.boxed
 
   let iter f t =
     Itbl.iter (fun p v -> f (P p) v) t.packed;

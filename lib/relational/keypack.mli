@@ -46,15 +46,7 @@ module Hybrid : sig
   val find_opt : 'a t -> key -> 'a option
   val mem : 'a t -> key -> bool
   val add : 'a t -> key -> 'a -> unit
-  val replace : 'a t -> key -> 'a -> unit
-  val remove : 'a t -> key -> unit
   val length : 'a t -> int
-  val clear : 'a t -> unit
-
-  val reset : 'a t -> unit
-  (** Empty the table and shrink it to its initial size: it then iterates
-      exactly as a table fresh from {!create} fed the same insertions. *)
-
   val iter : (key -> 'a -> unit) -> 'a t -> unit
   val fold : (key -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 end

@@ -73,6 +73,83 @@ let mul_into (a : t) (b : t) ~(into : t) =
     done
   done
 
+(* ---- products of operands over disjoint features ----
+
+   In a view tree every feature is owned by one relation, so a product's
+   operands cover disjoint feature sets and the product covers their union.
+   A plan names, for each operand's features, their positions in the
+   product. [mul_disjoint] then writes exactly the bits [mul_into] gives on
+   the operands embedded at the product's dimension (+0.0 outside their
+   features): it runs the same four addends per cell, in the same order,
+   with every product that meets a structural zero written out as the
+   signed zero it is ([x *. 0.0]). Those zeros never change a nonzero
+   addend, but they decide the sign of a zero cell: -0.0 survives only an
+   all-(-0.0) sum, so dropping them would turn some +0.0 cells into -0.0. *)
+
+type disjoint = { pa : int array; pb : int array; n : int }
+
+let disjoint pa pb =
+  let n = Array.length pa + Array.length pb in
+  let seen = Array.make n false in
+  let mark p =
+    if p < 0 || p >= n || seen.(p) then invalid_arg "Covariance.disjoint: not a partition";
+    seen.(p) <- true
+  in
+  Array.iter mark pa;
+  Array.iter mark pb;
+  { pa = Array.copy pa; pb = Array.copy pb; n }
+
+let mul_disjoint { pa; pb; n } (a : t) (b : t) ~(into : t) =
+  let da = Array.length pa and db = Array.length pb in
+  if
+    Array.length a <> 1 + da + (da * da)
+    || Array.length b <> 1 + db + (db * db)
+    || Array.length into <> 1 + n + (n * n)
+  then invalid_arg "Covariance.mul_disjoint";
+  if into == a || into == b then
+    invalid_arg "Covariance.mul_disjoint: destination aliases an operand";
+  let ac = get a 0 and bc = get b 0 in
+  (* a count times the other operand's structural zero, and their sum *)
+  let za = ac *. 0.0 and zb = bc *. 0.0 in
+  let zab = zb +. za in
+  let q = 1 + n in
+  set into 0 (ac *. bc);
+  for i = 0 to da - 1 do
+    set into (1 + Array.unsafe_get pa i) ((bc *. get a (1 + i)) +. za)
+  done;
+  for i = 0 to db - 1 do
+    set into (1 + Array.unsafe_get pb i) (zb +. (ac *. get b (1 + i)))
+  done;
+  (* rows of a's features: a's diagonal block, then the a x b block *)
+  for i = 0 to da - 1 do
+    let asi = get a (1 + i) in
+    let zi = asi *. 0.0 in
+    let row = q + (Array.unsafe_get pa i * n) and arow = 1 + da + (i * da) in
+    for j = 0 to da - 1 do
+      set into
+        (row + Array.unsafe_get pa j)
+        ((((bc *. get a (arow + j)) +. za) +. zi) +. (0.0 *. get a (1 + j)))
+    done;
+    for j = 0 to db - 1 do
+      set into (row + Array.unsafe_get pb j) ((zab +. (asi *. get b (1 + j))) +. (0.0 *. 0.0))
+    done
+  done;
+  (* rows of b's features: the b x a block, then b's diagonal block *)
+  let zab0 = zab +. (0.0 *. 0.0) in
+  for i = 0 to db - 1 do
+    let bsi = get b (1 + i) in
+    let zi = bsi *. 0.0 in
+    let row = q + (Array.unsafe_get pb i * n) and brow = 1 + db + (i * db) in
+    for j = 0 to da - 1 do
+      set into (row + Array.unsafe_get pa j) (zab0 +. (bsi *. get a (1 + j)))
+    done;
+    for j = 0 to db - 1 do
+      set into
+        (row + Array.unsafe_get pb j)
+        (((zb +. (ac *. get b (brow + j))) +. (0.0 *. get b (1 + j))) +. zi)
+    done
+  done
+
 let add_into (x : t) ~(into : t) =
   check "add_into" x into;
   for k = 0 to Array.length into - 1 do
@@ -218,6 +295,56 @@ let init n f =
     done
   done;
   x
+
+(* A triple over some features, and the same triple among all [n]: feature
+   [i] of [x] is feature [features.(i)] of the embedding. *)
+let check_features name n features (x : t) =
+  let d = Array.length features in
+  if Array.length x <> 1 + d + (d * d) || Array.exists (fun f -> f < 0 || f >= n) features
+  then invalid_arg ("Covariance." ^ name)
+
+let embed n features (x : t) =
+  check_features "embed" n features x;
+  let d = Array.length features in
+  let r = zero n in
+  r.(0) <- x.(0);
+  for i = 0 to d - 1 do
+    let row = 1 + n + (features.(i) * n) in
+    r.(1 + features.(i)) <- x.(1 + i);
+    for j = 0 to d - 1 do
+      r.(row + features.(j)) <- x.(1 + d + (i * d) + j)
+    done
+  done;
+  r
+
+let restrict features (x : t) =
+  let n = dim x and d = Array.length features in
+  let inside = Array.make n false in
+  Array.iter
+    (fun f ->
+      if f < 0 || f >= n || inside.(f) then invalid_arg "Covariance.restrict";
+      inside.(f) <- true)
+    features;
+  let outside_zero = ref true in
+  for i = 0 to n - 1 do
+    if (not inside.(i)) && x.(1 + i) <> 0.0 then outside_zero := false;
+    for j = 0 to n - 1 do
+      if not (inside.(i) && inside.(j)) && x.(1 + n + (i * n) + j) <> 0.0 then
+        outside_zero := false
+    done
+  done;
+  if not !outside_zero then None
+  else begin
+    let r = zero d in
+    r.(0) <- x.(0);
+    for i = 0 to d - 1 do
+      r.(1 + i) <- x.(1 + features.(i));
+      for j = 0 to d - 1 do
+        r.(1 + d + (i * d) + j) <- x.(1 + n + (features.(i) * n) + features.(j))
+      done
+    done;
+    Some r
+  end
 
 (* Assemble the (n+1)x(n+1) symmetric moment matrix with an intercept slot
    at index 0: [[c, s^T], [s, Q]]. This is the "sigma" matrix the linear

@@ -5,10 +5,11 @@
 
     A triple of dimension n is one float array of 1 + n + n² cells, laid
     out [c | s | Q row-major]. The in-place kernels ([mul_into],
-    [add_into], [scale], [copy], [is_zero], [of_tuple_into]) are the ring's
-    only arithmetic: F-IVM's view trees run them on buffers they own, and
-    every persistent operation ([add], [mul], [of_tuple], [lift], the
-    {!Make} instance) allocates a fresh array and runs the same kernel. *)
+    [mul_disjoint], [add_into], [scale], [copy], [is_zero],
+    [of_tuple_into]) are the ring's only arithmetic: F-IVM's view trees
+    run them on buffers they own, and every persistent operation ([add],
+    [mul], [of_tuple], [lift], the {!Make} instance) allocates a fresh
+    array and runs the same kernel. *)
 
 type t = float array
 
@@ -25,6 +26,27 @@ val mul_into : t -> t -> into:t -> unit
 (** [mul_into a b ~into] sets [into] to the ring product [a * b], in that
     operand order. [into] must alias neither operand.
     @raise Invalid_argument on a dimension mismatch or an alias. *)
+
+type disjoint
+(** A product plan for operands over disjoint feature sets. *)
+
+val disjoint : int array -> int array -> disjoint
+(** [disjoint pa pb] multiplies an operand over [Array.length pa] features
+    by one over [Array.length pb], into their union: feature [i] of the
+    first is feature [pa.(i)] of the product, feature [j] of the second
+    [pb.(j)].
+    @raise Invalid_argument unless [pa] and [pb] together hold each of
+    [0 .. |pa| + |pb| - 1] once. *)
+
+val mul_disjoint : disjoint -> t -> t -> into:t -> unit
+(** [mul_disjoint plan a b ~into] sets [into] to [a * b], each cell to the
+    bits {!mul_into} gives on [a] and [b] embedded at [into]'s dimension
+    ({!embed}, +0.0 outside their features), signed zeros included. It
+    touches only the product's cells: a count, two scaled sum vectors, two
+    scaled diagonal blocks and two outer-product blocks of sums. [into]
+    must alias neither operand.
+    @raise Invalid_argument on a size that does not fit the plan, or an
+    alias. *)
 
 val add_into : t -> into:t -> unit
 (** [add_into x ~into] sets [into] to [into + x]. *)
@@ -97,6 +119,18 @@ val init : int -> (int -> int -> float) -> t
     [f i j] at [(i, j)]: the count at [(0, 0)], [SUM(x_j)] at [(0, j+1)]
     and [SUM(x_i * x_j)] at [(i+1, j+1)]. Cells [(i, 0)] for [i > 0] are
     not read. *)
+
+val embed : int -> int array -> t -> t
+(** [embed n features x]: [x], whose feature [i] is feature [features.(i)]
+    of dimension [n], as a fresh triple of dimension [n], +0.0 in every
+    cell outside its features.
+    @raise Invalid_argument on a size or feature out of range. *)
+
+val restrict : int array -> t -> t option
+(** The inverse of {!embed}: [x]'s cells over the given features, in their
+    order, as a fresh triple, or [None] when a cell outside them is nonzero
+    (either float zero counts as zero).
+    @raise Invalid_argument on a feature out of range or repeated. *)
 
 val encode : Buffer.t -> t -> unit
 (** Binary codec for checkpoint payloads: the dimension, then c, s and Q

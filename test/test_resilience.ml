@@ -357,6 +357,26 @@ let test_checkpoint_shape_mismatch_skipped () =
             (Cov.equal_bits (M.covariance fits) (M.covariance r.Checkpoint.maintainer)))
     [ M.F_ivm; M.Higher_order; M.First_order ]
 
+(* A checkpoint records no feature names. Maintained over m, u, v and
+   restored into a maintainer over v, u, m, an F-IVM dump does not fit:
+   D2's view triples hold v's sums at the feature slot that D2 no longer
+   owns, a nonzero cell outside its node's features. Restore counts the
+   checkpoint corrupt and installs nothing, where a triple of the right
+   dimension used to be installed and then disagree with a recompute. *)
+let test_checkpoint_feature_order_refused () =
+  Scenario.with_temp_dir @@ fun dir ->
+  let m = make M.F_ivm () in
+  List.iter (M.apply m) (stream ~seed:3 ~steps:40);
+  ignore (Checkpoint.write ~dir ~seq:40 m);
+  let reordered () = M.create M.F_ivm (Sg.star_database ()) ~features:[ "v"; "u"; "m" ] in
+  let restored, corrupt = Checkpoint.restore ~dir ~make:reordered in
+  Alcotest.(check int) "the reordered checkpoint is refused" 1 corrupt;
+  Alcotest.(check bool) "nothing restored" true (restored = None);
+  (* the same order restores *)
+  let restored, corrupt = Checkpoint.restore ~dir ~make:(make M.F_ivm) in
+  Alcotest.(check int) "the same order fits" 0 corrupt;
+  Alcotest.(check bool) "restored" true (restored <> None)
+
 (* ---- the core promise: crash recovery is bit-identical ---- *)
 
 let crash_recovery_bit_identical strategy =
@@ -533,6 +553,8 @@ let () =
           Alcotest.test_case "tag 1 refused, falls back" `Quick test_checkpoint_refuses_tag_one;
           Alcotest.test_case "shape mismatch skipped" `Quick
             test_checkpoint_shape_mismatch_skipped;
+          Alcotest.test_case "feature order mismatch refused" `Quick
+            test_checkpoint_feature_order_refused;
         ] );
       ( "crash-recovery",
         [

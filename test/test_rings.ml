@@ -222,6 +222,84 @@ let test_kernels_refuse_bad_lengths () =
   refused "of_tuple_into" (fun () -> Cov.of_tuple_into [| 1.0; 2.0 |] ~into);
   refused "a dimension mismatch" (fun () -> Cov.add_into (Cov.zero 2) ~into:(Cov.zero 3))
 
+(* [mul_disjoint] against [mul_into] on the operands embedded at full
+   dimension, bit for bit on every cell of the product: random disjoint
+   feature sets in dimensions 1-12 (some features in neither operand),
+   cells drawn among +0.0, -0.0, negatives and other values, both operand
+   orders, and operands scaled by -1 as a delete scales its lift. The
+   dense product's cells outside the union must be zeros. *)
+let disjoint_product_matches_dense =
+  let open QCheck2.Gen in
+  let cell =
+    frequency
+      [
+        (3, pure 0.0);
+        (3, pure (-0.0));
+        (3, map (fun k -> float_of_int k /. 4.0) (int_range (-8) 8));
+        (1, float_range (-3.0) 3.0);
+      ]
+  in
+  let triple d = array_repeat (1 + d + (d * d)) cell in
+  let gen =
+    int_range 1 12 >>= fun n ->
+    array_repeat n (int_range 0 2) >>= fun sides ->
+    let count side = Array.fold_left (fun k s -> if s = side then k + 1 else k) 0 sides in
+    quad (pure sides) (triple (count 0)) (triple (count 1)) (pair bool bool)
+  in
+  let print (sides, a, b, (na, nb)) =
+    let arr xs = String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") xs)) in
+    Printf.sprintf "sides [%s]\na [%s]\nb [%s]\nnegated %b %b"
+      (String.concat "; " (Array.to_list (Array.map string_of_int sides)))
+      (arr a) (arr b) na nb
+  in
+  QCheck2.Test.make ~count:2000 ~print
+    ~name:"mul_disjoint = mul_into on embedded operands (bitwise)" gen
+    (fun (sides, a, b, (na, nb)) ->
+      let n = Array.length sides in
+      let feats side =
+        Array.of_list (List.filter (fun f -> sides.(f) = side) (List.init n Fun.id))
+      in
+      let af = feats 0 and bf = feats 1 in
+      let union = Array.of_list (List.filter (fun f -> sides.(f) < 2) (List.init n Fun.id)) in
+      let at fs =
+        Array.map (fun f -> Option.get (Array.find_index (( = ) f) union)) fs
+      in
+      let a = Array.copy a and b = Array.copy b in
+      if na then Cov.scale (-1) a;
+      if nb then Cov.scale (-1) b;
+      let agrees x xf y yf =
+        let into = Cov.zero (Array.length union) in
+        Cov.mul_disjoint (Cov.disjoint (at xf) (at yf)) x y ~into;
+        match Cov.restrict union (Cov.mul (Cov.embed n xf x) (Cov.embed n yf y)) with
+        | Some dense -> Cov.equal_bits dense into
+        | None -> false
+      in
+      agrees a af b bf && agrees b bf a af)
+
+(* Plans must partition the product's features; products check sizes and
+   aliases like [mul_into]. *)
+let test_disjoint_refusals () =
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "an overlap" (fun () -> ignore (Cov.disjoint [| 0; 1 |] [| 1 |]));
+  refused "a gap" (fun () -> ignore (Cov.disjoint [| 0 |] [| 2 |]));
+  let plan = Cov.disjoint [| 1 |] [| 0; 2 |] in
+  let a = Cov.zero 1 and b = Cov.zero 2 and into = Cov.zero 3 in
+  Cov.mul_disjoint plan a b ~into;
+  refused "swapped operands" (fun () -> Cov.mul_disjoint plan b a ~into);
+  refused "a short destination" (fun () -> Cov.mul_disjoint plan a b ~into:(Cov.zero 2));
+  let c = Cov.zero 3 in
+  refused "an alias" (fun () -> Cov.mul_disjoint (Cov.disjoint [| 0; 1; 2 |] [||]) c (Cov.one 0) ~into:c);
+  Alcotest.(check bool) "restrict refuses a nonzero cell outside" true
+    (Cov.restrict [| 0 |] (Cov.lift 2 1 3.0) = None);
+  Alcotest.(check bool) "embed then restrict" true
+    (match Cov.restrict [| 2; 0 |] (Cov.embed 3 [| 2; 0 |] (Cov.of_tuple [| 1.5; -2.0 |])) with
+    | Some x -> Cov.equal_bits x (Cov.of_tuple [| 1.5; -2.0 |])
+    | None -> false)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -253,5 +331,10 @@ let () =
           Alcotest.test_case "persistent operations write nothing" `Quick
             test_persistent_ops_write_nothing;
           Alcotest.test_case "kernels refuse bad lengths" `Quick test_kernels_refuse_bad_lengths;
+        ] );
+      ( "covariance-disjoint-products",
+        [
+          qcheck disjoint_product_matches_dense;
+          Alcotest.test_case "plans, sizes and aliases refused" `Quick test_disjoint_refusals;
         ] );
     ]
