@@ -14,9 +14,11 @@
    is a new fingerprint) keeps it bounded. A cached plan is revalidated against a
    cheap plan signature (schema shape, options, and the multi-root
    assignment, which depends on relation CARDINALITIES and so can drift as
-   data changes); on any mismatch the batch is recompiled. That keeps a
-   cached run bit-identical to a fresh [Lmfao.Engine.eval] even when deltas
-   have shifted which relation a pure count roots at.
+   data changes: every aggregate roots at the smallest relation holding
+   one of its attributes); on any mismatch the batch is recompiled. That
+   keeps a cached run bit-identical to a fresh [Lmfao.Engine.eval] even
+   when deltas have shifted where an aggregate roots. A stream that grows
+   only the largest relation moves no root, so its plans are reused.
 
    Cyclic schemas fall back to [Lmfao.Engine.eval_batch] (which
    materialises the join with the WCOJ engine), counted in

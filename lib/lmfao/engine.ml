@@ -14,9 +14,11 @@
    - All the views over one relation share one scan (view groups): an up
      pass toward the largest relation, then a down pass, so each relation
      is scanned at most twice per batch.
-   - Aggregates with group-by attributes are decomposed starting from the
-     relation owning their first group-by attribute (multi-root
-     decomposition), keeping high-cardinality grouping local to its node.
+   - Each aggregate is decomposed starting from the smallest relation
+     holding one of its group-by attributes or terms (multi-root
+     decomposition): its products are summed over a small relation, and
+     a grouped aggregate's group key is pushed down the join tree rather
+     than its terms pushed up through the fact table's views.
    - Scans can be chunked across domains (Section 4, "Parallelisation").
 
    One pipeline of two stages evaluates every batch: [Plan] decides the
@@ -35,7 +37,7 @@ exception Unsupported = Plan.Unsupported
 type options = {
   share : bool; (* dedup identical partial aggregates (default true) *)
   parallel : bool; (* chunked scans *)
-  multi_root : bool; (* root group-by aggregates at their group attr's node *)
+  multi_root : bool; (* per-aggregate roots by [Plan.choose_root]; off: the largest relation *)
   chunk_threshold : int; (* parallel scans only above this cardinality *)
 }
 

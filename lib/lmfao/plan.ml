@@ -1,11 +1,12 @@
 (* Logical planning for LMFAO (Sections 1.4 and 4).
 
    The planner owns everything that is independent of HOW a view is
-   executed: multi-root assignment, the top-down restriction of each
-   aggregate over the join tree, per-node deduplication of identical
-   partials (sharing), attribute ownership, and the merge of every root's
-   plan into directed views with the schedule of their scans (view
-   groups). Its output is the plan [Exec] runs, as pure data: relations
+   executed: multi-root assignment (one rule: each aggregate at the
+   smallest relation holding one of its attributes), the top-down
+   restriction of each aggregate over the join tree, per-node
+   deduplication of identical partials (sharing), attribute ownership,
+   and the merge of every root's plan into directed views with the
+   schedule of their scans (view groups). Its output is the plan [Exec] runs, as pure data: relations
    are named, filters stay first-order [Predicate.t] conjuncts, terms and
    keys are resolved to column positions, and child slots are wired by
    index. *)
@@ -18,7 +19,7 @@ exception Unsupported of string
 
 type options = {
   share : bool; (* dedup identical partial aggregates *)
-  multi_root : bool; (* root group-by aggregates at their group attr's node *)
+  multi_root : bool; (* per-aggregate roots by [choose_root]; off: the largest relation *)
 }
 
 let default_options = { share = true; multi_root = true }
@@ -87,6 +88,7 @@ let c_partials = Obs.counter "lmfao.partials"
 let c_shared_away = Obs.counter "lmfao.shared_away"
 let c_fused = Obs.counter "lmfao.compile.filters_fused"
 let c_families = Obs.counter "lmfao.families"
+let c_slot_rows = Obs.counter "lmfao.slot_rows"
 
 (* ---------- filter decomposition ---------- *)
 
@@ -259,43 +261,44 @@ let build options ~stats (jt : Join_tree.t) ~root (specs : Spec.t list) :
 
 (* ---------- root choice ---------- *)
 
-(* Root choice per aggregate (the heart of LMFAO's multi-root design):
-   group-by aggregates root at the relation owning their first group-by
-   attribute (grouping stays local); scalar products root at the smallest
-   relation owning one of their terms (ties go to the earlier term, so a
-   product of one relation's attributes roots where its first term's owner
-   is), so the products are computed over a small dimension relation while
-   the big fact table contributes only DEDUPLICATED partial sums — one per
-   attribute rather than one per aggregate; pure counts root at the
-   smallest relation. *)
-let choose_root (jt : Join_tree.t) ~default_root (s : Spec.t) =
-  let owner attr =
-    List.find_opt (fun r -> Schema.mem (Relation.schema r) attr) (Join_tree.relations jt)
-  in
-  let owner_of attr =
-    match owner attr with Some r -> Relation.name r | None -> default_root
-  in
-  match (s.group_by, s.terms) with
-  | g :: _, _ -> owner_of g
-  | [], (a, _) :: rest ->
-      let size attr =
-        match owner attr with Some r -> Relation.cardinality r | None -> max_int
-      in
-      fst
-        (List.fold_left
-           (fun ((_, n) as best) (b, _) ->
-             let m = size b in
-             if m < n then (owner_of b, m) else best)
-           (owner_of a, size a) rest)
-  | [], [] -> (
-      match
-        List.sort
-          (fun r1 r2 ->
-            compare (Relation.cardinality r1) (Relation.cardinality r2))
-          (Join_tree.relations jt)
-      with
-      | smallest :: _ -> Relation.name smallest
-      | [] -> default_root)
+(* Root choice per aggregate (the heart of LMFAO's multi-root design): an
+   aggregate roots at the smallest relation whose schema holds one of its
+   group-by attributes or terms, and a count, which has neither, at the
+   smallest relation. Ties go first to a relation holding a group-by
+   attribute, then to the owner of the earliest attribute (sorted group-by
+   attributes, then terms; an attribute's owner is the first relation
+   holding it), then to join-tree order. So a scalar product is summed
+   over a small dimension while the fact table contributes deduplicated
+   partials, one per attribute; and a grouped aggregate whose term lives
+   in a smaller relation than its group-by roots there: its group key is
+   pushed down the join tree, one key shared by every aggregate grouped by
+   it, instead of its term being pushed up as one float per row of every
+   view between. Applied to a join tree, it indexes each attribute's
+   holders once for all the aggregates it then roots. *)
+let choose_root (jt : Join_tree.t) ~default_root =
+  let rels = Join_tree.relations jt in
+  (* each attribute's holders in join-tree order: the first is its owner *)
+  let index = Hashtbl.create 64 in
+  let holders a = Option.value ~default:[] (Hashtbl.find_opt index a) in
+  List.iter
+    (fun r -> List.iter (fun a -> Hashtbl.replace index a (r :: holders a)) (Schema.names (Relation.schema r)))
+    (List.rev rels);
+  fun (s : Spec.t) ->
+    let groups = List.map holders s.group_by in
+    let attrs = groups @ List.map (fun (a, _) -> holders a) s.terms in
+    let cost r =
+      ( Relation.cardinality r,
+        not (List.exists (List.memq r) groups),
+        Option.value ~default:max_int
+          (List.find_index (function owner :: _ -> owner == r | [] -> false) attrs) )
+    in
+    let candidates =
+      if attrs = [] then rels else List.filter (fun r -> List.exists (List.memq r) attrs) rels
+    in
+    match List.map (fun r -> (cost r, r)) candidates with
+    | [] -> default_root
+    | c :: rest ->
+        Relation.name (snd (List.fold_left (fun b c -> if fst c < fst b then c else b) c rest))
 
 (* Group the batch's aggregates by their chosen root, preserving batch order
    within and across groups. Raises [Join_tree.Cyclic] on cyclic schemas. *)
@@ -315,14 +318,12 @@ let group_by_root options (db : Database.t) (batch : Batch.t) :
     in
     Relation.name (Option.get largest)
   in
+  let root_of = if options.multi_root then choose_root jt ~default_root else fun _ -> default_root in
   let groups = Hashtbl.create 8 in
   let order = ref [] in
   List.iter
     (fun s ->
-      let root =
-        if options.multi_root then choose_root jt ~default_root s
-        else default_root
-      in
+      let root = root_of s in
       match Hashtbl.find_opt groups root with
       | Some l -> l := s :: !l
       | None ->
@@ -527,6 +528,9 @@ let group (jt : Join_tree.t) ~(stats : stats) (rooted : rooted list) :
       views
   in
   Array.iteri (fun id v -> assert (Array.for_all (fun c -> c < id) v.v_children)) views;
+  (* the partial updates the plan implies: per view, slots times rows *)
+  Obs.add c_slot_rows
+    (Array.fold_left (fun n v -> n + (Array.length v.v_slots * cardinality v.v_rel)) 0 views);
   let outputs =
     List.concat_map
       (fun (r, map) ->

@@ -1,5 +1,6 @@
 (** Planning for LMFAO: the planner decides WHAT each view computes —
-    multi-root assignment, top-down restriction of every aggregate over the
+    multi-root assignment (each aggregate at the smallest relation holding
+    one of its attributes), top-down restriction of every aggregate over the
     join tree, per-node dedup of identical partials, the merge of every
     root's views into directed views, the conjuncts each view tests once
     per row, and the order in which view groups are scanned. Its
@@ -16,7 +17,9 @@ exception Unsupported of string
 
 type options = {
   share : bool;  (** dedup identical partial aggregates *)
-  multi_root : bool;  (** per-aggregate root choice *)
+  multi_root : bool;
+      (** per-aggregate root choice by {!choose_root}; off, every
+          aggregate roots at the largest relation *)
 }
 
 val default_options : options
@@ -59,11 +62,16 @@ type rooted = {
 }
 
 val choose_root : Join_tree.t -> default_root:string -> Spec.t -> string
-(** The multi-root policy: group-bys root at their first group attribute's
-    relation; scalar products at the smallest relation that owns one of
-    their terms, ties to the earlier term (so an aggregate with at most one
-    term roots at its first term's owner); counts at the smallest
-    relation. *)
+(** The root rule: an aggregate roots at the smallest relation whose schema
+    holds one of its group-by attributes or terms, and a count, which has
+    neither, at the smallest relation. Ties go first to a relation holding
+    a group-by attribute, then to the owner (first holder in join-tree
+    order) of the earliest attribute, sorted group-by attributes before
+    terms, then to join-tree order. A grouped aggregate whose term lives in
+    a smaller relation than its group-by attributes thus roots there, and
+    its group key is pushed down the join tree. [default_root] answers an
+    aggregate none of whose attributes any relation holds. Applied to a
+    join tree, it indexes each attribute's holders once. *)
 
 val group_by_root :
   options -> Database.t -> Batch.t -> Join_tree.t * (string * Spec.t list) list
@@ -115,8 +123,10 @@ val group : Join_tree.t -> stats:stats -> rooted list -> grouped * stats
     of C for C->N, then a down pass. Every relation is scanned at most
     twice. Each view's [v_scan_filter] holds the conjuncts all of its
     slots test, counted in [lmfao.compile.filters_fused], and its
-    [v_families] are counted in [lmfao.families]. [stats] holds
-    the rooted plans' counts (from {!build}); the result's stats count
+    [v_families] are counted in [lmfao.families]. [lmfao.slot_rows] adds
+    the partial updates the plan implies: over its views, slots times
+    relation rows. [stats] holds the rooted plans' counts (from
+    {!build}); the result's stats count
     merged views and slots, with [shared_away] covering both per-root and
     cross-root dedup, and are added to the [lmfao.views] /
     [lmfao.partials] / [lmfao.shared_away] counters. *)

@@ -176,7 +176,7 @@ let random_batches_match options_desc options =
    neighbour never holds, and the batch roots aggregates at every
    relation. *)
 
-let random_tree ?(real = false) rng =
+let random_tree ?(real = false) ?size rng =
   let n = 3 + Util.Prng.int rng 3 in
   let edges =
     if Util.Prng.int rng 2 = 0 then List.init (n - 1) (fun i -> (0, i + 1))
@@ -198,8 +198,11 @@ let random_tree ?(real = false) rng =
       Array.of_list
         (List.map int keys @ [ int (Util.Prng.int rng 3); flt (measure (Util.Prng.int rng 64)) ])
     in
+    let random_rows =
+      match size with Some size -> size i - List.length mine | None -> Util.Prng.int rng 7
+    in
     let rows =
-      List.init (Util.Prng.int rng 7) (fun _ ->
+      List.init random_rows (fun _ ->
           row (List.map (fun _ -> Util.Prng.int rng domain) mine))
       (* dangling: this side's key on edge e is one its neighbour never has *)
       @ List.map
@@ -336,6 +339,83 @@ let families_match_flat =
       let sequential_ok = check_vs_flat ~options:default lattice batch && within real default in
       sequential_ok
       && on_four_domains (fun () -> check_vs_flat ~options:parallel lattice batch && within real parallel))
+
+(* ---- pushed group keys ----
+
+   The root rule roots a grouped aggregate at the smallest relation
+   holding one of its attributes, so where a term lives in a strictly
+   smaller relation than the group-by, the aggregate sums there and its
+   group key is pushed down the join tree through the views between.
+   Random trees whose relations hold either 5 or 7 rows (so, with three
+   or more relations, two always tie), and for every ordered pair of
+   relations i, j: sum(m<j>)|c<i> (a pushed key when R<j> is smaller, a
+   tie rooted at R<i> when they are equal), sum(m<i>*m<j>)|c<i>, a count
+   grouped by c<i> and a random second category, and sum(m<j>^2)|c<i>
+   under a filter. Each case must push at least one key and resolve at
+   least one tie; the lattice copy must match flat evaluation bit for bit
+   and the real one stay within [Spec.within_bound], sequentially and in
+   parallel chunks on four domains. *)
+
+let pushed_keys_batch rng db =
+  let rels = Database.relations db in
+  let n = List.length rels in
+  let c i = Printf.sprintf "c%d" i and m i = Printf.sprintf "m%d" i in
+  let id = ref 0 in
+  let spec ?(filter = Predicate.True) terms group_by =
+    incr id;
+    Spec.make ~filter ~id:(Printf.sprintf "p%d" !id) ~terms ~group_by:(List.sort_uniq compare group_by) ()
+  in
+  let ids = List.init n Fun.id in
+  let pairs = List.concat_map (fun i -> List.filter_map (fun j -> if i = j then None else Some (i, j)) ids) ids in
+  let aggregates =
+    List.concat_map
+      (fun (i, j) ->
+        let filter = Predicate.Eq (c (Util.Prng.int rng n), int (Util.Prng.int rng 3)) in
+        [
+          spec [ (m j, 1) ] [ c i ];
+          spec [ (m i, 1); (m j, 1) ] [ c i ];
+          spec [] [ c i; c (Util.Prng.int rng n) ];
+          spec ~filter [ (m j, 2) ] [ c i ];
+        ])
+      pairs
+  in
+  { Batch.name = "pushed"; aggregates = Spec.count ~id:"n" :: aggregates }
+
+let pushed_group_keys =
+  QCheck2.Test.make ~count:25
+    ~name:"pushed group keys: engine = flat (lattice bitwise, real within bound), sequential and parallel"
+    QCheck2.Gen.int
+    (fun seed ->
+      let classes = Util.Prng.create (seed + 2) in
+      let sizes = Array.init 5 (fun i -> if i < 2 then 5 + (2 * i) else 5 + (2 * Util.Prng.int classes 2)) in
+      let size i = sizes.(i) in
+      let lattice = random_tree ~size (Util.Prng.create seed) in
+      let real = random_tree ~real:true ~size (Util.Prng.create seed) in
+      let batch = pushed_keys_batch (Util.Prng.create (seed + 1)) lattice in
+      let jt = Database.join_tree lattice in
+      let root_of = Lmfao.Plan.choose_root jt ~default_root:"R0" in
+      let owner a = List.find (fun r -> Schema.mem (Relation.schema r) a) (Join_tree.relations jt) in
+      let pushed, ties =
+        List.fold_left
+          (fun (pushed, ties) (s : Spec.t) ->
+            match (s.group_by, s.terms) with
+            | [ g ], (t, _) :: _ ->
+                let root = Join_tree.relation_by_name jt (root_of s) in
+                let tie = Relation.cardinality (owner g) = Relation.cardinality (owner t) && owner g != owner t in
+                (pushed || root != owner g, ties || (tie && root == owner g))
+            | _ -> (pushed, ties))
+          (false, false) batch.Batch.aggregates
+      in
+      let flat = canonical ~sort_groups:true (Batch.eval_flat (Database.materialise_join lattice) batch) in
+      let join = Database.materialise_join real in
+      let bounded = Batch.eval_flat_bounded join batch in
+      let m = Batch.rounding_ops real ~join_rows:(Relation.cardinality join) batch in
+      let matches options =
+        Spec.keyed_bits_equal (canonical (Engine.eval_batch ~options lattice batch)) flat
+        && Spec.keyed_within_bound ~m bounded (Engine.eval_batch ~options real batch)
+      in
+      let parallel = { default with Engine.parallel = true; chunk_threshold = 2 } in
+      pushed && ties && matches default && on_four_domains (fun () -> matches parallel))
 
 (* ---- all datagen schemas ----
 
@@ -595,6 +675,41 @@ let cache_revalidates_roots () =
   Alcotest.(check bool) "large D (roots moved)" true
     (cached_matches_fresh ~options:default (db false) batch)
 
+(* Grouped roots depend on cardinalities, and the plan signature holds
+   the roots, so a stream that moves only the fact table's size must not
+   recompile: Inventory is the largest relation throughout, so it never
+   becomes the smallest holder of any aggregate. Retailer at scale 0.05
+   loaded into a Serve less 320 facts, then 10 rounds of 32 fact inserts;
+   after each, the covariance batch with categoricals over the snapshot
+   finds the plan compiled before the first round, which still answers
+   as a fresh evaluation does. *)
+let plan_reused_as_facts_stream () =
+  let db = Datagen.Retailer.generate ~scale:0.05 ~seed:1 () in
+  let fact = Relation.name (Datagen.Stream_gen.fact_relation db) in
+  let stream = Datagen.Stream_gen.inserts_of_database ~seed:1 db in
+  let dims, facts = List.partition (fun (u : Fivm.Delta.update) -> u.relation <> fact) stream in
+  let facts = Array.of_list facts in
+  let loaded = Array.length facts - 320 in
+  let srv = Serve.create Fivm.Maintainer.F_ivm db ~features:Datagen.Retailer.ivm_features in
+  Serve.apply_deltas srv (dims @ Array.to_list (Array.sub facts 0 loaded));
+  let batch = Batch.covariance Datagen.Retailer.features in
+  let cardinality snap = Relation.cardinality (Database.relation snap fact) in
+  let snap = Serve.snapshot srv in
+  let compiled = Cengine.find_or_compile snap batch in
+  let sizes = ref [ cardinality snap ] in
+  for round = 1 to 10 do
+    Serve.apply_deltas srv (Array.to_list (Array.sub facts (loaded + (32 * (round - 1))) 32));
+    let snap = Serve.snapshot srv in
+    sizes := cardinality snap :: !sizes;
+    Alcotest.(check bool) (Printf.sprintf "round %d reuses the plan" round) true
+      (Cengine.find_or_compile snap batch == compiled)
+  done;
+  Alcotest.(check int) "Inventory grew every round" 11
+    (List.length (List.sort_uniq compare !sizes));
+  let snap = Serve.snapshot srv in
+  Alcotest.(check bool) "reused plan = fresh evaluation" true
+    (Spec.keyed_bits_equal (Engine.eval_batch snap batch) (Cengine.run compiled snap))
+
 (* Two thresholds that agree to six significant digits: at retailer scale
    0.05, seed 1, [prize >= 32.629302406863651] holds for 4004 join rows
    and [prize >= 32.629302472122255] for 1290. Batches that differ only
@@ -767,6 +882,7 @@ let () =
             ("parallel", { default with Engine.parallel = true; chunk_threshold = 2 });
           ] );
       ("families", [ qcheck families_match_flat ]);
+      ("pushed keys", [ qcheck pushed_group_keys ]);
       ( "datagen",
         [ Alcotest.test_case "all schemas = flat" `Quick datagen_schemas ] );
       ( "keys",
@@ -787,6 +903,8 @@ let () =
             cache_revalidates_roots;
           Alcotest.test_case "close thresholds and other ids miss" `Quick
             close_thresholds_and_ids;
+          Alcotest.test_case "plan reused while facts stream in" `Quick
+            plan_reused_as_facts_stream;
         ] );
       ( "fallbacks",
         [
