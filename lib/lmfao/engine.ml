@@ -12,8 +12,11 @@
      directed view (partial-aggregate sharing), also across roots: every
      root's view of relation X toward neighbour Y is one merged view.
    - All the views over one relation share one scan (view groups): an up
-     pass toward the largest relation, then a down pass, so each relation
-     is scanned at most twice per batch.
+     pass toward the largest relation C, then a down pass, so each
+     relation is scanned at most twice per batch. The edge between C and
+     its largest neighbour N runs as one loop over key blocks: N->C and
+     C->N, the batch's two largest views, hold one block's keys at a time
+     and never exist in full, and C is scanned once.
    - Each aggregate is decomposed starting from the smallest relation
      holding one of its group-by attributes or terms (multi-root
      decomposition): its products are summed over a small relation, and
@@ -114,10 +117,12 @@ let eval_cyclic (db : Database.t) (batch : Batch.t) :
             ~capacity:(Stdlib.max 1 (Relation.cardinality r))
             (Relation.name r) (Relation.schema r)
         in
-        chunks (fun c ->
+        Seq.iter
+          (fun c ->
             for i = 0 to Relation.cardinality c - 1 do
               Relation.append_from out c i
-            done);
+            done)
+          chunks;
         out
   in
   let join =

@@ -4,14 +4,17 @@
     multi-root decomposition over the join tree, deduplication of
     identical partial aggregates per directed view across all roots
     (sharing), view groups — one scan computes every view over a relation
-    that it can, so each relation is scanned at most twice per batch — and
-    optional chunked domain parallelism.
+    that it can, so each relation is scanned at most twice per batch, and
+    the largest relation's edge with its largest neighbour runs by key
+    blocks, scanning the largest once — and optional chunked domain
+    parallelism.
 
     The entry point is {!eval}; {!compile} and {!run} are its two stages
     (plan and merge into view groups; then execute). When observability
     is on ({!Obs}), planning runs under the [lmfao.compile.plan] span,
     execution under [lmfao.compile.exec] with one flat [lmfao.view:<R>]
-    span per scan, and the engine maintains the [lmfao.views] /
+    span per scan and one [lmfao.merge:<N>,<C>] span per merged step
+    ({!Exec.run}), and the engine maintains the [lmfao.views] /
     [lmfao.partials] / [lmfao.shared_away] (merged views and their slots),
     [lmfao.tuples_scanned] and [lmfao.roots] (root views) counters. *)
 

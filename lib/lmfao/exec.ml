@@ -1,5 +1,6 @@
 (* Bind a batch's [Plan.grouped] against a live database and run it: one
-   scan per view group, in the plan's order.
+   scan per view group, in the plan's order, and the merged edge's four
+   scans as one loop over key blocks (see "the merged edge" below).
 
    Every directed view lives in [Flat_view] storage: dense rows in
    insertion order with their packed keys recorded, scalar partials
@@ -719,26 +720,21 @@ let bind_view schema cols (view : Plan.view) (p : program) (wire : int array) (p
 
 (* ---------- view groups ---------- *)
 
-(* One scan of [rel_name] computing every view in [out_ids]. Each
-   incoming view (a child of some output) is probed once per row, in
-   first-use order; a row feeds every output whose own children all
-   matched, so a row with no partner in one incoming view still counts
-   toward the output that does not read it. A miss in an incoming view
-   that every output reads ends the row early.
+(* One scan's views, compiled once: their programs, and the incoming
+   views they read (children of some output), each once in first-use
+   order with the key columns that probe it (every output reads a child
+   by its edge). *)
+type group = {
+  outs : Plan.view array;
+  out_layouts : layout array;
+  programs : program array;
+  incoming : (int * int array) array;  (* view id, probe key positions *)
+  wires : int array array;  (* per output, per child: its probe index *)
+  required : bool array;  (* per probe: every output reads it *)
+}
 
-   An in-order incoming view is probed through a forward cursor per chunk
-   while the chunk's probe keys do not step backwards, and through its
-   hash index otherwise: a sequential scan builds the index at its first
-   backward step, and a parallel scan, before its chunks start, for every
-   in-order view whose probe keys step backwards anywhere in the
-   relation, so no index is built while chunks run. Either way a probe
-   finds the same row. *)
-let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
-    (layouts : layout array) (live : V.t option array)
-    (rel_name, out_ids) : V.t array =
+let compile_group db (g : Plan.grouped) (layouts : layout array) (rel_name, out_ids) : group =
   let outs = Array.map (fun v -> g.Plan.views.(v)) out_ids in
-  (* the incoming views, each once in first-use order, with the key
-     columns that probe them (every output reads a child by its edge) *)
   let incoming =
     Array.fold_left
       (fun acc (o : Plan.view) ->
@@ -749,100 +745,136 @@ let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
       [] outs
     |> Array.of_list
   in
-  let n_inc = Array.length incoming in
   let probe_index c =
     let rec go j = if fst incoming.(j) = c then j else go (j + 1) in
     go 0
   in
   let wires = Array.map (fun (o : Plan.view) -> Array.map probe_index o.Plan.v_children) outs in
-  let required =
-    Array.init n_inc (fun j -> Array.for_all (fun w -> Array.mem j w) wires)
-  in
-  let inc_views = Array.map (fun (c, _) -> Option.get live.(c)) incoming in
   let out_layouts = Array.map (fun v -> layouts.(v)) out_ids in
-  let programs =
-    Array.mapi
-      (fun o (view : Plan.view) ->
-        program view out_layouts.(o) (Array.map (fun c -> layouts.(c)) view.Plan.v_children))
-      outs
-  in
-  let rel = Database.relation db rel_name in
-  Array.iter (fun o -> count_fallbacks o (Relation.columns rel)) outs;
-  (* [scan_into] is invoked once per chunk — a parallel slice of the
-     resident relation, or one streamed page chunk. Everything
-     representation-dependent (term columns, key readers, filters, the
-     per-row product, combination and probe arrays) is bound inside
-     against THIS relation's live columns, so concurrent chunks never
-     share mutable state and streamed chunks bind to their own pages.
-     Binding is O(slots), amortised over a chunk of rows. *)
-  let scan_into rel (accs : V.t array) lo len =
-    Obs.add c_tuples_scanned len;
-    ignore (Relation.scan rel);
-    let schema = Relation.schema rel and cols = Relation.columns rel in
-    let probe_key = Array.map (fun (_, key) -> V.reader cols key) incoming in
-    let pr =
-      {
-        views = inc_views;
-        hit = Array.make n_inc (-1);
-        blk = Array.make n_inc [||];
-        base = Array.make n_inc 0;
-        cell = Array.make n_inc 0;
-      }
-    in
-    let feeds =
+  Array.iter (fun o -> count_fallbacks o (Relation.columns (Database.relation db rel_name))) outs;
+  {
+    outs;
+    out_layouts;
+    programs =
       Array.mapi
-        (fun o view -> bind_view schema cols view programs.(o) wires.(o) pr accs.(o))
-        outs
-    in
-    let n_out = Array.length feeds in
-    (* per incoming view: hashed, or its cursor and last probe key *)
-    let hashed = Array.map (fun v -> not (V.in_order v)) inc_views in
-    let cursor_at = Array.make n_inc 0 and last = Array.make n_inc V.nopack in
-    let merges = ref 0 and hashes = ref 0 in
-    (* an in-order view's row for [k]: by the cursor while the probe keys
-       do not step backwards, by the hash index from the first step back *)
-    let cursor j (v : V.t) k =
-      if k >= Array.unsafe_get last j then begin
-        Array.unsafe_set last j k;
-        incr merges;
-        let keys = v.V.keys and rows = v.V.rows in
-        let c = Array.unsafe_get cursor_at j in
-        let c = if c < rows && Array.unsafe_get keys c < k then V.seek v c k else c in
-        Array.unsafe_set cursor_at j c;
-        if c < rows && Array.unsafe_get keys c = k then c else -1
+        (fun o (view : Plan.view) ->
+          program view out_layouts.(o) (Array.map (fun c -> layouts.(c)) view.Plan.v_children))
+        outs;
+    incoming;
+    wires;
+    required =
+      Array.init (Array.length incoming) (fun j -> Array.for_all (fun w -> Array.mem j w) wires);
+  }
+
+(* Empty views for a group's outputs. *)
+let fresh (grp : group) =
+  Array.map (fun (l : layout) -> V.create ~scalars:l.n_scalars ~widths:l.widths) grp.out_layouts
+
+(* A group bound to one chunk's columns: [run lo len] feeds rows
+   [lo, lo + len) into the outputs, [restart ()] sends the probe cursors
+   back to the first row, as a probed view that was {!V.reset} needs. *)
+type scanner = { run : int -> int -> unit; restart : unit -> unit }
+
+let no_scan = { run = (fun _ _ -> ()); restart = ignore }
+
+(* Bind [grp] to [rel]'s live columns, probing [inc_views] (one per
+   incoming view) and feeding [accs] (one per output). Each row probes
+   every incoming view once; a row feeds every output whose own children
+   all matched, so a row with no partner in one incoming view still counts
+   toward the output that does not read it, and a miss in an incoming view
+   that every output reads ends the row early.
+
+   An in-order incoming view is probed through a forward cursor while the
+   probe keys do not step backwards, and through its hash index from the
+   first step back, which builds it. Either way a probe finds the same
+   row.
+
+   Everything representation-dependent (term columns, key readers,
+   filters, the per-row product, combination and probe arrays) is bound
+   here against THIS relation's live columns, so concurrent chunks never
+   share mutable state and streamed chunks bind to their own pages.
+   Binding is O(slots), amortised over the rows it runs. *)
+let bind (grp : group) (inc_views : V.t array) rel (accs : V.t array) : scanner =
+  ignore (Relation.scan rel);
+  let n_inc = Array.length grp.incoming in
+  let schema = Relation.schema rel and cols = Relation.columns rel in
+  let probe_key = Array.map (fun (_, key) -> V.reader cols key) grp.incoming in
+  let pr =
+    {
+      views = inc_views;
+      hit = Array.make n_inc (-1);
+      blk = Array.make n_inc [||];
+      base = Array.make n_inc 0;
+      cell = Array.make n_inc 0;
+    }
+  in
+  let feeds =
+    Array.mapi
+      (fun o view -> bind_view schema cols view grp.programs.(o) grp.wires.(o) pr accs.(o))
+      grp.outs
+  in
+  let n_out = Array.length feeds in
+  let required = grp.required in
+  (* per incoming view: hashed, or its cursor and last probe key *)
+  let hashed = Array.make n_inc false in
+  let cursor_at = Array.make n_inc 0 and last = Array.make n_inc V.nopack in
+  let restart () =
+    for j = 0 to n_inc - 1 do
+      hashed.(j) <- not (V.in_order inc_views.(j));
+      cursor_at.(j) <- 0;
+      last.(j) <- V.nopack
+    done
+  in
+  restart ();
+  let merges = ref 0 and hashes = ref 0 in
+  (* an in-order view's row for [k]: by the cursor while the probe keys
+     do not step backwards, by the hash index from the first step back *)
+  let cursor j (v : V.t) k =
+    if k >= Array.unsafe_get last j then begin
+      Array.unsafe_set last j k;
+      incr merges;
+      let keys = v.V.keys and rows = v.V.rows in
+      let c = Array.unsafe_get cursor_at j in
+      let c = if c < rows && Array.unsafe_get keys c < k then V.seek v c k else c in
+      Array.unsafe_set cursor_at j c;
+      if c < rows && Array.unsafe_get keys c = k then c else -1
+    end
+    else begin
+      V.ensure_index v;
+      Array.unsafe_set hashed j true;
+      incr hashes;
+      V.find v k
+    end
+  in
+  let rec probe i j =
+    j = n_inc
+    ||
+    let v = inc_views.(j) in
+    let k = probe_key.(j) i in
+    let r =
+      if k = V.nopack then begin
+        incr hashes;
+        V.find_boxed v (V.key_tuple cols (snd grp.incoming.(j)) i)
       end
-      else begin
-        V.ensure_index v;
-        Array.unsafe_set hashed j true;
+      else if Array.unsafe_get hashed j then begin
         incr hashes;
         V.find v k
       end
+      else cursor j v k
     in
-    let rec probe i j =
-      j = n_inc
-      ||
-      let v = inc_views.(j) in
-      let k = probe_key.(j) i in
-      let r =
-        if k = V.nopack then begin
-          incr hashes;
-          V.find_boxed v (V.key_tuple cols (snd incoming.(j)) i)
-        end
-        else if Array.unsafe_get hashed j then begin
-          incr hashes;
-          V.find v k
-        end
-        else cursor j v k
-      in
-      pr.hit.(j) <- r;
-      if r >= 0 then begin
-        pr.blk.(j) <- scalar_block v r;
-        pr.base.(j) <- scalar_base v r;
-        pr.cell.(j) <- r * v.V.families;
-        probe i (j + 1)
-      end
-      else (not required.(j)) && probe i (j + 1)
-    in
+    pr.hit.(j) <- r;
+    if r >= 0 then begin
+      pr.blk.(j) <- scalar_block v r;
+      pr.base.(j) <- scalar_base v r;
+      pr.cell.(j) <- r * v.V.families;
+      probe i (j + 1)
+    end
+    else (not required.(j)) && probe i (j + 1)
+  in
+  let run lo len =
+    Obs.add c_tuples_scanned len;
+    merges := 0;
+    hashes := 0;
     for i = lo to lo + len - 1 do
       if probe i 0 then
         for o = 0 to n_out - 1 do
@@ -852,19 +884,24 @@ let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
     Obs.add c_merge_probes !merges;
     Obs.add c_hash_probes !hashes
   in
-  let fresh () =
-    Array.map (fun (l : layout) -> V.create ~scalars:l.n_scalars ~widths:l.widths) out_layouts
-  in
+  { run; restart }
+
+(* One scan of [rel_name] computing [grp]'s views from [inc_views]. A
+   streamed relation runs its page chunks in global row order into ONE set
+   of views: the float-op sequence of a sequential in-memory scan, hence
+   bit-identical to it, and never chunked across domains. With [parallel],
+   a resident relation above [chunk_threshold] rows runs in chunks merged
+   in a fixed order; before they start, every in-order incoming view whose
+   probe keys step backwards anywhere in the relation gets its index, so
+   no index is built while chunks run. *)
+let scan_group ~parallel ~chunk_threshold db (grp : group) inc_views rel_name : V.t array =
   match Database.stream db rel_name with
   | Some chunks ->
-      (* Out-of-core: sequential page chunks into ONE set of views, in
-         global row order — the float-op sequence of a sequential
-         in-memory scan, hence bit-identical to it. Parallel chunking
-         stays off here. *)
-      let accs = fresh () in
-      chunks (fun chunk -> scan_into chunk accs 0 (Relation.cardinality chunk));
+      let accs = fresh grp in
+      Seq.iter (fun chunk -> (bind grp inc_views chunk accs).run 0 (Relation.cardinality chunk)) chunks;
       accs
   | None ->
+      let rel = Database.relation db rel_name in
       let n = Relation.cardinality rel in
       if parallel && n > chunk_threshold then begin
         Obs.incr c_parallel_scans;
@@ -883,11 +920,11 @@ let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
               in
               if not (forward 0 V.nopack) then V.ensure_index v
             end)
-          incoming;
+          grp.incoming;
         Util.Pool.parallel_chunks n
           (fun lo len ->
-            let accs = fresh () in
-            scan_into rel accs lo len;
+            let accs = fresh grp in
+            (bind grp inc_views rel accs).run lo len;
             accs)
           ~combine:(fun acc v ->
             match acc with
@@ -896,13 +933,226 @@ let scan_group ~parallel ~chunk_threshold db (g : Plan.grouped)
                 Array.iter2 V.merge a v;
                 Some a)
           ~zero:None
-        |> Option.fold ~none:(fresh ()) ~some:Fun.id
+        |> Option.fold ~none:(fresh grp) ~some:Fun.id
       end
       else begin
-        let accs = fresh () in
-        scan_into rel accs 0 n;
+        let accs = fresh grp in
+        (bind grp inc_views rel accs).run 0 n;
         accs
       end
+
+(* ---------- the merged edge ---------- *)
+
+(* A merged step (see [Plan.merge]) runs as one loop over key blocks of
+   about [block_rows] rows of N, cut at key boundaries: each key's N rows
+   and C rows fall in one block. Per block, the block's N rows compute
+   N->C into a transient view, the C rows of the same key range run once
+   for all of C's views, C->N going into a second transient view, and the
+   block's N rows run again for N's down views. Every other view is fed
+   whole, across blocks, and every view is fed its rows in scan order; a
+   key's N->C or C->N partial is complete before anything reads it, since
+   it holds every row of that key. So each view sees the float-op sequence
+   of the step's four separate scans, and the results are theirs to the
+   bit, while N->C and C->N never hold more than one block's keys and C is
+   scanned once.
+
+   The blocks need both relations in non-decreasing packed order on the
+   edge key. A resident relation is checked in one pass over its key
+   columns first; a streamed one as its chunks arrive, and the first
+   violation abandons the blocks run so far. A step whose relations are
+   not in order or whose keys do not pack, or one whose N or C scan would
+   be chunked across domains, runs as one block: the four scans. *)
+let block_rows = 1024
+
+let c_merge_blocks = Obs.counter "lmfao.merge_blocks"
+let c_merge_fallbacks = Obs.counter "lmfao.merge_fallbacks"
+
+(* Why a merged step runs as one block, each counted in its own
+   [lmfao.merge_fallbacks.<why>]. *)
+type why = Parallel | Unpacked | Unordered
+
+exception Fall_back of why
+
+let c_why =
+  let c w = Obs.counter ("lmfao.merge_fallbacks." ^ w) in
+  let parallel = c "parallel" and unpacked = c "unpacked" and unordered = c "order" in
+  function Parallel -> parallel | Unpacked -> unpacked | Unordered -> unordered
+
+(* One chunk of a merged relation: its rows, its edge-key reader, and the
+   scanners bound to it (N: its up and down scans; C: its one scan). *)
+type piece = { rows : int; key : int -> int; first : scanner; second : scanner }
+
+let no_piece = { rows = 0; key = (fun _ -> 0); first = no_scan; second = no_scan }
+
+(* A merged relation read one chunk at a time: the chunks not reached
+   yet, the current one and the next row there. A side that is not
+   [checked] (a streamed relation) checks every key it reads against the
+   last. *)
+type side = {
+  checked : bool;
+  bind_piece : Relation.t -> piece;
+  mutable rest : Relation.t Seq.t;
+  mutable piece : piece;
+  mutable pos : int;
+  mutable last : int;
+}
+
+(* Whether [s] has a row left, pulling its next non-empty chunk when the
+   current one is done. *)
+let rec avail s =
+  s.pos < s.piece.rows
+  ||
+  match s.rest () with
+  | Seq.Nil -> false
+  | Seq.Cons (chunk, rest) ->
+      s.rest <- rest;
+      s.piece <- s.bind_piece chunk;
+      s.pos <- 0;
+      avail s
+
+(* Row [i]'s edge key in the current chunk, checked when [s] is not. *)
+let key s i =
+  let k = s.piece.key i in
+  if not s.checked then begin
+    if k = V.nopack then raise (Fall_back Unpacked);
+    if k < s.last then raise (Fall_back Unordered);
+    s.last <- k
+  end;
+  k
+
+(* Why a resident relation's rows are not in non-decreasing packed order
+   on [key], if they are not. *)
+let unordered rel key =
+  let k = V.reader (Relation.columns rel) key and n = Relation.cardinality rel in
+  let rec go i prev =
+    if i = n then None
+    else
+      let x = k i in
+      if x = V.nopack then Some Unpacked else if x < prev then Some Unordered else go (i + 1) x
+  in
+  go 0 min_int
+
+(* The next block's N rows as (chunk, first row, rows) segments in row
+   order, and the largest key they hold; [max_int] when no N row is left
+   after them, so that the block takes every C row left. *)
+let cut_n n =
+  let segs = ref [] and count = ref 0 in
+  while !count < block_rows && avail n do
+    let p = n.piece and lo = n.pos in
+    let len = Stdlib.min (p.rows - lo) (block_rows - !count) in
+    if not n.checked then
+      for i = lo to lo + len - 1 do
+        ignore (key n i)
+      done;
+    segs := (p, lo, len) :: !segs;
+    count := !count + len;
+    n.pos <- lo + len
+  done;
+  let hi = match !segs with (p, lo, len) :: _ -> p.key (lo + len - 1) | [] -> max_int in
+  (* the rows of the last key, through the chunks they span *)
+  while avail n && key n n.pos = hi do
+    let p = n.piece and lo = n.pos in
+    let e = ref (lo + 1) in
+    while !e < p.rows && key n !e = hi do
+      incr e
+    done;
+    segs := (p, lo, !e - lo) :: !segs;
+    n.pos <- !e
+  done;
+  (List.rev !segs, if avail n then hi else max_int)
+
+(* The C rows of keys up to [hi], as segments in row order. *)
+let cut_c c hi =
+  let all = hi = max_int && c.checked in
+  let segs = ref [] in
+  while avail c && (all || key c c.pos <= hi) do
+    let p = c.piece and lo = c.pos in
+    let e = ref (if all then p.rows else lo + 1) in
+    while !e < p.rows && key c !e <= hi do
+      incr e
+    done;
+    segs := (p, lo, !e - lo) :: !segs;
+    c.pos <- !e
+  done;
+  List.rev !segs
+
+(* Run merged step [m] by key blocks: the views it computes that outlive
+   it, as (view ids, views), or [None] when it must run as one block,
+   counted with the reason. *)
+let merged_step ~parallel ~chunk_threshold db (g : Plan.grouped) layouts live (m : Plan.merge) =
+  let stream name = Database.stream db name in
+  let resident name = Option.is_none (stream name) in
+  let chunked name =
+    parallel && resident name && Relation.cardinality (Database.relation db name) > chunk_threshold
+  in
+  let check name key =
+    if resident name then Option.iter (fun w -> raise (Fall_back w)) (unordered (Database.relation db name) key)
+  in
+  try
+    if chunked m.Plan.n_rel || chunked m.Plan.c_rel then raise (Fall_back Parallel);
+    check m.Plan.n_rel m.Plan.n_key;
+    check m.Plan.c_rel m.Plan.c_key;
+    let group rel ids = if ids = [||] then None else Some (compile_group db g layouts (rel, ids)) in
+    let up = group m.Plan.n_rel m.Plan.up
+    and at_c = group m.Plan.c_rel (Array.append m.Plan.c_views m.Plan.c_to_n)
+    and down = group m.Plan.n_rel m.Plan.down in
+    let outs = Option.fold ~none:[||] ~some:fresh in
+    let up_outs = outs up and c_outs = outs at_c and down_outs = outs down in
+    (* the transient views: N->C, and C->N, the last of C's outputs *)
+    let nc = up_outs and cn = Array.sub c_outs (Array.length m.Plan.c_views) (Array.length m.Plan.c_to_n) in
+    let view id =
+      if m.Plan.up = [| id |] then nc.(0)
+      else if m.Plan.c_to_n = [| id |] then cn.(0)
+      else Option.get live.(id)
+    in
+    let binder grp accs =
+      match grp with
+      | None -> fun _ -> no_scan
+      | Some grp ->
+          let inc = Array.map (fun (c, _) -> view c) grp.incoming in
+          fun chunk -> bind grp inc chunk accs
+    in
+    let side name key first second =
+      {
+        checked = resident name;
+        bind_piece =
+          (fun chunk ->
+            {
+              rows = Relation.cardinality chunk;
+              key = V.reader (Relation.columns chunk) key;
+              first = first chunk;
+              second = second chunk;
+            });
+        rest = (match stream name with Some s -> s | None -> Seq.return (Database.relation db name));
+        piece = no_piece;
+        pos = 0;
+        last = min_int;
+      }
+    in
+    let n = side m.Plan.n_rel m.Plan.n_key (binder up up_outs) (binder down down_outs) in
+    let c = side m.Plan.c_rel m.Plan.c_key (binder at_c c_outs) (fun _ -> no_scan) in
+    let run scanner segs =
+      List.iter
+        (fun (p, lo, len) ->
+          (scanner p).restart ();
+          (scanner p).run lo len)
+        segs
+    in
+    while avail n || avail c do
+      let n_segs, hi = cut_n n in
+      let c_segs = cut_c c hi in
+      Array.iter V.reset nc;
+      Array.iter V.reset cn;
+      run (fun p -> p.first) n_segs;
+      run (fun p -> p.first) c_segs;
+      run (fun p -> p.second) n_segs;
+      Obs.incr c_merge_blocks
+    done;
+    Some [ (m.Plan.c_views, Array.sub c_outs 0 (Array.length m.Plan.c_views)); (m.Plan.down, down_outs) ]
+  with Fall_back why ->
+    Obs.incr c_merge_fallbacks;
+    Obs.incr (c_why why);
+    None
 
 (* ---------- batch execution ---------- *)
 
@@ -925,28 +1175,46 @@ let run ~parallel ~chunk_threshold db (g : Plan.grouped) :
     g.Plan.views;
   let is_root = Array.make nv false in
   List.iter (fun (_, v, _) -> is_root.(v) <- true) g.Plan.outputs;
-  (* the last scan that reads each view; it is dropped after that scan *)
+  (* the last scan, run as one block, that reads each view; it is dropped
+     after that scan (a merged step run by blocks: after the step) *)
   let last_read = Array.make nv (-1) in
   List.iteri
     (fun s (_, out_ids) ->
       Array.iter
         (fun v -> Array.iter (fun c -> last_read.(c) <- s) g.Plan.views.(v).Plan.v_children)
         out_ids)
-    g.Plan.scans;
+    (List.concat_map Plan.scans g.Plan.steps);
   let live = Array.make nv None in
-  List.iteri
-    (fun s ((rel_name, out_ids) as sc) ->
-      let computed =
-        Obs.with_span ("lmfao.view:" ^ rel_name) (fun () ->
-            scan_group ~parallel ~chunk_threshold db g layouts live sc)
-      in
-      Array.iteri
-        (fun k v ->
-          if is_root.(v) then Obs.incr c_roots;
-          live.(v) <- Some computed.(k))
-        out_ids;
-      Array.iteri (fun v last -> if last = s then live.(v) <- None) last_read)
-    g.Plan.scans;
+  let keep out_ids computed =
+    Array.iteri
+      (fun k v ->
+        if is_root.(v) then Obs.incr c_roots;
+        live.(v) <- Some computed.(k))
+      out_ids
+  in
+  let drop s = Array.iteri (fun v last -> if last = s then live.(v) <- None) last_read in
+  let scan s ((rel_name, out_ids) as sc) =
+    Obs.with_span ("lmfao.view:" ^ rel_name) (fun () ->
+        let grp = compile_group db g layouts sc in
+        let inc = Array.map (fun (c, _) -> Option.get live.(c)) grp.incoming in
+        keep out_ids (scan_group ~parallel ~chunk_threshold db grp inc rel_name));
+    drop s
+  in
+  ignore
+    (List.fold_left
+       (fun s0 step ->
+         let scans = Plan.scans step in
+         (match step with
+         | Plan.Scan sc -> scan s0 sc
+         | Plan.Merge m -> (
+             Obs.with_span ("lmfao.merge:" ^ m.Plan.n_rel ^ "," ^ m.Plan.c_rel) @@ fun () ->
+             match merged_step ~parallel ~chunk_threshold db g layouts live m with
+             | Some computed ->
+                 List.iter (fun (out_ids, views) -> keep out_ids views) computed;
+                 List.iteri (fun i _ -> drop (s0 + i)) scans
+             | None -> List.iteri (fun i sc -> scan (s0 + i) sc) scans));
+         s0 + List.length scans)
+       0 g.Plan.steps);
   List.map
     (fun ((spec : Spec.t), v, slot) ->
       let l = layouts.(v) in

@@ -266,25 +266,29 @@ let room (blocks : 'a array array) b =
     grown
   end
 
+(* Block [b] of [blocks] of [len] cells, set to [x]: the block kept from
+   before a {!reset}, or a new one. *)
+let fresh_block blocks b len (x : 'a) =
+  let blocks = room blocks b in
+  if Array.length blocks.(b) = len then Array.fill blocks.(b) 0 len x
+  else blocks.(b) <- Array.make len x;
+  blocks
+
 (* A new row's storage: its scalar block when it is the block's first
    row, and every cell block its cells open. *)
 let add_row t =
   let r = t.rows in
   t.rows <- r + 1;
-  if t.scalars > 0 && base_of t r = 0 then begin
-    let b = r lsr t.shift in
-    t.blocks <- room t.blocks b;
-    t.blocks.(b) <- Array.make ((1 lsl t.shift) * t.scalars) 0.0
-  end;
+  if t.scalars > 0 && base_of t r = 0 then
+    t.blocks <- fresh_block t.blocks (r lsr t.shift) ((1 lsl t.shift) * t.scalars) 0.0;
   if t.families > 0 then
     for b = ((r * t.families) + pair_mask) lsr pair_bits
         to (((r + 1) * t.families) - 1) lsr pair_bits do
-      t.cells <- room t.cells b;
-      let cb = Array.make block_size 0 in
+      t.cells <- fresh_block t.cells b block_size 0;
+      let cb = t.cells.(b) in
       for c = 0 to pair_mask do
         cb.(2 * c) <- -1
-      done;
-      t.cells.(b) <- cb
+      done
     done;
   r
 
@@ -368,10 +372,9 @@ let new_entry t cell k =
   let e = if in_block t.top + w > block_size then (t.top lor (block_size - 1)) + 1 else t.top in
   if in_block e = 0 then begin
     let b = e lsr block_bits in
-    t.values <- room t.values b;
-    t.values.(b) <- Array.make block_size (-0.0);
+    t.values <- fresh_block t.values b block_size (-0.0);
     t.links <- room t.links b;
-    t.links.(b) <- Array.make (2 * block_size) 0
+    if Array.length t.links.(b) = 0 then t.links.(b) <- Array.make (2 * block_size) 0
   end;
   t.top <- e + w;
   let cb = pair_block t.cells cell and co = pair_at cell in
@@ -459,6 +462,22 @@ let entry_boxed t cell key =
       e
 
 let boxed_key t e = Hashtbl.find t.boxed.b_keys e
+
+(* Empty the view, keeping its blocks, key array and entry index for the
+   rows and entries that follow: a block is set back to its initial
+   values when a row or entry first reaches it again. Links need no reset,
+   since an entry writes its key and next before anything reads them. *)
+let reset t =
+  t.top <- 0;
+  t.rows <- 0;
+  t.index <- [||];
+  if t.n_promoted > 0 then begin
+    Array.fill t.promoted 0 (Array.length t.promoted) (-1);
+    t.n_promoted <- 0
+  end;
+  if Tuple.Tbl.length t.boxed.b_rows > 0 then Tuple.Tbl.reset t.boxed.b_rows;
+  if Ctbl.length t.boxed.b_entries > 0 then Ctbl.reset t.boxed.b_entries;
+  if Hashtbl.length t.boxed.b_keys > 0 then Hashtbl.reset t.boxed.b_keys
 
 (* ---------- merging and reading out ---------- *)
 

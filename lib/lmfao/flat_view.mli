@@ -135,6 +135,13 @@ val cell_bindings : t -> int -> arity:int -> member:int -> (Tuple.t * float) lis
 (** A cell's (key, value) pairs for one member of its family, unordered,
     keys unpacked at [arity]. *)
 
+val reset : t -> unit
+(** Empty the view, in key order again, keeping its storage: its scalar,
+    cell and value blocks, key array and entry index serve the rows and
+    entries that follow, each block set back to its initial values when
+    first reached again. A view reset between runs allocates only past the
+    largest size it has had. *)
+
 val merge : t -> t -> unit
 (** [merge into src] adds every row of [src] into [into], packed keys in
     [src]'s row order and then boxed ones: per key, sums in place member by

@@ -6,10 +6,11 @@
    restriction of each aggregate over the join tree, per-node
    deduplication of identical partials (sharing), attribute ownership,
    and the merge of every root's plan into directed views with the
-   schedule of their scans (view groups). Its output is the plan [Exec] runs, as pure data: relations
-   are named, filters stay first-order [Predicate.t] conjuncts, terms and
-   keys are resolved to column positions, and child slots are wired by
-   index. *)
+   schedule of their scans (view groups), the largest edge's four scans
+   marked as one merged step. Its output is the plan [Exec] runs, as pure
+   data: relations are named, filters stay first-order [Predicate.t]
+   conjuncts, terms and keys are resolved to column positions, and child
+   slots are wired by index. *)
 
 open Relational
 module Spec = Aggregates.Spec
@@ -75,13 +76,40 @@ type view = {
   v_families : int array array; (* per family: its grouped slots, in slot order *)
 }
 
+(* One scan: a relation and the views it computes. *)
+type scan = string * int array
+
+(* The largest edge's four scans, run by [Exec] as one loop over key
+   blocks: N->C, C's root view and views toward its other neighbours,
+   C->N, and N's down views. *)
+type merge = {
+  n_rel : string; (* N, C's largest neighbour *)
+  c_rel : string; (* C, the largest relation *)
+  n_key : int array; (* the edge's attributes in N's schema, in N's order *)
+  c_key : int array; (* the same attributes in C's schema *)
+  up : int array; (* N->C, or [||] *)
+  c_views : int array; (* C's root view and views toward its other neighbours *)
+  c_to_n : int array; (* C->N, or [||] *)
+  down : int array; (* N's root view and views toward its children *)
+}
+
+type step = Scan of scan | Merge of merge
+
 type grouped = {
   views : view array; (* in schedule order: children before parents *)
-  scans : (string * int array) list;
-      (* the schedule: each scan's relation and the views it computes *)
+  steps : step list; (* the schedule *)
   outputs : (Spec.t * int * int) list;
       (* each requested aggregate with its root view and slot, in batch order *)
 }
+
+(* A step's scans when it runs as one block: a merged step's four in
+   order, those with no view left out. *)
+let scans = function
+  | Scan sc -> [ sc ]
+  | Merge m ->
+      List.filter
+        (fun (_, vs) -> vs <> [||])
+        [ (m.n_rel, m.up); (m.c_rel, m.c_views); (m.c_rel, m.c_to_n); (m.n_rel, m.down) ]
 
 let c_views = Obs.counter "lmfao.views"
 let c_partials = Obs.counter "lmfao.partials"
@@ -396,14 +424,16 @@ let families (child_family : int array array) (slots : slot array) : int array =
 (* Merge the per-root plans into directed views, deduplicating slots by
    key across roots, and schedule one scan per group of views over a
    relation. The schedule roots the join tree at the largest relation C:
-   an up pass computes every view toward C, children first; C is scanned
-   for its root view and its views toward every neighbour but the
-   largest one, N; then a second scan of C computes C->N, after N->C has
-   been consumed; a down pass computes the remaining views, parents
-   first. Each relation is thus scanned at most twice, and N->C and C->N,
-   the batch's two largest views, are never needed at once. The schedule
-   depends on cardinalities, so it only moves time and memory: every
-   slot sums the same rows in the same order whatever the schedule. *)
+   an up pass computes every view toward C, children first; then one
+   merged step covers the largest edge, between C and its largest
+   neighbour N: N->C, C's root view and its views toward its other
+   neighbours, C->N, and N's root view and views toward its children
+   ([Exec] runs it one key block at a time, or as those four scans); a
+   down pass computes the remaining views, parents first. Each relation is
+   thus scanned at most twice, C once when the step runs by blocks. The
+   schedule depends on cardinalities, so it only moves time and memory:
+   every slot sums the same rows in the same order whatever the
+   schedule. *)
 let group (jt : Join_tree.t) ~(stats : stats) (rooted : rooted list) :
     grouped * stats =
   (* (relation, toward) -> the first per-root node seen for the view, its
@@ -451,64 +481,68 @@ let group (jt : Join_tree.t) ~(stats : stats) (rooted : rooted list) :
   let c = Option.get (largest (List.map Relation.name (Join_tree.relations jt))) in
   let tree = Join_tree.tree ~root:c jt in
   let big = largest (List.map name tree.children) in
+  let is_big ch = Some (name ch) = big in
+  (* each step: its scans, and the node of N for the merged step *)
   let steps = ref [] in
+  let existing = List.filter (Hashtbl.mem merged) in
   let step rel views =
-    match List.filter (fun v -> Hashtbl.mem merged v) views with
-    | [] -> ()
-    | vs -> steps := (rel, vs) :: !steps
+    match existing views with [] -> () | vs -> steps := (None, [ (rel, vs) ]) :: !steps
   in
+  let toward (n : Join_tree.node) parent = (name n, Some parent) in
+  let own (n : Join_tree.node) = (name n, None) :: List.map (fun g -> toward n (name g)) n.children in
   let rec up (n : Join_tree.node) =
     List.iter
       (fun ch ->
         up ch;
-        step (name ch) [ (name ch, Some (name n)) ])
+        if not (is_big ch) then step (name ch) [ toward ch (name n) ])
       n.children
   in
   let rec down (n : Join_tree.node) =
     List.iter
       (fun ch ->
-        step (name ch)
-          ((name ch, None)
-          :: List.map (fun g -> (name ch, Some (name g))) ch.children);
+        if not (is_big ch) then step (name ch) (own ch);
         down ch)
       n.children
   in
   up tree;
-  step c
-    ((c, None)
-    :: List.filter_map
-         (fun ch -> if Some (name ch) = big then None else Some (c, Some (name ch)))
-         tree.children);
-  Option.iter (fun b -> step c [ (c, Some b) ]) big;
+  let at_c =
+    (c, None) :: List.filter_map (fun ch -> if is_big ch then None else Some (c, Some (name ch))) tree.children
+  in
+  (* without N's views there is no C->N either: C is scanned once *)
+  (match List.find_opt is_big tree.children with
+  | Some n when existing (toward n c :: own n) <> [] ->
+      steps :=
+        ( Some n,
+          [
+            (name n, existing [ toward n c ]);
+            (c, existing at_c);
+            (c, existing [ (c, Some (name n)) ]);
+            (name n, existing (own n));
+          ] )
+        :: !steps
+  | _ -> step c at_c);
   down tree;
   let steps = List.rev !steps in
   (* number the views in schedule order *)
+  let order = List.concat_map (fun (_, scans) -> List.concat_map snd scans) steps in
   let ids = Hashtbl.create 16 in
-  List.iter
-    (fun (_, vs) -> List.iter (fun v -> Hashtbl.add ids v (Hashtbl.length ids)) vs)
-    steps;
+  List.iter (fun v -> Hashtbl.add ids v (Hashtbl.length ids)) order;
   assert (Hashtbl.length ids = Hashtbl.length merged);
   let views =
-    List.concat_map
-      (fun (_, vs) ->
-        List.map
-          (fun ((name, _) as v) ->
-            let (n : node), _, slots = Hashtbl.find merged v in
-            let child (ch : node) = Hashtbl.find ids (Relation.name ch.rel, Some name) in
-            let v_scan_filter, v_slots =
-              hoist_filters (Array.of_list (List.rev !slots))
-            in
-            {
-              v_rel = name;
-              v_key = n.key_positions;
-              v_children = Array.of_list (List.map child n.children);
-              v_child_keys = n.child_keys;
-              v_scan_filter;
-              v_slots;
-              v_families = [||];
-            })
-          vs)
-      steps
+    order
+    |> List.map (fun ((name, _) as v) ->
+           let (n : node), _, slots = Hashtbl.find merged v in
+           let child (ch : node) = Hashtbl.find ids (Relation.name ch.rel, Some name) in
+           let v_scan_filter, v_slots = hoist_filters (Array.of_list (List.rev !slots)) in
+           {
+             v_rel = name;
+             v_key = n.key_positions;
+             v_children = Array.of_list (List.map child n.children);
+             v_child_keys = n.child_keys;
+             v_scan_filter;
+             v_slots;
+             v_families = [||];
+           })
     |> Array.of_list
   in
   (* families, children first: a family's source names its children's *)
@@ -552,9 +586,26 @@ let group (jt : Join_tree.t) ~(stats : stats) (rooted : rooted list) :
   Obs.add c_shared_away stats.shared_away;
   ( {
       views;
-      scans =
+      steps =
         List.map
-          (fun (rel, vs) -> (rel, Array.of_list (List.map (Hashtbl.find ids) vs)))
+          (fun (n, scans) ->
+            let scans = List.map (fun (rel, vs) -> (rel, Array.of_list (List.map (Hashtbl.find ids) vs))) scans in
+            match (n, scans) with
+            | None, [ sc ] -> Scan sc
+            | Some (n : Join_tree.node), [ (_, up); (_, c_views); (_, c_to_n); (_, down) ] ->
+                let positions r = Array.of_list (List.map (Schema.position (Relation.schema r)) n.key) in
+                Merge
+                  {
+                    n_rel = name n;
+                    c_rel = c;
+                    n_key = positions n.rel;
+                    c_key = positions (Join_tree.relation_by_name jt c);
+                    up;
+                    c_views;
+                    c_to_n;
+                    down;
+                  }
+            | _ -> assert false)
           steps;
       outputs;
     },

@@ -3,7 +3,8 @@
     one of its attributes), top-down restriction of every aggregate over the
     join tree, per-node dedup of identical partials, the merge of every
     root's views into directed views, the conjuncts each view tests once
-    per row, and the order in which view groups are scanned. Its
+    per row, and the order in which view groups are scanned, the largest
+    edge's four scans as one merged step. Its
     {!grouped} output is the plan {!Exec} runs, as pure data: named
     relations, first-order filter conjuncts, (position, power) terms,
     explicit child-slot wiring. *)
@@ -106,27 +107,53 @@ type view = {
           [Flat_view.block_size] members each. *)
 }
 
+type scan = string * int array
+(** One scan: a relation and the views it computes. *)
+
+(** The largest edge's step: C, the largest relation, and N, its largest
+    neighbour. {!Exec} runs it as one loop over key blocks — per block,
+    the block's N rows for N->C, the C rows of the same keys for all of
+    C's views, then the N rows again for N's down views — or, as one
+    block, as the four scans of {!scans}. *)
+type merge = {
+  n_rel : string;  (** N *)
+  c_rel : string;  (** C *)
+  n_key : int array;  (** the edge's attributes in N's schema, in N's order *)
+  c_key : int array;  (** the same attributes, in the same order, in C's schema *)
+  up : int array;  (** N->C, or [[||]] when no root needs it *)
+  c_views : int array;
+      (** C's root view and its views toward every other neighbour *)
+  c_to_n : int array;  (** C->N, or [[||]] *)
+  down : int array;  (** N's root view and its views toward its children *)
+}
+
+type step = Scan of scan | Merge of merge
+
 type grouped = {
   views : view array;  (** in schedule order: children before parents *)
-  scans : (string * int array) list;
-      (** the schedule: per scan, the relation and the views it computes *)
+  steps : step list;  (** the schedule *)
   outputs : (Spec.t * int * int) list;
       (** each requested aggregate with its root view and slot, in the
           order of the rooted plans and their requests *)
 }
 
+val scans : step -> scan list
+(** A step's scans when it runs as one block: a {!Scan}'s one, a
+    {!Merge}'s [(N, up); (C, c_views); (C, c_to_n); (N, down)], those with
+    no view left out. *)
+
 val group : Join_tree.t -> stats:stats -> rooted list -> grouped * stats
 (** Merge the rooted plans of one batch into directed views — slots
     deduplicated by key across roots — and schedule their scans: an up
-    pass toward the largest relation C, one scan of C for its root view
-    and its views toward all but its largest neighbour N, a second scan
-    of C for C->N, then a down pass. Every relation is scanned at most
-    twice. Each view's [v_scan_filter] holds the conjuncts all of its
-    slots test, counted in [lmfao.compile.filters_fused], and its
-    [v_families] are counted in [lmfao.families]. [lmfao.slot_rows] adds
-    the partial updates the plan implies: over its views, slots times
-    relation rows. [stats] holds the rooted plans' counts (from
-    {!build}); the result's stats count
-    merged views and slots, with [shared_away] covering both per-root and
+    pass toward the largest relation C, one merged step for the edge
+    between C and its largest neighbour N ({!merge}), then a down pass.
+    Every relation is scanned at most twice, and C once when the merged
+    step runs by key blocks. Each view's [v_scan_filter] holds the
+    conjuncts all of its slots test, counted in
+    [lmfao.compile.filters_fused], and its [v_families] are counted in
+    [lmfao.families]. [lmfao.slot_rows] adds the partial updates the plan
+    implies: over its views, slots times relation rows. [stats] holds the
+    rooted plans' counts (from {!build}); the result's stats count merged
+    views and slots, with [shared_away] covering both per-root and
     cross-root dedup, and are added to the [lmfao.views] /
     [lmfao.partials] / [lmfao.shared_away] counters. *)

@@ -2,15 +2,15 @@
    query they participate in (their natural join), with size accounting used
    throughout the experiments. *)
 
-type chunks = (Relation.t -> unit) -> unit
+type chunks = Relation.t Seq.t
 
 type t = {
   name : string;
   relations : Relation.t list;
-  (* Out-of-core relations: name -> chunk iterator. A streamed relation's
+  (* Out-of-core relations: name -> chunk sequence. A streamed relation's
      entry in [relations] is a STUB — correct name, schema and cardinality
      (so planners cost and order it normally) but no resident cells; engines
-     that find a stream here must scan via the chunk iterator and must never
+     that find a stream here must scan via the chunk sequence and must never
      read the stub's columns. *)
   streams : (string, chunks) Hashtbl.t;
 }

@@ -3,10 +3,12 @@
 
 type t
 
-type chunks = (Relation.t -> unit) -> unit
-(** A sequential chunk iterator over an out-of-core relation: calls its
-    argument once per chunk, in global row order. Each chunk is an ordinary
-    in-memory {!Relation.t} slice sharing the full relation's schema. *)
+type chunks = Relation.t Seq.t
+(** An out-of-core relation as a pull sequence of chunks in global row
+    order, read again from the start each time it is traversed. Each chunk
+    is an ordinary in-memory {!Relation.t} slice sharing the full
+    relation's schema; a reader may pull two relations' chunks in
+    lockstep. *)
 
 val create : string -> Relation.t list -> t
 (** Raises on duplicate relation names.
@@ -28,7 +30,7 @@ val create_streamed : string -> (Relation.t * chunks option) list -> t
     relations through {!stream} and never read the stub's columns. *)
 
 val stream : t -> string -> chunks option
-(** The chunk iterator for an out-of-core relation, if this one is. *)
+(** The chunk sequence of an out-of-core relation, if this one is. *)
 
 val streamed_names : t -> string list
 

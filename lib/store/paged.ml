@@ -224,7 +224,7 @@ let iter_chunks t f =
     f (chunk t i)
   done
 
-let stream t : Relational.Database.chunks = fun f -> iter_chunks t f
+let stream t : Relational.Database.chunks = Seq.init (pages t) (chunk t)
 
 (* A stub relation for planners: true name, schema and cardinality, but
    capacity-1 columns holding no data. Engines that cost, order or group by

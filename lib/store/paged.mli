@@ -49,6 +49,8 @@ val iter_chunks : t -> (Relational.Relation.t -> unit) -> unit
 (** Sequential scan, one page chunk at a time, in global row order. *)
 
 val stream : t -> Relational.Database.chunks
+(** The pages as a chunk sequence, each page read (through the cache) when
+    the sequence reaches it. *)
 
 val stub : t -> Relational.Relation.t
 (** Planner stub: true name/schema/cardinality, no resident cells. *)

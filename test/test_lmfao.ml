@@ -150,28 +150,58 @@ let counters_mirror_stats () =
     (Obs.counter_value_by_name "lmfao.views")
 
 (* View groups scan each relation at most twice per batch, however many
-   roots the batch has: an up pass, two scans of the largest relation and
-   a down pass. One scan per root per relation (five on retailer) fails. *)
+   roots the batch has: an up pass, one merged step over the largest
+   relation C and its largest neighbour N, and a down pass. The merged
+   step runs by key blocks on these clustered databases, so C is scanned
+   once and every other relation at most twice: when every pass has a
+   view to compute at every relation, as covariance and k-means do,
+   exactly 2·Σ|R| − |C| tuples. Decision-node and mutual-information
+   batches root nothing under Demographics at this scale, so its down
+   pass has no view and is skipped: those scan what the schedule holds,
+   still at most 2·Σ|R| − |C|. One scan per root per relation (five on
+   retailer) fails, and so does a step that scans C twice. *)
 let scans_at_most_twice () =
-  let check name db batch =
+  let check ?(every_pass = true) name db batch =
+    let plan, _ = Engine.compile db batch in
     Obs.reset ();
     Obs.with_enabled true (fun () -> ignore (Engine.eval db batch));
-    let scanned = Obs.counter_value_by_name "lmfao.tuples_scanned" in
+    let c = Obs.counter_value_by_name in
+    let scanned = c "lmfao.tuples_scanned" in
+    let card r = Relation.cardinality (Database.relation db r) in
+    let scheduled =
+      List.fold_left
+        (fun n -> function
+          | Lmfao.Plan.Scan (r, _) -> n + card r
+          | Lmfao.Plan.Merge m ->
+              let n_scans = List.length (List.filter (fun vs -> vs <> [||]) [ m.up; m.down ]) in
+              n + card m.c_rel + (n_scans * card m.n_rel))
+        0 plan.Lmfao.Plan.steps
+    in
     let total = Database.total_cardinality db in
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: %d tuples scanned, 0 < n <= 2 * %d" name scanned total)
-      true
-      (scanned > 0 && scanned <= 2 * total)
+    let largest =
+      List.fold_left (fun m r -> Stdlib.max m (Relation.cardinality r)) 0 (Database.relations db)
+    in
+    Alcotest.(check int) (name ^ ": the merged step ran by blocks") 0 (c "lmfao.merge_fallbacks");
+    Alcotest.(check int) (name ^ ": tuples scanned = scheduled, C once") scheduled scanned;
+    if every_pass then
+      Alcotest.(check int)
+        (Printf.sprintf "%s: tuples scanned = 2 * %d - %d" name total largest)
+        ((2 * total) - largest) scanned
+    else
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d tuples scanned <= 2 * %d - %d" name scanned total largest)
+        true
+        (scanned <= (2 * total) - largest)
   in
   let retailer = Datagen.Retailer.generate ~scale:0.02 ~seed:3 () in
   let rf = Datagen.Retailer.features in
   List.iter
-    (fun (family, batch) -> check ("retailer " ^ family) retailer batch)
+    (fun (family, every_pass, batch) -> check ~every_pass ("retailer " ^ family) retailer batch)
     [
-      ("covariance", Batch.covariance rf);
-      ("k-means", Batch.kmeans rf);
-      ("decision node", Batch.decision_node ~db:retailer rf);
-      ("mutual information", Batch.mutual_information Datagen.Retailer.mi_attrs);
+      ("covariance", true, Batch.covariance rf);
+      ("k-means", true, Batch.kmeans rf);
+      ("decision node", false, Batch.decision_node ~db:retailer rf);
+      ("mutual information", false, Batch.mutual_information Datagen.Retailer.mi_attrs);
     ];
   List.iter
     (fun (name, db, features) -> check (name ^ " covariance") db (Batch.covariance features))
@@ -191,44 +221,58 @@ let scans_at_most_twice () =
    difference must stay under one word per added row on all four
    families. Boxing one key or one float per row reads two or more. *)
 
-let rows_twice db =
+let rows_twice ?once_more db =
   Database.create (Database.name db)
     (List.map
        (fun r ->
          let n = Relation.cardinality r in
-         let out = Relation.create ~capacity:(2 * n) (Relation.name r) (Relation.schema r) in
+         let out = Relation.create ~capacity:((2 * n) + 1) (Relation.name r) (Relation.schema r) in
          for _ = 1 to 2 do
            for i = 0 to n - 1 do
              Relation.append_from out r i
            done
          done;
+         (* [once_more]: that relation's first row a third time *)
+         if once_more = Some (Relation.name r) && n > 0 then Relation.append_from out r 0;
          out)
        (Database.relations db))
 
 let no_allocation_per_row () =
-  let db = Datagen.Retailer.generate ~scale:0.05 ~seed:1 () in
-  let twice = rows_twice db in
-  let added = float_of_int (Database.total_cardinality db) in
   let rf = Datagen.Retailer.features in
-  List.iter
-    (fun (family, batch) ->
-      (* minor words of one evaluation after a warm-up one *)
-      let words db =
-        ignore (Engine.eval_batch db batch);
-        let before = Gc.minor_words () in
-        ignore (Engine.eval_batch db batch);
-        Gc.minor_words () -. before
-      in
-      let per_row = (words twice -. words db) /. added in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: %.2f minor words per added row < 1" family per_row)
-        true (per_row < 1.0))
-    [
-      ("covariance", Batch.covariance rf);
-      ("k-means", Batch.kmeans rf);
-      ("decision node", Batch.decision_node ~db rf);
-      ("mutual information", Batch.mutual_information Datagen.Retailer.mi_attrs);
-    ]
+  let check db =
+    let twice = rows_twice db in
+    let added = float_of_int (Database.total_cardinality db) in
+    List.iter
+      (fun (family, batch) ->
+        (* minor words of one evaluation after a warm-up one, and its
+           merged step's key blocks *)
+        let words db =
+          ignore (Engine.eval_batch db batch);
+          Obs.reset ();
+          let before = Gc.minor_words () in
+          Obs.with_enabled true (fun () -> ignore (Engine.eval_batch db batch));
+          let words = Gc.minor_words () -. before in
+          let blocks = Obs.counter_value_by_name "lmfao.merge_blocks" in
+          Obs.reset ();
+          (words, blocks)
+        in
+        let once, blocks = words db and doubled, blocks' = words twice in
+        let per_row = (doubled -. once) /. added in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s at %d rows: %.2f minor words per added row < 1 (%d -> %d key blocks)"
+             family (Database.total_cardinality db) per_row blocks blocks')
+          true (per_row < 1.0))
+      [
+        ("covariance", Batch.covariance rf);
+        ("k-means", Batch.kmeans rf);
+        ("decision node", Batch.decision_node ~db rf);
+        ("mutual information", Batch.mutual_information Datagen.Retailer.mi_attrs);
+      ]
+  in
+  check (Datagen.Retailer.generate ~scale:0.05 ~seed:1 ());
+  (* Weather spans three key blocks at scale 0.5, six when doubled: each
+     block binds nothing, so the added blocks cost no word per row either *)
+  check (Datagen.Retailer.generate ~scale:0.5 ~seed:1 ())
 
 let unsupported_additive_filter () =
   let rng = Util.Prng.create 3 in
@@ -484,7 +528,27 @@ let flat_view_families () =
   Alcotest.(check (list int64)) "new key: taken as it is" (bits [ 0.5; -0.0; 1.5 ]) (triple 6);
   let r9' = V.find v 9 in
   Alcotest.(check bool) "new row merged" true (r9' >= 0);
-  Alcotest.(check (float 0.0)) "new row's entry" 7.0 (value v (V.entry v (cell v r9' 0) 3) 0)
+  Alcotest.(check (float 0.0)) "new row's entry" 7.0 (value v (V.entry v (cell v r9' 0) 3) 0);
+  (* a reset view is empty and in key order; rows and entries that reach
+     its kept blocks again start from the initial values *)
+  V.reset v;
+  Alcotest.(check (pair int bool)) "reset: empty, in order" (0, true) (v.V.rows, V.in_order v);
+  Alcotest.(check int) "reset: old keys gone" (-1) (V.find v 7);
+  Alcotest.(check int) "reset: boxed keys gone" (-1) (V.find_boxed v boxed);
+  let r = V.row v 9 in
+  let e = V.entry v (cell v r 1) 5 in
+  Alcotest.(check (list int64)) "reset: a reused entry starts at -0.0" (bits [ -0.0; -0.0; -0.0 ])
+    (List.map (fun m -> Int64.bits_of_float (value v e m)) [ 0; 1; 2 ]);
+  Alcotest.(check int) "reset: cells start empty" 0
+    (List.length (V.cell_bindings v (cell v r 0) ~arity:1 ~member:0));
+  let s = V.create ~scalars:2 ~widths:[||] in
+  ignore (V.row s 4);
+  let block = s.V.blocks.(0) in
+  block.(1) <- 3.0;
+  V.reset s;
+  ignore (V.row s 8);
+  Alcotest.(check bool) "reset: the scalar block is kept" true (s.V.blocks.(0) == block);
+  Alcotest.(check (float 0.0)) "reset: a reused scalar starts at 0" 0.0 (V.scalar s 0 1)
 
 (* Two thresholds that agree to six significant digits are two partials:
    the planner's canonical keys print constants exactly. At retailer scale
@@ -699,6 +763,157 @@ let clustered_matches_shuffled () =
     [ (lattice, true); (real, false) ];
   Obs.reset ()
 
+(* ---- the merged edge ----
+
+   The largest relation C and its largest neighbour N run as one loop over
+   key blocks of [Exec.block_rows] rows of N, cut at key boundaries. Every
+   view is fed its rows in scan order and reads only complete partials,
+   so a run by blocks must match, bit for bit, a run of the same step as
+   one block (its four scans). A copy whose C rows are appended after
+   [Database.create] in reverse order is out of key order and runs as one
+   block; on the dyadic lattice every sum is exact, so the order of the
+   rows cannot move a bit and that copy is the reference. *)
+
+(* The sorted results of [f] with its merged steps' counters: key blocks,
+   steps run as one block, and those for key order. *)
+let merge_counts f =
+  Obs.reset ();
+  let r = Obs.with_enabled true f in
+  let c = Obs.counter_value_by_name in
+  let counts = (c "lmfao.merge_blocks", c "lmfao.merge_fallbacks", c "lmfao.merge_fallbacks.order") in
+  Obs.reset ();
+  (Spec.sort_keyed r, counts)
+
+let largest db =
+  List.fold_left
+    (fun m r -> if Relation.cardinality r > Relation.cardinality m then r else m)
+    (List.hd (Database.relations db)) (Database.relations db)
+
+(* [db]'s rows refilled after [Database.create], the largest relation's
+   in reverse order. *)
+let c_reversed db =
+  let c = largest db in
+  let rels =
+    List.map
+      (fun r ->
+        Relation.create ~capacity:(max 1 (Relation.cardinality r)) (Relation.name r) (Relation.schema r))
+      (Database.relations db)
+  in
+  let copy = Database.create (Database.name db ^ "-reversed") rels in
+  List.iter2
+    (fun src dst ->
+      let n = Relation.cardinality src in
+      for i = 0 to n - 1 do
+        Relation.append_from dst src (if src == c then n - 1 - i else i)
+      done)
+    (Database.relations db) rels;
+  copy
+
+(* [db] run by blocks against its C-reversed copy run as one block,
+   directly and through [Compile.Engine]: bit for bit, once each batch. *)
+let blocks_match_one_block what db batches =
+  let reversed = c_reversed db in
+  List.iter
+    (fun (batch : Batch.t) ->
+      let what = what ^ " " ^ batch.Batch.name in
+      let merged, (blocks, fallbacks, _) = merge_counts (fun () -> Engine.eval_batch db batch) in
+      let one, counts = merge_counts (fun () -> Engine.eval_batch reversed batch) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: by %d blocks" what blocks)
+        true
+        (blocks >= 2 && fallbacks = 0);
+      Alcotest.(check (triple int int int)) (what ^ ": reversed C runs as one block") (0, 1, 1) counts;
+      Alcotest.(check bool) (what ^ ": blocks = one block, bitwise") true (Spec.keyed_bits_equal merged one);
+      List.iter
+        (fun (db, how) ->
+          Alcotest.(check bool) (what ^ ": compiled, " ^ how) true
+            (Spec.keyed_bits_equal merged (Spec.sort_keyed (Compile.Engine.eval_batch db batch))))
+        [ (db, "by blocks"); (reversed, "as one block") ])
+    batches
+
+(* Retailer (Weather and Inventory) and favorita (Transactions and Sales)
+   at scale 0.5, where N spans three and two blocks, all four families. *)
+let merged_equals_one_block () =
+  List.iter
+    (fun (name, real, features, mi) ->
+      let lattice = Datagen.Stream_gen.lattice_database real in
+      blocks_match_one_block name lattice
+        [
+          Batch.covariance features;
+          Batch.decision_node ~db:lattice features;
+          Batch.mutual_information mi;
+          Batch.kmeans features;
+        ])
+    [
+      ( "retailer",
+        Datagen.Retailer.generate ~scale:0.5 ~seed:3 (),
+        Datagen.Retailer.features,
+        Datagen.Retailer.mi_attrs );
+      ( "favorita",
+        Datagen.Favorita.generate ~scale:0.5 ~seed:3 (),
+        Datagen.Favorita.features,
+        Datagen.Favorita.mi_attrs );
+    ]
+
+(* Duplicate N keys across a block boundary: every row of the retailer
+   lattice at scale 0.5 twice ([rows_twice]), with Weather's first row
+   once more, so that the cut after [Exec.block_rows] rows falls between
+   two rows of one key and the block runs on to the key's end. *)
+let duplicates_across_a_boundary () =
+  let lattice = Datagen.Stream_gen.lattice_database (Datagen.Retailer.generate ~scale:0.5 ~seed:3 ()) in
+  let db = rows_twice ~once_more:"Weather" lattice in
+  let weather = Database.relation db "Weather" in
+  let key =
+    Schema.positions (Relation.schema weather)
+      (Schema.common (Relation.schema weather) (Relation.schema (Database.relation db "Inventory")))
+  in
+  let at i = List.map (fun p -> (Relation.get weather i).(p)) key in
+  let cut = Lmfao.Exec.block_rows in
+  Alcotest.(check bool) "one key on both sides of the first cut" true (at (cut - 1) = at cut);
+  let rf = Datagen.Retailer.features in
+  blocks_match_one_block "retailer twice" db [ Batch.covariance rf; Batch.kmeans rf ]
+
+(* Relations larger than a block filled in random key order after
+   [Database.create]: the merged step must run as one block and match
+   flat evaluation, and so must the same rows clustered, by blocks. A
+   step that skipped the order check would read, in each block, N->C
+   partials holding only that block's rows of a key. All values are
+   integers, so every sum is exact and the two runs agree bit for bit. *)
+let unordered_falls_back () =
+  let rng = Util.Prng.create 29 in
+  let ri d = int (Util.Prng.int rng d) and rf () = flt (float_of_int (Util.Prng.int rng 10)) in
+  let fact = Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m1", Value.TFloat); ("m2", Value.TFloat) ] in
+  let dim = Schema.make [ ("a", Value.TInt); ("x", Value.TInt); ("u", Value.TFloat) ] in
+  let f_rows = List.init 4000 (fun _ -> [| ri 1000; ri 5; rf (); rf () |]) in
+  let d_rows = List.init 3000 (fun _ -> [| ri 1000; ri 3; rf () |]) in
+  let clustered = Database.create "two" [ Relation.of_list "F" fact f_rows; Relation.of_list "D" dim d_rows ] in
+  let unordered =
+    let f = Relation.create "F" fact and d = Relation.create "D" dim in
+    let db = Database.create "two-unordered" [ f; d ] in
+    List.iter (Relation.append f) f_rows;
+    List.iter (Relation.append d) d_rows;
+    db
+  in
+  let features =
+    Feature.make ~response:"m1" ~thresholds_per_feature:3 ~continuous:[ "m2"; "u" ]
+      ~categorical:[ "b"; "x" ] ()
+  in
+  List.iter
+    (fun (batch : Batch.t) ->
+      let run db = merge_counts (fun () -> Engine.eval_batch db batch) in
+      let merged, (blocks, fallbacks, _) = run clustered in
+      let one, counts = run unordered in
+      Alcotest.(check bool) (batch.Batch.name ^ ": clustered, by blocks") true (blocks >= 2 && fallbacks = 0);
+      Alcotest.(check (triple int int int)) (batch.Batch.name ^ ": unordered, one block") (0, 1, 1) counts;
+      Alcotest.(check bool) (batch.Batch.name ^ ": unordered = clustered, bitwise") true
+        (Spec.keyed_bits_equal merged one);
+      List.iter
+        (fun (db, how) ->
+          Alcotest.(check bool) (batch.Batch.name ^ ": " ^ how ^ " = flat") true
+            (check_engine_vs_flat ~options:default db batch))
+        [ (clustered, "clustered"); (unordered, "unordered") ])
+    [ Batch.covariance features; Batch.mutual_information [ "b"; "x" ] ]
+
 (* ---- cyclic fallback ----
 
    Cyclic schemas (no join tree) fall back to a materialised WCOJ join.
@@ -772,6 +987,14 @@ let () =
           all_options );
       ("bucketed", [ qcheck bucketed_equals_flat ]);
       ("parallel-differential", List.map qcheck parallel_differential_matrix);
+      ( "merged edge",
+        [
+          Alcotest.test_case "by blocks = one block, lattice, all families" `Quick
+            merged_equals_one_block;
+          Alcotest.test_case "duplicate N keys across a block boundary" `Quick
+            duplicates_across_a_boundary;
+          Alcotest.test_case "unordered relations run as one block" `Quick unordered_falls_back;
+        ] );
       ( "cyclic",
         [
           Alcotest.test_case "fallback reports real stats" `Quick
