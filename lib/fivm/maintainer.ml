@@ -110,7 +110,7 @@ let delta_join_sum storage task pair n r m =
           in
           acc
           *. sum
-               (Storage.first back p (if p = Storage.nopack then Storage.edge_tuple e r else [||]))
+               (Storage.first back p (if p = Keypack.nopack then Storage.edge_tuple e r else [||]))
                0.0
         end)
       local (Storage.neighbours n)

@@ -20,16 +20,12 @@
      the hash bits match. A dead row leaves its slot marked [dead_slot];
      probes pass over such slots, and a new row takes the first one it met
      or the free slot that ended the probe.
-   - Each join-key index maps a packed key ([Keypack]'s packing) through
-     an open-addressing table of (key, newest row) pairs, and keys that do
-     not pack through a [Tuple.Tbl]. A bucket is a doubly linked list over
-     row ids: row r's links for an index sit at [links.(r * stride + off)]
-     (older) and the int after it (newer). New rows link at the head, so
-     bucket walks run newest first: the order downstream float
-     accumulation sees. A bucket left empty keeps its key (head -1) until
-     the table is rebuilt. Wherever a key is an int, [nopack] ([min_int])
-     stands for "does not pack", so an arity-1 [Int min_int] key takes the
-     boxed side on every path.
+   - Each join-key index is a [Keypack.Index] from a key to the newest row
+     of its bucket. A bucket is a doubly linked list over row ids: row r's
+     links for an index sit at [links.(r * stride + off)] (older) and the
+     int after it (newer). New rows link at the head, so bucket walks run
+     newest first: the order downstream float accumulation sees. A bucket
+     left empty loses its key.
    - A tuple reaching multiplicity 0 unlinks from its buckets in
      O(#indexes) and leaves a dead row. Dead rows are compacted away in
      order once they outnumber live ones, or when a full node has a
@@ -46,8 +42,6 @@
 open Relational
 
 let c_compactions = Obs.counter "fivm.storage_compactions"
-let nopack = min_int
-let vacant = -2 (* a free slot of a join-key table *)
 let free_slot = -1 (* whole-tuple table slots *)
 let dead_slot = -2
 
@@ -55,9 +49,7 @@ type index = {
   neighbour : string;
   positions : int array; (* key positions in this schema *)
   off : int; (* this index's link pair within a row's links *)
-  mutable pairs : int array; (* per slot: packed key, newest row *)
-  mutable used : int; (* slots holding a key *)
-  boxed : int Tuple.Tbl.t; (* keys that do not pack -> newest row *)
+  heads : Keypack.Index.t; (* key -> its bucket's newest row *)
 }
 
 type node = {
@@ -91,11 +83,6 @@ type t = {
 
 (* ---------- cells, hashes and keys ---------- *)
 
-(* [Keypack]'s multiplicative hash, high bits folded down. *)
-let[@inline] mix x =
-  let h = x * 0x2545F4914F6CDD1D in
-  h lxor (h asr 31)
-
 let[@inline] float_hash x =
   if x = 0.0 then 0 else if x <> x then 1 else Int64.to_int (Int64.bits_of_float x)
 
@@ -114,7 +101,7 @@ let row_hash n r =
       | Column.Floats a -> float_hash a.(r)
       | Column.Boxed a -> value_hash a.(r)
     in
-    h := mix (!h + c)
+    h := Keypack.hash (!h + c)
   done;
   !h
 
@@ -126,51 +113,12 @@ let cell_equal c r s =
       x = y || (x <> x && y <> y)
   | Column.Boxed a -> Value.equal a.(r) a.(s)
 
-(* Closure-free loops: comparing rows, packing keys, probing tables and
-   walking buckets allocate nothing. *)
+(* Closure-free loops: comparing rows, probing tables and walking buckets
+   allocate nothing. *)
 let rec same_from cells r s j =
   j = Array.length cells || (cell_equal cells.(j) r s && same_from cells r s (j + 1))
 
-(* Field [p] of row [r] as an int that packs, or -1 ([Keypack]'s fields
-   are non-negative). *)
-let field cells p r =
-  match Column.data (Array.unsafe_get cells p) with
-  | Column.Ints a -> a.(r)
-  | Column.Floats _ -> -1
-  | Column.Boxed a -> ( match a.(r) with Value.Int x -> x | _ -> -1)
-
-let rec pack_from cells positions w bound r j acc =
-  if j = Array.length positions then acc
-  else
-    let x = field cells (Array.unsafe_get positions j) r in
-    if x >= 0 && x < bound then pack_from cells positions w bound r (j + 1) ((acc lsl w) lor x)
-    else nopack
-
-(* Row [r]'s packed key on [positions], or [nopack]. *)
-let packed cells positions r =
-  let k = Array.length positions in
-  if k = 0 then 0
-  else if k = 1 then
-    match Column.data cells.(positions.(0)) with
-    | Column.Ints a -> a.(r)
-    | Column.Floats _ -> nopack
-    | Column.Boxed a -> ( match a.(r) with Value.Int x -> x | _ -> nopack)
-  else
-    let w = Keypack.field_width k in
-    pack_from cells positions w (1 lsl w) r 0 0
-
-let boxed_key cells positions r = Array.map (fun p -> Column.get cells.(p) r) positions
 let tuple_of n r = Array.map (fun c -> Column.get c r) n.cells
-
-(* [Keypack.key_of_tuple positions] of row [r]: an arity-1 [Int min_int]
-   is [P min_int] there. *)
-let key n positions r : Keypack.key =
-  let p = packed n.cells positions r in
-  if p <> nopack then Keypack.P p
-  else
-    match boxed_key n.cells positions r with
-    | [| Value.Int x |] -> Keypack.P x
-    | t -> Keypack.B t
 
 (* Whether [Keypack.key_of_tuple] packs the whole tuple of row [r]. A
    float never packs, so a TFloat column still holding floats settles it
@@ -184,69 +132,16 @@ let whole_packs n r =
     | Column.Ints _ -> true
     | Column.Floats _ -> false
     | Column.Boxed a -> ( match a.(r) with Value.Int _ -> true | _ -> false)
-  else packed n.cells n.all_positions r <> nopack
+  else Keypack.pack n.cells n.all_positions r <> Keypack.nopack
 
 (* ---------- join-key indexes ---------- *)
 
-(* A power of two at least four times [n], and at least 16. *)
-let table_size n =
-  let rec go s = if s >= 4 * n then s else go (2 * s) in
-  go 16
-
-(* The slot of packed key [p], or the free slot that ends its probe. *)
-let rec slot_from pairs mask p i =
-  if Array.unsafe_get pairs ((2 * i) + 1) = vacant || Array.unsafe_get pairs (2 * i) = p then i
-  else slot_from pairs mask p ((i + 1) land mask)
-
-let slot ix p =
-  let mask = (Array.length ix.pairs / 2) - 1 in
-  slot_from ix.pairs mask p (mix p land mask)
-
-(* Rebuild a join-key table at [size] slots, keeping the keys whose bucket
-   holds rows. *)
-let rehash ix size =
-  let old = ix.pairs in
-  ix.pairs <- Array.make (2 * size) vacant;
-  ix.used <- 0;
-  for i = 0 to (Array.length old / 2) - 1 do
-    let h = old.((2 * i) + 1) in
-    if h >= 0 then begin
-      let s = slot ix old.(2 * i) in
-      ix.pairs.(2 * s) <- old.(2 * i);
-      ix.pairs.((2 * s) + 1) <- h;
-      ix.used <- ix.used + 1
-    end
-  done
-
-let head ix p =
-  let h = ix.pairs.((2 * slot ix p) + 1) in
-  if h = vacant then -1 else h
-
-let boxed_head ix key = Option.value ~default:(-1) (Tuple.Tbl.find_opt ix.boxed key)
-
 (* Link row [r] at the head of its bucket. *)
 let link n ix r =
-  let p = packed n.cells ix.positions r in
+  let p = Keypack.pack n.cells ix.positions r in
   let first =
-    if p <> nopack then begin
-      if 2 * (ix.used + 1) > Array.length ix.pairs / 2 then
-        rehash ix (table_size (ix.used + 1));
-      let s = slot ix p in
-      let h = ix.pairs.((2 * s) + 1) in
-      ix.pairs.(2 * s) <- p;
-      ix.pairs.((2 * s) + 1) <- r;
-      if h = vacant then begin
-        ix.used <- ix.used + 1;
-        -1
-      end
-      else h
-    end
-    else begin
-      let key = boxed_key n.cells ix.positions r in
-      let h = boxed_head ix key in
-      Tuple.Tbl.replace ix.boxed key r;
-      h
-    end
+    if p <> Keypack.nopack then Keypack.Index.replace ix.heads p r
+    else Keypack.Index.replace_boxed ix.heads (Keypack.tuple n.cells ix.positions r) r
   in
   let links = n.links and at = (r * n.stride) + ix.off in
   links.(at) <- first;
@@ -259,11 +154,14 @@ let unlink n ix r =
   if o >= 0 then links.((o * n.stride) + ix.off + 1) <- w;
   if w >= 0 then links.((w * n.stride) + ix.off) <- o
   else
-    let p = packed n.cells ix.positions r in
-    if p <> nopack then ix.pairs.((2 * slot ix p) + 1) <- o
+    let p = Keypack.pack n.cells ix.positions r in
+    if p <> Keypack.nopack then
+      if o >= 0 then ignore (Keypack.Index.replace ix.heads p o)
+      else Keypack.Index.remove ix.heads p
     else
-      let key = boxed_key n.cells ix.positions r in
-      if o >= 0 then Tuple.Tbl.replace ix.boxed key o else Tuple.Tbl.remove ix.boxed key
+      let key = Keypack.tuple n.cells ix.positions r in
+      if o >= 0 then ignore (Keypack.Index.replace_boxed ix.heads key o)
+      else Keypack.Index.remove_boxed ix.heads key
 
 (* ---------- the whole-tuple index ---------- *)
 
@@ -287,6 +185,11 @@ let find n h s =
   let tbl = n.table in
   let mask = Array.length tbl - 1 in
   probe n tbl mask (entry h 0 lsr 32) s (h land mask) (-1)
+
+(* A power of two at least four times [n], and at least 16. *)
+let table_size n =
+  let rec go s = if s >= 4 * n then s else go (2 * s) in
+  go 16
 
 (* Rebuild the whole-tuple index from the live rows, in place unless they
    need a larger table. *)
@@ -337,9 +240,7 @@ let create (db : Database.t) =
                neighbour = b;
                positions = Array.of_list (List.map (Schema.position schema) key);
                off = 2 * i;
-               pairs = Array.make 32 vacant;
-               used = 0;
-               boxed = Tuple.Tbl.create 8;
+               heads = Keypack.Index.create ();
              })
     in
     let stride = 2 * List.length indexes in
@@ -436,9 +337,7 @@ let compact n =
   retable n;
   for k = 0 to Array.length n.indexes - 1 do
     let ix = n.indexes.(k) in
-    Array.fill ix.pairs 0 (Array.length ix.pairs) vacant;
-    ix.used <- 0;
-    Tuple.Tbl.reset ix.boxed;
+    Keypack.Index.clear ix.heads;
     for r = 0 to n.rows - 1 do
       link n ix r
     done
@@ -491,11 +390,12 @@ let edge n ~neighbour =
 
 (* Keys as ints and bucket walks by row id: no [Keypack.key], closure or
    option on an update's path. *)
-let packed_key n positions r = packed n.cells positions r
-let key_tuple n positions r = boxed_key n.cells positions r
-let edge_packed { en; ix } r = packed en.cells ix.positions r
-let edge_tuple { en; ix } r = boxed_key en.cells ix.positions r
-let first { ix; _ } p key = if p <> nopack then head ix p else boxed_head ix key
+let edge_packed { en; ix } r = Keypack.pack en.cells ix.positions r
+let edge_tuple { en; ix } r = Keypack.tuple en.cells ix.positions r
+
+let first { ix; _ } p key =
+  if p <> Keypack.nopack then Keypack.Index.find ix.heads p else Keypack.Index.find_boxed ix.heads key
+
 let next { en; ix } r = en.links.((r * en.stride) + ix.off)
 let row_multiplicity n r = n.mult.(r)
 
@@ -577,7 +477,11 @@ let iter_in_hash_order n f =
   let place = Array.make n.rows 0 and live = ref [] in
   for r = n.rows - 1 downto 0 do
     if n.mult.(r) <> 0 then begin
-      let k = key n n.all_positions r in
+      let p = Keypack.pack n.cells n.all_positions r in
+      let k =
+        Keypack.to_key p
+          (if p = Keypack.nopack then Keypack.tuple n.cells n.all_positions r else [||])
+      in
       place.(r) <-
         (match k with
         | Keypack.P _ -> Keypack.key_hash k land (packed_buckets - 1)

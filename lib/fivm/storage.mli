@@ -56,30 +56,20 @@ val edge : node -> neighbour:string -> edge
 
 (** {2 Keys and buckets without allocation}
 
-    Keys as ints: a key packs as {!Keypack} packs it, and {!nopack} stands
-    for one that does not, which is then read as a tuple. An arity-1 key
-    [Int min_int] does not pack here. *)
-
-val nopack : int
-(** [min_int]. *)
-
-val packed_key : node -> int array -> int -> int
-(** [packed_key n positions r]: row [r]'s key on the positions, packed, or
-    {!nopack}. *)
-
-val key_tuple : node -> int array -> int -> Tuple.t
-(** Row [r]'s key on the positions as a fresh tuple. *)
+    Keys in their {!Keypack} int form, with the tuple alongside for a key
+    that does not pack. *)
 
 val edge_packed : edge -> int -> int
-(** A row's join key towards the edge's neighbour, packed, or {!nopack}. *)
+(** A row's join key towards the edge's neighbour, packed, or
+    [Keypack.nopack]. *)
 
 val edge_tuple : edge -> int -> Tuple.t
 (** The same key as a fresh tuple. *)
 
 val first : edge -> int -> Tuple.t -> int
 (** [first e p key]: the newest live row joining the packed key [p], or,
-    when [p] is {!nopack}, joining [key]; -1 when there is none. [key] is
-    read only in that case. *)
+    when [p] is [Keypack.nopack], joining [key]; -1 when there is none.
+    [key] is read only in that case. *)
 
 val next : edge -> int -> int
 (** The next older live row of a row's bucket, or -1: {!first} and [next]

@@ -22,12 +22,11 @@
    once: the children's product (per skipped child, step by step), a
    child's delta times the others, and the lift times the children.
 
-   Views and deltas are entry tables: packed keys map to dense ids through
-   an open-addressing table, keys that do not pack through a [Tuple.Tbl],
-   and each id owns one buffer of the node's shape. A view entry's id and
-   buffer go back to the node's free list when its payload cancels; a
-   node's delta table holds the deltas of the current update and is cleared
-   at the next. Storage edges, product plans and scratch are resolved at
+   Views and deltas are entry tables: keys map to dense ids through a
+   [Keypack.Index], and each id owns one buffer of the node's shape. A view
+   entry's id and buffer go back to the node's free list when its payload
+   cancels; a node's delta table holds the deltas of the current update and
+   is cleared at the next. Storage edges, product plans and scratch are resolved at
    [create], so an update probes each table once per key and allocates
    nothing: no key, option, closure or list.
 
@@ -37,92 +36,16 @@
 
 open Relational
 
-let nopack = Storage.nopack
-let c_packed = Obs.counter "keypack.packed"
-let c_boxed = Obs.counter "keypack.boxed"
-
-(* [Keypack]'s multiplicative hash, high bits folded down. *)
-let[@inline] mix x =
-  let h = x * 0x2545F4914F6CDD1D in
-  h lxor (h asr 31)
-
-(* ---------- packed keys to ids ---------- *)
-
-(* Linear probing over [key; id] pairs; an id of -1 marks a vacant slot.
-   At most half the slots are used. A removal shifts the rest of its probe
-   run back, so there are no tombstones. *)
-type slots = { mutable pairs : int array; mutable used : int }
-
-(* The slot holding packed key [p], or -1. *)
-let rec slot_of pairs mask p i =
-  if Array.unsafe_get pairs ((2 * i) + 1) < 0 then -1
-  else if Array.unsafe_get pairs (2 * i) = p then i
-  else slot_of pairs mask p ((i + 1) land mask)
-
-let find_slot s p =
-  let mask = (Array.length s.pairs lsr 1) - 1 in
-  slot_of s.pairs mask p (mix p land mask)
-
-(* The id of packed key [p], or -1. *)
-let find_packed s p =
-  let i = find_slot s p in
-  if i < 0 then -1 else s.pairs.((2 * i) + 1)
-
-let rec vacancy pairs mask i =
-  if Array.unsafe_get pairs ((2 * i) + 1) < 0 then i else vacancy pairs mask ((i + 1) land mask)
-
-let rec place s p id =
-  let size = Array.length s.pairs lsr 1 in
-  if 2 * (s.used + 1) > size then begin
-    let old = s.pairs in
-    s.pairs <- Array.make (4 * size) (-1);
-    s.used <- 0;
-    for i = 0 to size - 1 do
-      if old.((2 * i) + 1) >= 0 then place s old.(2 * i) old.((2 * i) + 1)
-    done;
-    place s p id
-  end
-  else begin
-    let mask = size - 1 in
-    let i = vacancy s.pairs mask (mix p land mask) in
-    s.pairs.(2 * i) <- p;
-    s.pairs.((2 * i) + 1) <- id;
-    s.used <- s.used + 1
-  end
-
-(* Fill [hole] from the rest of its probe run: an entry moves back unless
-   its home lies cyclically in (hole, j]. *)
-let rec shift pairs mask hole j =
-  let j = (j + 1) land mask in
-  let id = Array.unsafe_get pairs ((2 * j) + 1) in
-  if id < 0 then Array.unsafe_set pairs ((2 * hole) + 1) (-1)
-  else
-    let h = mix (Array.unsafe_get pairs (2 * j)) land mask in
-    if if hole <= j then h <= hole || h > j else h <= hole && h > j then begin
-      Array.unsafe_set pairs (2 * hole) (Array.unsafe_get pairs (2 * j));
-      Array.unsafe_set pairs ((2 * hole) + 1) id;
-      shift pairs mask j j
-    end
-    else shift pairs mask hole j
-
-let remove_packed s p =
-  let i = find_slot s p in
-  if i >= 0 then begin
-    s.used <- s.used - 1;
-    shift s.pairs ((Array.length s.pairs lsr 1) - 1) i i
-  end
-
 (* ---------- entry tables ---------- *)
 
 (* Keys to dense ids, each id owning one buffer. Ids below [ids] are
    handed out (or on the free list); buffers below [Array.length bufs]
    exist, so a cleared table reuses them. *)
 type 'p entries = {
-  slots : slots; (* packed key -> id *)
-  boxed : int Tuple.Tbl.t; (* key that does not pack -> id *)
+  index : Keypack.Index.t; (* key -> id *)
   fresh : unit -> 'p;
   mutable bufs : 'p array; (* id -> its buffer *)
-  mutable keys : int array; (* id -> packed key, or [nopack] *)
+  mutable keys : int array; (* id -> packed key, or [Keypack.nopack] *)
   mutable tuples : Tuple.t array; (* id -> its key, when it does not pack *)
   mutable ids : int;
   mutable free : int array; (* released ids, [nfree] of them *)
@@ -131,8 +54,7 @@ type 'p entries = {
 
 let entries fresh =
   {
-    slots = { pairs = Array.make 32 (-1); used = 0 };
-    boxed = Tuple.Tbl.create 8;
+    index = Keypack.Index.create ();
     fresh;
     bufs = [||];
     keys = [||];
@@ -147,10 +69,11 @@ let extend a size fill =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(* The id of a key ([tuple] is read only when [p] is [nopack]), or -1. *)
+(* The id of a key ([tuple] is read only when [p] is [Keypack.nopack]), or
+   -1. *)
 let find e p tuple =
-  if p <> nopack then find_packed e.slots p
-  else match Tuple.Tbl.find_opt e.boxed tuple with Some id -> id | None -> -1
+  if p <> Keypack.nopack then Keypack.Index.find e.index p
+  else Keypack.Index.find_boxed e.index tuple
 
 let add e p tuple =
   let id =
@@ -167,29 +90,25 @@ let add e p tuple =
         for k = id + 1 to size - 1 do
           e.bufs.(k) <- e.fresh ()
         done;
-        e.keys <- extend e.keys size nopack;
+        e.keys <- extend e.keys size Keypack.nopack;
         e.tuples <- extend e.tuples size [||]
       end;
       id
     end
   in
   e.keys.(id) <- p;
-  if p <> nopack then begin
-    Obs.incr c_packed;
-    place e.slots p id
-  end
+  if p <> Keypack.nopack then ignore (Keypack.Index.replace e.index p id)
   else begin
-    Obs.incr c_boxed;
     e.tuples.(id) <- tuple;
-    Tuple.Tbl.replace e.boxed tuple id
+    ignore (Keypack.Index.replace_boxed e.index tuple id)
   end;
   id
 
 let release e id =
   let p = e.keys.(id) in
-  if p <> nopack then remove_packed e.slots p
+  if p <> Keypack.nopack then Keypack.Index.remove e.index p
   else begin
-    Tuple.Tbl.remove e.boxed e.tuples.(id);
+    Keypack.Index.remove_boxed e.index e.tuples.(id);
     e.tuples.(id) <- [||]
   end;
   if e.nfree = Array.length e.free then e.free <- extend e.free (max 8 (2 * e.nfree)) 0;
@@ -198,44 +117,20 @@ let release e id =
 
 (* Empty the table, keeping its buffers. *)
 let clear e =
-  if 16 * e.slots.used >= Array.length e.slots.pairs then begin
-    Array.fill e.slots.pairs 0 (Array.length e.slots.pairs) (-1);
-    e.slots.used <- 0
-  end
-  else
-    for id = 0 to e.ids - 1 do
-      let p = e.keys.(id) in
-      if p <> nopack then remove_packed e.slots p
-    done;
-  if Tuple.Tbl.length e.boxed > 0 then Tuple.Tbl.reset e.boxed;
+  Keypack.Index.clear e.index;
   e.ids <- 0;
   e.nfree <- 0
 
-let size e = e.slots.used + Tuple.Tbl.length e.boxed
+let size e = Keypack.Index.length e.index
 
-(* Every live (key, buffer) pair, keys as [Keypack.key_of_tuple] reads
-   them: an arity-1 [Int min_int] is [P min_int]. *)
+(* Every live (key, buffer) pair: the ids the index maps their keys to. *)
 let bindings e =
   let out = ref [] in
-  for i = 0 to (Array.length e.slots.pairs / 2) - 1 do
-    let id = e.slots.pairs.((2 * i) + 1) in
-    if id >= 0 then out := (Keypack.P e.slots.pairs.(2 * i), e.bufs.(id)) :: !out
+  for id = 0 to e.ids - 1 do
+    let p = e.keys.(id) and t = e.tuples.(id) in
+    if find e p t = id then out := (Keypack.to_key p t, e.bufs.(id)) :: !out
   done;
-  Tuple.Tbl.iter
-    (fun t id ->
-      out := (Keypack.key_of_tuple (Array.init (Array.length t) Fun.id) t, e.bufs.(id)) :: !out)
-    e.boxed;
   !out
-
-(* A [Keypack.key] as this table's (packed key, tuple) pair. *)
-let of_key (k : Keypack.key) =
-  match k with
-  | Keypack.P p when p <> nopack -> (p, [||])
-  | Keypack.P _ -> (nopack, Keypack.key_tuple 1 k)
-  | Keypack.B t -> (
-      match Keypack.key_of_tuple (Array.init (Array.length t) Fun.id) t with
-      | Keypack.P p when p <> nopack -> (p, [||])
-      | _ -> (nopack, t))
 
 (* A node's deltas, in the order its parent consumes them ([seq]), with
    scratch for sorting them. *)
@@ -258,14 +153,18 @@ let sort_deltas o (e : _ entries) =
   end;
   if n = 1 then o.seq.(0) <- 0
   else if n > 1 then begin
-    let nb = Tuple.Tbl.length e.boxed in
+    let nb = ref 0 in
+    for id = 0 to n - 1 do
+      if e.keys.(id) = Keypack.nopack then incr nb
+    done;
+    let nb = !nb in
     let bb = buckets 16 nb and pb = buckets 16 (n - nb) in
     if Array.length o.counts < bb + pb + 1 then o.counts <- Array.make (2 * (bb + pb + 1)) 0;
     Array.fill o.counts 0 (bb + pb + 1) 0;
     for id = 0 to n - 1 do
       let p = e.keys.(id) in
       let k =
-        if p <> nopack then bb + pb - 1 - (mix p land (pb - 1))
+        if p <> Keypack.nopack then bb + pb - 1 - (Keypack.hash p land (pb - 1))
         else bb - 1 - (Tuple.hash e.tuples.(id) land (bb - 1))
       in
       o.rank.(id) <- k;
@@ -296,6 +195,7 @@ module Make (P : Payload.S) = struct
   type vnode = {
     name : string;
     node : Storage.node;
+    cells : Column.t array; (* the node's storage columns *)
     lift_shape : P.shape; (* the relation's own *)
     shape : P.shape; (* the subtree's: every buffer here but [lifted] *)
     key_positions : int array; (* join key with parent, in storage schema *)
@@ -360,6 +260,7 @@ module Make (P : Payload.S) = struct
       {
         name;
         node;
+        cells = Storage.cells node;
         lift_shape;
         shape;
         (* sorted to match [Storage]'s edge-key order *)
@@ -422,7 +323,8 @@ module Make (P : Payload.S) = struct
     let c = v.children.(i) and e = v.edges.(i) in
     let p = Storage.edge_packed e r in
     let id =
-      if p <> nopack then find_packed c.view.slots p else find c.view p (Storage.edge_tuple e r)
+      if p <> Keypack.nopack then Keypack.Index.find c.view.index p
+      else Keypack.Index.find_boxed c.view.index (Storage.edge_tuple e r)
     in
     if id < 0 then raise_notrace No_partner;
     c.view.bufs.(id)
@@ -444,9 +346,10 @@ module Make (P : Payload.S) = struct
     v.lift r ~into:v.lifted;
     if m <> 1 then P.scale m v.lifted
 
-  let key v r = Storage.packed_key v.node v.key_positions r
+  let key v r = Keypack.pack v.cells v.key_positions r
 
-  let key_tuple v p r = if p = nopack then Storage.key_tuple v.node v.key_positions r else [||]
+  let key_tuple v p r =
+    if p = Keypack.nopack then Keypack.tuple v.cells v.key_positions r else [||]
 
   (* The updated node's delta: m * lift(row) times its children's views. *)
   let leaf_delta v r m =
@@ -534,7 +437,7 @@ module Make (P : Payload.S) = struct
 
   (* The maintained result: the root view at the empty key (packed 0). *)
   let result t =
-    let id = find_packed t.root.view.slots 0 in
+    let id = Keypack.Index.find t.root.view.index 0 in
     if id >= 0 then t.root.view.bufs.(id) else t.empty
 
   (* From-scratch recomputation over the current storage (reference for
@@ -561,7 +464,9 @@ module Make (P : Payload.S) = struct
             else
               let e = v.edges.(i) in
               let p = Storage.edge_packed e r in
-              let id = find child_views.(i) p (if p = nopack then Storage.edge_tuple e r else [||]) in
+              let id =
+                find child_views.(i) p (if p = Keypack.nopack then Storage.edge_tuple e r else [||])
+              in
               if id < 0 then None
               else begin
                 let plan, into = steps.(i) in
@@ -580,7 +485,7 @@ module Make (P : Payload.S) = struct
       out
     in
     let out = eval t.root in
-    let id = find_packed out.slots 0 in
+    let id = Keypack.Index.find out.index 0 in
     if id >= 0 then out.bufs.(id) else P.zero t.root.shape
 
   let fold_nodes f t init =
@@ -616,7 +521,7 @@ module Make (P : Payload.S) = struct
             List.iter
               (fun (k, p) ->
                 if not (P.is_zero p) then begin
-                  let packed, tuple = of_key k in
+                  let packed, tuple = Keypack.of_key k in
                   P.copy p ~into:v.view.bufs.(add v.view packed tuple)
                 end)
               entries

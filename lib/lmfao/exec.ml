@@ -108,7 +108,7 @@ let[@inline] scalar_base (v : V.t) r = (r land ((1 lsl v.V.shift) - 1)) * v.V.sc
 (* The entry of [cell] in [out] for the key of entry [e] of [src]. *)
 let[@inline] entry_from out cell (src : V.t) e =
   let k = key_of src e in
-  if k <> V.nopack then V.entry out cell k else V.entry_boxed out cell (V.boxed_key src e)
+  if k <> Keypack.nopack then V.entry out cell k else V.entry_boxed out cell (V.boxed_key src e)
 
 (* Add [xs.(base)] .. [xs.(base + n - 1)] into the [n] members of entry [o]
    of [out]. *)
@@ -418,7 +418,7 @@ let[@inline] field arity f p =
     (p asr ((arity - 1 - f) * w)) land ((1 lsl w) - 1)
 
 (* The merged key of the current combination, packed without boxing when
-   every field fits, else [V.nopack]. Merged keys have arity >= 2, so
+   every field fits, else [Keypack.nopack]. Merged keys have arity >= 2, so
    packed ones are non-negative and -1 flags a field that does not fit. *)
 let merged_key st =
   let acc = ref 0 and j = ref 0 in
@@ -431,12 +431,12 @@ let merged_key st =
         if Array.length a = 0 then -1 else Array.unsafe_get a st.row
       else
         let p = key_of st.parts.(g) st.chosen.(g) in
-        if p = V.nopack then -1 else field st.part_arity.(g) st.f_pos.(!j) p
+        if p = Keypack.nopack then -1 else field st.part_arity.(g) st.f_pos.(!j) p
     in
     acc := if x >= 0 && x < st.bound then (!acc lsl st.width) lor x else -1;
     incr j
   done;
-  if !acc >= 0 then !acc else V.nopack
+  if !acc >= 0 then !acc else Keypack.nopack
 
 (* The same key boxed, for a combination whose key does not pack there:
    the values any other producer of this key would read. *)
@@ -447,7 +447,7 @@ let merged_tuple st : Tuple.t =
       else
         let src = st.parts.(g) and e = st.chosen.(g) in
         let p = key_of src e in
-        if p = V.nopack then (V.boxed_key src e).(f)
+        if p = Keypack.nopack then (V.boxed_key src e).(f)
         else (Keypack.unpack st.part_arity.(g) p).(f))
 
 (* Add every combination of one entry per part from part [g] on, each
@@ -457,11 +457,11 @@ let rec enumerate st g =
   if g = Array.length st.parts then begin
     let k = merged_key st in
     let o =
-      if k <> V.nopack then V.entry st.out st.target k
+      if k <> Keypack.nopack then V.entry st.out st.target k
       else
         let key = merged_tuple st in
-        let k = V.pack_tuple key in
-        if k <> V.nopack then V.entry st.out st.target k
+        let k = Keypack.pack_tuple key in
+        if k <> Keypack.nopack then V.entry st.out st.target k
         else V.entry_boxed st.out st.target key
     in
     add_values st.out o st.prod (g * nm) nm
@@ -494,7 +494,7 @@ type keys = K_local of (int -> int) * int array | K_one of int | K_many of combo
 (* Bind a family to a chunk's live columns. *)
 let bind_family cols (wire : int array) (pr : probes) (out : V.t) (f : family) =
   match f.shape with
-  | Local positions -> K_local (V.reader cols positions, positions)
+  | Local positions -> K_local (Keypack.reader cols positions, positions)
   | One -> K_one wire.(f.grouped_children.(0))
   | Many m ->
       let np = Array.length m.parts and nm = f.members in
@@ -547,7 +547,7 @@ let count_fallbacks (view : Plan.view) cols =
 let bind_view schema cols (view : Plan.view) (p : program) (wire : int array) (pr : probes)
     (out : V.t) : int -> unit =
   let n_children = Array.length wire in
-  let own_key = V.reader cols view.Plan.v_key in
+  let own_key = Keypack.reader cols view.Plan.v_key in
   let scan_ok = compile_conjuncts schema cols view.Plan.v_scan_filter in
   let filters = Array.map (compile_conjuncts schema cols) p.conjuncts in
   let n_filters = Array.length filters in
@@ -646,8 +646,8 @@ let bind_view schema cols (view : Plan.view) (p : program) (wire : int array) (p
             let cell = cell0 + fc in
             let k = key i in
             let o =
-              if k <> V.nopack then V.entry out cell k
-              else V.entry_boxed out cell (V.key_tuple cols positions i)
+              if k <> Keypack.nopack then V.entry out cell k
+              else V.entry_boxed out cell (Keypack.tuple cols positions i)
             in
             coefficients unfiltered prod idx probes nm (block_at out o) (o land value_mask) true
           end
@@ -693,8 +693,8 @@ let bind_view schema cols (view : Plan.view) (p : program) (wire : int array) (p
     if matched 0 then begin
       let k = own_key i in
       let r =
-        if k <> V.nopack then V.row out k
-        else V.row_boxed out (V.key_tuple cols view.Plan.v_key i)
+        if k <> Keypack.nopack then V.row out k
+        else V.row_boxed out (Keypack.tuple cols view.Plan.v_key i)
       in
       if scan_ok i then begin
         for f = 0 to n_filters - 1 do
@@ -798,7 +798,7 @@ let bind (grp : group) (inc_views : V.t array) rel (accs : V.t array) : scanner 
   ignore (Relation.scan rel);
   let n_inc = Array.length grp.incoming in
   let schema = Relation.schema rel and cols = Relation.columns rel in
-  let probe_key = Array.map (fun (_, key) -> V.reader cols key) grp.incoming in
+  let probe_key = Array.map (fun (_, key) -> Keypack.reader cols key) grp.incoming in
   let pr =
     {
       views = inc_views;
@@ -817,12 +817,12 @@ let bind (grp : group) (inc_views : V.t array) rel (accs : V.t array) : scanner 
   let required = grp.required in
   (* per incoming view: hashed, or its cursor and last probe key *)
   let hashed = Array.make n_inc false in
-  let cursor_at = Array.make n_inc 0 and last = Array.make n_inc V.nopack in
+  let cursor_at = Array.make n_inc 0 and last = Array.make n_inc Keypack.nopack in
   let restart () =
     for j = 0 to n_inc - 1 do
       hashed.(j) <- not (V.in_order inc_views.(j));
       cursor_at.(j) <- 0;
-      last.(j) <- V.nopack
+      last.(j) <- Keypack.nopack
     done
   in
   restart ();
@@ -852,9 +852,9 @@ let bind (grp : group) (inc_views : V.t array) rel (accs : V.t array) : scanner 
     let v = inc_views.(j) in
     let k = probe_key.(j) i in
     let r =
-      if k = V.nopack then begin
+      if k = Keypack.nopack then begin
         incr hashes;
-        V.find_boxed v (V.key_tuple cols (snd grp.incoming.(j)) i)
+        V.find_boxed v (Keypack.tuple cols (snd grp.incoming.(j)) i)
       end
       else if Array.unsafe_get hashed j then begin
         incr hashes;
@@ -910,15 +910,15 @@ let scan_group ~parallel ~chunk_threshold db (grp : group) inc_views rel_name : 
           (fun j (_, key) ->
             let v = inc_views.(j) in
             if V.in_order v then begin
-              let key = V.reader cols key in
+              let key = Keypack.reader cols key in
               let rec forward i prev =
                 i = n
                 ||
                 let k = key i in
-                if k = V.nopack then forward (i + 1) prev
+                if k = Keypack.nopack then forward (i + 1) prev
                 else k >= prev && forward (i + 1) k
               in
-              if not (forward 0 V.nopack) then V.ensure_index v
+              if not (forward 0 Keypack.nopack) then V.ensure_index v
             end)
           grp.incoming;
         Util.Pool.parallel_chunks n
@@ -1014,7 +1014,7 @@ let rec avail s =
 let key s i =
   let k = s.piece.key i in
   if not s.checked then begin
-    if k = V.nopack then raise (Fall_back Unpacked);
+    if k = Keypack.nopack then raise (Fall_back Unpacked);
     if k < s.last then raise (Fall_back Unordered);
     s.last <- k
   end;
@@ -1023,12 +1023,12 @@ let key s i =
 (* Why a resident relation's rows are not in non-decreasing packed order
    on [key], if they are not. *)
 let unordered rel key =
-  let k = V.reader (Relation.columns rel) key and n = Relation.cardinality rel in
+  let k = Keypack.reader (Relation.columns rel) key and n = Relation.cardinality rel in
   let rec go i prev =
     if i = n then None
     else
       let x = k i in
-      if x = V.nopack then Some Unpacked else if x < prev then Some Unordered else go (i + 1) x
+      if x = Keypack.nopack then Some Unpacked else if x < prev then Some Unordered else go (i + 1) x
   in
   go 0 min_int
 
@@ -1119,7 +1119,7 @@ let merged_step ~parallel ~chunk_threshold db (g : Plan.grouped) layouts live (m
           (fun chunk ->
             {
               rows = Relation.cardinality chunk;
-              key = V.reader (Relation.columns chunk) key;
+              key = Keypack.reader (Relation.columns chunk) key;
               first = first chunk;
               second = second chunk;
             });

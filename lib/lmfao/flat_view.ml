@@ -3,18 +3,13 @@
    arrays, with no record, list cell or boxed key per row.
 
    - Rows. Each key of the view maps to a dense row id (0, 1, 2, ... in
-     insertion order), and row r's packed key ([Keypack]'s packing) is
+     insertion order), and row r's key in its int form ([Keypack]) is
      recorded at [keys.(r)]. While keys arrive strictly increasing the
      view is in key order and has no index: a key is found by binary
      search, and a scan in the same order walks the keys with {!seek}.
      The first key out of that order, or the first that does not pack,
-     builds an open-addressing index of [key; row] pairs with linear
-     probing from the recorded keys, and the view keeps it from then on.
-     A key that does not pack is found through a [Tuple.Tbl] side table.
-     Wherever a key is an int, [nopack] ([min_int]) stands for "does not
-     pack", so an arity-1 [Int min_int] key takes the boxed side: every
-     key reader here follows that rule, so one logical key always lands on
-     one side.
+     builds a [Keypack.Index] from the recorded keys, and the view keeps
+     it from then on.
    - Scalar partials. Row r's [scalars] floats are contiguous in a float
      block of at most [block_size] floats, allocated when its first row is
      added and never moved: block [r lsr shift], from offset
@@ -25,30 +20,24 @@
      entry holds one value per member of its family, contiguous inside one
      value block, and is named by the offset of its first value: the
      links block beside each value block holds, at the entry's offset, its
-     packed key (or [nopack]) and the next entry of its chain (-1 ends
-     it). A family of width 1 thus spends two ints and one float per
-     entry; a wider one leaves the link pairs of its other members unused.
-     Cells, links and values live in blocks, so nothing moves as a view
-     grows. A chain is scanned linearly while its cell holds at most
-     [linear_max] entries; the entry that takes it past that promotes the
-     cell to a view-wide open-addressing index over (cell, key). Entries
-     with boxed keys are found through a (cell, tuple) hash table, never
-     in a scan.
+     key's int form and the next entry of its chain (-1 ends it). A family
+     of width 1 thus spends two ints and one float per entry; a wider one
+     leaves the link pairs of its other members unused. Cells, links and
+     values live in blocks, so nothing moves as a view grows. A chain is
+     scanned linearly while its cell holds at most [linear_max] entries;
+     the entry that takes it past that promotes the cell to a view-wide
+     open-addressing index over (cell, key). Entries with boxed keys are
+     found through a (cell, tuple) hash table, never in a scan.
    - A new entry's values start at [-0.0], so a member's first addition
      stores the operand bit for bit ([-0.0 +. v = v] for every v, zeros
      and NaNs included). Scalars start at [+0.0]. *)
 
 open Relational
 
-let nopack = min_int
 let block_bits = 9
 let block_size = 1 lsl block_bits
 let pair_bits = block_bits - 1
 let linear_max = 16
-
-(* View-key inserts, as every [Keypack.Hybrid] table counts them. *)
-let c_packed = Obs.counter "keypack.packed"
-let c_boxed = Obs.counter "keypack.boxed"
 
 module Ctbl = Hashtbl.Make (struct
   type t = int * Tuple.t
@@ -57,13 +46,8 @@ module Ctbl = Hashtbl.Make (struct
   let hash (c, a) = (c * 31) + Tuple.hash a
 end)
 
-(* Keys that do not pack: rows by key, entries by (cell, key), and each
-   such entry's key. *)
-type boxed = {
-  b_rows : int Tuple.Tbl.t;
-  b_entries : int Ctbl.t;
-  b_keys : (int, Tuple.t) Hashtbl.t;
-}
+(* Entries whose keys do not pack: by (cell, key), and each one's key. *)
+type boxed = { b_entries : int Ctbl.t; b_keys : (int, Tuple.t) Hashtbl.t }
 
 type t = {
   scalars : int;
@@ -76,7 +60,7 @@ type t = {
   mutable links : int array array;
   mutable values : float array array;
   mutable top : int;
-  mutable index : int array;
+  mutable index : Keypack.Index.t option;
   mutable keys : int array;
   mutable rows : int;
   mutable promoted : int array;
@@ -110,19 +94,13 @@ let create ~scalars ~widths =
     links = [||];
     values = [||];
     top = 0;
-    index = [||];
+    index = None;
     keys = Array.make 16 0;
     rows = 0;
     promoted = [||];
     n_promoted = 0;
-    boxed =
-      { b_rows = Tuple.Tbl.create 1; b_entries = Ctbl.create 1; b_keys = Hashtbl.create 1 };
+    boxed = { b_entries = Ctbl.create 1; b_keys = Hashtbl.create 1 };
   }
-
-(* [Keypack]'s multiplicative hash, high bits folded down. *)
-let[@inline] hash x =
-  let h = x * 0x2545F4914F6CDD1D in
-  h lxor (h asr 31)
 
 (* ---------- block arithmetic ---------- *)
 
@@ -146,70 +124,9 @@ let[@inline] value_block t o = Array.unsafe_get t.values (o lsr block_bits)
 let[@inline] block_of t r = t.blocks.(r lsr t.shift)
 let[@inline] base_of t r = (r land ((1 lsl t.shift) - 1)) * t.scalars
 
-(* ---------- key readers ---------- *)
-
-(* Closure-free packing loops; packed keys of arity >= 2 are non-negative,
-   so -1 flags a field that does not fit. *)
-let rec pack_ints (cols : int array array) k w bound i j acc =
-  if j = k then acc
-  else
-    let x = Array.unsafe_get (Array.unsafe_get cols j) i in
-    if x >= 0 && x < bound then pack_ints cols k w bound i (j + 1) ((acc lsl w) lor x)
-    else nopack
-
-let rec pack_data (datas : Column.data array) k w bound i j acc =
-  if j = k then acc
-  else
-    let x =
-      match Array.unsafe_get datas j with
-      | Column.Ints a -> Array.unsafe_get a i
-      | Column.Boxed a -> (
-          match Array.unsafe_get a i with Value.Int x -> x | _ -> -1)
-      | Column.Floats _ -> -1
-    in
-    if x >= 0 && x < bound then pack_data datas k w bound i (j + 1) ((acc lsl w) lor x)
-    else nopack
-
-let reader (cols : Column.t array) (positions : int array) : int -> int =
-  let k = Array.length positions in
-  if k = 0 then fun _ -> 0
-  else if k = 1 then
-    match Column.data cols.(positions.(0)) with
-    | Column.Ints a -> fun i -> Array.unsafe_get a i
-    | Column.Floats _ -> fun _ -> nopack
-    | Column.Boxed a -> (
-        fun i -> match Array.unsafe_get a i with Value.Int x -> x | _ -> nopack)
-  else
-    let w = Keypack.field_width k in
-    let bound = 1 lsl w in
-    let datas = Array.map (fun p -> Column.data cols.(p)) positions in
-    if Array.for_all (function Column.Ints _ -> true | _ -> false) datas then
-      let ints = Array.map (function Column.Ints a -> a | _ -> [||]) datas in
-      fun i -> pack_ints ints k w bound i 0 0
-    else fun i -> pack_data datas k w bound i 0 0
-
-let key_tuple (cols : Column.t array) (positions : int array) i : Tuple.t =
-  Array.map (fun p -> Column.get cols.(p) i) positions
-
-let pack_tuple (key : Tuple.t) =
-  match Keypack.key_of_tuple (Array.init (Array.length key) Fun.id) key with
-  | Keypack.P p -> p
-  | Keypack.B _ -> nopack
-
 (* ---------- rows ---------- *)
 
-(* The slot of [ix] holding [k], or the free slot where it belongs. *)
-let slot (ix : int array) k =
-  let mask = (Array.length ix lsr 1) - 1 in
-  let s = ref (hash k land mask) in
-  while
-    Array.unsafe_get ix ((!s lsl 1) + 1) >= 0 && Array.unsafe_get ix (!s lsl 1) <> k
-  do
-    s := (!s + 1) land mask
-  done;
-  !s
-
-let in_order t = Array.length t.index = 0
+let in_order t = match t.index with None -> true | Some _ -> false
 
 (* The first row from [from] whose key is at least [k] ([t.rows] when
    none), in an in-order view: gallop forward, then bisect. *)
@@ -230,32 +147,17 @@ let seek t from k =
   !hi
 
 let find t k =
-  let ix = t.index in
-  if Array.length ix > 0 then Array.unsafe_get ix ((slot ix k lsl 1) + 1)
-  else begin
-    let n = t.rows in
-    if n = 0 || k > Array.unsafe_get t.keys (n - 1) then -1
-    else
-      let r = seek t 0 k in
-      if Array.unsafe_get t.keys r = k then r else -1
-  end
+  match t.index with
+  | Some ix -> Keypack.Index.find ix k
+  | None ->
+      let n = t.rows in
+      if n = 0 || k > Array.unsafe_get t.keys (n - 1) then -1
+      else
+        let r = seek t 0 k in
+        if Array.unsafe_get t.keys r = k then r else -1
 
 let find_boxed t key =
-  match Tuple.Tbl.find_opt t.boxed.b_rows key with Some r -> r | None -> -1
-
-let grow_index t =
-  let old = t.index in
-  let ix = Array.make (2 * Array.length old) (-1) in
-  for s = 0 to (Array.length old lsr 1) - 1 do
-    let r = old.((2 * s) + 1) in
-    if r >= 0 then begin
-      let k = old.(2 * s) in
-      let s' = slot ix k in
-      ix.(2 * s') <- k;
-      ix.((2 * s') + 1) <- r
-    end
-  done;
-  t.index <- ix
+  match t.index with Some ix -> Keypack.Index.find_boxed ix key | None -> -1
 
 (* [blocks] with room for block [b]. *)
 let room (blocks : 'a array array) b =
@@ -303,64 +205,51 @@ let new_row t k =
   t.keys.(r) <- k;
   r
 
-(* Index every recorded packed key: the view leaves key order. *)
-let build_index t =
-  let len = ref 32 in
-  while 4 * (t.rows + 1) > !len do
-    len := 2 * !len
-  done;
-  let ix = Array.make !len (-1) in
-  for r = 0 to t.rows - 1 do
-    let k = t.keys.(r) in
-    if k <> nopack then begin
-      let s = slot ix k in
-      ix.(2 * s) <- k;
-      ix.((2 * s) + 1) <- r
-    end
-  done;
-  t.index <- ix
+(* The view's index, built from the recorded keys when it is in order: the
+   view leaves key order. *)
+let index t =
+  match t.index with
+  | Some ix -> ix
+  | None ->
+      let ix = Keypack.Index.of_keys t.keys t.rows in
+      t.index <- Some ix;
+      ix
 
-let ensure_index t = if in_order t then build_index t
+let ensure_index t = ignore (index t)
 
 let rec row t k =
-  let ix = t.index in
-  if Array.length ix > 0 then begin
-    let s = slot ix k in
-    let r = Array.unsafe_get ix ((s lsl 1) + 1) in
-    if r >= 0 then r
-    else begin
-      let r = new_row t k in
-      ix.(s lsl 1) <- k;
-      ix.((s lsl 1) + 1) <- r;
-      Obs.incr c_packed;
-      if 4 * t.rows > Array.length ix then grow_index t;
-      r
-    end
-  end
-  else begin
-    (* in order: a repeat of the last key, a larger key, or the first
-       key out of order *)
-    let n = t.rows in
-    if n > 0 && Array.unsafe_get t.keys (n - 1) = k then n - 1
-    else if n = 0 || Array.unsafe_get t.keys (n - 1) < k then begin
-      Obs.incr c_packed;
-      new_row t k
-    end
-    else begin
-      build_index t;
-      row t k
-    end
-  end
+  match t.index with
+  | Some ix ->
+      let r = Keypack.Index.find ix k in
+      if r >= 0 then r
+      else begin
+        let r = new_row t k in
+        ignore (Keypack.Index.replace ix k r);
+        r
+      end
+  | None ->
+      (* in order: a repeat of the last key, a larger key, or the first
+         key out of order *)
+      let n = t.rows in
+      if n > 0 && Array.unsafe_get t.keys (n - 1) = k then n - 1
+      else if n = 0 || Array.unsafe_get t.keys (n - 1) < k then begin
+        Obs.incr Keypack.c_packed;
+        new_row t k
+      end
+      else begin
+        ensure_index t;
+        row t k
+      end
 
 let row_boxed t key =
-  match Tuple.Tbl.find_opt t.boxed.b_rows key with
-  | Some r -> r
-  | None ->
-      ensure_index t;
-      let r = new_row t nopack in
-      Tuple.Tbl.add t.boxed.b_rows key r;
-      Obs.incr c_boxed;
-      r
+  let ix = index t in
+  let r = Keypack.Index.find_boxed ix key in
+  if r >= 0 then r
+  else begin
+    let r = new_row t Keypack.nopack in
+    ignore (Keypack.Index.replace_boxed ix key r);
+    r
+  end
 
 (* ---------- grouped entries ---------- *)
 
@@ -388,7 +277,7 @@ let new_entry t cell k =
 (* The slot of [p] holding (cell, k), or the free slot where it belongs. *)
 let pslot (p : int array) cell k =
   let mask = (Array.length p / 3) - 1 in
-  let s = ref (hash (k + hash cell) land mask) in
+  let s = ref (Keypack.hash (k + Keypack.hash cell) land mask) in
   while
     Array.unsafe_get p ((3 * !s) + 2) >= 0
     && (Array.unsafe_get p (3 * !s) <> cell || Array.unsafe_get p ((3 * !s) + 1) <> k)
@@ -422,7 +311,7 @@ let promote t cell =
   let e = ref (head t cell) in
   while !e >= 0 do
     let k = key_of t !e in
-    if k <> nopack then index_entry t cell k !e;
+    if k <> Keypack.nopack then index_entry t cell k !e;
     e := next_of t !e
   done
 
@@ -455,7 +344,7 @@ let entry_boxed t cell key =
   | Some e -> e
   | None ->
       let n = count t cell in
-      let e = new_entry t cell nopack in
+      let e = new_entry t cell Keypack.nopack in
       Ctbl.add t.boxed.b_entries (cell, key) e;
       Hashtbl.add t.boxed.b_keys e key;
       if n = linear_max then promote t cell;
@@ -470,12 +359,11 @@ let boxed_key t e = Hashtbl.find t.boxed.b_keys e
 let reset t =
   t.top <- 0;
   t.rows <- 0;
-  t.index <- [||];
+  t.index <- None;
   if t.n_promoted > 0 then begin
     Array.fill t.promoted 0 (Array.length t.promoted) (-1);
     t.n_promoted <- 0
   end;
-  if Tuple.Tbl.length t.boxed.b_rows > 0 then Tuple.Tbl.reset t.boxed.b_rows;
   if Ctbl.length t.boxed.b_entries > 0 then Ctbl.reset t.boxed.b_entries;
   if Hashtbl.length t.boxed.b_keys > 0 then Hashtbl.reset t.boxed.b_keys
 
@@ -500,7 +388,7 @@ let merge_row into src sr tr ~fresh =
     let e = ref (head src ((sr * src.families) + f)) in
     while !e >= 0 do
       let k = key_of src !e in
-      let tof = if k <> nopack then entry into tc k else entry_boxed into tc (boxed_key src !e) in
+      let tof = if k <> Keypack.nopack then entry into tc k else entry_boxed into tc (boxed_key src !e) in
       let sb = value_block src !e and so = in_block !e in
       let tb = value_block into tof and tof = in_block tof in
       for m = 0 to src.widths.(f) - 1 do
@@ -513,18 +401,18 @@ let merge_row into src sr tr ~fresh =
 let merge into src =
   for sr = 0 to src.rows - 1 do
     let k = src.keys.(sr) in
-    if k <> nopack then begin
+    if k <> Keypack.nopack then begin
       let tr = find into k in
       if tr >= 0 then merge_row into src sr tr ~fresh:false
       else merge_row into src sr (row into k) ~fresh:true
     end
   done;
-  Tuple.Tbl.iter
-    (fun key sr ->
-      let tr = find_boxed into key in
-      if tr >= 0 then merge_row into src sr tr ~fresh:false
-      else merge_row into src sr (row_boxed into key) ~fresh:true)
-    src.boxed.b_rows
+  Option.iter
+    (Keypack.Index.iter_boxed (fun key sr ->
+         let tr = find_boxed into key in
+         if tr >= 0 then merge_row into src sr tr ~fresh:false
+         else merge_row into src sr (row_boxed into key) ~fresh:true))
+    src.index
 
 let scalar t r idx = (block_of t r).(base_of t r + idx)
 
@@ -532,7 +420,7 @@ let cell_bindings t cell ~arity ~member =
   let acc = ref [] and e = ref (head t cell) in
   while !e >= 0 do
     let k = key_of t !e in
-    let key = if k <> nopack then Keypack.unpack arity k else boxed_key t !e in
+    let key = if k <> Keypack.nopack then Keypack.unpack arity k else boxed_key t !e in
     let o = !e + member in
     acc := (key, (value_block t o).(in_block o)) :: !acc;
     e := next_of t !e

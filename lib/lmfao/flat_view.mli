@@ -1,12 +1,11 @@
 (** Flat storage for one directed view of {!Exec}.
 
-    - Rows: dense ids in insertion order, each with its packed key
-      recorded. While keys arrive strictly increasing the view is in key
-      order and has no index: a key is found by binary search, or walked
-      to by {!seek}. The first key out of that order, or the first that
-      does not pack, builds an open-addressing index from packed key to
-      row out of the recorded keys; keys that do not pack go to a
-      [Tuple.Tbl] side table.
+    - Rows: dense ids in insertion order, each with its key's int form
+      ({!Keypack}) recorded. While keys arrive strictly increasing the
+      view is in key order and has no index: a key is found by binary
+      search, or walked to by {!seek}. The first key out of that order, or
+      the first that does not pack, builds a {!Keypack.Index} of the
+      recorded keys.
     - Partials: each row's scalars contiguous in a fixed-size float block
       that never moves. Grouped slots come in families (slots that always
       have the same keys, {!Plan.view}'s [v_families]); each (row, family)
@@ -25,10 +24,6 @@
 
 open Relational
 
-val nopack : int
-(** [min_int]: an int key that does not pack. An arity-1 key equal to
-    [min_int] is treated as not packing, by every reader here. *)
-
 val block_bits : int
 (** Entry values: block [e lsr block_bits], offset [e land (block_size - 1)]. *)
 
@@ -43,7 +38,7 @@ val pair_bits : int
     [2 * (c land (1 lsl pair_bits - 1))] and [+ 1]. *)
 
 type boxed
-(** Keys that do not pack: rows by key, entries by (cell, key). *)
+(** Entries whose keys do not pack, by (cell, key). *)
 
 type t = private {
   scalars : int;  (** scalar slots per row *)
@@ -59,9 +54,8 @@ type t = private {
       (** beside each value block: per entry, its key and next entry (-1: none) *)
   mutable values : float array array;  (** per entry: its members' partials *)
   mutable top : int;  (** the next free value offset *)
-  mutable index : int array;
-      (** [key; row] pairs, row -1 when free; [[||]] while in key order *)
-  mutable keys : int array;  (** row r's packed key, or {!nopack} *)
+  mutable index : Keypack.Index.t option;  (** key to row; [None] while in key order *)
+  mutable keys : int array;  (** row r's key, or {!Keypack.nopack} *)
   mutable rows : int;
   mutable promoted : int array;  (** [cell; key; entry] triples, entry -1 when free *)
   mutable n_promoted : int;
@@ -72,19 +66,6 @@ val create : scalars:int -> widths:int array -> t
 (** An empty view whose rows hold [scalars] scalar partials and one cell
     per family, family [f] with [widths.(f)] members.
     @raise Invalid_argument unless every width is in [1, block_size]. *)
-
-(** {1 Keys} *)
-
-val reader : Column.t array -> int array -> int -> int
-(** [reader cols positions i]: row [i]'s key over the columns at
-    [positions], packed as {!Keypack} packs it, or {!nopack}. Specialised
-    to the columns' live representations; allocates nothing. *)
-
-val key_tuple : Column.t array -> int array -> int -> Tuple.t
-(** The boxed key of row [i], for a row whose {!reader} key is {!nopack}. *)
-
-val pack_tuple : Tuple.t -> int
-(** The packed form of a boxed key, or {!nopack}. *)
 
 (** {1 Rows} *)
 
@@ -129,7 +110,7 @@ val entry_boxed : t -> int -> Tuple.t -> int
 (** Likewise for a key that does not pack. *)
 
 val boxed_key : t -> int -> Tuple.t
-(** The key of an entry whose key is {!nopack}. *)
+(** The key of an entry whose key is {!Keypack.nopack}. *)
 
 val cell_bindings : t -> int -> arity:int -> member:int -> (Tuple.t * float) list
 (** A cell's (key, value) pairs for one member of its family, unordered,

@@ -7,7 +7,9 @@ type data =
   | Floats of float array  (** continuous features (flat float array) *)
   | Boxed of Value.t array  (** strings, nulls, mixed columns *)
 
-type t
+type t = private { mutable data : data }
+(** [data] is the backing array, readable in place: a loop that must not
+    call across modules (see {!Keypack}) reads the field directly. *)
 
 val create : Value.ty -> int -> t
 (** [create ty capacity]: initial representation per the declared type. *)

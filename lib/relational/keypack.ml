@@ -1,4 +1,5 @@
-(* Packed join/group-by keys.
+(* Packed join/group-by keys: the one place that knows how a key packs and
+   how a packed key is found.
 
    Multi-attribute keys over dictionary-encoded int columns pack into one
    immediate OCaml int (63 usable bits), so the hash tables on every join,
@@ -8,21 +9,37 @@
    representation.
 
    Routing is a pure function of the key VALUES (not of the column
-   representation they came from), so the column-reading extractor used by
+   representation they came from), so the column-reading readers used by
    scans and the tuple-reading packer used by streaming updates agree: a
-   given logical key always lands in the same side of a {!Hybrid} table.
+   given logical key always lands on the same side of a table.
 
-   Packing layout: arity 1 is the identity (any int, including negatives);
-   arity k >= 2 gives each field [62 / k] bits and requires
-   [0 <= v < 2^(62/k)], folding big-endian ([(acc lsl w) lor v]). The map
-   is injective on its domain and lexicographically monotone, and fields
-   are recoverable by mask/shift (see {!unpack}). *)
+   Packing layout: arity 0 packs as 0; arity 1 is the identity (any int,
+   including negatives); arity k >= 2 gives each field [62 / k] bits and
+   requires [0 <= v < 2^(62/k)], folding big-endian ([(acc lsl w) lor v]).
+   The map is injective on its domain and lexicographically monotone, and
+   fields are recoverable by mask/shift (see {!unpack}).
+
+   Two forms. A [key] ([P]/[B]) is what [Hybrid] tables, shard routing and
+   checkpoint bytes hold. Where a key must be an int — the readers, [pack]
+   and [Index], which flat views, F-IVM storage and view trees use —
+   [nopack] ([min_int]) stands for a key that does not pack, which is then
+   read as a tuple. The two forms differ on one key only: an arity-1
+   [Int min_int] is [P min_int], but its int form is [nopack], so on the
+   int paths it takes the boxed side. Each side is still a function of the
+   key value alone. [to_key] and [of_key] convert between the forms.
+
+   The key hash multiplies and folds the high bits back down: [Hashtbl]
+   and [Index] take the LOW bits of a hash for a bucket or slot, and a bare
+   [x * C] leaves them carrying only the low bits of [x] — only the LAST
+   field of a packed key. *)
 
 type key = P of int | B of Tuple.t
 
+let nopack = min_int
 let field_width k = if k <= 1 then 62 else 62 / k
 
-(* Observability: how often keys pack vs. fall back to boxed tuples. *)
+(* Observability: how often keys inserted into a table pack vs. fall back
+   to boxed tuples. *)
 let c_packed = Obs.counter "keypack.packed"
 let c_boxed = Obs.counter "keypack.boxed"
 
@@ -32,15 +49,11 @@ let key_equal a b =
   | B x, B y -> Tuple.equal x y
   | P _, B _ | B _, P _ -> false
 
-(* Multiplicative hash with the high bits folded back down: [Hashtbl] masks
-   the LOW bits of the hash to pick a bucket, and a bare [x * C] leaves them
-   carrying only the low bits of [x] — i.e. only the LAST field of a packed
-   key, collapsing the table into one chain per low-field value. *)
-let hash_int x =
+let hash x =
   let h = x * 0x2545F4914F6CDD1D in
   h lxor (h asr 31)
 
-let key_hash = function P x -> hash_int x | B t -> Tuple.hash t
+let key_hash = function P x -> hash x | B t -> Tuple.hash t
 
 (* Shard routing depends only on the key value (via [key_hash]), so a packed
    key and its boxed round trip land on the same shard, and every producer
@@ -88,55 +101,81 @@ let key_of_tuple (positions : int array) (tuple : Tuple.t) : key =
     go 0 0
   end
 
-(* Closure-free packing loop (fields are non-negative, so packed values are
-   non-negative and -1 can flag "does not pack"). Defined outside the
-   extractor's returned closure so per-row extraction allocates nothing on
-   the fast path. *)
-let rec pack_loop (datas : Column.data array) k w bound i j acc =
-  if j = k then acc
-  else
-    match datas.(j) with
-    | Column.Ints a ->
-        let x = a.(i) in
-        if x >= 0 && x < bound then
-          pack_loop datas k w bound i (j + 1) ((acc lsl w) lor x)
-        else -1
-    | Column.Boxed a -> (
-        match a.(i) with
-        | Value.Int x when x >= 0 && x < bound ->
-            pack_loop datas k w bound i (j + 1) ((acc lsl w) lor x)
-        | _ -> -1)
-    | Column.Floats _ -> -1
+(* ---------- keys as ints ---------- *)
 
-(* Compiled extractor: read the key straight out of the given columns (in
-   key order), packing without ever boxing on the all-int fast path. The
-   column representations are captured at compile time; extractors are for
-   scans over fully-built relations. *)
-let extractor (cols : Column.t array) : int -> key =
-  let k = Array.length cols in
-  if k = 0 then fun _ -> P 0
+let pack_tuple (t : Tuple.t) =
+  match key_of_tuple (Array.init (Array.length t) Fun.id) t with P p -> p | B _ -> nopack
+
+let to_key p (t : Tuple.t) =
+  if p <> nopack then P p else match t with [| Value.Int x |] -> P x | t -> B t
+
+let of_key = function
+  | P p when p <> nopack -> (p, [||])
+  | P p -> (nopack, [| Value.Int p |])
+  | B t ->
+      let p = pack_tuple t in
+      if p <> nopack then (p, [||]) else (nopack, t)
+
+(* An arity-1 key's int form out of one column. *)
+let[@inline] single (d : Column.data) i =
+  match d with
+  | Column.Ints a -> Array.unsafe_get a i
+  | Column.Floats _ -> nopack
+  | Column.Boxed a -> ( match Array.unsafe_get a i with Value.Int x -> x | _ -> nopack)
+
+(* The packing loop at arity >= 2, closure-free: fields are non-negative,
+   so -1 stands for a cell that is not an int. It reads each column's
+   current representation as a field: calling [Column.data] per field
+   slowed scale-4 retailer's k-means batch by about 15% (2 vCPUs). *)
+let rec pack_loop (cols : Column.t array) (positions : int array) w bound i j acc =
+  if j = Array.length positions then acc
+  else
+    let x =
+      match (Array.unsafe_get cols (Array.unsafe_get positions j)).Column.data with
+      | Column.Ints a -> Array.unsafe_get a i
+      | Column.Floats _ -> -1
+      | Column.Boxed a -> ( match Array.unsafe_get a i with Value.Int x -> x | _ -> -1)
+    in
+    if x >= 0 && x < bound then pack_loop cols positions w bound i (j + 1) ((acc lsl w) lor x)
+    else nopack
+
+let pack cols positions i =
+  let k = Array.length positions in
+  if k = 0 then 0
+  else if k = 1 then single (Column.data cols.(positions.(0))) i
+  else
+    let w = field_width k in
+    pack_loop cols positions w (1 lsl w) i 0 0
+
+let reader (cols : Column.t array) (positions : int array) : int -> int =
+  let k = Array.length positions in
+  if k = 0 then fun _ -> 0
   else if k = 1 then
-    match Column.data cols.(0) with
-    | Column.Ints a -> fun i -> P a.(i)
-    | Column.Floats a -> fun i -> B [| Value.Float a.(i) |]
-    | Column.Boxed a -> (
-        fun i -> match a.(i) with Value.Int x -> P x | v -> B [| v |])
-  else begin
+    match Column.data cols.(positions.(0)) with
+    | Column.Ints a -> fun i -> Array.unsafe_get a i
+    | Column.Floats _ -> fun _ -> nopack
+    | Column.Boxed _ as d -> fun i -> single d i
+  else
     let w = field_width k in
     let bound = 1 lsl w in
-    let datas = Array.map Column.data cols in
-    fun i ->
-      let p = pack_loop datas k w bound i 0 0 in
-      if p >= 0 then P p
-      else B (Array.init k (fun j -> Column.get cols.(j) i))
-  end
+    fun i -> pack_loop cols positions w bound i 0 0
+
+let tuple (cols : Column.t array) (positions : int array) i : Tuple.t =
+  Array.map (fun p -> Column.get cols.(p) i) positions
+
+let extractor (cols : Column.t array) : int -> key =
+  let positions = Array.init (Array.length cols) Fun.id in
+  let read = reader cols positions in
+  fun i ->
+    let p = read i in
+    if p <> nopack then P p else to_key p (tuple cols positions i)
 
 (* Int-keyed hash table (the packed side of a hybrid table). *)
 module Itbl = Hashtbl.Make (struct
   type t = int
 
   let equal (a : int) b = a = b
-  let hash = hash_int
+  let hash = hash
 end)
 
 (* A key-value table split by key representation: packed ints hash as
@@ -174,4 +213,151 @@ module Hybrid = struct
   let fold f t init =
     let acc = Itbl.fold (fun p v acc -> f (P p) v acc) t.packed init in
     Tuple.Tbl.fold (fun k v acc -> f (B k) v acc) t.boxed acc
+end
+
+(* Int keys to non-negative ints: one array of [key; value] pairs with
+   linear probing, a value of -1 marking a vacant slot, at most half the
+   slots used. A removal shifts the rest of its probe run back, so there
+   are no tombstones. Keys inserted since the last [clear] are logged while
+   they number at most an eighth of the slots, so clearing a sparse table
+   removes them one by one and a dense one is refilled. *)
+module Index = struct
+  type t = {
+    mutable pairs : int array;
+    mutable used : int;
+    mutable log : int array;
+    mutable logged : int; (* keys in [log]; -1 once more were inserted *)
+    boxed : int Tuple.Tbl.t;
+  }
+
+  let sized slots =
+    {
+      pairs = Array.make (2 * slots) (-1);
+      used = 0;
+      log = Array.make (slots / 8) 0;
+      logged = 0;
+      boxed = Tuple.Tbl.create 8;
+    }
+
+  let create () = sized 16
+
+  (* The slot holding [p], or the vacant slot that ends its probe run. *)
+  let rec probe pairs mask p i =
+    if Array.unsafe_get pairs ((2 * i) + 1) < 0 || Array.unsafe_get pairs (2 * i) = p then i
+    else probe pairs mask p ((i + 1) land mask)
+
+  let[@inline] slot t p =
+    let mask = (Array.length t.pairs lsr 1) - 1 in
+    probe t.pairs mask p (hash p land mask)
+
+  let find t p = Array.unsafe_get t.pairs ((2 * slot t p) + 1)
+
+  (* Put a new key at its vacant slot [s]. *)
+  let fill t s p v =
+    t.pairs.(2 * s) <- p;
+    t.pairs.((2 * s) + 1) <- v;
+    t.used <- t.used + 1;
+    if t.logged >= 0 then
+      if t.logged < Array.length t.log then begin
+        t.log.(t.logged) <- p;
+        t.logged <- t.logged + 1
+      end
+      else t.logged <- -1
+
+  (* Double the slots. A table this full has logged more keys than its log
+     holds, so the log is only resized. *)
+  let grow t =
+    let old = t.pairs in
+    let slots = Array.length old (* twice the old slots *) in
+    t.pairs <- Array.make (2 * slots) (-1);
+    t.log <- Array.make (slots / 8) 0;
+    for i = 0 to (slots / 2) - 1 do
+      let v = old.((2 * i) + 1) in
+      if v >= 0 then begin
+        let p = old.(2 * i) in
+        let s = slot t p in
+        t.pairs.(2 * s) <- p;
+        t.pairs.((2 * s) + 1) <- v
+      end
+    done
+
+  (* Set [p] to [v]: the previous value, or -1 when [p] is new. *)
+  let insert t p v =
+    let s = slot t p in
+    let old = Array.unsafe_get t.pairs ((2 * s) + 1) in
+    if old >= 0 then begin
+      t.pairs.((2 * s) + 1) <- v;
+      old
+    end
+    else begin
+      if 2 * (t.used + 1) > Array.length t.pairs lsr 1 then begin
+        grow t;
+        fill t (slot t p) p v
+      end
+      else fill t s p v;
+      -1
+    end
+
+  let replace t p v =
+    let old = insert t p v in
+    if old < 0 then Obs.incr c_packed;
+    old
+
+  let of_keys keys n =
+    let slots = ref 16 in
+    while 2 * (n + 1) > !slots do
+      slots := 2 * !slots
+    done;
+    let t = sized !slots in
+    for i = 0 to n - 1 do
+      let p = keys.(i) in
+      if p <> nopack then ignore (insert t p i)
+    done;
+    t
+
+  (* Fill [hole] from the rest of its probe run: the key at [j] moves back
+     unless its home lies cyclically in (hole, j]. *)
+  let rec shift pairs mask hole j =
+    let j = (j + 1) land mask in
+    let v = Array.unsafe_get pairs ((2 * j) + 1) in
+    if v < 0 then Array.unsafe_set pairs ((2 * hole) + 1) (-1)
+    else
+      let h = hash (Array.unsafe_get pairs (2 * j)) land mask in
+      if if hole <= j then h <= hole || h > j else h <= hole && h > j then begin
+        Array.unsafe_set pairs (2 * hole) (Array.unsafe_get pairs (2 * j));
+        Array.unsafe_set pairs ((2 * hole) + 1) v;
+        shift pairs mask j j
+      end
+      else shift pairs mask hole j
+
+  let remove t p =
+    let s = slot t p in
+    if Array.unsafe_get t.pairs ((2 * s) + 1) >= 0 then begin
+      t.used <- t.used - 1;
+      shift t.pairs ((Array.length t.pairs lsr 1) - 1) s s
+    end
+
+  let find_boxed t key = match Tuple.Tbl.find_opt t.boxed key with Some v -> v | None -> -1
+
+  let replace_boxed t key v =
+    let old = find_boxed t key in
+    if old < 0 then Obs.incr c_boxed;
+    Tuple.Tbl.replace t.boxed key v;
+    old
+
+  let remove_boxed t key = Tuple.Tbl.remove t.boxed key
+  let iter_boxed f t = Tuple.Tbl.iter f t.boxed
+  let length t = t.used + Tuple.Tbl.length t.boxed
+
+  let clear t =
+    if t.logged >= 0 then
+      for i = 0 to t.logged - 1 do
+        remove t t.log.(i)
+      done
+    else begin
+      Array.fill t.pairs 0 (Array.length t.pairs) (-1);
+      t.used <- 0
+    end;
+    t.logged <- 0;
+    if Tuple.Tbl.length t.boxed > 0 then Tuple.Tbl.reset t.boxed
 end

@@ -414,8 +414,8 @@ let check_against_reference m r probes step (u : Delta.update) =
       let got =
         walk
           (match key with
-          | Keypack.P p when p <> S.nopack -> S.first e p [||]
-          | k -> S.first e S.nopack (Keypack.key_tuple 1 k))
+          | Keypack.P p when p <> Keypack.nopack -> S.first e p [||]
+          | k -> S.first e Keypack.nopack (Keypack.key_tuple 1 k))
           []
       in
       if bits got <> bits (Ref_storage.matching r rel ~neighbour key) then

@@ -627,32 +627,43 @@ let shard_route_roundtrip =
              s = Keypack.shard_of_key ~shards k' && s >= 0 && s < shards)
            [ 1; 2; 3; 8; 16 ])
 
-(* The two key readers — the column extractor used by base-table scans and
-   the tuple packer used by streaming deltas — must agree on representation
-   (packed vs boxed), hash and shard for every logical row, or a delta
-   would route to a different shard / view bucket than the base load that
-   preceded it. *)
+(* The key readers — the column extractor used by base-table scans, the
+   int-form [reader] and [pack], and the tuple packer used by streaming
+   deltas — must agree on representation (packed vs boxed), hash and shard
+   for every logical row, or a delta would route to a different shard /
+   view bucket than the base load that preceded it. The int forms are [p]
+   exactly where the tuple packer gives [P p] with [p <> nopack]. *)
 let extractor_matches_tuple_path =
-  QCheck2.Test.make ~count:100
+  QCheck2.Test.make ~count:200
     ~name:"column extractor and tuple packer agree on key, hash and shard"
     QCheck2.Gen.(triple (int_range 1 3) (int_range 1 40) int)
     (fun (key_arity, rows, seed) ->
       let rng = Util.Prng.create seed in
+      let w = Keypack.field_width key_arity in
       (* per-column value class: packable ints, ints past the per-field
-         budget (box multi-attribute keys), or strings (always boxed) *)
-      let col_class = Array.init key_arity (fun _ -> Util.Prng.int rng 3) in
+         budget (box multi-attribute keys), strings (always boxed), floats,
+         negative ints, the field bounds 2^w - 1 and 2^w with [min_int]
+         (2^62 wraps to it at arity 1), or ints beside nulls in one column *)
+      let col_class = Array.init key_arity (fun _ -> Util.Prng.int rng 7) in
       let field c =
         match col_class.(c) with
         | 0 -> Value.Int (Util.Prng.int rng 1000)
         | 1 -> Value.Int ((1 lsl 40) + Util.Prng.int rng 1000)
-        | _ -> Value.Str (Printf.sprintf "key-%06d" (Util.Prng.int rng 1000))
+        | 2 -> Value.Str (Printf.sprintf "key-%06d" (Util.Prng.int rng 1000))
+        | 3 -> Value.Float (float_of_int (Util.Prng.int rng 8) /. 4.0)
+        | 4 -> Value.Int (-1 - Util.Prng.int rng 1000)
+        | 5 -> Value.Int [| (1 lsl w) - 1; 1 lsl w; min_int; 0 |].(Util.Prng.int rng 4)
+        | _ -> if Util.Prng.int rng 4 = 0 then Value.Null else Value.Int (Util.Prng.int rng 1000)
       in
       let schema =
         Schema.make
           (List.init (key_arity + 1) (fun i ->
                if i < key_arity then
                  ( Printf.sprintf "k%d" i,
-                   if col_class.(i) = 2 then Value.TStr else Value.TInt )
+                   match col_class.(i) with
+                   | 2 -> Value.TStr
+                   | 3 -> Value.TFloat
+                   | _ -> Value.TInt )
                else ("x", Value.TFloat)))
       in
       let rel = Relation.create "R" schema in
@@ -663,17 +674,146 @@ let extractor_matches_tuple_path =
                else Value.Float (float_of_int (Util.Prng.int rng 64) /. 16.0)))
       done;
       let positions = Array.init key_arity Fun.id in
+      let cols = Relation.columns rel in
       let from_cols = Relation.extractor rel positions in
+      let read = Keypack.reader cols positions in
       List.for_all
         (fun (i, t) ->
           let kc = from_cols i and kt = Keypack.key_of_tuple positions t in
+          let int_form =
+            match kt with Keypack.P p when p <> Keypack.nopack -> p | _ -> Keypack.nopack
+          in
+          let p, boxed = Keypack.of_key kt in
           Keypack.key_equal kc kt
           && Keypack.key_hash kc = Keypack.key_hash kt
           && List.for_all
                (fun shards ->
                  Keypack.shard_of_key ~shards kc = Keypack.shard_of_key ~shards kt)
-               [ 1; 4; 8 ])
+               [ 1; 4; 8 ]
+          && read i = int_form
+          && Keypack.pack cols positions i = int_form
+          && p = int_form
+          && Keypack.key_equal (Keypack.to_key p boxed) kt)
         (List.mapi (fun i t -> (i, t)) (Relation.to_list rel)))
+
+(* ---- Keypack.Index ---- *)
+
+(* Packed keys whose homes at 16, 32 and 64 slots are the last two slots or
+   the first two: their probe runs share slots and wrap past the last one
+   at every size the model test grows to. *)
+let crowded_keys =
+  let rec go acc x =
+    if List.length acc = 24 then List.rev acc
+    else
+      let h = Keypack.hash x land 63 in
+      go (if h >= 62 || h <= 1 then x :: acc else acc) (x + 1)
+  in
+  go [] 0
+
+(* Keys that do not pack: a string, two fields over the field budget, an
+   arity-1 [Int min_int] and a null. *)
+let boxed_keys =
+  [ [| Value.Str "a" |]; [| int (1 lsl 40); int 3 |]; [| int min_int |]; [| Value.Null |] ]
+
+type index_key = Packed of int | Boxed of Tuple.t
+
+(* Random finds, inserts, overwrites, removals and clears against a
+   [Hashtbl] model, every key compared after every step. *)
+let index_matches_model =
+  let keys =
+    Array.of_list
+      (List.map (fun p -> Packed p) (crowded_keys @ [ -5; max_int; 1 lsl 40 ])
+      @ List.map (fun t -> Boxed t) boxed_keys)
+  in
+  QCheck2.Test.make ~count:300 ~name:"Keypack.Index agrees with a Hashtbl model"
+    QCheck2.Gen.(
+      list_size (int_range 1 200)
+        (triple (int_range 0 99) (int_range 0 (Array.length keys - 1)) (int_range 0 1000)))
+    (fun ops ->
+      let t = Keypack.Index.create () and model = Hashtbl.create 16 in
+      let find = function
+        | Packed p -> Keypack.Index.find t p
+        | Boxed k -> Keypack.Index.find_boxed t k
+      in
+      let expected k = Option.value ~default:(-1) (Hashtbl.find_opt model k) in
+      let agrees () =
+        Keypack.Index.length t = Hashtbl.length model
+        && Array.for_all (fun k -> find k = expected k) keys
+      in
+      List.for_all (fun b -> Keypack.pack_tuple b = Keypack.nopack) boxed_keys
+      && List.for_all
+           (fun (op, i, v) ->
+             let k = keys.(i) in
+             let ok =
+               if op < 30 then find k = expected k
+               else if op < 65 then begin
+                 let previous =
+                   match k with
+                   | Packed p -> Keypack.Index.replace t p v
+                   | Boxed b -> Keypack.Index.replace_boxed t b v
+                 in
+                 let ok = previous = expected k in
+                 Hashtbl.replace model k v;
+                 ok
+               end
+               else if op < 95 then begin
+                 (match k with
+                 | Packed p -> Keypack.Index.remove t p
+                 | Boxed b -> Keypack.Index.remove_boxed t b);
+                 Hashtbl.remove model k;
+                 true
+               end
+               else begin
+                 Keypack.Index.clear t;
+                 Hashtbl.reset model;
+                 true
+               end
+             in
+             ok && agrees ())
+           ops)
+
+(* Growth to a large table, a dense clear, sparse clears of the grown
+   table, [of_keys], and the insert counters. *)
+let test_index_growth_and_clear () =
+  let t = Keypack.Index.create () and n = 5000 in
+  let key i = (i * 7919) - 40_000 in
+  let check_all label live =
+    for i = 0 to n - 1 do
+      Alcotest.(check int) label (if live then i else -1) (Keypack.Index.find t (key i))
+    done
+  in
+  Obs.reset ();
+  Obs.with_enabled true (fun () ->
+      for i = 0 to n - 1 do
+        ignore (Keypack.Index.replace t (key i) i)
+      done;
+      Alcotest.(check int) "an overwrite returns the old value" 7
+        (Keypack.Index.replace t (key 7) 7);
+      ignore (Keypack.Index.replace_boxed t [| Value.Str "s" |] 1));
+  Alcotest.(check int) "new packed keys counted" n (Obs.counter_value_by_name "keypack.packed");
+  Alcotest.(check int) "new boxed keys counted" 1 (Obs.counter_value_by_name "keypack.boxed");
+  Obs.reset ();
+  Alcotest.(check int) "grown" (n + 1) (Keypack.Index.length t);
+  check_all "found after growth" true;
+  Keypack.Index.clear t;
+  Alcotest.(check int) "dense clear" 0 (Keypack.Index.length t);
+  check_all "gone after a dense clear" false;
+  Alcotest.(check int) "boxed side cleared" (-1) (Keypack.Index.find_boxed t [| Value.Str "s" |]);
+  for round = 1 to 20 do
+    List.iter (fun i -> ignore (Keypack.Index.replace t (key i) round)) [ 3; 5; 11; 4999 ];
+    Keypack.Index.remove t (key 5);
+    ignore (Keypack.Index.replace t (key 5) round);
+    Keypack.Index.remove t (key 11);
+    Alcotest.(check (list int)) "before a sparse clear" [ round; round; -1; round ]
+      (List.map (fun i -> Keypack.Index.find t (key i)) [ 3; 5; 11; 4999 ]);
+    Keypack.Index.clear t;
+    Alcotest.(check int) "sparse clear" 0 (Keypack.Index.length t);
+    check_all "gone after a sparse clear" false
+  done;
+  let ix = Keypack.Index.of_keys [| 5; Keypack.nopack; 9; -2 |] 3 in
+  Alcotest.(check (list int)) "of_keys: the first n keys to their rows" [ 0; 2; -1 ]
+    (List.map (Keypack.Index.find ix) [ 5; 9; -2 ]);
+  Alcotest.(check int) "of_keys skips nopack" 2 (Keypack.Index.length ix)
 
 (* Zipf-skewed key traffic: the hot ranks dominate the SAMPLE, but routing
    only ever sees each distinct key once per table bucket — the distinct
@@ -756,6 +896,8 @@ let () =
             test_zipf_shard_distribution;
           qcheck shard_route_roundtrip;
           qcheck extractor_matches_tuple_path;
+          qcheck index_matches_model;
+          Alcotest.test_case "index growth and clears" `Quick test_index_growth_and_clear;
         ] );
       ( "hypergraph",
         [
