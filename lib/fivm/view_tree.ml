@@ -97,7 +97,7 @@ let add e p tuple =
     end
   in
   e.keys.(id) <- p;
-  if p <> Keypack.nopack then ignore (Keypack.Index.replace e.index p id)
+  if p <> Keypack.nopack then ignore (Keypack.Index.add e.index p id)
   else begin
     e.tuples.(id) <- tuple;
     ignore (Keypack.Index.replace_boxed e.index tuple id)

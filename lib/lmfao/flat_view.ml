@@ -220,13 +220,8 @@ let ensure_index t = ignore (index t)
 let rec row t k =
   match t.index with
   | Some ix ->
-      let r = Keypack.Index.find ix k in
-      if r >= 0 then r
-      else begin
-        let r = new_row t k in
-        ignore (Keypack.Index.replace ix k r);
-        r
-      end
+      let r = Keypack.Index.add ix k t.rows in
+      if r >= 0 then r else new_row t k
   | None ->
       (* in order: a repeat of the last key, a larger key, or the first
          key out of order *)

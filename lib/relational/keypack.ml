@@ -241,14 +241,17 @@ module Index = struct
 
   let create () = sized 16
 
-  (* The slot holding [p], or the vacant slot that ends its probe run. *)
-  let rec probe pairs mask p i =
-    if Array.unsafe_get pairs ((2 * i) + 1) < 0 || Array.unsafe_get pairs (2 * i) = p then i
-    else probe pairs mask p ((i + 1) land mask)
-
+  (* The slot holding [p], or the vacant slot that ends its probe run. A
+     loop, not a recursive function, so that it inlines: [find] makes no
+     call. *)
   let[@inline] slot t p =
-    let mask = (Array.length t.pairs lsr 1) - 1 in
-    probe t.pairs mask p (hash p land mask)
+    let pairs = t.pairs in
+    let mask = (Array.length pairs lsr 1) - 1 in
+    let i = ref (hash p land mask) in
+    while Array.unsafe_get pairs ((2 * !i) + 1) >= 0 && Array.unsafe_get pairs (2 * !i) <> p do
+      i := (!i + 1) land mask
+    done;
+    !i
 
   let find t p = Array.unsafe_get t.pairs ((2 * slot t p) + 1)
 
@@ -281,26 +284,26 @@ module Index = struct
       end
     done
 
-  (* Set [p] to [v]: the previous value, or -1 when [p] is new. *)
-  let insert t p v =
+  (* Map the new key [p], whose probe ended at the vacant slot [s], to
+     [v]. *)
+  let add_new t s p v =
+    if 2 * (t.used + 1) > Array.length t.pairs lsr 1 then begin
+      grow t;
+      fill t (slot t p) p v
+    end
+    else fill t s p v;
+    Obs.incr c_packed
+
+  let add t p v =
     let s = slot t p in
     let old = Array.unsafe_get t.pairs ((2 * s) + 1) in
-    if old >= 0 then begin
-      t.pairs.((2 * s) + 1) <- v;
-      old
-    end
-    else begin
-      if 2 * (t.used + 1) > Array.length t.pairs lsr 1 then begin
-        grow t;
-        fill t (slot t p) p v
-      end
-      else fill t s p v;
-      -1
-    end
+    if old < 0 then add_new t s p v;
+    old
 
   let replace t p v =
-    let old = insert t p v in
-    if old < 0 then Obs.incr c_packed;
+    let s = slot t p in
+    let old = Array.unsafe_get t.pairs ((2 * s) + 1) in
+    if old >= 0 then t.pairs.((2 * s) + 1) <- v else add_new t s p v;
     old
 
   let of_keys keys n =
@@ -311,7 +314,7 @@ module Index = struct
     let t = sized !slots in
     for i = 0 to n - 1 do
       let p = keys.(i) in
-      if p <> nopack then ignore (insert t p i)
+      if p <> nopack then fill t (slot t p) p i
     done;
     t
 

@@ -120,6 +120,10 @@ module Index : sig
   val find : t -> int -> int
   (** The value of a packed key, or -1. *)
 
+  val add : t -> int -> int -> int
+  (** [add t p v]: the value of the packed key [p], or, when [p] is new,
+      -1 after mapping it to [v >= 0]. One probe either way. *)
+
   val replace : t -> int -> int -> int
   (** [replace t p v] maps the packed key [p] to [v >= 0] and returns its
       previous value, or -1 when it is new. *)

@@ -717,7 +717,7 @@ let boxed_keys =
 
 type index_key = Packed of int | Boxed of Tuple.t
 
-(* Random finds, inserts, overwrites, removals and clears against a
+(* Random finds, adds, inserts, overwrites, removals and clears against a
    [Hashtbl] model, every key compared after every step. *)
 let index_matches_model =
   let keys =
@@ -745,7 +745,20 @@ let index_matches_model =
            (fun (op, i, v) ->
              let k = keys.(i) in
              let ok =
-               if op < 30 then find k = expected k
+               if op < 20 then find k = expected k
+               else if op < 40 then begin
+                 let before = expected k in
+                 let got =
+                   match k with
+                   | Packed p -> Keypack.Index.add t p v
+                   | Boxed b ->
+                       let r = Keypack.Index.find_boxed t b in
+                       if r < 0 then ignore (Keypack.Index.replace_boxed t b v);
+                       r
+                 in
+                 if before < 0 then Hashtbl.replace model k v;
+                 got = before
+               end
                else if op < 65 then begin
                  let previous =
                    match k with
