@@ -55,8 +55,6 @@ type index = {
 type node = {
   name : string;
   schema : Schema.t;
-  all_positions : int array;
-  float_col : int; (* a TFloat column, or -1 *)
   cells : Column.t array;
   indexes : index array;
   neighbours : string list; (* [indexes]' neighbours, same order *)
@@ -69,9 +67,6 @@ type node = {
   mutable live : int;
   mutable table : int array; (* whole-tuple index: [entry h row] per slot *)
   mutable table_used : int; (* slots not free *)
-  sides : int array;
-      (* live rows whose whole-tuple key packs and their peak, then the
-         same for the others: the table sizes of [iter_in_hash_order] *)
 }
 
 type t = {
@@ -119,20 +114,6 @@ let rec same_from cells r s j =
   j = Array.length cells || (cell_equal cells.(j) r s && same_from cells r s (j + 1))
 
 let tuple_of n r = Array.map (fun c -> Column.get c r) n.cells
-
-(* Whether [Keypack.key_of_tuple] packs the whole tuple of row [r]. A
-   float never packs, so a TFloat column still holding floats settles it
-   without reading the row. *)
-let holds_floats c = match Column.data c with Column.Floats _ -> true | _ -> false
-
-let whole_packs n r =
-  if n.float_col >= 0 && holds_floats n.cells.(n.float_col) then false
-  else if Array.length n.cells = 1 then
-    match Column.data n.cells.(0) with
-    | Column.Ints _ -> true
-    | Column.Floats _ -> false
-    | Column.Boxed a -> ( match a.(r) with Value.Int _ -> true | _ -> false)
-  else Keypack.pack n.cells n.all_positions r <> Keypack.nopack
 
 (* ---------- join-key indexes ---------- *)
 
@@ -247,10 +228,6 @@ let create (db : Database.t) =
     {
       name;
       schema;
-      all_positions = Array.init (Schema.arity schema) Fun.id;
-      float_col =
-        Option.value ~default:(-1)
-          (List.find_index (fun (a : Schema.attr) -> a.ty = Value.TFloat) (Schema.attrs schema));
       cells =
         Array.of_list
           (List.map (fun (a : Schema.attr) -> Column.create a.ty initial_rows) (Schema.attrs schema));
@@ -265,7 +242,6 @@ let create (db : Database.t) =
       live = 0;
       table = Array.make 16 free_slot;
       table_used = 0;
-      sides = Array.make 4 0;
     }
   in
   { nodes = Array.of_list (List.map node (Database.relations db)); jt; total = 0; clock = 0 }
@@ -401,12 +377,6 @@ let row_multiplicity n r = n.mult.(r)
 
 (* ---------- updates ---------- *)
 
-let count_side n r d =
-  let i = if whole_packs n r then 0 else 2 in
-  let c = n.sides.(i) + d in
-  n.sides.(i) <- c;
-  if c > n.sides.(i + 1) then n.sides.(i + 1) <- c
-
 (* The staged row [s] (hash [h]) becomes live with multiplicity [m] at
    whole-tuple slot [i]. *)
 let add_row t n s h i m =
@@ -417,7 +387,6 @@ let add_row t n s h i m =
   t.clock <- t.clock + 1;
   n.rows <- s + 1;
   n.live <- n.live + 1;
-  count_side n s 1;
   for k = 0 to Array.length n.indexes - 1 do
     link n n.indexes.(k) s
   done
@@ -430,7 +399,6 @@ let kill n r i =
   n.table.(i) <- dead_slot;
   n.mult.(r) <- 0;
   n.live <- n.live - 1;
-  count_side n r (-1);
   if n.rows - n.live > n.live then compact n
 
 let apply_staged t n m =
@@ -463,39 +431,11 @@ let apply t (u : Delta.update) =
 
 (* ---------- reading the contents ---------- *)
 
-(* The bucket count of a [Hashtbl] created for [initial] entries once it
-   has held [peak]: 16 or more, doubled whenever it exceeds twice that. *)
-let hashtbl_buckets initial peak =
-  let rec go l = if peak <= 2 * l then l else go (2 * l) in
-  go (max 16 initial)
-
-let iter_in_hash_order n f =
-  let packed_buckets = hashtbl_buckets 256 n.sides.(1)
-  and boxed_buckets = hashtbl_buckets 8 n.sides.(3) in
-  (* a row's place: its side's buckets after the other side's, then its
-     bucket; newest first within one *)
-  let place = Array.make n.rows 0 and live = ref [] in
-  for r = n.rows - 1 downto 0 do
-    if n.mult.(r) <> 0 then begin
-      let p = Keypack.pack n.cells n.all_positions r in
-      let k =
-        Keypack.to_key p
-          (if p = Keypack.nopack then Keypack.tuple n.cells n.all_positions r else [||])
-      in
-      place.(r) <-
-        (match k with
-        | Keypack.P _ -> Keypack.key_hash k land (packed_buckets - 1)
-        | Keypack.B _ -> packed_buckets + (Keypack.key_hash k land (boxed_buckets - 1)));
-      live := r :: !live
-    end
-  done;
-  let rows = Array.of_list !live in
-  Array.stable_sort
-    (fun a b ->
-      let c = Int.compare place.(a) place.(b) in
-      if c <> 0 then c else Int.compare n.stamp.(b) n.stamp.(a))
-    rows;
-  Array.iter (fun r -> f r n.mult.(r)) rows
+let iter_live n f =
+  for r = 0 to n.rows - 1 do
+    let m = n.mult.(r) in
+    if m <> 0 then f r m
+  done
 
 (* The rows to copy, as [start; length; copies] triples in row order:
    each run of rows of multiplicity 1 once, and each row of multiplicity

@@ -100,13 +100,11 @@ val join_tree : t -> Join_tree.t
 
 (** {2 Reading the contents} *)
 
-val iter_in_hash_order : node -> (int -> int -> unit) -> unit
-(** Live rows with their multiplicities, in the order of a chained hash
-    table over whole-tuple keys: rows whose key packs first, then the
-    others; by bucket ([Keypack.key_hash] modulo 256 or 16 buckets,
-    doubled while the side's peak row count exceeded twice that); newest
-    first within a bucket. This is the recomputation oracle's accumulation
-    order, whose bits test_resilience pins. *)
+val iter_live : node -> (int -> int -> unit) -> unit
+(** [iter_live n f] calls [f r m] for each live row [r] and its
+    multiplicity [m], in row order: first-insertion order, which
+    compaction keeps. {!columns} copies rows in this order. The storage
+    must not be updated during the walk. *)
 
 val columns : node -> Column.t array * int
 (** The live rows as fresh exact-size columns, and their length: [m]

@@ -132,54 +132,6 @@ let bindings e =
   done;
   !out
 
-(* A node's deltas, in the order its parent consumes them ([seq]), with
-   scratch for sorting them. *)
-type order = { mutable seq : int array; mutable rank : int array; mutable counts : int array }
-
-let rec buckets l c = if c <= 2 * l then l else buckets (2 * l) c
-
-(* The parent consumes a level's deltas in the order that folding a
-   [Keypack.Hybrid] table of them (grown from 16 buckets) into a list
-   leaves them: keys that do not pack first, then packed keys; on each
-   side by hash bucket, last bucket first, and within a bucket in
-   insertion order. Upstream contributions, and so every real-valued bit,
-   then add up as they did over such a table. A stable counting sort of
-   the ids by [rank]. *)
-let sort_deltas o (e : _ entries) =
-  let n = e.ids in
-  if Array.length o.seq < n then begin
-    o.seq <- Array.make (2 * n) 0;
-    o.rank <- Array.make (2 * n) 0
-  end;
-  if n = 1 then o.seq.(0) <- 0
-  else if n > 1 then begin
-    let nb = ref 0 in
-    for id = 0 to n - 1 do
-      if e.keys.(id) = Keypack.nopack then incr nb
-    done;
-    let nb = !nb in
-    let bb = buckets 16 nb and pb = buckets 16 (n - nb) in
-    if Array.length o.counts < bb + pb + 1 then o.counts <- Array.make (2 * (bb + pb + 1)) 0;
-    Array.fill o.counts 0 (bb + pb + 1) 0;
-    for id = 0 to n - 1 do
-      let p = e.keys.(id) in
-      let k =
-        if p <> Keypack.nopack then bb + pb - 1 - (Keypack.hash p land (pb - 1))
-        else bb - 1 - (Tuple.hash e.tuples.(id) land (bb - 1))
-      in
-      o.rank.(id) <- k;
-      o.counts.(k + 1) <- o.counts.(k + 1) + 1
-    done;
-    for k = 1 to bb + pb do
-      o.counts.(k) <- o.counts.(k) + o.counts.(k - 1)
-    done;
-    for id = 0 to n - 1 do
-      let k = o.rank.(id) in
-      o.seq.(o.counts.(k)) <- id;
-      o.counts.(k) <- o.counts.(k) + 1
-    done
-  end
-
 module Make (P : Payload.S) = struct
   (* The product of a node's children's views for one row, skipping one
      child: [first] is read in place (-1: the empty product, the ring's
@@ -204,7 +156,6 @@ module Make (P : Payload.S) = struct
     edges : Storage.edge array; (* this relation's index towards each child *)
     view : P.t entries;
     deltas : P.t entries; (* this node's deltas in the current update *)
-    order : order; (* the deltas' ids, in the order the parent reads them *)
     lifted : P.t;
     chains : chain array; (* at [except + 1], the children but [except] *)
     lift_plan : P.product option; (* lift times all children; None at a leaf *)
@@ -271,7 +222,6 @@ module Make (P : Payload.S) = struct
         edges = Array.map (fun c -> Storage.edge node ~neighbour:c.name) children;
         view = entries (fun () -> P.zero shape);
         deltas = entries (fun () -> P.zero shape);
-        order = { seq = [||]; rank = [||]; counts = [||] };
         lifted = P.zero lift_shape;
         chains = Array.map fst chains;
         lift_plan = Option.map (P.product lift_shape) below;
@@ -365,8 +315,7 @@ module Make (P : Payload.S) = struct
         (match v.lift_plan with
         | Some plan -> P.mul_into plan v.lifted product ~into:d
         | None -> P.copy v.lifted ~into:d);
-        view_add v p tuple d;
-        sort_deltas v.order v.deltas
+        view_add v p tuple d
 
   (* Row [r] of [v]'s relation, of multiplicity [m], joins the delta [d]
      of child [c]: it contributes m * lift(row) * (d * the other children's
@@ -400,23 +349,21 @@ module Make (P : Payload.S) = struct
       walk v c d e (Storage.next e r)
     end
 
-  (* An ancestor's deltas: every delta of child [c], in the order the
-     child left them, meets the stored rows of [v] joining its key, newest
-     first. Contributions to one key add up in that order. *)
+  (* An ancestor's deltas: every delta of child [c], in insertion order,
+     meets the stored rows of [v] joining its key, newest first.
+     Contributions to one key add up in that order. A delta table is
+     cleared per update and never releases an id, so its ids [0 .. ids-1]
+     are dense and in insertion order. *)
   let ancestor_deltas v c =
     clear v.deltas;
     let child = v.children.(c).deltas and e = v.edges.(c) in
-    let seq = v.children.(c).order.seq in
-    for k = 0 to child.ids - 1 do
-      let id = seq.(k) in
-      let p = child.keys.(id) in
-      walk v c child.bufs.(id) e (Storage.first e p child.tuples.(id))
+    for id = 0 to child.ids - 1 do
+      walk v c child.bufs.(id) e (Storage.first e child.keys.(id) child.tuples.(id))
     done;
     let e = v.deltas in
     for id = 0 to e.ids - 1 do
       view_add v e.keys.(id) e.tuples.(id) e.bufs.(id)
-    done;
-    sort_deltas v.order e
+    done
 
   let rec climb path i (below : vnode) =
     if i < Array.length path.ups && below.deltas.ids > 0 then begin
@@ -443,7 +390,7 @@ module Make (P : Payload.S) = struct
   (* From-scratch recomputation over the current storage (reference for
      tests): enumerate the join recursively through the view-tree shape,
      multiplying each row's lift by its children's views in child order,
-     rows in [Storage.iter_in_hash_order], into fresh tables. *)
+     rows in row order ([Storage.iter_live]), into fresh tables. *)
   let recompute t =
     let rec eval v =
       let child_views = Array.map eval v.children in
@@ -457,7 +404,7 @@ module Make (P : Payload.S) = struct
           v.children
       in
       let out = entries (fun () -> P.zero v.shape) in
-      Storage.iter_in_hash_order v.node (fun r m ->
+      Storage.iter_live v.node (fun r m ->
           lift_scaled v r m;
           let rec go i acc =
             if i = Array.length v.children then Some acc
