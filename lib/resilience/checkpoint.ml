@@ -1,9 +1,10 @@
 (* Checkpoint/restore of maintainer state.
 
    A checkpoint file is a magic string followed by ONE checksummed frame
-   holding: format version, strategy tag, committed sequence
-   number, the base-storage dump (in insertion order), and the exact
-   maintained view payloads ([Maintainer.dump_views]). Storing the views
+   holding: format version (2), strategy tag, the maintainer's feature
+   names in order, committed sequence number, the base-storage dump (in
+   insertion order), and the exact maintained view payloads
+   ([Maintainer.dump_views]). Storing the views
    verbatim — floats by bit pattern — rather than recomputing them on restore
    is what makes recovery bit-identical: a recomputation would re-associate
    float additions and drift in the last ulps. The file is written once, at
@@ -12,13 +13,15 @@
    Writes go to a [.tmp] sibling and are renamed into place, so a crash
    mid-write never leaves a half checkpoint under the live name. Restore
    walks checkpoints newest first and falls back past any file that fails
-   the checksum or decodes badly (bit flips read as "no checkpoint"). *)
+   the checksum or decodes badly (bit flips read as "no checkpoint"), and
+   past one written for another strategy or other features. *)
 
 open Fivm
 module Codec = Relational.Codec
 module Cov = Rings.Covariance
 
 let magic = "BORGCKP1"
+let version = 2
 
 (* ---- encoding ---- *)
 
@@ -138,12 +141,16 @@ let keep = 2
 
 let write ~dir ~seq (m : Maintainer.t) =
   let dump = Storage.dump (Maintainer.storage m) and views = Maintainer.dump_views m in
-  let len = 1 + 1 + 8 + list_size update_size dump + views_size views in
+  let features = Maintainer.features m in
+  let len =
+    1 + 1 + list_size Codec.str_size features + 8 + list_size update_size dump + views_size views
+  in
   let mlen = String.length magic in
   let file = Bytes.create (mlen + Codec.frame_header + len) in
   Bytes.blit_string magic 0 file 0 mlen;
-  let pos = Codec.put_u8 file (mlen + Codec.frame_header) 1 (* version *) in
+  let pos = Codec.put_u8 file (mlen + Codec.frame_header) version in
   let pos = Codec.put_u8 file pos (strategy_tag (Maintainer.strategy_of m)) in
+  let pos = put_list Codec.put_str file pos features in
   let pos = put_list put_update file (Codec.put_i64 file pos seq) dump in
   let pos = put_views file pos views in
   assert (pos = Bytes.length file);
@@ -158,20 +165,20 @@ let write ~dir ~seq (m : Maintainer.t) =
     (list dir);
   path
 
-let decode_file path : int * int * Delta.update list * Maintainer.view_dump =
+let decode_file path : int * string list * int * Delta.update list * Maintainer.view_dump =
   let s = In_channel.with_open_bin path In_channel.input_all in
   let mlen = String.length magic in
   if String.length s < mlen || String.sub s 0 mlen <> magic then
     Codec.fail "bad magic";
   let rd = Codec.read_frame (Codec.reader ~pos:mlen s) in
-  let version = Codec.read_u8 rd in
-  if version <> 1 then
-    Codec.fail (Printf.sprintf "unsupported version %d" version);
+  let v = Codec.read_u8 rd in
+  if v <> version then Codec.fail (Printf.sprintf "unsupported version %d" v);
   let tag = Codec.read_u8 rd in
+  let features = decode_list rd Codec.read_str in
   let seq = Codec.read_i64 rd in
   let storage_dump = decode_list rd decode_update in
   let views = decode_views rd in
-  (tag, seq, storage_dump, views)
+  (tag, features, seq, storage_dump, views)
 
 type restored = { maintainer : Maintainer.t; seq : int }
 
@@ -181,10 +188,11 @@ let restore ~dir ~(make : unit -> Maintainer.t) : restored option * int =
     | [] -> None
     | (_, path) :: rest -> (
         match decode_file path with
-        | tag, seq, storage_dump, views ->
+        | tag, features, seq, storage_dump, views ->
             let m = make () in
             if
               tag <> strategy_tag (Maintainer.strategy_of m)
+              || features <> Maintainer.features m
               || not (Maintainer.dump_fits m views)
             then begin
               (* someone changed the strategy or the features under the

@@ -255,7 +255,7 @@ let test_checkpoint_roundtrip () =
    maintenance or in recomputation, fails here, and every moved pin is
    listed. *)
 let pinned_crcs =
-  [ (M.F_ivm, 0xa08a9430, 0x3c86759f); (M.Higher_order, 0xd5ac63de, 0x3c86759f) ]
+  [ (M.F_ivm, 0x89bff5b4, 0x3c86759f); (M.Higher_order, 0x7ab7139f, 0x3c86759f) ]
 
 let test_state_pinned () =
   Scenario.with_temp_dir @@ fun dir ->
@@ -311,31 +311,39 @@ let test_checkpoint_corruption_falls_back () =
   Alcotest.(check bool) "both skipped" true (corrupt >= 2);
   Alcotest.(check bool) "empty start" true (restored = None)
 
-(* An F-IVM entry tagged 1 (a symbolic one, which no writer produces) is
-   refused like any bad tag, and restore falls back to the previous
-   checkpoint. The newest file's last entry ends the frame: its tag byte
+(* A file patched and resealed, so that only its checksum holds, is
+   refused, and restore falls back to the previous checkpoint: a version-1
+   file (written before checkpoints named their features) and an F-IVM
+   entry tagged 1 (a symbolic one, which no writer produces). The version
+   byte opens the frame. The newest file's last entry ends it: its tag byte
    is 109 bytes from the end at dimension 3 (tag, u32 dim, 13 cells). *)
-let test_checkpoint_refuses_tag_one () =
-  Scenario.with_temp_dir @@ fun dir ->
-  let m = make M.F_ivm () in
-  List.iteri
-    (fun i u ->
-      M.apply m u;
-      if i = 19 then ignore (Checkpoint.write ~dir ~seq:20 m))
-    (stream ~seed:8 ~steps:40);
-  let path = Checkpoint.write ~dir ~seq:40 m in
-  let s = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
-  let tag = Bytes.length s - (1 + 4 + (8 * 13)) in
-  Alcotest.(check int) "the last entry's tag" 2 (Char.code (Bytes.get s tag));
-  Bytes.set s tag '\001';
+let test_checkpoint_refuses_patched () =
   let magic = 8 in
-  Codec.seal_frame s ~pos:magic ~len:(Bytes.length s - magic - Codec.frame_header);
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc s);
-  let restored, corrupt = Checkpoint.restore ~dir ~make:(make M.F_ivm) in
-  Alcotest.(check int) "the tagged checkpoint is refused" 1 corrupt;
-  match restored with
-  | Some r -> Alcotest.(check int) "fell back to the older checkpoint" 20 r.Checkpoint.seq
-  | None -> Alcotest.fail "older checkpoint not restored"
+  List.iter
+    (fun (what, at) ->
+      Scenario.with_temp_dir @@ fun dir ->
+      let m = make M.F_ivm () in
+      List.iteri
+        (fun i u ->
+          M.apply m u;
+          if i = 19 then ignore (Checkpoint.write ~dir ~seq:20 m))
+        (stream ~seed:8 ~steps:40);
+      let path = Checkpoint.write ~dir ~seq:40 m in
+      let s = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+      let at = at (Bytes.length s) in
+      Alcotest.(check int) what 2 (Char.code (Bytes.get s at));
+      Bytes.set s at '\001';
+      Codec.seal_frame s ~pos:magic ~len:(Bytes.length s - magic - Codec.frame_header);
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc s);
+      let restored, corrupt = Checkpoint.restore ~dir ~make:(make M.F_ivm) in
+      Alcotest.(check int) (what ^ " 1: the checkpoint is refused") 1 corrupt;
+      match restored with
+      | Some r -> Alcotest.(check int) "fell back to the older checkpoint" 20 r.Checkpoint.seq
+      | None -> Alcotest.fail "older checkpoint not restored")
+    [
+      ("the version", fun _ -> magic + Codec.frame_header);
+      ("the last entry's tag", fun n -> n - (1 + 4 + (8 * 13)));
+    ]
 
 (* A checkpoint written over features m, u, v cannot seed a maintainer over
    u, v (another triple dimension, tree count or totals length): restore
@@ -367,12 +375,11 @@ let test_checkpoint_shape_mismatch_skipped () =
             (Cov.equal_bits (M.covariance fits) (M.covariance r.Checkpoint.maintainer)))
     [ M.F_ivm; M.Higher_order; M.First_order ]
 
-(* A checkpoint records no feature names. Maintained over m, u, v and
-   restored into a maintainer over v, u, m, an F-IVM dump does not fit:
-   D2's view triples hold v's sums at the feature slot that D2 no longer
-   owns, a nonzero cell outside its node's features. Restore counts the
-   checkpoint corrupt and installs nothing, where a triple of the right
-   dimension used to be installed and then disagree with a recompute. *)
+(* Maintained over m, u, v and restored into a maintainer over v, u, m,
+   an F-IVM checkpoint is refused: its feature names differ, and its dump
+   does not fit either (D2's view triples hold v's sums at the feature
+   slot that D2 no longer owns). Restore counts the checkpoint corrupt and
+   installs nothing. *)
 let test_checkpoint_feature_order_refused () =
   Scenario.with_temp_dir @@ fun dir ->
   let m = make M.F_ivm () in
@@ -386,6 +393,50 @@ let test_checkpoint_feature_order_refused () =
   let restored, corrupt = Checkpoint.restore ~dir ~make:(make M.F_ivm) in
   Alcotest.(check int) "the same order fits" 0 corrupt;
   Alcotest.(check bool) "restored" true (restored <> None)
+
+(* The star schema with a second feature on D1, w = 2u + 1, so that one
+   relation owns two features. *)
+let two_feature_database () =
+  Database.create "star-uw"
+    [
+      Relation.create "F"
+        (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
+      Relation.create "D1"
+        (Schema.make [ ("a", Value.TInt); ("u", Value.TFloat); ("w", Value.TFloat) ]);
+      Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
+    ]
+
+let with_w (u : Delta.update) =
+  match u.tuple with
+  | [| a; Value.Float x |] when u.relation = "D1" ->
+      { u with tuple = [| a; flt x; flt ((2.0 *. x) +. 1.0) |] }
+  | _ -> u
+
+(* Features m, u, w, v and m, w, u, v give every strategy dumps of one
+   shape: D1's nodes hold u and w either way, and the tree count and
+   totals length follow the feature count. Only the names in the file tell
+   them apart, so restore refuses the checkpoint for each strategy, where
+   it used to install state that disagreed with a recompute. *)
+let test_checkpoint_swapped_features_refused () =
+  List.iter
+    (fun strategy ->
+      Scenario.with_temp_dir @@ fun dir ->
+      let name = M.strategy_name strategy in
+      let over features () = M.create strategy (two_feature_database ()) ~features in
+      let m = over [ "m"; "u"; "w"; "v" ] () in
+      List.iter (fun u -> M.apply m (with_w u)) (stream ~seed:4 ~steps:40);
+      ignore (Checkpoint.write ~dir ~seq:40 m);
+      let restored, corrupt = Checkpoint.restore ~dir ~make:(over [ "m"; "w"; "u"; "v" ]) in
+      Alcotest.(check int) (name ^ ": the swapped checkpoint is refused") 1 corrupt;
+      Alcotest.(check bool) (name ^ ": nothing restored") true (restored = None);
+      let restored, corrupt = Checkpoint.restore ~dir ~make:(over [ "m"; "u"; "w"; "v" ]) in
+      Alcotest.(check int) (name ^ ": the same features fit") 0 corrupt;
+      match restored with
+      | None -> Alcotest.fail (name ^ ": the checkpoint was not restored")
+      | Some r ->
+          Alcotest.(check bool) (name ^ ": restored bit-identically") true
+            (Cov.equal_bits (M.covariance m) (M.covariance r.Checkpoint.maintainer)))
+    [ M.F_ivm; M.Higher_order; M.First_order ]
 
 (* ---- the core promise: crash recovery is bit-identical ---- *)
 
@@ -560,11 +611,14 @@ let () =
             test_checkpoint_corruption_falls_back;
           Alcotest.test_case "state pinned on a real-valued stream" `Quick
             test_state_pinned;
-          Alcotest.test_case "tag 1 refused, falls back" `Quick test_checkpoint_refuses_tag_one;
+          Alcotest.test_case "version 1 and tag 1 refused, fall back" `Quick
+            test_checkpoint_refuses_patched;
           Alcotest.test_case "shape mismatch skipped" `Quick
             test_checkpoint_shape_mismatch_skipped;
           Alcotest.test_case "feature order mismatch refused" `Quick
             test_checkpoint_feature_order_refused;
+          Alcotest.test_case "swapped features of one relation refused" `Quick
+            test_checkpoint_swapped_features_refused;
         ] );
       ( "crash-recovery",
         [
