@@ -446,7 +446,23 @@ let layout_update r (ri, ti, code) =
   in
   { Delta.relation = rel; tuple; multiplicity }
 
-let run_layout ops =
+(* [Storage.iter_live] walks each node's live rows in first-insertion
+   order with their multiplicities, negative ones too: the model's live
+   list, oldest first. *)
+let check_iter_live m r _probes step (u : Delta.update) =
+  let s = M.storage m in
+  List.iter
+    (fun (rel, (n : Ref_storage.node)) ->
+      let node = S.node s rel in
+      let got = ref [] in
+      S.iter_live node (fun row mult ->
+          got := (tuple_bits (Array.map (fun c -> Column.get c row) (S.cells node)), mult) :: !got);
+      let expected = List.rev_map (fun (e : Ref_storage.entry) -> (tuple_bits e.tuple, e.mult)) n.live in
+      if List.rev !got <> expected then
+        QCheck2.Test.fail_reportf "step %d (%a): iter_live on %s differs" step Delta.pp u rel)
+    r.Ref_storage.nodes
+
+let run_layout ?(check = check_against_reference) ops =
   let db = layout_db () in
   let m = M.create M.F_ivm db ~features:[] in
   let r = Ref_storage.create db in
@@ -456,7 +472,7 @@ let run_layout ops =
       let u = layout_update r op in
       Ref_storage.apply r u;
       M.apply m u;
-      check_against_reference m r probes step u)
+      check m r probes step u)
     ops
 
 let storage_matches_reference =
@@ -468,10 +484,9 @@ let storage_matches_reference =
       run_layout ops;
       true)
 
-(* Churn that compacts: fill every pool, delete three tuples in four, and
-   insert them again, checking the storage against the reference after
-   every update, so before and after each compaction. *)
-let test_compaction_keeps_orders () =
+(* Churn that compacts: fill every pool, delete three tuples in four,
+   insert them again, and delete every other tuple. *)
+let churn_ops () =
   let each f = Array.iteri (fun ri (_, pool) -> Array.iteri (fun ti _ -> f ri ti) pool) layout_pools in
   let ops = ref [] in
   let add op = ops := op :: !ops in
@@ -479,11 +494,27 @@ let test_compaction_keeps_orders () =
   each (fun ri ti -> if ti mod 4 <> 0 then add (ri, ti, 5));
   each (fun ri ti -> if ti mod 4 <> 0 then add (ri, ti, 3));
   each (fun ri ti -> if ti mod 2 = 0 then add (ri, ti, 5));
+  List.rev !ops
+
+(* The churn, checking the storage against the reference after every
+   update, so before and after each compaction. *)
+let test_compaction_keeps_orders () =
   Obs.reset ();
-  Obs.with_enabled true (fun () -> run_layout (List.rev !ops));
+  Obs.with_enabled true (fun () -> run_layout (churn_ops ()));
   let compactions = Obs.counter_value_by_name "fivm.storage_compactions" in
   Obs.reset ();
   Alcotest.(check bool) (Printf.sprintf "%d compactions" compactions) true (compactions > 0)
+
+(* After the churn, which deletes, inserts again and compacts, a random
+   stream: [iter_live] matches the model after every update. *)
+let iter_live_matches_reference =
+  QCheck2.Test.make ~count:50 ~name:"iter_live = the reference's live rows, oldest first"
+    QCheck2.Gen.(
+      list_size (int_range 1 200)
+        (triple (int_bound (Array.length layout_pools - 1)) (int_bound 1000) (int_bound 7)))
+    (fun ops ->
+      run_layout ~check:check_iter_live (churn_ops () @ ops);
+      true)
 
 (* A delete unlinks one entry: it allocates the same whether its bucket
    holds 10,000 tuples or 10. A delete that copies the bucket allocates in
@@ -659,6 +690,52 @@ let test_entry_sizes_follow_subtrees () =
        ])
     (show sizes)
 
+(* ---- the order a parent consumes deltas in ---- *)
+
+(* One dimension insert makes several child deltas reach one parent key.
+   On the chain R(c, x) - F(c, a) - D(a, u), rooted at R, inserting D's
+   row with a = 1 walks F's bucket for a = 1 newest first, so F's delta
+   table gets the keys c = 3, 2, 1 in that order, and each meets one row of
+   R and adds into R's single entry. With x = 1 at c = 3 and x = 2^-53 at
+   c = 2 and 1, the sum in insertion order is (1 + 2^-53) + 2^-53 = 1
+   (each step rounds to even), and in the reverse order
+   (2^-53 + 2^-53) + 1 = 1 + 2^-52. *)
+let test_deltas_in_insertion_order () =
+  let e = ldexp 1.0 (-53) in
+  let sum = (1.0 +. e) +. e in
+  Alcotest.(check bool) "the two orders differ" true
+    (Int64.bits_of_float sum <> Int64.bits_of_float ((e +. e) +. 1.0));
+  List.iter
+    (fun strategy ->
+      let db =
+        Database.create "chain"
+          [
+            Relation.create "D" (Schema.make [ ("a", Value.TInt); ("u", Value.TInt) ]);
+            Relation.create "F" (Schema.make [ ("c", Value.TInt); ("a", Value.TInt) ]);
+            Relation.create "R" (Schema.make [ ("c", Value.TInt); ("x", Value.TFloat) ]);
+          ]
+      in
+      let m = M.create strategy db ~features:[ "x" ] in
+      let name = M.strategy_name strategy in
+      Alcotest.(check string) (name ^ ": root") "R"
+        (Join_tree.root_name (Fivm.Storage.join_tree (M.storage m)));
+      List.iter (M.apply m)
+        [
+          Delta.insert "R" [| int 1; flt e |];
+          Delta.insert "R" [| int 2; flt e |];
+          Delta.insert "R" [| int 3; flt 1.0 |];
+          Delta.insert "F" [| int 1; int 1 |];
+          Delta.insert "F" [| int 2; int 1 |];
+          Delta.insert "F" [| int 3; int 1 |];
+          Delta.insert "D" [| int 1; int 0 |];
+        ];
+      let expected = [| 3.0; sum; (1.0 +. (e *. e)) +. (e *. e) |] in
+      Alcotest.(check bool)
+        (name ^ ": the maintained triple is the insertion-order sum, bit for bit")
+        true
+        (Cov.equal_bits expected (M.covariance m)))
+    [ M.F_ivm; M.Higher_order ]
+
 (* ---- triangle maintenance (cyclic IVM) ---- *)
 module Tri = Fivm.Triangle
 
@@ -729,80 +806,6 @@ let test_eval_on_cyclic () =
   Alcotest.(check (float 1e-9)) "sum a over join" 1.0
     (Aggregates.Spec.scalar_result (List.assoc "sa" results))
 
-(* ---- grouped (k-relation payload) maintenance ---- *)
-
-let grouped_maintained_equals_recomputed =
-  QCheck2.Test.make ~count:30 ~name:"grouped view: maintained = recomputed"
-    QCheck2.Gen.(pair (int_range 0 60) int)
-    (fun (steps, seed) ->
-      let rng = Util.Prng.create seed in
-      let spec =
-        Fivm.Grouped_view.Spec.make ~id:"g" ~terms:[ ("m", 1) ]
-          ~group_by:[ "u_cat" ] ()
-      in
-      (* D1 carries a categorical u_cat instead of the float u *)
-      let db =
-        Database.create "gstream"
-          [
-            Relation.create "F"
-              (Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("m", Value.TFloat) ]);
-            Relation.create "D1" (Schema.make [ ("a", Value.TInt); ("u_cat", Value.TInt) ]);
-            Relation.create "D2" (Schema.make [ ("b", Value.TInt); ("v", Value.TFloat) ]);
-          ]
-      in
-      let g = Fivm.Grouped_view.create db spec in
-      let inserted = ref [] in
-      for _ = 1 to steps do
-        let u =
-          if !inserted <> [] && Util.Prng.int rng 4 = 0 then begin
-            let arr = Array.of_list !inserted in
-            let u = Util.Prng.choice rng arr in
-            inserted := List.filter (fun x -> x != u) !inserted;
-            Delta.delete u.Delta.relation u.Delta.tuple
-          end
-          else begin
-            let rel = [| "F"; "D1"; "D2" |].(Util.Prng.int rng 3) in
-            let tuple =
-              match rel with
-              | "F" ->
-                  [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 4);
-                     flt (float_of_int (Util.Prng.int rng 5)) |]
-              | "D1" -> [| int (Util.Prng.int rng 4); int (Util.Prng.int rng 3) |]
-              | _ -> [| int (Util.Prng.int rng 4); flt (float_of_int (Util.Prng.int rng 5)) |]
-            in
-            let u = Delta.insert rel tuple in
-            inserted := u :: !inserted;
-            u
-          end
-        in
-        Fivm.Grouped_view.apply g u
-      done;
-      Fivm.Grouped_view.Spec.result_equal
-        (List.sort compare (Fivm.Grouped_view.result g))
-        (List.sort compare (Fivm.Grouped_view.recompute g)))
-
-let test_grouped_simple () =
-  let db =
-    Database.create "g"
-      [
-        Relation.create "F" (Schema.make [ ("a", Value.TInt); ("m", Value.TFloat) ]);
-        Relation.create "D" (Schema.make [ ("a", Value.TInt); ("k", Value.TInt) ]);
-      ]
-  in
-  let spec =
-    Fivm.Grouped_view.Spec.make ~id:"s" ~terms:[ ("m", 1) ] ~group_by:[ "k" ] ()
-  in
-  let g = Fivm.Grouped_view.create db spec in
-  Fivm.Grouped_view.apply g (Delta.insert "F" [| int 1; flt 10.0 |]);
-  Fivm.Grouped_view.apply g (Delta.insert "D" [| int 1; int 7 |]);
-  Fivm.Grouped_view.apply g (Delta.insert "F" [| int 1; flt 5.0 |]);
-  (match Fivm.Grouped_view.result g with
-  | [ ([ ("k", Value.Int 7) ], v) ] -> Alcotest.(check (float 1e-9)) "15 in group 7" 15.0 v
-  | r ->
-      Alcotest.failf "unexpected result (%d groups)" (List.length r));
-  Fivm.Grouped_view.apply g (Delta.delete "D" [| int 1; int 7 |]);
-  Alcotest.(check int) "group vanished" 0 (List.length (Fivm.Grouped_view.result g))
-
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -815,11 +818,6 @@ let () =
           qcheck (maintained_equals_recomputed M.First_order);
         ] );
       ("agreement", [ qcheck strategies_agree ]);
-      ( "grouped-views",
-        [
-          qcheck grouped_maintained_equals_recomputed;
-          Alcotest.test_case "sum by group under updates" `Quick test_grouped_simple;
-        ] );
       ( "triangles",
         [
           qcheck triangle_maintained_equals_recomputed;
@@ -837,6 +835,7 @@ let () =
       ( "storage",
         [
           qcheck storage_matches_reference;
+          qcheck iter_live_matches_reference;
           Alcotest.test_case "compaction keeps orders and snapshots" `Quick
             test_compaction_keeps_orders;
           Alcotest.test_case "delete cost independent of bucket size" `Quick
@@ -856,6 +855,8 @@ let () =
           Alcotest.test_case "insert then delete = identity" `Quick
             test_insert_then_delete_is_identity;
           Alcotest.test_case "bulk multiplicities" `Quick test_bulk_multiplicity;
+          Alcotest.test_case "deltas consumed in insertion order" `Quick
+            test_deltas_in_insertion_order;
           Alcotest.test_case "covariance is a copy" `Quick test_covariance_is_a_copy;
           Alcotest.test_case "stream completes" `Quick test_throughput_sanity;
         ] );
