@@ -35,9 +35,9 @@
      dead rows.
 
    [dump] merges the relations' rows by stamp, so replaying it into a fresh
-   storage rebuilds every row and bucket in the same order; [columns]
-   finds the runs of live rows once and copies each column out with one
-   blit per run. *)
+   storage rebuilds every row and bucket in the same order; [iter_live]
+   walks live rows in row order, and [columns] finds the runs of live rows
+   once and copies each column out with one blit per run, in that order. *)
 
 open Relational
 

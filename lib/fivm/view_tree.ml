@@ -25,10 +25,11 @@
    Views and deltas are entry tables: keys map to dense ids through a
    [Keypack.Index], and each id owns one buffer of the node's shape. A view
    entry's id and buffer go back to the node's free list when its payload
-   cancels; a node's delta table holds the deltas of the current update and
-   is cleared at the next. Storage edges, product plans and scratch are resolved at
-   [create], so an update probes each table once per key and allocates
-   nothing: no key, option, closure or list.
+   cancels; a node's delta table holds the deltas of the current update, in
+   insertion order, and is cleared at the next. Storage edges, product
+   plans and scratch are resolved at [create], so an update probes each
+   table once per key and allocates nothing: no key, option, closure or
+   list.
 
    Tuples are storage rows: the updated tuple is the node's staged row, and
    partners come out of the storage's buckets as row ids, so lifts and keys

@@ -4,11 +4,11 @@
    holding: format version (2), strategy tag, the maintainer's feature
    names in order, committed sequence number, the base-storage dump (in
    insertion order), and the exact maintained view payloads
-   ([Maintainer.dump_views]). Storing the views
-   verbatim — floats by bit pattern — rather than recomputing them on restore
-   is what makes recovery bit-identical: a recomputation would re-associate
-   float additions and drift in the last ulps. The file is written once, at
-   its exact size, and its frame sealed in place ([Codec.seal_frame]).
+   ([Maintainer.dump_views]). Storing the views verbatim — floats by bit
+   pattern — rather than recomputing them on restore is what makes
+   recovery bit-identical: a recomputation would re-associate float
+   additions and drift in the last ulps. The file is written once, at its
+   exact size, and its frame sealed in place ([Codec.seal_frame]).
 
    Writes go to a [.tmp] sibling and are renamed into place, so a crash
    mid-write never leaves a half checkpoint under the live name. Restore

@@ -457,7 +457,9 @@ let check_iter_live m r _probes step (u : Delta.update) =
       let got = ref [] in
       S.iter_live node (fun row mult ->
           got := (tuple_bits (Array.map (fun c -> Column.get c row) (S.cells node)), mult) :: !got);
-      let expected = List.rev_map (fun (e : Ref_storage.entry) -> (tuple_bits e.tuple, e.mult)) n.live in
+      let expected =
+        List.rev_map (fun (e : Ref_storage.entry) -> (tuple_bits e.tuple, e.mult)) n.live
+      in
       if List.rev !got <> expected then
         QCheck2.Test.fail_reportf "step %d (%a): iter_live on %s differs" step Delta.pp u rel)
     r.Ref_storage.nodes
@@ -693,13 +695,13 @@ let test_entry_sizes_follow_subtrees () =
 (* ---- the order a parent consumes deltas in ---- *)
 
 (* One dimension insert makes several child deltas reach one parent key.
-   On the chain R(c, x) - F(c, a) - D(a, u), rooted at R, inserting D's
-   row with a = 1 walks F's bucket for a = 1 newest first, so F's delta
-   table gets the keys c = 3, 2, 1 in that order, and each meets one row of
-   R and adds into R's single entry. With x = 1 at c = 3 and x = 2^-53 at
-   c = 2 and 1, the sum in insertion order is (1 + 2^-53) + 2^-53 = 1
-   (each step rounds to even), and in the reverse order
-   (2^-53 + 2^-53) + 1 = 1 + 2^-52. *)
+   On the chain R(c, x) - F(c, a) - D(a, u), rooted at R (listed D, F, R
+   for that), inserting D's row with a = 1 walks F's bucket for a = 1
+   newest first, so F's delta table gets the keys c = 3, 2, 1 in that
+   order, and each meets one row of R and adds into R's single entry.
+   With x = 1 at c = 3 and x = 2^-53 at c = 2 and 1, the sum in insertion
+   order is (1 + 2^-53) + 2^-53 = 1 (each step rounds to even), and in
+   the reverse order (2^-53 + 2^-53) + 1 = 1 + 2^-52. *)
 let test_deltas_in_insertion_order () =
   let e = ldexp 1.0 (-53) in
   let sum = (1.0 +. e) +. e in

@@ -274,7 +274,8 @@ let test_state_pinned () =
            List.filter_map
              (fun (what, pinned, crc) ->
                if crc = pinned then None
-               else Some (Printf.sprintf "%s %s: pinned %s, now %s" name what (hex pinned) (hex crc)))
+               else
+                 Some (Printf.sprintf "%s %s: pinned %s, now %s" name what (hex pinned) (hex crc)))
              [
                ("checkpoint", checkpoint, Util.Checksum.crc32 file);
                ("recompute", recomputed, Util.Checksum.crc32 (Buffer.contents b));
@@ -415,8 +416,8 @@ let with_w (u : Delta.update) =
 (* Features m, u, w, v and m, w, u, v give every strategy dumps of one
    shape: D1's nodes hold u and w either way, and the tree count and
    totals length follow the feature count. Only the names in the file tell
-   them apart, so restore refuses the checkpoint for each strategy, where
-   it used to install state that disagreed with a recompute. *)
+   them apart, and restore must refuse the checkpoint for each strategy:
+   installed, its state would disagree with a recompute. *)
 let test_checkpoint_swapped_features_refused () =
   List.iter
     (fun strategy ->
