@@ -121,8 +121,9 @@ let eval_cyclic (db : Database.t) (batch : Batch.t) :
           (fun c ->
             for i = 0 to Relation.cardinality c - 1 do
               Relation.append_from out c i
-            done)
-          chunks;
+            done;
+            chunks.Database.release c)
+          chunks.Database.seq;
         out
   in
   let join =

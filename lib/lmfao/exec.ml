@@ -889,7 +889,8 @@ let bind (grp : group) (inc_views : V.t array) rel (accs : V.t array) : scanner 
 (* One scan of [rel_name] computing [grp]'s views from [inc_views]. A
    streamed relation runs its page chunks in global row order into ONE set
    of views: the float-op sequence of a sequential in-memory scan, hence
-   bit-identical to it, and never chunked across domains. With [parallel],
+   bit-identical to it, and never chunked across domains. Each chunk is
+   released once its rows have run. With [parallel],
    a resident relation above [chunk_threshold] rows runs in chunks merged
    in a fixed order; before they start, every in-order incoming view whose
    probe keys step backwards anywhere in the relation gets its index, so
@@ -898,7 +899,11 @@ let scan_group ~parallel ~chunk_threshold db (grp : group) inc_views rel_name : 
   match Database.stream db rel_name with
   | Some chunks ->
       let accs = fresh grp in
-      Seq.iter (fun chunk -> (bind grp inc_views chunk accs).run 0 (Relation.cardinality chunk)) chunks;
+      Seq.iter
+        (fun chunk ->
+          (bind grp inc_views chunk accs).run 0 (Relation.cardinality chunk);
+          chunks.release chunk)
+        chunks.seq;
       accs
   | None ->
       let rel = Database.relation db rel_name in
@@ -985,13 +990,16 @@ type piece = { rows : int; key : int -> int; first : scanner; second : scanner }
 let no_piece = { rows = 0; key = (fun _ -> 0); first = no_scan; second = no_scan }
 
 (* A merged relation read one chunk at a time: the chunks not reached
-   yet, the current one and the next row there. A side that is not
+   yet, the chunks pulled and not released (the current one first), the
+   current one's piece and the next row there. A side that is not
    [checked] (a streamed relation) checks every key it reads against the
    last. *)
 type side = {
   checked : bool;
   bind_piece : Relation.t -> piece;
+  release : Relation.t -> unit;
   mutable rest : Relation.t Seq.t;
+  mutable held : Relation.t list;
   mutable piece : piece;
   mutable pos : int;
   mutable last : int;
@@ -1006,9 +1014,25 @@ let rec avail s =
   | Seq.Nil -> false
   | Seq.Cons (chunk, rest) ->
       s.rest <- rest;
+      s.held <- chunk :: s.held;
       s.piece <- s.bind_piece chunk;
       s.pos <- 0;
       avail s
+
+(* After a block has run: release every chunk [s] pulled but the current
+   one, whose rows the next block may read ([avail] may have pulled it to
+   look at its first key). Newest first, so that a reader that keeps its
+   leases newest first, as [Store.Paged] does, finds each at the front. *)
+let release_finished s =
+  match s.held with
+  | current :: (_ :: _ as finished) ->
+      List.iter s.release finished;
+      s.held <- [ current ]
+  | _ -> ()
+
+let release_held s =
+  List.iter s.release s.held;
+  s.held <- []
 
 (* Row [i]'s edge key in the current chunk, checked when [s] is not. *)
 let key s i =
@@ -1078,7 +1102,8 @@ let cut_c c hi =
 
 (* Run merged step [m] by key blocks: the views it computes that outlive
    it, as (view ids, views), or [None] when it must run as one block,
-   counted with the reason. *)
+   counted with the reason. Every chunk pulled is released by the end,
+   whichever way the step ends. *)
 let merged_step ~parallel ~chunk_threshold db (g : Plan.grouped) layouts live (m : Plan.merge) =
   let stream name = Database.stream db name in
   let resident name = Option.is_none (stream name) in
@@ -1088,6 +1113,8 @@ let merged_step ~parallel ~chunk_threshold db (g : Plan.grouped) layouts live (m
   let check name key =
     if resident name then Option.iter (fun w -> raise (Fall_back w)) (unordered (Database.relation db name) key)
   in
+  let sides = ref [] in
+  Fun.protect ~finally:(fun () -> List.iter release_held !sides) @@ fun () ->
   try
     if chunked m.Plan.n_rel || chunked m.Plan.c_rel then raise (Fall_back Parallel);
     check m.Plan.n_rel m.Plan.n_key;
@@ -1113,21 +1140,32 @@ let merged_step ~parallel ~chunk_threshold db (g : Plan.grouped) layouts live (m
           fun chunk -> bind grp inc chunk accs
     in
     let side name key first second =
-      {
-        checked = resident name;
-        bind_piece =
-          (fun chunk ->
-            {
-              rows = Relation.cardinality chunk;
-              key = Keypack.reader (Relation.columns chunk) key;
-              first = first chunk;
-              second = second chunk;
-            });
-        rest = (match stream name with Some s -> s | None -> Seq.return (Database.relation db name));
-        piece = no_piece;
-        pos = 0;
-        last = min_int;
-      }
+      let chunks =
+        match stream name with
+        | Some chunks -> chunks
+        | None -> { Database.seq = Seq.return (Database.relation db name); release = ignore }
+      in
+      let s =
+        {
+          checked = resident name;
+          bind_piece =
+            (fun chunk ->
+              {
+                rows = Relation.cardinality chunk;
+                key = Keypack.reader (Relation.columns chunk) key;
+                first = first chunk;
+                second = second chunk;
+              });
+          release = chunks.release;
+          rest = chunks.seq;
+          held = [];
+          piece = no_piece;
+          pos = 0;
+          last = min_int;
+        }
+      in
+      sides := s :: !sides;
+      s
     in
     let n = side m.Plan.n_rel m.Plan.n_key (binder up up_outs) (binder down down_outs) in
     let c = side m.Plan.c_rel m.Plan.c_key (binder at_c c_outs) (fun _ -> no_scan) in
@@ -1146,6 +1184,8 @@ let merged_step ~parallel ~chunk_threshold db (g : Plan.grouped) layouts live (m
       run (fun p -> p.first) n_segs;
       run (fun p -> p.first) c_segs;
       run (fun p -> p.second) n_segs;
+      release_finished n;
+      release_finished c;
       Obs.incr c_merge_blocks
     done;
     Some [ (m.Plan.c_views, Array.sub c_outs 0 (Array.length m.Plan.c_views)); (m.Plan.down, down_outs) ]

@@ -102,26 +102,40 @@ external bswap64 : int64 -> int64 = "%bswap_int64"
 
 let[@inline] get64_le s i = if Sys.big_endian then bswap64 (get64u s i) else get64u s i
 
-(* Typed loops over [n] consecutive cells into fresh arrays: no closure and
-   no boxed float per cell, and nothing shared with the reader's string.
-   [need_cells] has checked the whole range, so the cells are read
-   unchecked. *)
-let read_i64s r n =
+(* Typed loops over as many consecutive cells as the array holds, written
+   into it: no closure and no boxed float per cell, and nothing shared with
+   the reader's string. [need_cells] has checked the whole range, so the
+   cells are read unchecked. *)
+let read_i64s_into r a =
+  let n = Array.length a in
   need_cells r n;
-  let a = Array.make n 0 and buf = r.buf and base = r.pos in
+  let buf = r.buf and base = r.pos in
   for i = 0 to n - 1 do
     Array.unsafe_set a i (Int64.to_int (get64_le buf (base + (8 * i))))
   done;
-  r.pos <- base + (8 * n);
+  r.pos <- base + (8 * n)
+
+let read_f64s_into r (a : float array) =
+  let n = Array.length a in
+  need_cells r n;
+  let buf = r.buf and base = r.pos in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (Int64.float_of_bits (get64_le buf (base + (8 * i))))
+  done;
+  r.pos <- base + (8 * n)
+
+(* The same loops into fresh arrays, allocated once the cells are known to
+   be present. *)
+let read_i64s r n =
+  need_cells r n;
+  let a = Array.make n 0 in
+  read_i64s_into r a;
   a
 
 let read_f64s r n =
   need_cells r n;
-  let a = Array.create_float n and buf = r.buf and base = r.pos in
-  for i = 0 to n - 1 do
-    Array.unsafe_set a i (Int64.float_of_bits (get64_le buf (base + (8 * i))))
-  done;
-  r.pos <- base + (8 * n);
+  let a = Array.create_float n in
+  read_f64s_into r a;
   a
 
 let str b s =

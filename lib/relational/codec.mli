@@ -56,6 +56,12 @@ val read_i64s : reader -> int -> int array
 val read_f64s : reader -> int -> float array
 (** [n] consecutive {!f64} cells into a fresh float array (no boxing). *)
 
+val read_i64s_into : reader -> int array -> unit
+(** {!read_i64s} of the array's length, written into the array. *)
+
+val read_f64s_into : reader -> float array -> unit
+(** {!read_f64s} of the array's length, written into the array. *)
+
 val str : Buffer.t -> string -> unit
 val read_str : reader -> string
 

@@ -2,7 +2,7 @@
    query they participate in (their natural join), with size accounting used
    throughout the experiments. *)
 
-type chunks = Relation.t Seq.t
+type chunks = { seq : Relation.t Seq.t; release : Relation.t -> unit }
 
 type t = {
   name : string;

@@ -3,12 +3,17 @@
 
 type t
 
-type chunks = Relation.t Seq.t
+type chunks = { seq : Relation.t Seq.t; release : Relation.t -> unit }
 (** An out-of-core relation as a pull sequence of chunks in global row
     order, read again from the start each time it is traversed. Each chunk
     is an ordinary in-memory {!Relation.t} slice sharing the full
     relation's schema; a reader may pull two relations' chunks in
-    lockstep. *)
+    lockstep, and may hold many chunks at once.
+
+    A chunk is leased to its reader: [release c] hands [c] back, once, and
+    its cells may then be overwritten by a later chunk, so a released chunk
+    must not be read again. A chunk that is never released is never
+    reused. *)
 
 val create : string -> Relation.t list -> t
 (** Raises on duplicate relation names.

@@ -18,13 +18,14 @@ let cache_budget = Obs.gauge "store.cache_budget"
 type 'a t = {
   budget : int;
   entries : (int, 'a * int ref) Hashtbl.t;
+  on_evict : 'a -> unit;
   mutable clock : int;
 }
 
-let create ~budget =
+let create ~budget ~on_evict =
   let budget = Stdlib.max 1 budget in
   Obs.set_gauge cache_budget (float_of_int budget);
-  { budget; entries = Hashtbl.create (2 * budget); clock = 0 }
+  { budget; entries = Hashtbl.create (2 * budget); on_evict; clock = 0 }
 
 let budget t = t.budget
 let resident t = Hashtbl.length t.entries
@@ -43,8 +44,10 @@ let evict_lru t =
       end)
     t.entries;
   if !victim >= 0 then begin
+    let v, _ = Hashtbl.find t.entries !victim in
     Hashtbl.remove t.entries !victim;
-    Obs.incr evictions
+    Obs.incr evictions;
+    t.on_evict v
   end
 
 let find t key ~load =
@@ -61,7 +64,3 @@ let find t key ~load =
       Hashtbl.replace t.entries key (v, ref t.clock);
       note_resident t;
       v
-
-let clear t =
-  Hashtbl.reset t.entries;
-  Obs.set_gauge cache_pages 0.0

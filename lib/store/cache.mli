@@ -5,8 +5,9 @@
 
 type 'a t
 
-val create : budget:int -> 'a t
-(** [budget] is clamped to at least 1 page. *)
+val create : budget:int -> on_evict:('a -> unit) -> 'a t
+(** [budget] is clamped to at least 1 page. [on_evict] receives each value
+    the cache drops. *)
 
 val budget : 'a t -> int
 val resident : 'a t -> int
@@ -14,5 +15,3 @@ val resident : 'a t -> int
 val find : 'a t -> int -> load:(int -> 'a) -> 'a
 (** Return the cached value for [key], loading (and caching, evicting the
     LRU entry if the budget is full) on a miss. *)
-
-val clear : 'a t -> unit

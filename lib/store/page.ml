@@ -69,11 +69,19 @@ let encode ~index rel ~lo ~rows =
   Codec.seal_frame b ~pos:mlen ~len;
   Bytes.unsafe_to_string b
 
+let pages_recycled = Obs.counter "store.pages_recycled"
+
 (* Decode the page held in the first [len] bytes of [s] (default: all of
    it). [at] is the page's byte offset in its file: errors are located at
    their offset in the page image plus [at]. Every cell is copied out of
-   [s], so the caller may reuse it once [decode] returns. *)
-let decode ?(at = 0) ?len s =
+   [s], so the caller may reuse it once [decode] returns.
+
+   An Ints or Floats column is decoded into the same column of [into] when
+   that one has the same representation and exactly [rows] cells, and into
+   a fresh array otherwise; a Boxed column is always fresh. The caller
+   gives up [into]: its arrays now belong to the new page. A page that
+   reuses any array counts once in [store.pages_recycled]. *)
+let decode ?(at = 0) ?len ?into s =
   let relocate e =
     let offset = if e.Codec.offset < 0 then at else at + e.Codec.offset in
     Codec.fail ~offset e.Codec.reason
@@ -88,15 +96,30 @@ let decode ?(at = 0) ?len s =
     let index = Codec.read_u32 rd in
     let rows = Codec.read_u32 rd in
     let ncols = Codec.read_u8 rd in
-    let columns =
-      Array.init ncols (fun _ ->
-          let tag_at = rd.Codec.pos in
-          match Codec.read_u8 rd with
-          | 0 -> Column.of_ints (Codec.read_i64s rd rows)
-          | 1 -> Column.of_floats (Codec.read_f64s rd rows)
-          | 2 -> Column.of_boxed (Array.init rows (fun _ -> Codec.read_value rd))
-          | tag -> Codec.fail ~offset:tag_at (Printf.sprintf "bad column tag %d" tag))
+    let spare j =
+      match into with
+      | Some p when j < Array.length p.columns -> Column.data p.columns.(j)
+      | _ -> Column.Boxed [||]
     in
+    let recycled = ref false in
+    let columns =
+      Array.init ncols (fun j ->
+          let tag_at = rd.Codec.pos in
+          match (Codec.read_u8 rd, spare j) with
+          | 0, Column.Ints a when Array.length a = rows ->
+              Codec.read_i64s_into rd a;
+              recycled := true;
+              Column.of_ints a
+          | 1, Column.Floats a when Array.length a = rows ->
+              Codec.read_f64s_into rd a;
+              recycled := true;
+              Column.of_floats a
+          | 0, _ -> Column.of_ints (Codec.read_i64s rd rows)
+          | 1, _ -> Column.of_floats (Codec.read_f64s rd rows)
+          | 2, _ -> Column.of_boxed (Array.init rows (fun _ -> Codec.read_value rd))
+          | tag, _ -> Codec.fail ~offset:tag_at (Printf.sprintf "bad column tag %d" tag))
+    in
+    if !recycled then Obs.incr pages_recycled;
     { index; rows; columns }
   with Codec.Decode_error e -> relocate e
 

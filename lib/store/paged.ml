@@ -17,7 +17,17 @@
    it on demand through a bounded [Cache]; scans touch one page at a time
    in directory order, so a full-relation scan holds at most [cache_pages]
    decoded pages resident no matter the relation's cardinality — that is
-   the out-of-core property the bench gauges verify. *)
+   the out-of-core property the bench gauges verify.
+
+   Decoded pages are leased. A page counts its holders: the cache while it
+   keeps the page, each chunk [stream] hands out until its reader releases
+   it, and, forever, each chunk [chunk] hands out. A full page no holder is
+   left on becomes spare (at most [cache_pages] of them), and the next full
+   page the cache misses is decoded into a spare's Ints and Floats arrays
+   ([Page.decode ?into]) instead of fresh ones, so a streamed scan stops
+   allocating a page's worth of major heap per page. Pages read by [chunk],
+   [iter_chunks], [to_relation] or [verify], and short last pages, are
+   never recycled. *)
 
 module Codec = Relational.Codec
 module Schema = Relational.Schema
@@ -165,6 +175,11 @@ let close_writer w =
 
 (* ---- reader ---- *)
 
+(* A decoded page and the count of its holders: the cache while it keeps
+   the page, each chunk [stream] leases until it is released, and forever
+   each chunk [chunk] hands out. *)
+type entry = { page : Page.t; mutable holders : int }
+
 type t = {
   dir : string;
   name : string;
@@ -173,14 +188,25 @@ type t = {
   page_rows : int;
   directory : (int * int * int) array;
   ic : In_channel.t;
-  cache : Page.t Cache.t;
+  cache : entry Cache.t;
   buf : Bytes.t; (* the largest page: every read lands here *)
+  spare : Page.t Stack.t; (* full pages no one holds: the next decodes' arrays *)
+  mutable leased : (Relation.t * entry) list; (* unreleased [stream] chunks *)
 }
+
+(* A holder lets go of [e]. A full page no one holds becomes spare while
+   fewer than [keep] (the cache's budget) are, so that an idle handle keeps
+   at most twice its budget. *)
+let drop spare ~keep ~page_rows e =
+  e.holders <- e.holders - 1;
+  if e.holders = 0 && e.page.Page.rows = page_rows && Stack.length spare < keep then
+    Stack.push e.page spare
 
 let openr ?(cache_pages = default_cache_pages) ~dir name =
   let stored_name, schema, rows, page_rows, directory = read_meta ~dir name in
   if stored_name <> name then
     Codec.fail (Printf.sprintf "meta names %s, expected %s" stored_name name);
+  let spare = Stack.create () and keep = Stdlib.max 1 cache_pages in
   {
     dir;
     name;
@@ -189,8 +215,10 @@ let openr ?(cache_pages = default_cache_pages) ~dir name =
     page_rows;
     directory;
     ic = In_channel.open_bin (pages_path dir name);
-    cache = Cache.create ~budget:cache_pages;
+    cache = Cache.create ~budget:keep ~on_evict:(drop spare ~keep ~page_rows);
     buf = Bytes.create (Array.fold_left (fun m (_, bytes, _) -> Stdlib.max m bytes) 0 directory);
+    spare;
+    leased = [];
   }
 
 let name t = t.name
@@ -203,12 +231,12 @@ let close t = In_channel.close t.ic
 (* Each page is read into the handle's one buffer and decoded from there;
    the decoded page copies every cell out, so the next read may overwrite
    the buffer. A handle is single-reader, as its channel and cache are. *)
-let load_page t i =
+let load_page ?into t i =
   let offset, bytes, prows = t.directory.(i) in
   In_channel.seek t.ic (Int64.of_int offset);
   if In_channel.really_input t.ic t.buf 0 bytes = None then
     Codec.fail ~offset (Printf.sprintf "torn page %d: short read" i);
-  let page = Page.decode ~at:offset ~len:bytes (Bytes.unsafe_to_string t.buf) in
+  let page = Page.decode ~at:offset ~len:bytes ?into (Bytes.unsafe_to_string t.buf) in
   if page.Page.index <> i then
     Codec.fail ~offset (Printf.sprintf "page %d holds index %d" i page.Page.index);
   if page.Page.rows <> prows then
@@ -216,15 +244,43 @@ let load_page t i =
       (Printf.sprintf "page %d holds %d rows, directory says %d" i page.Page.rows prows);
   page
 
-let page t i = Cache.find t.cache i ~load:(load_page t)
-let chunk t i = Page.to_relation t.name t.schema (page t i)
+(* Page [i] with one more holder. A full page missing from the cache is
+   decoded over a spare one's arrays when there is one. *)
+let hold t i =
+  let load i =
+    let _, _, prows = t.directory.(i) in
+    let into = if prows = t.page_rows then Stack.pop_opt t.spare else None in
+    { page = load_page ?into t i; holders = 1 }
+  in
+  let e = Cache.find t.cache i ~load in
+  e.holders <- e.holders + 1;
+  e
+
+let chunk t i = Page.to_relation t.name t.schema (hold t i).page
 
 let iter_chunks t f =
   for i = 0 to pages t - 1 do
     f (chunk t i)
   done
 
-let stream t : Relational.Database.chunks = Seq.init (pages t) (chunk t)
+let lease t i =
+  let e = hold t i in
+  let c = Page.to_relation t.name t.schema e.page in
+  t.leased <- (c, e) :: t.leased;
+  c
+
+let release t c =
+  let rec remove = function
+    | [] -> invalid_arg (Printf.sprintf "Paged.release: a chunk of %s not leased" t.name)
+    | (c', e) :: rest when c' == c ->
+        drop t.spare ~keep:(Cache.budget t.cache) ~page_rows:t.page_rows e;
+        rest
+    | lease :: rest -> lease :: remove rest
+  in
+  t.leased <- remove t.leased
+
+let stream t : Relational.Database.chunks =
+  { seq = Seq.init (pages t) (lease t); release = release t }
 
 (* A stub relation for planners: true name, schema and cardinality, but
    capacity-1 columns holding no data. Engines that cost, order or group by

@@ -1,7 +1,14 @@
 (** Paged on-disk relations: `<name>.pages` (CRC-framed pages) plus
     `<name>.meta` (schema + page directory, one checksummed frame, written
     tmp+rename). Readers decode pages on demand through a bounded LRU
-    {!Cache}, so scans stay out-of-core. *)
+    {!Cache}, so scans stay out-of-core.
+
+    A page a {!stream} chunk was leased from is recycled once the chunk is
+    released and the cache has dropped the page: the next full page
+    decoded reuses its Ints and Floats arrays ([store.pages_recycled]). A
+    handle keeps at most [cache_pages] such spare pages. Pages handed out
+    by {!chunk} (and so {!iter_chunks} and {!to_relation}), and short last
+    pages, are never recycled. *)
 
 val default_page_rows : int
 val default_cache_pages : int
@@ -43,14 +50,20 @@ val pages : t -> int
 val close : t -> unit
 
 val chunk : t -> int -> Relational.Relation.t
-(** Page [i] as an in-memory relation chunk (via the cache). *)
+(** Page [i] as an in-memory relation chunk (via the cache). The chunk is
+    the caller's to keep: its page is never recycled. *)
 
 val iter_chunks : t -> (Relational.Relation.t -> unit) -> unit
-(** Sequential scan, one page chunk at a time, in global row order. *)
+(** Sequential scan, one page chunk at a time, in global row order, each
+    chunk from {!chunk}. *)
 
 val stream : t -> Relational.Database.chunks
 (** The pages as a chunk sequence, each page read (through the cache) when
-    the sequence reaches it. *)
+    the sequence reaches it. Each chunk is leased: its cells stay intact
+    until it is released, however many pages are read meanwhile, and may
+    be overwritten by a later page after that. Releasing a chunk that is
+    not leased from this handle (or a second time) raises
+    [Invalid_argument]. *)
 
 val stub : t -> Relational.Relation.t
 (** Planner stub: true name/schema/cardinality, no resident cells. *)

@@ -249,6 +249,82 @@ let test_held_chunk_survives_buffer_reuse () =
   done;
   Alcotest.(check bool) "page 0 bit-identical" true (rel_bit_identical source first)
 
+(* Rows [lo, lo + n) of [rel] as a relation of their own. *)
+let slice rel lo n =
+  let out = Relation.create (Relation.name rel) (Relation.schema rel) in
+  for i = lo to lo + n - 1 do
+    Relation.append_from out rel i
+  done;
+  out
+
+(* A leased chunk holds its page: with a 1-page budget the page is evicted
+   at the next read, and later pages decode over the arrays of released
+   ones, yet the held chunk stays bit-identical until it is released. A
+   second release is refused. *)
+let test_leased_chunk_survives_recycling () =
+  Scenario.with_temp_dir @@ fun dir ->
+  let rel = random_relation (Util.Prng.create 19) 40 in
+  ignore (Loader.import_relation ~dir ~page_rows:8 rel);
+  let p = Paged.openr ~cache_pages:1 ~dir "T" in
+  let chunks = Paged.stream p in
+  Obs.with_enabled true @@ fun () ->
+  Obs.reset ();
+  (match chunks.Database.seq () with
+  | Seq.Nil -> Alcotest.fail "no page"
+  | Seq.Cons (first, rest) ->
+      Seq.iter chunks.Database.release rest;
+      Alcotest.(check int) "pages 3 and 4 decoded over released pages" 2
+        (Obs.counter_value_by_name "store.pages_recycled");
+      Alcotest.(check bool) "the held page 0 bit-identical" true (rel_bit_identical (slice rel 0 8) first);
+      chunks.Database.release first;
+      match chunks.Database.release first with
+      | () -> Alcotest.fail "a chunk released twice"
+      | exception Invalid_argument _ -> ());
+  Paged.close p;
+  Obs.reset ()
+
+(* Released and evicted, a full page lends its Ints and Floats arrays to
+   the next full-size decode (a 1-page budget: page 0 is evicted when page
+   1 is read, and page 2 decodes over it); its Boxed columns and the short
+   last page get fresh arrays. *)
+let test_released_pages_recycled () =
+  Scenario.with_temp_dir @@ fun dir ->
+  let rel = random_relation (Util.Prng.create 23) 28 in
+  ignore (Loader.import_relation ~dir ~page_rows:8 rel);
+  let p = Paged.openr ~cache_pages:1 ~dir "T" in
+  let chunks = Paged.stream p in
+  Obs.with_enabled true @@ fun () ->
+  Obs.reset ();
+  let seen = ref 0 in
+  let data =
+    Array.of_seq
+      (Seq.map
+         (fun c ->
+           let n = Relation.cardinality c in
+           Alcotest.(check bool) "chunk bit-identical" true (rel_bit_identical (slice rel !seen n) c);
+           seen := !seen + n;
+           let d = Array.map Column.data (Relation.columns c) in
+           chunks.Database.release c;
+           d)
+         chunks.Database.seq)
+  in
+  Paged.close p;
+  let same a b =
+    match (a, b) with
+    | Column.Ints x, Column.Ints y -> x == y
+    | Column.Floats x, Column.Floats y -> x == y
+    | Column.Boxed x, Column.Boxed y -> x == y
+    | _ -> false
+  in
+  Alcotest.(check int) "pages" 4 (Array.length data);
+  Alcotest.(check (list bool)) "page 2 reuses page 0's k and m, not s and x"
+    [ true; true; false; false ]
+    (Array.to_list (Array.map2 same data.(0) data.(2)));
+  Alcotest.(check int) "one page recycled" 1 (Obs.counter_value_by_name "store.pages_recycled");
+  Alcotest.(check bool) "the short page allocates" false
+    (Array.exists (fun d -> Array.exists2 same d data.(3)) (Array.sub data 0 3));
+  Obs.reset ()
+
 (* The on-disk format is pinned: the CRC-32 of the page and meta files of
    one fixed relation (ints, floats, strings and nulls over three pages). *)
 let test_format_pinned () =
@@ -700,6 +776,10 @@ let () =
             `Quick test_file_corruption_located;
           Alcotest.test_case "a held chunk survives buffer reuse" `Quick
             test_held_chunk_survives_buffer_reuse;
+          Alcotest.test_case "a leased chunk survives page recycling" `Quick
+            test_leased_chunk_survives_recycling;
+          Alcotest.test_case "released pages lend their arrays" `Quick
+            test_released_pages_recycled;
         ] );
       ( "engine-differential",
         [
