@@ -181,9 +181,10 @@ let decode_file path : int * string list * int * Delta.update list * Maintainer.
   (tag, features, seq, storage_dump, views)
 
 type restored = { maintainer : Maintainer.t; seq : int }
+type skipped = { corrupt : int; misfit : int }
 
-let restore ~dir ~(make : unit -> Maintainer.t) : restored option * int =
-  let corrupt = ref 0 in
+let restore ~dir ~(make : unit -> Maintainer.t) : restored option * skipped =
+  let corrupt = ref 0 and misfit = ref 0 in
   let rec try_candidates = function
     | [] -> None
     | (_, path) :: rest -> (
@@ -198,7 +199,7 @@ let restore ~dir ~(make : unit -> Maintainer.t) : restored option * int =
               (* someone changed the strategy or the features under the
                  same directory: this checkpoint cannot seed the requested
                  maintainer *)
-              incr corrupt;
+              incr misfit;
               try_candidates rest
             end
             else begin
@@ -214,7 +215,7 @@ let restore ~dir ~(make : unit -> Maintainer.t) : restored option * int =
             try_candidates rest)
   in
   let r = try_candidates (list dir) in
-  (r, !corrupt)
+  (r, { corrupt = !corrupt; misfit = !misfit })
 
 (* Damage injection (fault harness): flip one bit in the newest checkpoint,
    as silent media corruption would. *)

@@ -13,13 +13,19 @@ val write : dir:string -> seq:int -> Maintainer.t -> string
 
 type restored = { maintainer : Maintainer.t; seq : int }
 
-val restore : dir:string -> make:(unit -> Maintainer.t) -> restored option * int
-(** Restore from the newest valid checkpoint ([make] supplies empty
-    maintainers of the expected strategy). A checkpoint fits only a
+type skipped = {
+  corrupt : int;  (** failed the checksum or decode; another format version too *)
+  misfit : int;  (** valid, but written for another strategy or other features *)
+}
+(** The checkpoints passed over before the one restored. *)
+
+val restore : dir:string -> make:(unit -> Maintainer.t) -> restored option * skipped
+(** Restore from the newest valid checkpoint that fits ([make] supplies
+    empty maintainers of the expected strategy). A checkpoint fits only a
     maintainer of its strategy whose {!Fivm.Maintainer.features} are its
-    feature names in the same order. Returns the restored state (or [None]
-    if no valid checkpoint exists) and the number of corrupt or mismatched
-    checkpoints skipped; a file of another format version is corrupt. *)
+    feature names in the same order, and whose views its dump fits.
+    Returns the restored state (or [None] if no checkpoint is valid and
+    fits) and the checkpoints skipped, by why. *)
 
 val list : string -> (int * string) list
 (** (seq, path) of the checkpoints in a directory, newest first. *)

@@ -42,6 +42,7 @@ let c_wal_replayed = Obs.counter "resilience.wal_replayed"
 let c_wal_torn = Obs.counter "resilience.wal_torn"
 let c_checkpoints = Obs.counter "resilience.checkpoints"
 let c_checkpoint_corrupt = Obs.counter "resilience.checkpoint_corrupt"
+let c_checkpoint_misfit = Obs.counter "resilience.checkpoint_misfit"
 let c_recoveries = Obs.counter "resilience.recoveries"
 let c_quarantined = Obs.counter "resilience.quarantined"
 let c_retries = Obs.counter "resilience.retries"
@@ -120,8 +121,9 @@ let validate (m : M.t) (u : Delta.update) =
 let recover cfg make =
   Obs.with_span "resilience.recover" @@ fun () ->
   if not (Sys.file_exists cfg.dir) then Unix.mkdir cfg.dir 0o755;
-  let restored, corrupt = Checkpoint.restore ~dir:cfg.dir ~make in
-  Obs.add c_checkpoint_corrupt corrupt;
+  let restored, skipped = Checkpoint.restore ~dir:cfg.dir ~make in
+  Obs.add c_checkpoint_corrupt skipped.Checkpoint.corrupt;
+  Obs.add c_checkpoint_misfit skipped.Checkpoint.misfit;
   let m, seq0 =
     match restored with
     | Some r -> (r.Checkpoint.maintainer, r.Checkpoint.seq)
@@ -168,7 +170,9 @@ let recover cfg make =
       seq0 fresh
   in
   let had_state =
-    restored <> None || corrupt > 0 || prev.Wal.torn || cur.Wal.torn
+    restored <> None
+    || skipped.Checkpoint.corrupt + skipped.Checkpoint.misfit > 0
+    || prev.Wal.torn || cur.Wal.torn
     || records <> []
   in
   if had_state then Obs.incr c_recoveries;

@@ -220,6 +220,10 @@ let test_wal_roundtrip_and_torn_tail () =
 
 (* ---- checkpoint ---- *)
 
+(* A restore's skipped checkpoints as (misfit, corrupt). *)
+let skips (s : Checkpoint.skipped) = (s.Checkpoint.misfit, s.Checkpoint.corrupt)
+let misfit_corrupt = Alcotest.(pair int int)
+
 let test_checkpoint_roundtrip () =
   Scenario.with_temp_dir @@ fun dir ->
   List.iter
@@ -227,8 +231,8 @@ let test_checkpoint_roundtrip () =
       let m = make strategy () in
       List.iter (M.apply m) (stream ~seed:5 ~steps:60);
       ignore (Checkpoint.write ~dir ~seq:60 m);
-      let restored, corrupt = Checkpoint.restore ~dir ~make:(make strategy) in
-      Alcotest.(check int) "no corruption" 0 corrupt;
+      let restored, skipped = Checkpoint.restore ~dir ~make:(make strategy) in
+      Alcotest.(check misfit_corrupt) "nothing skipped" (0, 0) (skips skipped);
       match restored with
       | None -> Alcotest.fail "no checkpoint restored"
       | Some r ->
@@ -295,8 +299,8 @@ let test_checkpoint_corruption_falls_back () =
     us;
   ignore (Checkpoint.write ~dir ~seq:40 m);
   Checkpoint.flip_bit_newest dir;
-  let restored, corrupt = Checkpoint.restore ~dir ~make:(make M.F_ivm) in
-  Alcotest.(check int) "one corrupt checkpoint skipped" 1 corrupt;
+  let restored, skipped = Checkpoint.restore ~dir ~make:(make M.F_ivm) in
+  Alcotest.(check misfit_corrupt) "one corrupt checkpoint skipped" (0, 1) (skips skipped);
   (match restored with
   | Some r -> Alcotest.(check int) "fell back to the older checkpoint" 20 r.Checkpoint.seq
   | None -> Alcotest.fail "older checkpoint not restored");
@@ -308,8 +312,8 @@ let test_checkpoint_corruption_falls_back () =
       Bytes.set s (Bytes.length s - 1) 'X';
       Out_channel.with_open_bin p (fun oc -> Out_channel.output_bytes oc s))
     files;
-  let restored, corrupt = Checkpoint.restore ~dir ~make:(make M.F_ivm) in
-  Alcotest.(check bool) "both skipped" true (corrupt >= 2);
+  let restored, skipped = Checkpoint.restore ~dir ~make:(make M.F_ivm) in
+  Alcotest.(check misfit_corrupt) "both skipped as corrupt" (0, 2) (skips skipped);
   Alcotest.(check bool) "empty start" true (restored = None)
 
 (* A file patched and resealed, so that only its checksum holds, is
@@ -336,8 +340,9 @@ let test_checkpoint_refuses_patched () =
       Bytes.set s at '\001';
       Codec.seal_frame s ~pos:magic ~len:(Bytes.length s - magic - Codec.frame_header);
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc s);
-      let restored, corrupt = Checkpoint.restore ~dir ~make:(make M.F_ivm) in
-      Alcotest.(check int) (what ^ " 1: the checkpoint is refused") 1 corrupt;
+      let restored, skipped = Checkpoint.restore ~dir ~make:(make M.F_ivm) in
+      Alcotest.(check misfit_corrupt) (what ^ " 1: the checkpoint is refused as corrupt") (0, 1)
+        (skips skipped);
       match restored with
       | Some r -> Alcotest.(check int) "fell back to the older checkpoint" 20 r.Checkpoint.seq
       | None -> Alcotest.fail "older checkpoint not restored")
@@ -348,8 +353,8 @@ let test_checkpoint_refuses_patched () =
 
 (* A checkpoint written over features m, u, v cannot seed a maintainer over
    u, v (another triple dimension, tree count or totals length): restore
-   skips it like a strategy mismatch and takes the older checkpoint that
-   fits, which keeps maintaining. *)
+   skips it as a misfit, like a strategy mismatch, and takes the older
+   checkpoint that fits, which keeps maintaining. *)
 let test_checkpoint_shape_mismatch_skipped () =
   List.iter
     (fun strategy ->
@@ -363,8 +368,9 @@ let test_checkpoint_shape_mismatch_skipped () =
       let wide = make strategy () in
       List.iter (M.apply wide) updates;
       ignore (Checkpoint.write ~dir ~seq:20 wide);
-      let restored, corrupt = Checkpoint.restore ~dir ~make:narrow in
-      Alcotest.(check int) (name ^ ": the wide checkpoint is skipped") 1 corrupt;
+      let restored, skipped = Checkpoint.restore ~dir ~make:narrow in
+      Alcotest.(check misfit_corrupt) (name ^ ": the wide checkpoint is a misfit") (1, 0)
+        (skips skipped);
       match restored with
       | None -> Alcotest.fail (name ^ ": the fitting checkpoint was not restored")
       | Some r ->
@@ -379,7 +385,7 @@ let test_checkpoint_shape_mismatch_skipped () =
 (* Maintained over m, u, v and restored into a maintainer over v, u, m,
    an F-IVM checkpoint is refused: its feature names differ, and its dump
    does not fit either (D2's view triples hold v's sums at the feature
-   slot that D2 no longer owns). Restore counts the checkpoint corrupt and
+   slot that D2 no longer owns). Restore counts the checkpoint a misfit and
    installs nothing. *)
 let test_checkpoint_feature_order_refused () =
   Scenario.with_temp_dir @@ fun dir ->
@@ -387,12 +393,12 @@ let test_checkpoint_feature_order_refused () =
   List.iter (M.apply m) (stream ~seed:3 ~steps:40);
   ignore (Checkpoint.write ~dir ~seq:40 m);
   let reordered () = M.create M.F_ivm (Sg.star_database ()) ~features:[ "v"; "u"; "m" ] in
-  let restored, corrupt = Checkpoint.restore ~dir ~make:reordered in
-  Alcotest.(check int) "the reordered checkpoint is refused" 1 corrupt;
+  let restored, skipped = Checkpoint.restore ~dir ~make:reordered in
+  Alcotest.(check misfit_corrupt) "the reordered checkpoint is a misfit" (1, 0) (skips skipped);
   Alcotest.(check bool) "nothing restored" true (restored = None);
   (* the same order restores *)
-  let restored, corrupt = Checkpoint.restore ~dir ~make:(make M.F_ivm) in
-  Alcotest.(check int) "the same order fits" 0 corrupt;
+  let restored, skipped = Checkpoint.restore ~dir ~make:(make M.F_ivm) in
+  Alcotest.(check misfit_corrupt) "the same order fits" (0, 0) (skips skipped);
   Alcotest.(check bool) "restored" true (restored <> None)
 
 (* The star schema with a second feature on D1, w = 2u + 1, so that one
@@ -427,17 +433,33 @@ let test_checkpoint_swapped_features_refused () =
       let m = over [ "m"; "u"; "w"; "v" ] () in
       List.iter (fun u -> M.apply m (with_w u)) (stream ~seed:4 ~steps:40);
       ignore (Checkpoint.write ~dir ~seq:40 m);
-      let restored, corrupt = Checkpoint.restore ~dir ~make:(over [ "m"; "w"; "u"; "v" ]) in
-      Alcotest.(check int) (name ^ ": the swapped checkpoint is refused") 1 corrupt;
+      let restored, skipped = Checkpoint.restore ~dir ~make:(over [ "m"; "w"; "u"; "v" ]) in
+      Alcotest.(check misfit_corrupt) (name ^ ": the swapped checkpoint is a misfit") (1, 0)
+        (skips skipped);
       Alcotest.(check bool) (name ^ ": nothing restored") true (restored = None);
-      let restored, corrupt = Checkpoint.restore ~dir ~make:(over [ "m"; "u"; "w"; "v" ]) in
-      Alcotest.(check int) (name ^ ": the same features fit") 0 corrupt;
+      let restored, skipped = Checkpoint.restore ~dir ~make:(over [ "m"; "u"; "w"; "v" ]) in
+      Alcotest.(check misfit_corrupt) (name ^ ": the same features fit") (0, 0) (skips skipped);
       match restored with
       | None -> Alcotest.fail (name ^ ": the checkpoint was not restored")
       | Some r ->
           Alcotest.(check bool) (name ^ ": restored bit-identically") true
             (Cov.equal_bits (M.covariance m) (M.covariance r.Checkpoint.maintainer)))
     [ M.F_ivm; M.Higher_order; M.First_order ]
+
+(* A checkpoint written under one strategy cannot seed another: restore
+   counts it a misfit, not corrupt, and installs nothing. *)
+let test_checkpoint_other_strategy_misfit () =
+  List.iter
+    (fun (written, wanted) ->
+      Scenario.with_temp_dir @@ fun dir ->
+      let m = make written () in
+      List.iter (M.apply m) (stream ~seed:12 ~steps:30);
+      ignore (Checkpoint.write ~dir ~seq:30 m);
+      let restored, skipped = Checkpoint.restore ~dir ~make:(make wanted) in
+      let what = M.strategy_name written ^ " into " ^ M.strategy_name wanted in
+      Alcotest.(check misfit_corrupt) (what ^ ": a misfit") (1, 0) (skips skipped);
+      Alcotest.(check bool) (what ^ ": nothing restored") true (restored = None))
+    [ (M.F_ivm, M.Higher_order); (M.Higher_order, M.First_order); (M.First_order, M.F_ivm) ]
 
 (* ---- the core promise: crash recovery is bit-identical ---- *)
 
@@ -503,6 +525,25 @@ let test_recovery_counters () =
     (Obs.counter_value_by_name "resilience.wal_records" >= 60);
   Alcotest.(check bool) "resilience.checkpoints > 0" true
     (Obs.counter_value_by_name "resilience.checkpoints" > 0);
+  Obs.reset ()
+
+(* A directory holding only a checkpoint for other features: recovery
+   counts it in resilience.checkpoint_misfit, not as corruption, and starts
+   empty. *)
+let test_recovery_counts_misfits () =
+  Obs.reset ();
+  Obs.with_enabled true @@ fun () ->
+  Scenario.with_temp_dir @@ fun dir ->
+  let m = make M.F_ivm () in
+  List.iter (M.apply m) (stream ~seed:14 ~steps:20);
+  ignore (Checkpoint.write ~dir ~seq:20 m);
+  let narrow () = M.create M.F_ivm (Sg.star_database ()) ~features:[ "u"; "v" ] in
+  let d = Driver.create (Driver.config dir) narrow in
+  Alcotest.(check int) "starts empty" 0 (Driver.seq d);
+  let c = Obs.counter_value_by_name in
+  Alcotest.(check (list int)) "checkpoint_misfit, checkpoint_corrupt, recoveries" [ 1; 0; 1 ]
+    [ c "resilience.checkpoint_misfit"; c "resilience.checkpoint_corrupt"; c "resilience.recoveries" ];
+  Driver.close d;
   Obs.reset ()
 
 (* ---- quarantine ---- *)
@@ -620,6 +661,8 @@ let () =
             test_checkpoint_feature_order_refused;
           Alcotest.test_case "swapped features of one relation refused" `Quick
             test_checkpoint_swapped_features_refused;
+          Alcotest.test_case "another strategy's checkpoint is a misfit" `Quick
+            test_checkpoint_other_strategy_misfit;
         ] );
       ( "crash-recovery",
         [
@@ -629,6 +672,7 @@ let () =
           Alcotest.test_case "clean restart is bit-identical" `Quick
             test_clean_restart_bit_identical;
           Alcotest.test_case "recovery counters" `Quick test_recovery_counters;
+          Alcotest.test_case "misfits are not corruption" `Quick test_recovery_counts_misfits;
         ] );
       ( "degradation",
         [
