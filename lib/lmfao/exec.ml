@@ -1030,10 +1030,6 @@ let release_finished s =
       s.held <- [ current ]
   | _ -> ()
 
-let release_held s =
-  List.iter s.release s.held;
-  s.held <- []
-
 (* Row [i]'s edge key in the current chunk, checked when [s] is not. *)
 let key s i =
   let k = s.piece.key i in
@@ -1114,7 +1110,7 @@ let merged_step ~parallel ~chunk_threshold db (g : Plan.grouped) layouts live (m
     if resident name then Option.iter (fun w -> raise (Fall_back w)) (unordered (Database.relation db name) key)
   in
   let sides = ref [] in
-  Fun.protect ~finally:(fun () -> List.iter release_held !sides) @@ fun () ->
+  Fun.protect ~finally:(fun () -> List.iter (fun s -> List.iter s.release s.held) !sides) @@ fun () ->
   try
     if chunked m.Plan.n_rel || chunked m.Plan.c_rel then raise (Fall_back Parallel);
     check m.Plan.n_rel m.Plan.n_key;
